@@ -1,6 +1,6 @@
-//! Criterion benchmarks for the packet-simulator kernels: the
-//! zero-allocation workspace kernel (fresh and reused) against the naive
-//! reference, on the acceptance instance `balanced(4,3)` with 512 objects
+//! Criterion benchmarks for the packet simulator: the event-driven
+//! workspace kernel (fresh and reused) against the naive reference
+//! oracle, on the acceptance instance `balanced(4,3)` with 512 objects
 //! and ~15k requests, plus a smaller instance tracking per-slot overhead.
 
 #![warn(missing_docs)]

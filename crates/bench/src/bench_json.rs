@@ -1,50 +1,14 @@
 //! Machine-readable benchmark emission.
 //!
 //! Experiment drivers append one JSON document per run (e.g.
-//! `BENCH_simulator.json`) so the throughput trajectory can be tracked
+//! `BENCH_replay.json`) so the throughput trajectory can be tracked
 //! across PRs by CI without parsing human-oriented tables. The encoder is
 //! hand-rolled — the workspace intentionally has no serde_json — and
 //! emits a flat, diff-friendly layout.
 
+use hbn_server::percentile;
 use std::io::Write as _;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-/// One measured replay.
-#[derive(Debug, Clone)]
-pub struct SimBenchRecord {
-    /// Network label, e.g. `balanced(4,3)`.
-    pub network: String,
-    /// Number of processors (leaves).
-    pub processors: usize,
-    /// Requests replayed.
-    pub requests: usize,
-    /// Which kernel ran (`optimized` / `reference`).
-    pub kernel: String,
-    /// Batch makespan in slots.
-    pub makespan_slots: u64,
-    /// Wall-clock seconds for the replay.
-    pub wall_seconds: f64,
-}
-
-impl SimBenchRecord {
-    /// Replayed requests per wall-clock second.
-    pub fn requests_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.requests as f64 / self.wall_seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Simulated slots per wall-clock second.
-    pub fn slots_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.makespan_slots as f64 / self.wall_seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-}
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -79,48 +43,6 @@ fn json_f64_array(vs: &[f64]) -> String {
     }
     out.push(']');
     out
-}
-
-/// Render the simulator benchmark document.
-pub fn render_simulator_json(records: &[SimBenchRecord], speedup: Option<f64>) -> String {
-    let emitted_at = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"simulator_throughput\",\n");
-    out.push_str(&format!("  \"emitted_at_unix\": {emitted_at},\n"));
-    out.push_str(&format!(
-        "  \"speedup_optimized_vs_reference\": {},\n",
-        speedup.map(json_f64).unwrap_or_else(|| "null".to_string())
-    ));
-    out.push_str("  \"instances\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"network\": \"{}\", \"processors\": {}, \"requests\": {}, \
-             \"kernel\": \"{}\", \"makespan_slots\": {}, \"wall_seconds\": {}, \
-             \"requests_per_sec\": {}, \"slots_per_sec\": {}}}{}\n",
-            json_escape(&r.network),
-            r.processors,
-            r.requests,
-            json_escape(&r.kernel),
-            r.makespan_slots,
-            json_f64(r.wall_seconds),
-            json_f64(r.requests_per_sec()),
-            json_f64(r.slots_per_sec()),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Render and write the document to `path`.
-pub fn emit_simulator_json(
-    path: &str,
-    records: &[SimBenchRecord],
-    speedup: Option<f64>,
-) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(render_simulator_json(records, speedup).as_bytes())
 }
 
 /// One cell of the scenario matrix: a (family, topology) pair aggregated
@@ -581,8 +503,7 @@ pub fn emit_crash_recovery_json(
 }
 
 /// One timed replay of EXP-REPLAY: the same traffic replayed by the
-/// sequential workspace kernel or the parallel wavefront kernel at a
-/// given thread width.
+/// workspace kernel or by the reference oracle.
 #[derive(Debug, Clone)]
 pub struct ReplayBenchRecord {
     /// Network label, e.g. `balanced(5,4)`.
@@ -591,18 +512,16 @@ pub struct ReplayBenchRecord {
     pub processors: usize,
     /// Requests replayed.
     pub requests: usize,
-    /// Which kernel ran (`sequential` / `parallel`).
+    /// Which implementation ran (`workspace` / `reference`).
     pub kernel: String,
-    /// Worker threads of the parallel kernel (`1` for sequential).
-    pub threads: usize,
-    /// Batch makespan in slots (identical across kernels by the
-    /// differential guarantee).
+    /// Batch makespan in slots (identical for both by the differential
+    /// guarantee).
     pub makespan_slots: u64,
     /// Wall-clock seconds for the replay.
     pub wall_seconds: f64,
-    /// Throughput ratio against the sequential kernel on the same
-    /// instance (`None` on the sequential rows themselves).
-    pub speedup_vs_sequential: Option<f64>,
+    /// Throughput ratio against the reference oracle on the same
+    /// instance (`None` on the reference rows themselves).
+    pub speedup_vs_reference: Option<f64>,
 }
 
 impl ReplayBenchRecord {
@@ -639,9 +558,20 @@ pub struct ReplayEstimateRecord {
     /// Wall-clock seconds for the estimator pass (bounds for every
     /// epoch + the sampled exact replays).
     pub wall_seconds: f64,
-    /// Wall-clock seconds for replaying the same stream fully exactly
-    /// (`None` when the exact twin was too large to run).
-    pub exact_wall_seconds: Option<f64>,
+    /// Wall-clock seconds for replaying the same stream fully exactly.
+    pub exact_wall_seconds: f64,
+}
+
+impl ReplayEstimateRecord {
+    /// How many times longer exact replay of the stream takes than the
+    /// estimator pass (`exact_wall_seconds / wall_seconds`).
+    pub fn exact_over_estimate(&self) -> f64 {
+        if self.wall_seconds > 0.0 {
+            self.exact_wall_seconds / self.wall_seconds
+        } else {
+            f64::INFINITY
+        }
+    }
 }
 
 /// Render the replay-scaling benchmark document (`BENCH_replay.json`).
@@ -657,7 +587,7 @@ pub fn render_replay_json(
     out.push_str("  \"bench\": \"replay_scaling\",\n");
     out.push_str(&format!("  \"emitted_at_unix\": {emitted_at},\n"));
     out.push_str(&format!(
-        "  \"speedup_parallel_vs_sequential\": {},\n",
+        "  \"speedup_vs_reference\": {},\n",
         speedup.map(json_f64).unwrap_or_else(|| "null".to_string())
     ));
     out.push_str(&format!("  \"estimator_brackets_validated\": {all_bracket},\n"));
@@ -665,18 +595,17 @@ pub fn render_replay_json(
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"network\": \"{}\", \"processors\": {}, \"requests\": {}, \
-             \"kernel\": \"{}\", \"threads\": {}, \"makespan_slots\": {}, \
+             \"kernel\": \"{}\", \"makespan_slots\": {}, \
              \"wall_seconds\": {}, \"requests_per_sec\": {}, \
-             \"speedup_vs_sequential\": {}}}{}\n",
+             \"speedup_vs_reference\": {}}}{}\n",
             json_escape(&r.network),
             r.processors,
             r.requests,
             json_escape(&r.kernel),
-            r.threads,
             r.makespan_slots,
             json_f64(r.wall_seconds),
             json_f64(r.requests_per_sec()),
-            r.speedup_vs_sequential.map(json_f64).unwrap_or_else(|| "null".to_string()),
+            r.speedup_vs_reference.map(json_f64).unwrap_or_else(|| "null".to_string()),
             if i + 1 == records.len() { "" } else { "," }
         ));
     }
@@ -687,7 +616,7 @@ pub fn render_replay_json(
             "    {{\"network\": \"{}\", \"processors\": {}, \"requests\": {}, \
              \"epochs\": {}, \"sampled_epochs\": {}, \"violations\": {}, \
              \"mean_gap_ratio\": {}, \"wall_seconds\": {}, \
-             \"exact_wall_seconds\": {}}}{}\n",
+             \"exact_wall_seconds\": {}, \"exact_over_estimate\": {}}}{}\n",
             json_escape(&r.network),
             r.processors,
             r.requests,
@@ -696,7 +625,8 @@ pub fn render_replay_json(
             r.violations,
             json_f64(r.mean_gap_ratio),
             json_f64(r.wall_seconds),
-            r.exact_wall_seconds.map(json_f64).unwrap_or_else(|| "null".to_string()),
+            json_f64(r.exact_wall_seconds),
+            json_f64(r.exact_over_estimate()),
             if i + 1 == estimates.len() { "" } else { "," }
         ));
     }
@@ -873,17 +803,6 @@ pub struct ServerRecoveryRecord {
     pub recovery_micros: u64,
 }
 
-/// Nearest-rank percentile over `u64` samples (0 on empty input).
-fn percentile_u64(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Render the server service-level document (EXP-SERVER).
 pub fn render_server_json(load: &[ServerLoadRecord], recovery: &[ServerRecoveryRecord]) -> String {
     let emitted_at = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
@@ -900,8 +819,8 @@ pub fn render_server_json(load: &[ServerLoadRecord], recovery: &[ServerRecoveryR
     out.push_str(&format!("  \"emitted_at_unix\": {emitted_at},\n"));
     out.push_str(&format!("  \"all_restores_exact\": {all_equal},\n"));
     out.push_str(&format!("  \"graceful_under_overload\": {graceful},\n"));
-    out.push_str(&format!("  \"recovery_p50_micros\": {},\n", percentile_u64(&rec_micros, 50.0)));
-    out.push_str(&format!("  \"recovery_p99_micros\": {},\n", percentile_u64(&rec_micros, 99.0)));
+    out.push_str(&format!("  \"recovery_p50_micros\": {},\n", percentile(&rec_micros, 50.0)));
+    out.push_str(&format!("  \"recovery_p99_micros\": {},\n", percentile(&rec_micros, 99.0)));
     out.push_str("  \"load_windows\": [\n");
     for (i, r) in load.iter().enumerate() {
         out.push_str(&format!(
@@ -962,29 +881,44 @@ pub fn emit_server_json(
 mod tests {
     use super::*;
 
-    fn record(kernel: &str) -> SimBenchRecord {
-        SimBenchRecord {
+    fn record(kernel: &str) -> ReplayBenchRecord {
+        ReplayBenchRecord {
             network: "balanced(4,3)".into(),
             processors: 64,
             requests: 15000,
             kernel: kernel.into(),
             makespan_slots: 4000,
             wall_seconds: 0.05,
+            speedup_vs_reference: None,
+        }
+    }
+
+    fn estimate(violations: usize, exact_wall_seconds: f64) -> ReplayEstimateRecord {
+        ReplayEstimateRecord {
+            network: "star(8,b=2)".into(),
+            processors: 8,
+            requests: 100,
+            epochs: 4,
+            sampled_epochs: 4,
+            violations,
+            mean_gap_ratio: 2.0,
+            wall_seconds: 0.01,
+            exact_wall_seconds,
         }
     }
 
     #[test]
     fn rates_derive_from_wall_clock() {
-        let r = record("optimized");
-        assert!((r.requests_per_sec() - 300_000.0).abs() < 1e-6);
-        assert!((r.slots_per_sec() - 80_000.0).abs() < 1e-6);
+        assert!((record("workspace").requests_per_sec() - 300_000.0).abs() < 1e-6);
+        assert!((estimate(0, 0.05).exact_over_estimate() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn document_shape_is_stable() {
-        let doc = render_simulator_json(&[record("optimized"), record("reference")], Some(3.7));
-        assert!(doc.contains("\"bench\": \"simulator_throughput\""));
-        assert!(doc.contains("\"speedup_optimized_vs_reference\": 3.700000"));
+        let kernel = ReplayBenchRecord { speedup_vs_reference: Some(3.7), ..record("workspace") };
+        let doc = render_replay_json(&[kernel, record("reference")], &[], Some(3.7));
+        assert!(doc.contains("\"speedup_vs_reference\": 3.700000"));
+        assert!(doc.contains("\"speedup_vs_reference\": null"));
         assert!(doc.contains("\"requests_per_sec\": 300000.000000"));
         assert_eq!(doc.matches("\"kernel\"").count(), 2);
         // Exactly one comma between the two instance rows.
@@ -993,11 +927,11 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let mut r = record("optimized");
+        let mut r = record("workspace");
         r.network = "a\"b\\c".into();
-        let doc = render_simulator_json(&[r], None);
+        let doc = render_replay_json(&[r], &[], None);
         assert!(doc.contains("a\\\"b\\\\c"));
-        assert!(doc.contains("\"speedup_optimized_vs_reference\": null"));
+        assert!(doc.contains("\"speedup_vs_reference\": null"));
     }
 
     fn scenario_record(family: &str, topology: &str) -> ScenarioBenchRecord {
@@ -1216,22 +1150,20 @@ mod tests {
 
     #[test]
     fn replay_document_shape_is_stable() {
-        let seq = ReplayBenchRecord {
+        let oracle = ReplayBenchRecord {
             network: "balanced(5,4)".into(),
             processors: 625,
             requests: 60_000,
-            kernel: "sequential".into(),
-            threads: 1,
+            kernel: "reference".into(),
             makespan_slots: 41_446,
             wall_seconds: 0.4,
-            speedup_vs_sequential: None,
+            speedup_vs_reference: None,
         };
-        let par = ReplayBenchRecord {
-            kernel: "parallel".into(),
-            threads: 2,
+        let kernel = ReplayBenchRecord {
+            kernel: "workspace".into(),
             wall_seconds: 0.1,
-            speedup_vs_sequential: Some(4.0),
-            ..seq.clone()
+            speedup_vs_reference: Some(4.0),
+            ..oracle.clone()
         };
         let est = ReplayEstimateRecord {
             network: "balanced(5,4)".into(),
@@ -1242,34 +1174,23 @@ mod tests {
             violations: 0,
             mean_gap_ratio: 9.5,
             wall_seconds: 1.5,
-            exact_wall_seconds: None,
+            exact_wall_seconds: 12.0,
         };
-        let doc = render_replay_json(&[seq, par], &[est], Some(4.0));
+        let doc = render_replay_json(&[kernel, oracle], &[est], Some(4.0));
         assert!(doc.contains("\"bench\": \"replay_scaling\""));
-        assert!(doc.contains("\"speedup_parallel_vs_sequential\": 4.000000"));
+        assert!(doc.contains("\"speedup_vs_reference\": 4.000000,\n"));
         assert!(doc.contains("\"estimator_brackets_validated\": true"));
-        assert!(doc.contains("\"speedup_vs_sequential\": null"));
-        // 60k requests in 0.4 s → 150k requests/sec on the sequential row.
+        // 60k requests in 0.4 s → 150k requests/sec on the reference row.
         assert!(doc.contains("\"requests_per_sec\": 150000.000000"));
-        assert!(doc.contains("\"exact_wall_seconds\": null"));
-        assert_eq!(doc.matches("\"threads\"").count(), 2);
+        assert!(doc.contains("\"exact_wall_seconds\": 12.000000"));
+        assert!(doc.contains("\"exact_over_estimate\": 8.000000"));
+        assert!(!doc.contains("\"threads\""));
         assert_eq!(doc.matches("\"sampled_epochs\"").count(), 1);
     }
 
     #[test]
     fn replay_violations_flip_the_headline() {
-        let est = ReplayEstimateRecord {
-            network: "star(8,b=2)".into(),
-            processors: 8,
-            requests: 100,
-            epochs: 4,
-            sampled_epochs: 4,
-            violations: 1,
-            mean_gap_ratio: 2.0,
-            wall_seconds: 0.01,
-            exact_wall_seconds: Some(0.02),
-        };
-        let doc = render_replay_json(&[], &[est], None);
+        let doc = render_replay_json(&[], &[estimate(1, 0.02)], None);
         assert!(doc.contains("\"estimator_brackets_validated\": false"));
         assert!(doc.contains("\"exact_wall_seconds\": 0.020000"));
     }

@@ -18,7 +18,7 @@
 //!   achievable ratio.
 //!
 //! Emits `BENCH_dynamic.json` so the serve-loop trajectory is tracked
-//! across PRs alongside `BENCH_simulator.json` and
+//! across PRs alongside `BENCH_replay.json` and
 //! `BENCH_scenarios.json`. `HBN_EXP_QUICK=1` shrinks the request volumes
 //! for CI.
 
@@ -101,7 +101,7 @@ fn instances() -> Vec<Instance> {
 /// Serve the whole trace on a fresh strategy with the given kernel and
 /// return the strategy and the wall-clock seconds of the serve loop. A
 /// discarded warm-up pass first brings caches and branch predictors up,
-/// like `exp_simulator_throughput`'s `time_replay`.
+/// like `exp_replay_scaling`'s `time_kernel`.
 fn run_kernel(inst: &Instance, workspace: bool) -> (DynamicTree, f64) {
     let pass = || {
         let mut strategy = DynamicTree::new(&inst.net, inst.max_objects, inst.threshold);

@@ -1,19 +1,20 @@
-//! EXP-REPLAY: scaling of the parallel wavefront replay kernel and the
-//! congestion-bound estimator.
+//! EXP-REPLAY: the exact replay kernel against its oracle, and the
+//! congestion-bound estimator against exact replay.
 //!
-//! Part 1 replays identical traffic through the sequential workspace
-//! kernel and the event-driven parallel wavefront kernel
-//! ([`hbn_sim::simulate_parallel_with`]) at thread widths 1 and 2 across
-//! the topology matrix, asserting bit-for-bit agreement and recording
-//! the throughput ratio (the kernels agree by the differential suite;
-//! here the agreement doubles as a release-mode sanity check).
+//! Part 1 replays identical traffic through the event-driven workspace
+//! kernel ([`hbn_sim::simulate_with`]) and the naive reference oracle
+//! ([`hbn_sim::simulate_reference`]) across the topology matrix,
+//! asserting bit-for-bit agreement (the differential suite pins it; here
+//! the agreement doubles as a release-mode check) and recording the
+//! throughput ratio.
 //!
-//! Part 2 runs the estimator at 100x the exact-replay bench scale: a
-//! 100-epoch stream over `balanced(5,4)` — 6M requests, far past what
-//! exact slot simulation can price per-PR — bounded in `O(|V| + nnz)`
-//! per epoch, with every k-th epoch replayed exactly to validate that
-//! `lower ≤ makespan ≤ upper` on each sample. A violation aborts the
-//! experiment.
+//! Part 2 runs the estimator up to 100x the exact-replay bench scale: a
+//! 100-epoch stream over `balanced(5,4)` — 6M requests — bounded in
+//! `O(|V| + nnz)` per epoch, with every k-th epoch replayed exactly to
+//! validate that `lower ≤ makespan ≤ upper` on each sample. A violation
+//! aborts the experiment. Every cell also replays its whole stream
+//! exactly (the "exact twin"), so the document records what the
+//! estimator saves: `exact_wall / wall`.
 //!
 //! Emits `BENCH_replay.json` (quick mode: `HBN_EXP_QUICK=1` shrinks the
 //! volumes, same shape).
@@ -27,49 +28,34 @@ use hbn_bench::{
 };
 use hbn_load::Placement;
 use hbn_sim::{
-    estimate_makespan, expand_shuffled, simulate_parallel_with, simulate_with, ParSimWorkspace,
-    SimConfig, SimResult, SimWorkspace,
+    estimate_makespan, expand_shuffled, simulate_reference, simulate_with, SimConfig, SimResult,
+    SimWorkspace,
 };
 use hbn_topology::generators::{balanced, BandwidthProfile};
-use hbn_topology::Network;
 use hbn_workload::generators as wgen;
 use hbn_workload::AccessMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Time one sequential replay with a reused workspace, after one warmup
+/// Time one kernel replay with a reused workspace, after one warmup
 /// replay that fills the high-water buffers.
-fn time_sequential(
-    ws: &mut SimWorkspace,
-    net: &Network,
+fn time_kernel(
+    net: &hbn_topology::Network,
     m: &AccessMatrix,
     placement: &Placement,
     trace: &[hbn_sim::Request],
 ) -> (SimResult, f64) {
-    simulate_with(ws, net, m, placement, trace, SimConfig::default()).expect("routable");
+    let mut ws = SimWorkspace::new();
+    simulate_with(&mut ws, net, m, placement, trace, SimConfig::default()).expect("routable");
     let start = Instant::now();
-    let sim = simulate_with(ws, net, m, placement, trace, SimConfig::default()).expect("routable");
+    let sim =
+        simulate_with(&mut ws, net, m, placement, trace, SimConfig::default()).expect("routable");
     (sim, start.elapsed().as_secs_f64())
 }
 
-/// Time one parallel replay at a fixed thread width, same warmup shape.
-fn time_parallel(
-    ws: &mut ParSimWorkspace,
-    net: &Network,
-    m: &AccessMatrix,
-    placement: &Placement,
-    trace: &[hbn_sim::Request],
-) -> (SimResult, f64) {
-    simulate_parallel_with(ws, net, m, placement, trace, SimConfig::default()).expect("routable");
-    let start = Instant::now();
-    let sim = simulate_parallel_with(ws, net, m, placement, trace, SimConfig::default())
-        .expect("routable");
-    (sim, start.elapsed().as_secs_f64())
-}
-
-fn kernel_scaling(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
-    println!("EXP-REPLAY — parallel wavefront kernel vs sequential workspace kernel\n");
+fn kernel_vs_reference(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
+    println!("EXP-REPLAY — event-driven workspace kernel vs reference oracle\n");
     let instances: Vec<(&str, usize, u32, usize, usize)> = if exp_quick() {
         vec![("balanced(4,3)", 4, 3, 512, 6_000)]
     } else {
@@ -84,7 +70,6 @@ fn kernel_scaling(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
         "procs",
         "requests",
         "kernel",
-        "threads",
         "makespan",
         "wall (ms)",
         "requests/sec",
@@ -99,92 +84,86 @@ fn kernel_scaling(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
         let trace = expand_shuffled(&m, &mut rng);
         let placement = ExtendedNibbleStrategy::default().place(&net, &m);
 
-        let mut seq_ws = SimWorkspace::new();
-        let (seq, seq_secs) = time_sequential(&mut seq_ws, &net, &m, &placement, &trace);
-        let mut row = |kernel: &str, threads: usize, sim: &SimResult, secs: f64| {
-            let speedup = (kernel == "parallel").then(|| seq_secs / secs.max(1e-12));
+        let (sim, secs) = time_kernel(&net, &m, &placement, &trace);
+        let start = Instant::now();
+        let oracle = simulate_reference(&net, &m, &placement, &trace, SimConfig::default())
+            .expect("routable");
+        let oracle_secs = start.elapsed().as_secs_f64();
+        assert_eq!(sim, oracle, "kernel and oracle must agree on {label}");
+
+        let speedup = oracle_secs / secs.max(1e-12);
+        for (kernel, wall, speedup) in
+            [("workspace", secs, Some(speedup)), ("reference", oracle_secs, None)]
+        {
             let rec = ReplayBenchRecord {
                 network: label.to_string(),
                 processors: net.n_processors(),
                 requests: trace.len(),
                 kernel: kernel.into(),
-                threads,
                 makespan_slots: sim.makespan,
-                wall_seconds: secs,
-                speedup_vs_sequential: speedup,
+                wall_seconds: wall,
+                speedup_vs_reference: speedup,
             };
             t.row([
                 label.to_string(),
                 net.n_processors().to_string(),
                 trace.len().to_string(),
                 kernel.into(),
-                threads.to_string(),
                 sim.makespan.to_string(),
-                format!("{:.2}", secs * 1e3),
+                format!("{:.2}", wall * 1e3),
                 format!("{:.0}", rec.requests_per_sec()),
                 speedup.map_or("-".into(), |s| format!("{s:.2}x")),
             ]);
             records.push(rec);
-            speedup
-        };
-        row("sequential", 1, &seq, seq_secs);
-
-        headline = None; // the largest instance's best width wins
-        for threads in [1usize, 2] {
-            let mut ws = ParSimWorkspace::with_threads(threads);
-            let (par, par_secs) = time_parallel(&mut ws, &net, &m, &placement, &trace);
-            assert_eq!(par, seq, "kernels must agree on {label} at {threads} threads");
-            let speedup = row("parallel", threads, &par, par_secs);
-            if speedup > headline {
-                headline = speedup;
-            }
         }
+        headline = Some(speedup); // the largest instance's ratio wins
     }
     println!("{}", t.render());
     if let Some(s) = headline {
-        println!("parallel vs sequential replay throughput (largest instance): {s:.2}x\n");
+        println!("workspace kernel vs reference oracle (largest instance): {s:.2}x\n");
     }
     headline
 }
 
 /// One estimator cell: an `epochs`-long stream of fresh zipf matrices,
 /// each priced by the bounds in `O(|V| + nnz)`; every `sample_every`-th
-/// epoch is replayed exactly (parallel kernel) and must fall inside its
-/// bounds. When `time_exact_twin`, the whole stream is also replayed
-/// exactly to show what the estimator saves.
-#[allow(clippy::too_many_arguments)]
+/// epoch is replayed exactly and must fall inside its bounds. The whole
+/// stream is then replayed exactly as well, to show what the estimator
+/// saves.
 fn estimator_cell(
     label: &str,
-    branching: usize,
-    height: u32,
+    (branching, height): (usize, u32),
     objects: usize,
     requests_per_epoch: usize,
     epochs: usize,
     sample_every: usize,
-    time_exact_twin: bool,
 ) -> ReplayEstimateRecord {
     let net = balanced(branching, height, BandwidthProfile::Uniform);
     let config = SimConfig::default();
-    let mut pw = ParSimWorkspace::new();
+    let mut ws = SimWorkspace::new();
+    let epoch = |epoch: usize| {
+        let mut rng = StdRng::seed_from_u64(11 + epoch as u64);
+        let m = wgen::zipf_read_mostly(&net, objects, requests_per_epoch, 0.9, 0.2, &mut rng);
+        let placement = ExtendedNibbleStrategy::default().place(&net, &m);
+        (m, placement, rng)
+    };
     let mut sampled = 0usize;
     let mut violations = 0usize;
     let mut gap_sum = 0.0f64;
     let start = Instant::now();
-    for epoch in 0..epochs {
-        let mut rng = StdRng::seed_from_u64(11 + epoch as u64);
-        let m = wgen::zipf_read_mostly(&net, objects, requests_per_epoch, 0.9, 0.2, &mut rng);
-        let placement = ExtendedNibbleStrategy::default().place(&net, &m);
+    for e in 0..epochs {
+        let (m, placement, mut rng) = epoch(e);
         let bounds = estimate_makespan(&net, &m, &placement, config, None);
         gap_sum += bounds.gap_ratio();
-        if epoch % sample_every == 0 {
+        if e % sample_every == 0 {
             let trace = expand_shuffled(&m, &mut rng);
-            let exact = simulate_parallel_with(&mut pw, &net, &m, &placement, &trace, config)
-                .expect("routable");
+            let exact =
+                simulate_with(&mut ws, &net, &m, &placement, &trace, config).expect("routable");
             sampled += 1;
             if !bounds.brackets(exact.makespan) {
                 violations += 1;
                 eprintln!(
-                    "VIOLATION: {label} epoch {epoch}: bounds [{}, {}] miss makespan {}",
+                    "VIOLATION: {label} epoch {e}: bounds [{}, {}] miss makespan {}",
                     bounds.lower, bounds.upper, exact.makespan
                 );
             }
@@ -193,18 +172,13 @@ fn estimator_cell(
     let wall = start.elapsed().as_secs_f64();
     exit_on_estimate_violations(violations, label);
 
-    let exact_wall = time_exact_twin.then(|| {
-        let start = Instant::now();
-        for epoch in 0..epochs {
-            let mut rng = StdRng::seed_from_u64(11 + epoch as u64);
-            let m = wgen::zipf_read_mostly(&net, objects, requests_per_epoch, 0.9, 0.2, &mut rng);
-            let placement = ExtendedNibbleStrategy::default().place(&net, &m);
-            let trace = expand_shuffled(&m, &mut rng);
-            simulate_parallel_with(&mut pw, &net, &m, &placement, &trace, config)
-                .expect("routable");
-        }
-        start.elapsed().as_secs_f64()
-    });
+    let start = Instant::now();
+    for e in 0..epochs {
+        let (m, placement, mut rng) = epoch(e);
+        let trace = expand_shuffled(&m, &mut rng);
+        simulate_with(&mut ws, &net, &m, &placement, &trace, config).expect("routable");
+    }
+    let exact_wall = start.elapsed().as_secs_f64();
 
     ReplayEstimateRecord {
         network: label.to_string(),
@@ -222,15 +196,14 @@ fn estimator_cell(
 fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
     println!("Estimator mode — congestion bounds with sampled exact validation\n");
     let cells: Vec<ReplayEstimateRecord> = if exp_quick() {
-        vec![estimator_cell("balanced(4,3)", 4, 3, 512, 6_000, 10, 5, true)]
+        vec![estimator_cell("balanced(4,3)", (4, 3), 512, 6_000, 10, 5)]
     } else {
         vec![
-            // Exact twin still affordable: shows what the bounds save.
-            estimator_cell("balanced(4,3)", 4, 3, 512, 15_000, 10, 2, true),
+            estimator_cell("balanced(4,3)", (4, 3), 512, 15_000, 10, 2),
             // 100x the exact-replay bench cell (100 epochs x 60k =
-            // 6M requests on 625 processors) — estimator-only scale,
-            // validated through 5 exact samples.
-            estimator_cell("balanced(5,4)", 5, 4, 512, 60_000, 100, 20, false),
+            // 6M requests on 625 processors), validated through 5 exact
+            // samples.
+            estimator_cell("balanced(5,4)", (5, 4), 512, 60_000, 100, 20),
         ]
     };
     let mut t = Table::new([
@@ -243,6 +216,7 @@ fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
         "mean gap",
         "wall (s)",
         "exact twin (s)",
+        "exact/estimate",
     ]);
     for r in &cells {
         t.row([
@@ -254,7 +228,8 @@ fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
             r.violations.to_string(),
             format!("{:.2}", r.mean_gap_ratio),
             format!("{:.2}", r.wall_seconds),
-            r.exact_wall_seconds.map_or("-".into(), |s| format!("{s:.2}")),
+            format!("{:.2}", r.exact_wall_seconds),
+            format!("{:.2}x", r.exact_over_estimate()),
         ]);
     }
     println!("{}", t.render());
@@ -268,7 +243,7 @@ fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
 
 fn main() {
     let mut records = Vec::new();
-    let speedup = kernel_scaling(&mut records);
+    let speedup = kernel_vs_reference(&mut records);
     let estimates = estimator_scaling();
     match emit_replay_json("BENCH_replay.json", &records, &estimates, speedup) {
         Ok(()) => println!("wrote BENCH_replay.json"),

@@ -14,7 +14,7 @@
 //! self-describing cells: threshold, epoch granularity, kernel, capacity
 //! profile, and per-tenant attribution columns on multi-tenant families)
 //! so the scenario trajectory is tracked across PRs alongside
-//! `BENCH_simulator.json` and `BENCH_dynamic.json`.
+//! `BENCH_replay.json` and `BENCH_dynamic.json`.
 
 #![warn(missing_docs)]
 

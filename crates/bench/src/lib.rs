@@ -10,13 +10,12 @@ pub mod table;
 
 pub use bench_json::{
     emit_crash_recovery_json, emit_dynamic_json, emit_faults_json, emit_replay_json,
-    emit_scenarios_json, emit_server_json, emit_session_resume_json, emit_simulator_json,
-    emit_strategies_json, render_crash_recovery_json, render_dynamic_json, render_faults_json,
-    render_replay_json, render_scenarios_json, render_server_json, render_session_resume_json,
-    render_simulator_json, render_strategies_json, CrashRecoveryRecord, DynamicBenchRecord,
-    FaultBenchRecord, ReplayBenchRecord, ReplayEstimateRecord, ScenarioBenchRecord,
-    ServerLoadRecord, ServerRecoveryRecord, SessionResumeRecord, SimBenchRecord,
-    StrategyBenchRecord,
+    emit_scenarios_json, emit_server_json, emit_session_resume_json, emit_strategies_json,
+    render_crash_recovery_json, render_dynamic_json, render_faults_json, render_replay_json,
+    render_scenarios_json, render_server_json, render_session_resume_json, render_strategies_json,
+    CrashRecoveryRecord, DynamicBenchRecord, FaultBenchRecord, ReplayBenchRecord,
+    ReplayEstimateRecord, ScenarioBenchRecord, ServerLoadRecord, ServerRecoveryRecord,
+    SessionResumeRecord, StrategyBenchRecord,
 };
 pub use table::Table;
 

@@ -1,6 +1,7 @@
 //! Allocation accounting for the serve path, via a counting global
 //! allocator (this integration test is its own binary, so the allocator
-//! swap is local to it):
+//! swap is local to it). Each thread counts only its own allocations, so
+//! the tests hold however many of them the harness runs side by side:
 //!
 //! * steady-state serves — a request pattern the strategy has already seen
 //!   once, so every stamp vector, replica list and workspace buffer is at
@@ -13,24 +14,40 @@ use hbn_dynamic::{DynamicTree, DynamicWorkspace, OnlineRequest};
 use hbn_topology::generators::{balanced, BandwidthProfile};
 use hbn_workload::ObjectId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised: no lazy-init path, so touching the counter
+    // from inside the allocator never allocates or recurses.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // `try_with` rather than `with`: an allocator must never panic, and
+    // a block allocated while its thread is torn down is no test's.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` contract carries over; counting touches
+// only a thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: `ptr` came from `System` via this allocator with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A deterministic mixed pattern (remote reads saturating paths, write

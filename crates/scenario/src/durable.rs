@@ -13,17 +13,19 @@
 //! file is always a clean [`RestoreError`], never a panic or a silently
 //! wrong resume (FNV-1a's per-byte steps are bijections, so any
 //! single-byte flip changes the checksum). `write_frame` writes to a
-//! sibling `.tmp` file, syncs it, renames into place and fsyncs the
-//! parent directory — a crash (or power loss) mid-write leaves the
-//! previous checkpoint intact, and a stale `.tmp` left by a killed
-//! writer is ignored by readers and overwritten by the next save.
+//! staging sibling unique to that save, syncs it, renames into place
+//! and fsyncs the parent directory — a crash (or power loss) mid-write
+//! leaves the previous checkpoint intact, a stale staging file left by
+//! a killed writer is ignored by readers, and concurrent saves to one
+//! path never share a staging file: the last rename wins whole.
 
 use crate::spec::ScenarioSpec;
 use hbn_dynamic::DynamicStats;
 use hbn_load::{LoadMap, LoadRatio};
 use hbn_topology::{EdgeId, Network, NodeId};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic of durable checkpoints.
 pub(crate) const MAGIC: [u8; 4] = *b"HBNC";
@@ -109,20 +111,26 @@ pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
     hash
 }
 
-/// The `.tmp` sibling a frame is staged in before the atomic rename.
-pub(crate) fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+/// A fresh staging sibling for one save to `path`:
+/// `<path>.<pid>.<n>.tmp`, unique per process and per save within it,
+/// so concurrent saves to one path never stage into the same file.
+fn staging_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    std::path::PathBuf::from(tmp)
+    tmp.push(format!(".{}.{n}.tmp", std::process::id()));
+    PathBuf::from(tmp)
 }
 
-/// Frame `payload` and write it to `path` atomically: stage in a `.tmp`
-/// sibling, fsync it, rename into place, then fsync the parent
-/// directory so the *rename itself* survives power loss (a synced file
-/// under an unsynced directory entry can still resurrect the old name).
-/// A stale `.tmp` left by a killed writer is simply overwritten — it
-/// was never part of a committed checkpoint and readers never look at
-/// it ([`read_frame`] opens only `path`).
+/// Frame `payload` and write it to `path` atomically: stage in a
+/// sibling of its own ([`staging_path`]), fsync it, rename into place,
+/// then fsync the parent directory so the *rename itself* survives power
+/// loss (a synced file under an unsynced directory entry can still
+/// resurrect the old name). Concurrent saves each rename a complete
+/// frame, so `path` always holds one of them whole. A failed save
+/// removes its staging file; one left by a killed writer was never part
+/// of a committed checkpoint and readers never look at it
+/// ([`read_frame`] opens only `path`).
 pub(crate) fn write_frame(path: &Path, payload: &[u8]) -> Result<(), RestoreError> {
     let mut frame = Vec::with_capacity(payload.len() + 24);
     frame.extend_from_slice(&MAGIC);
@@ -132,14 +140,17 @@ pub(crate) fn write_frame(path: &Path, payload: &[u8]) -> Result<(), RestoreErro
     let checksum = fnv1a64(&[&MAGIC, &VERSION.to_le_bytes(), payload]);
     frame.extend_from_slice(&checksum.to_le_bytes());
 
-    let tmp = tmp_sibling(path);
-    // `File::create` truncates, so a partial `.tmp` from a crashed
-    // writer is destroyed here rather than accumulating as junk.
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(&frame)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
+    let tmp = staging_path(path);
+    let staged = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(&frame)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = staged {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
+    }
     sync_parent_dir(path)?;
     Ok(())
 }
@@ -390,10 +401,20 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
 
+    /// A fresh directory for one test, unique per process and per call,
+    /// so tests running side by side never share a path.
+    fn unique_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("hbn_durable_{tag}_{}_{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn frame_roundtrip_and_single_byte_flips_fail() {
-        let dir = std::env::temp_dir().join("hbn_durable_frame_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("frame");
         let path = dir.join("frame.hbnc");
         let payload = b"the payload".to_vec();
         write_frame(&path, &payload).unwrap();
@@ -411,43 +432,69 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A killed writer leaves a partial `.tmp` sibling: readers ignore
-    /// it (the committed frame still decodes), and the next save
-    /// truncates it and commits over it.
+    /// A killed writer leaves a partial staging file: readers ignore it
+    /// (the committed frame still decodes), and later saves stage under
+    /// names of their own and commit past it.
     #[test]
-    fn torn_tmp_sibling_is_ignored_and_overwritten() {
-        let dir = std::env::temp_dir().join("hbn_durable_torn_tmp_test");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn torn_staging_file_never_shadows_the_frame() {
+        let dir = unique_dir("torn");
         let path = dir.join("frame.hbnc");
         let first = b"first committed payload".to_vec();
         write_frame(&path, &first).unwrap();
 
-        // The torn write: half a frame in the staging sibling.
-        let tmp = tmp_sibling(&path);
-        std::fs::write(&tmp, &MAGIC[..2]).unwrap();
-        assert_eq!(read_frame(&path).unwrap(), first, "torn .tmp must not shadow the frame");
+        // The torn write: half a frame in a staging sibling.
+        let torn = staging_path(&path);
+        std::fs::write(&torn, &MAGIC[..2]).unwrap();
+        assert_eq!(read_frame(&path).unwrap(), first, "torn staging must not shadow the frame");
 
-        // A subsequent save succeeds over the stale sibling and the
-        // staging file is consumed by the rename.
         let second = b"second payload, after the torn writer".to_vec();
         write_frame(&path, &second).unwrap();
         assert_eq!(read_frame(&path).unwrap(), second);
-        assert!(!tmp.exists(), "the staging sibling is renamed away on commit");
+        assert_eq!(std::fs::read(&torn).unwrap(), MAGIC[..2], "a later save never reuses it");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A kill *before* the first commit leaves only a partial `.tmp` and
-    /// no frame at all: restoring reports a clean i/o error for the
-    /// missing committed file, never touches the torn sibling.
+    /// A kill *before* the first commit leaves only a partial staging
+    /// file and no frame at all: restoring reports a clean i/o error for
+    /// the missing committed file, never touches the torn sibling.
     #[test]
     fn torn_tmp_without_committed_frame_is_a_clean_error() {
-        let dir = std::env::temp_dir().join("hbn_durable_torn_only_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_dir("torn_only");
         let path = dir.join("never_committed.hbnc");
-        std::fs::write(tmp_sibling(&path), b"HBNC torn mid-write").unwrap();
+        std::fs::write(staging_path(&path), b"HBNC torn mid-write").unwrap();
         assert!(matches!(read_frame(&path), Err(RestoreError::Io(_))));
         write_frame(&path, b"now committed").unwrap();
         assert_eq!(read_frame(&path).unwrap(), b"now committed".to_vec());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Concurrent saves to one path: every save succeeds, the file then
+    /// holds one of the saved frames whole, and no staging file is left.
+    #[test]
+    fn concurrent_saves_to_one_path_all_commit_whole() {
+        const WRITERS: usize = 8;
+        const SAVES: usize = 16;
+        let dir = unique_dir("concurrent");
+        let path = dir.join("shared.hbnc");
+        let payload = |w: usize, i: usize| format!("writer {w} save {i}").into_bytes();
+        let start = std::sync::Barrier::new(WRITERS);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..SAVES {
+                        write_frame(path, &payload(w, i)).expect("every concurrent save commits");
+                    }
+                });
+            }
+        });
+        let saved = read_frame(&path).unwrap();
+        let candidates: Vec<Vec<u8>> =
+            (0..WRITERS).flat_map(|w| (0..SAVES).map(move |i| payload(w, i))).collect();
+        assert!(candidates.contains(&saved), "the file must hold one saved frame whole");
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(entries, vec![path.clone()], "every staging file was renamed into place");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,8 +9,8 @@
 //! 1. snapshots the strategy's copy sets as a placement with
 //!    nearest-copy assignment,
 //! 2. replays the epoch's own requests through the packet simulator under
-//!    that placement (zero-allocation workspace kernel by default, the
-//!    naive reference kernel for differential pinning), and
+//!    that placement (the event-driven workspace kernel by default, the
+//!    naive reference oracle for differential pinning), and
 //! 3. records an [`EpochSummary`]: the epoch's [`TrafficCounters`]
 //!    (requests and migration, with `migration_traffic =
 //!    replications × D` for every strategy), congestion of the online

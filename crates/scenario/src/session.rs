@@ -38,9 +38,8 @@ use hbn_core::nibble_placement;
 use hbn_dynamic::{DynamicStats, OnlineRequest};
 use hbn_load::{LoadMap, Placement};
 use hbn_sim::{
-    estimate_makespan_from_loads, simulate_parallel_overlay, simulate_parallel_with,
-    simulate_reference, simulate_reference_overlay, simulate_with, simulate_with_overlay,
-    ParSimWorkspace, Request, SimError, SimResult, SimWorkspace,
+    estimate_makespan_from_loads, simulate_reference, simulate_reference_overlay, simulate_with,
+    simulate_with_overlay, Request, SimError, SimResult, SimWorkspace,
 };
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId, PhaseRequest, PhaseStreamState};
@@ -449,9 +448,6 @@ pub struct Session {
     max_objects: usize,
     strategy: Box<dyn Strategy>,
     ws: SimWorkspace,
-    /// Wavefront scratch for [`ReplayKernel::Parallel`], created on
-    /// first use (a cache like `ws`, not checkpointed state).
-    pws: Option<ParSimWorkspace>,
     stream: PhaseStreamState,
     /// Requests drawn from the stream so far (the durable stream
     /// cursor — see [`SessionCheckpoint`]).
@@ -543,7 +539,6 @@ impl Session {
             max_objects,
             strategy,
             ws: SimWorkspace::new(),
-            pws: None,
             stream,
             requests_drawn: 0,
             aggregate: AccessMatrix::new(max_objects),
@@ -857,118 +852,36 @@ impl Session {
         // The estimator prices the epoch from `placement_loads` instead
         // and replays only its sampling subset exactly.
         let replay = self.replay_override.unwrap_or(self.spec.exec.replay);
-        let (sim, estimate): (Option<SimResult>, Option<EpochEstimate>) =
-            match (replay, view.is_pristine()) {
-                (ReplayKernel::Workspace, true) => (
-                    Some(simulate_with(
-                        &mut self.ws,
-                        &self.net,
-                        epoch_matrix,
-                        &placement,
-                        &self.epoch_trace,
-                        self.spec.exec.sim,
-                    )?),
-                    None,
-                ),
-                (ReplayKernel::Workspace, false) => (
-                    Some(simulate_with_overlay(
-                        &mut self.ws,
-                        &self.net,
-                        epoch_matrix,
-                        &placement,
-                        &self.epoch_trace,
-                        self.spec.exec.sim,
-                        &view.overlay,
-                    )?),
-                    None,
-                ),
-                (ReplayKernel::Reference, true) => (
-                    Some(simulate_reference(
-                        &self.net,
-                        epoch_matrix,
-                        &placement,
-                        &self.epoch_trace,
-                        self.spec.exec.sim,
-                    )?),
-                    None,
-                ),
-                (ReplayKernel::Reference, false) => (
-                    Some(simulate_reference_overlay(
-                        &self.net,
-                        epoch_matrix,
-                        &placement,
-                        &self.epoch_trace,
-                        self.spec.exec.sim,
-                        &view.overlay,
-                    )?),
-                    None,
-                ),
-                (ReplayKernel::Parallel { width }, pristine) => {
-                    let pws = self.pws.get_or_insert_with(ParSimWorkspace::new);
-                    pws.set_threads(width);
-                    let sim = if pristine {
-                        simulate_parallel_with(
-                            pws,
-                            &self.net,
-                            epoch_matrix,
-                            &placement,
-                            &self.epoch_trace,
-                            self.spec.exec.sim,
-                        )?
-                    } else {
-                        simulate_parallel_overlay(
-                            pws,
-                            &self.net,
-                            epoch_matrix,
-                            &placement,
-                            &self.epoch_trace,
-                            self.spec.exec.sim,
-                            &view.overlay,
-                        )?
-                    };
-                    (Some(sim), None)
-                }
-                (ReplayKernel::Estimate { sample_every }, pristine) => {
-                    let overlay = (!pristine).then_some(&view.overlay);
-                    let bounds = estimate_makespan_from_loads(
-                        &self.net,
-                        epoch_matrix,
-                        &placement_loads,
-                        self.spec.exec.sim,
-                        overlay,
-                    );
-                    let sampled = sample_every > 0 && self.epoch_idx.is_multiple_of(sample_every);
-                    let sim = if sampled {
-                        Some(match overlay {
-                            None => simulate_with(
-                                &mut self.ws,
-                                &self.net,
-                                epoch_matrix,
-                                &placement,
-                                &self.epoch_trace,
-                                self.spec.exec.sim,
-                            )?,
-                            Some(o) => simulate_with_overlay(
-                                &mut self.ws,
-                                &self.net,
-                                epoch_matrix,
-                                &placement,
-                                &self.epoch_trace,
-                                self.spec.exec.sim,
-                                o,
-                            )?,
-                        })
-                    } else {
-                        None
-                    };
-                    let estimate = EpochEstimate {
-                        lower: bounds.lower,
-                        upper: bounds.upper,
-                        sampled_exact: sampled,
-                    };
-                    (sim, Some(estimate))
-                }
-            };
+        let overlay = (!view.is_pristine()).then_some(&view.overlay);
+        let (net, trace, cfg) = (&self.net, &self.epoch_trace, self.spec.exec.sim);
+        let ws = &mut self.ws;
+        let mut exact = || match overlay {
+            None => simulate_with(ws, net, epoch_matrix, &placement, trace, cfg),
+            Some(o) => simulate_with_overlay(ws, net, epoch_matrix, &placement, trace, cfg, o),
+        };
+        let (sim, estimate): (Option<SimResult>, Option<EpochEstimate>) = match replay {
+            ReplayKernel::Workspace => (Some(exact()?), None),
+            ReplayKernel::Reference => {
+                let oracle = match overlay {
+                    None => simulate_reference(net, epoch_matrix, &placement, trace, cfg),
+                    Some(o) => {
+                        simulate_reference_overlay(net, epoch_matrix, &placement, trace, cfg, o)
+                    }
+                };
+                (Some(oracle?), None)
+            }
+            ReplayKernel::Estimate { sample_every } => {
+                let bounds =
+                    estimate_makespan_from_loads(net, epoch_matrix, &placement_loads, cfg, overlay);
+                let sampled = sample_every > 0 && self.epoch_idx.is_multiple_of(sample_every);
+                let estimate = EpochEstimate {
+                    lower: bounds.lower,
+                    upper: bounds.upper,
+                    sampled_exact: sampled,
+                };
+                (if sampled { Some(exact()?) } else { None }, Some(estimate))
+            }
+        };
 
         // epoch_delta := (retired + live cumulative) − cum; then roll the
         // marks forward by pure additions.
@@ -1107,7 +1020,6 @@ impl Session {
             max_objects,
             strategy: checkpoint.strategy,
             ws: SimWorkspace::new(),
-            pws: None,
             stream: checkpoint.stream,
             requests_drawn: checkpoint.requests_drawn,
             aggregate: checkpoint.aggregate,

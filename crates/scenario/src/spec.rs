@@ -155,20 +155,13 @@ impl fmt::Display for TopologyFamily {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayKernel {
-    /// The zero-allocation [`hbn_sim::SimWorkspace`] kernel (default).
+    /// The exact event-driven kernel on a reused
+    /// [`hbn_sim::SimWorkspace`] (default).
     #[default]
     Workspace,
-    /// The naive [`hbn_sim::simulate_reference`] kernel — used by the
-    /// differential suite to pin the engine's replay summaries.
+    /// The naive [`hbn_sim::simulate_reference`] oracle — used by the
+    /// differential suites to pin the engine's replay summaries.
     Reference,
-    /// The level-synchronized parallel wavefront kernel
-    /// ([`hbn_sim::simulate_parallel`]) — bit-for-bit equal to
-    /// [`ReplayKernel::Workspace`] at every width, so scenario reports
-    /// are width-invariant.
-    Parallel {
-        /// Worker threads per replay; `0` picks the host parallelism.
-        width: usize,
-    },
     /// The congestion-bound estimator ([`hbn_sim::estimate_makespan`]):
     /// every epoch gets lower/upper makespan bounds in `O(|V|)`, and
     /// epochs with `epoch_idx % sample_every == 0` are *also* replayed
@@ -186,8 +179,6 @@ impl fmt::Display for ReplayKernel {
         match *self {
             ReplayKernel::Workspace => f.write_str("workspace"),
             ReplayKernel::Reference => f.write_str("reference"),
-            ReplayKernel::Parallel { width: 0 } => f.write_str("parallel(auto)"),
-            ReplayKernel::Parallel { width } => write!(f, "parallel({width})"),
             ReplayKernel::Estimate { sample_every: 0 } => f.write_str("estimate(unsampled)"),
             ReplayKernel::Estimate { sample_every } => write!(f, "estimate({sample_every})"),
         }
@@ -638,17 +629,6 @@ mod tests {
         // Same structure, different capacities.
         assert_eq!(fat_net.n_nodes(), uniform_net.n_nodes());
         fat_net.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn parallel_kernel_labels() {
-        let mut exec = ExecutionConfig {
-            replay: ReplayKernel::Parallel { width: 0 },
-            ..ExecutionConfig::default()
-        };
-        assert_eq!(exec.kernel_label(), "serve=workspace/replay=parallel(auto)");
-        exec.replay = ReplayKernel::Parallel { width: 2 };
-        assert_eq!(exec.kernel_label(), "serve=workspace/replay=parallel(2)");
     }
 
     #[test]

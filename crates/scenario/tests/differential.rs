@@ -1,6 +1,6 @@
 //! Differential pinning of the scenario engine's replay path: the
-//! zero-allocation workspace kernel and the naive `simulate_reference`
-//! kernel must produce identical epoch replay summaries for the same
+//! event-driven workspace kernel and the naive `simulate_reference`
+//! oracle must produce identical epoch replay summaries for the same
 //! scenario, and the engine itself must be deterministic in its seed.
 
 use hbn_scenario::{run_scenario, ReplayKernel, ScenarioSpec, ServeKernel, TopologyFamily};

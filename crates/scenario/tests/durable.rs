@@ -223,9 +223,11 @@ fn foreign_files_are_rejected_by_kind() {
     assert!(matches!(Session::restore_from_file(&spec, &missing), Err(RestoreError::Io(_))));
 }
 
-fn checkpoint_bytes() -> Vec<u8> {
+/// The bytes of a saved three-epoch checkpoint. Each caller passes its
+/// own `name`: tests run side by side and must not share a path.
+fn checkpoint_bytes(name: &str) -> Vec<u8> {
     let spec = base_builder(23).build();
-    let path = tmp("prop_base.hbnc");
+    let path = tmp(name);
     let mut session = Session::new(&spec);
     for _ in 0..3 {
         session.step_epoch().unwrap().unwrap();
@@ -242,7 +244,7 @@ proptest! {
     #[test]
     fn any_single_byte_corruption_is_an_error(pos in 0usize..4096, flip in 1u8..=255) {
         let spec = base_builder(23).build();
-        let mut bytes = checkpoint_bytes();
+        let mut bytes = checkpoint_bytes("prop_flip_base.hbnc");
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
         let path = tmp(&format!("prop_flip_{pos}_{flip}.hbnc"));
@@ -256,7 +258,7 @@ proptest! {
     #[test]
     fn any_truncation_is_an_error(cut in 0usize..4096) {
         let spec = base_builder(23).build();
-        let bytes = checkpoint_bytes();
+        let bytes = checkpoint_bytes("prop_cut_base.hbnc");
         let cut = cut % bytes.len();
         let path = tmp(&format!("prop_cut_{cut}.hbnc"));
         std::fs::write(&path, &bytes[..cut]).unwrap();

@@ -406,8 +406,7 @@ fn legacy_run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
                     simulate_reference(&net, &epoch_matrix, &placement, &epoch_trace, spec.exec.sim)
                         .unwrap()
                 }
-                hbn_scenario::ReplayKernel::Estimate { .. }
-                | hbn_scenario::ReplayKernel::Parallel { .. } => {
+                hbn_scenario::ReplayKernel::Estimate { .. } => {
                     unreachable!("the frozen legacy engine predates this kernel")
                 }
             };

@@ -13,11 +13,11 @@
 //! multicast packets replicate at branch nodes, charging every Steiner
 //! edge exactly once per update.
 //!
-//! Two kernels implement these semantics: the zero-allocation workspace
-//! kernel ([`crate::SimWorkspace`], used by [`simulate`]) and the naive
-//! reference ([`crate::simulate_reference`]), pinned to each other by the
-//! differential suite in `tests/differential.rs`. See DESIGN.md for the
-//! capacity normalisation and the workspace/arena design.
+//! The kernel ([`crate::SimWorkspace`], used by [`simulate`]) and its
+//! oracle, the naive reference ([`crate::simulate_reference`]), implement
+//! these semantics and are pinned to each other by the differential suite
+//! in `tests/differential.rs`. See DESIGN.md for the capacity
+//! normalisation and the event-driven kernel.
 
 use crate::trace::Request;
 use crate::workspace::{self, SimWorkspace};
@@ -91,7 +91,7 @@ impl std::error::Error for SimError {}
 /// Every trace request must be covered by the placement's assignment
 /// (replaying the full [`crate::trace::expand`] of the matrix always is).
 ///
-/// Runs the zero-allocation workspace kernel on a fresh [`SimWorkspace`];
+/// Runs the event-driven kernel on a fresh [`SimWorkspace`];
 /// callers replaying many traces should hold a workspace and use
 /// [`simulate_with`] so buffers are reused across runs.
 pub fn simulate(

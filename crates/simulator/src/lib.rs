@@ -8,11 +8,12 @@
 //! multicast along Steiner trees — so replayed traffic reproduces the load
 //! model exactly, and the makespan is lower-bounded by the congestion.
 //!
-//! The default kernel ([`simulate`] / [`simulate_with`]) performs no heap
+//! Two implementations share these semantics: the kernel and its oracle.
+//! The kernel ([`simulate`] / [`simulate_with`]) is event-driven — it
+//! probes switch-queue heads, not every waiting packet — performs no heap
 //! allocation in its steady-state slot loop and reuses a [`SimWorkspace`]
-//! across replays; the naive kernel is retained as
-//! [`simulate_reference`] and pinned to the fast one by the differential
-//! test suite.
+//! across replays. The naive oracle is retained as [`simulate_reference`]
+//! and pins the kernel bit for bit in the differential test suite.
 //!
 //! ## Replaying a workload
 //!
@@ -44,7 +45,6 @@
 pub mod engine;
 pub mod estimate;
 pub mod packet;
-pub mod parallel;
 pub mod reference;
 pub mod trace;
 pub mod workspace;
@@ -52,9 +52,6 @@ pub mod workspace;
 pub use engine::{simulate, simulate_with, simulate_with_overlay, SimConfig, SimError, SimResult};
 pub use estimate::{estimate_makespan, estimate_makespan_from_loads};
 pub use packet::{Packet, PacketKind};
-pub use parallel::{
-    simulate_parallel, simulate_parallel_overlay, simulate_parallel_with, ParSimWorkspace,
-};
 pub use reference::{simulate_reference, simulate_reference_overlay};
 pub use trace::{expand, expand_shuffled, Request};
 pub use workspace::SimWorkspace;

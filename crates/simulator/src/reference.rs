@@ -1,6 +1,6 @@
-//! The naive reference kernel, retained verbatim in structure from the
-//! original engine for differential testing against the optimized
-//! workspace kernel ([`crate::SimWorkspace`]).
+//! The naive reference kernel — the oracle — retained verbatim in
+//! structure from the original engine for differential testing against
+//! the event-driven kernel ([`crate::SimWorkspace`]).
 //!
 //! This path allocates freely — fresh token `Vec`s per slot, a grouping
 //! `Vec` per packet move, one destination `Vec` per packet — and re-sorts

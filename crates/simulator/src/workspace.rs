@@ -1,35 +1,60 @@
-//! The zero-steady-state-allocation slot kernel and its reusable
-//! [`SimWorkspace`].
+//! The exact replay kernel and its reusable [`SimWorkspace`].
 //!
-//! The naive kernel (retained in [`crate::reference`]) allocates on every
-//! slot: two fresh token `Vec`s, a `Vec<(NodeId, Vec<NodeId>)>` per packet
-//! for hop grouping, a `Vec<NodeId>` per surviving packet, and a full
-//! re-sort of the active set. This kernel replays the *same slot
-//! semantics* with no heap allocation inside the slot loop:
+//! Replays the slot semantics of [`crate::reference`] — bit-for-bit
+//! identical [`SimResult`]s, including under a [`CapacityOverlay`] —
+//! with per-slot work proportional to what *moves*, not to what waits.
+//! At congested operating points most packets are blocked for most
+//! slots; a kernel that scans every active packet each slot spends
+//! nearly all of its time re-discovering that.
 //!
-//! * **Token buffers** are preallocated once per run and reset in place
-//!   each slot (`copy_from_slice` from cached bandwidth vectors).
-//! * **Destination sets** live in a double-buffered arena
-//!   (`arena`/`arena_next`): packets store `(start, len)` ranges, each
-//!   slot writes the surviving and spawned ranges into the next arena,
-//!   and the buffers swap at slot end. Capacities reach a high-water mark
-//!   and then stay.
-//! * **Hop grouping** runs in two scratch buffers (`hop_of`,
-//!   `group_hops`) with a one-entry child-subtree cache on top of
-//!   [`Network::child_towards`], so grouping is allocation-free and
-//!   amortizes to O(1) per destination.
-//! * **Arbitration order is maintained, not recomputed.** Packets are
-//!   totally ordered by `(prio, seq)` — injection order, with a unique
-//!   creation sequence breaking ties among branch fragments that inherit
-//!   their origin's priority. Survivors and fragments each emerge in
-//!   order, so the next slot's active set is a two-way merge plus an
-//!   append of freshly spawned updates (whose priorities are always
-//!   larger). No per-slot sort.
+//! ## Queue-head dominance: probe heads, not packets
+//!
+//! Every unicast packet waiting to cross switch `e = (c, p)` contends for
+//! the *same* token pools — the switch pool `b(e)` plus the bus pools at
+//! whichever endpoints are buses — regardless of direction. Token pools
+//! only shrink within a slot. Therefore, if the *smallest-key* packet
+//! queued at `e` is blocked, every later packet at `e` is blocked too.
+//! The kernel keeps a per-switch min-heap ordered by the arbitration key
+//! `(prio, seq)` and probes only heap heads. When a head crosses, the
+//! next head enters the candidate set *at its own key position*, so
+//! several packets still cross one switch per slot exactly when
+//! bandwidth allows. Per-slot work is O(active switches + crossings +
+//! multicasts) rather than O(active packets).
+//!
+//! ## Multicasts: a cached, compacted arbitration plan
+//!
+//! Update broadcasts fanning out along their Steiner tree have no single
+//! switch, so each live multicast is probed every slot, merged into the
+//! commit walk in key order. Its grouping of destinations by next hop
+//! depends only on `(position, destinations)`, and a blocked remainder
+//! keeps both — so the plan (`GroupPlan`) is computed once per packet
+//! and merely *compacted* when some groups cross. A fully blocked
+//! multicast costs one read-only pass over its groups' pools.
+//!
+//! ## Why the kernel is sequential
+//!
+//! Every slot commits crossings in exact global `(prio, seq)` order. A
+//! crossing of switch `(c, p)` draws from the bus pools at two adjacent
+//! levels, so bus `c`'s pool is shared between the switches below and
+//! above it; under contention the winner depends on the global key order
+//! across levels (see `DESIGN.md` for a two-packet counterexample). No
+//! partition of one slot's arbitration is independent, and a measured
+//! intra-slot fan-out only lost. Replays parallelise *across* independent
+//! units instead: seed shards, tenants and object shards.
+//!
+//! ## Shared setup
+//!
 //! * **Routing** uses a dense CSR table over `object × processor`
-//!   (`route_off`/`route_entries`) instead of a `HashMap<(u32, u32), …>`.
+//!   (`route_off`/`route_entries`), consuming split budgets in the
+//!   reference router's order; every request is routed up front.
+//! * **Injection queues** are a CSR over processors in trace order, read
+//!   through per-processor cursors.
+//! * **Token pools** are reset in place each slot from cached bandwidth
+//!   vectors (under the run's capacity overlay, when one is bound).
 //!
-//! A workspace can be reused across runs (and across networks); buffers
-//! are re-sized at bind time and only grow.
+//! A workspace can be reused across runs (and across networks): buffers
+//! are sized at bind time and only grow, so after the first replay the
+//! slot loop performs no heap allocation.
 
 use crate::engine::{SimConfig, SimError, SimResult};
 use crate::packet::PacketKind;
@@ -37,10 +62,13 @@ use crate::trace::Request;
 use hbn_load::Placement;
 use hbn_topology::{CapacityOverlay, EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
-/// A packet in the fast kernel: destinations are an arena range.
+/// Everything a packet carries besides its destinations.
 #[derive(Debug, Clone, Copy)]
-struct FastPacket {
+struct Header {
     /// Arbitration priority (injection order; fragments inherit it).
     prio: u64,
     /// Unique creation sequence; tie-breaks equal priorities.
@@ -48,22 +76,98 @@ struct FastPacket {
     object: ObjectId,
     kind: PacketKind,
     position: NodeId,
-    dst_start: u32,
-    dst_len: u32,
     issued_at: u64,
-    /// Cached next hop for unicast packets (`NO_HOP` when unknown);
-    /// stays valid while the packet is blocked in place, invalidated on
-    /// every move.
-    hop_cache: NodeId,
 }
 
-/// Sentinel for an unknown [`FastPacket::hop_cache`].
-const NO_HOP: NodeId = NodeId(u32::MAX);
-
-impl FastPacket {
+impl Header {
     #[inline]
     fn key(&self) -> (u64, u64) {
         (self.prio, self.seq)
+    }
+}
+
+/// A unicast packet waiting in (or moving between) switch queues.
+#[derive(Debug, Clone, Copy)]
+struct QPacket {
+    head: Header,
+    dest: NodeId,
+}
+
+// Switch queues pop the smallest arbitration key first. Keys are
+// globally unique, so pop order is a total order.
+impl Ord for QPacket {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.head.key().cmp(&self.head.key())
+    }
+}
+
+impl PartialOrd for QPacket {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for QPacket {
+    fn eq(&self, other: &Self) -> bool {
+        self.head.key() == other.head.key()
+    }
+}
+
+impl Eq for QPacket {}
+
+/// A multicast packet: an update broadcast with ≥ 2 remaining copies, or
+/// a blocked remainder or fragment thereof. Destination sets and plans
+/// are recycled through a pool, so the steady-state slot loop stays
+/// allocation-free.
+#[derive(Debug)]
+struct McPacket {
+    head: Header,
+    /// Remaining destinations; empty marks a dead slab entry.
+    dests: Vec<NodeId>,
+    /// Cached arbitration plan; empty = not yet built. Valid for as long
+    /// as the packet sits at `head.position`.
+    groups: Vec<GroupPlan>,
+}
+
+/// The token pools one crossing of a switch draws from: the switch's own
+/// `b(e)` pool, plus the `2·b(B)` pool of each endpoint that is a bus.
+#[derive(Debug, Clone, Copy)]
+struct Switch {
+    /// Child endpoint index — the switch's id.
+    child: u32,
+    parent: u32,
+    child_bus: bool,
+    parent_bus: bool,
+}
+
+impl Switch {
+    #[inline]
+    fn of(net: &Network, child: NodeId) -> Switch {
+        let parent = net.parent(child);
+        Switch {
+            child: child.0,
+            parent: parent.0,
+            child_bus: net.is_bus(child),
+            parent_bus: net.is_bus(parent),
+        }
+    }
+}
+
+/// One hop-group of a multicast's cached arbitration plan: the
+/// destinations `dests[start .. start + len]` all leave the packet's
+/// position through `switch` towards `hop`. A crossed group is emptied
+/// (`len = 0`) and dropped when the plan is compacted.
+#[derive(Debug, Clone, Copy)]
+struct GroupPlan {
+    hop: NodeId,
+    switch: Switch,
+    start: u32,
+    len: u32,
+}
+
+impl GroupPlan {
+    fn range(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
     }
 }
 
@@ -77,13 +181,13 @@ struct RouteEntry {
 
 /// A routed request waiting in its processor's injection queue.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Queued {
-    pub(crate) object: ObjectId,
-    pub(crate) server: NodeId,
-    pub(crate) is_write: bool,
+struct Queued {
+    object: ObjectId,
+    server: NodeId,
+    is_write: bool,
 }
 
-/// Reusable buffers for the slot kernel. Construct once, pass to
+/// Reusable buffers for the replay kernel. Construct once, pass to
 /// [`crate::simulate_with`] any number of times; every buffer is reset at
 /// bind time and retains its capacity between runs.
 #[derive(Debug, Default)]
@@ -91,36 +195,103 @@ pub struct SimWorkspace {
     // Static per-run caches of the capacity normalisation: b(e) per switch
     // (0 at the root slot) and 2·b(B) per bus (0 at processors), both
     // under the run's capacity overlay when one is bound.
-    pub(crate) edge_bw: Vec<u64>,
-    pub(crate) bus_bw2: Vec<u64>,
+    edge_bw: Vec<u64>,
+    bus_bw2: Vec<u64>,
     // Down buses of the bound overlay: zero bus tokens while
     // `slot < outage_slots`, so their packets defer and retry.
-    pub(crate) down_buses: Vec<NodeId>,
-    pub(crate) outage_slots: u64,
+    down_buses: Vec<NodeId>,
+    outage_slots: u64,
     // Dense router: CSR over object × processor (dense processor index).
     route_off: Vec<u32>,
     route_entries: Vec<RouteEntry>,
     // Injection queues: CSR over processors, entries in trace order.
-    pub(crate) q_off: Vec<u32>,
-    pub(crate) q_cursor: Vec<u32>,
-    pub(crate) q_entries: Vec<Queued>,
-    // Per-slot token buffers, reset in place.
-    pub(crate) edge_tokens: Vec<u64>,
-    pub(crate) bus_tokens: Vec<u64>,
-    // Active packets, always sorted by (prio, seq).
-    active: Vec<FastPacket>,
-    survivors: Vec<FastPacket>,
-    moved: Vec<FastPacket>,
-    updates: Vec<FastPacket>,
-    // Destination arenas (double-buffered) and per-packet scratch.
-    arena: Vec<NodeId>,
-    arena_next: Vec<NodeId>,
-    remaining_scratch: Vec<NodeId>,
+    q_off: Vec<u32>,
+    q_cursor: Vec<u32>,
+    q_entries: Vec<Queued>,
+    // Per-slot token pools, reset in place.
+    edge_tokens: Vec<u64>,
+    bus_tokens: Vec<u64>,
+    /// Per-switch queues of waiting unicast packets, indexed by the
+    /// switch's child endpoint (the root slot is never used).
+    heaps: Vec<BinaryHeap<QPacket>>,
+    /// Switches with (possibly) non-empty queues, plus membership flags.
+    active_edges: Vec<u32>,
+    edge_active: Vec<bool>,
+    /// This slot's candidates: the head key of every non-empty queue.
+    cands: BinaryHeap<Reverse<((u64, u64), u32)>>,
+    /// Unicast packets injected, moved or spawned since the last flush,
+    /// each queued at the switch it crosses next.
+    arrivals: Vec<QPacket>,
+    /// Multicast slab; dead entries (empty `dests`) are on `mc_free`.
+    mc: Vec<McPacket>,
+    /// Slab indices of live multicasts, sorted by `(prio, seq)`. The
+    /// commit walk merges this list with the candidate heap.
+    mc_order: Vec<u32>,
+    mc_free: Vec<u32>,
+    /// Multicasts spawned since the last flush.
+    mc_spawn: Vec<McPacket>,
+    /// Recycled `(dests, groups)` buffers of dead multicasts.
+    mc_pool: Vec<(Vec<NodeId>, Vec<GroupPlan>)>,
+    // Multicast grouping and fragment scratch.
     hop_of: Vec<NodeId>,
     group_hops: Vec<NodeId>,
+    regrouped: Vec<NodeId>,
+    frag: Vec<NodeId>,
+    upd: Vec<NodeId>,
     // Outputs.
-    pub(crate) edge_crossings: Vec<u64>,
-    pub(crate) latencies: Vec<u64>,
+    edge_crossings: Vec<u64>,
+    latencies: Vec<u64>,
+}
+
+/// One replay in progress: the placement whose copies update broadcasts
+/// fan out to, the slot clock, the arbitration-key counters and the
+/// result tallies.
+struct Replay<'a> {
+    placement: &'a Placement,
+    slot: u64,
+    next_prio: u64,
+    next_seq: u64,
+    delivered_requests: u64,
+    delivered_updates: u64,
+    makespan: u64,
+}
+
+impl Replay<'_> {
+    /// A fresh arbitration priority, drawn once per request or broadcast.
+    fn fresh_prio(&mut self) -> u64 {
+        self.next_prio += 1;
+        self.next_prio - 1
+    }
+
+    /// A fresh creation sequence, drawn once per packet or fragment.
+    fn fresh_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+}
+
+/// The switch (by child endpoint) a packet at `position` must cross next
+/// on the way to `dest`.
+#[inline]
+fn next_switch(net: &Network, position: NodeId, dest: NodeId) -> usize {
+    if net.is_ancestor(position, dest) {
+        net.child_towards(position, dest).index()
+    } else {
+        position.index()
+    }
+}
+
+/// A multicast holding `dests`, in buffers taken from `pool`.
+fn pooled_multicast(
+    pool: &mut Vec<(Vec<NodeId>, Vec<GroupPlan>)>,
+    head: Header,
+    from: &[NodeId],
+) -> McPacket {
+    let (mut dests, mut groups) = pool.pop().unwrap_or_default();
+    dests.clear();
+    dests.extend_from_slice(from);
+    groups.clear();
+    McPacket { head, dests, groups }
 }
 
 impl SimWorkspace {
@@ -132,7 +303,7 @@ impl SimWorkspace {
     /// Reset all per-run state and (re)build the static caches for `net`
     /// under an optional capacity overlay. A pristine (or absent)
     /// overlay yields the unmodified bandwidths.
-    pub(crate) fn bind(&mut self, net: &Network, overlay: Option<&CapacityOverlay>) {
+    fn bind(&mut self, net: &Network, overlay: Option<&CapacityOverlay>) {
         let n = net.n_nodes();
         self.edge_bw.clear();
         self.edge_bw.extend(net.nodes().map(|v| {
@@ -166,15 +337,21 @@ impl SimWorkspace {
         self.edge_crossings.clear();
         self.edge_crossings.resize(n, 0);
         self.latencies.clear();
-        self.active.clear();
-        self.survivors.clear();
-        self.moved.clear();
-        self.updates.clear();
-        self.arena.clear();
-        self.arena_next.clear();
-        self.remaining_scratch.clear();
-        self.hop_of.clear();
-        self.group_hops.clear();
+        if self.heaps.len() < n {
+            self.heaps.resize_with(n, BinaryHeap::new);
+        }
+        for h in &mut self.heaps {
+            h.clear();
+        }
+        self.active_edges.clear();
+        self.edge_active.clear();
+        self.edge_active.resize(n, false);
+        self.cands.clear();
+        self.arrivals.clear();
+        self.mc_pool
+            .extend(self.mc.drain(..).chain(self.mc_spawn.drain(..)).map(|m| (m.dests, m.groups)));
+        self.mc_order.clear();
+        self.mc_free.clear();
     }
 
     /// Build the dense CSR router from the placement's assignments.
@@ -183,12 +360,7 @@ impl SimWorkspace {
     /// order), so split budgets are consumed identically. Assignment
     /// entries whose `processor` is not a leaf are unroutable by
     /// construction and skipped.
-    pub(crate) fn build_router(
-        &mut self,
-        net: &Network,
-        matrix: &AccessMatrix,
-        placement: &Placement,
-    ) {
+    fn build_router(&mut self, net: &Network, matrix: &AccessMatrix, placement: &Placement) {
         let n_procs = net.n_processors();
         let cells = matrix.n_objects() * n_procs;
         self.route_off.clear();
@@ -252,11 +424,7 @@ impl SimWorkspace {
 
     /// Build the per-processor injection queues (CSR) in trace order,
     /// routing every request up front like the naive kernel does.
-    pub(crate) fn build_queues(
-        &mut self,
-        net: &Network,
-        trace: &[Request],
-    ) -> Result<(), SimError> {
+    fn build_queues(&mut self, net: &Network, trace: &[Request]) -> Result<(), SimError> {
         let n_procs = net.n_processors();
         self.q_off.clear();
         self.q_off.resize(n_procs + 1, 0);
@@ -302,58 +470,268 @@ impl SimWorkspace {
         self.q_cursor.extend_from_slice(&self.q_off[..n_procs]);
         Ok(())
     }
-}
 
-/// Append `copies(x) \ {server}` (sorted, deduplicated) to `arena` and
-/// push the update packet onto `out`. No-op when the set is empty.
-#[allow(clippy::too_many_arguments)]
-fn spawn_update(
-    placement: &Placement,
-    x: ObjectId,
-    server: NodeId,
-    issued_at: u64,
-    next_prio: &mut u64,
-    next_seq: &mut u64,
-    arena: &mut Vec<NodeId>,
-    out: &mut Vec<FastPacket>,
-) {
-    let seg_start = arena.len();
-    for &c in placement.copies(x) {
-        if c != server {
-            arena.push(c);
+    /// Whether `s` still has a token in every pool it draws from.
+    #[inline]
+    fn is_open(&self, s: Switch) -> bool {
+        self.edge_tokens[s.child as usize] >= 1
+            && (!s.child_bus || self.bus_tokens[s.child as usize] >= 1)
+            && (!s.parent_bus || self.bus_tokens[s.parent as usize] >= 1)
+    }
+
+    /// Take one token from every pool of an open switch and count the
+    /// crossing.
+    #[inline]
+    fn cross(&mut self, s: Switch) {
+        let (c, p) = (s.child as usize, s.parent as usize);
+        self.edge_tokens[c] -= 1;
+        if s.child_bus {
+            self.bus_tokens[c] -= 1;
+        }
+        if s.parent_bus {
+            self.bus_tokens[p] -= 1;
+        }
+        self.edge_crossings[c] += 1;
+    }
+
+    /// Queue every pending unicast at the switch it must cross next, and
+    /// register every pending multicast in key order. Returns how many
+    /// unicasts were queued.
+    fn flush(&mut self, net: &Network) -> usize {
+        let queued = self.arrivals.len();
+        for pkt in self.arrivals.drain(..) {
+            let e = next_switch(net, pkt.head.position, pkt.dest);
+            self.heaps[e].push(pkt);
+            if !self.edge_active[e] {
+                self.edge_active[e] = true;
+                self.active_edges.push(e as u32);
+            }
+        }
+        for m in self.mc_spawn.drain(..) {
+            let key = m.head.key();
+            let idx = match self.mc_free.pop() {
+                Some(i) => {
+                    self.mc[i as usize] = m;
+                    i
+                }
+                None => {
+                    self.mc.push(m);
+                    (self.mc.len() - 1) as u32
+                }
+            };
+            let mc = &self.mc;
+            let pos = self.mc_order.partition_point(|&j| mc[j as usize].head.key() < key);
+            self.mc_order.insert(pos, idx);
+        }
+        queued
+    }
+
+    /// Spawn the update broadcast of a write completed at `server`: one
+    /// packet to `copies(x) \ {server}` (sorted, deduplicated), keyed
+    /// now and contending from the next flush on. No-op when no other
+    /// copy exists.
+    fn spawn_update(&mut self, r: &mut Replay, x: ObjectId, server: NodeId, issued_at: u64) {
+        self.upd.clear();
+        self.upd.extend(r.placement.copies(x).iter().copied().filter(|&c| c != server));
+        if self.upd.is_empty() {
+            return;
+        }
+        self.upd.sort_unstable();
+        self.upd.dedup();
+        let head = Header {
+            prio: r.fresh_prio(),
+            seq: r.fresh_seq(),
+            object: x,
+            kind: PacketKind::Update,
+            position: server,
+            issued_at,
+        };
+        if let [dest] = self.upd[..] {
+            self.arrivals.push(QPacket { head, dest });
+        } else {
+            let m = pooled_multicast(&mut self.mc_pool, head, &self.upd);
+            self.mc_spawn.push(m);
         }
     }
-    if arena.len() == seg_start {
-        return;
-    }
-    arena[seg_start..].sort_unstable();
-    // In-place dedup of the fresh segment.
-    let mut write = seg_start + 1;
-    for read in seg_start + 1..arena.len() {
-        if arena[read] != arena[write - 1] {
-            arena[write] = arena[read];
-            write += 1;
+
+    /// Deliver a packet to `copies` destinations at `hop` at the end of
+    /// the current slot: a request completes (a write spawns its update
+    /// broadcast from `hop`), an update reaches its copies.
+    fn deliver(&mut self, r: &mut Replay, head: Header, hop: NodeId, copies: u64) {
+        let done = r.slot + 1;
+        r.makespan = r.makespan.max(done);
+        match head.kind {
+            PacketKind::Read | PacketKind::Write => {
+                r.delivered_requests += 1;
+                self.latencies.push(done - head.issued_at);
+                if head.kind == PacketKind::Write {
+                    self.spawn_update(r, head.object, hop, done);
+                }
+            }
+            PacketKind::Update => r.delivered_updates += copies,
         }
     }
-    arena.truncate(write);
-    let prio = *next_prio;
-    *next_prio += 1;
-    let seq = *next_seq;
-    *next_seq += 1;
-    out.push(FastPacket {
-        prio,
-        seq,
-        object: x,
-        kind: PacketKind::Update,
-        position: server,
-        dst_start: seg_start as u32,
-        dst_len: (write - seg_start) as u32,
-        issued_at,
-        hop_cache: NO_HOP,
-    });
+
+    /// Arbitrate the head of switch `e`'s queue. Returns whether it
+    /// crossed; if so, the next head joins the candidates at its own key.
+    fn commit_switch(&mut self, net: &Network, e: u32, r: &mut Replay) -> bool {
+        let child = NodeId(e);
+        let switch = Switch::of(net, child);
+        if !self.is_open(switch) {
+            // Pools only shrink within a slot, and every packet queued
+            // here needs this exact pool set: the whole queue is blocked
+            // for the rest of the slot.
+            return false;
+        }
+        self.cross(switch);
+        let queue = &mut self.heaps[e as usize];
+        let pkt = queue.pop().expect("candidates are queue heads");
+        if let Some(next) = queue.peek() {
+            self.cands.push(Reverse((next.head.key(), e)));
+        }
+        let hop = if pkt.head.position == child { net.parent(child) } else { child };
+        if hop == pkt.dest {
+            self.deliver(r, pkt.head, hop, 1);
+        } else {
+            let head = Header { seq: r.fresh_seq(), position: hop, ..pkt.head };
+            self.arrivals.push(QPacket { head, ..pkt });
+        }
+        true
+    }
+
+    /// Build a multicast's arbitration plan: group `dests` by next hop in
+    /// first-occurrence order (a one-entry child-subtree cache skips the
+    /// O(log degree) lookup while consecutive destinations share a
+    /// subtree), reorder `dests` group-contiguously, and record one
+    /// [`GroupPlan`] per hop.
+    fn build_plan(
+        &mut self,
+        net: &Network,
+        v: NodeId,
+        dests: &mut Vec<NodeId>,
+        groups: &mut Vec<GroupPlan>,
+    ) {
+        self.hop_of.clear();
+        self.group_hops.clear();
+        let mut cached: Option<(u32, u32, NodeId)> = None;
+        for &d in dests.iter() {
+            let hop = if !net.is_ancestor(v, d) {
+                net.parent(v)
+            } else {
+                let t = net.preorder_index(d);
+                match cached {
+                    Some((lo, hi, c)) if (lo..hi).contains(&t) => c,
+                    _ => {
+                        let c = net.child_towards(v, d);
+                        let lo = net.preorder_index(c);
+                        cached = Some((lo, lo + net.subtree_size(c) as u32, c));
+                        c
+                    }
+                }
+            };
+            self.hop_of.push(hop);
+            if !self.group_hops.contains(&hop) {
+                self.group_hops.push(hop);
+            }
+        }
+        self.regrouped.clear();
+        groups.clear();
+        for &hop in &self.group_hops {
+            let start = self.regrouped.len() as u32;
+            for (&h, &d) in self.hop_of.iter().zip(dests.iter()) {
+                if h == hop {
+                    self.regrouped.push(d);
+                }
+            }
+            let child = if net.parent(hop) == v { hop } else { v };
+            groups.push(GroupPlan {
+                hop,
+                switch: Switch::of(net, child),
+                start,
+                len: self.regrouped.len() as u32 - start,
+            });
+        }
+        std::mem::swap(dests, &mut self.regrouped);
+    }
+
+    /// Arbitrate multicast `mi` through its cached plan: per-group
+    /// all-or-nothing token checks, fragments queued for the next flush,
+    /// deliveries at the hops. Returns whether the packet died (every
+    /// group crossed).
+    fn commit_multicast(&mut self, net: &Network, mi: usize, r: &mut Replay) -> bool {
+        if self.mc[mi].groups.is_empty() {
+            let mut dests = std::mem::take(&mut self.mc[mi].dests);
+            let mut groups = std::mem::take(&mut self.mc[mi].groups);
+            self.build_plan(net, self.mc[mi].head.position, &mut dests, &mut groups);
+            self.mc[mi].dests = dests;
+            self.mc[mi].groups = groups;
+        }
+        // Fully blocked packets — the common case at congested operating
+        // points — are probed read-only and cross nothing.
+        if !self.mc[mi].groups.iter().any(|g| self.is_open(g.switch)) {
+            return false;
+        }
+        let head = self.mc[mi].head;
+        let mut dests = std::mem::take(&mut self.mc[mi].dests);
+        let mut groups = std::mem::take(&mut self.mc[mi].groups);
+        for g in &mut groups {
+            if !self.is_open(g.switch) {
+                continue;
+            }
+            self.cross(g.switch);
+            self.frag.clear();
+            let mut delivered_here = 0u64;
+            for &d in &dests[g.range()] {
+                if d == g.hop {
+                    delivered_here += 1;
+                } else {
+                    self.frag.push(d);
+                }
+            }
+            g.len = 0;
+            // The group's branch continues from `hop` as a fragment
+            // inheriting the origin's priority.
+            self.frag.sort_unstable();
+            if !self.frag.is_empty() {
+                let frag = Header { seq: r.fresh_seq(), position: g.hop, ..head };
+                if let [dest] = self.frag[..] {
+                    self.arrivals.push(QPacket { head: frag, dest });
+                } else {
+                    let m = pooled_multicast(&mut self.mc_pool, frag, &self.frag);
+                    self.mc_spawn.push(m);
+                }
+            }
+            if delivered_here > 0 {
+                self.deliver(r, head, g.hop, delivered_here);
+            }
+        }
+        // Compact: surviving groups (and their destination slices)
+        // slide left in order — exactly the grouping a fresh rebuild
+        // of the remainder would produce, so the plan stays valid.
+        let mut w = 0usize;
+        groups.retain_mut(|g| {
+            if g.len == 0 {
+                return false;
+            }
+            dests.copy_within(g.range(), w);
+            g.start = w as u32;
+            w += g.len as usize;
+            true
+        });
+        dests.truncate(w);
+        if dests.is_empty() {
+            // `mc[mi].dests` stays empty: the slab entry is dead.
+            self.mc_pool.push((dests, groups));
+            true
+        } else {
+            self.mc[mi].dests = dests;
+            self.mc[mi].groups = groups;
+            false
+        }
+    }
 }
 
-/// Run the zero-allocation slot kernel; see [`crate::simulate_with`].
+/// Run the exact replay kernel; see [`crate::simulate_with`].
 pub(crate) fn run(
     ws: &mut SimWorkspace,
     net: &Network,
@@ -368,317 +746,134 @@ pub(crate) fn run(
     ws.build_queues(net, trace)?;
 
     let n_procs = net.n_processors();
-    let mut next_prio = 0u64;
-    let mut next_seq = 0u64;
-    let mut delivered_requests = 0u64;
-    let mut delivered_updates = 0u64;
-    let mut makespan = 0u64;
+    let mut r = Replay {
+        placement,
+        slot: 0,
+        next_prio: 0,
+        next_seq: 0,
+        delivered_requests: 0,
+        delivered_updates: 0,
+        makespan: 0,
+    };
     let mut remaining_queued = trace.len();
+    // Unicasts sitting in switch queues.
+    let mut waiting = 0usize;
 
-    let mut slot = 0u64;
     loop {
-        if slot >= config.max_slots {
+        if r.slot >= config.max_slots {
             return Err(SimError::SlotBudgetExceeded);
         }
 
-        // --- Injection (allocation-free: cursors over the CSR queues) ---
+        // --- Injection: cursors over the CSR queues. Routed packets and
+        // the broadcasts of local writes contend in this very slot.
         let mut injected_any = false;
-        for pi in 0..n_procs {
-            let p = net.processor_at(pi);
-            for _ in 0..config.injection_rate {
-                let cur = ws.q_cursor[pi];
-                if cur == ws.q_off[pi + 1] {
-                    break;
-                }
-                ws.q_cursor[pi] = cur + 1;
-                remaining_queued -= 1;
-                injected_any = true;
-                let q = ws.q_entries[cur as usize];
-                let prio = next_prio;
-                next_prio += 1;
-                if q.server == p {
-                    // Local reference copy: request completes instantly.
-                    delivered_requests += 1;
-                    ws.latencies.push(0);
-                    makespan = makespan.max(slot);
-                    if q.is_write {
-                        spawn_update(
-                            placement,
-                            q.object,
-                            p,
-                            slot,
-                            &mut next_prio,
-                            &mut next_seq,
-                            &mut ws.arena,
-                            &mut ws.active,
-                        );
+        if remaining_queued > 0 {
+            for pi in 0..n_procs {
+                let p = net.processor_at(pi);
+                for _ in 0..config.injection_rate {
+                    let cur = ws.q_cursor[pi];
+                    if cur == ws.q_off[pi + 1] {
+                        break;
                     }
-                } else {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let dst_start = ws.arena.len() as u32;
-                    ws.arena.push(q.server);
-                    ws.active.push(FastPacket {
-                        prio,
-                        seq,
-                        object: q.object,
-                        kind: if q.is_write { PacketKind::Write } else { PacketKind::Read },
-                        position: p,
-                        dst_start,
-                        dst_len: 1,
-                        issued_at: slot,
-                        hop_cache: NO_HOP,
-                    });
+                    ws.q_cursor[pi] = cur + 1;
+                    remaining_queued -= 1;
+                    injected_any = true;
+                    let q = ws.q_entries[cur as usize];
+                    let prio = r.fresh_prio();
+                    if q.server == p {
+                        // Local reference copy: request completes instantly.
+                        r.delivered_requests += 1;
+                        ws.latencies.push(0);
+                        r.makespan = r.makespan.max(r.slot);
+                        if q.is_write {
+                            let now = r.slot;
+                            ws.spawn_update(&mut r, q.object, p, now);
+                        }
+                    } else {
+                        let head = Header {
+                            prio,
+                            seq: r.fresh_seq(),
+                            object: q.object,
+                            kind: if q.is_write { PacketKind::Write } else { PacketKind::Read },
+                            position: p,
+                            issued_at: r.slot,
+                        };
+                        ws.arrivals.push(QPacket { head, dest: q.server });
+                    }
                 }
             }
         }
+        waiting += ws.flush(net);
 
-        // --- Forwarding ---
+        // --- Token refresh. Down buses grant none during the outage
+        // window; every edge has a bus endpoint, so their crossings defer
+        // until the window ends and the packets retry — never lost.
         ws.edge_tokens.copy_from_slice(&ws.edge_bw);
         ws.bus_tokens.copy_from_slice(&ws.bus_bw2);
-        // Down buses grant no tokens during the outage window; every
-        // edge has a bus endpoint, so all their crossings defer until
-        // the window ends and the packets retry — deferred, not lost.
-        if slot < ws.outage_slots {
-            for i in 0..ws.down_buses.len() {
-                ws.bus_tokens[ws.down_buses[i].index()] = 0;
-            }
-        }
-        ws.survivors.clear();
-        ws.moved.clear();
-        ws.updates.clear();
-        ws.arena_next.clear();
-
-        for idx in 0..ws.active.len() {
-            let pkt = ws.active[idx];
-            let v = pkt.position;
-            let dst = pkt.dst_start as usize..(pkt.dst_start + pkt.dst_len) as usize;
-
-            // Fast path for unicast packets (every request, and update
-            // fragments that have narrowed to one copy): one hop, one
-            // group — skip the grouping machinery entirely. Semantically
-            // identical to the general path below with a single group.
-            if pkt.dst_len == 1 {
-                let d = ws.arena[pkt.dst_start as usize];
-                let hop = if pkt.hop_cache != NO_HOP {
-                    pkt.hop_cache
-                } else if net.is_ancestor(v, d) {
-                    net.child_towards(v, d)
-                } else {
-                    net.parent(v)
-                };
-                let edge = if net.parent(hop) == v { hop } else { v };
-                let e = EdgeId::from(edge);
-                let (a, b) = net.edge_endpoints(e);
-                let bus_a = net.is_bus(a);
-                let bus_b = net.is_bus(b);
-                let ok = ws.edge_tokens[e.index()] >= 1
-                    && (!bus_a || ws.bus_tokens[a.index()] >= 1)
-                    && (!bus_b || ws.bus_tokens[b.index()] >= 1);
-                if !ok {
-                    let seg_start = ws.arena_next.len() as u32;
-                    ws.arena_next.push(d);
-                    ws.survivors.push(FastPacket { dst_start: seg_start, hop_cache: hop, ..pkt });
-                    continue;
-                }
-                ws.edge_tokens[e.index()] -= 1;
-                if bus_a {
-                    ws.bus_tokens[a.index()] -= 1;
-                }
-                if bus_b {
-                    ws.bus_tokens[b.index()] -= 1;
-                }
-                ws.edge_crossings[e.index()] += 1;
-                if d == hop {
-                    match pkt.kind {
-                        PacketKind::Read | PacketKind::Write => {
-                            delivered_requests += 1;
-                            ws.latencies.push(slot + 1 - pkt.issued_at);
-                            makespan = makespan.max(slot + 1);
-                            if pkt.kind == PacketKind::Write {
-                                spawn_update(
-                                    placement,
-                                    pkt.object,
-                                    hop,
-                                    slot + 1,
-                                    &mut next_prio,
-                                    &mut next_seq,
-                                    &mut ws.arena_next,
-                                    &mut ws.updates,
-                                );
-                            }
-                        }
-                        PacketKind::Update => {
-                            delivered_updates += 1;
-                            makespan = makespan.max(slot + 1);
-                        }
-                    }
-                } else {
-                    let seg_start = ws.arena_next.len() as u32;
-                    ws.arena_next.push(d);
-                    let seq = next_seq;
-                    next_seq += 1;
-                    ws.moved.push(FastPacket {
-                        seq,
-                        position: hop,
-                        dst_start: seg_start,
-                        hop_cache: NO_HOP,
-                        ..pkt
-                    });
-                }
-                continue;
-            }
-
-            // Group destinations by next hop, first-occurrence order.
-            // One-entry cache of the last descending child's preorder
-            // range: consecutive destinations in the same subtree skip
-            // the O(log degree) lookup.
-            ws.hop_of.clear();
-            ws.group_hops.clear();
-            let mut cached: Option<(u32, u32, NodeId)> = None;
-            for di in dst.clone() {
-                let d = ws.arena[di];
-                let hop = if !net.is_ancestor(v, d) {
-                    net.parent(v)
-                } else {
-                    let t = net.preorder_index(d);
-                    match cached {
-                        Some((lo, hi, c)) if (lo..hi).contains(&t) => c,
-                        _ => {
-                            let c = net.child_towards(v, d);
-                            let lo = net.preorder_index(c);
-                            cached = Some((lo, lo + net.subtree_size(c) as u32, c));
-                            c
-                        }
-                    }
-                };
-                ws.hop_of.push(hop);
-                if !ws.group_hops.contains(&hop) {
-                    ws.group_hops.push(hop);
-                }
-            }
-
-            ws.remaining_scratch.clear();
-            for gi in 0..ws.group_hops.len() {
-                let hop = ws.group_hops[gi];
-                let edge = if net.parent(hop) == v { hop } else { v };
-                let e = EdgeId::from(edge);
-                let (a, b) = net.edge_endpoints(e);
-                let bus_a = net.is_bus(a);
-                let bus_b = net.is_bus(b);
-                let ok = ws.edge_tokens[e.index()] >= 1
-                    && (!bus_a || ws.bus_tokens[a.index()] >= 1)
-                    && (!bus_b || ws.bus_tokens[b.index()] >= 1);
-                if !ok {
-                    for (off, &h) in ws.hop_of.iter().enumerate() {
-                        if h == hop {
-                            ws.remaining_scratch.push(ws.arena[pkt.dst_start as usize + off]);
-                        }
-                    }
-                    continue;
-                }
-                ws.edge_tokens[e.index()] -= 1;
-                if bus_a {
-                    ws.bus_tokens[a.index()] -= 1;
-                }
-                if bus_b {
-                    ws.bus_tokens[b.index()] -= 1;
-                }
-                ws.edge_crossings[e.index()] += 1;
-
-                // The group's branch continues from `hop` as a fragment
-                // inheriting the origin's priority; destinations equal to
-                // `hop` are delivered here.
-                let seg_start = ws.arena_next.len();
-                let mut delivered_here = 0u64;
-                for (off, &h) in ws.hop_of.iter().enumerate() {
-                    if h == hop {
-                        let d = ws.arena[pkt.dst_start as usize + off];
-                        if d == hop {
-                            delivered_here += 1;
-                        } else {
-                            ws.arena_next.push(d);
-                        }
-                    }
-                }
-                ws.arena_next[seg_start..].sort_unstable();
-                let seg_len = ws.arena_next.len() - seg_start;
-                if seg_len > 0 {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    ws.moved.push(FastPacket {
-                        seq,
-                        position: hop,
-                        dst_start: seg_start as u32,
-                        dst_len: seg_len as u32,
-                        hop_cache: NO_HOP,
-                        ..pkt
-                    });
-                }
-                if delivered_here > 0 {
-                    match pkt.kind {
-                        PacketKind::Read | PacketKind::Write => {
-                            delivered_requests += 1;
-                            ws.latencies.push(slot + 1 - pkt.issued_at);
-                            makespan = makespan.max(slot + 1);
-                            if pkt.kind == PacketKind::Write {
-                                spawn_update(
-                                    placement,
-                                    pkt.object,
-                                    hop,
-                                    slot + 1,
-                                    &mut next_prio,
-                                    &mut next_seq,
-                                    &mut ws.arena_next,
-                                    &mut ws.updates,
-                                );
-                            }
-                        }
-                        PacketKind::Update => {
-                            delivered_updates += delivered_here;
-                            makespan = makespan.max(slot + 1);
-                        }
-                    }
-                }
-            }
-
-            if !ws.remaining_scratch.is_empty() {
-                let seg_start = ws.arena_next.len();
-                ws.arena_next.extend_from_slice(&ws.remaining_scratch);
-                ws.survivors.push(FastPacket {
-                    dst_start: seg_start as u32,
-                    dst_len: ws.remaining_scratch.len() as u32,
-                    ..pkt
-                });
+        if r.slot < ws.outage_slots {
+            for &b in &ws.down_buses {
+                ws.bus_tokens[b.index()] = 0;
             }
         }
 
-        // --- Rebuild the active set: merge, don't resort ---
-        // Survivors and fragments are each emitted in ascending (prio,
-        // seq); fresh updates all carry priorities above everything else.
-        ws.active.clear();
-        {
-            let (mut i, mut j) = (0, 0);
-            while i < ws.survivors.len() && j < ws.moved.len() {
-                if ws.survivors[i].key() <= ws.moved[j].key() {
-                    ws.active.push(ws.survivors[i]);
-                    i += 1;
-                } else {
-                    ws.active.push(ws.moved[j]);
-                    j += 1;
-                }
+        // --- Candidates: the head of every non-empty switch queue.
+        let (heaps, cands, edge_active) = (&ws.heaps, &mut ws.cands, &mut ws.edge_active);
+        ws.active_edges.retain(|&e| match heaps[e as usize].peek() {
+            Some(h) => {
+                cands.push(Reverse((h.head.key(), e)));
+                true
             }
-            ws.active.extend_from_slice(&ws.survivors[i..]);
-            ws.active.extend_from_slice(&ws.moved[j..]);
-            ws.active.extend_from_slice(&ws.updates);
-        }
-        debug_assert!(ws.active.windows(2).all(|w| w[0].key() < w[1].key()));
-        std::mem::swap(&mut ws.arena, &mut ws.arena_next);
+            None => {
+                edge_active[e as usize] = false;
+                false
+            }
+        });
 
-        if ws.active.is_empty() && !injected_any && remaining_queued == 0 {
+        // --- Commit in exact global (prio, seq) order: a two-way merge of
+        // the switch heads and the sorted live multicasts. Every multicast
+        // is probed each slot (pools refill per slot, so a blocked one may
+        // cross the very next); the walk only reads the live list, and
+        // dead entries are swept from it afterwards.
+        let mut mj = 0;
+        let mut mc_died = false;
+        loop {
+            let sw = ws.cands.peek().map(|&Reverse((key, _))| key);
+            let mc = ws.mc_order.get(mj).map(|&i| ws.mc[i as usize].head.key());
+            let take_switch = match (sw, mc) {
+                (None, None) => break,
+                (Some(s), Some(m)) => s < m,
+                (s, _) => s.is_some(),
+            };
+            if take_switch {
+                let Reverse((_, e)) = ws.cands.pop().expect("peeked");
+                if ws.commit_switch(net, e, &mut r) {
+                    waiting -= 1;
+                }
+            } else {
+                let mi = ws.mc_order[mj];
+                mj += 1;
+                mc_died |= ws.commit_multicast(net, mi as usize, &mut r);
+            }
+        }
+        if mc_died {
+            let (mc, free) = (&ws.mc, &mut ws.mc_free);
+            ws.mc_order.retain(|&i| {
+                let dead = mc[i as usize].dests.is_empty();
+                if dead {
+                    free.push(i);
+                }
+                !dead
+            });
+        }
+
+        let idle = waiting == 0
+            && ws.arrivals.is_empty()
+            && ws.mc_order.is_empty()
+            && ws.mc_spawn.is_empty();
+        if idle && !injected_any && remaining_queued == 0 {
             break;
         }
-        slot += 1;
+        r.slot += 1;
     }
 
     ws.latencies.sort_unstable();
@@ -693,9 +888,9 @@ pub(crate) fn run(
         .copied()
         .unwrap_or(0);
     Ok(SimResult {
-        makespan,
-        delivered_requests,
-        delivered_updates,
+        makespan: r.makespan,
+        delivered_requests: r.delivered_requests,
+        delivered_updates: r.delivered_updates,
         mean_latency,
         p99_latency,
         edge_crossings: ws.edge_crossings.clone(),

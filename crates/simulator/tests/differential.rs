@@ -1,17 +1,20 @@
-//! Differential tests: the zero-allocation workspace kernel must produce
-//! an identical `SimResult` to the retained naive reference kernel on
-//! every instance — same makespan, latencies, delivery counts and
-//! per-edge crossings.
+//! Differential tests: the event-driven replay kernel must produce an
+//! identical `SimResult` to the retained naive reference kernel (the
+//! oracle) on every instance — same makespan, latencies, delivery counts
+//! and per-edge crossings — including under capacity overlays and on
+//! the error paths.
 
 use hbn_core::ExtendedNibble;
 use hbn_sim::{
     expand, expand_shuffled, simulate, simulate_reference, simulate_reference_overlay,
-    simulate_with, simulate_with_overlay, SimConfig, SimWorkspace,
+    simulate_with, simulate_with_overlay, SimConfig, SimError, SimWorkspace,
 };
+use hbn_testutil::workload_from_seed;
 use hbn_topology::generators::{balanced, random_network, star, BandwidthProfile};
 use hbn_topology::{CapacityOverlay, Network};
 use hbn_workload::generators as wgen;
 use hbn_workload::{AccessMatrix, ObjectId};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,6 +54,29 @@ fn kernels_agree_on_random_instances() {
     }
 }
 
+/// Injection rates above one put several fresh packets on a leaf switch
+/// per slot, so queue heads change within a slot. One workspace is
+/// reused across all rounds: stale state from a previous replay must not
+/// leak.
+#[test]
+fn kernels_agree_across_injection_rates() {
+    let mut rng = StdRng::seed_from_u64(9001);
+    let mut ws = SimWorkspace::new();
+    for round in 0..25 {
+        let buses = rng.gen_range(1..7);
+        let procs = rng.gen_range(3..16).max(buses * 2);
+        let net = random_network(buses, procs, BandwidthProfile::Uniform, &mut rng);
+        let m = wgen::uniform(&net, rng.gen_range(1..6), 5, 3, 0.7, &mut rng);
+        let out = ExtendedNibble::new().place(&net, &m).unwrap();
+        let trace = expand_shuffled(&m, &mut rng);
+        let rate = [1usize, 2, 5][round % 3];
+        let cfg = SimConfig { injection_rate: rate, ..SimConfig::default() };
+        let naive = simulate_reference(&net, &m, &out.placement, &trace, cfg);
+        let fast = simulate_with(&mut ws, &net, &m, &out.placement, &trace, cfg);
+        assert_eq!(fast, naive, "reused-workspace divergence on round {round} at rate {rate}");
+    }
+}
+
 /// Fat-tree bandwidths exercise the token accounting harder (buses can
 /// carry several packets per slot, so partial blocking is frequent).
 #[test]
@@ -78,8 +104,10 @@ fn kernels_agree_under_fat_tree_bandwidths() {
 }
 
 /// Write-heavy workloads drive the multicast path: update broadcasts
-/// split at branch nodes and fragments inherit priorities, which is where
-/// the merge-based arbitration could diverge from the sorted reference.
+/// split at branch nodes and fragments inherit priorities and draw fresh
+/// sequence numbers, which is where the key-ordered commit walk could
+/// diverge from the sorted reference. The deeper tree keeps multicasts
+/// alive across several levels of cached, compacted plans.
 #[test]
 fn kernels_agree_on_write_heavy_multicast() {
     let mut rng = StdRng::seed_from_u64(7003);
@@ -95,6 +123,21 @@ fn kernels_agree_on_write_heavy_multicast() {
             &trace,
             SimConfig::default(),
             &format!("write round {round}"),
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(9002);
+    for round in 0..10 {
+        let net = balanced(3, 3, BandwidthProfile::Uniform);
+        let m = wgen::shared_write(&net, rng.gen_range(2..6), rng.gen_range(2..9), 3);
+        let out = ExtendedNibble::new().place(&net, &m).unwrap();
+        let trace = expand_shuffled(&m, &mut rng);
+        assert_kernels_agree(
+            &net,
+            &m,
+            &out.placement,
+            &trace,
+            SimConfig::default(),
+            &format!("deep write round {round}"),
         );
     }
 }
@@ -154,6 +197,22 @@ fn kernels_agree_on_configs_and_errors() {
         simulate_reference(&net, &m, &empty, &trace, SimConfig::default()),
         "unrouted error must match"
     );
+
+    // An empty trace against a non-empty placement terminates at once.
+    let res = simulate(&net, &m, &pl, &[], SimConfig::default());
+    assert_eq!(res, simulate_reference(&net, &m, &pl, &[], SimConfig::default()));
+    assert_eq!(res.unwrap().makespan, 0);
+
+    // Budget exhausted mid-outage: the down root grants no tokens, so
+    // nothing crosses before the budget runs out. Both kernels report the
+    // budget error rather than deliver or hang.
+    let mut overlay = CapacityOverlay::pristine(net.n_nodes()).with_outage_slots(1_000);
+    overlay.set_down(net.root());
+    let budget = SimConfig { injection_rate: 1, max_slots: 100 };
+    let fast =
+        simulate_with_overlay(&mut SimWorkspace::new(), &net, &m, &pl, &trace, budget, &overlay);
+    assert_eq!(fast, Err(SimError::SlotBudgetExceeded), "overlay + budget");
+    assert_eq!(fast, simulate_reference_overlay(&net, &m, &pl, &trace, budget, &overlay));
 }
 
 /// The two kernels agree under random capacity overlays too: degraded
@@ -241,6 +300,30 @@ fn outage_defers_and_bounds_makespan() {
     );
 }
 
+/// A root outage on a heavily loaded star: a dense contention pattern
+/// where every queue blocks at once and then drains together.
+#[test]
+fn kernels_agree_through_full_outage_drain() {
+    let net = star(8, 2);
+    let p = net.processors();
+    let mut m = AccessMatrix::new(2);
+    for (i, &proc) in p.iter().enumerate() {
+        m.add(proc, ObjectId((i % 2) as u32), 6, 2);
+    }
+    let mut pl = hbn_load::Placement::new(2);
+    pl.add_copy(ObjectId(0), p[0]);
+    pl.add_copy(ObjectId(1), p[1]);
+    pl.nearest_assignment(&net, &m);
+    let mut overlay = CapacityOverlay::pristine(net.n_nodes()).with_outage_slots(25);
+    overlay.set_down(net.root());
+    let trace = expand(&m);
+    let cfg = SimConfig::default();
+    let fast =
+        simulate_with_overlay(&mut SimWorkspace::new(), &net, &m, &pl, &trace, cfg, &overlay);
+    assert_eq!(fast, simulate_reference_overlay(&net, &m, &pl, &trace, cfg, &overlay));
+    assert_eq!(fast.unwrap().delivered_requests, trace.len() as u64, "no lost traffic");
+}
+
 /// A hand-built trace whose requester is a bus node (invalid by
 /// construction) is rejected identically by both kernels.
 #[test]
@@ -283,4 +366,58 @@ fn kernels_reject_non_leaf_requesters() {
         fast,
         Err(hbn_sim::SimError::UnroutedRequest { processor: p[0], object: ObjectId(7) })
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Proptest-generated batches: random tree, random workload, random
+    /// injection rate, random overlay or none — the kernel tracks the
+    /// oracle bit for bit.
+    #[test]
+    fn kernel_matches_reference(
+        buses in 1usize..6,
+        procs in 3usize..14,
+        objects in 1usize..5,
+        net_seed in any::<u64>(),
+        wl_seed in any::<u64>(),
+        rate in 1usize..6,
+        fault in any::<bool>(),
+        outage in 1u64..30,
+    ) {
+        let mut rng = StdRng::seed_from_u64(net_seed);
+        let net = random_network(
+            buses,
+            procs.max(buses * 2),
+            BandwidthProfile::Uniform,
+            &mut rng,
+        );
+        let m = workload_from_seed(&net, objects, 6, 3, 0.7, wl_seed);
+        let out = ExtendedNibble::new().place(&net, &m).unwrap();
+        let trace = expand(&m);
+        let cfg = SimConfig { injection_rate: rate, ..SimConfig::default() };
+        let mut ws = SimWorkspace::new();
+        let (fast, naive) = if fault {
+            let mut o = CapacityOverlay::pristine(net.n_nodes()).with_outage_slots(outage);
+            let mut orng = StdRng::seed_from_u64(wl_seed ^ 0xfa17);
+            for v in net.nodes().filter(|&v| net.is_bus(v) && v != net.root()) {
+                if orng.gen_bool(0.3) {
+                    o.degrade(v, orng.gen_range(2..6));
+                }
+                if orng.gen_bool(0.2) {
+                    o.set_down(v);
+                }
+            }
+            (
+                simulate_with_overlay(&mut ws, &net, &m, &out.placement, &trace, cfg, &o),
+                simulate_reference_overlay(&net, &m, &out.placement, &trace, cfg, &o),
+            )
+        } else {
+            (
+                simulate_with(&mut ws, &net, &m, &out.placement, &trace, cfg),
+                simulate_reference(&net, &m, &out.placement, &trace, cfg),
+            )
+        };
+        prop_assert_eq!(fast, naive);
+    }
 }

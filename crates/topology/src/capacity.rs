@@ -15,8 +15,8 @@
 //! A [`CapacityProfile`], by contrast, is *static* heterogeneity: it
 //! rewrites the bus bandwidths of a freshly built [`Network`] once, at
 //! build time. Because the profile mutates `b(v)` itself, every
-//! consumer — slot kernels, the parallel wavefront kernel, the
-//! congestion estimator, load normalization — sees the profiled
+//! consumer — the replay kernel and its oracle, the congestion
+//! estimator, load normalization — sees the profiled
 //! capacities with no per-kernel plumbing, and an overlay composes on
 //! top naturally: degradation divides the *profiled* bandwidth and
 //! restore returns to the *profile* capacity, not some pristine
