@@ -2,13 +2,15 @@
 //!
 //! * max-slack (heap) vs first-fit free-edge selection in the downwards
 //!   phase of the mapping algorithm;
-//! * sequential vs parallel per-object steps 1–2;
+//! * one vs several `PlacementKernel` object shards for steps 1–2;
 //! * exact-rational vs float congestion comparison.
 
 #![warn(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hbn_core::{ExtendedNibble, ExtendedNibbleOptions, FreeEdgePolicy, MappingOptions};
+use hbn_core::{
+    ExtendedNibble, ExtendedNibbleOptions, FreeEdgePolicy, MappingOptions, PlacementKernel,
+};
 use hbn_load::{LoadMap, LoadRatio};
 use hbn_topology::generators::{balanced, BandwidthProfile};
 use hbn_workload::generators as wgen;
@@ -28,7 +30,6 @@ fn bench_edge_policy(c: &mut Criterion) {
         let strat = ExtendedNibble {
             options: ExtendedNibbleOptions {
                 mapping: MappingOptions { edge_policy: policy, ..Default::default() },
-                threads: 0,
             },
         };
         group.bench_function(name, |b| b.iter(|| black_box(strat.place(&net, &m).unwrap())));
@@ -41,11 +42,10 @@ fn bench_parallel_objects(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let m = wgen::zipf_read_mostly(&net, 512, 20_000, 0.9, 0.3, &mut rng);
     let mut group = c.benchmark_group("parallel_objects");
-    for threads in [1usize, 4] {
-        let strat =
-            ExtendedNibble { options: ExtendedNibbleOptions { threads, ..Default::default() } };
-        group.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| black_box(strat.place(&net, &m).unwrap()))
+    for shards in [1usize, 4] {
+        let mut kernel = PlacementKernel::new(&net, shards);
+        group.bench_function(format!("shards_{shards}"), |b| {
+            b.iter(|| black_box(kernel.place(&net, &m).unwrap()))
         });
     }
     group.finish();

@@ -66,7 +66,6 @@ fn main() {
             let strat = ExtendedNibble {
                 options: hbn_core::ExtendedNibbleOptions {
                     mapping: MappingOptions { check_invariants: true, ..Default::default() },
-                    threads: 0,
                 },
             };
             match strat.place(net, m) {
@@ -105,7 +104,6 @@ fn main() {
                         invariant_form: InvariantForm::PaperOriginal,
                         ..Default::default()
                     },
-                    threads: 0,
                 },
             };
             if strat.place(net, m).is_err() {

@@ -1,12 +1,15 @@
-//! EXP-SEQ (Theorem 4.3, sequential runtime): the extended-nibble
-//! strategy's measured wall-clock scales like
-//! `O(|X| · |V| · height(T) · log(degree(T)))` — near-linear in each
-//! parameter separately.
+//! EXP-SEQ (Theorem 4.3, runtime): the extended-nibble strategy's
+//! measured wall-clock stays within
+//! `O(|X| · |V| · height(T) · log(degree(T)))`. Steps 1–2 touch only
+//! each object's support (the union of its requesters' root paths), so
+//! time is linear in `|X|` but grows far below linearly in `|V|`: only
+//! the global mapping phase scans the network. Part (d) shards steps 1–2
+//! across the batch kernel's workers.
 
 #![warn(missing_docs)]
 
 use hbn_bench::Table;
-use hbn_core::ExtendedNibble;
+use hbn_core::{ExtendedNibble, PlacementKernel};
 use hbn_topology::generators::{balanced, bus_path, BandwidthProfile};
 use hbn_workload::generators as wgen;
 use rand::rngs::StdRng;
@@ -60,22 +63,26 @@ fn main() {
     }
     println!("{}", t.render());
 
-    // (d) Parallel steps 1-2 over objects.
+    // (d) Steps 1-2 sharded over objects by the batch kernel.
     let net = balanced(4, 3, BandwidthProfile::Uniform);
     let m = wgen::zipf_read_mostly(&net, 1600, 64_000, 0.9, 0.3, &mut rng);
-    let mut t = Table::new(["threads", "time (ms)"]);
-    for threads in [1usize, 2, 4, 8] {
-        let strat = ExtendedNibble {
-            options: hbn_core::ExtendedNibbleOptions { threads, ..Default::default() },
-        };
+    let mut t = Table::new(["shards", "time (ms)"]);
+    let mut first = None;
+    for shards in [1usize, 2, 4, 8] {
+        let mut kernel = PlacementKernel::new(&net, shards);
         let start = Instant::now();
-        let out = strat.place(&net, &m).unwrap();
-        std::hint::black_box(out);
-        t.row([threads.to_string(), format!("{:.2}", start.elapsed().as_secs_f64() * 1e3)]);
+        let out = kernel.place(&net, &m).unwrap();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let reference = first.get_or_insert_with(|| out.placement.clone());
+        assert_eq!(*reference, out.placement, "placement differs at {shards} shards");
+        t.row([shards.to_string(), format!("{ms:.2}")]);
     }
     println!("{}", t.render());
     println!(
-        "Expected shape: (a) linear in |X|; (b) near-linear in |V|;\n\
-         (c) grows with height; (d) speedup from parallel per-object steps."
+        "Expected shape: (a) linear in |X|; (b) far below linear in |V|\n\
+         (steps 1-2 follow each object's requesters; only the mapping phase\n\
+         scans |V|), so time / |V| falls as |V| grows; (c) grows with height;\n\
+         (d) sharding gains at most what steps 1-2 cost (the mapping phase\n\
+         and the assembly stay sequential); output is equal for every count."
     );
 }

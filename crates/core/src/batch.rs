@@ -1,21 +1,19 @@
 //! The batched static-placement kernel: gravity → nibble → extended
 //! nibble over *all* objects with shared, reusable scratch.
 //!
-//! [`crate::ExtendedNibble::place`] is a per-call routine: it allocates a
-//! fresh [`Workspace`] (or one per scoped worker thread), walks every
-//! object, and drops everything on return. That is the right shape for a
-//! one-shot placement, but the scenario engine's periodic
-//! re-optimization strategies re-run the full static pipeline every few
-//! epochs over the same network — so the allocations, and the thread
-//! scope setup, repeat per epoch.
+//! [`crate::ExtendedNibble::place`] is a sequential per-call routine: it
+//! allocates a fresh [`Workspace`], walks every object, and drops
+//! everything on return. That is the right shape for a one-shot
+//! placement, but the scenario engine's periodic re-optimization
+//! strategies re-run the full static pipeline every few epochs over the
+//! same network — so the allocations repeat per epoch.
 //!
-//! A [`PlacementKernel`] amortizes both. It owns one epoch-stamped
-//! [`Workspace`] per object shard (the workspace's node marks are
-//! generation-stamped and its weight buffer is cleared through a touched
-//! list, so reuse across batches costs no memsets), fans the per-object
-//! steps 1–2 out over the shards with rayon, and merges the results in
-//! object-id order before running the global mapping phase through the
-//! same assembly as the per-object path.
+//! A [`PlacementKernel`] amortizes them and is the one parallel path. It
+//! owns one [`Workspace`] per object shard (its slots are
+//! generation-stamped, so reuse across batches costs no memsets), fans
+//! the per-object steps 1–2 out over the shards with rayon, and merges
+//! the results in object-id order before running the global mapping
+//! phase through the same assembly as the per-object path.
 //!
 //! # Determinism and the merge argument
 //!
@@ -46,7 +44,7 @@ use rayon::prelude::*;
 struct BatchShard {
     /// Shard index; shard `idx` owns the `idx`-th contiguous object range.
     idx: usize,
-    /// Epoch-stamped scratch for the gravity/nibble walks.
+    /// Generation-stamped scratch for the gravity/nibble walks.
     ws: Workspace,
     /// Steps 1–2 output of the shard's objects, in object-id order.
     out: Vec<ObjectSteps>,

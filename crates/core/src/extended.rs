@@ -17,14 +17,14 @@ use hbn_topology::{Network, NodeId};
 use hbn_workload::AccessMatrix;
 
 /// Options for [`ExtendedNibble`].
+///
+/// The per-object steps 1–2 run sequentially here; the batched
+/// [`crate::PlacementKernel`] is the one path that shards them across
+/// workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExtendedNibbleOptions {
     /// Mapping-phase options (invariant checking, free-edge policy).
     pub mapping: MappingOptions,
-    /// Number of worker threads for the per-object steps 1–2. `0` or `1`
-    /// runs sequentially; objects are independent in those steps, so any
-    /// thread count produces identical output.
-    pub threads: usize,
 }
 
 /// Counters describing what the strategy did.
@@ -75,7 +75,13 @@ impl ExtendedOutcome {
 }
 
 /// The extended-nibble strategy (Theorem 4.3): computes a leaf-only
-/// placement with congestion at most `7 · C_opt` in time
+/// placement with congestion at most `7 · C_opt`.
+///
+/// Steps 1–2 read and write only each object's support, the union of
+/// its requesters' root paths (at most `r_x · (height(T) + 1)` nodes for
+/// `r_x` requesting processors), so their cost follows each object's
+/// requesters and copies, not `|V|`. Only the global mapping phase scans
+/// the network, once per call. The whole run stays within the paper's
 /// `O(|X| · |V| · height(T) · log(degree(T)))`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtendedNibble {
@@ -84,7 +90,7 @@ pub struct ExtendedNibble {
 }
 
 impl ExtendedNibble {
-    /// Strategy with default options (sequential, unchecked mapping).
+    /// Strategy with default options (unchecked mapping).
     pub fn new() -> Self {
         Self::default()
     }
@@ -94,7 +100,6 @@ impl ExtendedNibble {
         ExtendedNibble {
             options: ExtendedNibbleOptions {
                 mapping: MappingOptions { check_invariants: true, ..Default::default() },
-                threads: 0,
             },
         }
     }
@@ -105,15 +110,9 @@ impl ExtendedNibble {
         net: &Network,
         matrix: &AccessMatrix,
     ) -> Result<ExtendedOutcome, MappingError> {
-        // Steps 1–2 are independent per object; run them on a worker pool
-        // when requested.
-        let per_object: Vec<(NodeId, ObjectCopies, ObjectCopies, bool)> =
-            if self.options.threads > 1 {
-                run_steps_parallel(net, matrix, self.options.threads)
-            } else {
-                let mut ws = Workspace::new(net.n_nodes());
-                matrix.objects().map(|x| run_steps_for_object(net, matrix, x, &mut ws)).collect()
-            };
+        let mut ws = Workspace::new(net.n_nodes());
+        let per_object: Vec<ObjectSteps> =
+            matrix.objects().map(|x| run_steps_for_object(net, matrix, x, &mut ws)).collect();
         assemble_outcome(net, matrix, per_object, &self.options.mapping)
     }
 }
@@ -198,41 +197,6 @@ pub(crate) fn run_steps_for_object(
     } else {
         (out.gravity, out.copies.clone(), out.copies, false)
     }
-}
-
-/// Parallel steps 1–2 over objects with `threads` scoped std workers.
-/// Objects are strided across workers; output order is by object id, so
-/// the result is identical to the sequential run.
-fn run_steps_parallel(net: &Network, matrix: &AccessMatrix, threads: usize) -> Vec<ObjectSteps> {
-    let n_objects = matrix.n_objects();
-    let mut results: Vec<Option<ObjectSteps>> = vec![None; n_objects];
-    let chunks: Vec<(usize, &mut [Option<ObjectSteps>])> = {
-        // Split results into contiguous ranges, one per worker.
-        let per = n_objects.div_ceil(threads.max(1));
-        let mut rest: &mut [Option<_>] = &mut results;
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            out.push((start, head));
-            start += take;
-            rest = tail;
-        }
-        out
-    };
-    std::thread::scope(|scope| {
-        for (start, chunk) in chunks {
-            scope.spawn(move || {
-                let mut ws = Workspace::new(net.n_nodes());
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    let x = hbn_workload::ObjectId((start + offset) as u32);
-                    *slot = Some(run_steps_for_object(net, matrix, x, &mut ws));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("all objects processed")).collect()
 }
 
 #[cfg(test)]
@@ -328,20 +292,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(44);
-        let net = balanced(3, 3, BandwidthProfile::Uniform);
-        let m = wgen::zipf_read_mostly(&net, 20, 2000, 1.0, 0.4, &mut rng);
-        let seq = ExtendedNibble::new().place(&net, &m).unwrap();
-        let par =
-            ExtendedNibble { options: ExtendedNibbleOptions { threads: 4, ..Default::default() } }
-                .place(&net, &m)
-                .unwrap();
-        assert_eq!(seq.placement, par.placement);
-        assert_eq!(seq.mapping.tau_max, par.mapping.tau_max);
     }
 
     #[test]

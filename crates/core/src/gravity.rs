@@ -5,25 +5,38 @@
 //! components each carrying at most half of the total weight. The set of
 //! such nodes is never empty; following the paper we take the one with the
 //! smallest index.
+//!
+//! Only the object's *support* — the union of its requesters' root paths
+//! — is ever examined. A node off the support has fixed-root subtree
+//! weight 0, so removing it leaves a component of weight `h_x`, and it
+//! fails the test whenever `h_x > 0`. The smallest-index center is
+//! therefore the smallest-index support node that passes.
 
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
 
-/// Reusable per-object scratch buffers for gravity/nibble computations:
-/// the algorithms run once per object and would otherwise allocate
-/// `O(|V|)` vectors `|X|` times.
+/// Reusable per-object scratch for the gravity and nibble computations.
+///
+/// Slots are indexed by node, but loading an object writes and reads only
+/// its support (the union of its requesters' root paths), in
+/// `O(requesters · height(T))` and independent of `|V|`. A generation
+/// bump invalidates the previous object's slots, so one workspace serves
+/// any number of objects without clearing.
 #[derive(Debug, Clone)]
 pub struct Workspace {
-    /// Subtree weight below each node under the network's fixed root.
-    pub subtree: Vec<u64>,
-    /// Per-node weight `h(v)` of the current object.
-    pub weight: Vec<u64>,
-    /// Processors touched by the current object (to clear `weight` cheaply).
-    touched: Vec<NodeId>,
-    /// Epoch-stamped node marks (`mark[v] == epoch` means marked), so the
-    /// nibble strategy can test copy membership without clearing buffers.
+    /// Fixed-root subtree weight of each support node.
+    subtree: Vec<u64>,
+    /// Heaviest child subtree of each support node (0 if no child is in
+    /// the support).
+    heaviest_child: Vec<u64>,
+    /// `in_support[v] == generation` iff `v` is in the current support.
+    in_support: Vec<u32>,
+    /// `mark[v] == generation` iff `v` is marked (holds a nibble copy) for
+    /// the current object.
     mark: Vec<u32>,
-    epoch: u32,
+    generation: u32,
+    /// The current support, each node once, in discovery order.
+    support: Vec<NodeId>,
 }
 
 impl Workspace {
@@ -31,58 +44,105 @@ impl Workspace {
     pub fn new(n: usize) -> Self {
         Workspace {
             subtree: vec![0; n],
-            weight: vec![0; n],
-            touched: Vec::new(),
+            heaviest_child: vec![0; n],
+            in_support: vec![0; n],
             mark: vec![0; n],
-            epoch: 0,
+            generation: 0,
+            support: Vec::new(),
         }
     }
 
-    /// Start a fresh mark generation (clears all marks in O(1)).
-    pub fn clear_marks(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
+    /// Load the weights of object `x`: walk every requester's root path,
+    /// summing fixed-root subtree weights over the support. Starts a new
+    /// generation (clearing the support and all marks in O(1)) and
+    /// returns the total weight `h_x`.
+    pub(crate) fn load_object(&mut self, net: &Network, matrix: &AccessMatrix, x: ObjectId) -> u64 {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
             // Wrapped: physically reset to keep stamps unambiguous.
+            self.in_support.iter_mut().for_each(|s| *s = 0);
             self.mark.iter_mut().for_each(|m| *m = 0);
-            self.epoch = 1;
+            self.generation = 1;
         }
-    }
-
-    /// Mark node `v` in the current generation.
-    #[inline]
-    pub fn mark(&mut self, v: NodeId) {
-        self.mark[v.index()] = self.epoch;
-    }
-
-    /// Whether `v` is marked in the current generation.
-    #[inline]
-    pub fn is_marked(&self, v: NodeId) -> bool {
-        self.mark[v.index()] == self.epoch
-    }
-
-    /// Load the weights of object `x` and compute fixed-root subtree sums.
-    /// Returns the total weight `h_x`.
-    pub fn load_object(&mut self, net: &Network, matrix: &AccessMatrix, x: ObjectId) -> u64 {
-        for &v in &self.touched {
-            self.weight[v.index()] = 0;
-        }
-        self.touched.clear();
+        self.support.clear();
         let mut total = 0u64;
         for e in matrix.object_entries(x) {
             let w = e.reads + e.writes;
-            self.weight[e.processor.index()] = w;
-            self.touched.push(e.processor);
             total += w;
-        }
-        // Subtree sums under the fixed root, postorder.
-        for v in net.postorder() {
-            let mut s = self.weight[v.index()];
-            for &c in net.children(v) {
-                s += self.subtree[c.index()];
+            let mut a = e.processor;
+            loop {
+                let i = a.index();
+                if self.in_support[i] != self.generation {
+                    self.in_support[i] = self.generation;
+                    self.subtree[i] = 0;
+                    self.heaviest_child[i] = 0;
+                    self.support.push(a);
+                }
+                self.subtree[i] += w;
+                if a == net.root() {
+                    break;
+                }
+                a = net.parent(a);
             }
-            self.subtree[v.index()] = s;
+        }
+        // The support is closed under parents, so every non-root support
+        // node reports its final subtree weight to a support parent.
+        for &u in &self.support {
+            if u != net.root() {
+                let p = net.parent(u).index();
+                self.heaviest_child[p] = self.heaviest_child[p].max(self.subtree[u.index()]);
+            }
         }
         total
+    }
+
+    /// The current support (the loaded requesters' root-path union).
+    pub(crate) fn support(&self) -> &[NodeId] {
+        &self.support
+    }
+
+    /// Fixed-root subtree weight of `v` (0 off the support).
+    pub(crate) fn subtree(&self, v: NodeId) -> u64 {
+        if self.in_support[v.index()] == self.generation {
+            self.subtree[v.index()]
+        } else {
+            0
+        }
+    }
+
+    /// The smallest-index center of gravity of the loaded object, whose
+    /// total weight is `total`; node 0 when `total` is 0 (every node
+    /// qualifies).
+    pub(crate) fn gravity(&self, net: &Network, total: u64) -> NodeId {
+        if total == 0 {
+            return NodeId(0);
+        }
+        self.support
+            .iter()
+            .copied()
+            .filter(|&v| {
+                // The heaviest component of T − v: a child subtree, or
+                // everything outside v's own subtree.
+                let mut heaviest = self.heaviest_child[v.index()];
+                if v != net.root() {
+                    heaviest = heaviest.max(total - self.subtree[v.index()]);
+                }
+                2 * heaviest <= total
+            })
+            .min()
+            .expect("the set of gravity centers is never empty")
+    }
+
+    /// Mark node `v` for the current object.
+    #[inline]
+    pub(crate) fn mark(&mut self, v: NodeId) {
+        self.mark[v.index()] = self.generation;
+    }
+
+    /// Whether `v` is marked for the current object.
+    #[inline]
+    pub(crate) fn is_marked(&self, v: NodeId) -> bool {
+        self.mark[v.index()] == self.generation
     }
 }
 
@@ -103,25 +163,7 @@ pub fn center_of_gravity_with(
     ws: &mut Workspace,
 ) -> NodeId {
     let total = ws.load_object(net, matrix, x);
-    for v in net.nodes() {
-        if is_gravity_center(net, ws, v, total) {
-            return v;
-        }
-    }
-    unreachable!("the set of gravity centers is never empty");
-}
-
-/// Whether `v` satisfies the gravity-center condition given loaded
-/// workspace weights: `2 · max_component_weight(T − v) ≤ total`.
-pub(crate) fn is_gravity_center(net: &Network, ws: &Workspace, v: NodeId, total: u64) -> bool {
-    let mut max_comp = 0u64;
-    for &c in net.children(v) {
-        max_comp = max_comp.max(ws.subtree[c.index()]);
-    }
-    if v != net.root() {
-        max_comp = max_comp.max(total - ws.subtree[v.index()]);
-    }
-    2 * max_comp <= total
+    ws.gravity(net, total)
 }
 
 #[cfg(test)]
@@ -215,13 +257,23 @@ mod tests {
                 }
             }
             let g = center_of_gravity(&net, &m, ObjectId(0));
-            let mut ws = Workspace::new(net.n_nodes());
-            let total = ws.load_object(&net, &m, ObjectId(0));
+            // Dense oracle over every node, from the definition: the
+            // weight of each component of T − v, keyed by the neighbor of
+            // v it hangs off.
+            let entries = m.object_entries(ObjectId(0));
+            let total: u64 = entries.iter().map(|e| e.total()).sum();
+            let is_center = |v: NodeId| {
+                let mut components = std::collections::BTreeMap::<NodeId, u64>::new();
+                for e in entries.iter().filter(|e| e.processor != v) {
+                    *components.entry(net.step_towards(v, e.processor)).or_default() += e.total();
+                }
+                2 * components.values().copied().max().unwrap_or(0) <= total
+            };
             // The returned node satisfies the definition...
-            assert!(is_gravity_center(&net, &ws, g, total));
+            assert!(is_center(g));
             // ...and no smaller-index node does.
             for v in net.nodes().take_while(|&v| v < g) {
-                assert!(!is_gravity_center(&net, &ws, v, total));
+                assert!(!is_center(v));
             }
         }
     }

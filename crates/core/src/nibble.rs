@@ -9,7 +9,7 @@
 //! is therefore a certified lower bound for the bus-constrained optimum.
 
 use crate::copies::{CopyState, Group, ObjectCopies};
-use crate::gravity::{is_gravity_center, Workspace};
+use crate::gravity::Workspace;
 use hbn_load::{AssignmentEntry, Placement};
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
@@ -30,7 +30,10 @@ pub struct NibbleOutcome {
 
 /// Run the nibble strategy for object `x`, reusing `ws` scratch space.
 ///
-/// Objects without requests yield an empty copy set.
+/// Objects without requests yield an empty copy set. Only the support
+/// (the union of the requesters' root paths, at most
+/// `requesters · (height(T) + 1)` nodes) is examined, so the cost does not
+/// depend on `|V|`.
 ///
 /// ```
 /// use hbn_core::{nibble_object, Workspace};
@@ -74,63 +77,47 @@ pub fn nibble_object(
             uses_bus: false,
         };
     }
-    // Smallest-index center of gravity.
-    let mut gravity = None;
-    for v in net.nodes() {
-        if is_gravity_center(net, ws, v, total) {
-            gravity = Some(v);
-            break;
-        }
-    }
-    let g = gravity.expect("gravity center always exists");
+    let g = ws.gravity(net, total);
 
     // Copy rule: v = g, or the g-rooted subtree weight of v exceeds κ_x.
-    ws.clear_marks();
-    ws.mark(g);
-    let mut copy_nodes = vec![g];
-    let mut uses_bus = net.is_bus(g);
-    for v in net.nodes() {
-        if v == g {
-            continue;
-        }
-        let h_sub = if net.is_ancestor(v, g) {
-            total - ws.subtree[net.step_towards(v, g).index()]
-        } else {
-            ws.subtree[v.index()]
-        };
-        if h_sub > kappa {
-            ws.mark(v);
-            copy_nodes.push(v);
-            uses_bus |= net.is_bus(v);
-        }
-    }
+    // Only support nodes can qualify: every ancestor of g is in the
+    // support, and any other node's g-rooted subtree is its fixed-root
+    // one, of weight 0 off the support — never above κ_x ≥ 0.
+    let mut copy_nodes: Vec<NodeId> = ws
+        .support()
+        .iter()
+        .copied()
+        .filter(|&v| {
+            v == g || {
+                let h_sub = if net.is_ancestor(v, g) {
+                    total - ws.subtree(net.step_towards(v, g))
+                } else {
+                    ws.subtree(v)
+                };
+                h_sub > kappa
+            }
+        })
+        .collect();
     copy_nodes.sort_unstable();
+    let mut uses_bus = false;
+    for &v in &copy_nodes {
+        ws.mark(v);
+        uses_bus |= net.is_bus(v);
+    }
+    let mut copies: Vec<CopyState> =
+        copy_nodes.iter().map(|&node| CopyState { object: x, node, groups: Vec::new() }).collect();
 
     // Route every request group to its nearest copy: the first marked node
     // on the walk towards g (the copies form a connected subgraph
     // containing g, so this is exactly the closest copy).
-    let mut groups_at: std::collections::BTreeMap<NodeId, Vec<Group>> =
-        std::collections::BTreeMap::new();
     for e in matrix.object_entries(x) {
         let mut v = e.processor;
         while !ws.is_marked(v) {
             v = net.step_towards(v, g);
         }
-        groups_at.entry(v).or_default().push(Group {
-            processor: e.processor,
-            reads: e.reads,
-            writes: e.writes,
-        });
+        let at = copy_nodes.binary_search(&v).expect("marked nodes hold copies");
+        copies[at].groups.push(Group { processor: e.processor, reads: e.reads, writes: e.writes });
     }
-
-    let copies = copy_nodes
-        .iter()
-        .map(|&node| CopyState {
-            object: x,
-            node,
-            groups: groups_at.remove(&node).unwrap_or_default(),
-        })
-        .collect();
 
     NibbleOutcome { gravity: g, copies: ObjectCopies { object: x, kappa, copies }, uses_bus }
 }

@@ -3,7 +3,7 @@
 //! [`ExtendedNibble::place`] path, for every shard count, including when
 //! one kernel's scratch is reused across successive batches.
 
-use hbn_core::{ExtendedNibble, ExtendedNibbleOptions, PlacementKernel};
+use hbn_core::{ExtendedNibble, PlacementKernel};
 use hbn_load::Placement;
 use hbn_testutil::{arb_instance, workload_from_seed};
 use hbn_topology::generators::{balanced, random_network, BandwidthProfile};
@@ -40,21 +40,6 @@ fn batch_matches_per_object_on_random_instances() {
         }
         let _ = round;
     }
-}
-
-#[test]
-fn batch_matches_threaded_per_object_path() {
-    let mut rng = StdRng::seed_from_u64(102);
-    let net = balanced(3, 3, BandwidthProfile::Uniform);
-    let m = hbn_workload::generators::zipf_read_mostly(&net, 24, 3_000, 1.0, 0.3, &mut rng);
-    let threaded =
-        ExtendedNibble { options: ExtendedNibbleOptions { threads: 4, ..Default::default() } }
-            .place(&net, &m)
-            .unwrap();
-    let mut kernel = PlacementKernel::new(&net, 4);
-    let batch = kernel.place(&net, &m).unwrap();
-    assert_eq!(batch.placement, threaded.placement);
-    assert_eq!(batch.mapping.tau_max, threaded.mapping.tau_max);
 }
 
 #[test]

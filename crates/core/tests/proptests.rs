@@ -4,7 +4,7 @@
 use hbn_core::{delete_rarely_used, nibble_object, ExtendedNibble, Workspace};
 use hbn_load::{LoadMap, Placement};
 use hbn_topology::generators::{random_network, BandwidthProfile};
-use hbn_topology::Network;
+use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,8 +26,93 @@ fn arb_instance() -> impl Strategy<Value = (Network, AccessMatrix)> {
     })
 }
 
+/// Instances whose objects cover the nibble's edge cases: no requests
+/// (zero weight), a single requester, all writes, and a random mix.
+fn arb_shaped_instance() -> impl Strategy<Value = (Network, AccessMatrix)> {
+    (1usize..9, 3usize..16, 4usize..9, any::<u64>()).prop_map(|(buses, procs, objects, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_network(buses, procs.max(buses * 2), BandwidthProfile::Uniform, &mut rng);
+        let mut m = AccessMatrix::new(objects);
+        let procs = net.processors();
+        for x in 0..objects as u32 {
+            let x = ObjectId(x);
+            match x.0 % 4 {
+                0 => {} // zero weight
+                1 => {
+                    let p = procs[rng.gen_range(0..procs.len())];
+                    m.add(p, x, rng.gen_range(0..5), rng.gen_range(1..4));
+                }
+                2 => {
+                    for &p in procs {
+                        if rng.gen_bool(0.5) {
+                            m.add(p, x, 0, rng.gen_range(1..5));
+                        }
+                    }
+                }
+                _ => {
+                    for &p in procs {
+                        if rng.gen_bool(0.4) {
+                            m.add(p, x, rng.gen_range(0..9), rng.gen_range(0..3));
+                        }
+                    }
+                }
+            }
+        }
+        (net, m)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The support-sparse nibble equals the paper's definitions evaluated
+    /// densely over every node: the gravity center is the smallest-index
+    /// node whose removal leaves no component heavier than `h_x / 2`, and
+    /// the copy nodes are `g` plus every node whose `g`-rooted subtree
+    /// weighs more than `κ_x`. One workspace serves every object, so a
+    /// stale slot from the previous object would show.
+    #[test]
+    fn sparse_nibble_matches_the_dense_definitions((net, m) in arb_shaped_instance()) {
+        let mut ws = Workspace::new(net.n_nodes());
+        for x in m.objects() {
+            let nib = nibble_object(&net, &m, x, &mut ws);
+            let entries = m.object_entries(x);
+            let total: u64 = entries.iter().map(|e| e.total()).sum();
+            if total == 0 {
+                prop_assert!(nib.copies.copies.is_empty());
+                continue;
+            }
+            // The weight of each component of T − v, keyed by the
+            // neighbor of v it hangs off.
+            let is_center = |v: NodeId| {
+                let mut components = std::collections::BTreeMap::<NodeId, u64>::new();
+                for e in entries.iter().filter(|e| e.processor != v) {
+                    *components.entry(net.step_towards(v, e.processor)).or_default() += e.total();
+                }
+                2 * components.values().copied().max().unwrap_or(0) <= total
+            };
+            let g = net.nodes().find(|&v| is_center(v)).expect("a center exists");
+            prop_assert_eq!(nib.gravity, g);
+            // h(T_g(v)): the requesters whose path to g runs through v.
+            let kappa = m.write_contention(x);
+            let rooted_weight = |v: NodeId| -> u64 {
+                entries
+                    .iter()
+                    .filter(|e| {
+                        net.distance(e.processor, v) + net.distance(v, g)
+                            == net.distance(e.processor, g)
+                    })
+                    .map(|e| e.total())
+                    .sum()
+            };
+            let copy_rule: Vec<NodeId> =
+                net.nodes().filter(|&v| v == g || rooted_weight(v) > kappa).collect();
+            prop_assert_eq!(nib.copies.nodes(), copy_rule);
+            let uses_bus = nib.copies.nodes().iter().any(|&v| net.is_bus(v));
+            prop_assert_eq!(nib.uses_bus, uses_bus);
+            prop_assert_eq!(nib.copies.total_served(), total);
+        }
+    }
 
     /// Steps 1–2 conserve requests: nothing is lost or duplicated.
     #[test]

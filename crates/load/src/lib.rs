@@ -16,7 +16,7 @@ pub mod ratio;
 pub use accounting::{add_object_loads_dense, add_object_loads_sparse, LoadMap};
 pub use bounds::{makespan_bounds, InjectionProfile, MakespanBounds};
 pub use placement::{
-    nearest_copy_map, placement_stats, AssignmentEntry, Bottleneck, CongestionReport, Placement,
-    PlacementError, PlacementStats,
+    nearest_copy_map, placement_stats, AssignmentEntry, Bottleneck, CongestionReport,
+    NearestCopies, Placement, PlacementError, PlacementStats,
 };
 pub use ratio::LoadRatio;

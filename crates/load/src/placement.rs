@@ -207,27 +207,41 @@ impl Placement {
     }
 
     /// Build the model-compliant assignment that routes every request group
-    /// to its *nearest* copy (deterministic tie-breaking), for the current
+    /// to its *nearest* copy (ties to the smaller copy id), for the current
     /// copy sets. Requires every requested object to have ≥ 1 copy.
+    ///
+    /// One [`NearestCopies`] sweep serves every object, so each costs
+    /// `O((requesters + copies) · height(T))`, independent of `|V|`.
     pub fn nearest_assignment(&mut self, net: &Network, matrix: &AccessMatrix) {
+        let mut sweep = NearestCopies::new(net.n_nodes());
         for x in matrix.objects() {
-            self.nearest_assignment_for(net, matrix, x);
+            self.assign_nearest(net, matrix, x, &mut sweep);
         }
     }
 
     /// [`Placement::nearest_assignment`] for a single object.
     pub fn nearest_assignment_for(&mut self, net: &Network, matrix: &AccessMatrix, x: ObjectId) {
-        if matrix.object_entries(x).is_empty() {
+        self.assign_nearest(net, matrix, x, &mut NearestCopies::new(net.n_nodes()));
+    }
+
+    fn assign_nearest(
+        &mut self,
+        net: &Network,
+        matrix: &AccessMatrix,
+        x: ObjectId,
+        sweep: &mut NearestCopies,
+    ) {
+        let requests = matrix.object_entries(x);
+        if requests.is_empty() {
             self.assignments[x.index()].clear();
             return;
         }
-        let nearest = nearest_copy_map(net, self.copies(x));
-        let entries = matrix
-            .object_entries(x)
+        sweep.load(net, &self.copies[x.index()]);
+        let entries = requests
             .iter()
             .map(|e| AssignmentEntry {
                 processor: e.processor,
-                server: nearest[e.processor.index()],
+                server: sweep.nearest(net, e.processor),
                 reads: e.reads,
                 writes: e.writes,
             })
@@ -263,9 +277,14 @@ impl Placement {
     }
 }
 
-/// For every node of the network, the nearest member of `copies` (ties
-/// broken deterministically towards earlier-seeded, i.e. smaller, copy
-/// ids), via a multi-source BFS over the tree in `O(|V|)`.
+/// For every node of the network, the nearest member of `copies`, via a
+/// multi-source BFS over the tree in `O(|V|)`. Ties go to the
+/// earliest-listed source, which is the smallest id only when `copies` is
+/// sorted (as [`Placement`] copy sets are).
+///
+/// This is the full-network map; per-object callers use the
+/// support-proportional [`NearestCopies`] sweep, which returns the same
+/// node for every query.
 ///
 /// # Panics
 /// Panics if `copies` is empty.
@@ -275,7 +294,7 @@ pub fn nearest_copy_map(net: &Network, copies: &[NodeId]) -> Vec<NodeId> {
     let mut dist = vec![u32::MAX; n];
     let mut nearest = vec![NodeId(u32::MAX); n];
     let mut queue = std::collections::VecDeque::new();
-    // Seed in id order so ties resolve to the smallest copy id.
+    // Seed in slice order so ties resolve to the earliest-listed copy.
     for &c in copies {
         if dist[c.index()] == 0 && nearest[c.index()] != NodeId(u32::MAX) {
             continue; // duplicate seed
@@ -296,6 +315,126 @@ pub fn nearest_copy_map(net: &Network, copies: &[NodeId]) -> Vec<NodeId> {
         }
     }
     nearest
+}
+
+/// The nearest-copy sweep: for one source slice at a time, the nearest
+/// source of any node, in `O(|sources| · height(T))` to load and
+/// `O(height(T))` per query. It is the per-object form of the
+/// full-network BFS map and answers every query with the same node.
+///
+/// * *Load* walks each source's root path and records, at every ancestor
+///   `a`, the best `(distance from a, position in the slice)` over the
+///   sources below `a`.
+/// * *Query* walks a node's root path and takes the minimum of
+///   `(k + distance, position)` over its ancestors, where `k` is the
+///   ancestor's distance from the node.
+///
+/// Through an ancestor `a` of both `v` and a source `s`, the walk
+/// `v → a → s` is never shorter than the tree path, and equals it at
+/// `a = lca(v, s)`; so the query's minimum is exactly
+/// `min_s (dist(v, s), position(s))`. That is the BFS's answer too: its
+/// FIFO queue holds each distance level in order of the owning source's
+/// position, so a node is claimed through the nearest source listed
+/// first. Duplicate sources resolve to their first position in both.
+///
+/// The scratch is one slot per node, invalidated by a generation bump,
+/// so one sweep is reused across objects without clearing.
+///
+/// ```
+/// use hbn_load::NearestCopies;
+/// use hbn_topology::generators::{balanced, BandwidthProfile};
+///
+/// let net = balanced(2, 2, BandwidthProfile::Uniform);
+/// let p = net.processors();
+/// let mut sweep = NearestCopies::new(net.n_nodes());
+/// // Unsorted sources: both are two hops from the root, and the tie goes
+/// // to the one listed first.
+/// sweep.load(&net, &[p[3], p[0]]);
+/// assert_eq!(sweep.nearest(&net, net.root()), p[3]);
+/// // p[1] shares a bus with p[0].
+/// assert_eq!(sweep.nearest(&net, p[1]), p[0]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct NearestCopies {
+    /// Per node: the best source below it, valid where `stamp` equals
+    /// `generation`.
+    best: Vec<SweepSlot>,
+    generation: u32,
+    /// The loaded source slice (positions index into it).
+    sources: Vec<NodeId>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct SweepSlot {
+    stamp: u32,
+    dist: u32,
+    pos: u32,
+}
+
+impl NearestCopies {
+    /// Scratch for a network with `n_nodes` nodes.
+    pub fn new(n_nodes: usize) -> Self {
+        NearestCopies {
+            best: vec![SweepSlot::default(); n_nodes],
+            generation: 0,
+            sources: Vec::new(),
+        }
+    }
+
+    /// Load a source slice, replacing the previous one.
+    ///
+    /// # Panics
+    /// Panics if `sources` is empty.
+    pub fn load(&mut self, net: &Network, sources: &[NodeId]) {
+        assert!(!sources.is_empty(), "nearest-copy sweep needs at least one source");
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: physically reset to keep stamps unambiguous.
+            self.best.iter_mut().for_each(|slot| slot.stamp = 0);
+            self.generation = 1;
+        }
+        self.sources.clear();
+        self.sources.extend_from_slice(sources);
+        for (pos, &s) in sources.iter().enumerate() {
+            let mut a = s;
+            let mut dist = 0u32;
+            loop {
+                let slot = &mut self.best[a.index()];
+                if slot.stamp == self.generation && slot.dist <= dist {
+                    // An earlier-listed source is at least as close to `a`,
+                    // and so to every ancestor of `a`: the rest of the
+                    // path already holds better entries.
+                    break;
+                }
+                *slot = SweepSlot { stamp: self.generation, dist, pos: pos as u32 };
+                if a == net.root() {
+                    break;
+                }
+                a = net.parent(a);
+                dist += 1;
+            }
+        }
+    }
+
+    /// The loaded source nearest to `v` (ties to the earliest-listed).
+    pub fn nearest(&self, net: &Network, v: NodeId) -> NodeId {
+        let mut best = (u32::MAX, u32::MAX);
+        let mut a = v;
+        let mut k = 0u32;
+        // Past `k > best distance` no ancestor can tie, let alone win.
+        while k <= best.0 {
+            let slot = self.best[a.index()];
+            if slot.stamp == self.generation {
+                best = best.min((k + slot.dist, slot.pos));
+            }
+            if a == net.root() {
+                break;
+            }
+            a = net.parent(a);
+            k += 1;
+        }
+        self.sources[best.1 as usize]
+    }
 }
 
 /// Summary of a placement for reports: copy counts and redundancy.
@@ -449,6 +588,24 @@ mod tests {
         // procs[1] shares a bus with procs[0].
         assert_eq!(map[procs[1].index()], procs[0]);
         assert_eq!(map[procs[2].index()], procs[3]);
+    }
+
+    /// Ties go to the earliest-listed source, not the smallest id: both
+    /// sources are two hops from the root, and the BFS and the sweep both
+    /// answer `p3`.
+    #[test]
+    fn sweep_breaks_ties_toward_the_earliest_listed_source() {
+        let net = balanced(2, 2, BandwidthProfile::Uniform);
+        let procs = net.processors();
+        let sources = [procs[3], procs[0]];
+        let map = nearest_copy_map(&net, &sources);
+        assert_eq!(map[net.root().index()], procs[3]);
+        let mut sweep = NearestCopies::new(net.n_nodes());
+        sweep.load(&net, &sources);
+        assert_eq!(sweep.nearest(&net, net.root()), procs[3]);
+        // The sorted slice flips the tie to the smaller id.
+        sweep.load(&net, &[procs[0], procs[3]]);
+        assert_eq!(sweep.nearest(&net, net.root()), procs[0]);
     }
 
     #[test]

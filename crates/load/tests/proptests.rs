@@ -1,9 +1,10 @@
 //! Property tests for load accounting: the two accounting paths agree,
-//! congestion behaves monotonically, and nearest-copy maps are truly
-//! nearest.
+//! congestion behaves monotonically, nearest-copy maps are truly
+//! nearest, and the per-object nearest-copy sweep equals the map.
 
 use hbn_load::{
-    add_object_loads_dense, add_object_loads_sparse, nearest_copy_map, LoadMap, Placement,
+    add_object_loads_dense, add_object_loads_sparse, nearest_copy_map, LoadMap, NearestCopies,
+    Placement,
 };
 use hbn_topology::generators::{random_network, BandwidthProfile};
 use hbn_topology::{Network, NodeId};
@@ -40,8 +41,49 @@ fn arb_instance() -> impl Strategy<Value = (Network, AccessMatrix, Placement)> {
     })
 }
 
+/// A random tree plus a few source slices drawn from *all* nodes:
+/// unsorted, with buses, and often with a duplicate inserted at a random
+/// position (the shapes the dynamic strategies hand to the migration
+/// charger, whose replica lists are in insertion order).
+fn arb_source_slices() -> impl Strategy<Value = (Network, Vec<Vec<NodeId>>)> {
+    (1usize..10, 3usize..16, any::<u64>()).prop_map(|(buses, procs, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_network(buses, procs.max(buses * 2), BandwidthProfile::Uniform, &mut rng);
+        let n = net.n_nodes() as u32;
+        let slices = (0..4)
+            .map(|_| {
+                let k = rng.gen_range(1..=6usize);
+                let mut sources: Vec<NodeId> =
+                    (0..k).map(|_| NodeId(rng.gen_range(0..n))).collect();
+                if rng.gen_bool(0.5) {
+                    let dup = sources[rng.gen_range(0..sources.len())];
+                    sources.insert(rng.gen_range(0..=sources.len()), dup);
+                }
+                sources
+            })
+            .collect();
+        (net, slices)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The support-proportional sweep answers every node exactly as the
+    /// full-network BFS map does, ties included. One sweep serves all
+    /// slices, so a stale entry from the previous slice would show.
+    #[test]
+    fn nearest_copy_sweep_equals_the_bfs_map((net, slices) in arb_source_slices()) {
+        let mut sweep = NearestCopies::new(net.n_nodes());
+        for sources in &slices {
+            let map = nearest_copy_map(&net, sources);
+            sweep.load(&net, sources);
+            for v in net.nodes() {
+                prop_assert_eq!(sweep.nearest(&net, v), map[v.index()],
+                    "node {} with sources {:?}", v, sources);
+            }
+        }
+    }
 
     #[test]
     fn sparse_and_dense_accounting_agree((net, m, pl) in arb_instance()) {

@@ -22,7 +22,7 @@ use crate::faults::FaultView;
 use crate::spec::{ExecutionConfig, ServeKernel, StrategyKind};
 use hbn_core::PlacementKernel;
 use hbn_dynamic::{DynamicStats, DynamicTree, ObjectExport, OnlineRequest, ShardedDynamic};
-use hbn_load::{nearest_copy_map, LoadMap, Placement};
+use hbn_load::{LoadMap, NearestCopies, Placement};
 use hbn_topology::{EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
 
@@ -175,17 +175,23 @@ pub trait Strategy: Send {
 /// re-optimizing [`Strategy`] routes its copy-set deltas through it so
 /// migration traffic stays comparable across policies.
 ///
+/// `sweep` is the caller's nearest-copy scratch, reused across the
+/// objects of one pass. Sources tie towards the earliest-listed copy, so
+/// an insertion-ordered replica list routes exactly as it did through
+/// the full-network BFS map.
+///
 /// ```
-/// use hbn_load::LoadMap;
+/// use hbn_load::{LoadMap, NearestCopies};
 /// use hbn_scenario::charged_migration;
 /// use hbn_topology::generators::{balanced, BandwidthProfile};
 ///
 /// let net = balanced(2, 2, BandwidthProfile::Uniform);
 /// let p = net.processors();
 /// let mut loads = LoadMap::zero(&net);
+/// let mut sweep = NearestCopies::new(net.n_nodes());
 /// // Moving a copy from p[0] to sibling p[1] crosses their shared bus:
 /// // two edges, at D = 3 each.
-/// let transfers = charged_migration(&net, &[p[0]], &[p[1]], 3, &mut loads);
+/// let transfers = charged_migration(&net, &[p[0]], &[p[1]], 3, &mut loads, &mut sweep);
 /// assert_eq!(transfers, 2);
 /// assert_eq!(loads.total(), 6);
 /// ```
@@ -195,22 +201,26 @@ pub fn charged_migration(
     new: &[NodeId],
     d: u64,
     loads: &mut LoadMap,
+    sweep: &mut NearestCopies,
 ) -> u64 {
     if new.is_empty() || new.iter().all(|v| old.contains(v)) {
         return 0;
     }
-    // Boundary-rate cold path (once per object per re-optimization, not
-    // per request): the BFS map below allocates O(|V|), which is fine at
-    // this rate; the hot epoch loop stays on preallocated accumulators.
+    // Once per migrated object per re-placement: the sweep costs
+    // O((|old| + |new|) · height) on the caller's reused scratch. Measured
+    // on perfbench's static-churn (balanced(5,3), |V| = 156, about 23k
+    // objects per re-placement, 2-vCPU KVM guest), a `StaticCore::refit`
+    // pass took 9–58 ms with an O(|V|) BFS map per object and takes
+    // 1–16 ms with the sweep.
     let free_seed = [new[0]];
     let sources: &[NodeId] = if old.is_empty() { &free_seed } else { old };
-    let nearest = nearest_copy_map(net, sources);
+    sweep.load(net, sources);
     let mut transfers = 0;
     for &v in new {
         if old.contains(&v) || (old.is_empty() && v == new[0]) {
             continue;
         }
-        for e in net.path_edges_iter(v, nearest[v.index()]) {
+        for e in net.path_edges_iter(v, sweep.nearest(net, v)) {
             loads.add_edge(e, d);
             transfers += 1;
         }
@@ -276,6 +286,7 @@ fn heal_dynamic(
     loads: &mut LoadMap,
     stats: &mut DynamicStats,
 ) {
+    let mut sweep = NearestCopies::new(net.n_nodes());
     for i in 0..kernel.n_objects() {
         let x = ObjectId(i as u32);
         let replicas = kernel.replicas(x).to_vec();
@@ -291,7 +302,7 @@ fn heal_dynamic(
             // copy up to the first live ancestor. `harbor` is a strict
             // ancestor outside the set, so every old copy collapses.
             let harbor = harbor_of(net, view, replicas[0]);
-            let transfers = charged_migration(net, &replicas, &[harbor], d, loads);
+            let transfers = charged_migration(net, &replicas, &[harbor], d, loads, &mut sweep);
             stats.replications += transfers;
             stats.repairs += transfers;
             stats.collapses += replicas.len() as u64;
@@ -524,13 +535,15 @@ impl StaticCore {
     /// copy at `D` per edge crossed ([`charged_migration`]) and counting
     /// dropped copies as collapses.
     fn refit(&mut self, net: &Network, observed: &AccessMatrix, new_placement: Placement, d: u64) {
+        let mut sweep = NearestCopies::new(net.n_nodes());
         for x in observed.objects() {
             if observed.total_weight(x) == 0 {
                 continue;
             }
             let new = new_placement.copies(x);
             let old = self.copies.copies(x);
-            self.stats.replications += charged_migration(net, old, new, d, &mut self.loads);
+            self.stats.replications +=
+                charged_migration(net, old, new, d, &mut self.loads, &mut sweep);
             self.stats.collapses += old.iter().filter(|v| !new.contains(v)).count() as u64;
         }
         self.copies = new_placement;
@@ -548,6 +561,7 @@ impl StaticCore {
         if !self.placed {
             return;
         }
+        let mut sweep = NearestCopies::new(net.n_nodes());
         for i in 0..self.copies.n_objects() {
             let x = ObjectId(i as u32);
             let copies = self.copies.copies(x);
@@ -565,7 +579,8 @@ impl StaticCore {
                 self.stats.collapses += stranded as u64;
                 self.copies.set_copies(x, survivors);
             } else if let Some(harbor) = harbor_processor(net, view, copies[0]) {
-                let transfers = charged_migration(net, &copies, &[harbor], d, &mut self.loads);
+                let transfers =
+                    charged_migration(net, &copies, &[harbor], d, &mut self.loads, &mut sweep);
                 self.stats.replications += transfers;
                 self.stats.repairs += transfers;
                 self.stats.collapses += copies.len() as u64;
@@ -941,6 +956,7 @@ impl Strategy for HybridReseed {
             return;
         }
         let outcome = self.kernel.place(net, observed).expect("hybrid re-seed failed");
+        let mut sweep = NearestCopies::new(net.n_nodes());
         for x in observed.objects() {
             // Seed with the *nibble* copy set: connected by Theorem 3.1,
             // which is the dynamic strategy's structural invariant (the
@@ -970,6 +986,7 @@ impl Strategy for HybridReseed {
                 seed,
                 self.threshold,
                 &mut self.migration_loads,
+                &mut sweep,
             );
             self.seed_stats.collapses +=
                 self.dynamic.replicas(x).iter().filter(|v| !seed.contains(v)).count() as u64;
