@@ -1,13 +1,13 @@
 //! Criterion benchmarks for the dynamic-strategy serve kernels: the
-//! zero-allocation `DynamicWorkspace` kernel (with and without a reused
-//! external workspace) against the naive `serve_reference`, on a
-//! six-family phase tour at `balanced(4,3)` (64 processors), plus a
-//! write-heavy ping-pong instance tracking the collapse fast path.
+//! zero-allocation `DynamicTree::serve` against the naive
+//! `serve_reference`, on a six-family phase tour at `balanced(4,3)`
+//! (64 processors), plus a write-heavy ping-pong instance tracking the
+//! collapse fast path.
 
 #![warn(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hbn_dynamic::{online_trace, DynamicTree, DynamicWorkspace, OnlineRequest};
+use hbn_dynamic::{online_trace, DynamicTree, OnlineRequest};
 use hbn_topology::generators::{balanced, star, BandwidthProfile};
 use hbn_topology::Network;
 use hbn_workload::phases::full_tour;
@@ -24,17 +24,11 @@ fn tour_trace(net: &Network, total: usize) -> (Vec<OnlineRequest>, usize) {
     (online_trace(net, &schedule, 7), schedule.max_objects())
 }
 
-fn serve_all(
-    net: &Network,
-    reqs: &[OnlineRequest],
-    max_objects: usize,
-    ws: &mut DynamicWorkspace,
-    workspace: bool,
-) -> u64 {
+fn serve_all(net: &Network, reqs: &[OnlineRequest], max_objects: usize, fast: bool) -> u64 {
     let mut strategy = DynamicTree::new(net, max_objects, THRESHOLD);
     for &req in reqs {
-        if workspace {
-            strategy.serve_with(ws, net, req);
+        if fast {
+            strategy.serve(net, req);
         } else {
             strategy.serve_reference(net, req);
         }
@@ -48,18 +42,11 @@ fn bench_serve_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("dynamic_serve_balanced_4_3");
     group.throughput(Throughput::Elements(reqs.len() as u64));
 
-    let mut ws = DynamicWorkspace::new();
-    group.bench_function("workspace_reused", |b| {
-        b.iter(|| black_box(serve_all(&net, &reqs, max_objects, &mut ws, true)))
-    });
-    group.bench_function("workspace_fresh", |b| {
-        b.iter(|| {
-            let mut fresh = DynamicWorkspace::new();
-            black_box(serve_all(&net, &reqs, max_objects, &mut fresh, true))
-        })
+    group.bench_function("fast", |b| {
+        b.iter(|| black_box(serve_all(&net, &reqs, max_objects, true)))
     });
     group.bench_function("reference_naive", |b| {
-        b.iter(|| black_box(serve_all(&net, &reqs, max_objects, &mut ws, false)))
+        b.iter(|| black_box(serve_all(&net, &reqs, max_objects, false)))
     });
     group.finish();
 }
@@ -79,12 +66,9 @@ fn bench_write_collapse(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("dynamic_serve_ping_pong_star_32");
     group.throughput(Throughput::Elements(reqs.len() as u64));
-    let mut ws = DynamicWorkspace::new();
-    group.bench_function("workspace_reused", |b| {
-        b.iter(|| black_box(serve_all(&net, &reqs, 1, &mut ws, true)))
-    });
+    group.bench_function("fast", |b| b.iter(|| black_box(serve_all(&net, &reqs, 1, true))));
     group.bench_function("reference_naive", |b| {
-        b.iter(|| black_box(serve_all(&net, &reqs, 1, &mut ws, false)))
+        b.iter(|| black_box(serve_all(&net, &reqs, 1, false)))
     });
     group.finish();
 }

@@ -201,8 +201,7 @@ fn main() {
          copy sets and a non-pristine capacity overlay in the frame.\n"
     );
 
-    match emit_crash_recovery_json("BENCH_crash_recovery.json", &records) {
-        Ok(()) => println!("wrote BENCH_crash_recovery.json"),
-        Err(e) => eprintln!("could not write BENCH_crash_recovery.json: {e}"),
-    }
+    emit_crash_recovery_json("BENCH_crash_recovery.json", &records)
+        .expect("write BENCH_crash_recovery.json");
+    println!("wrote BENCH_crash_recovery.json");
 }

@@ -1,6 +1,6 @@
 //! EXP-DYNT — serve-loop throughput of the online read-replicate /
-//! write-collapse strategy: the zero-allocation `DynamicWorkspace` kernel
-//! against the retained naive `serve_reference`, at `balanced(4,3)`
+//! write-collapse strategy: the zero-allocation `DynamicTree::serve`
+//! kernel against the retained naive `serve_reference`, at `balanced(4,3)`
 //! (64 processors) scale and above, plus the object-sharded fan-out the
 //! scenario engine uses. The two kernels are asserted to agree (loads,
 //! stats, congestion) on every instance — the differential suite, run in
@@ -25,9 +25,7 @@
 #![warn(missing_docs)]
 
 use hbn_bench::{emit_dynamic_json, exp_quick, DynamicBenchRecord, Table};
-use hbn_dynamic::{
-    online_trace, DynamicStats, DynamicTree, DynamicWorkspace, OnlineRequest, ShardedDynamic,
-};
+use hbn_dynamic::{online_trace, DynamicStats, DynamicTree, OnlineRequest, ShardedDynamic};
 use hbn_load::LoadMap;
 use hbn_topology::generators::{balanced, star, BandwidthProfile};
 use hbn_topology::Network;
@@ -102,14 +100,13 @@ fn instances() -> Vec<Instance> {
 /// return the strategy and the wall-clock seconds of the serve loop. A
 /// discarded warm-up pass first brings caches and branch predictors up,
 /// like `exp_replay_scaling`'s `time_kernel`.
-fn run_kernel(inst: &Instance, workspace: bool) -> (DynamicTree, f64) {
+fn run_kernel(inst: &Instance, fast: bool) -> (DynamicTree, f64) {
     let pass = || {
         let mut strategy = DynamicTree::new(&inst.net, inst.max_objects, inst.threshold);
-        let mut ws = DynamicWorkspace::new();
         let start = Instant::now();
         for &req in &inst.reqs {
-            if workspace {
-                strategy.serve_with(&mut ws, &inst.net, req);
+            if fast {
+                strategy.serve(&inst.net, req);
             } else {
                 strategy.serve_reference(&inst.net, req);
             }
@@ -238,8 +235,6 @@ fn main() {
          merged results (one shard on single-core builders).\n"
     );
 
-    match emit_dynamic_json("BENCH_dynamic.json", &records, speedup) {
-        Ok(()) => println!("wrote BENCH_dynamic.json"),
-        Err(e) => eprintln!("could not write BENCH_dynamic.json: {e}"),
-    }
+    emit_dynamic_json("BENCH_dynamic.json", &records, speedup).expect("write BENCH_dynamic.json");
+    println!("wrote BENCH_dynamic.json");
 }

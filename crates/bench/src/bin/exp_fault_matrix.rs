@@ -196,8 +196,6 @@ fn main() {
          the same unit as migration, so the ratio columns stay comparable.\n"
     );
 
-    match emit_faults_json("BENCH_faults.json", &records) {
-        Ok(()) => println!("wrote BENCH_faults.json"),
-        Err(e) => eprintln!("could not write BENCH_faults.json: {e}"),
-    }
+    emit_faults_json("BENCH_faults.json", &records).expect("write BENCH_faults.json");
+    println!("wrote BENCH_faults.json");
 }

@@ -245,8 +245,7 @@ fn main() {
     let mut records = Vec::new();
     let speedup = kernel_vs_reference(&mut records);
     let estimates = estimator_scaling();
-    match emit_replay_json("BENCH_replay.json", &records, &estimates, speedup) {
-        Ok(()) => println!("wrote BENCH_replay.json"),
-        Err(e) => eprintln!("could not write BENCH_replay.json: {e}"),
-    }
+    emit_replay_json("BENCH_replay.json", &records, &estimates, speedup)
+        .expect("write BENCH_replay.json");
+    println!("wrote BENCH_replay.json");
 }

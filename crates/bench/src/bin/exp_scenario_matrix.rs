@@ -222,8 +222,6 @@ fn main() {
          arrival process.\n"
     );
 
-    match emit_scenarios_json("BENCH_scenarios.json", &records) {
-        Ok(()) => println!("wrote BENCH_scenarios.json"),
-        Err(e) => eprintln!("could not write BENCH_scenarios.json: {e}"),
-    }
+    emit_scenarios_json("BENCH_scenarios.json", &records).expect("write BENCH_scenarios.json");
+    println!("wrote BENCH_scenarios.json");
 }

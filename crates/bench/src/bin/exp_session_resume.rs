@@ -186,8 +186,7 @@ fn main() {
          epochs), roughly the unbroken cost scaled by the un-run fraction.\n"
     );
 
-    match emit_session_resume_json("BENCH_session_resume.json", &records) {
-        Ok(()) => println!("wrote BENCH_session_resume.json"),
-        Err(e) => eprintln!("could not write BENCH_session_resume.json: {e}"),
-    }
+    emit_session_resume_json("BENCH_session_resume.json", &records)
+        .expect("write BENCH_session_resume.json");
+    println!("wrote BENCH_session_resume.json");
 }

@@ -251,8 +251,6 @@ fn main() {
          the regime where threshold-switch stays dynamic longest.\n"
     );
 
-    match emit_strategies_json("BENCH_strategies.json", &records) {
-        Ok(()) => println!("wrote BENCH_strategies.json"),
-        Err(e) => eprintln!("could not write BENCH_strategies.json: {e}"),
-    }
+    emit_strategies_json("BENCH_strategies.json", &records).expect("write BENCH_strategies.json");
+    println!("wrote BENCH_strategies.json");
 }

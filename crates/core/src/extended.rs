@@ -139,18 +139,13 @@ pub(crate) fn assemble_outcome(
         apply_to_placement(&nib_copies, &mut nibble_placement);
         if processed {
             stats.objects_processed += 1;
-            stats.copies_deleted += nib_copies.copies.len().saturating_sub(
-                modified.copies.len(), // net effect; splits re-add copies
-            );
         } else {
             stats.objects_untouched += 1;
         }
         all_copies.push(modified);
     }
-    // Recompute deletion/split counters exactly (the net-effect above
-    // conflates them); cheap second pass over sizes.
-    stats.copies_deleted = 0;
-    stats.copies_split = 0;
+    // Per object, the deletion step either removed copies or split heavy
+    // ones into more; a second pass over sizes counts each.
     for (oc, nib_len) in
         all_copies.iter().zip(matrix.objects().map(|x| nibble_placement.copies(x).len()))
     {
@@ -216,6 +211,17 @@ mod tests {
             let out = ExtendedNibble::checked().place(&net, &m).unwrap();
             out.placement.validate(&net, &m).unwrap();
             assert!(out.placement.is_leaf_only(&net), "round {round}");
+            // Nibble copies minus modified copies is deletions minus splits.
+            let mut ws = Workspace::new(net.n_nodes());
+            let net_removed: i64 = m
+                .objects()
+                .map(|x| {
+                    let (_, nibble, modified, _) = run_steps_for_object(&net, &m, x, &mut ws);
+                    nibble.copies.len() as i64 - modified.copies.len() as i64
+                })
+                .sum();
+            let (deleted, split) = (out.stats.copies_deleted, out.stats.copies_split);
+            assert_eq!(net_removed, deleted as i64 - split as i64, "round {round}");
         }
     }
 

@@ -11,12 +11,11 @@
 //!
 //! Feed requests to a [`DynamicTree`] one at a time; it maintains a
 //! connected replica subtree per object and charges all traffic to a load
-//! map comparable with the static placements. The default kernel is
+//! map comparable with the static placements. [`DynamicTree::serve`] is
 //! allocation-free in steady state and O(depth) amortized per request
 //! (generation-stamped membership, lazy counter resets — see `DESIGN.md`
-//! §5); pass a reusable [`DynamicWorkspace`] to
-//! [`DynamicTree::serve_with`] to share scratch across strategies, and use
-//! [`DynamicTree::serve_reference`] for the naive pinned reference kernel:
+//! §5); [`DynamicTree::serve_reference`] is the naive pinned reference
+//! kernel. [`ShardedDynamic`] serves a whole trace on either kernel:
 //!
 //! ```
 //! use hbn_dynamic::{DynamicTree, OnlineRequest};
@@ -47,9 +46,7 @@
 pub mod competitive;
 pub mod sharded;
 pub mod strategy;
-pub mod workspace;
 
 pub use competitive::{run_competitive, CompetitiveReport};
 pub use sharded::ShardedDynamic;
 pub use strategy::{online_trace, DynamicStats, DynamicTree, ObjectExport, OnlineRequest};
-pub use workspace::DynamicWorkspace;

@@ -9,7 +9,8 @@
 //! shard — reproduces the unsharded run **bit for bit**. The scenario
 //! engine serves its epochs through this type, and
 //! `exp_dynamic_throughput` measures it directly against the unsharded
-//! kernels.
+//! kernels. [`ShardedDynamic::reference`] puts the naive reference kernel
+//! behind the same interface: one shard, served on the calling thread.
 //!
 //! Each shard scans the whole trace and serves only its own objects, so
 //! a serve pass costs O(shards × trace) scanning on top of the actual
@@ -21,9 +22,8 @@ use hbn_topology::{Network, NodeId};
 use hbn_workload::ObjectId;
 use rayon::prelude::*;
 
-/// One object shard: an independent strategy (with its internally owned
-/// workspace). Shard `idx` owns every object with
-/// `object.index() % n_shards == idx`.
+/// One object shard: an independent strategy. Shard `idx` owns every
+/// object with `object.index() % n_shards == idx`.
 #[derive(Debug, Clone)]
 struct Shard {
     idx: usize,
@@ -32,11 +32,15 @@ struct Shard {
 
 /// The online strategy sharded by object across rayon workers, with
 /// exact (bit-for-bit) merge semantics. Serves through the
-/// zero-allocation workspace kernel. `Clone` snapshots every shard's
-/// full state (see [`DynamicTree`]), so clones resume exactly.
+/// zero-allocation kernel ([`DynamicTree::serve`]), or through the naive
+/// one when built by [`ShardedDynamic::reference`]. `Clone` snapshots
+/// every shard's full state (see [`DynamicTree`]), so clones resume
+/// exactly.
 #[derive(Debug, Clone)]
 pub struct ShardedDynamic {
     shards: Vec<Shard>,
+    /// Serve through [`DynamicTree::serve_reference`] (one shard).
+    reference: bool,
 }
 
 impl ShardedDynamic {
@@ -50,7 +54,16 @@ impl ShardedDynamic {
             shards: (0..n_shards)
                 .map(|idx| Shard { idx, tree: DynamicTree::new(net, n_objects, threshold) })
                 .collect(),
+            reference: false,
         }
+    }
+
+    /// The naive reference kernel behind the sharded interface: one shard,
+    /// served request by request through [`DynamicTree::serve_reference`]
+    /// on the calling thread — the timing and semantics baseline the
+    /// differential suites pin the fast kernel against.
+    pub fn reference(net: &Network, n_objects: usize, threshold: u64) -> Self {
+        ShardedDynamic { reference: true, ..ShardedDynamic::new(net, n_objects, threshold, 1) }
     }
 
     /// Number of object shards.
@@ -63,6 +76,13 @@ impl ShardedDynamic {
     /// order — the only order the strategy is sensitive to — is
     /// preserved, so the merged outcome equals the unsharded one.
     pub fn serve_trace(&mut self, net: &Network, trace: &[OnlineRequest]) {
+        if self.reference {
+            let tree = &mut self.shards[0].tree;
+            for &req in trace {
+                tree.serve_reference(net, req);
+            }
+            return;
+        }
         let n_shards = self.shards.len();
         self.shards.par_iter_mut().for_each(|shard| {
             for &req in trace {
@@ -199,30 +219,41 @@ mod tests {
         let first = mk_trace(&mut rng, 800);
         let second = mk_trace(&mut rng, 800);
 
-        let mut original = ShardedDynamic::new(&net, 5, 2, 3);
-        original.serve_trace(&net, &first);
+        // The reference kernel exports its counters physically rather
+        // than by stamp, so it takes the same roundtrip.
+        for reference in [false, true] {
+            let build = || {
+                if reference {
+                    ShardedDynamic::reference(&net, 5, 2)
+                } else {
+                    ShardedDynamic::new(&net, 5, 2, 3)
+                }
+            };
+            let mut original = build();
+            original.serve_trace(&net, &first);
 
-        // Rebuild a fresh strategy from the export and drive both
-        // through the same second half: every observable must match.
-        let mut restored = ShardedDynamic::new(&net, 5, 2, 3);
-        for x in 0..5u32 {
-            if let Some((replicas, counters)) = original.export_object(ObjectId(x)) {
-                restored.restore_object(&net, ObjectId(x), &replicas, &counters);
+            // Rebuild a fresh strategy from the export and drive both
+            // through the same second half: every observable must match.
+            let mut restored = build();
+            for x in 0..5u32 {
+                if let Some((replicas, counters)) = original.export_object(ObjectId(x)) {
+                    restored.restore_object(&net, ObjectId(x), &replicas, &counters);
+                }
             }
-        }
-        let mut loads = LoadMap::zero(&net);
-        original.add_loads_to(&mut loads);
-        restored.restore_accounting(loads, original.stats());
+            let mut loads = LoadMap::zero(&net);
+            original.add_loads_to(&mut loads);
+            restored.restore_accounting(loads, original.stats());
 
-        original.serve_trace(&net, &second);
-        restored.serve_trace(&net, &second);
-        let (mut a, mut b) = (LoadMap::zero(&net), LoadMap::zero(&net));
-        original.add_loads_to(&mut a);
-        restored.add_loads_to(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(original.stats(), restored.stats());
-        for x in 0..5u32 {
-            assert_eq!(original.replicas(ObjectId(x)), restored.replicas(ObjectId(x)));
+            original.serve_trace(&net, &second);
+            restored.serve_trace(&net, &second);
+            let (mut a, mut b) = (LoadMap::zero(&net), LoadMap::zero(&net));
+            original.add_loads_to(&mut a);
+            restored.add_loads_to(&mut b);
+            assert_eq!(a, b, "reference: {reference}");
+            assert_eq!(original.stats(), restored.stats());
+            for x in 0..5u32 {
+                assert_eq!(original.replicas(ObjectId(x)), restored.replicas(ObjectId(x)));
+            }
         }
     }
 }

@@ -27,38 +27,24 @@
 //!
 //! # Two kernels
 //!
-//! [`DynamicTree::serve_with`] (and the convenience [`DynamicTree::serve`])
-//! is the production kernel: allocation-free in steady state and O(depth)
-//! amortized per request, built on generation-stamped replica membership,
-//! epoch-stamped lazy counter resets and a connected-set Steiner broadcast
-//! (see `DESIGN.md` §5). [`DynamicTree::serve_reference`] retains the
-//! naive kernel — O(|R|) membership scans, a fresh path `Vec` per request,
-//! an O(n) counter memset per write, an allocating Steiner computation per
-//! broadcast — as the semantic reference; the differential suite pins the
-//! two to each other bit for bit. One [`DynamicTree`] instance must be
-//! driven by a single kernel for its whole life (asserted).
+//! [`DynamicTree::serve`] is the production kernel: allocation-free in
+//! steady state and O(depth) amortized per request, built on
+//! generation-stamped replica membership, epoch-stamped lazy counter
+//! resets and a connected-set Steiner broadcast (see `DESIGN.md` §5).
+//! [`DynamicTree::serve_reference`] retains the naive kernel — O(|R|)
+//! membership scans, a fresh path `Vec` per request, an O(n) counter
+//! memset per write, an allocating Steiner computation per broadcast — as
+//! the semantic reference; the differential suite pins the two to each
+//! other bit for bit. One [`DynamicTree`] instance must be driven by a
+//! single kernel for its whole life (asserted).
 
-use crate::workspace::DynamicWorkspace;
 use hbn_load::LoadMap;
 use hbn_topology::{EdgeId, Network, NodeId};
 use hbn_workload::ObjectId;
 
-/// One online request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OnlineRequest {
-    /// Requesting processor.
-    pub processor: NodeId,
-    /// Accessed object.
-    pub object: ObjectId,
-    /// Whether the request is a write.
-    pub is_write: bool,
-}
-
-impl From<hbn_workload::PhaseRequest> for OnlineRequest {
-    fn from(r: hbn_workload::PhaseRequest) -> OnlineRequest {
-        OnlineRequest { processor: r.processor, object: r.object, is_write: r.is_write }
-    }
-}
+/// One online request: [`hbn_workload::Request`] under the serve loop's
+/// name.
+pub use hbn_workload::Request as OnlineRequest;
 
 /// Materialize a phase schedule's request stream as an online trace —
 /// the shared feed of the differential suites and the serve-loop
@@ -68,7 +54,7 @@ pub fn online_trace(
     schedule: &hbn_workload::PhaseSchedule,
     seed: u64,
 ) -> Vec<OnlineRequest> {
-    schedule.stream(net, seed).map(OnlineRequest::from).collect()
+    schedule.stream(net, seed).collect()
 }
 
 /// One node-indexed slot of an object's stamped state. Because every edge
@@ -241,9 +227,9 @@ pub struct DynamicTree {
     stats: DynamicStats,
     n_nodes: usize,
     mode: Option<ServeMode>,
-    /// Internally owned workspace backing the convenience
-    /// [`DynamicTree::serve`].
-    ws: DynamicWorkspace,
+    /// Edges of the current request's walk, requester → replica entry
+    /// point: transient per call, its capacity reused across calls.
+    path: Vec<EdgeId>,
 }
 
 impl DynamicTree {
@@ -262,7 +248,7 @@ impl DynamicTree {
             stats: DynamicStats::default(),
             n_nodes: net.n_nodes(),
             mode: None,
-            ws: DynamicWorkspace::new(),
+            path: Vec::new(),
         }
     }
 
@@ -292,7 +278,7 @@ impl DynamicTree {
             Some(m) => assert_eq!(
                 m, mode,
                 "a DynamicTree must be driven by a single serve kernel \
-                 (serve/serve_with or serve_reference, not both)"
+                 (serve or serve_reference, not both)"
             ),
         }
     }
@@ -408,15 +394,6 @@ impl DynamicTree {
         self.stats = stats;
     }
 
-    /// Process one request with the internally owned workspace — the
-    /// ergonomic form of [`DynamicTree::serve_with`], equally
-    /// allocation-free in steady state.
-    pub fn serve(&mut self, net: &Network, req: OnlineRequest) {
-        let mut ws = std::mem::take(&mut self.ws);
-        self.serve_with(&mut ws, net, req);
-        self.ws = ws;
-    }
-
     /// Process one request on the zero-allocation kernel, charging its
     /// traffic to the load map.
     ///
@@ -427,8 +404,8 @@ impl DynamicTree {
     /// replications that built `R`) before collapsing it with a single
     /// generation bump. Amortized cost: O(path length) = O(depth); heap
     /// allocations: none once the per-object stamp vectors and the
-    /// workspace path buffer have reached their high-water sizes.
-    pub fn serve_with(&mut self, ws: &mut DynamicWorkspace, net: &Network, req: OnlineRequest) {
+    /// owned path buffer have reached their high-water sizes.
+    pub fn serve(&mut self, net: &Network, req: OnlineRequest) {
         assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
         self.lock_mode(ServeMode::Fast);
         let st =
@@ -449,16 +426,16 @@ impl DynamicTree {
         // Serve at the nearest copy: the entry point of the walk from the
         // requester towards the (connected) replica set.
         let anchor = st.replicas[0];
-        ws.path.clear();
+        self.path.clear();
         let mut v = req.processor;
         while !st.contains(v) {
             let next = net.step_towards(v, anchor);
             // The edge id is the child endpoint of the hop.
             let hop_edge = if net.parent(next) == v { next } else { v };
-            ws.path.push(EdgeId::from(hop_edge));
+            self.path.push(EdgeId::from(hop_edge));
             v = next;
         }
-        for &e in &ws.path {
+        for &e in &self.path {
             self.loads.add_edge(e, 1);
         }
 
@@ -487,11 +464,11 @@ impl DynamicTree {
             // Count the read on every traversed edge; grow the replica
             // set across saturated edges, from the replica side outwards,
             // so connectivity is preserved.
-            for &e in &ws.path {
+            for &e in &self.path {
                 st.count_read(e);
             }
             let mut frontier = v;
-            for &e in ws.path.iter().rev() {
+            for &e in self.path.iter().rev() {
                 if st.counter(e) < self.threshold {
                     break;
                 }
@@ -511,8 +488,8 @@ impl DynamicTree {
     /// Process one request on the naive kernel: linear membership scans, a
     /// fresh path `Vec` per request, a dense counter vector memset on
     /// every write, and an allocating virtual-tree Steiner computation per
-    /// broadcast. Retained as the semantic reference the workspace kernel
-    /// is differentially pinned against.
+    /// broadcast. Retained as the semantic reference the fast kernel is
+    /// differentially pinned against.
     pub fn serve_reference(&mut self, net: &Network, req: OnlineRequest) {
         assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
         self.lock_mode(ServeMode::Reference);

@@ -1,11 +1,11 @@
 //! Differential pinning of the zero-allocation serve kernel against the
 //! naive reference kernel: for randomized traces from **all six phase
 //! families** crossed with three topology families (plus random proptest
-//! networks), `DynamicTree::serve_with` must match
+//! networks), `DynamicTree::serve` must match
 //! `DynamicTree::serve_reference` exactly — per-edge loads, per-object
 //! replica sets, event stats and congestion.
 
-use hbn_dynamic::{online_trace, DynamicStats, DynamicTree, DynamicWorkspace, OnlineRequest};
+use hbn_dynamic::{online_trace, DynamicStats, DynamicTree, OnlineRequest};
 use hbn_testutil::{arb_network, family_schedules, workload_from_seed};
 use hbn_topology::generators::{balanced, caterpillar, star, BandwidthProfile};
 use hbn_topology::Network;
@@ -23,9 +23,8 @@ fn assert_kernels_agree(
 ) {
     let mut fast = DynamicTree::new(net, n_objects, threshold);
     let mut reference = DynamicTree::new(net, n_objects, threshold);
-    let mut ws = DynamicWorkspace::new();
     for &req in requests {
-        fast.serve_with(&mut ws, net, req);
+        fast.serve(net, req);
         reference.serve_reference(net, req);
     }
     assert_eq!(fast.stats(), reference.stats(), "stats diverged: {context}");
@@ -67,22 +66,6 @@ fn all_six_families_match_on_three_topologies() {
 }
 
 #[test]
-fn internal_and_external_workspaces_agree() {
-    let net = balanced(3, 2, BandwidthProfile::Uniform);
-    let (_, schedule) = family_schedules(8, 50, 300).swap_remove(3); // mix-flip
-    let requests = online_trace(&net, &schedule, 9);
-    let mut owned = DynamicTree::new(&net, schedule.max_objects(), 2);
-    let mut external = DynamicTree::new(&net, schedule.max_objects(), 2);
-    let mut ws = DynamicWorkspace::new();
-    for &req in &requests {
-        owned.serve(&net, req);
-        external.serve_with(&mut ws, &net, req);
-    }
-    assert_eq!(owned.loads(), external.loads());
-    assert_eq!(owned.stats(), external.stats());
-}
-
-#[test]
 fn object_sharded_serving_merges_exactly() {
     // The scenario engine's shard-and-merge invariant at the strategy
     // level: objects are independent, so partitioning them across
@@ -101,9 +84,8 @@ fn object_sharded_serving_merges_exactly() {
     const SHARDS: usize = 3;
     let mut shards: Vec<DynamicTree> =
         (0..SHARDS).map(|_| DynamicTree::new(&net, n_objects, 2)).collect();
-    let mut ws = DynamicWorkspace::new();
     for &req in &requests {
-        shards[req.object.index() % SHARDS].serve_with(&mut ws, &net, req);
+        shards[req.object.index() % SHARDS].serve(&net, req);
     }
 
     let mut merged = hbn_load::LoadMap::zero(&net);

@@ -4,13 +4,13 @@
 //! the tests hold however many of them the harness runs side by side:
 //!
 //! * steady-state serves — a request pattern the strategy has already seen
-//!   once, so every stamp vector, replica list and workspace buffer is at
+//!   once, so every stamp vector, replica list and the path buffer is at
 //!   its high-water size — must perform **zero** heap allocations;
 //! * `DynamicTree::new` for millions of objects must allocate O(1)
 //!   *blocks* (the lazy `None` slots plus the load map), not O(objects)
 //!   per-object state.
 
-use hbn_dynamic::{DynamicTree, DynamicWorkspace, OnlineRequest};
+use hbn_dynamic::{DynamicTree, OnlineRequest};
 use hbn_topology::generators::{balanced, BandwidthProfile};
 use hbn_workload::ObjectId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,19 +85,18 @@ fn steady_state_serve_allocates_nothing() {
     let net = balanced(3, 3, BandwidthProfile::Uniform);
     let reqs = pattern(&net);
     let mut strategy = DynamicTree::new(&net, 8, 2);
-    let mut ws = DynamicWorkspace::new();
 
     // Warm-up pass: grows every lazy stamp vector, replica list and the
-    // workspace path buffer to its high-water size.
+    // owned path buffer to its high-water size.
     for &req in &reqs {
-        strategy.serve_with(&mut ws, &net, req);
+        strategy.serve(&net, req);
     }
 
     // Steady state: the identical pattern drives the identical state
     // evolution, so every buffer already fits. Zero allocations allowed.
     let before = allocations();
     for &req in &reqs {
-        strategy.serve_with(&mut ws, &net, req);
+        strategy.serve(&net, req);
     }
     let after = allocations();
     assert_eq!(after - before, 0, "serve path allocated {} times in steady state", after - before);

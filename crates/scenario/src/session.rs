@@ -39,10 +39,10 @@ use hbn_dynamic::{DynamicStats, OnlineRequest};
 use hbn_load::{LoadMap, Placement};
 use hbn_sim::{
     estimate_makespan_from_loads, simulate_reference, simulate_reference_overlay, simulate_with,
-    simulate_with_overlay, Request, SimError, SimResult, SimWorkspace,
+    simulate_with_overlay, SimError, SimResult, SimWorkspace,
 };
 use hbn_topology::{Network, NodeId};
-use hbn_workload::{AccessMatrix, ObjectId, PhaseRequest, PhaseStreamState};
+use hbn_workload::{AccessMatrix, ObjectId, PhaseStreamState, Request};
 use std::path::Path;
 
 fn stats_delta(cur: DynamicStats, prev: DynamicStats) -> DynamicStats {
@@ -68,6 +68,51 @@ fn snapshot_placement(net: &Network, strategy: &dyn Strategy, matrix: &AccessMat
     placement
 }
 
+/// The run state of a [`Session`]: everything a checkpoint captures and
+/// a restore resumes. Every other `Session` field is the spec or a cache
+/// rebuilt from it (see [`Session::with_state`]), so new run state goes
+/// here and into the durable codec, and nowhere else.
+#[derive(Clone)]
+struct State {
+    /// The serving policy; cloning it is [`Strategy::snapshot`].
+    strategy: Box<dyn Strategy>,
+    stream: PhaseStreamState,
+    /// Requests drawn from the stream so far — the durable form of the
+    /// stream cursor (a disk restore replays this many draws from a
+    /// fresh seed instead of serializing RNG internals).
+    requests_drawn: u64,
+    /// Cumulative observed access matrix (what re-optimizing strategies
+    /// see at epoch boundaries).
+    aggregate: AccessMatrix,
+    /// Merged cumulative loads at the last epoch boundary.
+    cum: LoadMap,
+    /// Running load delta of the current phase.
+    phase_delta: LoadMap,
+    /// Loads and counters of strategies retired by
+    /// [`Session::swap_strategy`]; reporting always merges them with the
+    /// live strategy's so swaps never lose traffic.
+    retired_loads: LoadMap,
+    retired_stats: DynamicStats,
+    /// Merged counters at the last epoch boundary.
+    stats_mark: DynamicStats,
+    /// Per-tenant cumulative placement loads, attributing the epoch
+    /// snapshot loads by the object partition `id % tenants`. Sub-matrix
+    /// accounting is linear across an object partition, so these sum
+    /// exactly to the total placement loads. Empty for single-tenant
+    /// schedules.
+    tenant_loads: Vec<LoadMap>,
+    /// Per-tenant request counts under the same partition.
+    tenant_requests: Vec<u64>,
+    /// Global epoch counter across phases — the strategy boundary clock.
+    epoch_idx: usize,
+    phase_idx: usize,
+    remaining_in_phase: usize,
+    /// Index into `epochs` where the current phase began.
+    phase_start: usize,
+    epochs: Vec<EpochSummary>,
+    phases: Vec<PhaseSummary>,
+}
+
 /// A resumable snapshot of a [`Session`]: the policy state (copy sets,
 /// loads, counters via [`Strategy::snapshot`]), the stream's RNG cursor,
 /// the observed aggregate matrix and every summary accumulated so far.
@@ -75,34 +120,13 @@ fn snapshot_placement(net: &Network, strategy: &dyn Strategy, matrix: &AccessMat
 /// [`Session::restore`].
 pub struct SessionCheckpoint {
     spec: ScenarioSpec,
-    strategy: Box<dyn Strategy>,
-    stream: PhaseStreamState,
-    /// Requests drawn from the stream so far — the durable form of the
-    /// stream cursor (a disk restore replays this many draws from a
-    /// fresh seed instead of serializing RNG internals).
-    requests_drawn: u64,
-    aggregate: AccessMatrix,
-    cum: LoadMap,
-    phase_delta: LoadMap,
-    retired_loads: LoadMap,
-    retired_stats: DynamicStats,
-    stats_mark: DynamicStats,
-    /// Per-tenant cumulative placement loads and request counts (empty
-    /// for single-tenant schedules) — see [`Session`] tenant fields.
-    tenant_loads: Vec<LoadMap>,
-    tenant_requests: Vec<u64>,
-    epoch_idx: usize,
-    phase_idx: usize,
-    remaining_in_phase: usize,
-    phase_start: usize,
-    epochs: Vec<EpochSummary>,
-    phases: Vec<PhaseSummary>,
+    state: State,
 }
 
 impl SessionCheckpoint {
     /// Global epoch index the restored session will continue from.
     pub fn epoch_index(&self) -> usize {
-        self.epoch_idx
+        self.state.epoch_idx
     }
 
     /// Write the checkpoint to `path` as a durable file: a versioned,
@@ -116,38 +140,39 @@ impl SessionCheckpoint {
     /// implement [`Strategy::durable`] (external policies by default);
     /// [`RestoreError::Io`] on filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), RestoreError> {
-        let strategy_bytes = self
+        let st = &self.state;
+        let strategy_bytes = st
             .strategy
             .durable()
-            .ok_or_else(|| RestoreError::UnsupportedStrategy(self.strategy.label()))?;
+            .ok_or_else(|| RestoreError::UnsupportedStrategy(st.strategy.label()))?;
         let mut p = Vec::new();
         put_u64(&mut p, spec_fingerprint(&self.spec));
-        put_u64(&mut p, self.requests_drawn);
+        put_u64(&mut p, st.requests_drawn);
         put_u64(&mut p, strategy_bytes.len() as u64);
         p.extend_from_slice(&strategy_bytes);
-        put_matrix(&mut p, &self.aggregate);
-        put_loads(&mut p, &self.cum);
-        put_loads(&mut p, &self.phase_delta);
-        put_loads(&mut p, &self.retired_loads);
-        put_stats(&mut p, self.retired_stats);
-        put_stats(&mut p, self.stats_mark);
-        put_u64(&mut p, self.tenant_loads.len() as u64);
-        for loads in &self.tenant_loads {
+        put_matrix(&mut p, &st.aggregate);
+        put_loads(&mut p, &st.cum);
+        put_loads(&mut p, &st.phase_delta);
+        put_loads(&mut p, &st.retired_loads);
+        put_stats(&mut p, st.retired_stats);
+        put_stats(&mut p, st.stats_mark);
+        put_u64(&mut p, st.tenant_loads.len() as u64);
+        for loads in &st.tenant_loads {
             put_loads(&mut p, loads);
         }
-        for &requests in &self.tenant_requests {
+        for &requests in &st.tenant_requests {
             put_u64(&mut p, requests);
         }
-        put_u64(&mut p, self.epoch_idx as u64);
-        put_u64(&mut p, self.phase_idx as u64);
-        put_u64(&mut p, self.remaining_in_phase as u64);
-        put_u64(&mut p, self.phase_start as u64);
-        put_u64(&mut p, self.epochs.len() as u64);
-        for e in &self.epochs {
+        put_u64(&mut p, st.epoch_idx as u64);
+        put_u64(&mut p, st.phase_idx as u64);
+        put_u64(&mut p, st.remaining_in_phase as u64);
+        put_u64(&mut p, st.phase_start as u64);
+        put_u64(&mut p, st.epochs.len() as u64);
+        for e in &st.epochs {
             put_epoch(&mut p, e);
         }
-        put_u64(&mut p, self.phases.len() as u64);
-        for ph in &self.phases {
+        put_u64(&mut p, st.phases.len() as u64);
+        for ph in &st.phases {
             put_phase(&mut p, ph);
         }
         write_frame(path, &p)
@@ -353,35 +378,37 @@ fn decode_checkpoint_body(
     }
     Ok(SessionCheckpoint {
         spec: spec.clone(),
-        strategy,
-        stream,
-        requests_drawn,
-        aggregate,
-        cum,
-        phase_delta,
-        retired_loads,
-        retired_stats,
-        stats_mark,
-        tenant_loads,
-        tenant_requests,
-        epoch_idx,
-        phase_idx,
-        remaining_in_phase,
-        phase_start,
-        epochs,
-        phases,
+        state: State {
+            strategy,
+            stream,
+            requests_drawn,
+            aggregate,
+            cum,
+            phase_delta,
+            retired_loads,
+            retired_stats,
+            stats_mark,
+            tenant_loads,
+            tenant_requests,
+            epoch_idx,
+            phase_idx,
+            remaining_in_phase,
+            phase_start,
+            epochs,
+            phases,
+        },
     })
 }
 
 /// The internal-consistency checks of [`Session::restore`]: the fault
 /// plan must be valid on the instantiated network and every schedule
 /// cursor in range and mutually consistent.
-fn validate_cursors(cp: &SessionCheckpoint, net: &Network) -> Result<(), RestoreError> {
+fn validate_cursors(spec: &ScenarioSpec, cp: &State, net: &Network) -> Result<(), RestoreError> {
     let bad = |msg: String| Err(RestoreError::InvalidState(msg));
-    if let Err(e) = cp.spec.faults.validate(net) {
+    if let Err(e) = spec.faults.validate(net) {
         return bad(format!("invalid fault plan: {e}"));
     }
-    let n_phases = cp.spec.schedule.phases.len();
+    let n_phases = spec.schedule.phases.len();
     if cp.phase_idx > n_phases {
         return bad(format!("phase cursor {} beyond {n_phases} phases", cp.phase_idx));
     }
@@ -402,7 +429,7 @@ fn validate_cursors(cp: &SessionCheckpoint, net: &Network) -> Result<(), Restore
     if cp.phase_start > cp.epochs.len() {
         return bad(format!("phase start {} beyond {} epochs", cp.phase_start, cp.epochs.len()));
     }
-    if let Some(phase) = cp.spec.schedule.phases.get(cp.phase_idx) {
+    if let Some(phase) = spec.schedule.phases.get(cp.phase_idx) {
         if cp.remaining_in_phase > phase.requests {
             return bad(format!(
                 "{} requests remaining in a {}-request phase",
@@ -444,62 +471,22 @@ fn validate_cursors(cp: &SessionCheckpoint, net: &Network) -> Result<(), Restore
 /// ```
 pub struct Session {
     spec: ScenarioSpec,
+    /// The run state — what [`Session::checkpoint`] clones.
+    state: State,
+    // Caches rebuilt from `spec` by `Session::with_state`: the network,
+    // the object bound, the simulator scratch, the epoch-delta scratch
+    // map and the epoch's request buffer, which the strategy serves and
+    // the simulator replays.
     net: Network,
     max_objects: usize,
-    strategy: Box<dyn Strategy>,
     ws: SimWorkspace,
-    stream: PhaseStreamState,
-    /// Requests drawn from the stream so far (the durable stream
-    /// cursor — see [`SessionCheckpoint`]).
-    requests_drawn: u64,
-    /// Cumulative observed access matrix (what re-optimizing strategies
-    /// see at epoch boundaries).
-    aggregate: AccessMatrix,
-    // Epoch-delta accumulators: one preallocated map for the merged
-    // cumulative loads at the last epoch boundary, one for the current
-    // epoch's delta and one for the running phase delta — no per-epoch
-    // cloning of the strategy's load maps.
-    cum: LoadMap,
     epoch_delta: LoadMap,
-    phase_delta: LoadMap,
-    /// Loads and counters of strategies retired by
-    /// [`Session::swap_strategy`]; reporting always merges them with the
-    /// live strategy's so swaps never lose traffic.
-    retired_loads: LoadMap,
-    retired_stats: DynamicStats,
-    stats_mark: DynamicStats,
-    /// Declared tenant count of the schedule
-    /// ([`hbn_workload::PhaseSchedule::tenants`]); 1 for single-tenant
-    /// schedules.
-    n_tenants: usize,
-    /// Per-tenant cumulative placement loads, attributing the epoch
-    /// snapshot loads by the object partition `id % n_tenants`. Sub-
-    /// matrix accounting is linear across an object partition, so these
-    /// sum exactly to the total placement loads. Empty when
-    /// `n_tenants == 1`.
-    tenant_loads: Vec<LoadMap>,
-    /// Per-tenant request counts under the same partition.
-    tenant_requests: Vec<u64>,
-    // Two parallel views of the epoch's requests: the simulator replay
-    // needs a `&[Request]` slice and the sharded serve fan-out a
-    // `&[OnlineRequest]` slice. The structs are field-identical but live
-    // in crates that must not depend on each other, so the cheapest
-    // correct form is two reused Copy buffers filled side by side.
     epoch_trace: Vec<Request>,
-    epoch_online: Vec<OnlineRequest>,
     /// Serving-mode override of the spec's replay kernel — the graceful-
     /// degradation hook of service layers ([`Session::set_replay_override`]).
     /// Not part of checkpoints: a restored session starts unthrottled and
     /// the caller re-applies its current mode.
     replay_override: Option<ReplayKernel>,
-    /// Global epoch counter across phases — the strategy boundary clock.
-    epoch_idx: usize,
-    phase_idx: usize,
-    remaining_in_phase: usize,
-    /// Index into `epochs` where the current phase began.
-    phase_start: usize,
-    epochs: Vec<EpochSummary>,
-    phases: Vec<PhaseSummary>,
 }
 
 impl Session {
@@ -529,37 +516,42 @@ impl Session {
             panic!("scenario {:?} has an invalid fault plan: {e}", spec.name);
         }
         let max_objects = spec.schedule.max_objects();
-        let strategy = factory(&net, &spec.exec, max_objects);
-        let stream = spec.schedule.stream_state(&net, spec.seed);
-        let remaining_in_phase = spec.schedule.phases.first().map_or(0, |p| p.requests);
         let n_tenants = spec.schedule.tenants();
         let tenant_slots = if n_tenants > 1 { n_tenants } else { 0 };
-        Session {
-            spec: spec.clone(),
-            max_objects,
-            strategy,
-            ws: SimWorkspace::new(),
-            stream,
+        let state = State {
+            strategy: factory(&net, &spec.exec, max_objects),
+            stream: spec.schedule.stream_state(&net, spec.seed),
             requests_drawn: 0,
             aggregate: AccessMatrix::new(max_objects),
             cum: LoadMap::zero(&net),
-            epoch_delta: LoadMap::zero(&net),
             phase_delta: LoadMap::zero(&net),
             retired_loads: LoadMap::zero(&net),
             retired_stats: DynamicStats::default(),
             stats_mark: DynamicStats::default(),
-            n_tenants,
             tenant_loads: (0..tenant_slots).map(|_| LoadMap::zero(&net)).collect(),
             tenant_requests: vec![0; tenant_slots],
-            epoch_trace: Vec::new(),
-            epoch_online: Vec::new(),
-            replay_override: None,
             epoch_idx: 0,
             phase_idx: 0,
-            remaining_in_phase,
+            remaining_in_phase: spec.schedule.phases.first().map_or(0, |p| p.requests),
             phase_start: 0,
             epochs: Vec::new(),
             phases: Vec::new(),
+        };
+        Session::with_state(spec.clone(), net, state)
+    }
+
+    /// The one constructor behind [`Session::with_strategy`] and
+    /// [`Session::restore`]: `state` plus fresh caches — simulator and
+    /// epoch scratch, an empty request buffer and no replay override.
+    fn with_state(spec: ScenarioSpec, net: Network, state: State) -> Session {
+        Session {
+            max_objects: spec.schedule.max_objects(),
+            ws: SimWorkspace::new(),
+            epoch_delta: LoadMap::zero(&net),
+            epoch_trace: Vec::new(),
+            replay_override: None,
+            spec,
+            state,
             net,
         }
     }
@@ -582,12 +574,12 @@ impl Session {
 
     /// Global index of the next epoch to run.
     pub fn epoch_index(&self) -> usize {
-        self.epoch_idx
+        self.state.epoch_idx
     }
 
     /// The strategy currently serving the session.
     pub fn strategy(&self) -> &dyn Strategy {
-        self.strategy.as_ref()
+        self.state.strategy.as_ref()
     }
 
     /// Override which replay kernel prices the *following* epochs,
@@ -640,29 +632,29 @@ impl Session {
     /// `id % tenants`); empty for single-tenant schedules. Indexed by
     /// tenant, in step with [`Session::tenant_requests`].
     pub fn tenant_loads(&self) -> &[LoadMap] {
-        &self.tenant_loads
+        &self.state.tenant_loads
     }
 
     /// Per-tenant cumulative request counts under the same partition;
     /// empty for single-tenant schedules.
     pub fn tenant_requests(&self) -> &[u64] {
-        &self.tenant_requests
+        &self.state.tenant_requests
     }
 
     /// Epoch summaries accumulated so far, in execution order.
     pub fn epochs(&self) -> &[EpochSummary] {
-        &self.epochs
+        &self.state.epochs
     }
 
     /// Summaries of the *completed* schedule phases so far.
     pub fn phases(&self) -> &[PhaseSummary] {
-        &self.phases
+        &self.state.phases
     }
 
     /// Whether the schedule is exhausted ([`Session::step_epoch`] would
     /// return `None`; [`Session::push_epoch`] still works).
     pub fn is_finished(&self) -> bool {
-        self.phase_idx >= self.spec.schedule.phases.len()
+        self.state.phase_idx >= self.spec.schedule.phases.len()
     }
 
     /// Run the next scheduled epoch: strategy boundary work, drawing the
@@ -679,49 +671,33 @@ impl Session {
         // Zero-request phases (legal in a schedule) complete immediately,
         // with an empty summary, exactly like the batch engine's
         // per-phase loop.
-        while self.phase_idx < self.spec.schedule.phases.len() && self.remaining_in_phase == 0 {
+        let n_phases = self.spec.schedule.phases.len();
+        while self.state.phase_idx < n_phases && self.state.remaining_in_phase == 0 {
             self.finish_phase();
         }
-        if self.phase_idx >= self.spec.schedule.phases.len() {
+        if self.state.phase_idx >= n_phases {
             return Ok(None);
         }
 
         let epoch_len = if self.spec.epoch_requests == 0 {
-            self.remaining_in_phase
+            self.state.remaining_in_phase
         } else {
-            self.spec.epoch_requests.min(self.remaining_in_phase)
+            self.spec.epoch_requests.min(self.state.remaining_in_phase)
         };
-        self.remaining_in_phase -= epoch_len;
+        self.state.remaining_in_phase -= epoch_len;
 
-        // Strategy boundary work first: re-optimization / re-seeding /
-        // fault self-healing sees only the traffic observed *before*
-        // this epoch, plus the epoch's fault view.
-        let view = self.spec.faults.fault_view(&self.net, self.epoch_idx);
-        self.strategy.begin_epoch(&self.net, self.epoch_idx, &self.aggregate, &view);
-
+        let view = self.begin_epoch();
         self.epoch_trace.clear();
-        self.epoch_online.clear();
-        let mut epoch_matrix = AccessMatrix::new(self.max_objects);
         for _ in 0..epoch_len {
-            let Some(PhaseRequest { processor, object, is_write }) =
-                self.stream.next_request(&self.spec.schedule, &self.net)
-            else {
+            let Some(req) = self.state.stream.next_request(&self.spec.schedule, &self.net) else {
                 break;
             };
-            self.requests_drawn += 1;
-            self.epoch_trace.push(Request { processor, object, is_write });
-            self.epoch_online.push(OnlineRequest { processor, object, is_write });
-            if is_write {
-                epoch_matrix.add(processor, object, 0, 1);
-                self.aggregate.add(processor, object, 0, 1);
-            } else {
-                epoch_matrix.add(processor, object, 1, 0);
-                self.aggregate.add(processor, object, 1, 0);
-            }
+            self.state.requests_drawn += 1;
+            self.epoch_trace.push(req);
         }
 
-        let summary = self.run_epoch_body(self.phase_idx, &epoch_matrix, true, &view)?;
-        if self.remaining_in_phase == 0 {
+        let summary = self.run_epoch_body(self.state.phase_idx, true, &view)?;
+        if self.state.remaining_in_phase == 0 {
             self.finish_phase();
         }
         Ok(Some(summary))
@@ -783,55 +759,63 @@ impl Session {
                 "pushed request {i} is issued from a non-processor node"
             );
         }
-        let view = self.spec.faults.fault_view(&self.net, self.epoch_idx);
-        self.strategy.begin_epoch(&self.net, self.epoch_idx, &self.aggregate, &view);
+        let view = self.begin_epoch();
         self.epoch_trace.clear();
-        self.epoch_online.clear();
-        let mut epoch_matrix = AccessMatrix::new(self.max_objects);
-        for &req in batch {
-            self.epoch_trace.push(Request {
-                processor: req.processor,
-                object: req.object,
-                is_write: req.is_write,
-            });
-            self.epoch_online.push(req);
-            let (r, w) = if req.is_write { (0, 1) } else { (1, 0) };
-            epoch_matrix.add(req.processor, req.object, r, w);
-            self.aggregate.add(req.processor, req.object, r, w);
-        }
-        self.run_epoch_body(self.spec.schedule.phases.len(), &epoch_matrix, false, &view)
+        self.epoch_trace.extend_from_slice(batch);
+        self.run_epoch_body(self.spec.schedule.phases.len(), false, &view)
     }
 
-    /// The shared tail of an epoch: serve the buffered trace, snapshot,
-    /// replay, account deltas, summarise. `in_phase` controls whether the
-    /// epoch's traffic also rolls into the running phase delta.
+    /// Strategy boundary work, before the epoch's requests are buffered:
+    /// re-optimization / re-seeding / fault self-healing sees only the
+    /// traffic observed *before* this epoch, plus the epoch's fault view,
+    /// which is returned.
+    fn begin_epoch(&mut self) -> FaultView {
+        let st = &mut self.state;
+        let view = self.spec.faults.fault_view(&self.net, st.epoch_idx);
+        st.strategy.begin_epoch(&self.net, st.epoch_idx, &st.aggregate, &view);
+        view
+    }
+
+    /// The shared body of an epoch, run on the buffered trace after the
+    /// strategy's boundary work: fold the trace into the epoch matrix and
+    /// the observed aggregate, serve, snapshot, replay, account deltas,
+    /// summarise. `in_phase` controls whether the epoch's traffic also
+    /// rolls into the running phase delta.
     fn run_epoch_body(
         &mut self,
         phase: usize,
-        epoch_matrix: &AccessMatrix,
         in_phase: bool,
         view: &FaultView,
     ) -> Result<EpochSummary, SimError> {
-        let reads = self.epoch_online.iter().filter(|r| !r.is_write).count() as u64;
-        let writes = self.epoch_online.len() as u64 - reads;
-        self.strategy.serve_batch(&self.net, &self.epoch_online, epoch_matrix);
+        let st = &mut self.state;
+        let mut epoch_matrix = AccessMatrix::new(self.max_objects);
+        let mut reads = 0;
+        for req in &self.epoch_trace {
+            let (r, w) = if req.is_write { (0, 1) } else { (1, 0) };
+            reads += r;
+            epoch_matrix.add(req.processor, req.object, r, w);
+            st.aggregate.add(req.processor, req.object, r, w);
+        }
+        let writes = self.epoch_trace.len() as u64 - reads;
+        st.strategy.serve_batch(&self.net, &self.epoch_trace, &epoch_matrix);
 
         // Epoch boundary: snapshot, replay, summarise.
-        let placement = snapshot_placement(&self.net, self.strategy.as_ref(), epoch_matrix);
-        let placement_loads = LoadMap::from_placement(&self.net, epoch_matrix, &placement);
+        let placement = snapshot_placement(&self.net, st.strategy.as_ref(), &epoch_matrix);
+        let placement_loads = LoadMap::from_placement(&self.net, &epoch_matrix, &placement);
         // A static-model strategy's service traffic *is* the snapshot
         // placement serving the epoch matrix; charge it before the epoch
         // delta is taken. (No-op for per-request-charging strategies.)
-        self.strategy.charge_service(&placement_loads);
+        st.strategy.charge_service(&placement_loads);
         // Multi-tenant attribution: account each tenant's slice of the
         // epoch matrix separately under the same snapshot placement.
         // Placement accounting is linear across an object partition, so
         // the per-tenant maps sum exactly to `placement_loads`.
-        if self.n_tenants > 1 {
-            for t in 0..self.n_tenants {
+        let n_tenants = st.tenant_loads.len(); // 0 for single-tenant schedules
+        if n_tenants > 0 {
+            for t in 0..n_tenants {
                 let mut sub = AccessMatrix::new(self.max_objects);
                 for x in epoch_matrix.objects() {
-                    if x.index() % self.n_tenants != t {
+                    if x.index() % n_tenants != t {
                         continue;
                     }
                     for e in epoch_matrix.object_entries(x) {
@@ -839,10 +823,10 @@ impl Session {
                     }
                 }
                 let loads = LoadMap::from_placement(&self.net, &sub, &placement);
-                self.tenant_loads[t].add_assign(&loads);
+                st.tenant_loads[t].add_assign(&loads);
             }
-            for r in &self.epoch_online {
-                self.tenant_requests[r.object.index() % self.n_tenants] += 1;
+            for r in &self.epoch_trace {
+                st.tenant_requests[r.object.index() % n_tenants] += 1;
             }
         }
         // A pristine fault view takes the exact legacy replay path; under
@@ -856,24 +840,29 @@ impl Session {
         let (net, trace, cfg) = (&self.net, &self.epoch_trace, self.spec.exec.sim);
         let ws = &mut self.ws;
         let mut exact = || match overlay {
-            None => simulate_with(ws, net, epoch_matrix, &placement, trace, cfg),
-            Some(o) => simulate_with_overlay(ws, net, epoch_matrix, &placement, trace, cfg, o),
+            None => simulate_with(ws, net, &epoch_matrix, &placement, trace, cfg),
+            Some(o) => simulate_with_overlay(ws, net, &epoch_matrix, &placement, trace, cfg, o),
         };
         let (sim, estimate): (Option<SimResult>, Option<EpochEstimate>) = match replay {
             ReplayKernel::Workspace => (Some(exact()?), None),
             ReplayKernel::Reference => {
                 let oracle = match overlay {
-                    None => simulate_reference(net, epoch_matrix, &placement, trace, cfg),
+                    None => simulate_reference(net, &epoch_matrix, &placement, trace, cfg),
                     Some(o) => {
-                        simulate_reference_overlay(net, epoch_matrix, &placement, trace, cfg, o)
+                        simulate_reference_overlay(net, &epoch_matrix, &placement, trace, cfg, o)
                     }
                 };
                 (Some(oracle?), None)
             }
             ReplayKernel::Estimate { sample_every } => {
-                let bounds =
-                    estimate_makespan_from_loads(net, epoch_matrix, &placement_loads, cfg, overlay);
-                let sampled = sample_every > 0 && self.epoch_idx.is_multiple_of(sample_every);
+                let bounds = estimate_makespan_from_loads(
+                    net,
+                    &epoch_matrix,
+                    &placement_loads,
+                    cfg,
+                    overlay,
+                );
+                let sampled = sample_every > 0 && st.epoch_idx.is_multiple_of(sample_every);
                 let estimate = EpochEstimate {
                     lower: bounds.lower,
                     upper: bounds.upper,
@@ -886,16 +875,16 @@ impl Session {
         // epoch_delta := (retired + live cumulative) − cum; then roll the
         // marks forward by pure additions.
         self.epoch_delta.reset();
-        self.epoch_delta.add_assign(&self.retired_loads);
-        self.strategy.add_loads_to(&mut self.epoch_delta);
-        self.epoch_delta.sub_assign(&self.cum);
-        self.cum.add_assign(&self.epoch_delta);
+        self.epoch_delta.add_assign(&st.retired_loads);
+        st.strategy.add_loads_to(&mut self.epoch_delta);
+        self.epoch_delta.sub_assign(&st.cum);
+        st.cum.add_assign(&self.epoch_delta);
         if in_phase {
-            self.phase_delta.add_assign(&self.epoch_delta);
+            st.phase_delta.add_assign(&self.epoch_delta);
         }
-        let stats_now = self.retired_stats.merge(self.strategy.stats());
-        let delta = stats_delta(stats_now, self.stats_mark);
-        self.stats_mark = stats_now;
+        let stats_now = st.retired_stats.merge(st.strategy.stats());
+        let delta = stats_delta(stats_now, st.stats_mark);
+        st.stats_mark = stats_now;
 
         // Per-epoch congestion is normalized by the epoch's *effective*
         // capacities (identical to the pristine normalization when no
@@ -924,36 +913,37 @@ impl Session {
             mean_latency: sim.as_ref().map_or(0.0, |s| s.mean_latency),
             p99_latency: sim.as_ref().map_or(0, |s| s.p99_latency),
             estimate,
-            live_objects: self.stream.live_objects().len(),
+            live_objects: st.stream.live_objects().len(),
             buses_down: view.buses_down,
             buses_degraded: view.buses_degraded,
         };
-        self.epochs.push(summary.clone());
-        self.epoch_idx += 1;
+        st.epochs.push(summary.clone());
+        st.epoch_idx += 1;
         Ok(summary)
     }
 
     /// Close out the current schedule phase: summarise its epochs and
     /// advance to the next phase.
     fn finish_phase(&mut self) {
-        let phase = &self.spec.schedule.phases[self.phase_idx];
+        let st = &mut self.state;
+        let phase = &self.spec.schedule.phases[st.phase_idx];
         // Epochs pushed mid-phase carry the out-of-schedule phase index;
         // the phase summary covers only the schedule's own epochs.
-        let phase_epochs: Vec<EpochSummary> = self.epochs[self.phase_start..]
+        let phase_epochs: Vec<EpochSummary> = st.epochs[st.phase_start..]
             .iter()
-            .filter(|e| e.phase == self.phase_idx)
+            .filter(|e| e.phase == st.phase_idx)
             .cloned()
             .collect();
-        self.phases.push(summarise_phase(
+        st.phases.push(summarise_phase(
             phase.label.clone(),
             &phase_epochs,
-            self.phase_delta.congestion(&self.net).congestion,
+            st.phase_delta.congestion(&self.net).congestion,
         ));
-        self.phase_delta.reset();
-        self.phase_start = self.epochs.len();
-        self.phase_idx += 1;
-        self.remaining_in_phase =
-            self.spec.schedule.phases.get(self.phase_idx).map_or(0, |p| p.requests);
+        st.phase_delta.reset();
+        st.phase_start = st.epochs.len();
+        st.phase_idx += 1;
+        st.remaining_in_phase =
+            self.spec.schedule.phases.get(st.phase_idx).map_or(0, |p| p.requests);
     }
 
     /// Replace the serving policy at the current epoch boundary (between
@@ -965,11 +955,12 @@ impl Session {
     /// and counters are retired into the session so reporting stays
     /// unbroken; the predecessor itself is returned.
     pub fn swap_strategy(&mut self, next: Box<dyn Strategy>) -> Box<dyn Strategy> {
+        let st = &mut self.state;
         let mut next = next;
-        next.adopt(&self.net, self.strategy.as_ref(), self.max_objects);
-        self.strategy.add_loads_to(&mut self.retired_loads);
-        self.retired_stats = self.retired_stats.merge(self.strategy.stats());
-        std::mem::replace(&mut self.strategy, next)
+        next.adopt(&self.net, st.strategy.as_ref(), self.max_objects);
+        st.strategy.add_loads_to(&mut st.retired_loads);
+        st.retired_stats = st.retired_stats.merge(st.strategy.stats());
+        std::mem::replace(&mut st.strategy, next)
     }
 
     /// Snapshot the full session state — strategy (copy sets, loads,
@@ -977,26 +968,7 @@ impl Session {
     /// accumulated summaries. The checkpoint is independent of the
     /// session: both can be driven on afterwards.
     pub fn checkpoint(&self) -> SessionCheckpoint {
-        SessionCheckpoint {
-            spec: self.spec.clone(),
-            strategy: self.strategy.snapshot(),
-            stream: self.stream.clone(),
-            requests_drawn: self.requests_drawn,
-            aggregate: self.aggregate.clone(),
-            cum: self.cum.clone(),
-            phase_delta: self.phase_delta.clone(),
-            retired_loads: self.retired_loads.clone(),
-            retired_stats: self.retired_stats,
-            stats_mark: self.stats_mark,
-            tenant_loads: self.tenant_loads.clone(),
-            tenant_requests: self.tenant_requests.clone(),
-            epoch_idx: self.epoch_idx,
-            phase_idx: self.phase_idx,
-            remaining_in_phase: self.remaining_in_phase,
-            phase_start: self.phase_start,
-            epochs: self.epochs.clone(),
-            phases: self.phases.clone(),
-        }
+        SessionCheckpoint { spec: self.spec.clone(), state: self.state.clone() }
     }
 
     /// Rebuild a session from a checkpoint. The restored session
@@ -1013,37 +985,10 @@ impl Session {
     /// [`Session::checkpoint`] always pass; the checks guard state that
     /// crossed a serialization boundary.)
     pub fn restore(checkpoint: SessionCheckpoint) -> Result<Session, RestoreError> {
-        let net = checkpoint.spec.build_network();
-        let max_objects = checkpoint.spec.schedule.max_objects();
-        validate_cursors(&checkpoint, &net)?;
-        Ok(Session {
-            max_objects,
-            strategy: checkpoint.strategy,
-            ws: SimWorkspace::new(),
-            stream: checkpoint.stream,
-            requests_drawn: checkpoint.requests_drawn,
-            aggregate: checkpoint.aggregate,
-            cum: checkpoint.cum,
-            epoch_delta: LoadMap::zero(&net),
-            phase_delta: checkpoint.phase_delta,
-            retired_loads: checkpoint.retired_loads,
-            retired_stats: checkpoint.retired_stats,
-            stats_mark: checkpoint.stats_mark,
-            n_tenants: checkpoint.spec.schedule.tenants(),
-            tenant_loads: checkpoint.tenant_loads,
-            tenant_requests: checkpoint.tenant_requests,
-            epoch_trace: Vec::new(),
-            epoch_online: Vec::new(),
-            replay_override: None,
-            epoch_idx: checkpoint.epoch_idx,
-            phase_idx: checkpoint.phase_idx,
-            remaining_in_phase: checkpoint.remaining_in_phase,
-            phase_start: checkpoint.phase_start,
-            epochs: checkpoint.epochs,
-            phases: checkpoint.phases,
-            spec: checkpoint.spec,
-            net,
-        })
+        let SessionCheckpoint { spec, state } = checkpoint;
+        let net = spec.build_network();
+        validate_cursors(&spec, &state, &net)?;
+        Ok(Session::with_state(spec, net, state))
     }
 
     /// Rebuild a session from a durable checkpoint file written by
@@ -1070,7 +1015,11 @@ impl Session {
     /// per-epoch summaries, cumulative online congestion, and the
     /// hindsight (static nibble on the aggregate matrix) comparison.
     pub fn report(&self) -> ScenarioReport {
-        self.assemble_report(self.spec.name.clone(), self.phases.clone(), self.epochs.clone())
+        self.assemble_report(
+            self.spec.name.clone(),
+            self.state.phases.clone(),
+            self.state.epochs.clone(),
+        )
     }
 
     /// [`Session::report`], consuming the session — the summary vectors
@@ -1078,8 +1027,8 @@ impl Session {
     /// streaming run costs no copy of its epoch history.
     pub fn into_report(mut self) -> ScenarioReport {
         let name = std::mem::take(&mut self.spec.name);
-        let phases = std::mem::take(&mut self.phases);
-        let epochs = std::mem::take(&mut self.epochs);
+        let phases = std::mem::take(&mut self.state.phases);
+        let epochs = std::mem::take(&mut self.state.epochs);
         self.assemble_report(name, phases, epochs)
     }
 
@@ -1091,10 +1040,11 @@ impl Session {
         phases: Vec<PhaseSummary>,
         epochs: Vec<EpochSummary>,
     ) -> ScenarioReport {
-        let online_congestion = self.cum.congestion(&self.net).congestion;
-        let hindsight_placement = nibble_placement(&self.net, &self.aggregate);
+        let st = &self.state;
+        let online_congestion = st.cum.congestion(&self.net).congestion;
+        let hindsight_placement = nibble_placement(&self.net, &st.aggregate);
         let hindsight_congestion =
-            LoadMap::from_placement(&self.net, &self.aggregate, &hindsight_placement)
+            LoadMap::from_placement(&self.net, &st.aggregate, &hindsight_placement)
                 .congestion(&self.net)
                 .congestion;
         let mut traffic = TrafficCounters::default();
@@ -1114,10 +1064,10 @@ impl Session {
             }
         }
         let estimate_gap = (estimated_epochs > 0).then(|| gap_sum / estimated_epochs as f64);
-        let tenants = self
+        let tenants = st
             .tenant_loads
             .iter()
-            .zip(&self.tenant_requests)
+            .zip(&st.tenant_requests)
             .enumerate()
             .map(|(tenant, (loads, &requests))| TenantSummary {
                 tenant,
@@ -1128,7 +1078,7 @@ impl Session {
         ScenarioReport {
             name,
             topology: self.spec.topology.to_string(),
-            strategy: self.strategy.label(),
+            strategy: st.strategy.label(),
             seed: self.spec.seed,
             traffic,
             total_makespan: epochs.iter().map(|e| e.makespan).sum(),
@@ -1142,7 +1092,7 @@ impl Session {
             tenants,
             phases,
             epochs,
-            stats: self.retired_stats.merge(self.strategy.stats()),
+            stats: st.retired_stats.merge(st.strategy.stats()),
         }
     }
 }

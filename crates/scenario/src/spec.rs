@@ -188,14 +188,14 @@ impl fmt::Display for ReplayKernel {
 /// Which online-strategy kernel serves the request stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeKernel {
-    /// The zero-allocation [`hbn_dynamic::DynamicWorkspace`] kernel
+    /// The zero-allocation [`hbn_dynamic::DynamicTree::serve`] kernel
     /// (default), sharded by object across rayon workers.
     #[default]
     Workspace,
     /// The naive [`hbn_dynamic::DynamicTree::serve_reference`] kernel,
-    /// unsharded — used by the differential suite to pin the engine's
-    /// online traffic, and by `exp_dynamic_throughput` as the timing
-    /// baseline.
+    /// unsharded ([`hbn_dynamic::ShardedDynamic::reference`]) — used by
+    /// the differential suite to pin the engine's online traffic, and by
+    /// `exp_dynamic_throughput` as the timing baseline.
     Reference,
 }
 

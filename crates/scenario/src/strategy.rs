@@ -21,7 +21,7 @@ use crate::durable::{put_f64, put_loads, put_nodes, put_stats, put_u32, put_u64,
 use crate::faults::FaultView;
 use crate::spec::{ExecutionConfig, ServeKernel, StrategyKind};
 use hbn_core::PlacementKernel;
-use hbn_dynamic::{DynamicStats, DynamicTree, ObjectExport, OnlineRequest, ShardedDynamic};
+use hbn_dynamic::{DynamicStats, OnlineRequest, ShardedDynamic};
 use hbn_load::{LoadMap, NearestCopies, Placement};
 use hbn_topology::{EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
@@ -160,6 +160,14 @@ pub trait Strategy: Send {
     }
 }
 
+/// Cloning a boxed policy is [`Strategy::snapshot`], so state that holds
+/// the policy (a session checkpoint) derives `Clone`.
+impl Clone for Box<dyn Strategy> {
+    fn clone(&self) -> Self {
+        self.snapshot()
+    }
+}
+
 /// Charge the migration of one object's copy set from `old` to `new`:
 /// every copy in `new ∖ old` fetches a `D`-sized replica along the tree
 /// path from its nearest source copy, paying `D` on each edge crossed —
@@ -279,7 +287,7 @@ fn harbor_processor(net: &Network, view: &FaultView, anchor: NodeId) -> Option<N
 /// `D`-sized repair transfers — always a subset of `replications`, so
 /// `migration_traffic = replications × D` keeps holding.
 fn heal_dynamic(
-    kernel: &mut DynKernel,
+    kernel: &mut ShardedDynamic,
     net: &Network,
     view: &FaultView,
     d: u64,
@@ -342,135 +350,32 @@ fn sanitize_placement(net: &Network, view: &FaultView, placement: &mut Placement
     }
 }
 
-/// The dynamic-strategy serve kernel of one run: the object-sharded
-/// workspace kernel ([`hbn_dynamic::ShardedDynamic`]) or the unsharded
-/// naive reference kernel.
-#[derive(Debug, Clone)]
-pub(crate) enum DynKernel {
-    Sharded(ShardedDynamic),
-    Reference(DynamicTree),
+/// The dynamic-strategy serve kernel `exec.serve` names: the
+/// object-sharded fast kernel, or the naive reference kernel behind the
+/// same interface.
+fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> ShardedDynamic {
+    match exec.serve {
+        ServeKernel::Workspace => {
+            ShardedDynamic::new(net, max_objects, exec.threshold, exec.serve_shards)
+        }
+        ServeKernel::Reference => ShardedDynamic::reference(net, max_objects, exec.threshold),
+    }
 }
 
-impl DynKernel {
-    pub(crate) fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynKernel {
-        match exec.serve {
-            ServeKernel::Workspace => DynKernel::Sharded(ShardedDynamic::new(
-                net,
-                max_objects,
-                exec.threshold,
-                exec.serve_shards,
-            )),
-            // The reference kernel is the unsharded timing/semantics
-            // baseline.
-            ServeKernel::Reference => {
-                DynKernel::Reference(DynamicTree::new(net, max_objects, exec.threshold))
-            }
-        }
-    }
-
-    /// Serve one epoch's requests, in trace order.
-    fn serve_trace(&mut self, net: &Network, trace: &[OnlineRequest]) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.serve_trace(net, trace),
-            DynKernel::Reference(tree) => {
-                for &req in trace {
-                    tree.serve_reference(net, req);
-                }
-            }
-        }
-    }
-
-    /// Current copy nodes of `x`.
-    fn replicas(&self, x: ObjectId) -> &[NodeId] {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.replicas(x),
-            DynKernel::Reference(tree) => tree.replicas(x),
-        }
-    }
-
-    /// Replace the replica set of `x` (hybrid seeding).
-    fn seed_replicas(&mut self, net: &Network, x: ObjectId, nodes: &[NodeId]) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.seed_replicas(net, x, nodes),
-            DynKernel::Reference(tree) => tree.seed_replicas(net, x, nodes),
-        }
-    }
-
-    /// Sum the cumulative loads into `out` (on top of what it holds).
-    fn add_loads_to(&self, out: &mut LoadMap) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.add_loads_to(out),
-            DynKernel::Reference(tree) => out.add_assign(tree.loads()),
-        }
-    }
-
-    /// Event counters.
-    fn stats(&self) -> DynamicStats {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.stats(),
-            DynKernel::Reference(tree) => tree.stats(),
-        }
-    }
-
-    /// Number of objects the kernel was constructed for.
-    fn n_objects(&self) -> usize {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.n_objects(),
-            DynKernel::Reference(tree) => tree.n_objects(),
-        }
-    }
-
-    /// Export the live state of `x` (replicas + live edge counters) for
-    /// durable serialization.
-    fn export_object(&self, x: ObjectId) -> Option<ObjectExport> {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.export_object(x),
-            DynKernel::Reference(tree) => tree.export_object(x),
-        }
-    }
-
-    /// Rebuild the state of `x` from an export.
-    fn restore_object(
-        &mut self,
-        net: &Network,
-        x: ObjectId,
-        replicas: &[NodeId],
-        counters: &[(EdgeId, u64)],
-    ) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.restore_object(net, x, replicas, counters),
-            DynKernel::Reference(tree) => tree.restore_object(net, x, replicas, counters),
-        }
-    }
-
-    /// The merged cumulative loads and counters, as owned values (for
-    /// durable serialization, which has no network handy for a scratch
-    /// map).
-    fn export_accounting(&self) -> (LoadMap, DynamicStats) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.export_accounting(),
-            DynKernel::Reference(tree) => (tree.loads().clone(), tree.stats()),
-        }
-    }
-
-    /// Install restored accounting totals.
-    fn restore_accounting(&mut self, loads: LoadMap, stats: DynamicStats) {
-        match self {
-            DynKernel::Sharded(sharded) => sharded.restore_accounting(loads, stats),
-            DynKernel::Reference(tree) => tree.restore_accounting(loads, stats),
-        }
-    }
-
-    /// Adopt a predecessor's copy sets: each non-empty set is seeded as
-    /// its connected closure (the dynamic tree's structural invariant).
-    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        for i in 0..max_objects {
-            let x = ObjectId(i as u32);
-            let copies = prior.copy_set(x);
-            if !copies.is_empty() {
-                let closure = connected_closure(net, copies);
-                self.seed_replicas(net, x, &closure);
-            }
+/// Adopt a predecessor's copy sets into a dynamic kernel: each non-empty
+/// set is seeded as its connected closure (the dynamic tree's structural
+/// invariant).
+fn adopt_dynamic(
+    kernel: &mut ShardedDynamic,
+    net: &Network,
+    prior: &dyn Strategy,
+    max_objects: usize,
+) {
+    for i in 0..max_objects {
+        let x = ObjectId(i as u32);
+        let copies = prior.copy_set(x);
+        if !copies.is_empty() {
+            kernel.seed_replicas(net, x, &connected_closure(net, copies));
         }
     }
 }
@@ -608,7 +513,7 @@ impl StaticCore {
 /// replications the kernel performs.
 #[derive(Debug, Clone)]
 pub struct DynamicStrategy {
-    kernel: DynKernel,
+    kernel: ShardedDynamic,
     /// Migration charge unit `D` (for outage repair fetches).
     threshold: u64,
     /// Loads charged by outage self-healing (the kernel owns its own
@@ -632,7 +537,7 @@ impl DynamicStrategy {
     /// ```
     pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicStrategy {
         DynamicStrategy {
-            kernel: DynKernel::new(net, exec, max_objects),
+            kernel: dyn_kernel(net, exec, max_objects),
             threshold: exec.threshold,
             heal_loads: LoadMap::zero(net),
             heal_stats: DynamicStats::default(),
@@ -682,7 +587,7 @@ impl Strategy for DynamicStrategy {
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.kernel.adopt(net, prior, max_objects);
+        adopt_dynamic(&mut self.kernel, net, prior, max_objects);
     }
 
     fn snapshot(&self) -> Box<dyn Strategy> {
@@ -878,7 +783,7 @@ impl Strategy for PeriodicStatic {
 /// boundaries requests are served online.
 #[derive(Debug, Clone)]
 pub struct HybridReseed {
-    dynamic: DynKernel,
+    dynamic: ShardedDynamic,
     kernel: PlacementKernel,
     /// Migration charges of the re-seeds (the dynamic kernel owns its
     /// own loads).
@@ -911,7 +816,7 @@ impl HybridReseed {
         reseed_every_epochs: usize,
     ) -> HybridReseed {
         HybridReseed {
-            dynamic: DynKernel::new(net, exec, max_objects),
+            dynamic: dyn_kernel(net, exec, max_objects),
             kernel: PlacementKernel::new(net, exec.serve_shards),
             migration_loads: LoadMap::zero(net),
             seed_stats: DynamicStats::default(),
@@ -1012,7 +917,7 @@ impl Strategy for HybridReseed {
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.dynamic.adopt(net, prior, max_objects);
+        adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
     }
 
     fn snapshot(&self) -> Box<dyn Strategy> {
@@ -1140,7 +1045,7 @@ impl Strategy for FrozenStatic {
 /// policy is a frozen static placement.
 #[derive(Debug, Clone)]
 pub struct ThresholdSwitch {
-    dynamic: DynKernel,
+    dynamic: ShardedDynamic,
     core: StaticCore,
     kernel: PlacementKernel,
     threshold: u64,
@@ -1173,7 +1078,7 @@ impl ThresholdSwitch {
         min_epochs: usize,
     ) -> ThresholdSwitch {
         ThresholdSwitch {
-            dynamic: DynKernel::new(net, exec, max_objects),
+            dynamic: dyn_kernel(net, exec, max_objects),
             core: StaticCore::new(net, max_objects),
             kernel: PlacementKernel::new(net, exec.serve_shards),
             threshold: exec.threshold,
@@ -1271,7 +1176,7 @@ impl Strategy for ThresholdSwitch {
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.dynamic.adopt(net, prior, max_objects);
+        adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
     }
 
     fn snapshot(&self) -> Box<dyn Strategy> {
@@ -1324,8 +1229,8 @@ impl StrategyKind {
 
 // --- durable strategy codec -------------------------------------------
 //
-// Tag byte + policy state. The serve-kernel variant of a [`DynKernel`]
-// is *not* encoded — it is an execution detail reconstructed from
+// Tag byte + policy state. Which serve kernel backs a dynamic policy is
+// *not* encoded — it is an execution detail reconstructed from
 // `exec.serve`, which the spec fingerprint pins to the saved run.
 
 const TAG_DYNAMIC: u8 = 1;
@@ -1334,7 +1239,7 @@ const TAG_HYBRID: u8 = 3;
 const TAG_FROZEN_STATIC: u8 = 4;
 const TAG_THRESHOLD_SWITCH: u8 = 5;
 
-fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &DynKernel) {
+fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &ShardedDynamic) {
     let n = kernel.n_objects();
     put_u64(out, n as u64);
     for i in 0..n {
@@ -1369,12 +1274,12 @@ fn read_dyn_kernel(
     net: &Network,
     exec: &ExecutionConfig,
     max_objects: usize,
-) -> Result<DynKernel, String> {
+) -> Result<ShardedDynamic, String> {
     let n = dec.u64()? as usize;
     if n != max_objects {
         return Err(format!("kernel of {n} objects, expected {max_objects}"));
     }
-    let mut kernel = DynKernel::new(net, exec, max_objects);
+    let mut kernel = dyn_kernel(net, exec, max_objects);
     for i in 0..n {
         if dec.u8()? == 0 {
             continue;

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 
 use hbn_scenario::{
-    FaultPlan, FrozenStatic, RestoreError, ScenarioSpec, ScenarioSpecBuilder, Session, Strategy,
-    StrategyKind, ThresholdSwitch, TopologyFamily,
+    FaultPlan, FrozenStatic, RestoreError, ScenarioSpec, ScenarioSpecBuilder, ServeKernel, Session,
+    Strategy, StrategyKind, ThresholdSwitch, TopologyFamily,
 };
 use hbn_workload::phases::full_tour;
 
@@ -55,22 +55,26 @@ fn save_restore_roundtrip(
     (expected, resumed.into_report())
 }
 
-/// Disk roundtrip is exact for every built-in strategy kind, including
-/// under an active fault plan (the checkpoint lands mid-outage).
+/// Disk roundtrip is exact for every built-in strategy kind on both
+/// serve kernels (the reference kernel exports its counters physically
+/// rather than by stamp), including under an active fault plan (the
+/// checkpoint lands mid-outage).
 #[test]
 fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
-    for (i, strategy) in [
-        StrategyKind::Dynamic,
-        StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
-        StrategyKind::Hybrid { reseed_every_epochs: 2 },
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let spec = base_builder(23).strategy(strategy).build();
-        let path = tmp(&format!("roundtrip_{i}.hbnc"));
-        let (expected, resumed) = save_restore_roundtrip(&spec, 5, &path, None);
-        assert_eq!(resumed, expected, "strategy {strategy}");
+    for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
+        for (i, strategy) in [
+            StrategyKind::Dynamic,
+            StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
+            StrategyKind::Hybrid { reseed_every_epochs: 2 },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let spec = base_builder(23).strategy(strategy).serve_kernel(serve).build();
+            let path = tmp(&format!("roundtrip_{i}_{serve}.hbnc"));
+            let (expected, resumed) = save_restore_roundtrip(&spec, 5, &path, None);
+            assert_eq!(resumed, expected, "strategy {strategy}, serve kernel {serve}");
+        }
     }
 
     // Mid-outage checkpoint: the fault overlay and healed state resume.

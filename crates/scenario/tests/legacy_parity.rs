@@ -20,7 +20,7 @@ use hbn_scenario::{
 use hbn_sim::{simulate_reference, simulate_with, Request, SimResult, SimWorkspace};
 use hbn_testutil::family_schedules;
 use hbn_topology::{Network, NodeId};
-use hbn_workload::{AccessMatrix, PhaseRequest};
+use hbn_workload::{AccessMatrix, Request as PhaseRequest};
 
 // ---------------------------------------------------------------------
 // The pre-refactor engine, frozen. Everything below reproduces the old

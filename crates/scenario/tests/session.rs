@@ -198,46 +198,55 @@ fn checkpoint_after_swap_restores_the_successor() {
 }
 
 /// Pushed epochs go through the full pipeline: same serving, replay and
-/// accounting as a scheduled epoch with the identical trace.
+/// accounting as scheduled epochs with the identical trace. Several
+/// epochs under a strategy that re-places at every boundary pin the
+/// observed aggregate both paths fold their trace into.
 #[test]
 fn pushed_epoch_matches_scheduled_epoch_with_same_trace() {
     let schedule = PhaseSchedule::new(
         6,
-        vec![PhaseSpec::new("only", PhaseKind::StaticZipf { skew: 0.9, write_fraction: 0.2 }, 100)],
+        vec![PhaseSpec::new("only", PhaseKind::StaticZipf { skew: 0.9, write_fraction: 0.2 }, 400)],
     );
-    let spec = ScenarioSpec::builder(
-        "push",
-        TopologyFamily::Star { processors: 6, bus_bandwidth: 3 },
-        schedule.clone(),
-    )
-    .threshold(2)
-    .seed(11)
-    .build();
+    for strategy in
+        [StrategyKind::Dynamic, StrategyKind::PeriodicStatic { replace_every_epochs: 1 }]
+    {
+        let spec = ScenarioSpec::builder(
+            "push",
+            TopologyFamily::Star { processors: 6, bus_bandwidth: 3 },
+            schedule.clone(),
+        )
+        .strategy(strategy)
+        .threshold(2)
+        .seed(11)
+        .epoch_requests(100)
+        .build();
 
-    // Scheduled: the single phase runs as one epoch.
-    let mut scheduled = Session::new(&spec);
-    let epoch_a = scheduled.step_epoch().unwrap().unwrap();
-    assert!(scheduled.step_epoch().unwrap().is_none());
+        // Scheduled: the single phase runs as four epochs.
+        let mut scheduled = Session::new(&spec);
+        let mut epochs = Vec::new();
+        while let Some(epoch) = scheduled.step_epoch().unwrap() {
+            epochs.push(epoch);
+        }
+        assert_eq!(epochs.len(), 4);
 
-    // Pushed: the identical trace, fed externally.
-    let net = spec.topology.build();
-    let trace = online_trace(&net, &schedule, spec.seed);
-    let mut pushed = Session::new(&spec);
-    let epoch_b = pushed.push_epoch(&trace).unwrap();
+        // Pushed: the identical trace, fed externally in the same epochs.
+        let net = spec.topology.build();
+        let trace = online_trace(&net, &schedule, spec.seed);
+        let mut pushed = Session::new(&spec);
+        for (a, batch) in epochs.iter().zip(trace.chunks(100)) {
+            let mut b = pushed.push_epoch(batch).unwrap();
+            assert_eq!(a.phase, 0);
+            assert_eq!(b.phase, 1, "pushed epochs report outside the schedule's phases");
+            b.phase = 0;
+            assert_eq!(*a, b, "{strategy}");
+        }
 
-    assert_eq!(epoch_a.phase, 0);
-    assert_eq!(epoch_b.phase, 1, "pushed epochs report outside the schedule's phases");
-    let mut a = epoch_a;
-    let mut b = epoch_b;
-    a.phase = 0;
-    b.phase = 0;
-    assert_eq!(a, b);
-
-    // The pushed session's report counts the traffic but has no
-    // completed phase summary.
-    let report = pushed.into_report();
-    assert_eq!(report.traffic.requests, 100);
-    assert!(report.phases.is_empty());
+        // The pushed session's report counts the traffic but has no
+        // completed phase summary.
+        let report = pushed.into_report();
+        assert_eq!(report.traffic.requests, 400);
+        assert!(report.phases.is_empty());
+    }
 }
 
 /// External traffic is untrusted: a pushed request referencing an

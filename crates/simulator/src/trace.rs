@@ -1,19 +1,10 @@
 //! Request traces: orderings of the workload's individual requests.
 
-use hbn_topology::NodeId;
-use hbn_workload::{AccessMatrix, ObjectId};
+use hbn_workload::AccessMatrix;
 use rand::Rng;
 
-/// One request to replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
-    /// The issuing processor.
-    pub processor: NodeId,
-    /// The accessed object.
-    pub object: ObjectId,
-    /// `true` for writes.
-    pub is_write: bool,
-}
+/// One request to replay: the workload's request type.
+pub use hbn_workload::Request;
 
 /// Expand the frequency matrix into its individual requests (each entry
 /// `(P, x)` contributes `h_r` reads and `h_w` writes), in deterministic
@@ -47,6 +38,8 @@ pub fn expand_shuffled<R: Rng>(matrix: &AccessMatrix, rng: &mut R) -> Vec<Reques
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbn_topology::NodeId;
+    use hbn_workload::ObjectId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

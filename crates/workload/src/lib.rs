@@ -17,7 +17,5 @@ pub mod stats;
 pub use arrivals::OpenLoopArrivals;
 pub use freq::{AccessEntry, AccessMatrix, WorkloadError};
 pub use objects::ObjectId;
-pub use phases::{
-    PhaseKind, PhaseRequest, PhaseSchedule, PhaseSpec, PhaseStream, PhaseStreamState,
-};
+pub use phases::{PhaseKind, PhaseSchedule, PhaseSpec, PhaseStream, PhaseStreamState, Request};
 pub use stats::{workload_stats, ObjectStats, WorkloadStats};

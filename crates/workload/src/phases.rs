@@ -44,13 +44,14 @@ use hbn_topology::{Network, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One request of an online phase stream.
+/// One request: a processor reads or writes an object.
 ///
-/// The same triple as the simulator's trace requests and the dynamic
-/// strategy's online requests; the scenario engine converts as it routes
-/// the stream through both.
+/// The one request type of every crate, from a phase stream to a replay:
+/// the simulator replays it (as `hbn_sim::Request`) and the dynamic
+/// strategy serves it (as `hbn_dynamic::OnlineRequest`), so the scenario
+/// engine routes one buffer through both without converting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseRequest {
+pub struct Request {
     /// The issuing processor (a leaf of the network).
     pub processor: NodeId,
     /// The accessed object.
@@ -355,7 +356,7 @@ enum PhaseState {
 }
 
 /// Streaming request source of a [`PhaseSchedule`]: an iterator over
-/// [`PhaseRequest`]s that holds only O(live objects) state.
+/// [`Request`]s that holds only O(live objects) state.
 ///
 /// A thin borrowing wrapper around [`PhaseStreamState`] — the owned,
 /// cloneable cursor — so the ergonomic `schedule.stream(net, seed)`
@@ -441,11 +442,7 @@ impl PhaseStreamState {
 
     /// Emit the next request, or `None` once the schedule is exhausted.
     /// `schedule` and `net` must be the pair the cursor was created with.
-    pub fn next_request(
-        &mut self,
-        schedule: &PhaseSchedule,
-        net: &Network,
-    ) -> Option<PhaseRequest> {
+    pub fn next_request(&mut self, schedule: &PhaseSchedule, net: &Network) -> Option<Request> {
         loop {
             let phase = schedule.phases.get(self.phase_idx)?;
             if self.emitted_in_phase >= phase.requests {
@@ -593,14 +590,14 @@ impl PhaseStreamState {
 
     /// Emit the next request of the current phase. `self.state` is the
     /// matching variant for the schedule phase at `self.phase_idx`.
-    fn emit(&mut self, net: &Network) -> PhaseRequest {
+    fn emit(&mut self, net: &Network) -> Request {
         let procs = net.processors();
         let i = self.emitted_in_phase;
         let state = self.state.as_mut().expect("emit called with an active phase");
         match state {
             PhaseState::Zipf { zipf, write_fraction } => {
                 let object = self.live[zipf.sample(&mut self.rng)];
-                PhaseRequest {
+                Request {
                     processor: procs[self.rng.gen_range(0..procs.len())],
                     object,
                     is_write: self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)),
@@ -622,10 +619,10 @@ impl PhaseStreamState {
                 let is_write = self.rng.gen_bool(write_fraction.clamp(0.0, 1.0));
                 if self.rng.gen_bool(hot_fraction.clamp(0.0, 1.0)) {
                     let object = self.live[self.rng.gen_range(0..*hot)];
-                    PhaseRequest { processor: procs[*home], object, is_write }
+                    Request { processor: procs[*home], object, is_write }
                 } else {
                     let object = self.live[zipf.sample(&mut self.rng)];
-                    PhaseRequest {
+                    Request {
                         processor: procs[self.rng.gen_range(0..procs.len())],
                         object,
                         is_write,
@@ -650,7 +647,7 @@ impl PhaseStreamState {
                 }
                 let object = self.live[objects[*emitted % objects.len()]];
                 *emitted += 1;
-                PhaseRequest {
+                Request {
                     processor: procs[*processor],
                     object,
                     is_write: self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)),
@@ -659,7 +656,7 @@ impl PhaseStreamState {
             PhaseState::MixFlip { zipf, flip_every, read_writes, write_writes } => {
                 let write_fraction =
                     if (i / *flip_every).is_multiple_of(2) { *read_writes } else { *write_writes };
-                PhaseRequest {
+                Request {
                     processor: procs[self.rng.gen_range(0..procs.len())],
                     object: self.live[zipf.sample(&mut self.rng)],
                     is_write: self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)),
@@ -674,7 +671,7 @@ impl PhaseStreamState {
                     self.live[slot] = ObjectId(self.next_object);
                     self.next_object += 1;
                 }
-                PhaseRequest {
+                Request {
                     processor: procs[self.rng.gen_range(0..procs.len())],
                     object: self.live[zipf.sample(&mut self.rng)],
                     is_write: self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)),
@@ -686,7 +683,7 @@ impl PhaseStreamState {
                 let side = if *emitted % 2 == 0 { &*side_a } else { &*side_b };
                 let object = self.live[contended[(*emitted / 2) % contended.len()]];
                 *emitted += 1;
-                PhaseRequest {
+                Request {
                     processor: side[self.rng.gen_range(0..side.len())],
                     object,
                     is_write: self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)),
@@ -703,7 +700,7 @@ impl PhaseStreamState {
                 let wf = (*write_fraction * (t + 1) as f64 / *tenants as f64).clamp(0.0, 1.0);
                 let object = self.live[object_groups[t][zipfs[t].sample(&mut self.rng)]];
                 let group = &proc_groups[t];
-                PhaseRequest {
+                Request {
                     processor: group[self.rng.gen_range(0..group.len())],
                     object,
                     is_write: self.rng.gen_bool(wf),
@@ -726,7 +723,7 @@ impl PhaseStreamState {
                 let region = ((day * *regions as f64) as usize).min(*regions - 1);
                 let lo = region * procs.len() / *regions;
                 let hi = (region + 1) * procs.len() / *regions;
-                PhaseRequest {
+                Request {
                     processor: procs[self.rng.gen_range(lo..hi)],
                     object: self.live[zipf.sample(&mut self.rng)],
                     is_write: self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)),
@@ -746,13 +743,13 @@ impl PhaseStreamState {
                 };
                 if in_crowd {
                     // Read storm on one hot object from everywhere.
-                    PhaseRequest {
+                    Request {
                         processor: procs[self.rng.gen_range(0..procs.len())],
                         object: self.live[0],
                         is_write: false,
                     }
                 } else {
-                    PhaseRequest {
+                    Request {
                         processor: procs[self.rng.gen_range(0..procs.len())],
                         object: self.live[zipf.sample(&mut self.rng)],
                         is_write: self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)),
@@ -814,9 +811,9 @@ fn split_bus_sides(net: &Network) -> (Vec<NodeId>, Vec<NodeId>) {
 }
 
 impl Iterator for PhaseStream<'_> {
-    type Item = PhaseRequest;
+    type Item = Request;
 
-    fn next(&mut self) -> Option<PhaseRequest> {
+    fn next(&mut self) -> Option<Request> {
         self.state.next_request(self.schedule, self.net)
     }
 
@@ -899,10 +896,10 @@ mod tests {
     fn streams_are_seed_deterministic() {
         let t = net();
         let schedule = full_tour(8, 200);
-        let a: Vec<PhaseRequest> = schedule.stream(&t, 42).collect();
-        let b: Vec<PhaseRequest> = schedule.stream(&t, 42).collect();
+        let a: Vec<Request> = schedule.stream(&t, 42).collect();
+        let b: Vec<Request> = schedule.stream(&t, 42).collect();
         assert_eq!(a, b);
-        let c: Vec<PhaseRequest> = schedule.stream(&t, 43).collect();
+        let c: Vec<Request> = schedule.stream(&t, 43).collect();
         assert_ne!(a, c, "different seeds should differ somewhere");
     }
 
@@ -917,9 +914,9 @@ mod tests {
         // A clone taken mid-stream emits the exact same suffix as the
         // original — the checkpoint/restore contract of scenario sessions.
         let mut fork = cursor.clone();
-        let rest: Vec<PhaseRequest> =
+        let rest: Vec<Request> =
             std::iter::from_fn(|| cursor.next_request(&schedule, &t)).collect();
-        let forked: Vec<PhaseRequest> =
+        let forked: Vec<Request> =
             std::iter::from_fn(|| fork.next_request(&schedule, &t)).collect();
         assert_eq!(rest.len(), schedule.total_requests() - 250);
         assert_eq!(rest, forked);
@@ -931,9 +928,9 @@ mod tests {
     fn stream_and_owned_cursor_agree() {
         let t = net();
         let schedule = full_tour(5, 80);
-        let via_iter: Vec<PhaseRequest> = schedule.stream(&t, 9).collect();
+        let via_iter: Vec<Request> = schedule.stream(&t, 9).collect();
         let mut cursor = schedule.stream_state(&t, 9);
-        let via_cursor: Vec<PhaseRequest> =
+        let via_cursor: Vec<Request> =
             std::iter::from_fn(|| cursor.next_request(&schedule, &t)).collect();
         assert_eq!(via_iter, via_cursor);
         assert_eq!(cursor.remaining(&schedule), 0);
@@ -1033,7 +1030,7 @@ mod tests {
                 200,
             )],
         );
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 11).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 11).collect();
         // Consecutive requests to the same object come from processors
         // whose pairwise path crosses the split bus: they are never equal.
         for pair in reqs.chunks(2) {
@@ -1062,7 +1059,7 @@ mod tests {
                 300,
             )],
         );
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 13).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 13).collect();
         // With hot_fraction 1.0 all requests come from the per-window
         // home; at least two distinct homes must appear across windows.
         let homes: HashSet<NodeId> = reqs.iter().map(|r| r.processor).collect();
@@ -1089,7 +1086,7 @@ mod tests {
                 1000,
             )],
         );
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 17).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 17).collect();
         for (i, chunk) in reqs.chunks(250).enumerate() {
             let writes = chunk.iter().filter(|r| r.is_write).count();
             if i % 2 == 0 {
@@ -1111,7 +1108,7 @@ mod tests {
                 100,
             )],
         );
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 19).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 19).collect();
         for burst in reqs.chunks(25) {
             let procs: HashSet<NodeId> = burst.iter().map(|r| r.processor).collect();
             assert_eq!(procs.len(), 1, "one source per burst");
@@ -1133,11 +1130,11 @@ mod tests {
             PhaseKind::FlashCrowd { rate: 25.0, boost: 8, skew: 0.8, write_fraction: 0.1 },
         ] {
             let schedule = one_phase(kind, 300);
-            let a: Vec<PhaseRequest> = schedule.stream(&t, 77).collect();
-            let b: Vec<PhaseRequest> = schedule.stream(&t, 77).collect();
+            let a: Vec<Request> = schedule.stream(&t, 77).collect();
+            let b: Vec<Request> = schedule.stream(&t, 77).collect();
             assert_eq!(a, b, "{kind:?} must be seed-deterministic");
             assert_eq!(a.len(), 300, "{kind:?} must emit exactly its volume");
-            let c: Vec<PhaseRequest> = schedule.stream(&t, 78).collect();
+            let c: Vec<Request> = schedule.stream(&t, 78).collect();
             assert_ne!(a, c, "{kind:?} must vary with the seed");
         }
     }
@@ -1171,9 +1168,9 @@ mod tests {
             cursor.next_request(&schedule, &t).unwrap();
         }
         let mut fork = cursor.clone();
-        let rest: Vec<PhaseRequest> =
+        let rest: Vec<Request> =
             std::iter::from_fn(|| cursor.next_request(&schedule, &t)).collect();
-        let forked: Vec<PhaseRequest> =
+        let forked: Vec<Request> =
             std::iter::from_fn(|| fork.next_request(&schedule, &t)).collect();
         assert_eq!(rest.len(), 180);
         assert_eq!(rest, forked);
@@ -1184,7 +1181,7 @@ mod tests {
         let t = star(8, 4);
         let schedule =
             one_phase(PhaseKind::Interference { tenants: 2, skew: 0.6, write_fraction: 1.0 }, 400);
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 21).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 21).collect();
         // Request i belongs to tenant i % 2; each tenant touches only its
         // own object class and processor half.
         let procs = t.processors();
@@ -1212,7 +1209,7 @@ mod tests {
             PhaseKind::Interference { tenants: 1000, skew: 0.5, write_fraction: 0.2 },
             200,
         );
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 3).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 3).collect();
         assert_eq!(reqs.len(), 200);
         assert_eq!(schedule.tenants(), 1000, "declared count is not clamped");
     }
@@ -1250,7 +1247,7 @@ mod tests {
             PhaseKind::Diurnal { regions: 3, rate: 50.0, skew: 0.5, write_fraction: 0.0 },
             600,
         );
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 41).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 41).collect();
         assert_eq!(reqs.len(), 600);
         // All three follow-the-sun regions must be visited, and
         // requests from one instant stay within one region (weak check:
@@ -1271,7 +1268,7 @@ mod tests {
             PhaseKind::FlashCrowd { rate: 30.0, boost: 10, skew: 0.5, write_fraction: 0.5 },
             800,
         );
-        let reqs: Vec<PhaseRequest> = schedule.stream(&t, 29).collect();
+        let reqs: Vec<Request> = schedule.stream(&t, 29).collect();
         assert_eq!(reqs.len(), 800);
         let hot = reqs.iter().filter(|r| r.object == ObjectId(0) && !r.is_write).count();
         // With boost 10 and a 20% window, crowd arrivals are
