@@ -2,15 +2,12 @@
 //!
 //! * max-slack (heap) vs first-fit free-edge selection in the downwards
 //!   phase of the mapping algorithm;
-//! * one vs several `PlacementKernel` object shards for steps 1–2;
 //! * exact-rational vs float congestion comparison.
 
 #![warn(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hbn_core::{
-    ExtendedNibble, ExtendedNibbleOptions, FreeEdgePolicy, MappingOptions, PlacementKernel,
-};
+use hbn_core::{ExtendedNibble, ExtendedNibbleOptions, FreeEdgePolicy, MappingOptions};
 use hbn_load::{LoadMap, LoadRatio};
 use hbn_topology::generators::{balanced, BandwidthProfile};
 use hbn_workload::generators as wgen;
@@ -33,20 +30,6 @@ fn bench_edge_policy(c: &mut Criterion) {
             },
         };
         group.bench_function(name, |b| b.iter(|| black_box(strat.place(&net, &m).unwrap())));
-    }
-    group.finish();
-}
-
-fn bench_parallel_objects(c: &mut Criterion) {
-    let net = balanced(4, 3, BandwidthProfile::Uniform);
-    let mut rng = StdRng::seed_from_u64(7);
-    let m = wgen::zipf_read_mostly(&net, 512, 20_000, 0.9, 0.3, &mut rng);
-    let mut group = c.benchmark_group("parallel_objects");
-    for shards in [1usize, 4] {
-        let mut kernel = PlacementKernel::new(&net, shards);
-        group.bench_function(format!("shards_{shards}"), |b| {
-            b.iter(|| black_box(kernel.place(&net, &m).unwrap()))
-        });
     }
     group.finish();
 }
@@ -76,5 +59,5 @@ fn bench_congestion_arithmetic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_edge_policy, bench_parallel_objects, bench_congestion_arithmetic);
+criterion_group!(benches, bench_edge_policy, bench_congestion_arithmetic);
 criterion_main!(benches);

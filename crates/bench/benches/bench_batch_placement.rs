@@ -1,17 +1,15 @@
-//! Criterion benchmarks for the batched static-placement kernel: the
-//! scratch-reusing, object-sharded `PlacementKernel` against the
-//! per-object `ExtendedNibble::place` path (fresh scratch per call) on a
-//! `balanced(4,4)` tree (256 processors, 341 nodes) — the shape of one
-//! periodic re-optimization epoch.
+//! Criterion benchmarks for the static-placement kernel: a
+//! scratch-reusing `PlacementKernel` against the one-shot
+//! `ExtendedNibble::place` (a fresh kernel per call) on a `balanced(4,4)`
+//! tree (256 processors, 341 nodes) — the shape of one periodic
+//! re-optimization epoch.
 //!
 //! Two instance shapes bracket the pipeline's regimes:
 //!
 //! * `zipf_heavy` — 1k heavily shared objects: the global mapping phase
-//!   dominates, so the batch kernel's win is scratch reuse, not
-//!   sharding (batch ≈ per-object).
+//!   dominates, so scratch reuse buys little (reused ≈ one-shot).
 //! * `sparse_many` — 8k objects with ~3 requesters each (the paper's
-//!   many-pages scenario): the per-object gravity/nibble scans dominate
-//!   and shard across workers.
+//!   many-pages scenario): the per-object gravity/nibble walks dominate.
 
 #![warn(missing_docs)]
 
@@ -54,18 +52,15 @@ fn bench_batch_placement(c: &mut Criterion) {
             })
         });
 
-        // The batch kernel is constructed once and reused across
-        // iterations, exactly as the periodic-static strategy reuses it
-        // across epochs.
-        for shards in [1usize, 4] {
-            let mut kernel = PlacementKernel::new(&net, shards);
-            group.bench_function(format!("batch_kernel_x{shards}"), |b| {
-                b.iter(|| {
-                    let out = kernel.place(&net, &m).unwrap();
-                    black_box(out.mapping.tau_max)
-                })
-            });
-        }
+        // The kernel is constructed once and reused across iterations,
+        // exactly as the periodic-static strategy reuses it across epochs.
+        let mut kernel = PlacementKernel::new(&net);
+        group.bench_function("batch_kernel", |b| {
+            b.iter(|| {
+                let out = kernel.place(&net, &m).unwrap();
+                black_box(out.mapping.tau_max)
+            })
+        });
         group.finish();
     }
 }

@@ -658,8 +658,7 @@ pub struct DynamicBenchRecord {
     pub requests: usize,
     /// Replication threshold `D`.
     pub threshold_d: u64,
-    /// Which kernel ran (`workspace`, `reference`,
-    /// `workspace-sharded(xN)`).
+    /// Which kernel ran (`workspace` or `reference`).
     pub kernel: String,
     /// Wall-clock seconds for the serve loop.
     pub wall_seconds: f64,

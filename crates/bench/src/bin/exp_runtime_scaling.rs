@@ -3,13 +3,12 @@
 //! `O(|X| · |V| · height(T) · log(degree(T)))`. Steps 1–2 touch only
 //! each object's support (the union of its requesters' root paths), so
 //! time is linear in `|X|` but grows far below linearly in `|V|`: only
-//! the global mapping phase scans the network. Part (d) shards steps 1–2
-//! across the batch kernel's workers.
+//! the global mapping phase scans the network.
 
 #![warn(missing_docs)]
 
 use hbn_bench::Table;
-use hbn_core::{ExtendedNibble, PlacementKernel};
+use hbn_core::ExtendedNibble;
 use hbn_topology::generators::{balanced, bus_path, BandwidthProfile};
 use hbn_workload::generators as wgen;
 use rand::rngs::StdRng;
@@ -62,27 +61,9 @@ fn main() {
         t.row([net.height().to_string(), net.n_nodes().to_string(), format!("{ms:.2}")]);
     }
     println!("{}", t.render());
-
-    // (d) Steps 1-2 sharded over objects by the batch kernel.
-    let net = balanced(4, 3, BandwidthProfile::Uniform);
-    let m = wgen::zipf_read_mostly(&net, 1600, 64_000, 0.9, 0.3, &mut rng);
-    let mut t = Table::new(["shards", "time (ms)"]);
-    let mut first = None;
-    for shards in [1usize, 2, 4, 8] {
-        let mut kernel = PlacementKernel::new(&net, shards);
-        let start = Instant::now();
-        let out = kernel.place(&net, &m).unwrap();
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        let reference = first.get_or_insert_with(|| out.placement.clone());
-        assert_eq!(*reference, out.placement, "placement differs at {shards} shards");
-        t.row([shards.to_string(), format!("{ms:.2}")]);
-    }
-    println!("{}", t.render());
     println!(
         "Expected shape: (a) linear in |X|; (b) far below linear in |V|\n\
          (steps 1-2 follow each object's requesters; only the mapping phase\n\
-         scans |V|), so time / |V| falls as |V| grows; (c) grows with height;\n\
-         (d) sharding gains at most what steps 1-2 cost (the mapping phase\n\
-         and the assembly stay sequential); output is equal for every count."
+         scans |V|), so time / |V| falls as |V| grows; (c) grows with height."
     );
 }

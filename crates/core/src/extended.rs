@@ -7,20 +7,17 @@
 //! moved to processors by the global mapping phase. The result is a
 //! leaf-only placement with congestion at most `7 · C_opt`.
 
+use crate::batch::PlacementKernel;
 use crate::copies::ObjectCopies;
 use crate::deletion::delete_rarely_used;
 use crate::gravity::Workspace;
-use crate::mapping::{map_to_leaves, MappingError, MappingOptions, MappingReport};
-use crate::nibble::{apply_to_placement, nibble_object};
+use crate::mapping::{MappingError, MappingOptions, MappingReport};
+use crate::nibble::nibble_object;
 use hbn_load::{LoadMap, Placement};
 use hbn_topology::{Network, NodeId};
 use hbn_workload::AccessMatrix;
 
 /// Options for [`ExtendedNibble`].
-///
-/// The per-object steps 1–2 run sequentially here; the batched
-/// [`crate::PlacementKernel`] is the one path that shards them across
-/// workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExtendedNibbleOptions {
     /// Mapping-phase options (invariant checking, free-edge policy).
@@ -104,77 +101,16 @@ impl ExtendedNibble {
         }
     }
 
-    /// Run steps 1–3 and return the full outcome.
+    /// Run steps 1–3 and return the full outcome: one call on a fresh
+    /// [`PlacementKernel`].
     pub fn place(
         &self,
         net: &Network,
         matrix: &AccessMatrix,
     ) -> Result<ExtendedOutcome, MappingError> {
-        let mut ws = Workspace::new(net.n_nodes());
-        let per_object: Vec<ObjectSteps> =
-            matrix.objects().map(|x| run_steps_for_object(net, matrix, x, &mut ws)).collect();
-        assemble_outcome(net, matrix, per_object, &self.options.mapping)
+        PlacementKernel::with_options(net, self.options.mapping).place(net, matrix)
     }
 }
-
-/// Steps 2'–3 shared by [`ExtendedNibble::place`] and the batched
-/// [`crate::PlacementKernel`]: fold the per-object step 1–2 results (in
-/// object-id order) into the three placements and counters, then run the
-/// global mapping phase. Keeping a single assembly point is what makes the
-/// batch kernel bit-for-bit identical to the per-object path.
-pub(crate) fn assemble_outcome(
-    net: &Network,
-    matrix: &AccessMatrix,
-    per_object: Vec<ObjectSteps>,
-    mapping_options: &MappingOptions,
-) -> Result<ExtendedOutcome, MappingError> {
-    let n_objects = matrix.n_objects();
-    let mut gravity = vec![NodeId(0); n_objects];
-    let mut all_copies: Vec<ObjectCopies> = Vec::with_capacity(n_objects);
-    let mut stats = ExtendedNibbleStats::default();
-    let mut nibble_placement = Placement::new(n_objects);
-
-    for (x, (g, nib_copies, modified, processed)) in matrix.objects().zip(per_object) {
-        gravity[x.index()] = g;
-        apply_to_placement(&nib_copies, &mut nibble_placement);
-        if processed {
-            stats.objects_processed += 1;
-        } else {
-            stats.objects_untouched += 1;
-        }
-        all_copies.push(modified);
-    }
-    // Per object, the deletion step either removed copies or split heavy
-    // ones into more; a second pass over sizes counts each.
-    for (oc, nib_len) in
-        all_copies.iter().zip(matrix.objects().map(|x| nibble_placement.copies(x).len()))
-    {
-        let now = oc.copies.len();
-        if now > nib_len {
-            stats.copies_split += now - nib_len;
-        } else {
-            stats.copies_deleted += nib_len - now;
-        }
-    }
-
-    let mut modified_placement = Placement::new(n_objects);
-    for oc in &all_copies {
-        apply_to_placement(oc, &mut modified_placement);
-    }
-
-    let mapping = map_to_leaves(net, &mut all_copies, mapping_options)?;
-
-    let mut placement = Placement::new(n_objects);
-    for oc in &all_copies {
-        apply_to_placement(oc, &mut placement);
-    }
-
-    Ok(ExtendedOutcome { placement, nibble_placement, modified_placement, gravity, mapping, stats })
-}
-
-/// Per-object output of steps 1–2: `(gravity, nibble copies, modified
-/// copies, processed?)`.
-pub(crate) type ObjectSteps = (NodeId, ObjectCopies, ObjectCopies, bool);
 
 /// Steps 1–2 for one object: nibble, then deletion iff the nibble
 /// placement uses a bus. Returns `(gravity, nibble copies, modified
@@ -184,7 +120,7 @@ pub(crate) fn run_steps_for_object(
     matrix: &AccessMatrix,
     x: hbn_workload::ObjectId,
     ws: &mut Workspace,
-) -> ObjectSteps {
+) -> (NodeId, ObjectCopies, ObjectCopies, bool) {
     let out = nibble_object(net, matrix, x, ws);
     if out.uses_bus {
         let del = delete_rarely_used(net, out.gravity, out.copies.clone());

@@ -15,7 +15,9 @@
 //! allocation-free in steady state and O(depth) amortized per request
 //! (generation-stamped membership, lazy counter resets — see `DESIGN.md`
 //! §5); [`DynamicTree::serve_reference`] is the naive pinned reference
-//! kernel. [`ShardedDynamic`] serves a whole trace on either kernel:
+//! kernel. [`DynamicTree::serve_trace`] serves a whole trace on the
+//! kernel a tree is pinned to ([`DynamicTree::reference`] pins the naive
+//! one):
 //!
 //! ```
 //! use hbn_dynamic::{DynamicTree, OnlineRequest};
@@ -44,9 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod competitive;
-pub mod sharded;
 pub mod strategy;
 
 pub use competitive::{run_competitive, CompetitiveReport};
-pub use sharded::ShardedDynamic;
 pub use strategy::{online_trace, DynamicStats, DynamicTree, ObjectExport, OnlineRequest};

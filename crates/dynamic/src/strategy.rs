@@ -36,7 +36,10 @@
 //! memset per write, an allocating Steiner computation per broadcast — as
 //! the semantic reference; the differential suite pins the two to each
 //! other bit for bit. One [`DynamicTree`] instance must be driven by a
-//! single kernel for its whole life (asserted).
+//! single kernel for its whole life (asserted); [`DynamicTree::reference`]
+//! pins a fresh tree to the naive one up front, and
+//! [`DynamicTree::serve_trace`] serves a whole trace on whichever kernel
+//! the tree is pinned to.
 
 use hbn_load::LoadMap;
 use hbn_topology::{EdgeId, Network, NodeId};
@@ -191,7 +194,9 @@ pub struct DynamicStats {
 }
 
 impl DynamicStats {
-    /// Pointwise sum — merges the counters of independent object shards.
+    /// Pointwise sum — merges the counters of independent event sources
+    /// (a strategy's serve loop and its healing or seeding work, or
+    /// disjoint object sets).
     pub fn merge(self, other: DynamicStats) -> DynamicStats {
         DynamicStats {
             reads: self.reads + other.reads,
@@ -249,6 +254,18 @@ impl DynamicTree {
             n_nodes: net.n_nodes(),
             mode: None,
             path: Vec::new(),
+        }
+    }
+
+    /// [`DynamicTree::new`] pinned to the naive reference kernel:
+    /// [`DynamicTree::serve_trace`] serves through
+    /// [`DynamicTree::serve_reference`], and [`DynamicTree::serve`]
+    /// panics. The timing and semantics baseline the differential suites
+    /// pin the fast kernel against.
+    pub fn reference(net: &Network, n_objects: usize, threshold: u64) -> Self {
+        DynamicTree {
+            mode: Some(ServeMode::Reference),
+            ..DynamicTree::new(net, n_objects, threshold)
         }
     }
 
@@ -392,6 +409,22 @@ impl DynamicTree {
     pub fn restore_accounting(&mut self, loads: LoadMap, stats: DynamicStats) {
         self.loads = loads;
         self.stats = stats;
+    }
+
+    /// Serve a request trace in trace order on the kernel this tree is
+    /// pinned to: the reference kernel for a [`DynamicTree::reference`]
+    /// tree (or one already driven by it), the zero-allocation kernel
+    /// otherwise.
+    pub fn serve_trace(&mut self, net: &Network, trace: &[OnlineRequest]) {
+        if self.mode == Some(ServeMode::Reference) {
+            for &req in trace {
+                self.serve_reference(net, req);
+            }
+        } else {
+            for &req in trace {
+                self.serve(net, req);
+            }
+        }
     }
 
     /// Process one request on the zero-allocation kernel, charging its
@@ -746,6 +779,57 @@ mod tests {
         assert_eq!(fast.stats(), reference.stats());
         for x in 0..2u32 {
             assert_eq!(fast.replicas(ObjectId(x)), reference.replicas(ObjectId(x)));
+        }
+    }
+
+    #[test]
+    fn export_restore_roundtrip_resumes_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let net = balanced(3, 2, BandwidthProfile::Uniform);
+        let procs = net.processors();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
+        let mk_trace = |rng: &mut rand::rngs::StdRng, n: usize| -> Vec<OnlineRequest> {
+            (0..n)
+                .map(|_| OnlineRequest {
+                    processor: procs[rng.gen_range(0..procs.len())],
+                    object: ObjectId(rng.gen_range(0..5)),
+                    is_write: rng.gen_bool(0.15),
+                })
+                .collect()
+        };
+        let first = mk_trace(&mut rng, 800);
+        let second = mk_trace(&mut rng, 800);
+
+        // The reference kernel exports its counters physically rather
+        // than by stamp, so it takes the same roundtrip.
+        for reference in [false, true] {
+            let build = || {
+                if reference {
+                    DynamicTree::reference(&net, 5, 2)
+                } else {
+                    DynamicTree::new(&net, 5, 2)
+                }
+            };
+            let mut original = build();
+            original.serve_trace(&net, &first);
+
+            // Rebuild a fresh strategy from the export and drive both
+            // through the same second half: every observable must match.
+            let mut restored = build();
+            for x in 0..5u32 {
+                if let Some((replicas, counters)) = original.export_object(ObjectId(x)) {
+                    restored.restore_object(&net, ObjectId(x), &replicas, &counters);
+                }
+            }
+            restored.restore_accounting(original.loads().clone(), original.stats());
+
+            original.serve_trace(&net, &second);
+            restored.serve_trace(&net, &second);
+            assert_eq!(original.loads(), restored.loads(), "reference: {reference}");
+            assert_eq!(original.stats(), restored.stats());
+            for x in 0..5u32 {
+                assert_eq!(original.replicas(ObjectId(x)), restored.replicas(ObjectId(x)));
+            }
         }
     }
 

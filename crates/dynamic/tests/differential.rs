@@ -67,10 +67,11 @@ fn all_six_families_match_on_three_topologies() {
 
 #[test]
 fn object_sharded_serving_merges_exactly() {
-    // The scenario engine's shard-and-merge invariant at the strategy
-    // level: objects are independent, so partitioning them across
-    // strategies and summing the per-shard loads/stats reproduces the
-    // unsharded run bit for bit.
+    // Objects are independent: every piece of strategy state is
+    // per-object and every traffic charge is a per-object sum into the
+    // load map, so partitioning the objects across strategies and
+    // summing the per-part loads/stats reproduces the whole run bit for
+    // bit.
     let net = caterpillar(5, 2, BandwidthProfile::Uniform);
     let (_, schedule) = family_schedules(12, 80, 500).swap_remove(1); // hotspot-migration
     let requests = online_trace(&net, &schedule, 31);

@@ -29,12 +29,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic of durable checkpoints.
 pub(crate) const MAGIC: [u8; 4] = *b"HBNC";
-/// Current checkpoint format version. v3 added the per-tenant
-/// attribution state to the session payload and the capacity profile to
-/// the spec fingerprint; v2 added the per-epoch estimator bounds to the
-/// epoch record. Older files fail with [`RestoreError::BadVersion`]
-/// rather than decode wrongly.
-pub(crate) const VERSION: u32 = 3;
+/// Current checkpoint format version. v4 dropped the serve-shard count
+/// from the spec fingerprint; v3 added the per-tenant attribution state
+/// to the session payload and the capacity profile to the spec
+/// fingerprint; v2 added the per-epoch estimator bounds to the epoch
+/// record. Older files fail with [`RestoreError::BadVersion`] rather
+/// than decode wrongly.
+pub(crate) const VERSION: u32 = 4;
 
 /// Why restoring a session (from a checkpoint or from disk) failed.
 #[derive(Debug)]
@@ -217,7 +218,6 @@ pub(crate) fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
     put_u64(&mut buf, spec.epoch_requests as u64);
     put_u64(&mut buf, spec.exec.threshold);
     put_str(&mut buf, &spec.exec.kernel_label());
-    put_u64(&mut buf, spec.exec.serve_shards as u64);
     put_u64(&mut buf, spec.exec.sim.injection_rate as u64);
     put_u64(&mut buf, spec.exec.sim.max_slots);
     put_u64(&mut buf, spec.schedule.initial_objects as u64);

@@ -21,11 +21,9 @@
 //! wrappers over [`crate::Session`] — `run_scenario` is `Session::new`
 //! stepped to exhaustion, pinned bit-for-bit to the pre-session engine
 //! by the differential suite. Independent seeds shard across cores via
-//! [`run_scenario_sharded`]; *within* one run the serve loop additionally
-//! shards by object (objects are independent, so per-shard strategies and
-//! load maps merge exactly — see `DESIGN.md` §5), and all per-epoch
-//! bookkeeping runs through preallocated delta accumulators instead of
-//! cloning the strategy's cumulative load map every epoch.
+//! [`run_scenario_sharded`]; one run executes on the calling thread, and
+//! all per-epoch bookkeeping runs through preallocated delta accumulators
+//! instead of cloning the strategy's cumulative load map every epoch.
 
 use crate::session::Session;
 use crate::spec::{ExecutionConfig, ScenarioSpec};
@@ -321,17 +319,9 @@ pub fn try_run_scenario_with(
     Ok(session.into_report())
 }
 
-/// Pin an unset serve-shard count (`0` = auto) to `1` for a seed shard:
-/// seed shards already occupy the worker pool, so nested object-sharding
-/// would only oversubscribe. Reports are identical either way (they are
-/// invariant in the shard count).
+/// The spec of the seed shard for `seed`: `spec` with its seed replaced.
 fn seed_shard_spec(spec: &ScenarioSpec, seed: u64) -> ScenarioSpec {
-    let mut shard = spec.clone();
-    shard.seed = seed;
-    if shard.exec.serve_shards == 0 {
-        shard.exec.serve_shards = 1;
-    }
-    shard
+    ScenarioSpec { seed, ..spec.clone() }
 }
 
 /// Run the same scenario across many seeds, sharded over cores with

@@ -189,11 +189,11 @@ impl fmt::Display for ReplayKernel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeKernel {
     /// The zero-allocation [`hbn_dynamic::DynamicTree::serve`] kernel
-    /// (default), sharded by object across rayon workers.
+    /// (default).
     #[default]
     Workspace,
-    /// The naive [`hbn_dynamic::DynamicTree::serve_reference`] kernel,
-    /// unsharded ([`hbn_dynamic::ShardedDynamic::reference`]) — used by
+    /// The naive [`hbn_dynamic::DynamicTree::serve_reference`] kernel
+    /// ([`hbn_dynamic::DynamicTree::reference`]) — used by
     /// the differential suite to pin the engine's online traffic, and by
     /// `exp_dynamic_throughput` as the timing baseline.
     Reference,
@@ -208,7 +208,7 @@ impl fmt::Display for ServeKernel {
     }
 }
 
-/// How a scenario *executes* — everything about kernels, sharding, the
+/// How a scenario *executes* — everything about kernels, the
 /// replication charge unit and the simulator, as opposed to *what* runs
 /// (topology, schedule, strategy). One `ExecutionConfig` is threaded by
 /// reference through the session driver and into strategy constructors,
@@ -233,12 +233,6 @@ pub struct ExecutionConfig {
     pub serve: ServeKernel,
     /// Which simulator kernel replays the epochs.
     pub replay: ReplayKernel,
-    /// Object shards the serve loop (and the batch placement kernel)
-    /// fans out over; objects are independent, so per-shard outcomes
-    /// merge exactly. `0` picks the rayon worker count;
-    /// [`ServeKernel::Reference`] always serves unsharded. Reports are
-    /// bit-for-bit identical for every shard count.
-    pub serve_shards: usize,
     /// Simulator configuration for the replays.
     pub sim: SimConfig,
 }
@@ -249,7 +243,6 @@ impl Default for ExecutionConfig {
             threshold: 1,
             serve: ServeKernel::default(),
             replay: ReplayKernel::default(),
-            serve_shards: 0,
             sim: SimConfig::default(),
         }
     }
@@ -405,8 +398,8 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Requests per replay epoch; `0` replays each phase as one epoch.
     pub epoch_requests: usize,
-    /// How the scenario executes: kernels, shard counts, the `D`
-    /// threshold and the simulator configuration.
+    /// How the scenario executes: kernels, the `D` threshold and the
+    /// simulator configuration.
     pub exec: ExecutionConfig,
     /// Deterministic bus-outage / degradation schedule (empty = no
     /// faults, bit-for-bit the pre-fault engine).
@@ -445,7 +438,6 @@ impl ScenarioSpec {
     /// .epoch_requests(50)
     /// .serve_kernel(ServeKernel::Workspace)
     /// .replay_kernel(ReplayKernel::Workspace)
-    /// .serve_shards(2)
     /// .build();
     /// assert_eq!(spec.exec.threshold, 2);
     /// assert_eq!(spec.label(), "tour@balanced(3,2)@hybrid(4)");
@@ -543,13 +535,6 @@ impl ScenarioSpecBuilder {
     /// Which simulator kernel replays the epochs.
     pub fn replay_kernel(mut self, replay: ReplayKernel) -> Self {
         self.spec.exec.replay = replay;
-        self
-    }
-
-    /// Object shards for the serve loop and batch placement kernel
-    /// (`0` = rayon worker count).
-    pub fn serve_shards(mut self, serve_shards: usize) -> Self {
-        self.spec.exec.serve_shards = serve_shards;
         self
     }
 

@@ -21,7 +21,7 @@ use crate::durable::{put_f64, put_loads, put_nodes, put_stats, put_u32, put_u64,
 use crate::faults::FaultView;
 use crate::spec::{ExecutionConfig, ServeKernel, StrategyKind};
 use hbn_core::PlacementKernel;
-use hbn_dynamic::{DynamicStats, OnlineRequest, ShardedDynamic};
+use hbn_dynamic::{DynamicStats, DynamicTree, OnlineRequest};
 use hbn_load::{LoadMap, NearestCopies, Placement};
 use hbn_topology::{EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
@@ -287,7 +287,7 @@ fn harbor_processor(net: &Network, view: &FaultView, anchor: NodeId) -> Option<N
 /// `D`-sized repair transfers — always a subset of `replications`, so
 /// `migration_traffic = replications × D` keeps holding.
 fn heal_dynamic(
-    kernel: &mut ShardedDynamic,
+    kernel: &mut DynamicTree,
     net: &Network,
     view: &FaultView,
     d: u64,
@@ -350,15 +350,12 @@ fn sanitize_placement(net: &Network, view: &FaultView, placement: &mut Placement
     }
 }
 
-/// The dynamic-strategy serve kernel `exec.serve` names: the
-/// object-sharded fast kernel, or the naive reference kernel behind the
-/// same interface.
-fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> ShardedDynamic {
+/// The dynamic-strategy serve kernel `exec.serve` names: a tree on the
+/// fast kernel, or one pinned to the naive reference kernel.
+fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicTree {
     match exec.serve {
-        ServeKernel::Workspace => {
-            ShardedDynamic::new(net, max_objects, exec.threshold, exec.serve_shards)
-        }
-        ServeKernel::Reference => ShardedDynamic::reference(net, max_objects, exec.threshold),
+        ServeKernel::Workspace => DynamicTree::new(net, max_objects, exec.threshold),
+        ServeKernel::Reference => DynamicTree::reference(net, max_objects, exec.threshold),
     }
 }
 
@@ -366,7 +363,7 @@ fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> Shar
 /// set is seeded as its connected closure (the dynamic tree's structural
 /// invariant).
 fn adopt_dynamic(
-    kernel: &mut ShardedDynamic,
+    kernel: &mut DynamicTree,
     net: &Network,
     prior: &dyn Strategy,
     max_objects: usize,
@@ -513,7 +510,7 @@ impl StaticCore {
 /// replications the kernel performs.
 #[derive(Debug, Clone)]
 pub struct DynamicStrategy {
-    kernel: ShardedDynamic,
+    kernel: DynamicTree,
     /// Migration charge unit `D` (for outage repair fetches).
     threshold: u64,
     /// Loads charged by outage self-healing (the kernel owns its own
@@ -525,7 +522,7 @@ pub struct DynamicStrategy {
 
 impl DynamicStrategy {
     /// A fresh dynamic strategy on `net` for `max_objects` objects,
-    /// using the serve kernel and shard count of `exec`.
+    /// using the serve kernel of `exec`.
     ///
     /// ```
     /// use hbn_scenario::{DynamicStrategy, ExecutionConfig, Strategy};
@@ -578,7 +575,7 @@ impl Strategy for DynamicStrategy {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        self.kernel.add_loads_to(out);
+        out.add_assign(self.kernel.loads());
         out.add_assign(&self.heal_loads);
     }
 
@@ -645,7 +642,7 @@ impl PeriodicStatic {
     ) -> PeriodicStatic {
         PeriodicStatic {
             core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            kernel: PlacementKernel::new(net),
             threshold: exec.threshold,
             replace_every_epochs,
             first_fire: None,
@@ -783,7 +780,7 @@ impl Strategy for PeriodicStatic {
 /// boundaries requests are served online.
 #[derive(Debug, Clone)]
 pub struct HybridReseed {
-    dynamic: ShardedDynamic,
+    dynamic: DynamicTree,
     kernel: PlacementKernel,
     /// Migration charges of the re-seeds (the dynamic kernel owns its
     /// own loads).
@@ -817,7 +814,7 @@ impl HybridReseed {
     ) -> HybridReseed {
         HybridReseed {
             dynamic: dyn_kernel(net, exec, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            kernel: PlacementKernel::new(net),
             migration_loads: LoadMap::zero(net),
             seed_stats: DynamicStats::default(),
             threshold: exec.threshold,
@@ -908,7 +905,7 @@ impl Strategy for HybridReseed {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        self.dynamic.add_loads_to(out);
+        out.add_assign(self.dynamic.loads());
         out.add_assign(&self.migration_loads);
     }
 
@@ -968,7 +965,7 @@ impl FrozenStatic {
     pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> FrozenStatic {
         FrozenStatic {
             core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            kernel: PlacementKernel::new(net),
             threshold: exec.threshold,
         }
     }
@@ -1045,7 +1042,7 @@ impl Strategy for FrozenStatic {
 /// policy is a frozen static placement.
 #[derive(Debug, Clone)]
 pub struct ThresholdSwitch {
-    dynamic: ShardedDynamic,
+    dynamic: DynamicTree,
     core: StaticCore,
     kernel: PlacementKernel,
     threshold: u64,
@@ -1080,7 +1077,7 @@ impl ThresholdSwitch {
         ThresholdSwitch {
             dynamic: dyn_kernel(net, exec, max_objects),
             core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net, exec.serve_shards),
+            kernel: PlacementKernel::new(net),
             threshold: exec.threshold,
             write_bound,
             min_epochs,
@@ -1167,7 +1164,7 @@ impl Strategy for ThresholdSwitch {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        self.dynamic.add_loads_to(out);
+        out.add_assign(self.dynamic.loads());
         out.add_assign(&self.core.loads);
     }
 
@@ -1239,7 +1236,7 @@ const TAG_HYBRID: u8 = 3;
 const TAG_FROZEN_STATIC: u8 = 4;
 const TAG_THRESHOLD_SWITCH: u8 = 5;
 
-fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &ShardedDynamic) {
+fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &DynamicTree) {
     let n = kernel.n_objects();
     put_u64(out, n as u64);
     for i in 0..n {
@@ -1257,9 +1254,8 @@ fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &ShardedDynamic) {
             }
         }
     }
-    let (loads, stats) = kernel.export_accounting();
-    put_loads(out, &loads);
-    put_stats(out, stats);
+    put_loads(out, kernel.loads());
+    put_stats(out, kernel.stats());
 }
 
 fn check_nodes(nodes: &[NodeId], net: &Network) -> Result<(), String> {
@@ -1274,7 +1270,7 @@ fn read_dyn_kernel(
     net: &Network,
     exec: &ExecutionConfig,
     max_objects: usize,
-) -> Result<ShardedDynamic, String> {
+) -> Result<DynamicTree, String> {
     let n = dec.u64()? as usize;
     if n != max_objects {
         return Err(format!("kernel of {n} objects, expected {max_objects}"));
@@ -1373,7 +1369,7 @@ pub(crate) fn strategy_from_durable(
             };
             Box::new(PeriodicStatic {
                 core,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
+                kernel: PlacementKernel::new(net),
                 threshold,
                 replace_every_epochs,
                 first_fire,
@@ -1387,7 +1383,7 @@ pub(crate) fn strategy_from_durable(
             let reseed_every_epochs = dec.u64()? as usize;
             Box::new(HybridReseed {
                 dynamic,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
+                kernel: PlacementKernel::new(net),
                 migration_loads,
                 seed_stats,
                 threshold,
@@ -1397,11 +1393,7 @@ pub(crate) fn strategy_from_durable(
         TAG_FROZEN_STATIC => {
             let core = read_static_core(&mut dec, net, max_objects)?;
             let threshold = dec.u64()?;
-            Box::new(FrozenStatic {
-                core,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
-                threshold,
-            })
+            Box::new(FrozenStatic { core, kernel: PlacementKernel::new(net), threshold })
         }
         TAG_THRESHOLD_SWITCH => {
             let dynamic = read_dyn_kernel(&mut dec, net, exec, max_objects)?;
@@ -1417,7 +1409,7 @@ pub(crate) fn strategy_from_durable(
             Box::new(ThresholdSwitch {
                 dynamic,
                 core,
-                kernel: PlacementKernel::new(net, exec.serve_shards),
+                kernel: PlacementKernel::new(net),
                 threshold,
                 write_bound,
                 min_epochs,

@@ -191,7 +191,8 @@ fn unsupported_strategy_fails_the_save() {
     }
 }
 
-/// Garbage files are rejected by kind: wrong magic, unknown version.
+/// Garbage files are rejected by kind: wrong magic, unknown or previous
+/// version, corrupt payload, missing file.
 #[test]
 fn foreign_files_are_rejected_by_kind() {
     let spec = base_builder(23).build();
@@ -214,6 +215,14 @@ fn foreign_files_are_rejected_by_kind() {
     let vpath = tmp("version_flip.hbnc");
     std::fs::write(&vpath, &flipped).unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &vpath), Err(RestoreError::BadVersion(_))));
+    // A real frame rewritten to the previous format version (v3, whose
+    // spec fingerprint still hashed a serve-shard count) is refused by
+    // version — not as a spec mismatch, not as a corrupt file.
+    let mut v3 = bytes.clone();
+    v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+    let v3path = tmp("version_3.hbnc");
+    std::fs::write(&v3path, &v3).unwrap();
+    assert!(matches!(Session::restore_from_file(&spec, &v3path), Err(RestoreError::BadVersion(3))));
     // Corrupting the payload instead trips the checksum.
     let mut payload_flip = bytes.clone();
     let mid = 16 + (bytes.len() - 24) / 2;

@@ -11,7 +11,7 @@
 //! four built-in strategy parameterizations × both serve kernels.
 
 use hbn_core::{nibble_placement, PlacementKernel};
-use hbn_dynamic::{DynamicStats, DynamicTree, OnlineRequest, ShardedDynamic};
+use hbn_dynamic::{DynamicStats, DynamicTree, OnlineRequest};
 use hbn_load::{nearest_copy_map, LoadMap, LoadRatio, Placement};
 use hbn_scenario::{
     run_scenario, EpochSummary, PhaseSummary, ScenarioReport, ScenarioSpec, ServeKernel,
@@ -58,19 +58,16 @@ fn is_boundary(strategy: StrategyKind, epoch_idx: usize) -> bool {
 }
 
 enum DynKernel {
-    Sharded(ShardedDynamic),
+    Fast(DynamicTree),
     Reference(DynamicTree),
 }
 
 impl DynKernel {
     fn new(net: &Network, spec: &ScenarioSpec, max_objects: usize) -> DynKernel {
         match spec.exec.serve {
-            ServeKernel::Workspace => DynKernel::Sharded(ShardedDynamic::new(
-                net,
-                max_objects,
-                spec.exec.threshold,
-                spec.exec.serve_shards,
-            )),
+            ServeKernel::Workspace => {
+                DynKernel::Fast(DynamicTree::new(net, max_objects, spec.exec.threshold))
+            }
             ServeKernel::Reference => {
                 DynKernel::Reference(DynamicTree::new(net, max_objects, spec.exec.threshold))
             }
@@ -79,7 +76,11 @@ impl DynKernel {
 
     fn serve_trace(&mut self, net: &Network, trace: &[OnlineRequest]) {
         match self {
-            DynKernel::Sharded(sharded) => sharded.serve_trace(net, trace),
+            DynKernel::Fast(tree) => {
+                for &req in trace {
+                    tree.serve(net, req);
+                }
+            }
             DynKernel::Reference(tree) => {
                 for &req in trace {
                     tree.serve_reference(net, req);
@@ -90,28 +91,28 @@ impl DynKernel {
 
     fn replicas(&self, x: hbn_workload::ObjectId) -> &[NodeId] {
         match self {
-            DynKernel::Sharded(sharded) => sharded.replicas(x),
+            DynKernel::Fast(tree) => tree.replicas(x),
             DynKernel::Reference(tree) => tree.replicas(x),
         }
     }
 
     fn seed_replicas(&mut self, net: &Network, x: hbn_workload::ObjectId, nodes: &[NodeId]) {
         match self {
-            DynKernel::Sharded(sharded) => sharded.seed_replicas(net, x, nodes),
+            DynKernel::Fast(tree) => tree.seed_replicas(net, x, nodes),
             DynKernel::Reference(tree) => tree.seed_replicas(net, x, nodes),
         }
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
         match self {
-            DynKernel::Sharded(sharded) => sharded.add_loads_to(out),
+            DynKernel::Fast(tree) => out.add_assign(tree.loads()),
             DynKernel::Reference(tree) => out.add_assign(tree.loads()),
         }
     }
 
     fn stats(&self) -> DynamicStats {
         match self {
-            DynKernel::Sharded(sharded) => sharded.stats(),
+            DynKernel::Fast(tree) => tree.stats(),
             DynKernel::Reference(tree) => tree.stats(),
         }
     }
@@ -169,7 +170,7 @@ impl ServeEngine {
         match spec.strategy {
             StrategyKind::Dynamic => ServeEngine::Dynamic(DynKernel::new(net, spec, max_objects)),
             StrategyKind::PeriodicStatic { .. } => ServeEngine::Static(StaticState {
-                kernel: PlacementKernel::new(net, spec.exec.serve_shards),
+                kernel: PlacementKernel::new(net),
                 copies: Placement::new(max_objects),
                 loads: LoadMap::zero(net),
                 stats: DynamicStats::default(),
@@ -177,7 +178,7 @@ impl ServeEngine {
             }),
             StrategyKind::Hybrid { .. } => ServeEngine::Hybrid(HybridState {
                 dynamic: DynKernel::new(net, spec, max_objects),
-                kernel: PlacementKernel::new(net, spec.exec.serve_shards),
+                kernel: PlacementKernel::new(net),
                 migration_loads: LoadMap::zero(net),
                 seed_stats: DynamicStats::default(),
             }),
@@ -513,9 +514,7 @@ fn session_backed_engine_matches_legacy_engine_everywhere() {
     for (family, schedule) in family_schedules(10, 40, 160) {
         for topology in topologies() {
             for strategy in strategies() {
-                for (serve, shards) in
-                    [(ServeKernel::Workspace, 2usize), (ServeKernel::Reference, 0)]
-                {
+                for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
                     let spec = ScenarioSpec::builder(
                         format!("parity-{family}"),
                         topology,
@@ -526,7 +525,6 @@ fn session_backed_engine_matches_legacy_engine_everywhere() {
                     .epoch_requests(40)
                     .strategy(strategy)
                     .serve_kernel(serve)
-                    .serve_shards(shards)
                     .build();
                     // The frozen legacy engine predates per-tenant
                     // attribution; attribution is additive bookkeeping

@@ -5,7 +5,7 @@
 //! single up-front static placement — equal to a never-firing periodic
 //! strategy, migration-free, and reconstructible from the batch kernel
 //! run on the first epoch's traffic; (2) that strategy reports are
-//! invariant across serve kernels and shard counts; (3) that a hybrid
+//! invariant across serve kernels; (3) that a hybrid
 //! whose re-seed boundary never fires is exactly the dynamic strategy;
 //! (4) the migration-cost accounting identity
 //! `migration_traffic = replications × D` on every epoch — including the
@@ -126,7 +126,7 @@ fn periodic_static_inf_matches_manual_upfront_placement() {
         let placement = copies.get_or_insert_with(|| {
             // The up-front placement: the batch kernel on epoch 0's
             // matrix.
-            PlacementKernel::new(&net, 1).place(&net, &epoch_matrix).unwrap().placement
+            PlacementKernel::new(&net).place(&net, &epoch_matrix).unwrap().placement
         });
         for &(x, p) in &first_touch {
             if placement.copies(x).is_empty() {
@@ -185,7 +185,7 @@ fn threshold_switch_with_unreachable_bound_is_dynamic() {
 }
 
 #[test]
-fn strategy_reports_are_invariant_across_serve_kernels_and_shards() {
+fn strategy_reports_are_invariant_across_serve_kernels() {
     for strategy in [
         StrategyKind::PeriodicStatic { replace_every_epochs: 3 },
         StrategyKind::Hybrid { reseed_every_epochs: 3 },
@@ -197,25 +197,17 @@ fn strategy_reports_are_invariant_across_serve_kernels_and_shards() {
         reference.exec.replay = ReplayKernel::Reference;
         let expected = run_scenario(&reference);
 
-        for serve_shards in [1usize, 3, 5] {
-            let mut spec = base_spec(7, 30);
-            spec.strategy = strategy;
-            spec.exec.serve = ServeKernel::Workspace;
-            spec.exec.serve_shards = serve_shards;
-            let got = run_scenario(&spec);
-            assert_eq!(
-                got, expected,
-                "strategy {strategy} must be kernel- and shard-invariant (shards={serve_shards})"
-            );
-        }
+        let mut spec = base_spec(7, 30);
+        spec.strategy = strategy;
+        spec.exec.serve = ServeKernel::Workspace;
+        assert_eq!(run_scenario(&spec), expected, "strategy {strategy} must be kernel-invariant");
     }
 }
 
-/// The trait-only `ThresholdSwitch` must be serve-kernel- and
-/// shard-invariant too (its dynamic prefix runs through the configured
-/// kernel).
+/// The trait-only `ThresholdSwitch` must be serve-kernel-invariant too
+/// (its dynamic prefix runs through the configured kernel).
 #[test]
-fn threshold_switch_is_invariant_across_serve_kernels_and_shards() {
+fn threshold_switch_is_invariant_across_serve_kernels() {
     let factory = |net: &hbn_topology::Network,
                    exec: &hbn_scenario::ExecutionConfig,
                    n: usize|
@@ -226,11 +218,7 @@ fn threshold_switch_is_invariant_across_serve_kernels_and_shards() {
     reference.exec.serve = ServeKernel::Reference;
     reference.exec.replay = ReplayKernel::Reference;
     let expected = run_scenario_with(&reference, factory);
-    for serve_shards in [1usize, 4] {
-        let mut spec = base_spec(7, 30);
-        spec.exec.serve_shards = serve_shards;
-        assert_eq!(run_scenario_with(&spec, factory), expected, "shards={serve_shards}");
-    }
+    assert_eq!(run_scenario_with(&base_spec(7, 30), factory), expected);
 }
 
 #[test]

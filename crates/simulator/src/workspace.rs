@@ -40,7 +40,7 @@
 //! across levels (see `DESIGN.md` for a two-packet counterexample). No
 //! partition of one slot's arbitration is independent, and a measured
 //! intra-slot fan-out only lost. Replays parallelise *across* independent
-//! units instead: seed shards, tenants and object shards.
+//! units instead: seed shards and tenants.
 //!
 //! ## Shared setup
 //!

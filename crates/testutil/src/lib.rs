@@ -2,17 +2,20 @@
 //!
 //! Shared proptest strategies and fixtures for the hierbus test suites:
 //! random hierarchical bus networks, random workloads, and combined
-//! instances, all shrinkable through their generating parameters.
+//! instances, all shrinkable through their generating parameters; plus
+//! the per-thread allocation counter of the zero-allocation suites.
 
 #![warn(missing_docs)]
 
 use hbn_topology::generators::{random_network, BandwidthProfile};
 use hbn_topology::Network;
 use hbn_workload::phases::{PhaseKind, PhaseSchedule, PhaseSpec};
-use hbn_workload::{AccessMatrix, ObjectId};
+use hbn_workload::{AccessMatrix, ObjectId, Request};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// The canonical seeded RNG of the experiment binaries and test suites:
 /// one construction point so every `exp_*` driver draws from the same
@@ -223,6 +226,88 @@ pub fn arb_instance(
             (net, m)
         },
     )
+}
+
+/// A deterministic mixed request pattern over 8 objects (remote reads
+/// saturating paths, write collapses, re-replication) that exercises
+/// every branch of the dynamic serve loop: six rounds, each reading or
+/// writing every object from every processor. The zero-allocation suites
+/// serve it twice and count the second pass.
+pub fn mixed_serve_pattern(net: &Network) -> Vec<Request> {
+    let procs = net.processors();
+    let mut reqs = Vec::new();
+    for round in 0..6usize {
+        for x in 0..8u32 {
+            for (i, &p) in procs.iter().enumerate() {
+                reqs.push(Request {
+                    processor: p,
+                    object: ObjectId(x),
+                    is_write: (i + round) % 7 == 0,
+                });
+            }
+        }
+    }
+    reqs
+}
+
+/// A counting global allocator: forwards to [`System`] and counts every
+/// allocation and reallocation made by the calling thread, so a test
+/// reading [`allocations`] holds however many tests the harness runs
+/// side by side. Each test binary installs it itself:
+///
+/// ```
+/// use hbn_testutil::{allocations, CountingAlloc};
+///
+/// #[global_allocator]
+/// static GLOBAL: CountingAlloc = CountingAlloc;
+///
+/// fn main() {
+///     let before = allocations();
+///     let block: Vec<u8> = std::hint::black_box(Vec::with_capacity(64));
+///     assert_eq!(allocations() - before, 1);
+///     drop(block);
+/// }
+/// ```
+pub struct CountingAlloc;
+
+thread_local! {
+    // `const`-initialised: no lazy-init path, so touching the counter
+    // from inside the allocator never allocates or recurses.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` rather than `with`: an allocator must never panic, and
+    // a block allocated while its thread is torn down is no test's.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` contract carries over; counting touches
+// only a thread-local `Cell`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` via this allocator with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Allocations made so far by the calling thread, as counted by
+/// [`CountingAlloc`] (always 0 in a binary that did not install it).
+pub fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[cfg(test)]
