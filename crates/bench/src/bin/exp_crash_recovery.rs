@@ -18,10 +18,9 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{emit_crash_recovery_json, exp_quick, CrashRecoveryRecord, Table};
-use hbn_scenario::{FaultPlan, ScenarioSpec, Session, StrategyKind, TopologyFamily};
+use hbn_bench::{exp_quick, root_adjacent_bus, strategy_kinds, write_bench, Obj, Table};
+use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
 use hbn_testutil::family_schedules;
-use hbn_topology::{Network, NodeId};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
@@ -44,18 +43,6 @@ fn volumes() -> (usize, usize, usize) {
     }
 }
 
-fn strategies() -> Vec<StrategyKind> {
-    vec![
-        StrategyKind::Dynamic,
-        StrategyKind::PeriodicStatic { replace_every_epochs: 4 },
-        StrategyKind::Hybrid { reseed_every_epochs: 4 },
-    ]
-}
-
-fn root_adjacent_bus(net: &Network) -> NodeId {
-    *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).expect("root has a bus child")
-}
-
 /// The spec of cell `idx` — a pure function of the index, so the child
 /// process reconstructs exactly the spec the parent used.
 fn cell_spec(idx: usize) -> (ScenarioSpec, usize) {
@@ -73,7 +60,7 @@ fn cell_spec(idx: usize) -> (ScenarioSpec, usize) {
         (kill_epoch + 2).min(n_epochs),
     );
     let spec = ScenarioSpec::builder(format!("{family}@{topology}"), topology, schedule)
-        .strategy(strategies()[idx])
+        .strategy(strategy_kinds()[idx])
         .threshold(THRESHOLD)
         .seed(4700 + idx as u64)
         .epoch_requests(epoch_requests)
@@ -119,11 +106,11 @@ fn main() {
     println!(
         "EXP-CRASH — kill-and-restore parity: {} strategies, child killed mid-outage,\n\
          restore from the last durable checkpoint on disk{}\n",
-        strategies().len(),
+        strategy_kinds().len(),
         if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
-    let mut records: Vec<CrashRecoveryRecord> = Vec::new();
+    let mut cells = Vec::new();
     let mut t = Table::new([
         "scenario",
         "strategy",
@@ -135,7 +122,7 @@ fn main() {
         "recovery (ms)",
     ]);
 
-    for idx in 0..strategies().len() {
+    for idx in 0..strategy_kinds().len() {
         let (spec, kill_epoch) = cell_spec(idx);
 
         // The unbroken in-process run: the ground truth.
@@ -178,17 +165,18 @@ fn main() {
             format!("{:.1}", unbroken_wall * 1e3),
             format!("{:.1}", recovery_wall * 1e3),
         ]);
-        records.push(CrashRecoveryRecord {
-            scenario: spec.name.clone(),
-            strategy: expected.strategy,
-            seed: spec.seed,
-            kill_epoch,
-            epochs_total,
-            restored_equal,
-            checkpoint_bytes,
-            unbroken_wall_seconds: unbroken_wall,
-            recovery_wall_seconds: recovery_wall,
-        });
+        cells.push(
+            Obj::new()
+                .str("scenario", &spec.name)
+                .str("strategy", &expected.strategy)
+                .raw("seed", spec.seed)
+                .raw("kill_epoch", kill_epoch)
+                .raw("epochs_total", epochs_total)
+                .raw("restored_equal", restored_equal)
+                .raw("checkpoint_bytes", checkpoint_bytes)
+                .f64("unbroken_wall_seconds", unbroken_wall)
+                .f64("recovery_wall_seconds", recovery_wall),
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -200,7 +188,9 @@ fn main() {
          copy sets and a non-pristine capacity overlay in the frame.\n"
     );
 
-    emit_crash_recovery_json("BENCH_crash_recovery.json", &records)
+    // Every cell asserted its restore exact above.
+    let head = Obj::new().raw("all_restores_exact", true);
+    write_bench("BENCH_crash_recovery.json", "crash_recovery", &head, &[("cells", cells)])
         .expect("write BENCH_crash_recovery.json");
     println!("wrote BENCH_crash_recovery.json");
 }

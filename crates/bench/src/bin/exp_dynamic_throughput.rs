@@ -23,8 +23,8 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{emit_dynamic_json, exp_quick, DynamicBenchRecord, Table};
-use hbn_dynamic::{online_trace, DynamicStats, DynamicTree, OnlineRequest};
+use hbn_bench::{exp_quick, per_sec, write_bench, Obj, Table};
+use hbn_dynamic::{online_trace, DynamicTree, OnlineRequest};
 use hbn_topology::generators::{balanced, star, BandwidthProfile};
 use hbn_topology::Network;
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
@@ -115,20 +115,6 @@ fn run_kernel(inst: &Instance, fast: bool) -> (DynamicTree, f64) {
     pass()
 }
 
-fn record(inst: &Instance, kernel: &str, stats: DynamicStats, secs: f64) -> DynamicBenchRecord {
-    DynamicBenchRecord {
-        network: inst.label.clone(),
-        processors: inst.net.n_processors(),
-        objects: inst.max_objects,
-        requests: inst.reqs.len(),
-        threshold_d: inst.threshold,
-        kernel: kernel.to_string(),
-        wall_seconds: secs,
-        replications: stats.replications,
-        collapses: stats.collapses,
-    }
-}
-
 fn main() {
     println!(
         "EXP-DYNT — dynamic serve-loop throughput ({} requests per instance{})\n",
@@ -147,7 +133,7 @@ fn main() {
     );
     drop(big);
 
-    let mut records: Vec<DynamicBenchRecord> = Vec::new();
+    let mut cells = Vec::new();
     let mut t = Table::new([
         "instance",
         "procs",
@@ -173,7 +159,8 @@ fn main() {
         for (kernel, strategy, secs) in
             [("reference", &reference, ref_secs), ("workspace", &fast, fast_secs)]
         {
-            let rec = record(&inst, kernel, strategy.stats(), secs);
+            let stats = strategy.stats();
+            let rate = per_sec(inst.reqs.len(), secs);
             t.row([
                 inst.label.clone(),
                 inst.net.n_processors().to_string(),
@@ -181,11 +168,23 @@ fn main() {
                 inst.threshold.to_string(),
                 kernel.to_string(),
                 format!("{:.2}", secs * 1e3),
-                format!("{:.0}", rec.requests_per_sec()),
-                rec.replications.to_string(),
-                rec.collapses.to_string(),
+                format!("{rate:.0}"),
+                stats.replications.to_string(),
+                stats.collapses.to_string(),
             ]);
-            records.push(rec);
+            cells.push(
+                Obj::new()
+                    .str("network", &inst.label)
+                    .raw("processors", inst.net.n_processors())
+                    .raw("objects", inst.max_objects)
+                    .raw("requests", inst.reqs.len())
+                    .raw("threshold_d", inst.threshold)
+                    .str("kernel", kernel)
+                    .f64("wall_seconds", secs)
+                    .f64("requests_per_sec", rate)
+                    .raw("replications", stats.replications)
+                    .raw("collapses", stats.collapses),
+            );
         }
         if inst.headline {
             speedup = Some(ref_secs / fast_secs.max(1e-12));
@@ -205,6 +204,8 @@ fn main() {
          bounded by the shared path-walk cost and shows a smaller ratio.\n"
     );
 
-    emit_dynamic_json("BENCH_dynamic.json", &records, speedup).expect("write BENCH_dynamic.json");
+    let head = Obj::new().opt_f64("speedup_workspace_vs_reference", speedup);
+    write_bench("BENCH_dynamic.json", "dynamic_serve_throughput", &head, &[("instances", cells)])
+        .expect("write BENCH_dynamic.json");
     println!("wrote BENCH_dynamic.json");
 }

@@ -15,13 +15,14 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{emit_faults_json, exp_quick, FaultBenchRecord, Table};
+use hbn_bench::{
+    build_strategy, exp_quick, root_adjacent_bus, strategy_axis, write_bench, Obj, Table,
+};
 use hbn_scenario::{
-    run_scenario_with, ExecutionConfig, FaultPlan, ScenarioReport, ScenarioSpec, Strategy,
-    StrategyKind, ThresholdSwitch, TopologyFamily,
+    run_scenario_with, FaultPlan, ScenarioReport, ScenarioSpec, StrategyKind, TopologyFamily,
 };
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
-use hbn_topology::{Network, NodeId};
+use hbn_topology::Network;
 use rand::Rng;
 use std::time::Instant;
 
@@ -38,34 +39,6 @@ fn volumes() -> (usize, usize, usize) {
     } else {
         (4_000, 40_000, 4_000)
     }
-}
-
-/// The strategy axis: the built-ins plus the trait-only switch policy.
-fn strategies() -> Vec<(String, Option<StrategyKind>)> {
-    vec![
-        ("dynamic".into(), Some(StrategyKind::Dynamic)),
-        (
-            "periodic-static(4)".into(),
-            Some(StrategyKind::PeriodicStatic { replace_every_epochs: 4 }),
-        ),
-        ("hybrid(4)".into(), Some(StrategyKind::Hybrid { reseed_every_epochs: 4 })),
-        ("threshold-switch".into(), None),
-    ]
-}
-
-fn build_strategy(
-    kind: Option<StrategyKind>,
-) -> impl Fn(&Network, &ExecutionConfig, usize) -> Box<dyn Strategy> {
-    move |net, exec, n| match kind {
-        Some(kind) => kind.build(net, exec, n),
-        None => Box::new(ThresholdSwitch::new(net, exec, n, 0.1, 3)),
-    }
-}
-
-/// A root-adjacent bus of `net` — the outage target that hurts most
-/// without stranding the whole tree.
-fn root_adjacent_bus(net: &Network) -> NodeId {
-    *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).expect("root has a bus child")
 }
 
 /// The fault-plan axis for a run of `n_epochs` epochs on `net`.
@@ -100,14 +73,15 @@ fn main() {
         "EXP-FAULT — degraded-mode matrix: {family} x {} topologies x {} strategies \
          x 3 fault plans, {} requests per run, {} epochs{}\n",
         topologies.len(),
-        strategies().len(),
+        strategy_axis().len(),
         warmup + volume,
         n_epochs,
         if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
     let mut seed_source = seeded_rng(53);
-    let mut records: Vec<FaultBenchRecord> = Vec::new();
+    let mut cells = Vec::new();
+    let mut recovered = 0usize;
     let mut t = Table::new([
         "scenario",
         "strategy",
@@ -123,7 +97,7 @@ fn main() {
         let net = topology.build();
         let cell_seed = cell_seeds(seed_source.gen(), 1)[0];
         let plans = fault_plans(&net, n_epochs, cell_seed);
-        for (label, kind) in strategies() {
+        for kind in strategy_axis() {
             let clean_spec =
                 ScenarioSpec::builder(format!("{family}@{topology}"), topology, schedule.clone())
                     .threshold(THRESHOLD)
@@ -144,7 +118,8 @@ fn main() {
                 assert_eq!(
                     report.traffic.requests,
                     (warmup + volume) as u64,
-                    "{plan_label} under {label}: traffic lost to the fault"
+                    "{plan_label} under {}: traffic lost to the fault",
+                    report.strategy
                 );
                 assert_eq!(report.traffic.repair_traffic, report.traffic.repairs * THRESHOLD);
                 assert_eq!(
@@ -166,24 +141,26 @@ fn main() {
                     fmt_ratio(clean.competitive_ratio),
                     report.recovery_epochs.map(|k| format!("{k} ep")).unwrap_or_else(|| "-".into()),
                 ]);
-                records.push(FaultBenchRecord {
-                    scenario: format!("{family}@{topology}"),
-                    strategy: report.strategy.clone(),
-                    fault_plan: plan_label.clone(),
-                    seed: cell_seed,
-                    requests: report.traffic.requests,
-                    epochs: report.epochs.len(),
-                    faulty_epochs,
-                    repairs: report.traffic.repairs,
-                    repair_traffic: report.traffic.repair_traffic,
-                    migration_traffic: report.traffic.migration_traffic,
-                    competitive_ratio: report.competitive_ratio,
-                    clean_competitive_ratio: clean.competitive_ratio,
-                    makespan_slots: report.total_makespan,
-                    clean_makespan_slots: clean.total_makespan,
-                    recovery_epochs: report.recovery_epochs,
-                    wall_seconds: wall,
-                });
+                recovered += usize::from(report.recovery_epochs.is_some());
+                cells.push(
+                    Obj::new()
+                        .str("scenario", &format!("{family}@{topology}"))
+                        .str("strategy", &report.strategy)
+                        .str("fault_plan", plan_label)
+                        .raw("seed", cell_seed)
+                        .raw("requests", report.traffic.requests)
+                        .raw("epochs", report.epochs.len())
+                        .raw("faulty_epochs", faulty_epochs)
+                        .raw("repairs", report.traffic.repairs)
+                        .raw("repair_traffic", report.traffic.repair_traffic)
+                        .raw("migration_traffic", report.traffic.migration_traffic)
+                        .opt_f64("competitive_ratio", report.competitive_ratio)
+                        .opt_f64("clean_competitive_ratio", clean.competitive_ratio)
+                        .raw("makespan_slots", report.total_makespan)
+                        .raw("clean_makespan_slots", clean.total_makespan)
+                        .opt("recovery_epochs", report.recovery_epochs)
+                        .f64("wall_seconds", wall),
+                );
             }
         }
     }
@@ -195,6 +172,8 @@ fn main() {
          the same unit as migration, so the ratio columns stay comparable.\n"
     );
 
-    emit_faults_json("BENCH_faults.json", &records).expect("write BENCH_faults.json");
+    let head = Obj::new().raw("cells_recovered_in_run", recovered);
+    write_bench("BENCH_faults.json", "fault_matrix", &head, &[("cells", cells)])
+        .expect("write BENCH_faults.json");
     println!("wrote BENCH_faults.json");
 }

@@ -22,10 +22,7 @@
 #![warn(missing_docs)]
 
 use hbn_baselines::{ExtendedNibbleStrategy, Strategy};
-use hbn_bench::{
-    emit_replay_json, exit_on_estimate_violations, exp_quick, ReplayBenchRecord,
-    ReplayEstimateRecord, Table,
-};
+use hbn_bench::{exp_quick, fatal, per_sec, write_bench, Obj, Table};
 use hbn_load::Placement;
 use hbn_sim::{
     estimate_makespan, expand_shuffled, simulate_reference, simulate_with, SimConfig, SimResult,
@@ -54,7 +51,7 @@ fn time_kernel(
     (sim, start.elapsed().as_secs_f64())
 }
 
-fn kernel_vs_reference(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
+fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
     println!("EXP-REPLAY — event-driven workspace kernel vs reference oracle\n");
     let instances: Vec<(&str, usize, u32, usize, usize)> = if exp_quick() {
         vec![("balanced(4,3)", 4, 3, 512, 6_000)]
@@ -95,15 +92,7 @@ fn kernel_vs_reference(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
         for (kernel, wall, speedup) in
             [("workspace", secs, Some(speedup)), ("reference", oracle_secs, None)]
         {
-            let rec = ReplayBenchRecord {
-                network: label.to_string(),
-                processors: net.n_processors(),
-                requests: trace.len(),
-                kernel: kernel.into(),
-                makespan_slots: sim.makespan,
-                wall_seconds: wall,
-                speedup_vs_reference: speedup,
-            };
+            let rate = per_sec(trace.len(), wall);
             t.row([
                 label.to_string(),
                 net.n_processors().to_string(),
@@ -111,10 +100,20 @@ fn kernel_vs_reference(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
                 kernel.into(),
                 sim.makespan.to_string(),
                 format!("{:.2}", wall * 1e3),
-                format!("{:.0}", rec.requests_per_sec()),
+                format!("{rate:.0}"),
                 speedup.map_or("-".into(), |s| format!("{s:.2}x")),
             ]);
-            records.push(rec);
+            cells.push(
+                Obj::new()
+                    .str("network", label)
+                    .raw("processors", net.n_processors())
+                    .raw("requests", trace.len())
+                    .str("kernel", kernel)
+                    .raw("makespan_slots", sim.makespan)
+                    .f64("wall_seconds", wall)
+                    .f64("requests_per_sec", rate)
+                    .opt_f64("speedup_vs_reference", speedup),
+            );
         }
         headline = Some(speedup); // the largest instance's ratio wins
     }
@@ -129,15 +128,16 @@ fn kernel_vs_reference(records: &mut Vec<ReplayBenchRecord>) -> Option<f64> {
 /// each priced by the bounds in `O(|V| + nnz)`; every `sample_every`-th
 /// epoch is replayed exactly and must fall inside its bounds. The whole
 /// stream is then replayed exactly as well, to show what the estimator
-/// saves.
+/// saves. Adds the cell's row to `t`.
 fn estimator_cell(
+    t: &mut Table,
     label: &str,
     (branching, height): (usize, u32),
     objects: usize,
     requests_per_epoch: usize,
     epochs: usize,
     sample_every: usize,
-) -> ReplayEstimateRecord {
+) -> Obj {
     let net = balanced(branching, height, BandwidthProfile::Uniform);
     let config = SimConfig::default();
     let mut ws = SimWorkspace::new();
@@ -170,7 +170,11 @@ fn estimator_cell(
         }
     }
     let wall = start.elapsed().as_secs_f64();
-    exit_on_estimate_violations(violations, label);
+    if violations > 0 {
+        fatal(format!(
+            "estimator bounds failed to bracket {violations} sampled epoch(s) on {label}"
+        ));
+    }
 
     let start = Instant::now();
     for e in 0..epochs {
@@ -180,32 +184,35 @@ fn estimator_cell(
     }
     let exact_wall = start.elapsed().as_secs_f64();
 
-    ReplayEstimateRecord {
-        network: label.to_string(),
-        processors: net.n_processors(),
-        requests: requests_per_epoch * epochs,
-        epochs,
-        sampled_epochs: sampled,
-        violations,
-        mean_gap_ratio: gap_sum / epochs as f64,
-        wall_seconds: wall,
-        exact_wall_seconds: exact_wall,
-    }
+    let mean_gap = gap_sum / epochs as f64;
+    let exact_over_estimate = exact_wall / wall;
+    t.row([
+        label.to_string(),
+        net.n_processors().to_string(),
+        (requests_per_epoch * epochs).to_string(),
+        epochs.to_string(),
+        sampled.to_string(),
+        violations.to_string(),
+        format!("{mean_gap:.2}"),
+        format!("{wall:.2}"),
+        format!("{exact_wall:.2}"),
+        format!("{exact_over_estimate:.2}x"),
+    ]);
+    Obj::new()
+        .str("network", label)
+        .raw("processors", net.n_processors())
+        .raw("requests", requests_per_epoch * epochs)
+        .raw("epochs", epochs)
+        .raw("sampled_epochs", sampled)
+        .raw("violations", violations)
+        .f64("mean_gap_ratio", mean_gap)
+        .f64("wall_seconds", wall)
+        .f64("exact_wall_seconds", exact_wall)
+        .f64("exact_over_estimate", exact_over_estimate)
 }
 
-fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
+fn estimator_scaling() -> Vec<Obj> {
     println!("Estimator mode — congestion bounds with sampled exact validation\n");
-    let cells: Vec<ReplayEstimateRecord> = if exp_quick() {
-        vec![estimator_cell("balanced(4,3)", (4, 3), 512, 6_000, 10, 5)]
-    } else {
-        vec![
-            estimator_cell("balanced(4,3)", (4, 3), 512, 15_000, 10, 2),
-            // 100x the exact-replay bench cell (100 epochs x 60k =
-            // 6M requests on 625 processors), validated through 5 exact
-            // samples.
-            estimator_cell("balanced(5,4)", (5, 4), 512, 60_000, 100, 20),
-        ]
-    };
     let mut t = Table::new([
         "network",
         "procs",
@@ -218,20 +225,17 @@ fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
         "exact twin (s)",
         "exact/estimate",
     ]);
-    for r in &cells {
-        t.row([
-            r.network.clone(),
-            r.processors.to_string(),
-            r.requests.to_string(),
-            r.epochs.to_string(),
-            r.sampled_epochs.to_string(),
-            r.violations.to_string(),
-            format!("{:.2}", r.mean_gap_ratio),
-            format!("{:.2}", r.wall_seconds),
-            format!("{:.2}", r.exact_wall_seconds),
-            format!("{:.2}x", r.exact_over_estimate()),
-        ]);
-    }
+    let cells = if exp_quick() {
+        vec![estimator_cell(&mut t, "balanced(4,3)", (4, 3), 512, 6_000, 10, 5)]
+    } else {
+        vec![
+            estimator_cell(&mut t, "balanced(4,3)", (4, 3), 512, 15_000, 10, 2),
+            // 100x the exact-replay bench cell (100 epochs x 60k =
+            // 6M requests on 625 processors), validated through 5 exact
+            // samples.
+            estimator_cell(&mut t, "balanced(5,4)", (5, 4), 512, 60_000, 100, 20),
+        ]
+    };
     println!("{}", t.render());
     println!(
         "Every sampled epoch's exact makespan fell inside its bounds; the\n\
@@ -242,10 +246,15 @@ fn estimator_scaling() -> Vec<ReplayEstimateRecord> {
 }
 
 fn main() {
-    let mut records = Vec::new();
-    let speedup = kernel_vs_reference(&mut records);
+    let mut instances = Vec::new();
+    let speedup = kernel_vs_reference(&mut instances);
     let estimates = estimator_scaling();
-    emit_replay_json("BENCH_replay.json", &records, &estimates, speedup)
+    // A bracket violation exited inside `estimator_cell`.
+    let head = Obj::new()
+        .opt_f64("speedup_vs_reference", speedup)
+        .raw("estimator_brackets_validated", true);
+    let sections = [("instances", instances), ("estimator", estimates)];
+    write_bench("BENCH_replay.json", "replay_scaling", &head, &sections)
         .expect("write BENCH_replay.json");
     println!("wrote BENCH_replay.json");
 }

@@ -18,7 +18,7 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{emit_scenarios_json, exp_quick, ScenarioBenchRecord, Table};
+use hbn_bench::{distinct, exp_quick, mean, per_sec, write_bench, Obj, Table};
 use hbn_scenario::{run_scenario_sharded, ScenarioSpec, TopologyFamily};
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
 use hbn_topology::CapacityProfile;
@@ -91,15 +91,6 @@ fn topologies() -> Vec<(TopologyFamily, CapacityProfile)> {
     ]
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
 fn main() {
     let (warmup, volume) = volumes();
     println!(
@@ -116,7 +107,7 @@ fn main() {
     // hbn-testutil: one base seed per matrix cell, one independent
     // stream per shard.
     let mut seed_source = seeded_rng(17);
-    let mut records: Vec<ScenarioBenchRecord> = Vec::new();
+    let mut cells = Vec::new();
     let mut t = Table::new([
         "family",
         "topology",
@@ -148,64 +139,66 @@ fn main() {
             let wall = start.elapsed().as_secs_f64();
 
             let ratios: Vec<f64> = reports.iter().filter_map(|r| r.competitive_ratio).collect();
-            let n_tenants = reports[0].tenants.len();
-            let rec = ScenarioBenchRecord {
-                family: family.to_string(),
-                topology: topology.label(),
-                capacity: capacity.to_string(),
-                processors,
-                seeds: SHARDS,
-                requests_per_seed: schedule.total_requests(),
-                epochs: reports[0].epochs.len(),
-                threshold_d: spec.exec.threshold,
-                epoch_requests: spec.epoch_requests,
-                kernel: spec.kernel_label(),
-                mean_makespan_slots: mean(reports.iter().map(|r| r.total_makespan as f64)),
-                mean_online_congestion: mean(reports.iter().map(|r| r.online_congestion.as_f64())),
-                mean_competitive_ratio: if ratios.is_empty() {
-                    None
+            let competitive_ratio =
+                (!ratios.is_empty()).then(|| ratios.iter().sum::<f64>() / ratios.len() as f64);
+            let makespan = mean(reports.iter().map(|r| r.total_makespan as f64));
+            let congestion = mean(reports.iter().map(|r| r.online_congestion.as_f64()));
+            let replications = mean(reports.iter().map(|r| r.stats.replications as f64));
+            let collapses = mean(reports.iter().map(|r| r.stats.collapses as f64));
+            let latency = mean(reports.iter().map(|r| {
+                let total: u64 = r.phases.iter().map(|p| p.traffic.requests).sum();
+                if total == 0 {
+                    0.0
                 } else {
-                    Some(ratios.iter().sum::<f64>() / ratios.len() as f64)
-                },
-                mean_replications: mean(reports.iter().map(|r| r.stats.replications as f64)),
-                mean_collapses: mean(reports.iter().map(|r| r.stats.collapses as f64)),
-                mean_latency_slots: mean(reports.iter().map(|r| {
-                    let total: u64 = r.phases.iter().map(|p| p.traffic.requests).sum();
-                    if total == 0 {
-                        0.0
-                    } else {
-                        r.phases
-                            .iter()
-                            .map(|p| p.mean_latency * p.traffic.requests as f64)
-                            .sum::<f64>()
-                            / total as f64
-                    }
-                })),
-                tenant_requests: (0..n_tenants)
-                    .map(|t| mean(reports.iter().map(|r| r.tenants[t].requests as f64)))
-                    .collect(),
-                tenant_congestion: (0..n_tenants)
-                    .map(|t| {
-                        mean(reports.iter().map(|r| r.tenants[t].placement_congestion.as_f64()))
-                    })
-                    .collect(),
-                wall_seconds: wall,
-            };
+                    r.phases.iter().map(|p| p.mean_latency * p.traffic.requests as f64).sum::<f64>()
+                        / total as f64
+                }
+            }));
+            let n_tenants = reports[0].tenants.len();
+            let tenant_requests: Vec<f64> = (0..n_tenants)
+                .map(|t| mean(reports.iter().map(|r| r.tenants[t].requests as f64)))
+                .collect();
+            let tenant_congestion: Vec<f64> = (0..n_tenants)
+                .map(|t| mean(reports.iter().map(|r| r.tenants[t].placement_congestion.as_f64())))
+                .collect();
+            let rate = per_sec(schedule.total_requests() * SHARDS, wall);
             t.row([
                 family.to_string(),
-                rec.topology.clone(),
-                rec.capacity.clone(),
+                topology.label(),
+                capacity.to_string(),
                 processors.to_string(),
-                format!("{:.0}", rec.mean_makespan_slots),
-                format!("{:.0}", rec.mean_online_congestion),
-                rec.mean_competitive_ratio.map_or("-".into(), |r| format!("{r:.2}x")),
-                format!("{:.0}", rec.mean_replications),
-                format!("{:.0}", rec.mean_collapses),
-                format!("{:.2}", rec.mean_latency_slots),
+                format!("{makespan:.0}"),
+                format!("{congestion:.0}"),
+                competitive_ratio.map_or("-".into(), |r| format!("{r:.2}x")),
+                format!("{replications:.0}"),
+                format!("{collapses:.0}"),
+                format!("{latency:.2}"),
                 format!("{:.1}", wall * 1e3),
-                format!("{:.0}", rec.requests_per_sec()),
+                format!("{rate:.0}"),
             ]);
-            records.push(rec);
+            cells.push(
+                Obj::new()
+                    .str("family", family)
+                    .str("topology", &topology.label())
+                    .str("capacity", &capacity.to_string())
+                    .raw("processors", processors)
+                    .raw("seeds", SHARDS)
+                    .raw("requests_per_seed", schedule.total_requests())
+                    .raw("epochs", reports[0].epochs.len())
+                    .raw("threshold_d", spec.exec.threshold)
+                    .raw("epoch_requests", spec.epoch_requests)
+                    .str("kernel", &spec.kernel_label())
+                    .f64("mean_makespan_slots", makespan)
+                    .f64("mean_online_congestion", congestion)
+                    .opt_f64("mean_competitive_ratio", competitive_ratio)
+                    .f64("mean_replications", replications)
+                    .f64("mean_collapses", collapses)
+                    .f64("mean_latency_slots", latency)
+                    .f64s("tenant_requests", &tenant_requests)
+                    .f64s("tenant_congestion", &tenant_congestion)
+                    .f64("wall_seconds", wall)
+                    .f64("requests_per_sec", rate),
+            );
         }
     }
 
@@ -222,6 +215,10 @@ fn main() {
          arrival process.\n"
     );
 
-    emit_scenarios_json("BENCH_scenarios.json", &records).expect("write BENCH_scenarios.json");
+    let head = Obj::new()
+        .raw("families", distinct(families().into_iter().map(|(family, _)| family)))
+        .raw("topologies", distinct(topologies().iter().map(|(topology, _)| topology.label())));
+    write_bench("BENCH_scenarios.json", "scenario_matrix", &head, &[("cells", cells)])
+        .expect("write BENCH_scenarios.json");
     println!("wrote BENCH_scenarios.json");
 }

@@ -18,9 +18,9 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{exp_quick, Table};
+use hbn_bench::{exp_quick, fatal, root_adjacent_bus, strategy_kinds, Table};
 use hbn_dynamic::OnlineRequest;
-use hbn_scenario::{FaultPlan, ScenarioSpec, Session, StrategyKind, TopologyFamily};
+use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
 use hbn_server::{Server, ServerConfig, Ticket};
 use hbn_topology::NodeId;
 use hbn_workload::{ObjectId, PhaseSchedule};
@@ -42,20 +42,11 @@ fn volumes() -> (usize, usize) {
     }
 }
 
-fn strategies() -> Vec<StrategyKind> {
-    vec![
-        StrategyKind::Dynamic,
-        StrategyKind::PeriodicStatic { replace_every_epochs: 4 },
-        StrategyKind::Hybrid { reseed_every_epochs: 4 },
-    ]
-}
-
 fn cell_spec(idx: usize, epochs: usize) -> ScenarioSpec {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
-    let net = topology.build();
-    let bus = *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).expect("bus");
+    let bus = root_adjacent_bus(&topology.build());
     ScenarioSpec::builder(format!("cell-{idx}"), topology, PhaseSchedule::new(OBJECTS, vec![]))
-        .strategy(strategies()[idx])
+        .strategy(strategy_kinds()[idx])
         .threshold(THRESHOLD)
         .seed(8400 + idx as u64)
         .faults(FaultPlan::single_outage(bus, 3, epochs.saturating_sub(2)))
@@ -79,7 +70,7 @@ fn main() {
         "EXP-SERVER-CRASH — watchdog-healed kill mid-outage, {} strategies,\n\
          {epochs} epochs/cell at {requests} req/epoch, kill after epoch {kill_target}{}\n\
          (the panic backtraces below are the injected crashes — that is the point)\n",
-        strategies().len(),
+        strategy_kinds().len(),
         if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
@@ -87,7 +78,7 @@ fn main() {
         Table::new(["scenario", "strategy", "kill@", "epochs", "replayed", "resume (ms)", "exact"]);
     let mut all_equal = true;
 
-    for idx in 0..strategies().len() {
+    for idx in 0..strategy_kinds().len() {
         let spec = cell_spec(idx, epochs);
 
         let dir =
@@ -161,8 +152,7 @@ fn main() {
 
     println!("{}", t.render());
     if !all_equal {
-        eprintln!("FATAL: a watchdog-recovered tenant diverged from its unbroken twin");
-        std::process::exit(1);
+        fatal("a watchdog-recovered tenant diverged from its unbroken twin");
     }
     println!(
         "every watchdog-healed tenant reproduced its unbroken twin bit for bit,\n\

@@ -24,10 +24,10 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{emit_server_json, exp_quick, ServerLoadRecord, ServerRecoveryRecord, Table};
+use hbn_bench::{exp_quick, fatal, per_sec, root_adjacent_bus, write_bench, Obj, Table};
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
-use hbn_server::{percentile, Rejected, Server, ServerConfig, Ticket};
+use hbn_server::{percentile, Rejected, Server, ServerConfig, TenantMetrics, Ticket};
 use hbn_topology::NodeId;
 use hbn_workload::{ObjectId, OpenLoopArrivals, PhaseSchedule};
 use rand::rngs::StdRng;
@@ -36,6 +36,8 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+/// The tenants served concurrently in every load window.
+const TENANTS: [&str; 2] = ["tenant-balanced", "tenant-star"];
 /// Live objects per tenant.
 const OBJECTS: usize = 16;
 /// Replication / migration charge `D`.
@@ -164,72 +166,51 @@ fn drive_tenant(server: &Server, tenant: &str, outstanding: usize, seed: u64) ->
     retries
 }
 
-/// Phase 1: one record per offered-load window.
-fn load_sweep() -> Vec<ServerLoadRecord> {
-    let tenants = ["tenant-balanced", "tenant-star"];
-    let mut records = Vec::new();
-    for (window, outstanding) in windows() {
-        let server = Server::new(load_cfg(window)).expect("scratch checkpoint dir");
-        for (i, name) in tenants.iter().enumerate() {
-            server.add_tenant(tenant_spec(name, 9000 + i as u64));
-        }
-        let start = Instant::now();
-        let retries: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = tenants
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    let server = &server;
-                    s.spawn(move || drive_tenant(server, name, outstanding, 77 + i as u64))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread")).sum()
-        });
-        let wall = start.elapsed().as_secs_f64();
-
-        let mut offered = 0usize;
-        let mut served = 0usize;
-        let mut rejected_full = 0usize;
-        let mut deadline_shed = 0usize;
-        let mut degraded = 0usize;
-        let mut ingest: Vec<u64> = Vec::new();
-        for name in tenants {
-            let m = server.metrics(name).expect("tenant exists");
-            offered += (m.accepted + m.rejected_full) as usize;
-            served += m.served as usize;
-            rejected_full += m.rejected_full as usize;
-            deadline_shed += m.deadline_shed as usize;
-            degraded += m.degraded_epochs as usize;
-            ingest.extend(m.ingest_micros);
-        }
-        server.shutdown();
-        records.push(ServerLoadRecord {
-            window: window.to_string(),
-            tenants: tenants.len(),
-            outstanding,
-            offered,
-            served,
-            rejected_full,
-            deadline_shed,
-            degraded_epochs: degraded,
-            retries,
-            wall_seconds: wall,
-            ingest_p50_micros: percentile(&ingest, 50.0),
-            ingest_p99_micros: percentile(&ingest, 99.0),
-        });
+/// Phase 1, one offered-load window: the tenants' metrics summed into
+/// one, the client-side retries, and the window's wall-clock seconds.
+fn load_window(window: &str, outstanding: usize) -> (TenantMetrics, usize, f64) {
+    let server = Server::new(load_cfg(window)).expect("scratch checkpoint dir");
+    for (i, name) in TENANTS.iter().enumerate() {
+        server.add_tenant(tenant_spec(name, 9000 + i as u64));
     }
-    records
+    let start = Instant::now();
+    let retries: usize = std::thread::scope(|s| {
+        let handles: Vec<_> = TENANTS
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let server = &server;
+                s.spawn(move || drive_tenant(server, name, outstanding, 77 + i as u64))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).sum()
+    });
+    let wall = start.elapsed().as_secs_f64();
+
+    let mut total = TenantMetrics::default();
+    for name in TENANTS {
+        let m = server.metrics(name).expect("tenant exists");
+        total.accepted += m.accepted;
+        total.rejected_full += m.rejected_full;
+        total.deadline_shed += m.deadline_shed;
+        total.served += m.served;
+        total.degraded_epochs += m.degraded_epochs;
+        total.ingest_micros.extend(m.ingest_micros);
+    }
+    server.shutdown();
+    (total, retries, wall)
 }
 
 /// Phase 2: supervised crash-recovery drills under a live outage, each
-/// asserted bit-for-bit against an unbroken twin session.
-fn recovery_drills() -> Vec<ServerRecoveryRecord> {
+/// asserted bit-for-bit against an unbroken twin session. Adds one row
+/// per drill to `t`; returns the drills' cells and recovery microseconds.
+fn recovery_drills(t: &mut Table) -> (Vec<Obj>, Vec<u64>) {
     let (drills, epochs, requests) = drill_volumes();
-    let mut records = Vec::new();
+    let mut cells = Vec::new();
+    let mut micros = Vec::new();
     for drill in 0..drills {
         let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
-        let net = topology.build();
-        let bus = *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).expect("bus");
+        let bus = root_adjacent_bus(&topology.build());
         // The worker dies while this outage is active, so the restored
         // checkpoint carries healed copy sets and overlay state.
         let outage_from = 2;
@@ -286,17 +267,30 @@ fn recovery_drills() -> Vec<ServerRecoveryRecord> {
         let restored_equal = report == expected;
         assert!(restored_equal, "drill {drill}: recovered report diverged from unbroken twin");
 
-        records.push(ServerRecoveryRecord {
-            scenario: format!("{}@{}", spec.name, "balanced(3,2)"),
-            strategy: expected.strategy.clone(),
-            kill_epoch,
-            epochs_total: epochs,
-            restored_equal,
-            recovery_epochs: *m.recovery_epochs.last().expect("one recovery recorded"),
-            recovery_micros: *m.recovery_micros.last().expect("one recovery recorded"),
-        });
+        let scenario = format!("{}@{}", spec.name, "balanced(3,2)");
+        let recovery_epochs = *m.recovery_epochs.last().expect("one recovery recorded");
+        let recovery_micros = *m.recovery_micros.last().expect("one recovery recorded");
+        t.row([
+            scenario.clone(),
+            expected.strategy.clone(),
+            kill_epoch.to_string(),
+            epochs.to_string(),
+            recovery_epochs.to_string(),
+            recovery_micros.to_string(),
+        ]);
+        cells.push(
+            Obj::new()
+                .str("scenario", &scenario)
+                .str("strategy", &expected.strategy)
+                .raw("kill_epoch", kill_epoch)
+                .raw("epochs_total", epochs)
+                .raw("restored_equal", restored_equal)
+                .raw("recovery_epochs", recovery_epochs)
+                .raw("recovery_micros", recovery_micros),
+        );
+        micros.push(recovery_micros);
     }
-    records
+    (cells, micros)
 }
 
 fn main() {
@@ -309,7 +303,6 @@ fn main() {
         if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
-    let load = load_sweep();
     let mut t = Table::new([
         "window",
         "outstanding",
@@ -323,55 +316,76 @@ fn main() {
         "p50 (µs)",
         "p99 (µs)",
     ]);
-    for r in &load {
+    let mut windows_json = Vec::new();
+    let mut goodput = Vec::new();
+    for (window, outstanding) in windows() {
+        let (m, retries, wall) = load_window(window, outstanding);
+        let offered = m.accepted + m.rejected_full;
+        let sessions_per_sec = per_sec(m.served as usize, wall);
+        let p50 = percentile(&m.ingest_micros, 50.0);
+        let p99 = percentile(&m.ingest_micros, 99.0);
         t.row([
-            r.window.clone(),
-            r.outstanding.to_string(),
-            r.offered.to_string(),
-            r.served.to_string(),
-            r.rejected_full.to_string(),
-            format!("{:.1}", r.shed_fraction() * 100.0),
-            r.degraded_epochs.to_string(),
-            r.retries.to_string(),
-            format!("{:.0}", r.sessions_per_sec()),
-            r.ingest_p50_micros.to_string(),
-            r.ingest_p99_micros.to_string(),
+            window.to_string(),
+            outstanding.to_string(),
+            offered.to_string(),
+            m.served.to_string(),
+            m.rejected_full.to_string(),
+            format!("{:.1}", m.shed_fraction() * 100.0),
+            m.degraded_epochs.to_string(),
+            retries.to_string(),
+            format!("{sessions_per_sec:.0}"),
+            p50.to_string(),
+            p99.to_string(),
         ]);
+        windows_json.push(
+            Obj::new()
+                .str("window", window)
+                .raw("tenants", TENANTS.len())
+                .raw("outstanding", outstanding)
+                .raw("offered", offered)
+                .raw("served", m.served)
+                .raw("rejected_full", m.rejected_full)
+                .raw("deadline_shed", m.deadline_shed)
+                .raw("degraded_epochs", m.degraded_epochs)
+                .raw("retries", retries)
+                .f64("wall_seconds", wall)
+                .f64("sessions_per_sec", sessions_per_sec)
+                .f64("shed_fraction", m.shed_fraction())
+                .raw("ingest_p50_micros", p50)
+                .raw("ingest_p99_micros", p99),
+        );
+        goodput.push(sessions_per_sec);
     }
     println!("{}", t.render());
 
-    let peak = load.iter().map(ServerLoadRecord::sessions_per_sec).fold(0.0f64, f64::max);
-    let overload = load.last().map(ServerLoadRecord::sessions_per_sec).unwrap_or(0.0);
+    let peak = goodput.iter().copied().fold(0.0f64, f64::max);
+    let overload = goodput.last().copied().unwrap_or(0.0);
     println!(
         "goodput at heaviest window: {overload:.0}/s vs peak {peak:.0}/s — \
          overload sheds at admission, it must not collapse\n"
     );
     if overload < 0.5 * peak {
-        eprintln!("FATAL: goodput collapsed under overload (>50% below peak)");
-        std::process::exit(1);
+        fatal("goodput collapsed under overload (>50% below peak)");
     }
 
-    let recovery = recovery_drills();
     let mut t = Table::new(["drill", "strategy", "kill@", "epochs", "replayed", "recovery (µs)"]);
-    for r in &recovery {
-        t.row([
-            r.scenario.clone(),
-            r.strategy.clone(),
-            r.kill_epoch.to_string(),
-            r.epochs_total.to_string(),
-            r.recovery_epochs.to_string(),
-            r.recovery_micros.to_string(),
-        ]);
-    }
+    let (drills, micros) = recovery_drills(&mut t);
     println!("{}", t.render());
-    let micros: Vec<u64> = recovery.iter().map(|r| r.recovery_micros).collect();
+    let (p50, p99) = (percentile(&micros, 50.0), percentile(&micros, 99.0));
     println!(
         "every drill recovered bit-for-bit from the last durable checkpoint; \
-         crash-to-recovered p50 {}µs, p99 {}µs\n",
-        percentile(&micros, 50.0),
-        percentile(&micros, 99.0)
+         crash-to-recovered p50 {p50}µs, p99 {p99}µs\n"
     );
 
-    emit_server_json("BENCH_server.json", &load, &recovery).expect("write BENCH_server.json");
-    println!("wrote BENCH_server.json ({} windows, {} drills)", load.len(), recovery.len());
+    // Every drill asserted its restore exact, and a collapsed overload
+    // window exited above.
+    let head = Obj::new()
+        .raw("all_restores_exact", true)
+        .raw("graceful_under_overload", true)
+        .raw("recovery_p50_micros", p50)
+        .raw("recovery_p99_micros", p99);
+    let counts = (windows_json.len(), drills.len());
+    let sections = [("load_windows", windows_json), ("recovery_drills", drills)];
+    write_bench("BENCH_server.json", "server", &head, &sections).expect("write BENCH_server.json");
+    println!("wrote BENCH_server.json ({} windows, {} drills)", counts.0, counts.1);
 }

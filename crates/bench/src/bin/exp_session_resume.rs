@@ -15,12 +15,9 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{emit_session_resume_json, exp_quick, SessionResumeRecord, Table};
-use hbn_scenario::{
-    ExecutionConfig, ScenarioSpec, Session, Strategy, StrategyKind, ThresholdSwitch, TopologyFamily,
-};
+use hbn_bench::{build_strategy, exp_quick, strategy_axis, write_bench, Obj, Table};
+use hbn_scenario::{ScenarioSpec, Session, TopologyFamily};
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
-use hbn_topology::Network;
 use rand::Rng;
 use std::time::Instant;
 
@@ -36,31 +33,6 @@ fn volumes() -> (usize, usize, usize) {
         (400, 2_000, 400)
     } else {
         (4_000, 40_000, 4_000)
-    }
-}
-
-/// The strategy axis of the resume matrix: the built-ins plus one
-/// trait-only policy, so checkpointing is proven across every state
-/// shape (dynamic trees, static placements, hybrid seeds, switch
-/// composites).
-fn strategies() -> Vec<(String, Option<StrategyKind>)> {
-    vec![
-        ("dynamic".into(), Some(StrategyKind::Dynamic)),
-        (
-            "periodic-static(4)".into(),
-            Some(StrategyKind::PeriodicStatic { replace_every_epochs: 4 }),
-        ),
-        ("hybrid(4)".into(), Some(StrategyKind::Hybrid { reseed_every_epochs: 4 })),
-        ("threshold-switch".into(), None),
-    ]
-}
-
-fn build_strategy(
-    kind: Option<StrategyKind>,
-) -> impl Fn(&Network, &ExecutionConfig, usize) -> Box<dyn Strategy> {
-    move |net, exec, n| match kind {
-        Some(kind) => kind.build(net, exec, n),
-        None => Box::new(ThresholdSwitch::new(net, exec, n, 0.1, 3)),
     }
 }
 
@@ -83,13 +55,13 @@ fn main() {
          x {} strategies, {} requests per run{}\n",
         families.len(),
         topologies.len(),
-        strategies().len(),
+        strategy_axis().len(),
         warmup + volume,
         if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
     let mut seed_source = seeded_rng(41);
-    let mut records: Vec<SessionResumeRecord> = Vec::new();
+    let mut cells = Vec::new();
     let mut t = Table::new([
         "scenario",
         "strategy",
@@ -103,7 +75,7 @@ fn main() {
     for (family, schedule) in &families {
         for topology in topologies {
             let seed = cell_seeds(seed_source.gen(), 1)[0];
-            for (label, kind) in strategies() {
+            for kind in strategy_axis() {
                 let spec = ScenarioSpec::builder(
                     format!("{family}@{topology}"),
                     topology,
@@ -152,7 +124,8 @@ fn main() {
                 let resumed_equal = resumed_report == unbroken;
                 assert!(
                     resumed_equal,
-                    "resume mismatch: {family}@{topology} under {label} (seed {seed})"
+                    "resume mismatch: {family}@{topology} under {} (seed {seed})",
+                    unbroken.strategy
                 );
 
                 t.row([
@@ -164,16 +137,17 @@ fn main() {
                     format!("{:.1}", unbroken_wall * 1e3),
                     format!("{:.1}", resume_wall * 1e3),
                 ]);
-                records.push(SessionResumeRecord {
-                    scenario: format!("{family}@{topology}"),
-                    strategy: unbroken.strategy,
-                    seed,
-                    epochs_total,
-                    checkpoint_epoch,
-                    resumed_equal,
-                    unbroken_wall_seconds: unbroken_wall,
-                    resume_wall_seconds: resume_wall,
-                });
+                cells.push(
+                    Obj::new()
+                        .str("scenario", &format!("{family}@{topology}"))
+                        .str("strategy", &unbroken.strategy)
+                        .raw("seed", seed)
+                        .raw("epochs_total", epochs_total)
+                        .raw("checkpoint_epoch", checkpoint_epoch)
+                        .raw("resumed_equal", resumed_equal)
+                        .f64("unbroken_wall_seconds", unbroken_wall)
+                        .f64("resume_wall_seconds", resume_wall),
+                );
             }
         }
     }
@@ -185,7 +159,9 @@ fn main() {
          epochs), roughly the unbroken cost scaled by the un-run fraction.\n"
     );
 
-    emit_session_resume_json("BENCH_session_resume.json", &records)
+    // Every cell asserted its resume exact above.
+    let head = Obj::new().raw("all_resumes_exact", true);
+    write_bench("BENCH_session_resume.json", "session_resume", &head, &[("cells", cells)])
         .expect("write BENCH_session_resume.json");
     println!("wrote BENCH_session_resume.json");
 }

@@ -26,7 +26,7 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{emit_strategies_json, exp_quick, StrategyBenchRecord, Table};
+use hbn_bench::{distinct, exp_quick, mean, per_sec, write_bench, Obj, Table};
 use hbn_scenario::{
     run_scenario_sharded, run_scenario_sharded_with, FrozenStatic, ScenarioReport, ScenarioSpec,
     StrategyKind, ThresholdSwitch, TopologyFamily,
@@ -132,15 +132,6 @@ fn strategies() -> Vec<StrategyAxis> {
     ]
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
 fn main() {
     let (warmup, volume, epoch_requests) = volumes();
     println!(
@@ -155,7 +146,8 @@ fn main() {
     );
 
     let mut seed_source = seeded_rng(23);
-    let mut records: Vec<StrategyBenchRecord> = Vec::new();
+    let mut cells = Vec::new();
+    let mut strategy_labels = Vec::new();
     let mut t = Table::new([
         "family",
         "topology",
@@ -191,48 +183,49 @@ fn main() {
                 let wall = start.elapsed().as_secs_f64();
 
                 let ratios: Vec<f64> = reports.iter().filter_map(|r| r.competitive_ratio).collect();
-                let rec = StrategyBenchRecord {
-                    family: family.to_string(),
-                    topology: topology.to_string(),
-                    // Label from the report, i.e. `Strategy::label()`
-                    // itself — the bench cell cannot drift from what the
-                    // engine records.
-                    strategy: reports[0].strategy.clone(),
-                    processors,
-                    seeds: SHARDS,
-                    requests_per_seed: schedule.total_requests(),
-                    epochs: reports[0].epochs.len(),
-                    threshold_d: spec.exec.threshold,
-                    epoch_requests: spec.epoch_requests,
-                    mean_online_congestion: mean(
-                        reports.iter().map(|r| r.online_congestion.as_f64()),
-                    ),
-                    mean_migration_traffic: mean(
-                        reports.iter().map(|r| r.traffic.migration_traffic as f64),
-                    ),
-                    mean_competitive_ratio: if ratios.is_empty() {
-                        None
-                    } else {
-                        Some(ratios.iter().sum::<f64>() / ratios.len() as f64)
-                    },
-                    mean_replications: mean(reports.iter().map(|r| r.stats.replications as f64)),
-                    mean_collapses: mean(reports.iter().map(|r| r.stats.collapses as f64)),
-                    mean_makespan_slots: mean(reports.iter().map(|r| r.total_makespan as f64)),
-                    wall_seconds: wall,
-                };
+                let competitive_ratio =
+                    (!ratios.is_empty()).then(|| ratios.iter().sum::<f64>() / ratios.len() as f64);
+                // Label from the report, i.e. `Strategy::label()` itself —
+                // the bench cell cannot drift from what the engine records.
+                let label = reports[0].strategy.clone();
+                let congestion = mean(reports.iter().map(|r| r.online_congestion.as_f64()));
+                let migration = mean(reports.iter().map(|r| r.traffic.migration_traffic as f64));
+                let replications = mean(reports.iter().map(|r| r.stats.replications as f64));
+                let collapses = mean(reports.iter().map(|r| r.stats.collapses as f64));
+                let makespan = mean(reports.iter().map(|r| r.total_makespan as f64));
                 t.row([
                     family.to_string(),
-                    rec.topology.clone(),
-                    rec.strategy.clone(),
-                    format!("{:.0}", rec.mean_online_congestion),
-                    format!("{:.0}", rec.mean_migration_traffic),
-                    rec.mean_competitive_ratio.map_or("-".into(), |r| format!("{r:.2}x")),
-                    format!("{:.0}", rec.mean_replications),
-                    format!("{:.0}", rec.mean_collapses),
-                    format!("{:.0}", rec.mean_makespan_slots),
+                    topology.to_string(),
+                    label.clone(),
+                    format!("{congestion:.0}"),
+                    format!("{migration:.0}"),
+                    competitive_ratio.map_or("-".into(), |r| format!("{r:.2}x")),
+                    format!("{replications:.0}"),
+                    format!("{collapses:.0}"),
+                    format!("{makespan:.0}"),
                     format!("{:.1}", wall * 1e3),
                 ]);
-                records.push(rec);
+                cells.push(
+                    Obj::new()
+                        .str("family", family)
+                        .str("topology", &topology.to_string())
+                        .str("strategy", &label)
+                        .raw("processors", processors)
+                        .raw("seeds", SHARDS)
+                        .raw("requests_per_seed", schedule.total_requests())
+                        .raw("epochs", reports[0].epochs.len())
+                        .raw("threshold_d", spec.exec.threshold)
+                        .raw("epoch_requests", spec.epoch_requests)
+                        .f64("mean_online_congestion", congestion)
+                        .f64("mean_migration_traffic", migration)
+                        .opt_f64("mean_competitive_ratio", competitive_ratio)
+                        .f64("mean_replications", replications)
+                        .f64("mean_collapses", collapses)
+                        .f64("mean_makespan_slots", makespan)
+                        .f64("wall_seconds", wall)
+                        .f64("requests_per_sec", per_sec(schedule.total_requests() * SHARDS, wall)),
+                );
+                strategy_labels.push(label);
             }
         }
     }
@@ -251,6 +244,10 @@ fn main() {
          the regime where threshold-switch stays dynamic longest.\n"
     );
 
-    emit_strategies_json("BENCH_strategies.json", &records).expect("write BENCH_strategies.json");
+    let head = Obj::new()
+        .raw("strategies", distinct(strategy_labels))
+        .raw("families", distinct(families().into_iter().map(|(family, _)| family)));
+    write_bench("BENCH_strategies.json", "strategy_matrix", &head, &[("cells", cells)])
+        .expect("write BENCH_strategies.json");
     println!("wrote BENCH_strategies.json");
 }

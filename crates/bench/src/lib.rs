@@ -1,23 +1,20 @@
 //! # hbn-bench
 //!
-//! Experiment binaries (one per EXP-* row of DESIGN.md) and criterion
-//! benchmarks. Shared table-formatting helpers live here.
+//! Experiment binaries (the EXP-* rows of DESIGN.md §8: `exp_paper` for
+//! the paper's claims, one binary per systems experiment) and criterion
+//! benchmarks. The table printer, the BENCH JSON writer and the helpers
+//! the binaries share live here.
 
 #![warn(missing_docs)]
 
 pub mod bench_json;
 pub mod table;
 
-pub use bench_json::{
-    emit_crash_recovery_json, emit_dynamic_json, emit_faults_json, emit_replay_json,
-    emit_scenarios_json, emit_server_json, emit_session_resume_json, emit_strategies_json,
-    render_crash_recovery_json, render_dynamic_json, render_faults_json, render_replay_json,
-    render_scenarios_json, render_server_json, render_session_resume_json, render_strategies_json,
-    CrashRecoveryRecord, DynamicBenchRecord, FaultBenchRecord, ReplayBenchRecord,
-    ReplayEstimateRecord, ScenarioBenchRecord, ServerLoadRecord, ServerRecoveryRecord,
-    SessionResumeRecord, StrategyBenchRecord,
-};
+pub use bench_json::{write_bench, Obj};
 pub use table::Table;
+
+use hbn_scenario::{ExecutionConfig, Strategy, StrategyKind, ThresholdSwitch};
+use hbn_topology::{Network, NodeId};
 
 /// Whether the experiment binaries should run in quick mode
 /// (`HBN_EXP_QUICK=1`): same matrix shape, drastically reduced request
@@ -29,17 +26,71 @@ pub fn exp_quick() -> bool {
     std::env::var("HBN_EXP_QUICK").is_ok_and(|v| v == "1")
 }
 
-/// Fail the process hard when estimator bounds failed to bracket
-/// sampled epochs. Bracket-asserting experiment binaries call this
-/// after their sweep instead of a library `assert!`: a violated bound
-/// is a correctness failure of the congestion-bound estimator and must
-/// fail the job with a non-zero exit code — not unwind into whatever
-/// output buffering is in flight, and never scroll past in JSON.
-pub fn exit_on_estimate_violations(violations: usize, label: &str) {
-    if violations > 0 {
-        eprintln!(
-            "FATAL: estimator bounds failed to bracket {violations} sampled epoch(s) on {label}"
-        );
-        std::process::exit(1);
+/// Fail a gate: print `FATAL: <message>` on stderr and exit 1. A violated
+/// gate must fail the job with a non-zero exit code — not unwind into
+/// whatever output buffering is in flight, and never scroll past in JSON.
+pub fn fatal(message: impl std::fmt::Display) -> ! {
+    eprintln!("FATAL: {message}");
+    std::process::exit(1)
+}
+
+/// `count` per wall-clock second; infinite at zero wall time (written as
+/// `null`).
+pub fn per_sec(count: usize, secs: f64) -> f64 {
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The number of distinct values among `items`.
+pub fn distinct<T: Ord>(items: impl IntoIterator<Item = T>) -> usize {
+    let mut items: Vec<T> = items.into_iter().collect();
+    items.sort_unstable();
+    items.dedup();
+    items.len()
+}
+
+/// The arithmetic mean of `values`; `0` when there are none.
+pub fn mean(values: impl Iterator<Item = f64>) -> f64 {
+    let v: Vec<f64> = values.collect();
+    if v.is_empty() {
+        0.0
+    } else {
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+}
+
+/// A root-adjacent bus of `net` — the outage target that hurts most
+/// without stranding the whole tree.
+pub fn root_adjacent_bus(net: &Network) -> NodeId {
+    *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).expect("root has a bus child")
+}
+
+/// The built-in strategy kinds the crash harnesses cover: dynamic trees,
+/// static placements and hybrid seeds.
+pub fn strategy_kinds() -> Vec<StrategyKind> {
+    vec![
+        StrategyKind::Dynamic,
+        StrategyKind::PeriodicStatic { replace_every_epochs: 4 },
+        StrategyKind::Hybrid { reseed_every_epochs: 4 },
+    ]
+}
+
+/// The strategy axis of the resume and fault matrices: [`strategy_kinds`]
+/// plus the trait-only `ThresholdSwitch` (`None`), so every state shape is
+/// covered, switch composites included.
+pub fn strategy_axis() -> Vec<Option<StrategyKind>> {
+    strategy_kinds().into_iter().map(Some).chain([None]).collect()
+}
+
+/// The factory of one [`strategy_axis`] entry.
+pub fn build_strategy(
+    kind: Option<StrategyKind>,
+) -> impl Fn(&Network, &ExecutionConfig, usize) -> Box<dyn Strategy> {
+    move |net, exec, n| match kind {
+        Some(kind) => kind.build(net, exec, n),
+        None => Box::new(ThresholdSwitch::new(net, exec, n, 0.1, 3)),
     }
 }
