@@ -130,7 +130,7 @@ fn main() {
         let mut unbroken = Session::new(&spec);
         while unbroken.step_epoch().expect("replay failed").is_some() {}
         let unbroken_wall = start.elapsed().as_secs_f64();
-        let epochs_total = unbroken.epochs().len();
+        let epochs_total = unbroken.epoch_index();
         let expected = unbroken.into_report();
 
         // The crash: a child process that dies at the kill epoch.

@@ -5,19 +5,22 @@
 //! The on-disk frame is
 //!
 //! ```text
-//! magic "HBNC" | version u32 | payload_len u64 | payload | fnv1a64(magic‖version‖payload)
+//! magic | version u32 | payload_len u64 | payload | checksum64(magic‖version‖payload)
 //! ```
 //!
-//! `read_frame` validates magic, version, length consistency and the
-//! checksum **before** any payload decoding, so a corrupted or truncated
-//! file is always a clean [`RestoreError`], never a panic or a silently
-//! wrong resume (FNV-1a's per-byte steps are bijections, so any
-//! single-byte flip changes the checksum). `write_frame` writes to a
-//! staging sibling unique to that save, syncs it, renames into place
-//! and fsyncs the parent directory — a crash (or power loss) mid-write
-//! leaves the previous checkpoint intact, a stale staging file left by
-//! a killed writer is ignored by readers, and concurrent saves to one
-//! path never share a staging file: the last rename wins whole.
+//! A session checkpoint is an `HBNC` frame; each frozen chunk of its
+//! epoch history is an `HBNH` frame of its own, next to it (see
+//! [`crate::SessionCheckpoint::save`]). `read_frame` validates magic,
+//! version, length consistency and the checksum **before** any payload
+//! decoding, so a corrupted or truncated file is always a clean
+//! [`RestoreError`], never a panic or a silently wrong resume (the
+//! word-wise `checksum64` changes under any single-byte flip).
+//! `write_frame` writes to a staging sibling unique to that save, syncs
+//! it, renames into place and fsyncs the parent directory — a crash (or
+//! power loss) mid-write leaves the previous file intact, a stale staging
+//! file left by a killed writer is ignored by readers, and concurrent
+//! saves to one path never share a staging file: the last rename wins
+//! whole.
 
 use crate::spec::ScenarioSpec;
 use hbn_dynamic::DynamicStats;
@@ -29,13 +32,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic of durable checkpoints.
 pub(crate) const MAGIC: [u8; 4] = *b"HBNC";
-/// Current checkpoint format version. v4 dropped the serve-shard count
-/// from the spec fingerprint; v3 added the per-tenant attribution state
-/// to the session payload and the capacity profile to the spec
-/// fingerprint; v2 added the per-epoch estimator bounds to the epoch
-/// record. Older files fail with [`RestoreError::BadVersion`] rather
-/// than decode wrongly.
-pub(crate) const VERSION: u32 = 4;
+/// File magic of the frozen history chunks a checkpoint references.
+pub(crate) const CHUNK_MAGIC: [u8; 4] = *b"HBNH";
+/// Current checkpoint format version. v5 moved the frozen epoch history
+/// into chunk files of its own and replaced byte-wise FNV-1a with
+/// [`checksum64`] (spec fingerprints included); v4 dropped the
+/// serve-shard count from the spec fingerprint; v3 added the per-tenant
+/// attribution state to the session payload and the capacity profile to
+/// the spec fingerprint; v2 added the per-epoch estimator bounds to the
+/// epoch record. Older files fail with [`RestoreError::BadVersion`]
+/// rather than decode wrongly.
+pub(crate) const VERSION: u32 = 5;
 
 /// Why restoring a session (from a checkpoint or from disk) failed.
 #[derive(Debug)]
@@ -100,13 +107,32 @@ impl From<std::io::Error> for RestoreError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes`.
-pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
+/// A 64-bit checksum of the concatenated `parts`, one 64-bit word at a
+/// time: each little-endian word `w` of a part steps the running hash
+/// `h` to `rotl((h ^ w) * K, 29)` with `K` odd, and the trailing
+/// `len % 8` bytes of the part take FNV-1a's byte step
+/// `(h ^ b) * FNV_PRIME`.
+///
+/// Both steps are bijections of `h` for a fixed input (xor, multiply by
+/// an odd constant modulo 2^64, rotate) and injective in the input for a
+/// fixed `h` (the same three maps applied to `w`). So two equally long
+/// inputs that differ only inside one word (or one trailing byte) hash
+/// equally up to that step, differently right after it, and differently
+/// at the end, because every later step is a bijection of the hash. Any
+/// change confined to one aligned 8-byte word — every single-byte flip
+/// among them — changes the checksum.
+pub(crate) fn checksum64(parts: &[&[u8]]) -> u64 {
+    const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in chunks {
-        for &b in *chunk {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    for part in parts {
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+            hash = (hash ^ w).wrapping_mul(WORD_MUL).rotate_left(29);
+        }
+        for &b in words.remainder() {
+            hash = (hash ^ b as u64).wrapping_mul(FNV_PRIME);
         }
     }
     hash
@@ -123,22 +149,22 @@ fn staging_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// Frame `payload` and write it to `path` atomically: stage in a
-/// sibling of its own ([`staging_path`]), fsync it, rename into place,
-/// then fsync the parent directory so the *rename itself* survives power
-/// loss (a synced file under an unsynced directory entry can still
-/// resurrect the old name). Concurrent saves each rename a complete
-/// frame, so `path` always holds one of them whole. A failed save
-/// removes its staging file; one left by a killed writer was never part
-/// of a committed checkpoint and readers never look at it
+/// Frame `payload` under `magic` and write it to `path` atomically:
+/// stage in a sibling of its own ([`staging_path`]), fsync it, rename
+/// into place, then fsync the parent directory so the *rename itself*
+/// survives power loss (a synced file under an unsynced directory entry
+/// can still resurrect the old name). Concurrent saves each rename a
+/// complete frame, so `path` always holds one of them whole. A failed
+/// save removes its staging file; one left by a killed writer was never
+/// part of a committed checkpoint and readers never look at it
 /// ([`read_frame`] opens only `path`).
-pub(crate) fn write_frame(path: &Path, payload: &[u8]) -> Result<(), RestoreError> {
+pub(crate) fn write_frame(path: &Path, magic: [u8; 4], payload: &[u8]) -> Result<(), RestoreError> {
     let mut frame = Vec::with_capacity(payload.len() + 24);
-    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&magic);
     frame.extend_from_slice(&VERSION.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     frame.extend_from_slice(payload);
-    let checksum = fnv1a64(&[&MAGIC, &VERSION.to_le_bytes(), payload]);
+    let checksum = checksum64(&[&magic, &VERSION.to_le_bytes(), payload]);
     frame.extend_from_slice(&checksum.to_le_bytes());
 
     let tmp = staging_path(path);
@@ -156,17 +182,21 @@ pub(crate) fn write_frame(path: &Path, payload: &[u8]) -> Result<(), RestoreErro
     Ok(())
 }
 
+/// The directory holding `path` (`.` for a bare file name).
+pub(crate) fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    }
+}
+
 /// Fsync the directory holding `path`. On unix a rename is durable only
 /// once the parent directory's entry block is on disk; elsewhere
 /// directories cannot be opened for syncing and the rename is the best
 /// available guarantee.
 #[cfg(unix)]
 fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
+    std::fs::File::open(parent_dir(path))?.sync_all()
 }
 
 #[cfg(not(unix))]
@@ -174,34 +204,39 @@ fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Read a frame from `path`, validating magic, version, length and
-/// checksum before returning the payload.
-pub(crate) fn read_frame(path: &Path) -> Result<Vec<u8>, RestoreError> {
-    decode_frame(&std::fs::read(path)?)
+/// Read the frame under `magic` at `path`, validating magic, version,
+/// length and checksum before returning the payload and its checksum.
+pub(crate) fn read_frame(path: &Path, magic: [u8; 4]) -> Result<(Vec<u8>, u64), RestoreError> {
+    let frame = std::fs::read(path)?;
+    let (payload, checksum) = decode_frame(&frame, magic)?;
+    Ok((payload.to_vec(), checksum))
 }
 
-/// Validate a raw frame and extract its payload.
-pub(crate) fn decode_frame(frame: &[u8]) -> Result<Vec<u8>, RestoreError> {
+/// Validate a raw frame under `magic` and extract its payload and
+/// checksum.
+pub(crate) fn decode_frame(frame: &[u8], magic: [u8; 4]) -> Result<(&[u8], u64), RestoreError> {
     if frame.len() < 24 {
         return Err(RestoreError::BadChecksum);
     }
-    if frame[0..4] != MAGIC {
+    if frame[0..4] != magic {
         return Err(RestoreError::BadMagic);
     }
     let version = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
     if version != VERSION {
         return Err(RestoreError::BadVersion(version));
     }
-    let payload_len = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes")) as usize;
-    if frame.len() != 24 + payload_len {
+    // The length field is untrusted: compare it with what the file holds
+    // rather than add to it.
+    let payload_len = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
+    if payload_len != (frame.len() - 24) as u64 {
         return Err(RestoreError::BadChecksum);
     }
-    let payload = &frame[16..16 + payload_len];
-    let stored = u64::from_le_bytes(frame[16 + payload_len..].try_into().expect("8 bytes"));
-    if fnv1a64(&[&MAGIC, &VERSION.to_le_bytes(), payload]) != stored {
+    let (payload, stored) = frame[16..].split_at(frame.len() - 24);
+    let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
+    if checksum64(&[&magic, &VERSION.to_le_bytes(), payload]) != stored {
         return Err(RestoreError::BadChecksum);
     }
-    Ok(payload.to_vec())
+    Ok((payload, stored))
 }
 
 /// A structural fingerprint of a [`ScenarioSpec`]: everything that
@@ -233,7 +268,7 @@ pub(crate) fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
         put_u64(&mut buf, event.epoch as u64);
         put_str(&mut buf, &format!("{:?}", event.kind));
     }
-    fnv1a64(&[&buf])
+    checksum64(&[&buf])
 }
 
 // --- encoder primitives ---
@@ -417,19 +452,53 @@ mod tests {
         let dir = unique_dir("frame");
         let path = dir.join("frame.hbnc");
         let payload = b"the payload".to_vec();
-        write_frame(&path, &payload).unwrap();
-        assert_eq!(read_frame(&path).unwrap(), payload);
+        write_frame(&path, MAGIC, &payload).unwrap();
+        assert_eq!(read_frame(&path, MAGIC).unwrap().0, payload);
+        assert!(matches!(read_frame(&path, CHUNK_MAGIC), Err(RestoreError::BadMagic)));
 
         let frame = std::fs::read(&path).unwrap();
         for i in 0..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x01;
-            assert!(decode_frame(&bad).is_err(), "flip of byte {i} must be detected");
+            assert!(decode_frame(&bad, MAGIC).is_err(), "flip of byte {i} must be detected");
         }
         for cut in 0..frame.len() {
-            assert!(decode_frame(&frame[..cut]).is_err(), "truncation at {cut}");
+            assert!(decode_frame(&frame[..cut], MAGIC).is_err(), "truncation at {cut}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A length field near `u64::MAX` is corrupt, not an overflow: the
+    /// 32-byte frame `magic | version | u64::MAX | 8 zero bytes`.
+    #[test]
+    fn absurd_payload_length_is_a_checksum_error() {
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&VERSION.to_le_bytes());
+        frame.extend_from_slice(&u64::MAX.to_le_bytes());
+        frame.extend_from_slice(&[0; 8]);
+        frame.extend_from_slice(&[0; 8]);
+        assert_eq!(frame.len(), 32);
+        assert!(matches!(decode_frame(&frame, MAGIC), Err(RestoreError::BadChecksum)));
+    }
+
+    /// Any change confined to one aligned word, or to one trailing byte,
+    /// changes the checksum.
+    #[test]
+    fn checksum_changes_under_any_change_within_one_word() {
+        let base: Vec<u8> = (0..45u8).map(|b| b.wrapping_mul(37)).collect();
+        let reference = checksum64(&[b"HBNC", &base]);
+        for start in (0..base.len()).step_by(8) {
+            let end = (start + 8).min(base.len());
+            for pattern in [0x01u64, 0x8000_0000_0000_0000, u64::MAX, 0x0123_4567_89ab_cdef] {
+                let mut changed = base.clone();
+                for (i, byte) in changed[start..end].iter_mut().enumerate() {
+                    *byte ^= (pattern >> (8 * i)) as u8;
+                }
+                if changed != base {
+                    assert_ne!(checksum64(&[b"HBNC", &changed]), reference, "word at {start}");
+                }
+            }
+        }
     }
 
     /// A killed writer leaves a partial staging file: readers ignore it
@@ -440,16 +509,16 @@ mod tests {
         let dir = unique_dir("torn");
         let path = dir.join("frame.hbnc");
         let first = b"first committed payload".to_vec();
-        write_frame(&path, &first).unwrap();
+        write_frame(&path, MAGIC, &first).unwrap();
 
         // The torn write: half a frame in a staging sibling.
         let torn = staging_path(&path);
         std::fs::write(&torn, &MAGIC[..2]).unwrap();
-        assert_eq!(read_frame(&path).unwrap(), first, "torn staging must not shadow the frame");
+        assert_eq!(read_frame(&path, MAGIC).unwrap().0, first, "torn staging must not shadow it");
 
         let second = b"second payload, after the torn writer".to_vec();
-        write_frame(&path, &second).unwrap();
-        assert_eq!(read_frame(&path).unwrap(), second);
+        write_frame(&path, MAGIC, &second).unwrap();
+        assert_eq!(read_frame(&path, MAGIC).unwrap().0, second);
         assert_eq!(std::fs::read(&torn).unwrap(), MAGIC[..2], "a later save never reuses it");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -462,9 +531,9 @@ mod tests {
         let dir = unique_dir("torn_only");
         let path = dir.join("never_committed.hbnc");
         std::fs::write(staging_path(&path), b"HBNC torn mid-write").unwrap();
-        assert!(matches!(read_frame(&path), Err(RestoreError::Io(_))));
-        write_frame(&path, b"now committed").unwrap();
-        assert_eq!(read_frame(&path).unwrap(), b"now committed".to_vec());
+        assert!(matches!(read_frame(&path, MAGIC), Err(RestoreError::Io(_))));
+        write_frame(&path, MAGIC, b"now committed").unwrap();
+        assert_eq!(read_frame(&path, MAGIC).unwrap().0, b"now committed".to_vec());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -484,12 +553,13 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for i in 0..SAVES {
-                        write_frame(path, &payload(w, i)).expect("every concurrent save commits");
+                        write_frame(path, MAGIC, &payload(w, i))
+                            .expect("every concurrent save commits");
                     }
                 });
             }
         });
-        let saved = read_frame(&path).unwrap();
+        let (saved, _) = read_frame(&path, MAGIC).unwrap();
         let candidates: Vec<Vec<u8>> =
             (0..WRITERS).flat_map(|w| (0..SAVES).map(move |i| payload(w, i))).collect();
         assert!(candidates.contains(&saved), "the file must hold one saved frame whole");

@@ -65,6 +65,7 @@
 pub mod durable;
 pub mod engine;
 pub mod faults;
+mod history;
 pub mod session;
 pub mod spec;
 pub mod strategy;

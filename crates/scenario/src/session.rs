@@ -24,14 +24,15 @@
 //!   (`exp_session_resume` proves it at benchmark scale).
 
 use crate::durable::{
-    put_f64, put_loads, put_ratio, put_stats, put_str, put_u32, put_u64, put_u8, read_frame,
-    spec_fingerprint, write_frame, Dec, RestoreError,
+    parent_dir, put_f64, put_loads, put_ratio, put_stats, put_str, put_u32, put_u64, put_u8,
+    read_frame, spec_fingerprint, write_frame, Dec, RestoreError, MAGIC,
 };
 use crate::engine::{
     recovery_epochs, summarise_phase, EpochEstimate, EpochSummary, PhaseSummary, ScenarioReport,
     TenantSummary, TrafficCounters,
 };
 use crate::faults::FaultView;
+use crate::history::History;
 use crate::spec::{ExecutionConfig, ReplayKernel, ScenarioSpec};
 use crate::strategy::{strategy_from_durable, Strategy};
 use hbn_core::nibble_placement;
@@ -107,9 +108,11 @@ struct State {
     epoch_idx: usize,
     phase_idx: usize,
     remaining_in_phase: usize,
-    /// Index into `epochs` where the current phase began.
+    /// Index into `history` where the current phase began.
     phase_start: usize,
-    epochs: Vec<EpochSummary>,
+    /// Every epoch summary so far; cloning it shares the frozen chunks.
+    history: History,
+    /// Completed phase summaries, bounded by the schedule.
     phases: Vec<PhaseSummary>,
 }
 
@@ -134,6 +137,19 @@ impl SessionCheckpoint {
     /// rename), so a crash mid-write leaves any previous checkpoint
     /// intact. Restore with [`Session::restore_from_file`].
     ///
+    /// The frame holds the run state and the unfrozen tail of the epoch
+    /// history. Each frozen chunk of the history is a checksummed file of
+    /// its own in `path`'s directory, named by the spec fingerprint, the
+    /// chunk index and its digest, and written — atomically, before the
+    /// frame that references it — only if this run has not yet written it
+    /// to that directory. A save therefore costs what changed since the
+    /// last save there, not the run's whole history.
+    ///
+    /// This relies on one condition: the chunk files in a directory are
+    /// shared by every frame the run saves there, so they must outlive all
+    /// of those frames. Delete frames freely; delete chunk files only with
+    /// the last frame that references them.
+    ///
     /// # Errors
     ///
     /// [`RestoreError::UnsupportedStrategy`] when the policy does not
@@ -145,8 +161,9 @@ impl SessionCheckpoint {
             .strategy
             .durable()
             .ok_or_else(|| RestoreError::UnsupportedStrategy(st.strategy.label()))?;
+        let fingerprint = spec_fingerprint(&self.spec);
         let mut p = Vec::new();
-        put_u64(&mut p, spec_fingerprint(&self.spec));
+        put_u64(&mut p, fingerprint);
         put_u64(&mut p, st.requests_drawn);
         put_u64(&mut p, strategy_bytes.len() as u64);
         p.extend_from_slice(&strategy_bytes);
@@ -167,15 +184,13 @@ impl SessionCheckpoint {
         put_u64(&mut p, st.phase_idx as u64);
         put_u64(&mut p, st.remaining_in_phase as u64);
         put_u64(&mut p, st.phase_start as u64);
-        put_u64(&mut p, st.epochs.len() as u64);
-        for e in &st.epochs {
-            put_epoch(&mut p, e);
-        }
+        st.history.put_durable(&mut p);
         put_u64(&mut p, st.phases.len() as u64);
         for ph in &st.phases {
             put_phase(&mut p, ph);
         }
-        write_frame(path, &p)
+        st.history.save_chunks(parent_dir(path), fingerprint)?;
+        write_frame(path, MAGIC, &p)
     }
 }
 
@@ -246,7 +261,7 @@ fn read_traffic(dec: &mut Dec<'_>) -> Result<TrafficCounters, String> {
     })
 }
 
-fn put_epoch(out: &mut Vec<u8>, e: &EpochSummary) {
+pub(crate) fn put_epoch(out: &mut Vec<u8>, e: &EpochSummary) {
     put_u64(out, e.phase as u64);
     put_traffic(out, e.traffic);
     put_ratio(out, e.online_congestion);
@@ -267,7 +282,7 @@ fn put_epoch(out: &mut Vec<u8>, e: &EpochSummary) {
     put_u64(out, e.buses_degraded as u64);
 }
 
-fn read_epoch(dec: &mut Dec<'_>) -> Result<EpochSummary, String> {
+pub(crate) fn read_epoch(dec: &mut Dec<'_>) -> Result<EpochSummary, String> {
     Ok(EpochSummary {
         phase: dec.u64()? as usize,
         traffic: read_traffic(dec)?,
@@ -317,12 +332,14 @@ fn read_phase(dec: &mut Dec<'_>) -> Result<PhaseSummary, String> {
 }
 
 /// Decode a durable payload back into a checkpoint under `spec`,
-/// validating the spec fingerprint, every length and every index, and
-/// rebuilding the stream cursor by replaying the recorded number of
-/// draws from the spec's seed.
+/// validating the spec fingerprint, every length and every index,
+/// reading the frozen history chunks from `dir` and rebuilding the
+/// stream cursor by replaying the recorded number of draws from the
+/// spec's seed.
 fn decode_checkpoint(
     spec: &ScenarioSpec,
     payload: &[u8],
+    dir: &Path,
 ) -> Result<SessionCheckpoint, RestoreError> {
     let net = spec.build_network();
     let max_objects = spec.schedule.max_objects();
@@ -332,18 +349,21 @@ fn decode_checkpoint(
     if found != expected {
         return Err(RestoreError::SpecMismatch { expected, found });
     }
-    let checkpoint = decode_checkpoint_body(spec, &net, max_objects, &mut dec)
-        .map_err(RestoreError::Malformed)?;
+    let (mut state, digests, tail) =
+        decode_state(spec, &net, max_objects, &mut dec).map_err(RestoreError::Malformed)?;
     dec.finish().map_err(RestoreError::Malformed)?;
-    Ok(checkpoint)
+    state.history = History::restore(dir, expected, &digests, tail)?;
+    Ok(SessionCheckpoint { spec: spec.clone(), state })
 }
 
-fn decode_checkpoint_body(
+/// The run state of a payload, with an empty history, plus the
+/// history's chunk digests and tail.
+fn decode_state(
     spec: &ScenarioSpec,
     net: &Network,
     max_objects: usize,
     dec: &mut Dec<'_>,
-) -> Result<SessionCheckpoint, String> {
+) -> Result<(State, Vec<u64>, Vec<EpochSummary>), String> {
     let requests_drawn = dec.u64()?;
     let strategy_bytes = dec.bytes()?;
     let strategy = strategy_from_durable(net, &spec.exec, max_objects, strategy_bytes)?;
@@ -364,8 +384,7 @@ fn decode_checkpoint_body(
     let phase_idx = dec.u64()? as usize;
     let remaining_in_phase = dec.u64()? as usize;
     let phase_start = dec.u64()? as usize;
-    let n_epochs = dec.len(1)?;
-    let epochs = (0..n_epochs).map(|_| read_epoch(dec)).collect::<Result<Vec<_>, _>>()?;
+    let (digests, tail) = History::read_durable(dec)?;
     let n_phases = dec.len(1)?;
     let phases = (0..n_phases).map(|_| read_phase(dec)).collect::<Result<Vec<_>, _>>()?;
     let mut stream = spec.schedule.stream_state(net, spec.seed);
@@ -376,28 +395,26 @@ fn decode_checkpoint_body(
             ));
         }
     }
-    Ok(SessionCheckpoint {
-        spec: spec.clone(),
-        state: State {
-            strategy,
-            stream,
-            requests_drawn,
-            aggregate,
-            cum,
-            phase_delta,
-            retired_loads,
-            retired_stats,
-            stats_mark,
-            tenant_loads,
-            tenant_requests,
-            epoch_idx,
-            phase_idx,
-            remaining_in_phase,
-            phase_start,
-            epochs,
-            phases,
-        },
-    })
+    let state = State {
+        strategy,
+        stream,
+        requests_drawn,
+        aggregate,
+        cum,
+        phase_delta,
+        retired_loads,
+        retired_stats,
+        stats_mark,
+        tenant_loads,
+        tenant_requests,
+        epoch_idx,
+        phase_idx,
+        remaining_in_phase,
+        phase_start,
+        history: History::default(),
+        phases,
+    };
+    Ok((state, digests, tail))
 }
 
 /// The internal-consistency checks of [`Session::restore`]: the fault
@@ -419,15 +436,15 @@ fn validate_cursors(spec: &ScenarioSpec, cp: &State, net: &Network) -> Result<()
             cp.phase_idx
         ));
     }
-    if cp.epoch_idx != cp.epochs.len() {
+    if cp.epoch_idx != cp.history.len() {
         return bad(format!(
             "epoch cursor {} disagrees with {} recorded epochs",
             cp.epoch_idx,
-            cp.epochs.len()
+            cp.history.len()
         ));
     }
-    if cp.phase_start > cp.epochs.len() {
-        return bad(format!("phase start {} beyond {} epochs", cp.phase_start, cp.epochs.len()));
+    if cp.phase_start > cp.history.len() {
+        return bad(format!("phase start {} beyond {} epochs", cp.phase_start, cp.history.len()));
     }
     if let Some(phase) = spec.schedule.phases.get(cp.phase_idx) {
         if cp.remaining_in_phase > phase.requests {
@@ -534,7 +551,7 @@ impl Session {
             phase_idx: 0,
             remaining_in_phase: spec.schedule.phases.first().map_or(0, |p| p.requests),
             phase_start: 0,
-            epochs: Vec::new(),
+            history: History::default(),
             phases: Vec::new(),
         };
         Session::with_state(spec.clone(), net, state)
@@ -641,9 +658,10 @@ impl Session {
         &self.state.tenant_requests
     }
 
-    /// Epoch summaries accumulated so far, in execution order.
-    pub fn epochs(&self) -> &[EpochSummary] {
-        &self.state.epochs
+    /// The summary of epoch `i` (global index, in execution order), if
+    /// it has run.
+    pub fn epoch(&self, i: usize) -> Option<&EpochSummary> {
+        self.state.history.get(i)
     }
 
     /// Summaries of the *completed* schedule phases so far.
@@ -917,7 +935,7 @@ impl Session {
             buses_down: view.buses_down,
             buses_degraded: view.buses_degraded,
         };
-        st.epochs.push(summary.clone());
+        st.history.push(summary.clone());
         st.epoch_idx += 1;
         Ok(summary)
     }
@@ -929,8 +947,9 @@ impl Session {
         let phase = &self.spec.schedule.phases[st.phase_idx];
         // Epochs pushed mid-phase carry the out-of-schedule phase index;
         // the phase summary covers only the schedule's own epochs.
-        let phase_epochs: Vec<EpochSummary> = st.epochs[st.phase_start..]
-            .iter()
+        let phase_epochs: Vec<EpochSummary> = st
+            .history
+            .iter_from(st.phase_start)
             .filter(|e| e.phase == st.phase_idx)
             .cloned()
             .collect();
@@ -940,7 +959,7 @@ impl Session {
             st.phase_delta.congestion(&self.net).congestion,
         ));
         st.phase_delta.reset();
-        st.phase_start = st.epochs.len();
+        st.phase_start = st.history.len();
         st.phase_idx += 1;
         st.remaining_in_phase =
             self.spec.schedule.phases.get(st.phase_idx).map_or(0, |p| p.requests);
@@ -966,7 +985,9 @@ impl Session {
     /// Snapshot the full session state — strategy (copy sets, loads,
     /// counters), stream RNG cursor, aggregate matrix, delta marks and
     /// accumulated summaries. The checkpoint is independent of the
-    /// session: both can be driven on afterwards.
+    /// session: both can be driven on afterwards. The frozen chunks of
+    /// the epoch history are immutable and shared, so the history costs
+    /// one reference count plus a copy of the unfrozen tail.
     pub fn checkpoint(&self) -> SessionCheckpoint {
         SessionCheckpoint { spec: self.spec.clone(), state: self.state.clone() }
     }
@@ -997,16 +1018,20 @@ impl Session {
     /// under a different spec fails with [`RestoreError::SpecMismatch`].
     /// The stream cursor is restored by replaying the recorded number of
     /// draws from the spec's seed, so the resumed run is bit-for-bit the
-    /// unbroken one.
+    /// unbroken one. The frozen history chunks the frame lists are read
+    /// from `path`'s directory, each checked against its digest.
     ///
     /// # Errors
     ///
     /// Every corruption is a clean error, never a panic: i/o failures
-    /// ([`RestoreError::Io`]), bad magic/version/checksum, malformed
-    /// payloads, spec mismatches and inconsistent cursors.
+    /// ([`RestoreError::Io`], a missing chunk file among them), bad
+    /// magic/version/checksum of the frame or of a chunk file (a chunk
+    /// whose checksum is not the digest the frame lists is
+    /// [`RestoreError::BadChecksum`]), malformed payloads, spec
+    /// mismatches and inconsistent cursors.
     pub fn restore_from_file(spec: &ScenarioSpec, path: &Path) -> Result<Session, RestoreError> {
-        let payload = read_frame(path)?;
-        let checkpoint = decode_checkpoint(spec, &payload)?;
+        let (payload, _) = read_frame(path, MAGIC)?;
+        let checkpoint = decode_checkpoint(spec, &payload, parent_dir(path))?;
         Session::restore(checkpoint)
     }
 
@@ -1018,17 +1043,17 @@ impl Session {
         self.assemble_report(
             self.spec.name.clone(),
             self.state.phases.clone(),
-            self.state.epochs.clone(),
+            self.state.history.iter_from(0).cloned().collect(),
         )
     }
 
-    /// [`Session::report`], consuming the session — the summary vectors
-    /// and name move instead of being cloned, so finishing a long
-    /// streaming run costs no copy of its epoch history.
+    /// [`Session::report`], consuming the session — the summaries and
+    /// name move instead of being cloned, so finishing a long streaming
+    /// run copies only the history chunks a checkpoint still shares.
     pub fn into_report(mut self) -> ScenarioReport {
         let name = std::mem::take(&mut self.spec.name);
         let phases = std::mem::take(&mut self.state.phases);
-        let epochs = std::mem::take(&mut self.state.epochs);
+        let epochs = std::mem::take(&mut self.state.history).into_vec();
         self.assemble_report(name, phases, epochs)
     }
 

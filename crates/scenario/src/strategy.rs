@@ -1265,6 +1265,24 @@ fn check_nodes(nodes: &[NodeId], net: &Network) -> Result<(), String> {
     }
 }
 
+/// A replica set read from disk must be one the dynamic kernel could
+/// have built: distinct nodes forming one connected subtree. In a rooted
+/// tree a set is connected exactly when one member is the root or has a
+/// parent outside the set.
+fn check_replica_set(replicas: &[NodeId], net: &Network) -> Result<(), String> {
+    let mut sorted = replicas.to_vec();
+    sorted.sort_unstable();
+    if sorted.windows(2).any(|w| w[0] == w[1]) {
+        return Err("duplicate replica".into());
+    }
+    let is_member = |v: NodeId| sorted.binary_search(&v).is_ok();
+    let tops = replicas.iter().filter(|&&v| v == net.root() || !is_member(net.parent(v))).count();
+    if tops != 1 {
+        return Err(format!("replica set in {tops} disconnected parts"));
+    }
+    Ok(())
+}
+
 fn read_dyn_kernel(
     dec: &mut Dec<'_>,
     net: &Network,
@@ -1286,6 +1304,7 @@ fn read_dyn_kernel(
         if replicas.is_empty() {
             return Err(format!("live object {i} with empty replica set"));
         }
+        check_replica_set(&replicas, net).map_err(|e| format!("object {i}: {e}"))?;
         let n_counters = dec.len(12)?;
         let mut counters = Vec::with_capacity(n_counters);
         for _ in 0..n_counters {
@@ -1420,4 +1439,42 @@ pub(crate) fn strategy_from_durable(
     };
     dec.finish()?;
     Ok(strategy)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::TopologyFamily;
+
+    /// The durable bytes of a one-object dynamic strategy whose object
+    /// holds `replicas`.
+    fn dynamic_bytes(net: &Network, replicas: &[NodeId]) -> Vec<u8> {
+        let mut out = vec![TAG_DYNAMIC];
+        put_u64(&mut out, 1);
+        put_u8(&mut out, 1);
+        put_nodes(&mut out, replicas);
+        put_u64(&mut out, 0);
+        for _ in 0..2 {
+            put_loads(&mut out, &LoadMap::zero(net));
+            put_stats(&mut out, DynamicStats::default());
+        }
+        out
+    }
+
+    /// The decoder is the gate for replica sets read from disk: a
+    /// disconnected set or a duplicate replica is malformed, never a
+    /// panic or a corrupt tree.
+    #[test]
+    fn disconnected_or_duplicate_replica_sets_are_rejected() {
+        let net = TopologyFamily::Star { processors: 4, bus_bandwidth: 2 }.build();
+        let exec = ExecutionConfig::default();
+        let (p0, p1) = (net.processors()[0], net.processors()[1]);
+        let bus = net.parent(p0);
+        assert!(strategy_from_durable(&net, &exec, 1, &dynamic_bytes(&net, &[bus, p0, p1])).is_ok());
+
+        let disconnected = strategy_from_durable(&net, &exec, 1, &dynamic_bytes(&net, &[p0, p1]));
+        assert!(disconnected.is_err_and(|e| e.contains("disconnected")));
+        let duplicate = strategy_from_durable(&net, &exec, 1, &dynamic_bytes(&net, &[p0, p0]));
+        assert!(duplicate.is_err_and(|e| e.contains("duplicate")));
+    }
 }

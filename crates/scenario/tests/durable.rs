@@ -3,14 +3,17 @@
 //! with an error, never a panic or a silently wrong resume.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{
-    FaultPlan, FrozenStatic, RestoreError, ScenarioSpec, ScenarioSpecBuilder, ServeKernel, Session,
-    Strategy, StrategyKind, ThresholdSwitch, TopologyFamily,
+    FaultPlan, FrozenStatic, RestoreError, ScenarioReport, ScenarioSpec, ScenarioSpecBuilder,
+    ServeKernel, Session, Strategy, StrategyKind, ThresholdSwitch, TopologyFamily,
 };
 use hbn_workload::phases::full_tour;
+use hbn_workload::{ObjectId, PhaseSchedule};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -215,14 +218,21 @@ fn foreign_files_are_rejected_by_kind() {
     let vpath = tmp("version_flip.hbnc");
     std::fs::write(&vpath, &flipped).unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &vpath), Err(RestoreError::BadVersion(_))));
-    // A real frame rewritten to the previous format version (v3, whose
-    // spec fingerprint still hashed a serve-shard count) is refused by
-    // version — not as a spec mismatch, not as a corrupt file.
-    let mut v3 = bytes.clone();
-    v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-    let v3path = tmp("version_3.hbnc");
-    std::fs::write(&v3path, &v3).unwrap();
-    assert!(matches!(Session::restore_from_file(&spec, &v3path), Err(RestoreError::BadVersion(3))));
+    // A real frame rewritten to an earlier format version is refused by
+    // version — not as a spec mismatch, not as a corrupt file: v4 kept the
+    // whole epoch history inline and checksummed byte by byte, and v3's
+    // spec fingerprint still hashed a serve-shard count.
+    for old in [3u32, 4] {
+        let mut rewritten = bytes.clone();
+        rewritten[4..8].copy_from_slice(&old.to_le_bytes());
+        let opath = tmp(&format!("version_{old}.hbnc"));
+        std::fs::write(&opath, &rewritten).unwrap();
+        let restored = Session::restore_from_file(&spec, &opath).map(|_| ());
+        assert!(
+            matches!(restored, Err(RestoreError::BadVersion(v)) if v == old),
+            "v{old}: {restored:?}"
+        );
+    }
     // Corrupting the payload instead trips the checksum.
     let mut payload_flip = bytes.clone();
     let mid = 16 + (bytes.len() - 24) / 2;
@@ -277,5 +287,290 @@ proptest! {
         std::fs::write(&path, &bytes[..cut]).unwrap();
         prop_assert!(Session::restore_from_file(&spec, &path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+}
+
+// --- the frozen epoch history: chunk files next to the frame ---------
+
+/// Epochs per frozen history chunk. The length is private to the crate;
+/// `checkpoints_resume_across_chunk_boundaries` pins it by observing when
+/// the first chunk file appears.
+const CHUNK: usize = 256;
+/// Objects of the pushed-traffic spec.
+const PUSHED_OBJECTS: u32 = 6;
+
+/// An empty directory of its own under the target's temp dir.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = tmp(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The history chunk files in `dir`, sorted by name.
+fn chunk_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "hbnh"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// A service-style spec: no schedule, every epoch pushed.
+fn pushed_spec() -> ScenarioSpec {
+    ScenarioSpec::builder(
+        "pushed",
+        TopologyFamily::Balanced { branching: 2, height: 2 },
+        PhaseSchedule::new(PUSHED_OBJECTS as usize, vec![]),
+    )
+    .threshold(2)
+    .seed(5)
+    .build()
+}
+
+/// Pushed epoch `i` of traffic stream `traffic`: three requests, about a
+/// third of them writes.
+fn small_batch(session: &Session, traffic: u64, i: usize) -> Vec<OnlineRequest> {
+    let procs = session.network().processors();
+    (0..3u64)
+        .map(|j| {
+            let h = (traffic * 1_000_003 + i as u64 * 31 + j).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            OnlineRequest {
+                processor: procs[(h >> 40) as usize % procs.len()],
+                object: ObjectId((h >> 20) as u32 % PUSHED_OBJECTS),
+                is_write: (h >> 8).is_multiple_of(3),
+            }
+        })
+        .collect()
+}
+
+/// Push epochs `from..to` of `traffic` into `session`.
+fn push_range(session: &mut Session, traffic: u64, from: usize, to: usize) {
+    for i in from..to {
+        let batch = small_batch(session, traffic, i);
+        session.push_epoch(&batch).unwrap();
+    }
+}
+
+/// Checkpoints whose history ends on a chunk boundary, one epoch past
+/// it, and one epoch short of the next, each restored from disk and run
+/// on, reproduce the unbroken run bit for bit.
+#[test]
+fn checkpoints_resume_across_chunk_boundaries() {
+    let spec = pushed_spec();
+    let dir = fresh_dir("chunk_boundaries");
+    let total = 4 * CHUNK + 20;
+    let saves = [CHUNK - 1, CHUNK, 3 * CHUNK, 3 * CHUNK + 1, 4 * CHUNK - 1];
+    let mut unbroken = Session::new(&spec);
+    let mut done = 0;
+    for &at in &saves {
+        push_range(&mut unbroken, 1, done, at);
+        done = at;
+        unbroken.checkpoint().save(&dir.join(format!("e{at}.hbnc"))).unwrap();
+        assert_eq!(chunk_files(&dir).len(), at / CHUNK, "chunk files after {at} epochs");
+    }
+    push_range(&mut unbroken, 1, done, total);
+    let expected = unbroken.into_report();
+    assert_eq!(expected.epochs.len(), total);
+
+    for &at in &saves {
+        let mut resumed = Session::restore_from_file(&spec, &dir.join(format!("e{at}.hbnc")))
+            .unwrap_or_else(|e| panic!("restore at {at}: {e}"));
+        assert_eq!(resumed.epoch_index(), at);
+        assert_eq!(resumed.epoch(at - 1), expected.epochs.get(at - 1));
+        assert!(resumed.epoch(at).is_none());
+        push_range(&mut resumed, 1, at, total);
+        assert_eq!(resumed.into_report(), expected, "resumed from {at} epochs");
+    }
+}
+
+/// A chunk file that is missing fails the restore with `Io`; one handed
+/// to `restore_from_file` as a checkpoint fails with `BadMagic`.
+#[test]
+fn missing_or_misused_chunk_files_fail_by_kind() {
+    let spec = pushed_spec();
+    let dir = fresh_dir("chunk_missing");
+    let mut session = Session::new(&spec);
+    push_range(&mut session, 1, 0, 2 * CHUNK + 3);
+    let frame = dir.join("frame.hbnc");
+    session.checkpoint().save(&frame).unwrap();
+    let chunks = chunk_files(&dir);
+    assert_eq!(chunks.len(), 2);
+    assert!(Session::restore_from_file(&spec, &frame).is_ok());
+
+    let restored = Session::restore_from_file(&spec, &chunks[0]).map(|_| ());
+    assert!(matches!(restored, Err(RestoreError::BadMagic)), "{restored:?}");
+
+    std::fs::remove_file(&chunks[1]).unwrap();
+    let restored = Session::restore_from_file(&spec, &frame).map(|_| ());
+    assert!(matches!(restored, Err(RestoreError::Io(_))), "{restored:?}");
+}
+
+/// Two runs of one spec with different traffic save into one directory:
+/// their chunk files differ by digest, and each frame restores its own
+/// run's history, never the other's. A valid chunk file of the other
+/// run put in place of a frame's own fails the digest check.
+#[test]
+fn two_runs_of_one_spec_never_read_each_others_chunks() {
+    let spec = pushed_spec();
+    let dir = fresh_dir("chunk_two_runs");
+    let epochs = CHUNK + 7;
+    let mut reports = Vec::new();
+    for traffic in [1, 2] {
+        let mut session = Session::new(&spec);
+        push_range(&mut session, traffic, 0, epochs);
+        session.checkpoint().save(&dir.join(format!("run{traffic}.hbnc"))).unwrap();
+        reports.push(session.into_report());
+    }
+    assert_ne!(reports[0].epochs[..CHUNK], reports[1].epochs[..CHUNK]);
+    let chunks = chunk_files(&dir);
+    assert_eq!(chunks.len(), 2, "one chunk file per run");
+    for (traffic, expected) in [1, 2].into_iter().zip(&reports) {
+        let restored =
+            Session::restore_from_file(&spec, &dir.join(format!("run{traffic}.hbnc"))).unwrap();
+        assert_eq!(&restored.into_report(), expected, "run {traffic}");
+    }
+
+    // Swap the two runs' chunk files: each name now holds a valid frame
+    // of the other run.
+    let swap = dir.join("swap.tmp");
+    std::fs::rename(&chunks[0], &swap).unwrap();
+    std::fs::rename(&chunks[1], &chunks[0]).unwrap();
+    std::fs::rename(&swap, &chunks[1]).unwrap();
+    for traffic in [1, 2] {
+        let restored = Session::restore_from_file(&spec, &dir.join(format!("run{traffic}.hbnc")));
+        let restored = restored.map(|_| ());
+        assert!(matches!(restored, Err(RestoreError::BadChecksum)), "run {traffic}: {restored:?}");
+    }
+}
+
+/// With the aggregate and the strategy state saturated (the same
+/// read-only batch every epoch), frames at 1x, 4x and 16x a chunk of
+/// epochs with the same tail differ by exactly one 8-byte digest per
+/// added chunk, and a second save into the same directory writes only
+/// the chunks frozen since the first.
+#[test]
+fn frames_grow_by_one_digest_per_chunk_and_saves_write_only_new_chunks() {
+    let spec = pushed_spec();
+    let dir = fresh_dir("chunk_growth");
+    let mut session = Session::new(&spec);
+    let procs = session.network().processors().to_vec();
+    let batch: Vec<OnlineRequest> = procs
+        .iter()
+        .flat_map(|&processor| {
+            (0..PUSHED_OBJECTS).map(move |x| OnlineRequest {
+                processor,
+                object: ObjectId(x),
+                is_write: false,
+            })
+        })
+        .collect();
+    let tail = 9;
+    let mut sizes = Vec::new();
+    let mut inodes_after_4x = Vec::new();
+    for chunks in [1, 4, 16] {
+        while session.epoch_index() < chunks * CHUNK + tail {
+            session.push_epoch(&batch).unwrap();
+        }
+        let frame = dir.join(format!("x{chunks}.hbnc"));
+        session.checkpoint().save(&frame).unwrap();
+        sizes.push(std::fs::metadata(&frame).unwrap().len());
+        assert_eq!(chunk_files(&dir).len(), chunks);
+        if chunks == 4 {
+            inodes_after_4x =
+                chunk_files(&dir).iter().map(|p| (chunk_index(p), inode(p))).collect();
+        }
+    }
+    assert_eq!(sizes[1] - sizes[0], 3 * 8, "frame sizes {sizes:?}");
+    assert_eq!(sizes[2] - sizes[0], 15 * 8, "frame sizes {sizes:?}");
+
+    // Chunks 0..4 were written by the 4x save and left alone by the 16x
+    // one: each still is the file the first save renamed into place.
+    let after_16x = chunk_files(&dir);
+    for &(k, old) in &inodes_after_4x {
+        let path = after_16x.iter().find(|p| chunk_index(p) == k).unwrap();
+        assert_eq!(inode(path), old, "chunk {k} was rewritten");
+    }
+    let restored = Session::restore_from_file(&spec, &dir.join("x16.hbnc")).unwrap();
+    assert_eq!(restored.into_report(), session.into_report());
+}
+
+/// The chunk index in a chunk file's name (`{fingerprint}-{k}-{digest}`).
+fn chunk_index(path: &Path) -> usize {
+    let name = path.file_stem().unwrap().to_str().unwrap();
+    name.split('-').nth(1).unwrap().parse().unwrap()
+}
+
+/// The file's identity: a rewrite stages a new file and renames it over
+/// the old name, so the identity changes.
+#[cfg(unix)]
+fn inode(path: &Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(path).unwrap().ino()
+}
+
+/// Elsewhere the length stands in, which only shows the file survived.
+#[cfg(not(unix))]
+fn inode(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// A saved checkpoint of one frozen chunk and a short tail: the frame's
+/// bytes, and the chunk file's name and bytes. Built once per process.
+fn chunked_checkpoint() -> &'static (Vec<u8>, String, Vec<u8>) {
+    static SAVED: OnceLock<(Vec<u8>, String, Vec<u8>)> = OnceLock::new();
+    SAVED.get_or_init(|| {
+        let dir = fresh_dir("chunk_prop_base");
+        let mut session = Session::new(&pushed_spec());
+        push_range(&mut session, 3, 0, CHUNK + 4);
+        let frame = dir.join("frame.hbnc");
+        session.checkpoint().save(&frame).unwrap();
+        let chunk = chunk_files(&dir).pop().unwrap();
+        let name = chunk.file_name().unwrap().to_str().unwrap().to_owned();
+        (std::fs::read(&frame).unwrap(), name, std::fs::read(&chunk).unwrap())
+    })
+}
+
+/// Restore the saved frame next to `chunk` written in place of its chunk
+/// file, in a directory of its own.
+fn restore_with_chunk(case: &str, chunk: &[u8]) -> Result<ScenarioReport, RestoreError> {
+    let (frame, name, _) = chunked_checkpoint();
+    let dir = fresh_dir(case);
+    std::fs::write(dir.join("frame.hbnc"), frame).unwrap();
+    std::fs::write(dir.join(name), chunk).unwrap();
+    let restored = Session::restore_from_file(&pushed_spec(), &dir.join("frame.hbnc"));
+    std::fs::remove_dir_all(&dir).ok();
+    restored.map(Session::into_report)
+}
+
+#[test]
+fn intact_chunk_restores() {
+    let (_, _, chunk) = chunked_checkpoint();
+    assert_eq!(restore_with_chunk("chunk_intact", chunk).unwrap().epochs.len(), CHUNK + 4);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Flipping any single byte of a history chunk file is an `Err` on
+    /// restore — never a panic, never a silently wrong history.
+    #[test]
+    fn any_single_byte_corruption_of_a_chunk_is_an_error(pos in 0usize..1 << 16, flip in 1u8..=255) {
+        let mut chunk = chunked_checkpoint().2.clone();
+        let pos = pos % chunk.len();
+        chunk[pos] ^= flip;
+        let restored = restore_with_chunk(&format!("chunk_flip_{pos}_{flip}"), &chunk);
+        prop_assert!(restored.is_err(), "byte {pos} xor {flip:#x} must not restore");
+    }
+
+    /// Every truncation of a history chunk file is an error.
+    #[test]
+    fn any_truncation_of_a_chunk_is_an_error(cut in 0usize..1 << 16) {
+        let chunk = &chunked_checkpoint().2;
+        let cut = cut % chunk.len();
+        let restored = restore_with_chunk(&format!("chunk_cut_{cut}"), &chunk[..cut]);
+        prop_assert!(restored.is_err(), "truncation at {} must not restore", cut);
     }
 }

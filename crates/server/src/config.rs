@@ -26,12 +26,18 @@ pub struct ServerConfig {
     /// Directory for durable tenant checkpoints.
     pub checkpoint_dir: PathBuf,
     /// Watchdog cadence: how often tenants are snapshotted and crashed
-    /// workers detected. Longer cadence = cheaper steady state but a
-    /// longer journal tail to replay on recovery.
+    /// workers detected. Each tick clones a tenant's state under its
+    /// session lock and saves it: the fixed state plus at most one
+    /// history chunk's tail, and the chunk files frozen since the last
+    /// tick, so the cost per tick does not grow with uptime. Longer
+    /// cadence = cheaper steady state but a longer journal tail to
+    /// replay on recovery.
     pub watchdog_poll: Duration,
     /// Durable checkpoints kept per tenant (newest N); the journal is
     /// truncated below the oldest retained one, so a corrupt newest
-    /// checkpoint can still fall back.
+    /// checkpoint can still fall back. Rotation deletes frames only:
+    /// the history chunk files in `checkpoint_dir` are shared by every
+    /// retained frame.
     pub checkpoints_retained: usize,
 }
 

@@ -456,6 +456,8 @@ fn watchdog_loop(inner: Arc<Inner>) {
 
 /// Snapshot a tenant to a durable checkpoint, rotate the retained set,
 /// and truncate the journal below the oldest retained checkpoint.
+/// Rotation deletes frames only: the history chunk files next to them
+/// are the tenant's durable history, shared by every retained frame.
 /// `Ok(None)` when the tenant has no live session (mid-recovery).
 fn checkpoint_tenant(
     cfg: &ServerConfig,
@@ -540,7 +542,7 @@ fn rebuild_session(cfg: &ServerConfig, shared: &TenantShared) -> Result<u64, Ser
     // otherwise requeue it at the front so it is served exactly once.
     if let Some(inf) = relock(&shared.inflight).take() {
         if inf.epoch < sess.epoch_index() {
-            if let Some(summary) = sess.epochs().get(inf.epoch).cloned() {
+            if let Some(summary) = sess.epoch(inf.epoch).cloned() {
                 let outcome =
                     EpochOutcome { epoch: inf.epoch, mode: inf.mode, queue_depth: 0, summary };
                 let _ = inf.job.resp.send(Ok(outcome));

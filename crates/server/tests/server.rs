@@ -382,6 +382,66 @@ fn background_watchdog_checkpoints_and_heals_on_its_own() {
     drop(server.shutdown());
 }
 
+/// Epochs per frozen history chunk of a session checkpoint (private to
+/// hbn-scenario, pinned by its durable suite).
+const HISTORY_CHUNK: usize = 256;
+
+/// A tenant serves across two history-chunk boundaries between its two
+/// retained checkpoints, so both frames reference chunk files in the
+/// checkpoint directory, the older one a prefix of the newer one's.
+/// Corrupting the newest frame makes recovery fall back to the older
+/// frame, which reads the shared chunk files, and the final report
+/// matches the unbroken twin bit for bit.
+#[test]
+fn fallback_across_history_chunks_shares_chunk_files_bit_for_bit() {
+    let spec = tenant_spec("t");
+    let cfg = manual_cfg("chunks");
+    let dir = cfg.checkpoint_dir.clone();
+    let server = Server::new(cfg).unwrap();
+    server.add_tenant(spec.clone());
+    let procs = server.processors("t").unwrap();
+    let batches: Vec<_> =
+        (0..3 * HISTORY_CHUNK + 30).map(|i| batch(&procs, 5000 + i as u64, 3)).collect();
+    let serve = |range: std::ops::Range<usize>| {
+        for b in &batches[range] {
+            server.submit("t", b.clone(), None).unwrap().wait().unwrap();
+        }
+    };
+    let chunk_files = || {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "hbnh"))
+            .count()
+    };
+
+    let older_at = HISTORY_CHUNK + 10;
+    let newest_at = 3 * HISTORY_CHUNK + 10;
+    serve(0..older_at);
+    server.checkpoint_now("t").unwrap();
+    assert_eq!(chunk_files(), 1);
+    serve(older_at..newest_at);
+    let newest = server.checkpoint_now("t").unwrap();
+    assert_eq!(chunk_files(), 3, "the newest save wrote only the two new chunks");
+    serve(newest_at..newest_at + 5);
+
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&newest, &bytes).unwrap();
+    crash_worker(&server, "t");
+    server.recover_now("t").unwrap();
+    serve(newest_at + 5..batches.len());
+    let m = server.metrics("t").unwrap();
+    assert_eq!(m.recovery_epochs, vec![(newest_at + 5 - older_at) as u64]);
+    let reports = server.shutdown();
+
+    let mut twin = Session::new(&spec);
+    for b in &batches {
+        twin.push_epoch(b).unwrap();
+    }
+    assert_eq!(reports[0].1, twin.into_report());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
