@@ -55,7 +55,7 @@ mod tests {
             Box::new(OwnerLeaf),
             Box::new(GreedyCongestion),
             Box::new(LocalSearch::around(OwnerLeaf, 100)),
-            Box::new(ExtendedNibbleStrategy::default()),
+            Box::new(ExtendedNibbleStrategy),
         ];
         for s in &strategies {
             let p = s.place(&net, &m);
@@ -74,7 +74,7 @@ mod tests {
         for s in [
             Box::new(OwnerLeaf) as Box<dyn Strategy>,
             Box::new(GreedyCongestion),
-            Box::new(ExtendedNibbleStrategy::default()),
+            Box::new(ExtendedNibbleStrategy),
         ] {
             let p = s.place(&net, &m);
             let c = LoadMap::from_placement(&net, &m, &p).congestion(&net).congestion;

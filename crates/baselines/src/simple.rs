@@ -88,10 +88,7 @@ impl Strategy for UnrestrictedNibble {
 
 /// The paper's contribution behind the common trait.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ExtendedNibbleStrategy {
-    /// Options forwarded to [`hbn_core::ExtendedNibble`].
-    pub options: hbn_core::ExtendedNibbleOptions,
-}
+pub struct ExtendedNibbleStrategy;
 
 impl Strategy for ExtendedNibbleStrategy {
     fn name(&self) -> &'static str {
@@ -99,7 +96,7 @@ impl Strategy for ExtendedNibbleStrategy {
     }
 
     fn place(&self, net: &Network, matrix: &AccessMatrix) -> Placement {
-        hbn_core::ExtendedNibble { options: self.options }
+        hbn_core::ExtendedNibble::new()
             .place(net, matrix)
             .expect("extended nibble cannot fail on valid input")
             .placement

@@ -21,8 +21,7 @@ use hbn_baselines::{
 use hbn_bench::{fatal, write_bench, Obj, Table};
 use hbn_core::{
     approximation_certificate, delete_rarely_used, nibble_object, nibble_placement,
-    observation_3_3_holds, ExtendedNibble, ExtendedNibbleOptions, InvariantForm, MappingOptions,
-    Workspace,
+    observation_3_3_holds, ExtendedNibble, InvariantForm, MappingOptions, Workspace,
 };
 use hbn_distributed::{distributed_nibble, distributed_schedule};
 use hbn_dynamic::{run_competitive, OnlineRequest};
@@ -295,13 +294,7 @@ fn mapping_invariants(rows: &mut Rows) {
     families.push(("balanced-split", split));
 
     let strategy = |invariant_form| ExtendedNibble {
-        options: ExtendedNibbleOptions {
-            mapping: MappingOptions {
-                check_invariants: true,
-                invariant_form,
-                ..Default::default()
-            },
-        },
+        mapping: MappingOptions { check_invariants: true, invariant_form },
     };
     let mut runs = 0;
     let mut violations = 0;
@@ -415,7 +408,7 @@ fn baseline_comparison(rows: &mut Rows) {
         Box::new(OwnerLeaf),
         Box::new(GreedyCongestion),
         Box::new(LocalSearch::around(OwnerLeaf, 400)),
-        Box::new(ExtendedNibbleStrategy::default()),
+        Box::new(ExtendedNibbleStrategy),
     ];
     for (name, mut maker) in families {
         let m = maker(&net, &mut rng);
@@ -664,7 +657,7 @@ fn makespan_vs_congestion(rows: &mut Rows) {
         ("random-leaf", RandomLeaf::new(3).place(&net, &m)),
         ("owner-leaf", OwnerLeaf.place(&net, &m)),
         ("greedy", GreedyCongestion.place(&net, &m)),
-        ("extended-nibble", ExtendedNibbleStrategy::default().place(&net, &m)),
+        ("extended-nibble", ExtendedNibbleStrategy.place(&net, &m)),
     ];
     let mut ws = SimWorkspace::new();
     let mut points = Vec::new();

@@ -79,7 +79,7 @@ fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
         let mut rng = StdRng::seed_from_u64(11);
         let m = wgen::zipf_read_mostly(&net, objects, requests, 0.9, 0.2, &mut rng);
         let trace = expand_shuffled(&m, &mut rng);
-        let placement = ExtendedNibbleStrategy::default().place(&net, &m);
+        let placement = ExtendedNibbleStrategy.place(&net, &m);
 
         let (sim, secs) = time_kernel(&net, &m, &placement, &trace);
         let start = Instant::now();
@@ -144,7 +144,7 @@ fn estimator_cell(
     let epoch = |epoch: usize| {
         let mut rng = StdRng::seed_from_u64(11 + epoch as u64);
         let m = wgen::zipf_read_mostly(&net, objects, requests_per_epoch, 0.9, 0.2, &mut rng);
-        let placement = ExtendedNibbleStrategy::default().place(&net, &m);
+        let placement = ExtendedNibbleStrategy.place(&net, &m);
         (m, placement, rng)
     };
     let mut sampled = 0usize;

@@ -233,15 +233,16 @@ fn main() {
     println!("{}", t.render());
     println!(
         "Expected shape: on stationary read-mostly families the up-front static\n\
-         placements (periodic-static(inf), frozen-static — identical policies,\n\
-         one expressed through the enum, one through the trait) land near the\n\
-         hindsight optimum and the dynamic strategy pays a small replication\n\
-         overhead on top; under hotspot-migration and object-churn the frozen\n\
-         placement degrades while periodic re-optimization buys its migration\n\
-         traffic back in service congestion, and the hybrid tracks the dynamic\n\
-         strategy with cheaper convergence after each re-seed. Write-heavy\n\
-         flips favour the dynamic collapse rule everywhere — which is exactly\n\
-         the regime where threshold-switch stays dynamic longest.\n"
+         placements (periodic-static(inf), frozen-static — equal on these\n\
+         fault-free runs, one expressed through the enum, one through the\n\
+         trait) land near the hindsight optimum and the dynamic strategy pays\n\
+         a small replication overhead on top; under hotspot-migration and\n\
+         object-churn the frozen placement degrades while periodic\n\
+         re-optimization buys its migration traffic back in service\n\
+         congestion, and the hybrid tracks the dynamic strategy with cheaper\n\
+         convergence after each re-seed. Write-heavy flips favour the dynamic\n\
+         collapse rule everywhere — which is exactly the regime where\n\
+         threshold-switch stays dynamic longest.\n"
     );
 
     let head = Obj::new()

@@ -1,9 +1,9 @@
 //! # hbn-bench
 //!
 //! Experiment binaries (the EXP-* rows of DESIGN.md §8: `exp_paper` for
-//! the paper's claims, one binary per systems experiment) and criterion
-//! benchmarks. The table printer, the BENCH JSON writer and the helpers
-//! the binaries share live here.
+//! the paper's claims, one binary per systems experiment). The table
+//! printer, the BENCH JSON writer and the helpers the binaries share
+//! live here.
 
 #![warn(missing_docs)]
 

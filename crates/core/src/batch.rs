@@ -52,7 +52,7 @@ use hbn_workload::AccessMatrix;
 /// ```
 #[derive(Debug)]
 pub struct PlacementKernel {
-    /// Mapping-phase options (invariant checking, free-edge policy).
+    /// Mapping-phase options (invariant checking and its form).
     mapping: MappingOptions,
     /// Generation-stamped scratch for the gravity/nibble walks.
     ws: Workspace,

@@ -9,10 +9,9 @@
 
 use hbn_topology::NodeId;
 use hbn_workload::ObjectId;
-use serde::{Deserialize, Serialize};
 
 /// A weighted request group: `reads + writes` requests from one processor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Group {
     /// The requesting processor.
     pub processor: NodeId,
@@ -42,7 +41,7 @@ impl Group {
 }
 
 /// A copy of an object together with the request groups it serves.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CopyState {
     /// The object this is a copy of.
     pub object: ObjectId,
@@ -72,7 +71,7 @@ impl CopyState {
 
 /// All copies of one object at some pipeline stage, plus the object's write
 /// contention `κ_x` (cached because every stage consults it).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectCopies {
     /// The object.
     pub object: ObjectId,

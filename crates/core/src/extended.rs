@@ -17,13 +17,6 @@ use hbn_load::{LoadMap, Placement};
 use hbn_topology::{Network, NodeId};
 use hbn_workload::AccessMatrix;
 
-/// Options for [`ExtendedNibble`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExtendedNibbleOptions {
-    /// Mapping-phase options (invariant checking, free-edge policy).
-    pub mapping: MappingOptions,
-}
-
 /// Counters describing what the strategy did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExtendedNibbleStats {
@@ -82,8 +75,8 @@ impl ExtendedOutcome {
 /// `O(|X| · |V| · height(T) · log(degree(T)))`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtendedNibble {
-    /// Strategy options.
-    pub options: ExtendedNibbleOptions,
+    /// Mapping-phase options (invariant checking and its form).
+    pub mapping: MappingOptions,
 }
 
 impl ExtendedNibble {
@@ -94,11 +87,7 @@ impl ExtendedNibble {
 
     /// Enable invariant checking during the mapping phase.
     pub fn checked() -> Self {
-        ExtendedNibble {
-            options: ExtendedNibbleOptions {
-                mapping: MappingOptions { check_invariants: true, ..Default::default() },
-            },
-        }
+        ExtendedNibble { mapping: MappingOptions { check_invariants: true, ..Default::default() } }
     }
 
     /// Run steps 1–3 and return the full outcome: one call on a fresh
@@ -108,7 +97,7 @@ impl ExtendedNibble {
         net: &Network,
         matrix: &AccessMatrix,
     ) -> Result<ExtendedOutcome, MappingError> {
-        PlacementKernel::with_options(net, self.options.mapping).place(net, matrix)
+        PlacementKernel::with_options(net, self.mapping).place(net, matrix)
     }
 }
 

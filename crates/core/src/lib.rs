@@ -22,10 +22,10 @@ pub use analysis::{
 pub use batch::PlacementKernel;
 pub use copies::{CopyState, Group, ObjectCopies};
 pub use deletion::{delete_rarely_used, DeletionOutcome};
-pub use extended::{ExtendedNibble, ExtendedNibbleOptions, ExtendedNibbleStats, ExtendedOutcome};
+pub use extended::{ExtendedNibble, ExtendedNibbleStats, ExtendedOutcome};
 pub use gravity::{center_of_gravity, Workspace};
 pub use mapping::{
-    map_to_leaves, observation_3_3_holds, FreeEdgePolicy, InvariantForm, MappingError,
-    MappingOptions, MappingReport,
+    map_to_leaves, observation_3_3_holds, InvariantForm, MappingError, MappingOptions,
+    MappingReport,
 };
 pub use nibble::{nibble_object, nibble_placement, NibbleOutcome};

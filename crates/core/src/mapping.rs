@@ -33,26 +33,15 @@
 
 use crate::copies::ObjectCopies;
 use hbn_topology::{EdgeId, Network, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
-/// How the downwards phase picks a free child edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FreeEdgePolicy {
-    /// Max-slack (best-fit) selection through a lazy max-heap — the
-    /// `O(log degree)` choice matching the paper's runtime bound.
-    MaxSlack,
-    /// First child edge that fits, by scanning in id order — `O(degree)`
-    /// per move; kept for the ablation experiment.
-    FirstFit,
-}
-
 /// Which form of Invariant 4.2 the checked mode verifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InvariantForm {
     /// The repaired form `… + Σ_{c∈M(v)} (s(c) + κ_x(c))` — exactly
     /// preserved by every movement and adjustment (see the erratum in
     /// DESIGN.md); the default.
+    #[default]
     Repaired,
     /// The paper's printed form `… + 2 Σ_{c∈M(v)} s(c)` — holds initially
     /// but is *not* preserved when a copy with `s > κ` arrives at a node;
@@ -60,26 +49,14 @@ pub enum InvariantForm {
     PaperOriginal,
 }
 
-/// Options for [`map_to_leaves`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Options for [`map_to_leaves`]; the default maps unchecked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MappingOptions {
     /// Verify Invariant 4.2 at every node after each movement/adjustment
     /// (slows mapping down; used by tests and experiment EXP-MAP).
     pub check_invariants: bool,
     /// Which invariant form the checked mode verifies.
     pub invariant_form: InvariantForm,
-    /// Free-edge selection policy for the downwards phase.
-    pub edge_policy: FreeEdgePolicy,
-}
-
-impl Default for MappingOptions {
-    fn default() -> Self {
-        MappingOptions {
-            check_invariants: false,
-            invariant_form: InvariantForm::Repaired,
-            edge_policy: FreeEdgePolicy::MaxSlack,
-        }
-    }
 }
 
 /// Mapping failures. `NoFreeEdge` contradicts Lemma 4.1 and indicates
@@ -279,41 +256,30 @@ pub fn map_to_leaves(
         if state.stationed[v.index()].is_empty() {
             continue;
         }
-        let children = net.children(v);
-        // Lazy max-heap over child-edge slacks for the MaxSlack policy.
-        let mut heap: BinaryHeap<(i128, u32)> = match options.edge_policy {
-            FreeEdgePolicy::MaxSlack => {
-                children.iter().map(|&c| (state.down_slack(c), c.0)).collect()
-            }
-            FreeEdgePolicy::FirstFit => BinaryHeap::new(),
-        };
+        // Lazy max-heap over child-edge slacks: picking the max-slack free
+        // edge costs O(log degree) per move, which Theorem 4.3's runtime
+        // bound O(|X|·|V|·height(T)·log degree(T)) relies on.
+        let mut heap: BinaryHeap<(i128, u32)> =
+            net.children(v).iter().map(|&c| (state.down_slack(c), c.0)).collect();
         let pending = std::mem::take(&mut state.stationed[v.index()]);
         for ci in pending {
             let mv = &movable[ci];
             let need = mv.increment as i128;
-            let child = match options.edge_policy {
-                FreeEdgePolicy::MaxSlack => loop {
-                    let Some(&(recorded, c)) = heap.peek() else {
-                        return Err(MappingError::NoFreeEdge { node: v });
-                    };
-                    let current = state.down_slack(NodeId(c));
-                    if current != recorded {
-                        // Stale entry: refresh (slacks only decrease).
-                        heap.pop();
-                        heap.push((current, c));
-                        continue;
-                    }
-                    if current < need {
-                        return Err(MappingError::NoFreeEdge { node: v });
-                    }
-                    break NodeId(c);
-                },
-                FreeEdgePolicy::FirstFit => {
-                    match children.iter().find(|&&c| state.down_slack(c) >= need) {
-                        Some(&c) => c,
-                        None => return Err(MappingError::NoFreeEdge { node: v }),
-                    }
+            let child = loop {
+                let Some(&(recorded, c)) = heap.peek() else {
+                    return Err(MappingError::NoFreeEdge { node: v });
+                };
+                let current = state.down_slack(NodeId(c));
+                if current != recorded {
+                    // Stale entry: refresh (slacks only decrease).
+                    heap.pop();
+                    heap.push((current, c));
+                    continue;
                 }
+                if current < need {
+                    return Err(MappingError::NoFreeEdge { node: v });
+                }
+                break NodeId(c);
             };
             state.down_map[child.index()] += mv.increment;
             all_copies[mv.oc_index].copies[mv.copy_index].node = child;
@@ -434,10 +400,10 @@ mod tests {
     use crate::deletion::delete_rarely_used;
     use crate::gravity::Workspace;
     use crate::nibble::nibble_object;
-    use hbn_topology::generators::{balanced, random_network, star, BandwidthProfile};
+    use hbn_topology::generators::{random_network, star, BandwidthProfile};
     use hbn_workload::{AccessMatrix, ObjectId};
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     /// Build the modified placement (nibble + deletion for bus-using
     /// objects) for all objects of a workload.
@@ -540,29 +506,6 @@ mod tests {
                 assert!(report.up_acc[i] <= 2 * report.up_basic[i] as i64);
                 assert!(report.down_acc[i] <= 2 * report.down_basic[i] as i64);
             }
-        }
-    }
-
-    #[test]
-    fn first_fit_policy_also_succeeds() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let options = MappingOptions {
-            check_invariants: true,
-            edge_policy: FreeEdgePolicy::FirstFit,
-            ..Default::default()
-        };
-        for _ in 0..20 {
-            let net = balanced(3, 2, BandwidthProfile::Uniform);
-            let m = hbn_workload::generators::shared_write(&net, 3, 1, 2);
-            let mut copies = modified_placement(&net, &m);
-            let _ = rng.gen::<u64>();
-            let report = map_to_leaves(&net, &mut copies, &options).unwrap();
-            for oc in &copies {
-                for c in &oc.copies {
-                    assert!(net.is_processor(c.node));
-                }
-            }
-            assert!(observation_3_3_holds(&net, &report));
         }
     }
 

@@ -6,10 +6,8 @@
 //! both decides the instance and recovers a witness subset, so the
 //! reduction experiment can verify equivalence in both directions.
 
-use serde::{Deserialize, Serialize};
-
 /// A PARTITION instance with even total sum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionInstance {
     items: Vec<u64>,
 }

@@ -11,11 +11,10 @@
 use crate::ratio::LoadRatio;
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
-use serde::{Deserialize, Serialize};
 
 /// One weighted request group routed to a server: `reads + writes`
 /// requests from `processor` are served by the copy on `server`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentEntry {
     /// The requesting processor.
     pub processor: NodeId,
@@ -33,7 +32,7 @@ pub struct AssignmentEntry {
 /// Intermediate placements (the nibble placement of step 1) may hold
 /// copies on buses; [`Placement::is_leaf_only`] checks the hierarchical
 /// bus constraint that final placements must satisfy.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Placement {
     /// `copies[x]`: sorted, deduplicated nodes holding copies of `x`.
     copies: Vec<Vec<NodeId>>,
@@ -438,7 +437,7 @@ impl NearestCopies {
 }
 
 /// Summary of a placement for reports: copy counts and redundancy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementStats {
     /// Total number of copies.
     pub total_copies: usize,
@@ -464,7 +463,7 @@ pub fn placement_stats(p: &Placement) -> PlacementStats {
 }
 
 /// A congestion measurement together with its bottleneck resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// The maximum relative load is attained on a switch.
     Edge(hbn_topology::EdgeId),
@@ -475,7 +474,7 @@ pub enum Bottleneck {
 }
 
 /// Congestion value with the resource attaining it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CongestionReport {
     /// The congestion (max relative load), exact.
     pub congestion: LoadRatio,

@@ -7,11 +7,10 @@
 //! threshold (`congestion ≤ 4k`). [`LoadRatio`] compares fractions exactly
 //! by `u128` cross-multiplication.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// A non-negative fraction `load / bandwidth` with exact ordering.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoadRatio {
     /// Numerator: the (possibly doubled, for buses) load.
     pub load: u64,

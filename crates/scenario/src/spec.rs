@@ -263,10 +263,10 @@ impl ExecutionConfig {
 }
 
 /// Which *built-in* data-management strategy serves the scenario's
-/// request stream — the serde-facing, matrix-friendly constructor layer
-/// over the open [`crate::Strategy`] trait: the paper's *static*
-/// extended-nibble pipeline against the *dynamic* read-replicate /
-/// write-collapse strategy, and a hybrid of the two.
+/// request stream — the matrix-friendly constructor layer over the open
+/// [`crate::Strategy`] trait: the paper's *static* extended-nibble
+/// pipeline against the *dynamic* read-replicate / write-collapse
+/// strategy, and a hybrid of the two.
 ///
 /// Each kind builds ([`StrategyKind::build`]) the matching public
 /// strategy struct ([`crate::DynamicStrategy`], [`crate::PeriodicStatic`],
@@ -328,9 +328,11 @@ pub enum StrategyKind {
         /// the copy-set delta (new copies not already held) from the
         /// nearest old copy, charging `D` per edge crossed — the same
         /// unit as a dynamic replication, which moves a copy one hop for
-        /// `D`. `0` means ∞ — never re-optimize: the bootstrap placement
-        /// computed on the first epoch is kept for the whole run (a
-        /// single up-front static placement).
+        /// `D`. `0` means ∞ — no scheduled re-optimization: on a
+        /// fault-free run the bootstrap placement computed on the first
+        /// epoch is kept for the whole run (a single up-front static
+        /// placement). Whatever the period, an epoch whose set of down
+        /// buses changed while a bus is down re-places around the outage.
         replace_every_epochs: usize,
     },
     /// The dynamic strategy, periodically re-seeded by the static

@@ -610,7 +610,8 @@ pub struct PeriodicStatic {
     core: StaticCore,
     kernel: PlacementKernel,
     threshold: u64,
-    /// Re-optimize every this many epochs (`0` = never).
+    /// Re-optimize every this many epochs (`0` = never on schedule;
+    /// outage re-placements still fire).
     replace_every_epochs: usize,
     /// With `Some(k)`, the first firing is pinned to global epoch `k`
     /// (then every `replace_every_epochs` after, if non-zero) — the form
@@ -622,8 +623,10 @@ pub struct PeriodicStatic {
 
 impl PeriodicStatic {
     /// The standard periodic rule: re-optimize at the start of every
-    /// epoch `e > 0` with `e % replace_every_epochs == 0` (`0` = never —
-    /// a single up-front bootstrap placement).
+    /// epoch `e > 0` with `e % replace_every_epochs == 0` (`0` = never on
+    /// schedule — a single up-front bootstrap placement on fault-free
+    /// runs). Independently of the period, an epoch whose set of down
+    /// buses changed while a bus is down re-places around the outage.
     ///
     /// ```
     /// use hbn_scenario::{ExecutionConfig, PeriodicStatic, Strategy};
@@ -939,9 +942,12 @@ impl Strategy for HybridReseed {
 /// any congestion it saves over [`PeriodicStatic`] is pure placement
 /// quality and any congestion it loses is staleness.
 ///
-/// Behaviourally equal to `periodic-static(inf)` (pinned by the test
-/// suite), but implemented directly against the trait in ~40 lines — the
-/// proof that the boundary carries a whole policy.
+/// On fault-free runs it is behaviourally equal to
+/// `periodic-static(inf)` (pinned by the test suite), but implemented
+/// directly against the trait in ~40 lines — the proof that the boundary
+/// carries a whole policy. Under an outage the two differ: a changed
+/// outage set makes [`PeriodicStatic`] re-place whatever its period,
+/// while this policy only heals.
 #[derive(Debug, Clone)]
 pub struct FrozenStatic {
     core: StaticCore,

@@ -95,6 +95,32 @@ fn mid_run_outage_completes_under_every_strategy_with_no_lost_requests() {
     }
 }
 
+/// `frozen-static` equals `periodic-static(inf)` on fault-free runs only:
+/// a changed outage set makes every `PeriodicStatic` re-place around the
+/// dead subtree, whatever its period, while `FrozenStatic` only heals.
+#[test]
+fn outage_refit_separates_periodic_static_inf_from_frozen_static() {
+    let net = hotspot_builder(41).build().topology.build();
+    let plan = FaultPlan::single_outage(root_adjacent_bus(&net), 3, 5);
+    let inf = run_scenario(
+        &hotspot_builder(41)
+            .strategy(StrategyKind::PeriodicStatic { replace_every_epochs: 0 })
+            .faults(plan.clone())
+            .build(),
+    );
+    let frozen = run_scenario_with(&hotspot_builder(41).faults(plan).build(), |net, exec, n| {
+        Box::new(FrozenStatic::new(net, exec, n))
+    });
+    assert_eq!(inf.strategy, "periodic-static(inf)");
+    assert_eq!(frozen.strategy, "frozen-static");
+    assert_eq!(inf.epochs[..3], frozen.epochs[..3], "equal until the outage");
+    assert!(inf.epochs[3].traffic.replications > 0, "the outage epoch re-places");
+    assert_eq!(frozen.epochs[3].traffic.replications, 0, "frozen only heals");
+    for report in [&inf, &frozen] {
+        assert_eq!(report.traffic.requests, 320, "strategy {}", report.strategy);
+    }
+}
+
 /// Same seed, same plan ⇒ identical fault trace and identical report —
 /// both for hand-written and for seeded random plans.
 #[test]

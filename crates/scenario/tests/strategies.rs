@@ -59,11 +59,12 @@ fn periodic_static_inf_never_migrates() {
     assert_eq!(report.traffic.migration_traffic, 0);
 }
 
-/// `FrozenStatic` exists only through the `Strategy` trait, but its
-/// behaviour is the paper's pure static model — exactly what
-/// `periodic-static(inf)` does through the enum layer. Bit-for-bit
-/// equality (modulo the label) proves the trait boundary carries the
-/// complete built-in semantics.
+/// `FrozenStatic` exists only through the `Strategy` trait, but on a
+/// fault-free run its behaviour is the paper's pure static model —
+/// exactly what `periodic-static(inf)` does through the enum layer.
+/// Bit-for-bit equality (modulo the label) on fault-free runs proves the
+/// trait boundary carries the complete built-in semantics; under an
+/// outage the two differ (`tests/faults.rs`).
 #[test]
 fn frozen_static_equals_periodic_static_inf() {
     for seed in [2u64, 11, 29] {

@@ -31,7 +31,7 @@
 //! use hbn_server::{Server, ServerConfig};
 //! use hbn_workload::{ObjectId, PhaseSchedule};
 //!
-//! let dir = std::env::temp_dir().join("hbn_server_doc");
+//! let dir = std::env::temp_dir().join(format!("hbn_server_doc_{}", std::process::id()));
 //! let server = Server::new(ServerConfig::new(&dir)).unwrap();
 //! // A tenant serves pushed traffic only: empty schedule, 8 objects.
 //! let spec = ScenarioSpec::builder(
@@ -59,6 +59,7 @@
 //! let reports = server.shutdown();
 //! assert_eq!(reports.len(), 1);
 //! assert_eq!(reports[0].1.epochs.len(), 1);
+//! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![warn(missing_docs)]

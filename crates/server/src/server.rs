@@ -309,23 +309,6 @@ impl Server {
         Ok(())
     }
 
-    /// Block until the tenant's queue is fully drained (no queued jobs
-    /// and no in-flight job). Test/benchmark convenience.
-    ///
-    /// # Errors
-    ///
-    /// Unknown tenant.
-    pub fn drain(&self, tenant: &str) -> Result<(), ServerError> {
-        let t = self.tenant(tenant)?;
-        loop {
-            let idle = relock(&t.shared.queue).jobs == 0 && relock(&t.shared.inflight).is_none();
-            if idle {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
     /// Graceful shutdown: reject new work, drain every healthy tenant's
     /// queue, reconstruct the session state of crashed tenants from
     /// checkpoint + journal (their still-queued jobs resolve to

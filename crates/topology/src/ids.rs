@@ -6,10 +6,8 @@
 //! fixed root — so edges are identified by their child endpoint
 //! ([`EdgeId::child`]).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node (processor or bus) in a [`crate::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -36,7 +34,7 @@ impl std::fmt::Display for NodeId {
 /// Index of an undirected edge (switch). Edge `e` connects node
 /// `e.child()` to its parent in the rooted representation, so valid edge
 /// ids are exactly the non-root node ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -73,7 +71,7 @@ impl std::fmt::Display for EdgeId {
 ///
 /// `Up` points from the child towards the root, `Down` from the parent
 /// towards the child.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Towards the root (the paper's "upward" edges).
     Up,
@@ -93,7 +91,7 @@ impl Direction {
 }
 
 /// A directed edge: an [`EdgeId`] together with a [`Direction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DirEdge {
     /// The underlying undirected edge.
     pub edge: EdgeId,

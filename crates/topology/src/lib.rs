@@ -23,7 +23,7 @@
 //!   reduction to bus trees ([`sci`]);
 //! * Steiner trees of terminal sets, used by write-broadcast accounting
 //!   ([`steiner`]);
-//! * DOT export ([`dot`]) and serde-friendly specs ([`spec`]).
+//! * DOT export ([`dot`]).
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,6 @@ pub mod error;
 pub mod generators;
 pub mod ids;
 pub mod sci;
-pub mod spec;
 pub mod steiner;
 pub mod tree;
 
@@ -42,5 +41,4 @@ pub use builder::NetworkBuilder;
 pub use capacity::{CapacityOverlay, CapacityProfile};
 pub use error::TopologyError;
 pub use ids::{Bandwidth, DirEdge, Direction, EdgeId, NodeId};
-pub use spec::NetworkSpec;
 pub use tree::{Network, NodeKind, PathEdges, PathNodes};

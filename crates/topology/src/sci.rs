@@ -15,10 +15,9 @@ use crate::builder::NetworkBuilder;
 use crate::error::TopologyError;
 use crate::ids::{Bandwidth, NodeId};
 use crate::tree::Network;
-use serde::{Deserialize, Serialize};
 
 /// Index of a ringlet in a [`RingNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RingId(pub u32);
 
 impl RingId {
@@ -30,7 +29,7 @@ impl RingId {
 
 /// A station on a ringlet: either a processor or a switch leading to a
 /// child ringlet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RingSlot {
     /// A processor attached to this ringlet.
     Processor,
@@ -44,7 +43,7 @@ pub enum RingSlot {
 }
 
 /// One unidirectional SCI ringlet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ringlet {
     /// Aggregate bandwidth of the ring interconnect.
     pub bandwidth: Bandwidth,
@@ -54,7 +53,7 @@ pub struct Ringlet {
 
 /// A tree-like connected network of SCI ringlets (Figure 1 of the paper):
 /// ringlet 0 is the top ring; switches connect parent rings to child rings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingNetwork {
     rings: Vec<Ringlet>,
 }

@@ -11,7 +11,7 @@ use crate::error::TopologyError;
 use crate::ids::{Bandwidth, EdgeId, NodeId};
 
 /// Whether a node is a processor (leaf) or a bus (inner node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A processor: a leaf of the tree; the only kind of node that can hold
     /// copies of shared data objects and issue requests.

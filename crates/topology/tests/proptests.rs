@@ -100,16 +100,4 @@ proptest! {
             prop_assert_eq!(net.level(v) + net.depth(v), net.height());
         }
     }
-
-    #[test]
-    fn spec_roundtrips(net in arb_net()) {
-        let spec = hbn_topology::NetworkSpec::from_network(&net);
-        let rebuilt = spec.build().unwrap();
-        prop_assert_eq!(net.n_nodes(), rebuilt.n_nodes());
-        for v in net.nodes() {
-            prop_assert_eq!(net.kind(v), rebuilt.kind(v));
-            prop_assert_eq!(net.node_bandwidth(v), rebuilt.node_bandwidth(v));
-            prop_assert_eq!(net.parent(v), rebuilt.parent(v));
-        }
-    }
 }

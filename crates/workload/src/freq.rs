@@ -6,10 +6,9 @@
 
 use crate::objects::ObjectId;
 use hbn_topology::{Network, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Read/write counts of one processor on one object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessEntry {
     /// The requesting processor (a leaf of the network).
     pub processor: NodeId,
@@ -31,7 +30,7 @@ impl AccessEntry {
 ///
 /// Entries with `reads = writes = 0` are dropped; per object the entries
 /// are kept sorted by processor id, so iteration order is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessMatrix {
     /// `per_object[x]` lists the processors accessing object `x`.
     per_object: Vec<Vec<AccessEntry>>,

@@ -1,13 +1,11 @@
 //! Identifiers for shared data objects.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a shared data object in `0..|X|`.
 ///
 /// Objects are the unit of placement: global variables of a parallel
 /// program, pages or cache lines of a virtual shared memory, or WWW pages
 /// (paper, Section 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {

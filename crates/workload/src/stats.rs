@@ -2,10 +2,9 @@
 
 use crate::freq::AccessMatrix;
 use crate::objects::ObjectId;
-use serde::{Deserialize, Serialize};
 
 /// Per-object summary: weights and contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectStats {
     /// The object.
     pub object: ObjectId,
@@ -20,7 +19,7 @@ pub struct ObjectStats {
 }
 
 /// Whole-workload summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadStats {
     /// One row per object, in object-id order.
     pub objects: Vec<ObjectStats>,

@@ -33,7 +33,7 @@ fn main() {
         Box::new(RandomLeaf::new(1)),
         Box::new(OwnerLeaf),
         Box::new(GreedyCongestion),
-        Box::new(ExtendedNibbleStrategy::default()),
+        Box::new(ExtendedNibbleStrategy),
     ];
 
     let trace = expand_shuffled(&matrix, &mut rng);

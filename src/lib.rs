@@ -51,8 +51,7 @@ pub use hbn_workload as workload;
 pub mod prelude {
     pub use hbn_baselines::Strategy;
     pub use hbn_core::{
-        approximation_certificate, ExtendedNibble, ExtendedNibbleOptions, ExtendedOutcome,
-        PlacementKernel,
+        approximation_certificate, ExtendedNibble, ExtendedOutcome, PlacementKernel,
     };
     pub use hbn_load::{LoadMap, LoadRatio, Placement};
     pub use hbn_topology::{Network, NetworkBuilder, NodeId};

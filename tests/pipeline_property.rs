@@ -79,17 +79,4 @@ proptest! {
         }
         prop_assert!(sim.makespan as f64 >= loads.congestion(&net).congestion.as_f64());
     }
-
-    /// Serialization round-trips: topology specs and workloads.
-    #[test]
-    fn specs_roundtrip((net, m) in hbn_testutil::arb_instance(5, 10, 3)) {
-        let spec = hierbus::topology::NetworkSpec::from_network(&net);
-        let net2 = spec.build().unwrap();
-        prop_assert_eq!(net.n_nodes(), net2.n_nodes());
-        for v in net.nodes() {
-            prop_assert_eq!(net.parent(v), net2.parent(v));
-            prop_assert_eq!(net.kind(v), net2.kind(v));
-        }
-        prop_assert!(m.validate(&net2).is_ok());
-    }
 }
