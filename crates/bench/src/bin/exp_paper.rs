@@ -18,10 +18,11 @@ use hbn_baselines::{
     ExtendedNibbleStrategy, GreedyCongestion, LocalSearch, OwnerLeaf, RandomLeaf, Strategy,
     UnrestrictedNibble,
 };
-use hbn_bench::{fatal, write_bench, Obj, Table};
+use hbn_bench::{fatal, thread_cpu_ns, write_bench, Obj, Table};
 use hbn_core::{
     approximation_certificate, delete_rarely_used, nibble_object, nibble_placement,
-    observation_3_3_holds, ExtendedNibble, InvariantForm, MappingOptions, Workspace,
+    observation_3_3_holds, ExtendedNibble, InvariantForm, MappingOptions, PlacementKernel,
+    Workspace,
 };
 use hbn_distributed::{distributed_nibble, distributed_schedule};
 use hbn_dynamic::{run_competitive, OnlineRequest};
@@ -30,6 +31,7 @@ use hbn_exact::{
     optimal_redundant_nearest, yes_instance, PartitionInstance,
 };
 use hbn_load::{LoadMap, Placement};
+use hbn_server::percentile;
 use hbn_sim::{expand_shuffled, simulate_with, SimConfig, SimWorkspace};
 use hbn_testutil::seeded_rng;
 use hbn_topology::generators::{balanced, bus_path, random_network, star, BandwidthProfile};
@@ -39,7 +41,6 @@ use hbn_workload::generators as wgen;
 use hbn_workload::{AccessMatrix, ObjectId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Theorem 4.3: extended-nibble congestion is at most this factor times
 /// the optimum.
@@ -48,6 +49,8 @@ const APPROX_FACTOR: f64 = 7.0;
 const DELETION_FACTOR: f64 = 2.0;
 /// The competitive ratio cited for the online strategy on trees (\[10\]).
 const ONLINE_FACTOR: f64 = 3.0;
+/// EXP-SEQ: timed runs per figure, after one warm-up run.
+const SEQ_REPEATS: usize = 9;
 
 /// One claim checked on one instance.
 #[derive(Debug)]
@@ -458,37 +461,57 @@ fn np_hardness(rows: &mut Rows) {
     }
 }
 
-/// EXP-SEQ (Theorem 4.3, runtime): wall-clock of the extended-nibble
+/// EXP-SEQ (Theorem 4.3, runtime): CPU time of the extended-nibble
 /// strategy against `O(|X| · |V| · height(T) · log(degree(T)))` —
 /// linear in `|X|`, far below linear in `|V|` (steps 1–2 touch only each
 /// object's support; only the mapping phase scans the network), growing
 /// with height.
+///
+/// Each instance gets two rows: the production [`PlacementKernel`], one
+/// kernel reused across the repeats as the re-placing policies reuse it,
+/// and the full-outcome `ExtendedNibble::place` reference. Each is the
+/// median thread CPU of [`SEQ_REPEATS`] runs after one warm-up run.
 fn runtime_scaling(rows: &mut Rows) {
-    fn time_place(net: &Network, m: &AccessMatrix) -> f64 {
-        let start = Instant::now();
-        let out = ExtendedNibble::new().place(net, m).expect("valid instance");
-        std::hint::black_box(out);
-        start.elapsed().as_secs_f64() * 1e3
+    fn median_cpu_ms(mut run: impl FnMut()) -> f64 {
+        run();
+        let samples: Vec<u64> = (0..SEQ_REPEATS)
+            .map(|_| {
+                let start = thread_cpu_ns();
+                run();
+                thread_cpu_ns() - start
+            })
+            .collect();
+        percentile(&samples, 50.0) as f64 / 1e6
     }
-    let claim = "placement time (ms)";
+    let mut time = |instance: String, net: &Network, m: &AccessMatrix| {
+        let mut kernel = PlacementKernel::new(net);
+        let production = median_cpu_ms(|| {
+            std::hint::black_box(kernel.place(net, m).expect("valid instance"));
+        });
+        let reference = median_cpu_ms(|| {
+            std::hint::black_box(ExtendedNibble::new().place(net, m).expect("valid instance"));
+        });
+        rows.report("kernel placement CPU (ms, median)", &instance, production);
+        rows.report("reference placement CPU (ms, median)", &instance, reference);
+    };
     let mut rng = StdRng::seed_from_u64(6);
     let net = balanced(4, 3, BandwidthProfile::Uniform);
     for objects in [50usize, 100, 200, 400, 800] {
         let m = wgen::zipf_read_mostly(&net, objects, objects * 40, 0.9, 0.3, &mut rng);
-        rows.report(claim, &format!("balanced(4,3), |X| {objects}"), time_place(&net, &m));
+        time(format!("balanced(4,3), |X| {objects}"), &net, &m);
     }
     for branching in [2usize, 3, 4, 5, 6] {
         let net = balanced(branching, 3, BandwidthProfile::Uniform);
         let m = wgen::zipf_read_mostly(&net, 100, 4000, 0.9, 0.3, &mut rng);
         let instance =
             format!("balanced({branching},3), |V| {}, height {}", net.n_nodes(), net.height());
-        rows.report(claim, &instance, time_place(&net, &m));
+        time(instance, &net, &m);
     }
     for buses in [8usize, 16, 32, 64] {
         let net = bus_path(buses, BandwidthProfile::Uniform);
         let m = wgen::uniform(&net, 200, 6, 4, 1.0, &mut rng);
         let instance = format!("bus path, height {}, |V| {}", net.height(), net.n_nodes());
-        rows.report(claim, &instance, time_place(&net, &m));
+        time(instance, &net, &m);
     }
 }
 

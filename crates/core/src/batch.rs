@@ -1,29 +1,42 @@
-//! The static-placement kernel: gravity → nibble → extended nibble over
-//! *all* objects, with one reusable scratch [`Workspace`].
+//! The production static-placement kernel: gravity → nibble → deletion →
+//! mapping over *all* objects, building only the final copy sets.
 //!
-//! The scenario engine's periodic re-optimization strategies re-run the
-//! full static pipeline every few epochs over the same network. A
-//! [`PlacementKernel`] owns the scratch those runs share: its slots are
-//! generation-stamped, so reuse across batches costs no memsets, and
-//! steps 1–2 are pure per-object functions of `(net, matrix, x)` — the
-//! scratch is an allocation cache, not state — so a reused kernel places
-//! exactly as a fresh one. [`crate::ExtendedNibble::place`] is one call
-//! on a fresh kernel, so the static pipeline has one code path.
+//! The scenario engine's re-placing policies re-run the static pipeline
+//! every few epochs over the same network, and each keeps only the final
+//! leaf-only copy sets. A [`PlacementKernel`] builds just those, on
+//! buffers it owns and reuses across objects and calls:
+//!
+//! - steps 1–2 run per object on the generation-stamped [`Workspace`]
+//!   (whose node slots also give deletion its node-to-copy lookup) and on
+//!   flat per-copy vectors, so an object costs no allocation;
+//! - each request group is folded straight into the mapping phase's basic
+//!   loads, at the copy that ends up serving it, so no group list, no
+//!   intermediate placement and no assignment entry is ever built;
+//! - the mapping phase (step 3) runs on the kernel's reused mapping
+//!   state.
+//!
+//! Once its buffers have grown, a call allocates only the copy sets it
+//! returns. [`crate::ExtendedNibble::place`] is the full-outcome
+//! reference, built from the public per-step functions; the kernel's copy
+//! sets equal its `placement`'s object by object
+//! (`crates/core/tests/batch_differential.rs`).
 
-use crate::extended::{run_steps_for_object, ExtendedNibbleStats, ExtendedOutcome};
+use crate::deletion::{rarely_used, split_sizes};
 use crate::gravity::Workspace;
-use crate::mapping::{map_to_leaves, MappingError, MappingOptions};
-use crate::nibble::apply_to_placement;
+use crate::mapping::{Mapper, MappingError, MappingOptions};
+use crate::nibble::{nearest_copy, nibble_copy_nodes};
 use hbn_load::Placement;
-use hbn_topology::Network;
-use hbn_workload::AccessMatrix;
+use hbn_topology::{Network, NodeId};
+use hbn_workload::{AccessMatrix, ObjectId};
 
-/// The static-placement kernel: runs the full extended-nibble pipeline
-/// (gravity → nibble → deletion → mapping) over all objects of an access
-/// matrix, with its scratch owned by the kernel and reused across calls.
+/// The production static-placement kernel: runs the extended-nibble
+/// pipeline (gravity → nibble → deletion → mapping) over all objects of an
+/// access matrix and returns the final leaf-only copy sets, with no
+/// assignment entries. Its scratch is owned by the kernel and reused
+/// across calls.
 ///
-/// Output is bit-for-bit identical to a fresh kernel's, which is what
-/// [`crate::ExtendedNibble::place`] runs.
+/// The copy sets are bit-for-bit those of the full-outcome reference,
+/// [`crate::ExtendedNibble::place`].
 ///
 /// ```
 /// use hbn_core::{ExtendedNibble, PlacementKernel};
@@ -38,107 +51,244 @@ use hbn_workload::AccessMatrix;
 /// m.add(p[3], ObjectId(0), 5, 1);
 /// m.add(p[1], ObjectId(1), 2, 2);
 ///
-/// // The kernel places exactly as the one-shot strategy...
+/// // The kernel builds exactly the reference's final copy sets...
 /// let mut kernel = PlacementKernel::new(&net);
-/// let batch = kernel.place(&net, &m).unwrap();
-/// let one_shot = ExtendedNibble::new().place(&net, &m).unwrap();
-/// assert_eq!(batch.placement, one_shot.placement);
-/// assert_eq!(batch.mapping.tau_max, one_shot.mapping.tau_max);
+/// let copies = kernel.place(&net, &m).unwrap();
+/// let reference = ExtendedNibble::new().place(&net, &m).unwrap();
+/// for x in m.objects() {
+///     assert_eq!(copies.copies(x), reference.placement.copies(x));
+///     assert!(copies.assignment(x).is_empty());
+/// }
+/// assert!(copies.is_leaf_only(&net));
 ///
 /// // ...and its scratch is reused across batches: the second call on the
 /// // same kernel (e.g. the next re-optimization epoch) is equally exact.
-/// assert_eq!(kernel.place(&net, &m).unwrap().placement, batch.placement);
-/// assert!(batch.placement.is_leaf_only(&net));
+/// assert_eq!(kernel.place(&net, &m).unwrap(), copies);
+///
+/// // Step 1 alone yields the nibble copy sets (the hybrid policy's seeds).
+/// assert_eq!(
+///     kernel.nibble_copies(&net, &m, ObjectId(0)),
+///     reference.nibble_placement.copies(ObjectId(0))
+/// );
 /// ```
 #[derive(Debug)]
 pub struct PlacementKernel {
-    /// Mapping-phase options (invariant checking and its form).
-    mapping: MappingOptions,
-    /// Generation-stamped scratch for the gravity/nibble walks.
+    /// Generation-stamped per-node scratch for gravity, nibble and
+    /// deletion's node-to-copy lookup.
     ws: Workspace,
     /// Node count of the network the kernel was built for (asserted on
-    /// every batch).
+    /// every call).
     n_nodes: usize,
+    /// Buffers reused across objects and calls; empty until the first
+    /// [`PlacementKernel::place`].
+    scratch: Scratch,
+}
+
+/// The kernel's reused buffers. The first group holds one object at a
+/// time, its copies indexed as in its ascending nibble copy nodes.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The object's nibble copy nodes, ascending.
+    copy_nodes: Vec<NodeId>,
+    /// `s(c)` of each copy, requests it absorbed in step 2 included.
+    served: Vec<u64>,
+    /// The surviving copy that ends up serving each copy's requests (the
+    /// copy itself while it survives).
+    server: Vec<u32>,
+    /// Distance of each copy from the center of gravity.
+    dist: Vec<u32>,
+    /// Step 2's bottom-up order of the copies.
+    order: Vec<u32>,
+    /// The copy each request group is routed to by step 1, in entry order.
+    group_copy: Vec<u32>,
+    /// Every object's post-step-2 copy nodes, object after object; after
+    /// the mapping phase each bus node is replaced by its mapped leaf.
+    nodes: Vec<NodeId>,
+    /// `nodes[ends[x - 1]..ends[x]]` are object `x`'s copies.
+    ends: Vec<usize>,
+    /// The mapping phase's loads and bus copies.
+    mapper: Mapper,
 }
 
 impl Clone for PlacementKernel {
-    /// Cloning copies the kernel's *configuration* (mapping options,
-    /// network size) and gives the clone fresh, empty scratch. The
-    /// scratch is an allocation cache, not state — a clone's
-    /// [`PlacementKernel::place`] output is identical to the original's —
-    /// so this is exactly what a strategy checkpoint needs.
+    /// Cloning copies the kernel's *configuration* (the network size) and
+    /// gives the clone fresh, empty scratch. The scratch is an allocation
+    /// cache, not state — a clone's [`PlacementKernel::place`] output is
+    /// identical to the original's — so this is exactly what a strategy
+    /// checkpoint needs.
     fn clone(&self) -> Self {
-        let n_nodes = self.n_nodes;
-        PlacementKernel { mapping: self.mapping, ws: Workspace::new(n_nodes), n_nodes }
+        PlacementKernel::with_nodes(self.n_nodes)
     }
 }
 
 impl PlacementKernel {
-    /// A kernel for `net` with default mapping options.
+    /// A kernel for `net`.
     pub fn new(net: &Network) -> Self {
-        Self::with_options(net, MappingOptions::default())
+        Self::with_nodes(net.n_nodes())
     }
 
-    /// [`PlacementKernel::new`] with explicit mapping-phase options.
-    pub fn with_options(net: &Network, mapping: MappingOptions) -> Self {
-        let n_nodes = net.n_nodes();
-        PlacementKernel { mapping, ws: Workspace::new(n_nodes), n_nodes }
+    fn with_nodes(n_nodes: usize) -> Self {
+        PlacementKernel { ws: Workspace::new(n_nodes), n_nodes, scratch: Scratch::default() }
     }
 
-    /// Run the full static pipeline over all objects of `matrix`,
-    /// reusing the kernel's scratch: steps 1–2 per object in object-id
-    /// order, folded into the nibble and modified placements and the
-    /// counters, then the global mapping phase (step 3).
+    /// Run the full static pipeline over all objects of `matrix` and
+    /// return the final copy sets, with no assignment entries: steps 1–2
+    /// per object in object-id order, then the global mapping phase
+    /// (step 3).
     pub fn place(
         &mut self,
         net: &Network,
         matrix: &AccessMatrix,
-    ) -> Result<ExtendedOutcome, MappingError> {
+    ) -> Result<Placement, MappingError> {
         assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
-        let n_objects = matrix.n_objects();
-        let mut gravity = Vec::with_capacity(n_objects);
-        let mut all_copies = Vec::with_capacity(n_objects);
-        let mut stats = ExtendedNibbleStats::default();
-        let mut nibble_placement = Placement::new(n_objects);
-        let mut modified_placement = Placement::new(n_objects);
-
+        let s = &mut self.scratch;
+        s.nodes.clear();
+        s.ends.clear();
+        s.mapper.reset(net);
         for x in matrix.objects() {
-            let (g, nib_copies, modified, processed) =
-                run_steps_for_object(net, matrix, x, &mut self.ws);
-            gravity.push(g);
-            if processed {
-                stats.objects_processed += 1;
-            } else {
-                stats.objects_untouched += 1;
-            }
-            apply_to_placement(&nib_copies, &mut nibble_placement);
-            apply_to_placement(&modified, &mut modified_placement);
-            // The deletion step either removed copies or split heavy
-            // ones into more.
-            let (nib_len, now) = (nibble_placement.copies(x).len(), modified.copies.len());
-            if now > nib_len {
-                stats.copies_split += now - nib_len;
-            } else {
-                stats.copies_deleted += nib_len - now;
-            }
-            all_copies.push(modified);
+            object_steps(net, matrix, x, &mut self.ws, s);
+            s.ends.push(s.nodes.len());
         }
 
-        let mapping = map_to_leaves(net, &mut all_copies, &self.mapping)?;
-
-        let mut placement = Placement::new(n_objects);
-        for oc in &all_copies {
-            apply_to_placement(oc, &mut placement);
+        s.mapper.run(net, &MappingOptions::default())?;
+        let bus_nodes = s.nodes.iter_mut().filter(|v| net.is_bus(**v));
+        for (v, leaf) in bus_nodes.zip(s.mapper.mapped_nodes()) {
+            *v = leaf;
         }
 
-        Ok(ExtendedOutcome {
-            placement,
-            nibble_placement,
-            modified_placement,
-            gravity,
-            mapping,
-            stats,
-        })
+        let mut placement = Placement::new(matrix.n_objects());
+        let mut start = 0;
+        for (x, &end) in matrix.objects().zip(&s.ends) {
+            if end > start {
+                placement.set_copies(x, s.nodes[start..end].to_vec());
+            }
+            start = end;
+        }
+        Ok(placement)
+    }
+
+    /// Step 1 alone for object `x`: its nibble copy set, ascending — the
+    /// set [`crate::ExtendedOutcome::nibble_placement`] holds for `x` —
+    /// computed on the kernel's workspace. Empty when `x` has no requests.
+    pub fn nibble_copies(
+        &mut self,
+        net: &Network,
+        matrix: &AccessMatrix,
+        x: ObjectId,
+    ) -> &[NodeId] {
+        assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
+        let kappa = matrix.write_contention(x);
+        nibble_copy_nodes(net, matrix, x, kappa, &mut self.ws, &mut self.scratch.copy_nodes);
+        &self.scratch.copy_nodes
+    }
+}
+
+/// Steps 1–2 for object `x`: append its post-deletion copies to
+/// `s.nodes`, register them and its request groups with the mapper.
+///
+/// The same rules as [`crate::nibble_object`] followed by
+/// [`crate::delete_rarely_used`], on counts instead of group lists. Step 2
+/// needs only each copy's `s(c)`; which copy ends up serving a group
+/// matters only to the basic loads, and a split copy's chunks all sit on
+/// its node, so the loads come out the same whichever chunk serves it.
+fn object_steps(
+    net: &Network,
+    matrix: &AccessMatrix,
+    x: ObjectId,
+    ws: &mut Workspace,
+    s: &mut Scratch,
+) {
+    let kappa = matrix.write_contention(x);
+    let Some(g) = nibble_copy_nodes(net, matrix, x, kappa, ws, &mut s.copy_nodes) else {
+        return;
+    };
+    let n = s.copy_nodes.len();
+    let entries = matrix.object_entries(x);
+    s.served.clear();
+    s.served.resize(n, 0);
+    s.group_copy.clear();
+    for e in entries {
+        let i = nearest_copy(net, ws, g, e.processor);
+        s.served[i] += e.total();
+        s.group_copy.push(i as u32);
+    }
+    s.server.clear();
+    s.server.extend(0..n as u32);
+
+    // An object whose nibble copies all sit on processors is left
+    // untouched (Theorem 4.3's analysis): no deletion, no split, nothing
+    // to map.
+    let processed = s.copy_nodes.iter().any(|&v| net.is_bus(v));
+    if processed {
+        delete_rarely_used_copies(net, g, kappa, ws, s);
+    }
+
+    for (e, &i) in entries.iter().zip(&s.group_copy) {
+        let server = s.copy_nodes[s.server[i as usize] as usize];
+        s.mapper.add_group(net, server, e.processor, e.total());
+    }
+    for i in (0..n).filter(|&i| s.server[i] as usize == i) {
+        let node = s.copy_nodes[i];
+        let served = s.served[i];
+        let (k, base, extra) = if processed { split_sizes(served, kappa) } else { (1, served, 0) };
+        for chunk in 0..k {
+            s.nodes.push(node);
+            s.mapper.add_copy(net, node, base + u64::from(chunk < extra), kappa);
+        }
+    }
+}
+
+/// Step 2's deletion pass over the loaded object's copies (rooted at
+/// `g`), on counts: bottom-up, every rarely used copy hands its requests
+/// to the copy on its parent node; a rarely used root hands them to the
+/// nearest surviving copy, if there is one. Leaves `s.server[i]` naming
+/// the surviving copy that serves copy `i`'s requests.
+fn delete_rarely_used_copies(
+    net: &Network,
+    g: NodeId,
+    kappa: u64,
+    ws: &Workspace,
+    s: &mut Scratch,
+) {
+    let n = s.copy_nodes.len();
+    s.dist.clear();
+    s.dist.extend(s.copy_nodes.iter().map(|&v| net.distance(v, g)));
+    // Decreasing distance from the root, ties by index: the reference's
+    // stable sort, so every parent comes after its children.
+    s.order.clear();
+    s.order.extend(0..n as u32);
+    let dist = &s.dist;
+    s.order.sort_unstable_by_key(|&i| (std::cmp::Reverse(dist[i as usize]), i));
+
+    for k in 0..n {
+        let i = s.order[k] as usize;
+        let served = s.served[i];
+        if !rarely_used(served, kappa) {
+            continue;
+        }
+        let node = s.copy_nodes[i];
+        let j = if node != g {
+            let parent = net.step_towards(node, g);
+            ws.copy_index(parent).unwrap_or_else(|| panic!("copies must be connected towards {g}"))
+        } else {
+            // Root of T(x): the nearest surviving copy, if any; the last
+            // copy stays regardless.
+            let survivors = (0..n).filter(|&j| j != i && s.server[j] as usize == j);
+            match survivors.min_by_key(|&j| s.dist[j]) {
+                Some(j) => j,
+                None => continue,
+            }
+        };
+        debug_assert_eq!(s.server[j] as usize, j, "parents outlive children");
+        s.served[j] += served;
+        s.server[i] = j as u32;
+    }
+
+    // Resolve chains top-down: a copy's absorber comes later bottom-up, so
+    // its own server is final by the time the copy is reached.
+    for k in (0..n).rev() {
+        let i = s.order[k] as usize;
+        s.server[i] = s.server[s.server[i] as usize];
     }
 }
 
@@ -153,7 +303,7 @@ mod tests {
         let m = hbn_workload::AccessMatrix::new(0);
         let mut kernel = PlacementKernel::new(&net);
         let out = kernel.place(&net, &m).unwrap();
-        assert_eq!(out.placement.total_copies(), 0);
+        assert_eq!(out.total_copies(), 0);
     }
 
     #[test]

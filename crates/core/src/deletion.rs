@@ -60,8 +60,7 @@ pub fn delete_rarely_used(net: &Network, gravity: NodeId, oc: ObjectCopies) -> D
             let c = copies[i].as_ref().expect("not yet removed");
             (c.node, c.served())
         };
-        let should_delete = if kappa > 0 { served < kappa } else { served == 0 };
-        if !should_delete {
+        if !rarely_used(served, kappa) {
             continue;
         }
         if node != gravity {
@@ -97,16 +96,12 @@ pub fn delete_rarely_used(net: &Network, gravity: NodeId, oc: ObjectCopies) -> D
     if kappa > 0 {
         let mut result = Vec::with_capacity(survivors.len());
         for copy in survivors {
-            let s = copy.served();
-            if s <= 2 * kappa {
+            let (k, base, extra) = split_sizes(copy.served(), kappa);
+            if k == 1 {
                 result.push(copy);
                 continue;
             }
-            let k = s.div_ceil(2 * kappa);
-            debug_assert!(k * kappa <= s && s <= 2 * k * kappa);
             splits += (k - 1) as usize;
-            let base = s / k;
-            let extra = s % k; // first `extra` chunks take base + 1
             let mut pending = copy.groups;
             pending.reverse(); // treat as a stack
             for chunk_idx in 0..k {
@@ -138,6 +133,30 @@ pub fn delete_rarely_used(net: &Network, gravity: NodeId, oc: ObjectCopies) -> D
         deleted,
         splits,
     }
+}
+
+/// The deletion test: a copy serving `served` requests of an object with
+/// write contention `kappa` is rarely used if it serves fewer than `κ_x`,
+/// or nothing at all when `κ_x = 0`.
+pub(crate) fn rarely_used(served: u64, kappa: u64) -> bool {
+    if kappa > 0 {
+        served < kappa
+    } else {
+        served == 0
+    }
+}
+
+/// How a surviving copy serving `served` requests splits: into `k` chunks,
+/// the first `extra` serving `base + 1` and the rest `base`, each within
+/// `[κ_x, 2κ_x]` (Observation 3.2). `k = 1` (no split) when the copy
+/// serves at most `2κ_x`, or when `κ_x = 0`.
+pub(crate) fn split_sizes(served: u64, kappa: u64) -> (u64, u64, u64) {
+    if kappa == 0 || served <= 2 * kappa {
+        return (1, served, 0);
+    }
+    let k = served.div_ceil(2 * kappa);
+    debug_assert!(k * kappa <= served && served <= 2 * k * kappa);
+    (k, served / k, served % k)
 }
 
 #[cfg(test)]

@@ -7,12 +7,11 @@
 //! moved to processors by the global mapping phase. The result is a
 //! leaf-only placement with congestion at most `7 · C_opt`.
 
-use crate::batch::PlacementKernel;
 use crate::copies::ObjectCopies;
 use crate::deletion::delete_rarely_used;
 use crate::gravity::Workspace;
-use crate::mapping::{MappingError, MappingOptions, MappingReport};
-use crate::nibble::nibble_object;
+use crate::mapping::{map_to_leaves, MappingError, MappingOptions, MappingReport};
+use crate::nibble::{apply_to_placement, nibble_object};
 use hbn_load::{LoadMap, Placement};
 use hbn_topology::{Network, NodeId};
 use hbn_workload::AccessMatrix;
@@ -90,21 +89,71 @@ impl ExtendedNibble {
         ExtendedNibble { mapping: MappingOptions { check_invariants: true, ..Default::default() } }
     }
 
-    /// Run steps 1–3 and return the full outcome: one call on a fresh
-    /// [`PlacementKernel`].
+    /// Run steps 1–3 and return the full outcome: every object through
+    /// [`nibble_object`] and, if its nibble placement uses a bus,
+    /// [`delete_rarely_used`], in object-id order on one fresh
+    /// [`Workspace`]; then [`map_to_leaves`] over all of them.
+    ///
+    /// This is the reference the production [`crate::PlacementKernel`] is
+    /// pinned to: the kernel builds only the final copy sets, on reused
+    /// buffers, and must equal this outcome's `placement` copy sets.
     pub fn place(
         &self,
         net: &Network,
         matrix: &AccessMatrix,
     ) -> Result<ExtendedOutcome, MappingError> {
-        PlacementKernel::with_options(net, self.mapping).place(net, matrix)
+        let mut ws = Workspace::new(net.n_nodes());
+        let n_objects = matrix.n_objects();
+        let mut gravity = Vec::with_capacity(n_objects);
+        let mut all_copies = Vec::with_capacity(n_objects);
+        let mut stats = ExtendedNibbleStats::default();
+        let mut nibble_placement = Placement::new(n_objects);
+        let mut modified_placement = Placement::new(n_objects);
+
+        for x in matrix.objects() {
+            let (g, nib_copies, modified, processed) =
+                run_steps_for_object(net, matrix, x, &mut ws);
+            gravity.push(g);
+            if processed {
+                stats.objects_processed += 1;
+            } else {
+                stats.objects_untouched += 1;
+            }
+            apply_to_placement(&nib_copies, &mut nibble_placement);
+            apply_to_placement(&modified, &mut modified_placement);
+            // The deletion step either removed copies or split heavy
+            // ones into more.
+            let (nib_len, now) = (nibble_placement.copies(x).len(), modified.copies.len());
+            if now > nib_len {
+                stats.copies_split += now - nib_len;
+            } else {
+                stats.copies_deleted += nib_len - now;
+            }
+            all_copies.push(modified);
+        }
+
+        let mapping = map_to_leaves(net, &mut all_copies, &self.mapping)?;
+
+        let mut placement = Placement::new(n_objects);
+        for oc in &all_copies {
+            apply_to_placement(oc, &mut placement);
+        }
+
+        Ok(ExtendedOutcome {
+            placement,
+            nibble_placement,
+            modified_placement,
+            gravity,
+            mapping,
+            stats,
+        })
     }
 }
 
 /// Steps 1–2 for one object: nibble, then deletion iff the nibble
 /// placement uses a bus. Returns `(gravity, nibble copies, modified
 /// copies, processed?)`.
-pub(crate) fn run_steps_for_object(
+fn run_steps_for_object(
     net: &Network,
     matrix: &AccessMatrix,
     x: hbn_workload::ObjectId,

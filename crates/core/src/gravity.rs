@@ -15,7 +15,8 @@
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
 
-/// Reusable per-object scratch for the gravity and nibble computations.
+/// Reusable per-object scratch for the gravity and nibble computations,
+/// and for the deletion step's node-to-copy lookup.
 ///
 /// Slots are indexed by node, but loading an object writes and reads only
 /// its support (the union of its requesters' root paths), in
@@ -31,9 +32,9 @@ pub struct Workspace {
     heaviest_child: Vec<u64>,
     /// `in_support[v] == generation` iff `v` is in the current support.
     in_support: Vec<u32>,
-    /// `mark[v] == generation` iff `v` is marked (holds a nibble copy) for
-    /// the current object.
-    mark: Vec<u32>,
+    /// `copy[v] == (generation, i)` iff `v` holds nibble copy `i` (its
+    /// index among the copy nodes, ascending) of the current object.
+    copy: Vec<(u32, u32)>,
     generation: u32,
     /// The current support, each node once, in discovery order.
     support: Vec<NodeId>,
@@ -46,7 +47,7 @@ impl Workspace {
             subtree: vec![0; n],
             heaviest_child: vec![0; n],
             in_support: vec![0; n],
-            mark: vec![0; n],
+            copy: vec![(0, 0); n],
             generation: 0,
             support: Vec::new(),
         }
@@ -54,14 +55,14 @@ impl Workspace {
 
     /// Load the weights of object `x`: walk every requester's root path,
     /// summing fixed-root subtree weights over the support. Starts a new
-    /// generation (clearing the support and all marks in O(1)) and
+    /// generation (clearing the support and all copy slots in O(1)) and
     /// returns the total weight `h_x`.
     pub(crate) fn load_object(&mut self, net: &Network, matrix: &AccessMatrix, x: ObjectId) -> u64 {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Wrapped: physically reset to keep stamps unambiguous.
             self.in_support.iter_mut().for_each(|s| *s = 0);
-            self.mark.iter_mut().for_each(|m| *m = 0);
+            self.copy.iter_mut().for_each(|c| *c = (0, 0));
             self.generation = 1;
         }
         self.support.clear();
@@ -133,16 +134,17 @@ impl Workspace {
             .expect("the set of gravity centers is never empty")
     }
 
-    /// Mark node `v` for the current object.
+    /// Record that `v` holds copy `i` of the current object.
     #[inline]
-    pub(crate) fn mark(&mut self, v: NodeId) {
-        self.mark[v.index()] = self.generation;
+    pub(crate) fn mark(&mut self, v: NodeId, i: usize) {
+        self.copy[v.index()] = (self.generation, i as u32);
     }
 
-    /// Whether `v` is marked for the current object.
+    /// The index of the current object's copy on `v`, if `v` holds one.
     #[inline]
-    pub(crate) fn is_marked(&self, v: NodeId) -> bool {
-        self.mark[v.index()] == self.generation
+    pub(crate) fn copy_index(&self, v: NodeId) -> Option<usize> {
+        let (generation, i) = self.copy[v.index()];
+        (generation == self.generation).then_some(i as usize)
     }
 }
 

@@ -130,9 +130,11 @@ impl MappingReport {
     }
 }
 
+/// A copy on a bus, taking part in the mapping phase.
+#[derive(Debug)]
 struct Movable {
-    oc_index: usize,
-    copy_index: usize,
+    /// The node currently holding the copy.
+    node: NodeId,
     /// `s(c) + κ_x(c)` — the mapping-load increment of moving this copy,
     /// also the copy's term in the repaired Invariant 4.2.
     increment: u64,
@@ -140,191 +142,234 @@ struct Movable {
     served: u64,
 }
 
-/// Run the mapping algorithm over the modified placement of *all* objects.
+/// The mapping phase's working state: the directed per-edge loads, the
+/// copies on buses and the node each one currently stands on.
 ///
-/// `all_copies` holds every object's post-deletion copies (and untouched
-/// objects' nibble copies); copies on buses are moved to leaves **in
-/// place**. Returns the per-edge report.
-pub fn map_to_leaves(
-    net: &Network,
-    all_copies: &mut [ObjectCopies],
-    options: &MappingOptions,
-) -> Result<MappingReport, MappingError> {
-    let n = net.n_nodes();
-
-    // Basic loads: for every request group, the directed path from the
-    // serving copy to the requester.
-    let mut up_basic = vec![0u64; n];
-    let mut down_basic = vec![0u64; n];
-    for oc in all_copies.iter() {
-        for copy in &oc.copies {
-            for grp in &copy.groups {
-                let w = grp.weight();
-                if w == 0 || grp.processor == copy.node {
-                    continue;
-                }
-                let l = net.lca(copy.node, grp.processor);
-                // Server climbs to the LCA on upward edges...
-                let mut v = copy.node;
-                while v != l {
-                    up_basic[v.index()] += w;
-                    v = net.parent(v);
-                }
-                // ...then descends to the requester on downward edges.
-                let mut v = grp.processor;
-                while v != l {
-                    down_basic[v.index()] += w;
-                    v = net.parent(v);
-                }
-            }
-        }
-    }
-
-    // Collect movable copies: those on buses.
-    let mut movable: Vec<Movable> = Vec::new();
-    let mut stationed: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, oc) in all_copies.iter().enumerate() {
-        for (j, copy) in oc.copies.iter().enumerate() {
-            if net.is_bus(copy.node) {
-                let id = movable.len();
-                let served = copy.served();
-                movable.push(Movable {
-                    oc_index: i,
-                    copy_index: j,
-                    increment: served + oc.kappa,
-                    served,
-                });
-                stationed[copy.node.index()].push(id);
-            }
-        }
-    }
-    let tau_max = movable.iter().map(|m| m.increment).max().unwrap_or(0);
-
-    let mut state = State {
-        up_map: vec![0u64; n],
-        down_map: vec![0u64; n],
-        up_acc: up_basic.iter().map(|&b| 2 * b as i64).collect(),
-        down_acc: down_basic.iter().map(|&b| 2 * b as i64).collect(),
-        stationed,
-        tau_max,
-    };
-    let mut moves_up = 0u64;
-    let mut moves_down = 0u64;
-
-    // Non-root nodes by decreasing depth (the paper's levels 0 .. height-1),
-    // ids ascending within a depth for determinism.
-    let mut bottom_up: Vec<NodeId> = net.nodes().filter(|&v| v != net.root()).collect();
-    bottom_up.sort_unstable_by_key(|&v| (std::cmp::Reverse(net.depth(v)), v));
-
-    // ---- Upwards phase (Figure 5) ----
-    for &v in &bottom_up {
-        let e = v.index();
-        let parent = net.parent(v);
-        while let Some(&ci) = state.stationed[e].last() {
-            let fits = state.up_map[e] as i128 + tau_max as i128 <= state.up_acc[e] as i128;
-            if !fits {
-                break;
-            }
-            state.stationed[e].pop();
-            let mv = &movable[ci];
-            state.up_map[e] += mv.increment;
-            all_copies[mv.oc_index].copies[mv.copy_index].node = parent;
-            state.stationed[parent.index()].push(ci);
-            moves_up += 1;
-        }
-        // Adjustment: cancel the unused upward budget on both directions.
-        let delta = state.up_acc[e] - state.up_map[e] as i64;
-        debug_assert!(delta >= 0, "upward moves never exceed the acceptable load");
-        state.up_acc[e] -= delta;
-        state.down_acc[e] -= delta;
-        if options.check_invariants {
-            for node in [v, parent] {
-                if net.is_bus(node)
-                    && !invariant_4_2_holds(net, &state, &movable, node, options.invariant_form)
-                {
-                    return Err(MappingError::InvariantViolated { node });
-                }
-            }
-        }
-    }
-
-    // ---- Downwards phase (Figure 6, with the root included) ----
-    // Buses by increasing depth; all copies cascade towards the leaves.
-    let mut top_down: Vec<NodeId> = net.nodes().filter(|&v| net.is_bus(v)).collect();
-    top_down.sort_unstable_by_key(|&v| (net.depth(v), v));
-    for &v in &top_down {
-        if state.stationed[v.index()].is_empty() {
-            continue;
-        }
-        // Lazy max-heap over child-edge slacks: picking the max-slack free
-        // edge costs O(log degree) per move, which Theorem 4.3's runtime
-        // bound O(|X|·|V|·height(T)·log degree(T)) relies on.
-        let mut heap: BinaryHeap<(i128, u32)> =
-            net.children(v).iter().map(|&c| (state.down_slack(c), c.0)).collect();
-        let pending = std::mem::take(&mut state.stationed[v.index()]);
-        for ci in pending {
-            let mv = &movable[ci];
-            let need = mv.increment as i128;
-            let child = loop {
-                let Some(&(recorded, c)) = heap.peek() else {
-                    return Err(MappingError::NoFreeEdge { node: v });
-                };
-                let current = state.down_slack(NodeId(c));
-                if current != recorded {
-                    // Stale entry: refresh (slacks only decrease).
-                    heap.pop();
-                    heap.push((current, c));
-                    continue;
-                }
-                if current < need {
-                    return Err(MappingError::NoFreeEdge { node: v });
-                }
-                break NodeId(c);
-            };
-            state.down_map[child.index()] += mv.increment;
-            all_copies[mv.oc_index].copies[mv.copy_index].node = child;
-            if net.is_bus(child) {
-                state.stationed[child.index()].push(ci);
-            }
-            moves_down += 1;
-            if options.check_invariants
-                && !invariant_4_2_holds(net, &state, &movable, v, options.invariant_form)
-            {
-                return Err(MappingError::InvariantViolated { node: v });
-            }
-        }
-    }
-
-    debug_assert!(
-        all_copies.iter().all(|oc| oc.copies.iter().all(|c| net.is_processor(c.node))),
-        "all copies must end on processors"
-    );
-
-    Ok(MappingReport {
-        tau_max,
-        moves_up,
-        moves_down,
-        mapped_copies: movable.len(),
-        up_basic,
-        down_basic,
-        up_map: state.up_map,
-        down_map: state.down_map,
-        up_acc: state.up_acc,
-        down_acc: state.down_acc,
-    })
-}
-
-struct State {
+/// A caller registers every request group ([`Mapper::add_group`]) and
+/// every copy ([`Mapper::add_copy`]) of the modified placement, in any
+/// interleaving, then calls [`Mapper::run`]. [`map_to_leaves`] builds a
+/// fresh one per call; [`crate::PlacementKernel`] keeps one and
+/// [`Mapper::reset`]s it, so once its buffers have grown a run
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Mapper {
+    up_basic: Vec<u64>,
+    down_basic: Vec<u64>,
     up_map: Vec<u64>,
     down_map: Vec<u64>,
     up_acc: Vec<i64>,
     down_acc: Vec<i64>,
+    /// Bus copies in registration order.
+    movable: Vec<Movable>,
     /// Movable copy ids currently stationed at each node.
     stationed: Vec<Vec<usize>>,
     tau_max: u64,
+    moves_up: u64,
+    moves_down: u64,
+    /// Non-root nodes bottom-up (the upwards phase's order).
+    bottom_up: Vec<NodeId>,
+    /// Buses top-down (the downwards phase's order).
+    top_down: Vec<NodeId>,
+    /// Lazy max-heap over one bus's child-edge slacks.
+    heap: BinaryHeap<(i128, u32)>,
 }
 
-impl State {
+impl Mapper {
+    /// Forget the previous run and size the per-node buffers for `net`.
+    pub(crate) fn reset(&mut self, net: &Network) {
+        let n = net.n_nodes();
+        for basic in [&mut self.up_basic, &mut self.down_basic] {
+            basic.clear();
+            basic.resize(n, 0);
+        }
+        self.movable.clear();
+        self.stationed.resize_with(n, Vec::new);
+        self.stationed.iter_mut().for_each(Vec::clear);
+        self.tau_max = 0;
+        self.moves_up = 0;
+        self.moves_down = 0;
+    }
+
+    /// Basic load of `weight` requests from `processor` served by the copy
+    /// on `server`: the directed path from the server to the requester.
+    pub(crate) fn add_group(
+        &mut self,
+        net: &Network,
+        server: NodeId,
+        processor: NodeId,
+        weight: u64,
+    ) {
+        if weight == 0 || processor == server {
+            return;
+        }
+        let l = net.lca(server, processor);
+        // Server climbs to the LCA on upward edges...
+        let mut v = server;
+        while v != l {
+            self.up_basic[v.index()] += weight;
+            v = net.parent(v);
+        }
+        // ...then descends to the requester on downward edges.
+        let mut v = processor;
+        while v != l {
+            self.down_basic[v.index()] += weight;
+            v = net.parent(v);
+        }
+    }
+
+    /// A copy on `node` serving `served` requests of an object with write
+    /// contention `kappa`. Only a copy on a bus takes part in the mapping.
+    pub(crate) fn add_copy(&mut self, net: &Network, node: NodeId, served: u64, kappa: u64) {
+        if net.is_bus(node) {
+            let id = self.movable.len();
+            self.movable.push(Movable { node, increment: served + kappa, served });
+            self.stationed[node.index()].push(id);
+        }
+    }
+
+    /// Where the mapping put each bus copy, in registration order (every
+    /// node a processor after a successful [`Mapper::run`]).
+    pub(crate) fn mapped_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.movable.iter().map(|m| m.node)
+    }
+
+    /// Run the upwards and downwards phases over the registered copies,
+    /// moving every bus copy to a processor.
+    pub(crate) fn run(
+        &mut self,
+        net: &Network,
+        options: &MappingOptions,
+    ) -> Result<(), MappingError> {
+        let n = net.n_nodes();
+        let tau_max = self.movable.iter().map(|m| m.increment).max().unwrap_or(0);
+        self.tau_max = tau_max;
+        for map in [&mut self.up_map, &mut self.down_map] {
+            map.clear();
+            map.resize(n, 0);
+        }
+        self.up_acc.clear();
+        self.up_acc.extend(self.up_basic.iter().map(|&b| 2 * b as i64));
+        self.down_acc.clear();
+        self.down_acc.extend(self.down_basic.iter().map(|&b| 2 * b as i64));
+
+        // Non-root nodes by decreasing depth (the paper's levels 0 ..
+        // height-1), ids ascending within a depth for determinism.
+        self.bottom_up.clear();
+        self.bottom_up.extend(net.nodes().filter(|&v| v != net.root()));
+        self.bottom_up.sort_unstable_by_key(|&v| (std::cmp::Reverse(net.depth(v)), v));
+
+        // ---- Upwards phase (Figure 5) ----
+        for k in 0..self.bottom_up.len() {
+            let v = self.bottom_up[k];
+            let e = v.index();
+            let parent = net.parent(v);
+            while let Some(&ci) = self.stationed[e].last() {
+                let fits = self.up_map[e] as i128 + tau_max as i128 <= self.up_acc[e] as i128;
+                if !fits {
+                    break;
+                }
+                self.stationed[e].pop();
+                self.up_map[e] += self.movable[ci].increment;
+                self.movable[ci].node = parent;
+                self.stationed[parent.index()].push(ci);
+                self.moves_up += 1;
+            }
+            // Adjustment: cancel the unused upward budget on both directions.
+            let delta = self.up_acc[e] - self.up_map[e] as i64;
+            debug_assert!(delta >= 0, "upward moves never exceed the acceptable load");
+            self.up_acc[e] -= delta;
+            self.down_acc[e] -= delta;
+            if options.check_invariants {
+                for node in [v, parent] {
+                    if net.is_bus(node)
+                        && !self.invariant_4_2_holds(net, node, options.invariant_form)
+                    {
+                        return Err(MappingError::InvariantViolated { node });
+                    }
+                }
+            }
+        }
+
+        // ---- Downwards phase (Figure 6, with the root included) ----
+        // Buses by increasing depth; all copies cascade towards the leaves.
+        self.top_down.clear();
+        self.top_down.extend(net.nodes().filter(|&v| net.is_bus(v)));
+        self.top_down.sort_unstable_by_key(|&v| (net.depth(v), v));
+        for k in 0..self.top_down.len() {
+            let v = self.top_down[k];
+            if self.stationed[v.index()].is_empty() {
+                continue;
+            }
+            // Lazy max-heap over child-edge slacks: picking the max-slack
+            // free edge costs O(log degree) per move, which Theorem 4.3's
+            // runtime bound O(|X|·|V|·height(T)·log degree(T)) relies on.
+            self.heap.clear();
+            for &c in net.children(v) {
+                let slack = self.down_slack(c);
+                self.heap.push((slack, c.0));
+            }
+            // The copies leave `v` one by one; while they do, `M(v)` holds
+            // none of them. Their list is handed back, emptied, afterwards.
+            let pending = std::mem::take(&mut self.stationed[v.index()]);
+            for &ci in &pending {
+                let need = self.movable[ci].increment as i128;
+                let child = loop {
+                    let Some(&(recorded, c)) = self.heap.peek() else {
+                        return Err(MappingError::NoFreeEdge { node: v });
+                    };
+                    let current = self.down_slack(NodeId(c));
+                    if current != recorded {
+                        // Stale entry: refresh (slacks only decrease).
+                        self.heap.pop();
+                        self.heap.push((current, c));
+                        continue;
+                    }
+                    if current < need {
+                        return Err(MappingError::NoFreeEdge { node: v });
+                    }
+                    break NodeId(c);
+                };
+                self.down_map[child.index()] += self.movable[ci].increment;
+                self.movable[ci].node = child;
+                if net.is_bus(child) {
+                    self.stationed[child.index()].push(ci);
+                }
+                self.moves_down += 1;
+                if options.check_invariants
+                    && !self.invariant_4_2_holds(net, v, options.invariant_form)
+                {
+                    return Err(MappingError::InvariantViolated { node: v });
+                }
+            }
+            let mut emptied = pending;
+            emptied.clear();
+            self.stationed[v.index()] = emptied;
+        }
+
+        debug_assert!(
+            self.movable.iter().all(|m| net.is_processor(m.node)),
+            "all copies must end on processors"
+        );
+        Ok(())
+    }
+
+    /// The finished run's report. Moves the per-edge vectors out, so the
+    /// next run regrows them.
+    pub(crate) fn take_report(&mut self) -> MappingReport {
+        MappingReport {
+            tau_max: self.tau_max,
+            moves_up: self.moves_up,
+            moves_down: self.moves_down,
+            mapped_copies: self.movable.len(),
+            up_basic: std::mem::take(&mut self.up_basic),
+            down_basic: std::mem::take(&mut self.down_basic),
+            up_map: std::mem::take(&mut self.up_map),
+            down_map: std::mem::take(&mut self.down_map),
+            up_acc: std::mem::take(&mut self.up_acc),
+            down_acc: std::mem::take(&mut self.down_acc),
+        }
+    }
+
     /// Remaining capacity of the downward edge into `child`: a copy with
     /// increment `s + κ ≤ slack` may move along it (the paper's "free
     /// edge" condition `L_map + s + κ ≤ L_acc + τ_max`).
@@ -332,52 +377,77 @@ impl State {
         self.down_acc[child.index()] as i128 + self.tau_max as i128
             - self.down_map[child.index()] as i128
     }
+
+    /// The repaired Invariant 4.2 at bus `v`:
+    /// `Σ_out (L_acc − L_map) ≥ Σ_in (L_acc − L_map) + Σ_{c ∈ M(v)} (s(c) + κ_x(c))`.
+    ///
+    /// The paper states the last term as `2 Σ s(c)`. That form holds
+    /// initially (every copy has `s ≥ κ` after deletion, so
+    /// `Σ (s + κ) ≤ 2 Σ s`) and is preserved when a copy *leaves* `v`, but
+    /// a copy *arriving* at `v` changes the right side by
+    /// `2s − (s + κ) = s − κ ≥ 0`, which can break it. With `Σ (s + κ)`
+    /// both movements change each side by exactly `s + κ`, so the
+    /// invariant is preserved exactly — and it still implies Lemma 4.1: if
+    /// no child edge of `v` is free for copy `c*`, then every child edge
+    /// has `L_acc − L_map < (s* + κ*) − τ_max ≤ 0`, so the left sum is
+    /// below `(s* + κ*) − τ_max`, contradicting the invariant (whose right
+    /// side is at least `−τ_max + (s* + κ*)` in the paper's case 1).
+    /// Recorded as an erratum in DESIGN.md.
+    ///
+    /// Outgoing edges of `v` are its upward parent edge and the downward
+    /// child edges; incoming are the reverse orientations.
+    fn invariant_4_2_holds(&self, net: &Network, v: NodeId, form: InvariantForm) -> bool {
+        let mut out_sum: i128 = 0;
+        let mut in_sum: i128 = 0;
+        if v != net.root() {
+            let e = v.index();
+            out_sum += self.up_acc[e] as i128 - self.up_map[e] as i128;
+            in_sum += self.down_acc[e] as i128 - self.down_map[e] as i128;
+        }
+        for &c in net.children(v) {
+            let e = c.index();
+            out_sum += self.down_acc[e] as i128 - self.down_map[e] as i128;
+            in_sum += self.up_acc[e] as i128 - self.up_map[e] as i128;
+        }
+        let term: i128 = self.stationed[v.index()]
+            .iter()
+            .map(|&ci| match form {
+                InvariantForm::Repaired => self.movable[ci].increment as i128,
+                InvariantForm::PaperOriginal => 2 * self.movable[ci].served as i128,
+            })
+            .sum();
+        out_sum >= in_sum + term
+    }
 }
 
-/// The repaired Invariant 4.2 at bus `v`:
-/// `Σ_out (L_acc − L_map) ≥ Σ_in (L_acc − L_map) + Σ_{c ∈ M(v)} (s(c) + κ_x(c))`.
+/// Run the mapping algorithm over the modified placement of *all* objects.
 ///
-/// The paper states the last term as `2 Σ s(c)`. That form holds initially
-/// (every copy has `s ≥ κ` after deletion, so `Σ (s + κ) ≤ 2 Σ s`) and is
-/// preserved when a copy *leaves* `v`, but a copy *arriving* at `v` changes
-/// the right side by `2s − (s + κ) = s − κ ≥ 0`, which can break it. With
-/// `Σ (s + κ)` both movements change each side by exactly `s + κ`, so the
-/// invariant is preserved exactly — and it still implies Lemma 4.1: if no
-/// child edge of `v` is free for copy `c*`, then every child edge has
-/// `L_acc − L_map < (s* + κ*) − τ_max ≤ 0`, so the left sum is below
-/// `(s* + κ*) − τ_max`, contradicting the invariant (whose right side is
-/// at least `−τ_max + (s* + κ*)` in the paper's case 1). Recorded as an
-/// erratum in DESIGN.md.
-///
-/// Outgoing edges of `v` are its upward parent edge and the downward child
-/// edges; incoming are the reverse orientations.
-fn invariant_4_2_holds(
+/// `all_copies` holds every object's post-deletion copies (and untouched
+/// objects' nibble copies); copies on buses are moved to leaves **in
+/// place**, and stay where they were if the run fails. Returns the
+/// per-edge report.
+pub fn map_to_leaves(
     net: &Network,
-    state: &State,
-    movable: &[Movable],
-    v: NodeId,
-    form: InvariantForm,
-) -> bool {
-    let mut out_sum: i128 = 0;
-    let mut in_sum: i128 = 0;
-    if v != net.root() {
-        let e = v.index();
-        out_sum += state.up_acc[e] as i128 - state.up_map[e] as i128;
-        in_sum += state.down_acc[e] as i128 - state.down_map[e] as i128;
+    all_copies: &mut [ObjectCopies],
+    options: &MappingOptions,
+) -> Result<MappingReport, MappingError> {
+    let mut mapper = Mapper::default();
+    mapper.reset(net);
+    for oc in all_copies.iter() {
+        for copy in &oc.copies {
+            for grp in &copy.groups {
+                mapper.add_group(net, copy.node, grp.processor, grp.weight());
+            }
+            mapper.add_copy(net, copy.node, copy.served(), oc.kappa);
+        }
     }
-    for &c in net.children(v) {
-        let e = c.index();
-        out_sum += state.down_acc[e] as i128 - state.down_map[e] as i128;
-        in_sum += state.up_acc[e] as i128 - state.up_map[e] as i128;
+    mapper.run(net, options)?;
+    let bus_copies =
+        all_copies.iter_mut().flat_map(|oc| oc.copies.iter_mut()).filter(|c| net.is_bus(c.node));
+    for (copy, node) in bus_copies.zip(mapper.mapped_nodes()) {
+        copy.node = node;
     }
-    let term: i128 = state.stationed[v.index()]
-        .iter()
-        .map(|&ci| match form {
-            InvariantForm::Repaired => movable[ci].increment as i128,
-            InvariantForm::PaperOriginal => 2 * movable[ci].served as i128,
-        })
-        .sum();
-    out_sum >= in_sum + term
+    Ok(mapper.take_report())
 }
 
 /// Observation 3.3, checked after the algorithm: every downward child edge

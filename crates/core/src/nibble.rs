@@ -69,13 +69,41 @@ pub fn nibble_object(
     ws: &mut Workspace,
 ) -> NibbleOutcome {
     let kappa = matrix.write_contention(x);
-    let total = ws.load_object(net, matrix, x);
-    if total == 0 {
+    let mut copy_nodes = Vec::new();
+    let Some(g) = nibble_copy_nodes(net, matrix, x, kappa, ws, &mut copy_nodes) else {
         return NibbleOutcome {
             gravity: NodeId(0),
             copies: ObjectCopies { object: x, kappa, copies: Vec::new() },
             uses_bus: false,
         };
+    };
+    let uses_bus = copy_nodes.iter().any(|&v| net.is_bus(v));
+    let mut copies: Vec<CopyState> =
+        copy_nodes.iter().map(|&node| CopyState { object: x, node, groups: Vec::new() }).collect();
+    for e in matrix.object_entries(x) {
+        let at = nearest_copy(net, ws, g, e.processor);
+        copies[at].groups.push(Group { processor: e.processor, reads: e.reads, writes: e.writes });
+    }
+
+    NibbleOutcome { gravity: g, copies: ObjectCopies { object: x, kappa, copies }, uses_bus }
+}
+
+/// Step 1's copy rule for object `x` of write contention `kappa`: load
+/// `x` into `ws`, write its copy nodes into `nodes` in ascending order and
+/// mark each in `ws` with its index there. Returns the center of gravity,
+/// or `None` (and no nodes) when `x` has no requests.
+pub(crate) fn nibble_copy_nodes(
+    net: &Network,
+    matrix: &AccessMatrix,
+    x: ObjectId,
+    kappa: u64,
+    ws: &mut Workspace,
+    nodes: &mut Vec<NodeId>,
+) -> Option<NodeId> {
+    nodes.clear();
+    let total = ws.load_object(net, matrix, x);
+    if total == 0 {
+        return None;
     }
     let g = ws.gravity(net, total);
 
@@ -83,43 +111,34 @@ pub fn nibble_object(
     // Only support nodes can qualify: every ancestor of g is in the
     // support, and any other node's g-rooted subtree is its fixed-root
     // one, of weight 0 off the support — never above κ_x ≥ 0.
-    let mut copy_nodes: Vec<NodeId> = ws
-        .support()
-        .iter()
-        .copied()
-        .filter(|&v| {
-            v == g || {
-                let h_sub = if net.is_ancestor(v, g) {
-                    total - ws.subtree(net.step_towards(v, g))
-                } else {
-                    ws.subtree(v)
-                };
-                h_sub > kappa
-            }
-        })
-        .collect();
-    copy_nodes.sort_unstable();
-    let mut uses_bus = false;
-    for &v in &copy_nodes {
-        ws.mark(v);
-        uses_bus |= net.is_bus(v);
-    }
-    let mut copies: Vec<CopyState> =
-        copy_nodes.iter().map(|&node| CopyState { object: x, node, groups: Vec::new() }).collect();
-
-    // Route every request group to its nearest copy: the first marked node
-    // on the walk towards g (the copies form a connected subgraph
-    // containing g, so this is exactly the closest copy).
-    for e in matrix.object_entries(x) {
-        let mut v = e.processor;
-        while !ws.is_marked(v) {
-            v = net.step_towards(v, g);
+    nodes.extend(ws.support().iter().copied().filter(|&v| {
+        v == g || {
+            let h_sub = if net.is_ancestor(v, g) {
+                total - ws.subtree(net.step_towards(v, g))
+            } else {
+                ws.subtree(v)
+            };
+            h_sub > kappa
         }
-        let at = copy_nodes.binary_search(&v).expect("marked nodes hold copies");
-        copies[at].groups.push(Group { processor: e.processor, reads: e.reads, writes: e.writes });
+    }));
+    nodes.sort_unstable();
+    for (i, &v) in nodes.iter().enumerate() {
+        ws.mark(v, i);
     }
+    Some(g)
+}
 
-    NibbleOutcome { gravity: g, copies: ObjectCopies { object: x, kappa, copies }, uses_bus }
+/// The index of the copy serving a request from `processor`: the first
+/// marked node on its walk towards `g`. The copies form a connected
+/// subgraph containing `g`, so this is exactly the closest copy.
+pub(crate) fn nearest_copy(net: &Network, ws: &Workspace, g: NodeId, processor: NodeId) -> usize {
+    let mut v = processor;
+    loop {
+        if let Some(i) = ws.copy_index(v) {
+            return i;
+        }
+        v = net.step_towards(v, g);
+    }
 }
 
 /// Nibble placement of every object, as a [`Placement`] (copies may sit on

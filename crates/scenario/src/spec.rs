@@ -336,9 +336,9 @@ pub enum StrategyKind {
         replace_every_epochs: usize,
     },
     /// The dynamic strategy, periodically re-seeded by the static
-    /// pipeline: at re-seed boundaries the batch kernel runs on the
-    /// observed matrix and each object's *nibble* copy set (connected by
-    /// Theorem 3.1) replaces the dynamic tree's replica set
+    /// pipeline: at re-seed boundaries its step 1, the nibble strategy,
+    /// runs on the observed matrix and each object's *nibble* copy set
+    /// (connected by Theorem 3.1) replaces the dynamic tree's replica set
     /// ([`hbn_dynamic::DynamicTree::seed_replicas`]), charged like a
     /// static migration; between boundaries requests are served online as
     /// in [`StrategyKind::Dynamic`].

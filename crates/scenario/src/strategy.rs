@@ -416,8 +416,7 @@ impl StaticCore {
         epoch_matrix: &AccessMatrix,
     ) {
         if !self.placed {
-            let outcome = kernel.place(net, epoch_matrix).expect("static bootstrap failed");
-            self.copies = outcome.placement;
+            self.copies = kernel.place(net, epoch_matrix).expect("static bootstrap failed");
             self.placed = true;
         }
         for req in trace {
@@ -723,8 +722,8 @@ impl Strategy for PeriodicStatic {
         if !self.fires(epoch_idx) && !outage_refit {
             return;
         }
-        let outcome = self.kernel.place(net, observed).expect("static re-optimization failed");
-        let mut placement = outcome.placement;
+        let mut placement =
+            self.kernel.place(net, observed).expect("static re-optimization failed");
         if faults.buses_down > 0 {
             sanitize_placement(net, faults, &mut placement);
         }
@@ -777,10 +776,10 @@ impl Strategy for PeriodicStatic {
 
 /// The dynamic strategy periodically re-seeded by the static pipeline
 /// ([`StrategyKind::Hybrid`] as a public struct): at re-seed boundaries
-/// the batch kernel runs on the observed matrix and each object's
-/// *nibble* copy set (connected by Theorem 3.1) replaces the dynamic
-/// tree's replica set, charged like a static migration; between
-/// boundaries requests are served online.
+/// the kernel's step-1 pass ([`PlacementKernel::nibble_copies`]) runs on
+/// the observed matrix and each object's *nibble* copy set (connected by
+/// Theorem 3.1) replaces the dynamic tree's replica set, charged like a
+/// static migration; between boundaries requests are served online.
 #[derive(Debug, Clone)]
 pub struct HybridReseed {
     dynamic: DynamicTree,
@@ -860,13 +859,13 @@ impl Strategy for HybridReseed {
         if !self.fires(epoch_idx) {
             return;
         }
-        let outcome = self.kernel.place(net, observed).expect("hybrid re-seed failed");
         let mut sweep = NearestCopies::new(net.n_nodes());
         for x in observed.objects() {
-            // Seed with the *nibble* copy set: connected by Theorem 3.1,
-            // which is the dynamic strategy's structural invariant (the
-            // extended placement's leaf-only sets are not connected).
-            let seed = outcome.nibble_placement.copies(x);
+            // Seed with the *nibble* copy set, step 1 of the static
+            // pipeline alone: connected by Theorem 3.1, which is the
+            // dynamic strategy's structural invariant (the extended
+            // placement's leaf-only sets are not connected).
+            let seed = self.kernel.nibble_copies(net, observed, x);
             if seed.is_empty() {
                 continue;
             }
@@ -1142,8 +1141,8 @@ impl Strategy for ThresholdSwitch {
             }
         }
         self.core.placed = true;
-        let outcome = self.kernel.place(net, observed).expect("threshold switch refit failed");
-        self.core.refit(net, observed, outcome.placement, self.threshold);
+        let placement = self.kernel.place(net, observed).expect("threshold switch refit failed");
+        self.core.refit(net, observed, placement, self.threshold);
         self.switched = true;
     }
 

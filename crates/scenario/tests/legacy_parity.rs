@@ -10,7 +10,7 @@
 //! all six canonical access-pattern families × three topologies × all
 //! four built-in strategy parameterizations × both serve kernels.
 
-use hbn_core::{nibble_placement, PlacementKernel};
+use hbn_core::{nibble_placement, ExtendedNibble};
 use hbn_dynamic::{DynamicStats, DynamicTree, OnlineRequest};
 use hbn_load::{nearest_copy_map, LoadMap, LoadRatio, Placement};
 use hbn_scenario::{
@@ -145,7 +145,6 @@ fn charge_copy_migration(
 }
 
 struct StaticState {
-    kernel: PlacementKernel,
     copies: Placement,
     loads: LoadMap,
     stats: DynamicStats,
@@ -154,7 +153,6 @@ struct StaticState {
 
 struct HybridState {
     dynamic: DynKernel,
-    kernel: PlacementKernel,
     migration_loads: LoadMap,
     seed_stats: DynamicStats,
 }
@@ -170,7 +168,6 @@ impl ServeEngine {
         match spec.strategy {
             StrategyKind::Dynamic => ServeEngine::Dynamic(DynKernel::new(net, spec, max_objects)),
             StrategyKind::PeriodicStatic { .. } => ServeEngine::Static(StaticState {
-                kernel: PlacementKernel::new(net),
                 copies: Placement::new(max_objects),
                 loads: LoadMap::zero(net),
                 stats: DynamicStats::default(),
@@ -178,7 +175,6 @@ impl ServeEngine {
             }),
             StrategyKind::Hybrid { .. } => ServeEngine::Hybrid(HybridState {
                 dynamic: DynKernel::new(net, spec, max_objects),
-                kernel: PlacementKernel::new(net),
                 migration_loads: LoadMap::zero(net),
                 seed_stats: DynamicStats::default(),
             }),
@@ -199,8 +195,9 @@ impl ServeEngine {
         match self {
             ServeEngine::Dynamic(_) => {}
             ServeEngine::Static(st) => {
-                let outcome =
-                    st.kernel.place(net, observed).expect("static re-optimization failed");
+                let outcome = ExtendedNibble::new()
+                    .place(net, observed)
+                    .expect("static re-optimization failed");
                 for x in observed.objects() {
                     if observed.total_weight(x) == 0 {
                         continue;
@@ -214,7 +211,8 @@ impl ServeEngine {
                 st.placed = true;
             }
             ServeEngine::Hybrid(hy) => {
-                let outcome = hy.kernel.place(net, observed).expect("hybrid re-seed failed");
+                let outcome =
+                    ExtendedNibble::new().place(net, observed).expect("hybrid re-seed failed");
                 for x in observed.objects() {
                     let seed = outcome.nibble_placement.copies(x);
                     if seed.is_empty() {
@@ -248,8 +246,9 @@ impl ServeEngine {
             ServeEngine::Hybrid(hy) => hy.dynamic.serve_trace(net, trace),
             ServeEngine::Static(st) => {
                 if !st.placed {
-                    let outcome =
-                        st.kernel.place(net, epoch_matrix).expect("static bootstrap failed");
+                    let outcome = ExtendedNibble::new()
+                        .place(net, epoch_matrix)
+                        .expect("static bootstrap failed");
                     st.copies = outcome.placement;
                     st.placed = true;
                 }

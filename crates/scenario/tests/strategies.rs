@@ -3,8 +3,8 @@
 //!
 //! Pins (1) that `PeriodicStatic` with `replace_every_epochs = ∞` is a
 //! single up-front static placement — equal to a never-firing periodic
-//! strategy, migration-free, and reconstructible from the batch kernel
-//! run on the first epoch's traffic; (2) that strategy reports are
+//! strategy, migration-free, and reconstructible from the full-outcome
+//! reference pipeline run on the first epoch's traffic; (2) that strategy reports are
 //! invariant across serve kernels; (3) that a hybrid
 //! whose re-seed boundary never fires is exactly the dynamic strategy;
 //! (4) the migration-cost accounting identity
@@ -13,7 +13,7 @@
 //! policy) reproduces `periodic-static(inf)` bit for bit, proving the
 //! trait boundary carries the whole built-in behaviour.
 
-use hbn_core::PlacementKernel;
+use hbn_core::ExtendedNibble;
 use hbn_load::{LoadMap, Placement};
 use hbn_scenario::{
     run_scenario, run_scenario_with, FrozenStatic, ReplayKernel, ScenarioReport, ScenarioSpec,
@@ -79,7 +79,8 @@ fn frozen_static_equals_periodic_static_inf() {
 }
 
 /// The ∞ strategy *is* the bootstrap placement: reconstruct it by
-/// running the batch kernel on the first epoch's matrix, then replaying
+/// running the `ExtendedNibble::place` reference on the first epoch's
+/// matrix (which pins the production kernel's bootstrap), then replaying
 /// the serving semantics (first-touch materialization, nearest-copy
 /// service under the static load model) epoch by epoch.
 #[test]
@@ -125,9 +126,9 @@ fn periodic_static_inf_matches_manual_upfront_placement() {
             first_touch.push((req.object, req.processor));
         }
         let placement = copies.get_or_insert_with(|| {
-            // The up-front placement: the batch kernel on epoch 0's
-            // matrix.
-            PlacementKernel::new(&net).place(&net, &epoch_matrix).unwrap().placement
+            // The up-front placement: the full-outcome reference
+            // pipeline on epoch 0's matrix.
+            ExtendedNibble::new().place(&net, &epoch_matrix).unwrap().placement
         });
         for &(x, p) in &first_touch {
             if placement.copies(x).is_empty() {
