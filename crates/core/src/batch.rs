@@ -20,13 +20,18 @@
 //! reference, built from the public per-step functions; the kernel's copy
 //! sets equal its `placement`'s object by object
 //! (`crates/core/tests/batch_differential.rs`).
+//!
+//! The same workspace prices the hindsight comparison of the scenario
+//! reports: [`PlacementKernel::add_nibble_loads`] adds the loads of the
+//! nibble placement of a matrix to a [`LoadMap`] straight from step 1's
+//! copy sets, with no placement built.
 
 use crate::deletion::{rarely_used, split_sizes};
 use crate::gravity::Workspace;
 use crate::mapping::{Mapper, MappingError, MappingOptions};
 use crate::nibble::{nearest_copy, nibble_copy_nodes};
-use hbn_load::Placement;
-use hbn_topology::{Network, NodeId};
+use hbn_load::{LoadMap, Placement};
+use hbn_topology::{EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
 
 /// The production static-placement kernel: runs the extended-nibble
@@ -181,6 +186,48 @@ impl PlacementKernel {
         nibble_copy_nodes(net, matrix, x, kappa, &mut self.ws, &mut self.scratch.copy_nodes);
         &self.scratch.copy_nodes
     }
+
+    /// Add the loads of the nibble placement of `matrix` (step 1 alone,
+    /// [`crate::nibble_placement`]) to `out`, object by object over the
+    /// matrix's support, without building the placement: the result is
+    /// `LoadMap::from_placement(net, matrix, &nibble_placement(net,
+    /// matrix))` added to `out`.
+    ///
+    /// An object's nibble copies form a connected set containing its
+    /// center of gravity `g` (Theorem 3.1), and each request group is
+    /// served by the first copy on its walk towards `g`. So a group's
+    /// path is that walk, up to the first copy, and the Steiner tree of
+    /// the copies (a write's broadcast) is the set of edges between a copy
+    /// and its step towards `g`.
+    pub fn add_nibble_loads(&mut self, net: &Network, matrix: &AccessMatrix, out: &mut LoadMap) {
+        assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
+        let nodes = &mut self.scratch.copy_nodes;
+        for x in matrix.support() {
+            let kappa = matrix.write_contention(x);
+            let Some(g) = nibble_copy_nodes(net, matrix, x, kappa, &mut self.ws, nodes) else {
+                continue;
+            };
+            for e in matrix.object_entries(x) {
+                let mut v = e.processor;
+                while self.ws.copy_index(v).is_none() {
+                    let next = net.step_towards(v, g);
+                    out.add_edge(edge_between(net, v, next), e.total());
+                    v = next;
+                }
+            }
+            if kappa > 0 {
+                for &v in nodes.iter().filter(|&&v| v != g) {
+                    out.add_edge(edge_between(net, v, net.step_towards(v, g)), kappa);
+                }
+            }
+        }
+    }
+}
+
+/// The switch between the adjacent nodes `v` and `u`: the edge id of the
+/// deeper one, the child.
+fn edge_between(net: &Network, v: NodeId, u: NodeId) -> EdgeId {
+    EdgeId::from(if net.depth(v) > net.depth(u) { v } else { u })
 }
 
 /// Steps 1–2 for object `x`: append its post-deletion copies to

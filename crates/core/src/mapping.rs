@@ -123,11 +123,6 @@ impl MappingReport {
     pub fn map_load(&self, e: EdgeId) -> u64 {
         self.up_map[e.index()] + self.down_map[e.index()]
     }
-
-    /// Total basic load (both directions) on undirected edge `e`.
-    pub fn basic_load(&self, e: EdgeId) -> u64 {
-        self.up_basic[e.index()] + self.down_basic[e.index()]
-    }
 }
 
 /// A copy on a bus, taking part in the mapping phase.

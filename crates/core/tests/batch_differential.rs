@@ -5,13 +5,18 @@
 //! [`ExtendedNibble::place`] object by object, and its step-1-only pass
 //! must equal the reference's nibble placement. Stale scratch must never
 //! leak between objects or calls.
+//!
+//! The kernel's hindsight pass, [`PlacementKernel::add_nibble_loads`], is
+//! pinned the same way to the loads of the reference nibble placement,
+//! `LoadMap::from_placement(net, m, &nibble_placement(net, m))`.
 
-use hbn_core::{ExtendedNibble, PlacementKernel};
+use hbn_core::{nibble_placement, ExtendedNibble, PlacementKernel};
+use hbn_load::LoadMap;
 use hbn_testutil::{arb_network, seeded_rng, workload_from_seed};
 use hbn_topology::generators::{balanced, bus_path, random_network, star, BandwidthProfile};
 use hbn_topology::Network;
 use hbn_workload::generators as wgen;
-use hbn_workload::AccessMatrix;
+use hbn_workload::{AccessMatrix, ObjectId};
 use proptest::prelude::*;
 
 /// Assert that `kernel` builds the reference's final copy sets, with no
@@ -30,6 +35,67 @@ fn assert_kernel_matches_reference(net: &Network, m: &AccessMatrix, kernel: &mut
         );
     }
     assert!(copies.is_leaf_only(net));
+}
+
+/// Assert that the kernel's hindsight pass adds exactly the loads of the
+/// reference nibble placement to a map, on top of what it holds. Returns
+/// whether that placement puts a copy on a bus.
+fn assert_nibble_loads_match(
+    net: &Network,
+    m: &AccessMatrix,
+    kernel: &mut PlacementKernel,
+) -> bool {
+    let reference = nibble_placement(net, m);
+    let expected = LoadMap::from_placement(net, m, &reference);
+    let mut loads = LoadMap::zero(net);
+    kernel.add_nibble_loads(net, m, &mut loads);
+    assert_eq!(loads, expected, "hindsight loads");
+    kernel.add_nibble_loads(net, m, &mut loads);
+    let mut twice = expected.clone();
+    twice.add_assign(&expected);
+    assert_eq!(loads, twice, "the pass adds to the map");
+    !reference.is_leaf_only(net)
+}
+
+#[test]
+fn hindsight_pass_matches_the_nibble_placement_loads() {
+    // Random trees and workloads (some objects without requests), zipf
+    // traffic on a wide tree, heavy writes on deep bus paths and an
+    // all-writer hub object whose single copy sits on the bus.
+    let mut rng = seeded_rng(103);
+    let mut on_buses = 0;
+    for _ in 0..25 {
+        let net = random_network(6, 12, BandwidthProfile::Uniform, &mut rng);
+        let mut kernel = PlacementKernel::new(&net);
+        for _ in 0..3 {
+            let m = wgen::uniform(&net, 7, 6, 4, 0.6, &mut rng);
+            on_buses += usize::from(assert_nibble_loads_match(&net, &m, &mut kernel));
+        }
+    }
+    let wide = balanced(4, 3, BandwidthProfile::Uniform);
+    let mut kernel = PlacementKernel::new(&wide);
+    for objects in [50, 300] {
+        let m = wgen::zipf_read_mostly(&wide, objects, objects * 40, 0.9, 0.3, &mut rng);
+        on_buses += usize::from(assert_nibble_loads_match(&wide, &m, &mut kernel));
+    }
+    for buses in [8, 16] {
+        let deep = bus_path(buses, BandwidthProfile::Uniform);
+        let mut kernel = PlacementKernel::new(&deep);
+        let m = wgen::uniform(&deep, 40, 6, 4, 1.0, &mut rng);
+        on_buses += usize::from(assert_nibble_loads_match(&deep, &m, &mut kernel));
+    }
+    let hub = star(8, 4);
+    let m = wgen::shared_write(&hub, 3, 2, 3);
+    assert!(assert_nibble_loads_match(&hub, &m, &mut PlacementKernel::new(&hub)));
+    assert!(on_buses > 0, "some instance must place a copy on a bus");
+
+    // Objects without requests add nothing, wherever they sit.
+    let net = balanced(3, 2, BandwidthProfile::Uniform);
+    let mut sparse = AccessMatrix::new(9);
+    sparse.add(net.processors()[4], ObjectId(6), 3, 2);
+    sparse.add(net.processors()[0], ObjectId(6), 1, 0);
+    assert_nibble_loads_match(&net, &sparse, &mut PlacementKernel::new(&net));
+    assert_nibble_loads_match(&net, &AccessMatrix::new(5), &mut PlacementKernel::new(&net));
 }
 
 #[test]
@@ -108,6 +174,24 @@ proptest! {
                     reference.nibble_placement.copies(x)
                 );
             }
+        }
+    }
+
+    /// One kernel's hindsight pass over several arbitrary matrices (empty
+    /// objects included: a zero read and write cap leaves every object
+    /// without requests) adds the reference nibble placement's loads.
+    #[test]
+    fn hindsight_pass_equals_reference_loads(
+        net in arb_network(5, 10),
+        batches in proptest::collection::vec(
+            (0usize..=8, 0u64..8, 0u64..6, 0.0f64..=1.0, any::<u64>()),
+            1..5,
+        ),
+    ) {
+        let mut kernel = PlacementKernel::new(&net);
+        for (objects, max_r, max_w, density, seed) in batches {
+            let m = workload_from_seed(&net, objects, max_r, max_w, density, seed);
+            assert_nibble_loads_match(&net, &m, &mut kernel);
         }
     }
 }

@@ -13,7 +13,7 @@
 //! locality against movement cost.
 
 use crate::strategy::{DynamicTree, OnlineRequest};
-use hbn_core::nibble_placement;
+use hbn_core::PlacementKernel;
 use hbn_load::{LoadMap, LoadRatio};
 use hbn_topology::Network;
 use hbn_workload::AccessMatrix;
@@ -49,9 +49,9 @@ pub fn run_competitive(
             matrix.add(req.processor, req.object, 1, 0);
         }
     }
-    let hindsight_placement = nibble_placement(net, &matrix);
-    let hindsight =
-        LoadMap::from_placement(net, &matrix, &hindsight_placement).congestion(net).congestion;
+    let mut hindsight_loads = LoadMap::zero(net);
+    PlacementKernel::new(net).add_nibble_loads(net, &matrix, &mut hindsight_loads);
+    let hindsight = hindsight_loads.congestion(net).congestion;
     let online_c = online.congestion(net);
     CompetitiveReport {
         online: online_c,

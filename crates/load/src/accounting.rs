@@ -156,21 +156,14 @@ impl LoadMap {
         best
     }
 
-    /// Loads of a full placement over all objects. Picks the sparse or
-    /// dense per-object accounting based on the support size; one Steiner
-    /// scratch is shared across all objects' broadcast computations.
+    /// Loads of a full placement over all objects: [`add_object_loads`]
+    /// for every object id, with one Steiner scratch shared across all
+    /// objects' broadcast computations.
     pub fn from_placement(net: &Network, matrix: &AccessMatrix, placement: &Placement) -> LoadMap {
         let mut out = LoadMap::zero(net);
         let mut scratch = steiner::SteinerScratch::new();
         for x in matrix.objects() {
-            let support = placement.assignment(x).len() + placement.copies(x).len();
-            // Dense accounting costs O(|V|); sparse costs roughly
-            // O(support · height).
-            if support * (net.height() as usize + 1) < net.n_nodes() {
-                sparse_loads_with(net, matrix, placement, x, &mut scratch, &mut out);
-            } else {
-                add_object_loads_dense(net, matrix, placement, x, &mut out);
-            }
+            add_object_loads(net, matrix, placement, x, &mut scratch, &mut out);
         }
         out
     }
@@ -185,6 +178,30 @@ impl LoadMap {
         let mut out = LoadMap::zero(net);
         add_object_loads_sparse(net, matrix, placement, x, &mut out);
         out
+    }
+}
+
+/// Add the loads of object `x` to `out`: its placement's assignment paths
+/// plus, when `x` is written, the Steiner tree of its copies. Picks the
+/// sparse or the dense accounting by the object's support size, exactly
+/// as [`LoadMap::from_placement`] does for each object, which is this
+/// call over every object id; callers that account a subset of the
+/// objects (an epoch's support) get the same per-object loads.
+pub fn add_object_loads(
+    net: &Network,
+    matrix: &AccessMatrix,
+    placement: &Placement,
+    x: ObjectId,
+    scratch: &mut steiner::SteinerScratch,
+    out: &mut LoadMap,
+) {
+    let support = placement.assignment(x).len() + placement.copies(x).len();
+    // Dense accounting costs O(|V|); sparse costs roughly
+    // O(support · height).
+    if support * (net.height() as usize + 1) < net.n_nodes() {
+        sparse_loads_with(net, matrix, placement, x, scratch, out);
+    } else {
+        add_object_loads_dense(net, matrix, placement, x, out);
     }
 }
 

@@ -111,6 +111,23 @@ impl Placement {
         self.copies[x.index()] = nodes;
     }
 
+    /// [`Placement::set_copies`] from a borrowed slice, written into the
+    /// copy set's own allocation.
+    pub fn set_copies_from(&mut self, x: ObjectId, nodes: &[NodeId]) {
+        let set = &mut self.copies[x.index()];
+        set.clear();
+        set.extend_from_slice(nodes);
+        set.sort_unstable();
+        set.dedup();
+    }
+
+    /// Empty the copy set and the assignment of `x`, keeping both
+    /// allocations.
+    pub fn clear_object(&mut self, x: ObjectId) {
+        self.copies[x.index()].clear();
+        self.assignments[x.index()].clear();
+    }
+
     /// Add a copy of `x` on `node`.
     pub fn add_copy(&mut self, x: ObjectId, node: NodeId) {
         let set = &mut self.copies[x.index()];
@@ -218,11 +235,26 @@ impl Placement {
         }
     }
 
+    /// [`Placement::nearest_assignment`] over the objects of `matrix`'s
+    /// [support](AccessMatrix::support) only, in `O(support)` instead of
+    /// `O(n_objects)`. Unlike the full form it leaves the assignment of an
+    /// object without requests as it is, instead of clearing it.
+    pub fn nearest_assignment_support(&mut self, net: &Network, matrix: &AccessMatrix) {
+        let mut sweep = NearestCopies::new(net.n_nodes());
+        for x in matrix.support() {
+            self.assign_nearest(net, matrix, x, &mut sweep);
+        }
+    }
+
     /// [`Placement::nearest_assignment`] for a single object.
     pub fn nearest_assignment_for(&mut self, net: &Network, matrix: &AccessMatrix, x: ObjectId) {
         self.assign_nearest(net, matrix, x, &mut NearestCopies::new(net.n_nodes()));
     }
 
+    /// Route `x`'s request groups to their nearest copies, written into
+    /// the assignment's own allocation. Matrix entries are never empty,
+    /// so there is nothing for [`Placement::set_assignment`]'s filter to
+    /// drop.
     fn assign_nearest(
         &mut self,
         net: &Network,
@@ -231,21 +263,18 @@ impl Placement {
         sweep: &mut NearestCopies,
     ) {
         let requests = matrix.object_entries(x);
+        let assignment = &mut self.assignments[x.index()];
+        assignment.clear();
         if requests.is_empty() {
-            self.assignments[x.index()].clear();
             return;
         }
         sweep.load(net, &self.copies[x.index()]);
-        let entries = requests
-            .iter()
-            .map(|e| AssignmentEntry {
-                processor: e.processor,
-                server: sweep.nearest(net, e.processor),
-                reads: e.reads,
-                writes: e.writes,
-            })
-            .collect();
-        self.set_assignment(x, entries);
+        assignment.extend(requests.iter().map(|e| AssignmentEntry {
+            processor: e.processor,
+            server: sweep.nearest(net, e.processor),
+            reads: e.reads,
+            writes: e.writes,
+        }));
     }
 
     /// Convenience: the non-redundant placement that puts each object on a
@@ -620,6 +649,30 @@ mod tests {
         p.nearest_assignment(&net, &m);
         p.validate(&net, &m).unwrap();
         assert!(p.is_single_reference());
+    }
+
+    /// The support-driven form assigns exactly what the full form does on
+    /// the requested objects, in the copy sets' own allocations.
+    #[test]
+    fn support_assignment_matches_the_full_form() {
+        let net = balanced(2, 3, BandwidthProfile::Uniform);
+        let p = net.processors();
+        let mut m = AccessMatrix::new(6);
+        m.add(p[0], ObjectId(4), 2, 1);
+        m.add(p[5], ObjectId(4), 1, 0);
+        m.add(p[7], ObjectId(1), 0, 3);
+        let mut full = Placement::new(6);
+        let mut support = Placement::new(6);
+        for (x, copies) in [(4, vec![p[6], p[1], p[6]]), (1, vec![p[2]])] {
+            full.set_copies(ObjectId(x), copies.clone());
+            support.set_copies_from(ObjectId(x), &copies);
+        }
+        full.nearest_assignment(&net, &m);
+        support.nearest_assignment_support(&net, &m);
+        assert_eq!(support, full);
+        support.clear_object(ObjectId(4));
+        assert!(support.copies(ObjectId(4)).is_empty());
+        assert!(support.assignment(ObjectId(4)).is_empty());
     }
 
     #[test]

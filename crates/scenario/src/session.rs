@@ -35,13 +35,14 @@ use crate::faults::FaultView;
 use crate::history::History;
 use crate::spec::{ExecutionConfig, ReplayKernel, ScenarioSpec};
 use crate::strategy::{strategy_from_durable, Strategy};
-use hbn_core::nibble_placement;
+use hbn_core::PlacementKernel;
 use hbn_dynamic::{DynamicStats, OnlineRequest};
-use hbn_load::{LoadMap, Placement};
+use hbn_load::{add_object_loads, LoadMap, Placement};
 use hbn_sim::{
     estimate_makespan_from_loads, simulate_reference, simulate_reference_overlay, simulate_with,
     simulate_with_overlay, SimError, SimResult, SimWorkspace,
 };
+use hbn_topology::steiner::SteinerScratch;
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId, PhaseStreamState, Request};
 use std::path::Path;
@@ -56,17 +57,16 @@ fn stats_delta(cur: DynamicStats, prev: DynamicStats) -> DynamicStats {
     }
 }
 
-/// Snapshot the strategy's replica sets for the objects touched by
-/// `matrix` as a placement with nearest-copy assignment.
-fn snapshot_placement(net: &Network, strategy: &dyn Strategy, matrix: &AccessMatrix) -> Placement {
-    let mut placement = Placement::new(matrix.n_objects());
-    for x in matrix.objects() {
-        if !matrix.object_entries(x).is_empty() {
-            placement.set_copies(x, strategy.copy_set(x).to_vec());
-        }
-    }
-    placement.nearest_assignment(net, matrix);
-    placement
+/// The buffers a [`Session`] reuses from epoch to epoch: the epoch's
+/// access matrix, the strategy's snapshot placement serving it, the
+/// snapshot's loads and the accounting's Steiner scratch. Each epoch
+/// clears the matrix and the snapshot over the previous epoch's support,
+/// so an epoch costs what its traffic touches, not `max_objects`.
+struct EpochBuffers {
+    matrix: AccessMatrix,
+    snapshot: Placement,
+    loads: LoadMap,
+    steiner: SteinerScratch,
 }
 
 /// The run state of a [`Session`]: everything a checkpoint captures and
@@ -97,10 +97,9 @@ struct State {
     /// Merged counters at the last epoch boundary.
     stats_mark: DynamicStats,
     /// Per-tenant cumulative placement loads, attributing the epoch
-    /// snapshot loads by the object partition `id % tenants`. Sub-matrix
-    /// accounting is linear across an object partition, so these sum
-    /// exactly to the total placement loads. Empty for single-tenant
-    /// schedules.
+    /// snapshot loads by the object partition `id % tenants`: each
+    /// object's loads go to its tenant, so these sum exactly to the total
+    /// placement loads. Empty for single-tenant schedules.
     tenant_loads: Vec<LoadMap>,
     /// Per-tenant request counts under the same partition.
     tenant_requests: Vec<u64>,
@@ -492,13 +491,15 @@ pub struct Session {
     state: State,
     // Caches rebuilt from `spec` by `Session::with_state`: the network,
     // the object bound, the simulator scratch, the epoch-delta scratch
-    // map and the epoch's request buffer, which the strategy serves and
-    // the simulator replays.
+    // map, the epoch's request buffer, which the strategy serves and the
+    // simulator replays, and the epoch buffers, which the first epoch
+    // builds so that building a session allocates nothing for them.
     net: Network,
     max_objects: usize,
     ws: SimWorkspace,
     epoch_delta: LoadMap,
     epoch_trace: Vec<Request>,
+    epoch: Option<EpochBuffers>,
     /// Serving-mode override of the spec's replay kernel — the graceful-
     /// degradation hook of service layers ([`Session::set_replay_override`]).
     /// Not part of checkpoints: a restored session starts unthrottled and
@@ -566,6 +567,7 @@ impl Session {
             ws: SimWorkspace::new(),
             epoch_delta: LoadMap::zero(&net),
             epoch_trace: Vec::new(),
+            epoch: None,
             replay_override: None,
             spec,
             state,
@@ -799,6 +801,9 @@ impl Session {
     /// the observed aggregate, serve, snapshot, replay, account deltas,
     /// summarise. `in_phase` controls whether the epoch's traffic also
     /// rolls into the running phase delta.
+    ///
+    /// The epoch matrix, the snapshot and the accounting are touched only
+    /// over the epoch's support ([`EpochBuffers`]).
     fn run_epoch_body(
         &mut self,
         phase: usize,
@@ -806,43 +811,53 @@ impl Session {
         view: &FaultView,
     ) -> Result<EpochSummary, SimError> {
         let st = &mut self.state;
-        let mut epoch_matrix = AccessMatrix::new(self.max_objects);
+        let (net, max_objects) = (&self.net, self.max_objects);
+        let buf = self.epoch.get_or_insert_with(|| EpochBuffers {
+            matrix: AccessMatrix::new(max_objects),
+            snapshot: Placement::new(max_objects),
+            loads: LoadMap::zero(net),
+            steiner: SteinerScratch::new(),
+        });
+        for x in buf.matrix.support() {
+            buf.snapshot.clear_object(x);
+        }
+        buf.matrix.clear();
         let mut reads = 0;
         for req in &self.epoch_trace {
             let (r, w) = if req.is_write { (0, 1) } else { (1, 0) };
             reads += r;
-            epoch_matrix.add(req.processor, req.object, r, w);
+            buf.matrix.add(req.processor, req.object, r, w);
             st.aggregate.add(req.processor, req.object, r, w);
         }
         let writes = self.epoch_trace.len() as u64 - reads;
-        st.strategy.serve_batch(&self.net, &self.epoch_trace, &epoch_matrix);
+        let epoch_matrix = &buf.matrix;
+        st.strategy.serve_batch(net, &self.epoch_trace, epoch_matrix);
 
-        // Epoch boundary: snapshot, replay, summarise.
-        let placement = snapshot_placement(&self.net, st.strategy.as_ref(), &epoch_matrix);
-        let placement_loads = LoadMap::from_placement(&self.net, &epoch_matrix, &placement);
+        // Epoch boundary: snapshot the strategy's copy sets of the
+        // requested objects, with nearest-copy assignment.
+        for x in epoch_matrix.support() {
+            buf.snapshot.set_copies_from(x, st.strategy.copy_set(x));
+        }
+        buf.snapshot.nearest_assignment_support(net, epoch_matrix);
+        let placement = &buf.snapshot;
+        // The snapshot's loads, object by object; on a multi-tenant
+        // schedule each object's loads also go to its tenant's map, so
+        // the tenants' maps sum exactly to the placement loads.
+        buf.loads.reset();
+        let n_tenants = st.tenant_loads.len(); // 0 for single-tenant schedules
+        for x in epoch_matrix.support() {
+            add_object_loads(net, epoch_matrix, placement, x, &mut buf.steiner, &mut buf.loads);
+            if n_tenants > 0 {
+                let tenant = &mut st.tenant_loads[x.index() % n_tenants];
+                add_object_loads(net, epoch_matrix, placement, x, &mut buf.steiner, tenant);
+            }
+        }
+        let placement_loads = &buf.loads;
         // A static-model strategy's service traffic *is* the snapshot
         // placement serving the epoch matrix; charge it before the epoch
         // delta is taken. (No-op for per-request-charging strategies.)
-        st.strategy.charge_service(&placement_loads);
-        // Multi-tenant attribution: account each tenant's slice of the
-        // epoch matrix separately under the same snapshot placement.
-        // Placement accounting is linear across an object partition, so
-        // the per-tenant maps sum exactly to `placement_loads`.
-        let n_tenants = st.tenant_loads.len(); // 0 for single-tenant schedules
+        st.strategy.charge_service(placement_loads);
         if n_tenants > 0 {
-            for t in 0..n_tenants {
-                let mut sub = AccessMatrix::new(self.max_objects);
-                for x in epoch_matrix.objects() {
-                    if x.index() % n_tenants != t {
-                        continue;
-                    }
-                    for e in epoch_matrix.object_entries(x) {
-                        sub.add(e.processor, x, e.reads, e.writes);
-                    }
-                }
-                let loads = LoadMap::from_placement(&self.net, &sub, &placement);
-                st.tenant_loads[t].add_assign(&loads);
-            }
             for r in &self.epoch_trace {
                 st.tenant_requests[r.object.index() % n_tenants] += 1;
             }
@@ -858,28 +873,23 @@ impl Session {
         let (net, trace, cfg) = (&self.net, &self.epoch_trace, self.spec.exec.sim);
         let ws = &mut self.ws;
         let mut exact = || match overlay {
-            None => simulate_with(ws, net, &epoch_matrix, &placement, trace, cfg),
-            Some(o) => simulate_with_overlay(ws, net, &epoch_matrix, &placement, trace, cfg, o),
+            None => simulate_with(ws, net, epoch_matrix, placement, trace, cfg),
+            Some(o) => simulate_with_overlay(ws, net, epoch_matrix, placement, trace, cfg, o),
         };
         let (sim, estimate): (Option<SimResult>, Option<EpochEstimate>) = match replay {
             ReplayKernel::Workspace => (Some(exact()?), None),
             ReplayKernel::Reference => {
                 let oracle = match overlay {
-                    None => simulate_reference(net, &epoch_matrix, &placement, trace, cfg),
+                    None => simulate_reference(net, epoch_matrix, placement, trace, cfg),
                     Some(o) => {
-                        simulate_reference_overlay(net, &epoch_matrix, &placement, trace, cfg, o)
+                        simulate_reference_overlay(net, epoch_matrix, placement, trace, cfg, o)
                     }
                 };
                 (Some(oracle?), None)
             }
             ReplayKernel::Estimate { sample_every } => {
-                let bounds = estimate_makespan_from_loads(
-                    net,
-                    &epoch_matrix,
-                    &placement_loads,
-                    cfg,
-                    overlay,
-                );
+                let bounds =
+                    estimate_makespan_from_loads(net, epoch_matrix, placement_loads, cfg, overlay);
                 let sampled = sample_every > 0 && st.epoch_idx.is_multiple_of(sample_every);
                 let estimate = EpochEstimate {
                     lower: bounds.lower,
@@ -1067,11 +1077,9 @@ impl Session {
     ) -> ScenarioReport {
         let st = &self.state;
         let online_congestion = st.cum.congestion(&self.net).congestion;
-        let hindsight_placement = nibble_placement(&self.net, &st.aggregate);
-        let hindsight_congestion =
-            LoadMap::from_placement(&self.net, &st.aggregate, &hindsight_placement)
-                .congestion(&self.net)
-                .congestion;
+        let mut hindsight = LoadMap::zero(&self.net);
+        PlacementKernel::new(&self.net).add_nibble_loads(&self.net, &st.aggregate, &mut hindsight);
+        let hindsight_congestion = hindsight.congestion(&self.net).congestion;
         let mut traffic = TrafficCounters::default();
         for e in &epochs {
             traffic += e.traffic;

@@ -1,10 +1,11 @@
 //! Session-driver semantics: mid-run strategy swaps, checkpoint/restore
-//! exactness, and externally pushed epochs.
+//! exactness, externally pushed epochs and per-tenant attribution.
 
 use hbn_dynamic::online_trace;
+use hbn_load::LoadMap;
 use hbn_scenario::{
-    run_scenario_with, PeriodicStatic, ReplayKernel, ScenarioReport, ScenarioSpec, ServeKernel,
-    Session, StrategyKind, ThresholdSwitch, TopologyFamily,
+    run_scenario_with, FrozenStatic, PeriodicStatic, ReplayKernel, ScenarioReport, ScenarioSpec,
+    ServeKernel, Session, StrategyKind, ThresholdSwitch, TopologyFamily,
 };
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
 
@@ -285,4 +286,45 @@ fn pushed_traffic_feeds_the_observed_aggregate() {
     // Scheduled phase summaries cover exactly the scheduled requests.
     let scheduled: u64 = report.phases.iter().map(|p| p.traffic.requests).sum();
     assert_eq!(scheduled, 720);
+}
+
+/// Tenant attribution is linear: each object's snapshot loads go to its
+/// tenant (`id % tenants`), so after every epoch the tenants' cumulative
+/// loads sum exactly to the loads a fault-free static policy has charged,
+/// which are its snapshot placements' loads.
+#[test]
+fn tenant_loads_sum_to_the_policy_loads() {
+    let schedule = PhaseSchedule::new(
+        40,
+        vec![PhaseSpec::new(
+            "interference",
+            PhaseKind::Interference { tenants: 3, skew: 0.9, write_fraction: 0.2 },
+            3_000,
+        )],
+    );
+    let spec = ScenarioSpec::builder(
+        "tenants",
+        TopologyFamily::Balanced { branching: 3, height: 2 },
+        schedule,
+    )
+    .threshold(2)
+    .seed(5)
+    .epoch_requests(250)
+    .build();
+    let mut session =
+        Session::with_strategy(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n)));
+    let mut epochs = 0;
+    while session.step_epoch().unwrap().is_some() {
+        assert_eq!(session.tenant_loads().len(), 3);
+        let mut tenants = LoadMap::zero(session.network());
+        for loads in session.tenant_loads() {
+            tenants.add_assign(loads);
+        }
+        let mut policy = LoadMap::zero(session.network());
+        session.strategy().add_loads_to(&mut policy);
+        assert_eq!(tenants, policy, "epoch {epochs}");
+        epochs += 1;
+    }
+    assert_eq!(epochs, 12);
+    assert!(session.tenant_loads().iter().all(|loads| loads.total() > 0));
 }

@@ -16,7 +16,8 @@ use hbn_topology::{CapacityOverlay, Network};
 use hbn_workload::AccessMatrix;
 
 /// Extract the injection-side profile of replaying the full `matrix` at
-/// `config.injection_rate` requests per processor per slot.
+/// `config.injection_rate` requests per processor per slot. Only the
+/// matrix's support has entries, so only it is walked.
 pub(crate) fn injection_profile(
     net: &Network,
     matrix: &AccessMatrix,
@@ -26,7 +27,7 @@ pub(crate) fn injection_profile(
     let mut per_proc = vec![0u64; n_procs];
     let mut total = 0u64;
     let mut has_writes = false;
-    for x in matrix.objects() {
+    for x in matrix.support() {
         for e in matrix.object_entries(x) {
             let w = e.reads + e.writes;
             if w == 0 || !net.is_processor(e.processor) {

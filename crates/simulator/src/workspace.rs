@@ -44,9 +44,15 @@
 //!
 //! ## Shared setup
 //!
-//! * **Routing** uses a dense CSR table over `object × processor`
-//!   (`route_off`/`route_entries`), consuming split budgets in the
-//!   reference router's order; every request is routed up front.
+//! * **Routing** is keyed by the epoch's objects. Each object the trace
+//!   names gets a dense index through a generation-stamped slot
+//!   (`obj_slot`), and its routable assignment entries one CSR range
+//!   (`route_off`/`route_entries`), stably sorted by processor, so each
+//!   `(object, processor)` cell keeps its entries in assignment order and
+//!   split budgets are consumed in the reference router's order. A bind
+//!   costs `O(requests + assignment entries of the traced objects)`,
+//!   whatever the matrix's object count; every request is routed up
+//!   front.
 //! * **Injection queues** are a CSR over processors in trace order, read
 //!   through per-processor cursors.
 //! * **Token pools** are reset in place each slot from cached bandwidth
@@ -171,12 +177,21 @@ impl GroupPlan {
     }
 }
 
-/// One assignment entry in the dense router, with remaining budgets.
+/// One assignment entry in the router, with remaining budgets.
 #[derive(Debug, Clone, Copy)]
 struct RouteEntry {
+    processor: NodeId,
     server: NodeId,
     reads: u64,
     writes: u64,
+}
+
+/// An object's router slot: its dense index, valid while `stamp` equals
+/// the workspace's current routing generation.
+#[derive(Debug, Clone, Copy, Default)]
+struct ObjSlot {
+    stamp: u32,
+    dense: u32,
 }
 
 /// A routed request waiting in its processor's injection queue.
@@ -201,7 +216,10 @@ pub struct SimWorkspace {
     // `slot < outage_slots`, so their packets defer and retry.
     down_buses: Vec<NodeId>,
     outage_slots: u64,
-    // Dense router: CSR over object × processor (dense processor index).
+    // Router: per object id a generation-stamped dense index, and per
+    // dense index a CSR range of its entries, sorted by processor.
+    obj_slot: Vec<ObjSlot>,
+    route_generation: u32,
     route_off: Vec<u32>,
     route_entries: Vec<RouteEntry>,
     // Injection queues: CSR over processors, entries in trace order.
@@ -354,62 +372,83 @@ impl SimWorkspace {
         self.mc_free.clear();
     }
 
-    /// Build the dense CSR router from the placement's assignments.
+    /// Build the router for the objects `trace` names, from their
+    /// assignments in `placement`.
     ///
-    /// Entries keep the naive router's scan order (per object, assignment
-    /// order), so split budgets are consumed identically. Assignment
-    /// entries whose `processor` is not a leaf are unroutable by
-    /// construction and skipped.
-    fn build_router(&mut self, net: &Network, matrix: &AccessMatrix, placement: &Placement) {
-        let n_procs = net.n_processors();
-        let cells = matrix.n_objects() * n_procs;
+    /// Each traced object inside the matrix gets the next dense index, in
+    /// trace order, and its entries one CSR range. The range is stably
+    /// sorted by processor, so every `(object, processor)` cell keeps the
+    /// naive router's scan order (assignment order) and split budgets
+    /// are consumed identically. Assignment entries whose `processor` is
+    /// not a leaf are unroutable by construction and skipped. Objects
+    /// outside the matrix get no slot in this generation, like the
+    /// reference router, which has no key for them.
+    fn build_router(
+        &mut self,
+        net: &Network,
+        matrix: &AccessMatrix,
+        placement: &Placement,
+        trace: &[Request],
+    ) {
+        self.route_generation = self.route_generation.wrapping_add(1);
+        if self.route_generation == 0 {
+            // Wrapped: physically reset to keep stamps unambiguous.
+            self.obj_slot.iter_mut().for_each(|slot| slot.stamp = 0);
+            self.route_generation = 1;
+        }
+        let generation = self.route_generation;
         self.route_off.clear();
-        self.route_off.resize(cells + 1, 0);
-        for x in matrix.objects() {
-            for e in placement.assignment(x) {
-                if !net.is_processor(e.processor) {
-                    continue;
-                }
-                let cell = x.index() * n_procs + net.processor_index(e.processor);
-                self.route_off[cell + 1] += 1;
-            }
-        }
-        for i in 0..cells {
-            self.route_off[i + 1] += self.route_off[i];
-        }
+        self.route_off.push(0);
         self.route_entries.clear();
-        self.route_entries.resize(
-            self.route_off[cells] as usize,
-            RouteEntry { server: NodeId(0), reads: 0, writes: 0 },
-        );
-        // Fill via per-cell cursors, reusing q_cursor as scratch.
-        self.q_cursor.clear();
-        self.q_cursor.extend_from_slice(&self.route_off[..cells]);
-        for x in matrix.objects() {
-            for e in placement.assignment(x) {
-                if !net.is_processor(e.processor) {
-                    continue;
-                }
-                let cell = x.index() * n_procs + net.processor_index(e.processor);
-                let at = self.q_cursor[cell];
-                self.q_cursor[cell] += 1;
-                self.route_entries[at as usize] =
-                    RouteEntry { server: e.server, reads: e.reads, writes: e.writes };
+        for req in trace {
+            let x = req.object.index();
+            if x >= matrix.n_objects() {
+                continue;
             }
+            if x >= self.obj_slot.len() {
+                self.obj_slot.resize(x + 1, ObjSlot::default());
+            }
+            let slot = &mut self.obj_slot[x];
+            if slot.stamp == generation {
+                continue;
+            }
+            *slot = ObjSlot { stamp: generation, dense: (self.route_off.len() - 1) as u32 };
+            let start = self.route_entries.len();
+            self.route_entries.extend(
+                placement
+                    .assignment(req.object)
+                    .iter()
+                    .filter(|e| net.is_processor(e.processor))
+                    .map(|e| RouteEntry {
+                        processor: e.processor,
+                        server: e.server,
+                        reads: e.reads,
+                        writes: e.writes,
+                    }),
+            );
+            let entries = &mut self.route_entries[start..];
+            if !entries.is_sorted_by_key(|e| e.processor) {
+                entries.sort_by_key(|e| e.processor);
+            }
+            self.route_off.push(self.route_entries.len() as u32);
         }
     }
 
     /// Route one request against the remaining budgets, exactly like the
-    /// naive router: first entry with budget of the right kind wins. An
-    /// object id outside the matrix is unroutable (the CSR table has no
-    /// cell for it), matching the reference router's missing-key case.
-    fn route(&mut self, n_procs: usize, pi: usize, req: &Request) -> Option<NodeId> {
-        let cell = req.object.index() * n_procs + pi;
-        if cell + 1 >= self.route_off.len() {
+    /// naive router: first entry of its cell with budget of the right kind
+    /// wins. An object without a slot in this generation (outside the
+    /// matrix) or a processor without entries has no cell, and is
+    /// unroutable, matching the reference router's missing key.
+    fn route(&mut self, req: &Request) -> Option<NodeId> {
+        let slot = self.obj_slot.get(req.object.index())?;
+        if slot.stamp != self.route_generation {
             return None;
         }
-        let range = self.route_off[cell] as usize..self.route_off[cell + 1] as usize;
-        for entry in &mut self.route_entries[range] {
+        let d = slot.dense as usize;
+        let object =
+            &mut self.route_entries[self.route_off[d] as usize..self.route_off[d + 1] as usize];
+        let first = object.partition_point(|e| e.processor < req.processor);
+        for entry in object[first..].iter_mut().take_while(|e| e.processor == req.processor) {
             if req.is_write && entry.writes > 0 {
                 entry.writes -= 1;
                 return Some(entry.server);
@@ -456,7 +495,7 @@ impl SimWorkspace {
                 });
             }
             let pi = net.processor_index(req.processor);
-            let server = self.route(n_procs, pi, req).ok_or(SimError::UnroutedRequest {
+            let server = self.route(req).ok_or(SimError::UnroutedRequest {
                 processor: req.processor,
                 object: req.object,
             })?;
@@ -742,7 +781,7 @@ pub(crate) fn run(
     overlay: Option<&CapacityOverlay>,
 ) -> Result<SimResult, SimError> {
     ws.bind(net, overlay);
-    ws.build_router(net, matrix, placement);
+    ws.build_router(net, matrix, placement, trace);
     ws.build_queues(net, trace)?;
 
     let n_procs = net.n_processors();

@@ -5,6 +5,7 @@
 //! the error paths.
 
 use hbn_core::ExtendedNibble;
+use hbn_load::Placement;
 use hbn_sim::{
     expand, expand_shuffled, simulate, simulate_reference, simulate_reference_overlay,
     simulate_with, simulate_with_overlay, SimConfig, SimError, SimWorkspace,
@@ -366,6 +367,66 @@ fn kernels_reject_non_leaf_requesters() {
         fast,
         Err(hbn_sim::SimError::UnroutedRequest { processor: p[0], object: ObjectId(7) })
     );
+}
+
+/// The router is keyed by the objects a trace names, not by the matrix's
+/// object count: matrices spanning thousands of ids, each trace touching
+/// a random few, route exactly like the oracle's table over every object.
+/// One workspace serves every round, and the object counts shrink and
+/// grow, so after each round a request for an object the previous round
+/// traced is appended: outside the new matrix its slot holds a stale
+/// generation stamp and must not route, inside it is over budget or has
+/// no cell. Both kernels must report the same.
+#[test]
+fn router_keyed_by_traced_objects_matches_the_oracle() {
+    let mut rng = StdRng::seed_from_u64(9101);
+    let mut ws = SimWorkspace::new();
+    let cfg = SimConfig::default();
+    let mut previous: Vec<ObjectId> = Vec::new();
+    for round in 0..36 {
+        let buses = rng.gen_range(1..6);
+        let procs = rng.gen_range(3..12).max(buses * 2);
+        let net = random_network(buses, procs, BandwidthProfile::Uniform, &mut rng);
+        let p = net.processors();
+        let n_objects = [3000, 12, 4500, 1, 800, 2600][round % 6];
+        let mut m = AccessMatrix::new(n_objects);
+        for _ in 0..rng.gen_range(1..=5) {
+            let x = ObjectId(rng.gen_range(0..n_objects as u32));
+            for &q in p {
+                if rng.gen_bool(0.5) {
+                    m.add(q, x, rng.gen_range(0..4), rng.gen_range(0..3));
+                }
+            }
+        }
+        let placement = if round % 2 == 0 {
+            // The paper's strategy: split assignments, copies on leaves.
+            ExtendedNibble::new().place(&net, &m).unwrap().placement
+        } else {
+            // A snapshot: random copy sets with nearest-copy routing.
+            let mut pl = Placement::new(n_objects);
+            for x in m.support() {
+                for _ in 0..rng.gen_range(1..4) {
+                    pl.add_copy(x, p[rng.gen_range(0..p.len())]);
+                }
+            }
+            pl.nearest_assignment(&net, &m);
+            pl
+        };
+        let mut trace = expand_shuffled(&m, &mut rng);
+        let label = format!("round {round} ({n_objects} objects, {} requests)", trace.len());
+        let fast = simulate_with(&mut ws, &net, &m, &placement, &trace, cfg);
+        assert_eq!(fast, simulate_reference(&net, &m, &placement, &trace, cfg), "{label}");
+        assert_eq!(fast.unwrap().delivered_requests, trace.len() as u64, "{label}");
+        for &stale in &previous {
+            trace.push(hbn_sim::Request { processor: p[0], object: stale, is_write: false });
+            let fast = simulate_with(&mut ws, &net, &m, &placement, &trace, cfg);
+            let naive = simulate_reference(&net, &m, &placement, &trace, cfg);
+            assert_eq!(fast, naive, "{label}: request for {stale}");
+            assert!(matches!(fast, Err(SimError::UnroutedRequest { .. })), "{label}: {stale}");
+            trace.pop();
+        }
+        previous = m.support().collect();
+    }
 }
 
 proptest! {

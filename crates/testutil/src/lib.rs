@@ -251,35 +251,40 @@ pub fn mixed_serve_pattern(net: &Network) -> Vec<Request> {
 }
 
 /// A counting global allocator: forwards to [`System`] and counts every
-/// allocation and reallocation made by the calling thread, so a test
-/// reading [`allocations`] holds however many tests the harness runs
-/// side by side. Each test binary installs it itself:
+/// allocation and reallocation made by the calling thread, and the bytes
+/// each asked for, so a test reading [`allocations`] or
+/// [`allocated_bytes`] holds however many tests the harness runs side by
+/// side. Each test binary installs it itself:
 ///
 /// ```
-/// use hbn_testutil::{allocations, CountingAlloc};
+/// use hbn_testutil::{allocated_bytes, allocations, CountingAlloc};
 ///
 /// #[global_allocator]
 /// static GLOBAL: CountingAlloc = CountingAlloc;
 ///
 /// fn main() {
-///     let before = allocations();
+///     let (blocks, bytes) = (allocations(), allocated_bytes());
 ///     let block: Vec<u8> = std::hint::black_box(Vec::with_capacity(64));
-///     assert_eq!(allocations() - before, 1);
+///     assert_eq!(allocations() - blocks, 1);
+///     assert_eq!(allocated_bytes() - bytes, 64);
 ///     drop(block);
 /// }
 /// ```
 pub struct CountingAlloc;
 
 thread_local! {
-    // `const`-initialised: no lazy-init path, so touching the counter
+    // `const`-initialised: no lazy-init path, so touching the counters
     // from inside the allocator never allocates or recurses.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Count one allocation (or reallocation) of `bytes` bytes.
+fn count_one(bytes: usize) {
     // `try_with` rather than `with`: an allocator must never panic, and
     // a block allocated while its thread is torn down is no test's.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -287,7 +292,7 @@ fn count_one() {
 // only a thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -298,7 +303,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from `System` via this allocator with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -308,6 +313,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// [`CountingAlloc`] (always 0 in a binary that did not install it).
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes asked for so far by the calling thread's allocations, as
+/// counted by [`CountingAlloc`]; a reallocation counts its new size.
+pub fn allocated_bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 #[cfg(test)]

@@ -213,12 +213,6 @@ impl CapacityOverlay {
         self.down[v.index()]
     }
 
-    /// The bandwidth divisor of `v` (1 = unmodified).
-    #[inline]
-    pub fn divisor_of(&self, v: NodeId) -> u64 {
-        self.divisor[v.index()]
-    }
-
     /// Is node `v` degraded (divisor > 1) without being down?
     #[inline]
     pub fn is_degraded(&self, v: NodeId) -> bool {

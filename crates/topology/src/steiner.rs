@@ -76,12 +76,6 @@ pub fn steiner_edges_with<'s>(
     &scratch.edges
 }
 
-/// Total number of edges in the Steiner tree of `terminals`; the write
-/// broadcast for an object with copy set `P_x` loads exactly these edges.
-pub fn steiner_size(net: &Network, terminals: &[NodeId]) -> usize {
-    steiner_edges(net, terminals).len()
-}
-
 /// Marks each edge of the Steiner tree of `terminals` in a reusable
 /// per-edge buffer (indexed by `EdgeId::index`), adding `weight` to marked
 /// entries. Used by the load accounting, which processes many objects and

@@ -2,7 +2,9 @@
 //!
 //! The matrices are stored sparsely per object: most realistic workloads
 //! touch each object from a handful of processors, and the paper's
-//! algorithms iterate per object anyway.
+//! algorithms iterate per object anyway. A matrix also lists its
+//! *support*, the objects with at least one entry, so per-epoch work can
+//! run over the objects that carry traffic instead of every object id.
 
 use crate::objects::ObjectId;
 use hbn_topology::{Network, NodeId};
@@ -30,16 +32,33 @@ impl AccessEntry {
 ///
 /// Entries with `reads = writes = 0` are dropped; per object the entries
 /// are kept sorted by processor id, so iteration order is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The matrix records each object when it gets its first entry; that
+/// list is the [`AccessMatrix::support`], and [`AccessMatrix::clear`]
+/// empties only those objects. Equality compares the entries alone: two
+/// matrices with the same entries are equal whatever order their
+/// supports were filled in.
+#[derive(Debug, Clone, Default)]
 pub struct AccessMatrix {
     /// `per_object[x]` lists the processors accessing object `x`.
     per_object: Vec<Vec<AccessEntry>>,
+    /// The objects with at least one entry, in the order each got its
+    /// first.
+    support: Vec<ObjectId>,
 }
+
+impl PartialEq for AccessMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.per_object == other.per_object
+    }
+}
+
+impl Eq for AccessMatrix {}
 
 impl AccessMatrix {
     /// An all-zero matrix over `n_objects` objects.
     pub fn new(n_objects: usize) -> Self {
-        AccessMatrix { per_object: vec![Vec::new(); n_objects] }
+        AccessMatrix { per_object: vec![Vec::new(); n_objects], support: Vec::new() }
     }
 
     /// Number of objects `|X|`.
@@ -51,6 +70,20 @@ impl AccessMatrix {
     /// Iterate over all object ids.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
         (0..self.n_objects() as u32).map(ObjectId)
+    }
+
+    /// Iterate over the support: every object with at least one entry,
+    /// each once, in the order it got its first entry.
+    pub fn support(&self) -> impl ExactSizeIterator<Item = ObjectId> + Clone + '_ {
+        self.support.iter().copied()
+    }
+
+    /// Remove every entry, keeping the object count and each object's
+    /// allocation. Costs `O(support)`, not `O(n_objects)`.
+    pub fn clear(&mut self) {
+        for x in self.support.drain(..) {
+            self.per_object[x.index()].clear();
+        }
     }
 
     /// Append a fresh all-zero object and return its id.
@@ -70,7 +103,12 @@ impl AccessMatrix {
                 entries[i].reads = entries[i].reads.saturating_add(reads);
                 entries[i].writes = entries[i].writes.saturating_add(writes);
             }
-            Err(i) => entries.insert(i, AccessEntry { processor, reads, writes }),
+            Err(i) => {
+                if entries.is_empty() {
+                    self.support.push(x);
+                }
+                entries.insert(i, AccessEntry { processor, reads, writes });
+            }
         }
     }
 
@@ -81,12 +119,19 @@ impl AccessMatrix {
             Ok(i) => {
                 if reads == 0 && writes == 0 {
                     entries.remove(i);
+                    if entries.is_empty() {
+                        let at = self.support.iter().position(|&y| y == x);
+                        self.support.remove(at.expect("a non-empty object is in the support"));
+                    }
                 } else {
                     entries[i] = AccessEntry { processor, reads, writes };
                 }
             }
             Err(i) => {
                 if reads != 0 || writes != 0 {
+                    if entries.is_empty() {
+                        self.support.push(x);
+                    }
                     entries.insert(i, AccessEntry { processor, reads, writes });
                 }
             }
@@ -136,12 +181,12 @@ impl AccessMatrix {
 
     /// Number of non-zero entries across all objects.
     pub fn nnz(&self) -> usize {
-        self.per_object.iter().map(Vec::len).sum()
+        self.support().map(|x| self.per_object[x.index()].len()).sum()
     }
 
     /// Grand total of all requests in the workload.
     pub fn grand_total(&self) -> u64 {
-        self.objects().map(|x| self.total_weight(x)).sum()
+        self.support().map(|x| self.total_weight(x)).sum()
     }
 
     /// Check that every entry names a processor of `net` (not a bus) and
@@ -257,6 +302,52 @@ mod tests {
         assert!(m.validate(&net).is_ok());
         m.add(NodeId(0), ObjectId(0), 1, 0);
         assert!(matches!(m.validate(&net), Err(WorkloadError::NotAProcessor { .. })));
+    }
+
+    #[test]
+    fn support_lists_objects_with_entries_in_first_entry_order() {
+        let mut m = AccessMatrix::new(5);
+        m.add(NodeId(1), ObjectId(3), 1, 0);
+        m.add(NodeId(2), ObjectId(0), 0, 1);
+        m.add(NodeId(4), ObjectId(3), 2, 0);
+        m.add(NodeId(1), ObjectId(4), 0, 0);
+        assert_eq!(m.support().collect::<Vec<_>>(), vec![ObjectId(3), ObjectId(0)]);
+        // Emptying an object by `set` drops it; refilling re-adds it.
+        m.set(NodeId(2), ObjectId(0), 0, 0);
+        assert_eq!(m.support().collect::<Vec<_>>(), vec![ObjectId(3)]);
+        m.set(NodeId(2), ObjectId(0), 1, 0);
+        assert_eq!(m.support().collect::<Vec<_>>(), vec![ObjectId(3), ObjectId(0)]);
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.grand_total(), 4);
+    }
+
+    #[test]
+    fn clear_empties_the_support_and_keeps_the_shape() {
+        let mut m = AccessMatrix::new(4);
+        m.add(NodeId(1), ObjectId(2), 3, 1);
+        m.add(NodeId(2), ObjectId(1), 1, 0);
+        m.clear();
+        assert_eq!(m, AccessMatrix::new(4));
+        assert_eq!(m.n_objects(), 4);
+        assert_eq!(m.support().len(), 0);
+        assert_eq!(m.nnz(), 0);
+        m.add(NodeId(3), ObjectId(2), 0, 2);
+        assert_eq!(m.support().collect::<Vec<_>>(), vec![ObjectId(2)]);
+        assert_eq!(m.object_entries(ObjectId(2)).len(), 1);
+    }
+
+    #[test]
+    fn equality_ignores_support_order() {
+        let mut a = AccessMatrix::new(3);
+        a.add(NodeId(1), ObjectId(0), 1, 0);
+        a.add(NodeId(1), ObjectId(2), 1, 0);
+        let mut b = AccessMatrix::new(3);
+        b.add(NodeId(1), ObjectId(2), 1, 0);
+        b.add(NodeId(1), ObjectId(0), 1, 0);
+        assert_eq!(a, b);
+        assert_eq!(a.clone(), a);
+        b.add(NodeId(2), ObjectId(1), 0, 1);
+        assert_ne!(a, b);
     }
 
     #[test]

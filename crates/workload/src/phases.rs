@@ -393,11 +393,6 @@ impl<'a> PhaseStream<'a> {
     pub fn state(&self) -> &PhaseStreamState {
         &self.state
     }
-
-    /// Unwrap into the owned cursor, keeping the exact position.
-    pub fn into_state(self) -> PhaseStreamState {
-        self.state
-    }
 }
 
 /// The owned cursor of a phase stream: the RNG position, the live/retired
