@@ -18,7 +18,7 @@ use hbn_baselines::{
     ExtendedNibbleStrategy, GreedyCongestion, LocalSearch, OwnerLeaf, RandomLeaf, Strategy,
     UnrestrictedNibble,
 };
-use hbn_bench::{fatal, thread_cpu_ns, write_bench, Obj, Table};
+use hbn_bench::{fatal, measure, write_bench, Obj, Table};
 use hbn_core::{
     approximation_certificate, delete_rarely_used, nibble_object, nibble_placement,
     observation_3_3_holds, ExtendedNibble, InvariantForm, MappingOptions, PlacementKernel,
@@ -31,7 +31,6 @@ use hbn_exact::{
     optimal_redundant_nearest, yes_instance, PartitionInstance,
 };
 use hbn_load::{LoadMap, Placement};
-use hbn_server::percentile;
 use hbn_sim::{expand_shuffled, simulate_with, SimConfig, SimWorkspace};
 use hbn_testutil::seeded_rng;
 use hbn_topology::generators::{balanced, bus_path, random_network, star, BandwidthProfile};
@@ -470,29 +469,18 @@ fn np_hardness(rows: &mut Rows) {
 /// Each instance gets two rows: the production [`PlacementKernel`], one
 /// kernel reused across the repeats as the re-placing policies reuse it,
 /// and the full-outcome `ExtendedNibble::place` reference. Each is the
-/// median thread CPU of [`SEQ_REPEATS`] runs after one warm-up run.
+/// median thread CPU of [`SEQ_REPEATS`] runs after one warm-up run
+/// ([`measure()`]).
 fn runtime_scaling(rows: &mut Rows) {
-    fn median_cpu_ms(mut run: impl FnMut()) -> f64 {
-        run();
-        let samples: Vec<u64> = (0..SEQ_REPEATS)
-            .map(|_| {
-                let start = thread_cpu_ns();
-                run();
-                thread_cpu_ns() - start
-            })
-            .collect();
-        percentile(&samples, 50.0) as f64 / 1e6
-    }
     let mut time = |instance: String, net: &Network, m: &AccessMatrix| {
         let mut kernel = PlacementKernel::new(net);
-        let production = median_cpu_ms(|| {
-            std::hint::black_box(kernel.place(net, m).expect("valid instance"));
+        let (_, production) =
+            measure(1, SEQ_REPEATS, || kernel.place(net, m).expect("valid instance"));
+        let (_, reference) = measure(1, SEQ_REPEATS, || {
+            ExtendedNibble::new().place(net, m).expect("valid instance")
         });
-        let reference = median_cpu_ms(|| {
-            std::hint::black_box(ExtendedNibble::new().place(net, m).expect("valid instance"));
-        });
-        rows.report("kernel placement CPU (ms, median)", &instance, production);
-        rows.report("reference placement CPU (ms, median)", &instance, reference);
+        rows.report("kernel placement CPU (ms, median)", &instance, production.cpu_median * 1e3);
+        rows.report("reference placement CPU (ms, median)", &instance, reference.cpu_median * 1e3);
     };
     let mut rng = StdRng::seed_from_u64(6);
     let net = balanced(4, 3, BandwidthProfile::Uniform);

@@ -6,7 +6,9 @@
 //! ([`hbn_sim::simulate_reference`]) across the topology matrix,
 //! asserting bit-for-bit agreement (the differential suite pins it; here
 //! the agreement doubles as a release-mode check) and recording the
-//! throughput ratio.
+//! throughput ratio. A kernel row is the median of `KERNEL_REPEATS`
+//! timed replays on one reused workspace after one warm-up
+//! ([`hbn_bench::measure()`]); an oracle row is a single timed run.
 //!
 //! Part 2 runs the estimator up to 100x the exact-replay bench scale: a
 //! 100-epoch stream over `balanced(5,4)` — 6M requests — bounded in
@@ -22,34 +24,19 @@
 #![warn(missing_docs)]
 
 use hbn_baselines::{ExtendedNibbleStrategy, Strategy};
-use hbn_bench::{exp_quick, fatal, per_sec, write_bench, Obj, Table};
-use hbn_load::Placement;
+use hbn_bench::{exp_quick, fatal, measure, per_sec, write_bench, Obj, Table};
 use hbn_sim::{
-    estimate_makespan, expand_shuffled, simulate_reference, simulate_with, SimConfig, SimResult,
-    SimWorkspace,
+    estimate_makespan, expand_shuffled, simulate_reference, simulate_with, SimConfig, SimWorkspace,
 };
 use hbn_topology::generators::{balanced, BandwidthProfile};
 use hbn_workload::generators as wgen;
-use hbn_workload::AccessMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Time one kernel replay with a reused workspace, after one warmup
-/// replay that fills the high-water buffers.
-fn time_kernel(
-    net: &hbn_topology::Network,
-    m: &AccessMatrix,
-    placement: &Placement,
-    trace: &[hbn_sim::Request],
-) -> (SimResult, f64) {
-    let mut ws = SimWorkspace::new();
-    simulate_with(&mut ws, net, m, placement, trace, SimConfig::default()).expect("routable");
-    let start = Instant::now();
-    let sim =
-        simulate_with(&mut ws, net, m, placement, trace, SimConfig::default()).expect("routable");
-    (sim, start.elapsed().as_secs_f64())
-}
+/// Timed kernel replays per instance, after one warm-up replay that
+/// fills the reused workspace's high-water buffers.
+const KERNEL_REPEATS: usize = 5;
 
 fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
     println!("EXP-REPLAY — event-driven workspace kernel vs reference oracle\n");
@@ -81,17 +68,24 @@ fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
         let trace = expand_shuffled(&m, &mut rng);
         let placement = ExtendedNibbleStrategy.place(&net, &m);
 
-        let (sim, secs) = time_kernel(&net, &m, &placement, &trace);
-        let start = Instant::now();
-        let oracle = simulate_reference(&net, &m, &placement, &trace, SimConfig::default())
-            .expect("routable");
-        let oracle_secs = start.elapsed().as_secs_f64();
+        let config = SimConfig::default();
+        let mut ws = SimWorkspace::new();
+        let (sim, kernel) = measure(1, KERNEL_REPEATS, || {
+            simulate_with(&mut ws, &net, &m, &placement, &trace, config).expect("routable")
+        });
+        // One oracle run at `balanced(5,4)` takes about a minute and a
+        // half: it is timed once.
+        let (oracle, reference) = measure(0, 1, || {
+            simulate_reference(&net, &m, &placement, &trace, config).expect("routable")
+        });
         assert_eq!(sim, oracle, "kernel and oracle must agree on {label}");
 
-        let speedup = oracle_secs / secs.max(1e-12);
-        for (kernel, wall, speedup) in
-            [("workspace", secs, Some(speedup)), ("reference", oracle_secs, None)]
-        {
+        let speedup = reference.wall_median / kernel.wall_median.max(1e-12);
+        for (kernel, timing, repeats, speedup) in [
+            ("workspace", kernel, KERNEL_REPEATS, Some(speedup)),
+            ("reference", reference, 1, None),
+        ] {
+            let wall = timing.wall_median;
             let rate = per_sec(trace.len(), wall);
             t.row([
                 label.to_string(),
@@ -110,7 +104,11 @@ fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
                     .raw("requests", trace.len())
                     .str("kernel", kernel)
                     .raw("makespan_slots", sim.makespan)
+                    .raw("timed_runs", repeats)
                     .f64("wall_seconds", wall)
+                    .f64("wall_min_seconds", timing.wall_min)
+                    .f64("cpu_seconds", timing.cpu_median)
+                    .f64("cpu_min_seconds", timing.cpu_min)
                     .f64("requests_per_sec", rate)
                     .opt_f64("speedup_vs_reference", speedup),
             );

@@ -8,9 +8,11 @@
 #![warn(missing_docs)]
 
 pub mod bench_json;
+pub mod measure;
 pub mod table;
 
 pub use bench_json::{write_bench, Obj};
+pub use measure::{measure, thread_cpu_ns, Timing};
 pub use table::Table;
 
 use hbn_scenario::{ExecutionConfig, Strategy, StrategyKind, ThresholdSwitch};
@@ -32,36 +34,6 @@ pub fn exp_quick() -> bool {
 pub fn fatal(message: impl std::fmt::Display) -> ! {
     eprintln!("FATAL: {message}");
     std::process::exit(1)
-}
-
-/// CPU time of the calling thread, in nanoseconds
-/// (`CLOCK_THREAD_CPUTIME_ID`): what a step costs the thread that runs
-/// it, leaving out time the host steals and time other threads use.
-#[cfg(target_os = "linux")]
-pub fn thread_cpu_ns() -> u64 {
-    use std::os::raw::{c_int, c_long};
-    #[repr(C)]
-    struct Timespec {
-        sec: c_long,
-        nsec: c_long,
-    }
-    extern "C" {
-        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
-    }
-    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
-    let mut ts = Timespec { sec: 0, nsec: 0 };
-    // SAFETY: `ts` is a live, writable `struct timespec` for the call.
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
-    ts.sec as u64 * 1_000_000_000 + ts.nsec as u64
-}
-
-/// Off Linux, wall time since the first call stands in for thread CPU
-/// time.
-#[cfg(not(target_os = "linux"))]
-pub fn thread_cpu_ns() -> u64 {
-    static START: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
-    START.get_or_init(std::time::Instant::now).elapsed().as_nanos() as u64
 }
 
 /// `count` per wall-clock second; infinite at zero wall time (written as

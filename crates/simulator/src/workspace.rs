@@ -9,35 +9,45 @@
 //!
 //! ## Queue-head dominance: probe heads, not packets
 //!
-//! Every unicast packet waiting to cross switch `e = (c, p)` contends for
-//! the *same* token pools — the switch pool `b(e)` plus the bus pools at
-//! whichever endpoints are buses — regardless of direction. Token pools
-//! only shrink within a slot. Therefore, if the *smallest-key* packet
-//! queued at `e` is blocked, every later packet at `e` is blocked too.
-//! The kernel keeps a per-switch min-heap ordered by the arbitration key
-//! `(prio, seq)` and probes only heap heads. When a head crosses, the
-//! next head enters the candidate set *at its own key position*, so
-//! several packets still cross one switch per slot exactly when
-//! bandwidth allows. Per-slot work is O(active switches + crossings +
-//! multicasts) rather than O(active packets).
+//! Every crossing of switch `e = (c, p)` draws on the *same* token pools
+//! — the switch pool `b(e)` plus the bus pools at whichever endpoints are
+//! buses — whatever its direction, and token pools only shrink within a
+//! slot. So if the smallest-key entry queued at `e` is blocked, every
+//! later entry at `e` is blocked too. The kernel keeps a per-switch
+//! min-heap ordered by the arbitration key and probes only heap heads.
 //!
-//! ## Multicasts: a cached, compacted arbitration plan
+//! ## Broadcasts wait as hop-groups
 //!
-//! Update broadcasts fanning out along their Steiner tree have no single
-//! switch, so each live multicast is probed every slot, merged into the
-//! commit walk in key order. Its grouping of destinations by next hop
-//! depends only on `(position, destinations)`, and a blocked remainder
-//! keeps both — so the plan (`GroupPlan`) is computed once per packet
-//! and merely *compacted* when some groups cross. A fully blocked
-//! multicast costs one read-only pass over its groups' pools.
+//! An update broadcast at node `v` splits its destinations by next hop.
+//! Each such hop-group crosses exactly one switch, so it is queued at
+//! that switch like a unicast, under the key `(prio, seq, start)`:
+//! `start` is the group's offset in the broadcast's destination buffer,
+//! which grows in plan order, and no other packet shares `(prio, seq)`.
+//! The walk thus visits a broadcast's groups contiguously and in plan
+//! order, exactly where the oracle probes the whole packet, while a
+//! blocked group waits unseen behind its blocked queue head. The plan is
+//! built once, when the broadcast is flushed into the queues; a crossed
+//! group leaves a fragment at its hop, and the broadcast's slab entry is
+//! freed when its last group has crossed.
+//!
+//! ## One walk over the open heads per slot
+//!
+//! Each slot sorts the heads of the non-empty queues once and merges
+//! them, in key order, with a small heap of same-slot re-entries: when a
+//! head crosses and its switch is still open, the switch's next head
+//! joins the walk at its own key, so a switch passes several entries per
+//! slot exactly when bandwidth allows. A switch closed by the crossing
+//! stays out until the next slot, since dominance blocks its next head
+//! anyway. Per-slot work is O(active switches + crossings), and
+//! injection visits only the processors with requests left.
 //!
 //! ## Why the kernel is sequential
 //!
-//! Every slot commits crossings in exact global `(prio, seq)` order. A
-//! crossing of switch `(c, p)` draws from the bus pools at two adjacent
-//! levels, so bus `c`'s pool is shared between the switches below and
-//! above it; under contention the winner depends on the global key order
-//! across levels (see `DESIGN.md` for a two-packet counterexample). No
+//! Every slot commits crossings in exact global key order. A crossing of
+//! switch `(c, p)` draws from the bus pools at two adjacent levels, so
+//! bus `c`'s pool is shared between the switches below and above it;
+//! under contention the winner depends on the global key order across
+//! levels (see `DESIGN.md` for a two-packet counterexample). No
 //! partition of one slot's arbitration is independent, and a measured
 //! intra-slot fan-out only lost. Replays parallelise *across* independent
 //! units instead: seed shards and tenants.
@@ -54,13 +64,16 @@
 //!   whatever the matrix's object count; every request is routed up
 //!   front.
 //! * **Injection queues** are a CSR over processors in trace order, read
-//!   through per-processor cursors.
+//!   through per-processor cursors; the processors with requests left
+//!   are listed in index order and compacted as their queues drain.
 //! * **Token pools** are reset in place each slot from cached bandwidth
 //!   vectors (under the run's capacity overlay, when one is bound).
 //!
 //! A workspace can be reused across runs (and across networks): buffers
-//! are sized at bind time and only grow, so after the first replay the
-//! slot loop performs no heap allocation.
+//! are sized at bind time and only grow, and a replay hands out the
+//! broadcast slab's entries in the same order as the replay before it,
+//! so a repeated replay performs no heap allocation beyond the
+//! `edge_crossings` it returns.
 
 use crate::engine::{SimConfig, SimError, SimResult};
 use crate::packet::PacketKind;
@@ -85,25 +98,38 @@ struct Header {
     issued_at: u64,
 }
 
-impl Header {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.prio, self.seq)
-    }
-}
+/// The arbitration key of a queue entry: `(prio, seq, start)`.
+type Key = (u64, u64, u32);
 
-/// A unicast packet waiting in (or moving between) switch queues.
+/// An entry of a switch queue: a unicast packet, or one hop-group of a
+/// broadcast.
 #[derive(Debug, Clone, Copy)]
 struct QPacket {
     head: Header,
-    dest: NodeId,
+    /// A unicast's destination, or a hop-group's broadcast slab index.
+    target: u32,
+    /// A hop-group's destinations are `dests[start .. start + len]` of
+    /// its broadcast; `len == 0` marks a unicast.
+    start: u32,
+    len: u32,
+}
+
+impl QPacket {
+    fn unicast(head: Header, dest: NodeId) -> QPacket {
+        QPacket { head, target: dest.0, start: 0, len: 0 }
+    }
+
+    #[inline]
+    fn key(&self) -> Key {
+        (self.head.prio, self.head.seq, self.start)
+    }
 }
 
 // Switch queues pop the smallest arbitration key first. Keys are
 // globally unique, so pop order is a total order.
 impl Ord for QPacket {
     fn cmp(&self, other: &Self) -> Ordering {
-        other.head.key().cmp(&self.head.key())
+        other.key().cmp(&self.key())
     }
 }
 
@@ -115,24 +141,19 @@ impl PartialOrd for QPacket {
 
 impl PartialEq for QPacket {
     fn eq(&self, other: &Self) -> bool {
-        self.head.key() == other.head.key()
+        self.key() == other.key()
     }
 }
 
 impl Eq for QPacket {}
 
-/// A multicast packet: an update broadcast with ≥ 2 remaining copies, or
-/// a blocked remainder or fragment thereof. Destination sets and plans
-/// are recycled through a pool, so the steady-state slot loop stays
-/// allocation-free.
-#[derive(Debug)]
-struct McPacket {
-    head: Header,
-    /// Remaining destinations; empty marks a dead slab entry.
+/// A broadcast slab entry: destinations laid out group by group in plan
+/// order, and the number of its groups still queued (0 = free). The
+/// buffer stays with the entry, so the slab recycles it.
+#[derive(Debug, Default)]
+struct Broadcast {
     dests: Vec<NodeId>,
-    /// Cached arbitration plan; empty = not yet built. Valid for as long
-    /// as the packet sits at `head.position`.
-    groups: Vec<GroupPlan>,
+    open_groups: u32,
 }
 
 /// The token pools one crossing of a switch draws from: the switch's own
@@ -156,24 +177,6 @@ impl Switch {
             child_bus: net.is_bus(child),
             parent_bus: net.is_bus(parent),
         }
-    }
-}
-
-/// One hop-group of a multicast's cached arbitration plan: the
-/// destinations `dests[start .. start + len]` all leave the packet's
-/// position through `switch` towards `hop`. A crossed group is emptied
-/// (`len = 0`) and dropped when the plan is compacted.
-#[derive(Debug, Clone, Copy)]
-struct GroupPlan {
-    hop: NodeId,
-    switch: Switch,
-    start: u32,
-    len: u32,
-}
-
-impl GroupPlan {
-    fn range(&self) -> Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
     }
 }
 
@@ -222,39 +225,37 @@ pub struct SimWorkspace {
     route_generation: u32,
     route_off: Vec<u32>,
     route_entries: Vec<RouteEntry>,
-    // Injection queues: CSR over processors, entries in trace order.
+    // Injection queues: CSR over processors, entries in trace order, and
+    // the processors with requests left, in index order.
     q_off: Vec<u32>,
     q_cursor: Vec<u32>,
     q_entries: Vec<Queued>,
+    live_procs: Vec<u32>,
     // Per-slot token pools, reset in place.
     edge_tokens: Vec<u64>,
     bus_tokens: Vec<u64>,
-    /// Per-switch queues of waiting unicast packets, indexed by the
+    /// Per-switch queues of unicasts and hop-groups, indexed by the
     /// switch's child endpoint (the root slot is never used).
     heaps: Vec<BinaryHeap<QPacket>>,
     /// Switches with (possibly) non-empty queues, plus membership flags.
     active_edges: Vec<u32>,
     edge_active: Vec<bool>,
-    /// This slot's candidates: the head key of every non-empty queue.
-    cands: BinaryHeap<Reverse<((u64, u64), u32)>>,
-    /// Unicast packets injected, moved or spawned since the last flush,
-    /// each queued at the switch it crosses next.
+    /// This slot's walk: the sorted queue heads, and the heads of
+    /// switches that crossed and are still open.
+    cands: Vec<(Key, u32)>,
+    reentry: BinaryHeap<Reverse<(Key, u32)>>,
+    /// Unicast packets injected, moved or spawned since the last flush.
     arrivals: Vec<QPacket>,
-    /// Multicast slab; dead entries (empty `dests`) are on `mc_free`.
-    mc: Vec<McPacket>,
-    /// Slab indices of live multicasts, sorted by `(prio, seq)`. The
-    /// commit walk merges this list with the candidate heap.
-    mc_order: Vec<u32>,
+    /// Broadcasts spawned since the last flush, their destinations in
+    /// `spawn_dests`.
+    spawned: Vec<(Header, Range<u32>)>,
+    spawn_dests: Vec<NodeId>,
+    /// Broadcast slab, with its free entries on `mc_free`.
+    mc: Vec<Broadcast>,
     mc_free: Vec<u32>,
-    /// Multicasts spawned since the last flush.
-    mc_spawn: Vec<McPacket>,
-    /// Recycled `(dests, groups)` buffers of dead multicasts.
-    mc_pool: Vec<(Vec<NodeId>, Vec<GroupPlan>)>,
-    // Multicast grouping and fragment scratch.
+    // Plan and update scratch.
     hop_of: Vec<NodeId>,
     group_hops: Vec<NodeId>,
-    regrouped: Vec<NodeId>,
-    frag: Vec<NodeId>,
     upd: Vec<NodeId>,
     // Outputs.
     edge_crossings: Vec<u64>,
@@ -297,19 +298,6 @@ fn next_switch(net: &Network, position: NodeId, dest: NodeId) -> usize {
     } else {
         position.index()
     }
-}
-
-/// A multicast holding `dests`, in buffers taken from `pool`.
-fn pooled_multicast(
-    pool: &mut Vec<(Vec<NodeId>, Vec<GroupPlan>)>,
-    head: Header,
-    from: &[NodeId],
-) -> McPacket {
-    let (mut dests, mut groups) = pool.pop().unwrap_or_default();
-    dests.clear();
-    dests.extend_from_slice(from);
-    groups.clear();
-    McPacket { head, dests, groups }
 }
 
 impl SimWorkspace {
@@ -364,12 +352,15 @@ impl SimWorkspace {
         self.active_edges.clear();
         self.edge_active.clear();
         self.edge_active.resize(n, false);
-        self.cands.clear();
+        self.reentry.clear();
         self.arrivals.clear();
-        self.mc_pool
-            .extend(self.mc.drain(..).chain(self.mc_spawn.drain(..)).map(|m| (m.dests, m.groups)));
-        self.mc_order.clear();
+        self.spawned.clear();
+        self.spawn_dests.clear();
+        // Every slab entry is free, the lowest index on top: a replay
+        // then hands out entries exactly as one that grew the slab, so an
+        // identical replay reuses every buffer at the size it reached.
         self.mc_free.clear();
+        self.mc_free.extend((0..self.mc.len() as u32).rev());
     }
 
     /// Build the router for the objects `trace` names, from their
@@ -462,7 +453,8 @@ impl SimWorkspace {
     }
 
     /// Build the per-processor injection queues (CSR) in trace order,
-    /// routing every request up front like the naive kernel does.
+    /// routing every request up front like the naive kernel does, and
+    /// list the processors with a non-empty queue.
     fn build_queues(&mut self, net: &Network, trace: &[Request]) -> Result<(), SimError> {
         let n_procs = net.n_processors();
         self.q_off.clear();
@@ -507,6 +499,10 @@ impl SimWorkspace {
         // Reset the cursors to the queue heads for the injection loop.
         self.q_cursor.clear();
         self.q_cursor.extend_from_slice(&self.q_off[..n_procs]);
+        self.live_procs.clear();
+        self.live_procs.extend(
+            (0..n_procs as u32).filter(|&i| self.q_off[i as usize] < self.q_off[i as usize + 1]),
+        );
         Ok(())
     }
 
@@ -533,36 +529,94 @@ impl SimWorkspace {
         self.edge_crossings[c] += 1;
     }
 
-    /// Queue every pending unicast at the switch it must cross next, and
-    /// register every pending multicast in key order. Returns how many
-    /// unicasts were queued.
-    fn flush(&mut self, net: &Network) -> usize {
-        let queued = self.arrivals.len();
-        for pkt in self.arrivals.drain(..) {
-            let e = next_switch(net, pkt.head.position, pkt.dest);
-            self.heaps[e].push(pkt);
-            if !self.edge_active[e] {
-                self.edge_active[e] = true;
-                self.active_edges.push(e as u32);
-            }
+    /// Queue `pkt` at switch `e`.
+    #[inline]
+    fn enqueue(&mut self, e: usize, pkt: QPacket) {
+        self.heaps[e].push(pkt);
+        if !self.edge_active[e] {
+            self.edge_active[e] = true;
+            self.active_edges.push(e as u32);
         }
-        for m in self.mc_spawn.drain(..) {
-            let key = m.head.key();
-            let idx = match self.mc_free.pop() {
-                Some(i) => {
-                    self.mc[i as usize] = m;
-                    i
-                }
-                None => {
-                    self.mc.push(m);
-                    (self.mc.len() - 1) as u32
+    }
+
+    /// Queue every pending unicast at the switch it must cross next, and
+    /// every pending broadcast's hop-groups at theirs. Returns how many
+    /// entries were queued.
+    fn flush(&mut self, net: &Network) -> usize {
+        let mut queued = self.arrivals.len();
+        for i in 0..self.arrivals.len() {
+            let pkt = self.arrivals[i];
+            self.enqueue(next_switch(net, pkt.head.position, NodeId(pkt.target)), pkt);
+        }
+        self.arrivals.clear();
+        for i in 0..self.spawned.len() {
+            let (head, dests) = self.spawned[i].clone();
+            queued += self.plan(net, head, dests.start as usize..dests.end as usize);
+        }
+        self.spawned.clear();
+        self.spawn_dests.clear();
+        queued
+    }
+
+    /// Give the broadcast `head`, bound for `spawn_dests[dests]`, a slab
+    /// entry and queue its hop-groups: destinations grouped by next hop in
+    /// first-occurrence order (a one-entry child-subtree cache skips the
+    /// O(log degree) lookup while consecutive destinations share a
+    /// subtree), each group contiguous in the entry's buffer. Returns the
+    /// number of groups.
+    fn plan(&mut self, net: &Network, head: Header, dests: Range<usize>) -> usize {
+        let v = head.position;
+        self.hop_of.clear();
+        self.group_hops.clear();
+        let mut cached: Option<(u32, u32, NodeId)> = None;
+        for &d in &self.spawn_dests[dests.clone()] {
+            let hop = if !net.is_ancestor(v, d) {
+                net.parent(v)
+            } else {
+                let t = net.preorder_index(d);
+                match cached {
+                    Some((lo, hi, c)) if (lo..hi).contains(&t) => c,
+                    _ => {
+                        let c = net.child_towards(v, d);
+                        let lo = net.preorder_index(c);
+                        cached = Some((lo, lo + net.subtree_size(c) as u32, c));
+                        c
+                    }
                 }
             };
-            let mc = &self.mc;
-            let pos = self.mc_order.partition_point(|&j| mc[j as usize].head.key() < key);
-            self.mc_order.insert(pos, idx);
+            self.hop_of.push(hop);
+            if !self.group_hops.contains(&hop) {
+                self.group_hops.push(hop);
+            }
         }
-        queued
+        let idx = match self.mc_free.pop() {
+            Some(i) => i,
+            None => {
+                self.mc.push(Broadcast::default());
+                (self.mc.len() - 1) as u32
+            }
+        };
+        let mut entry = std::mem::take(&mut self.mc[idx as usize]);
+        entry.dests.clear();
+        let groups = self.group_hops.len();
+        for g in 0..groups {
+            let hop = self.group_hops[g];
+            let start = entry.dests.len();
+            entry.dests.extend(
+                self.hop_of
+                    .iter()
+                    .zip(&self.spawn_dests[dests.clone()])
+                    .filter(|&(&h, _)| h == hop)
+                    .map(|(_, &d)| d),
+            );
+            let len = entry.dests.len() - start;
+            let switch = if net.parent(hop) == v { hop } else { v };
+            let group = QPacket { head, target: idx, start: start as u32, len: len as u32 };
+            self.enqueue(switch.index(), group);
+        }
+        entry.open_groups = groups as u32;
+        self.mc[idx as usize] = entry;
+        groups
     }
 
     /// Spawn the update broadcast of a write completed at `server`: one
@@ -586,10 +640,11 @@ impl SimWorkspace {
             issued_at,
         };
         if let [dest] = self.upd[..] {
-            self.arrivals.push(QPacket { head, dest });
+            self.arrivals.push(QPacket::unicast(head, dest));
         } else {
-            let m = pooled_multicast(&mut self.mc_pool, head, &self.upd);
-            self.mc_spawn.push(m);
+            let start = self.spawn_dests.len() as u32;
+            self.spawn_dests.extend_from_slice(&self.upd);
+            self.spawned.push((head, start..self.spawn_dests.len() as u32));
         }
     }
 
@@ -612,160 +667,71 @@ impl SimWorkspace {
     }
 
     /// Arbitrate the head of switch `e`'s queue. Returns whether it
-    /// crossed; if so, the next head joins the candidates at its own key.
+    /// crossed; if so, and the switch is still open, the next head joins
+    /// this slot's walk at its own key.
     fn commit_switch(&mut self, net: &Network, e: u32, r: &mut Replay) -> bool {
         let child = NodeId(e);
         let switch = Switch::of(net, child);
         if !self.is_open(switch) {
-            // Pools only shrink within a slot, and every packet queued
+            // Pools only shrink within a slot, and every entry queued
             // here needs this exact pool set: the whole queue is blocked
             // for the rest of the slot.
             return false;
         }
         self.cross(switch);
-        let queue = &mut self.heaps[e as usize];
-        let pkt = queue.pop().expect("candidates are queue heads");
-        if let Some(next) = queue.peek() {
-            self.cands.push(Reverse((next.head.key(), e)));
-        }
+        let pkt = self.heaps[e as usize].pop().expect("walk entries are queue heads");
         let hop = if pkt.head.position == child { net.parent(child) } else { child };
-        if hop == pkt.dest {
+        if pkt.len > 0 {
+            self.cross_group(r, pkt, hop);
+        } else if hop.0 == pkt.target {
             self.deliver(r, pkt.head, hop, 1);
         } else {
             let head = Header { seq: r.fresh_seq(), position: hop, ..pkt.head };
             self.arrivals.push(QPacket { head, ..pkt });
         }
+        if self.is_open(switch) {
+            if let Some(next) = self.heaps[e as usize].peek() {
+                self.reentry.push(Reverse((next.key(), e)));
+            }
+        }
         true
     }
 
-    /// Build a multicast's arbitration plan: group `dests` by next hop in
-    /// first-occurrence order (a one-entry child-subtree cache skips the
-    /// O(log degree) lookup while consecutive destinations share a
-    /// subtree), reorder `dests` group-contiguously, and record one
-    /// [`GroupPlan`] per hop.
-    fn build_plan(
-        &mut self,
-        net: &Network,
-        v: NodeId,
-        dests: &mut Vec<NodeId>,
-        groups: &mut Vec<GroupPlan>,
-    ) {
-        self.hop_of.clear();
-        self.group_hops.clear();
-        let mut cached: Option<(u32, u32, NodeId)> = None;
-        for &d in dests.iter() {
-            let hop = if !net.is_ancestor(v, d) {
-                net.parent(v)
+    /// A hop-group has crossed to `hop`: deliver there, continue the rest
+    /// of the group as a fragment inheriting the broadcast's priority,
+    /// and free the broadcast's slab entry with its last group.
+    fn cross_group(&mut self, r: &mut Replay, group: QPacket, hop: NodeId) {
+        let mi = group.target as usize;
+        let range = group.start as usize..(group.start + group.len) as usize;
+        // A group's destinations keep the broadcast's sorted order, so
+        // the fragment is sorted as the oracle's fresh packet is.
+        let start = self.spawn_dests.len();
+        let mut delivered_here = 0u64;
+        for &d in &self.mc[mi].dests[range] {
+            if d == hop {
+                delivered_here += 1;
             } else {
-                let t = net.preorder_index(d);
-                match cached {
-                    Some((lo, hi, c)) if (lo..hi).contains(&t) => c,
-                    _ => {
-                        let c = net.child_towards(v, d);
-                        let lo = net.preorder_index(c);
-                        cached = Some((lo, lo + net.subtree_size(c) as u32, c));
-                        c
-                    }
-                }
-            };
-            self.hop_of.push(hop);
-            if !self.group_hops.contains(&hop) {
-                self.group_hops.push(hop);
+                self.spawn_dests.push(d);
             }
         }
-        self.regrouped.clear();
-        groups.clear();
-        for &hop in &self.group_hops {
-            let start = self.regrouped.len() as u32;
-            for (&h, &d) in self.hop_of.iter().zip(dests.iter()) {
-                if h == hop {
-                    self.regrouped.push(d);
-                }
-            }
-            let child = if net.parent(hop) == v { hop } else { v };
-            groups.push(GroupPlan {
-                hop,
-                switch: Switch::of(net, child),
-                start,
-                len: self.regrouped.len() as u32 - start,
-            });
-        }
-        std::mem::swap(dests, &mut self.regrouped);
-    }
-
-    /// Arbitrate multicast `mi` through its cached plan: per-group
-    /// all-or-nothing token checks, fragments queued for the next flush,
-    /// deliveries at the hops. Returns whether the packet died (every
-    /// group crossed).
-    fn commit_multicast(&mut self, net: &Network, mi: usize, r: &mut Replay) -> bool {
-        if self.mc[mi].groups.is_empty() {
-            let mut dests = std::mem::take(&mut self.mc[mi].dests);
-            let mut groups = std::mem::take(&mut self.mc[mi].groups);
-            self.build_plan(net, self.mc[mi].head.position, &mut dests, &mut groups);
-            self.mc[mi].dests = dests;
-            self.mc[mi].groups = groups;
-        }
-        // Fully blocked packets — the common case at congested operating
-        // points — are probed read-only and cross nothing.
-        if !self.mc[mi].groups.iter().any(|g| self.is_open(g.switch)) {
-            return false;
-        }
-        let head = self.mc[mi].head;
-        let mut dests = std::mem::take(&mut self.mc[mi].dests);
-        let mut groups = std::mem::take(&mut self.mc[mi].groups);
-        for g in &mut groups {
-            if !self.is_open(g.switch) {
-                continue;
-            }
-            self.cross(g.switch);
-            self.frag.clear();
-            let mut delivered_here = 0u64;
-            for &d in &dests[g.range()] {
-                if d == g.hop {
-                    delivered_here += 1;
-                } else {
-                    self.frag.push(d);
-                }
-            }
-            g.len = 0;
-            // The group's branch continues from `hop` as a fragment
-            // inheriting the origin's priority.
-            self.frag.sort_unstable();
-            if !self.frag.is_empty() {
-                let frag = Header { seq: r.fresh_seq(), position: g.hop, ..head };
-                if let [dest] = self.frag[..] {
-                    self.arrivals.push(QPacket { head: frag, dest });
-                } else {
-                    let m = pooled_multicast(&mut self.mc_pool, frag, &self.frag);
-                    self.mc_spawn.push(m);
-                }
-            }
-            if delivered_here > 0 {
-                self.deliver(r, head, g.hop, delivered_here);
+        debug_assert!(self.spawn_dests[start..].is_sorted(), "fragments stay sorted");
+        let fragment = self.spawn_dests.len() - start;
+        if fragment > 0 {
+            let head = Header { seq: r.fresh_seq(), position: hop, ..group.head };
+            if fragment == 1 {
+                let dest = self.spawn_dests.pop().expect("one fragment destination");
+                self.arrivals.push(QPacket::unicast(head, dest));
+            } else {
+                self.spawned.push((head, start as u32..self.spawn_dests.len() as u32));
             }
         }
-        // Compact: surviving groups (and their destination slices)
-        // slide left in order — exactly the grouping a fresh rebuild
-        // of the remainder would produce, so the plan stays valid.
-        let mut w = 0usize;
-        groups.retain_mut(|g| {
-            if g.len == 0 {
-                return false;
-            }
-            dests.copy_within(g.range(), w);
-            g.start = w as u32;
-            w += g.len as usize;
-            true
-        });
-        dests.truncate(w);
-        if dests.is_empty() {
-            // `mc[mi].dests` stays empty: the slab entry is dead.
-            self.mc_pool.push((dests, groups));
-            true
-        } else {
-            self.mc[mi].dests = dests;
-            self.mc[mi].groups = groups;
-            false
+        if delivered_here > 0 {
+            self.deliver(r, group.head, hop, delivered_here);
+        }
+        let entry = &mut self.mc[mi];
+        entry.open_groups -= 1;
+        if entry.open_groups == 0 {
+            self.mc_free.push(group.target);
         }
     }
 }
@@ -784,7 +750,6 @@ pub(crate) fn run(
     ws.build_router(net, matrix, placement, trace);
     ws.build_queues(net, trace)?;
 
-    let n_procs = net.n_processors();
     let mut r = Replay {
         placement,
         slot: 0,
@@ -794,8 +759,7 @@ pub(crate) fn run(
         delivered_updates: 0,
         makespan: 0,
     };
-    let mut remaining_queued = trace.len();
-    // Unicasts sitting in switch queues.
+    // Entries sitting in switch queues.
     let mut waiting = 0usize;
 
     loop {
@@ -803,45 +767,51 @@ pub(crate) fn run(
             return Err(SimError::SlotBudgetExceeded);
         }
 
-        // --- Injection: cursors over the CSR queues. Routed packets and
-        // the broadcasts of local writes contend in this very slot.
+        // --- Injection: cursors over the CSR queues of the processors
+        // with requests left. Routed packets and the broadcasts of local
+        // writes contend in this very slot.
         let mut injected_any = false;
-        if remaining_queued > 0 {
-            for pi in 0..n_procs {
-                let p = net.processor_at(pi);
-                for _ in 0..config.injection_rate {
-                    let cur = ws.q_cursor[pi];
-                    if cur == ws.q_off[pi + 1] {
-                        break;
+        let mut kept = 0;
+        for k in 0..ws.live_procs.len() {
+            let pi = ws.live_procs[k] as usize;
+            let p = net.processor_at(pi);
+            let end = ws.q_off[pi + 1];
+            for _ in 0..config.injection_rate {
+                let cur = ws.q_cursor[pi];
+                if cur == end {
+                    break;
+                }
+                ws.q_cursor[pi] = cur + 1;
+                injected_any = true;
+                let q = ws.q_entries[cur as usize];
+                let prio = r.fresh_prio();
+                if q.server == p {
+                    // Local reference copy: request completes instantly.
+                    r.delivered_requests += 1;
+                    ws.latencies.push(0);
+                    r.makespan = r.makespan.max(r.slot);
+                    if q.is_write {
+                        let now = r.slot;
+                        ws.spawn_update(&mut r, q.object, p, now);
                     }
-                    ws.q_cursor[pi] = cur + 1;
-                    remaining_queued -= 1;
-                    injected_any = true;
-                    let q = ws.q_entries[cur as usize];
-                    let prio = r.fresh_prio();
-                    if q.server == p {
-                        // Local reference copy: request completes instantly.
-                        r.delivered_requests += 1;
-                        ws.latencies.push(0);
-                        r.makespan = r.makespan.max(r.slot);
-                        if q.is_write {
-                            let now = r.slot;
-                            ws.spawn_update(&mut r, q.object, p, now);
-                        }
-                    } else {
-                        let head = Header {
-                            prio,
-                            seq: r.fresh_seq(),
-                            object: q.object,
-                            kind: if q.is_write { PacketKind::Write } else { PacketKind::Read },
-                            position: p,
-                            issued_at: r.slot,
-                        };
-                        ws.arrivals.push(QPacket { head, dest: q.server });
-                    }
+                } else {
+                    let head = Header {
+                        prio,
+                        seq: r.fresh_seq(),
+                        object: q.object,
+                        kind: if q.is_write { PacketKind::Write } else { PacketKind::Read },
+                        position: p,
+                        issued_at: r.slot,
+                    };
+                    ws.arrivals.push(QPacket::unicast(head, q.server));
                 }
             }
+            if ws.q_cursor[pi] < end {
+                ws.live_procs[kept] = pi as u32;
+                kept += 1;
+            }
         }
+        ws.live_procs.truncate(kept);
         waiting += ws.flush(net);
 
         // --- Token refresh. Down buses grant none during the outage
@@ -855,11 +825,14 @@ pub(crate) fn run(
             }
         }
 
-        // --- Candidates: the head of every non-empty switch queue.
+        // --- The walk: the head of every non-empty switch queue, sorted
+        // once, merged in exact global key order with the same-slot
+        // re-entries of switches that crossed and are still open.
         let (heaps, cands, edge_active) = (&ws.heaps, &mut ws.cands, &mut ws.edge_active);
+        cands.clear();
         ws.active_edges.retain(|&e| match heaps[e as usize].peek() {
             Some(h) => {
-                cands.push(Reverse((h.head.key(), e)));
+                cands.push((h.key(), e));
                 true
             }
             None => {
@@ -867,65 +840,39 @@ pub(crate) fn run(
                 false
             }
         });
-
-        // --- Commit in exact global (prio, seq) order: a two-way merge of
-        // the switch heads and the sorted live multicasts. Every multicast
-        // is probed each slot (pools refill per slot, so a blocked one may
-        // cross the very next); the walk only reads the live list, and
-        // dead entries are swept from it afterwards.
-        let mut mj = 0;
-        let mut mc_died = false;
+        cands.sort_unstable();
+        let mut next = 0;
         loop {
-            let sw = ws.cands.peek().map(|&Reverse((key, _))| key);
-            let mc = ws.mc_order.get(mj).map(|&i| ws.mc[i as usize].head.key());
-            let take_switch = match (sw, mc) {
+            let from_cands = match (ws.cands.get(next), ws.reentry.peek()) {
                 (None, None) => break,
-                (Some(s), Some(m)) => s < m,
-                (s, _) => s.is_some(),
+                (Some(&(key, _)), Some(&Reverse((again, _)))) => key < again,
+                (head, _) => head.is_some(),
             };
-            if take_switch {
-                let Reverse((_, e)) = ws.cands.pop().expect("peeked");
-                if ws.commit_switch(net, e, &mut r) {
-                    waiting -= 1;
-                }
+            let e = if from_cands {
+                next += 1;
+                ws.cands[next - 1].1
             } else {
-                let mi = ws.mc_order[mj];
-                mj += 1;
-                mc_died |= ws.commit_multicast(net, mi as usize, &mut r);
+                let Reverse((_, e)) = ws.reentry.pop().expect("peeked");
+                e
+            };
+            if ws.commit_switch(net, e, &mut r) {
+                waiting -= 1;
             }
         }
-        if mc_died {
-            let (mc, free) = (&ws.mc, &mut ws.mc_free);
-            ws.mc_order.retain(|&i| {
-                let dead = mc[i as usize].dests.is_empty();
-                if dead {
-                    free.push(i);
-                }
-                !dead
-            });
-        }
 
-        let idle = waiting == 0
-            && ws.arrivals.is_empty()
-            && ws.mc_order.is_empty()
-            && ws.mc_spawn.is_empty();
-        if idle && !injected_any && remaining_queued == 0 {
+        let idle = waiting == 0 && ws.arrivals.is_empty() && ws.spawned.is_empty();
+        if idle && !injected_any && ws.live_procs.is_empty() {
             break;
         }
         r.slot += 1;
     }
 
-    ws.latencies.sort_unstable();
-    let mean_latency = if ws.latencies.is_empty() {
-        0.0
-    } else {
-        ws.latencies.iter().sum::<u64>() as f64 / ws.latencies.len() as f64
-    };
-    let p99_latency = ws
-        .latencies
-        .get(((ws.latencies.len() as f64 * 0.99).ceil() as usize).saturating_sub(1))
-        .copied()
-        .unwrap_or(0);
+    // The mean is an integer sum, and one selection finds the p99 rank.
+    let n = ws.latencies.len();
+    let mean_latency =
+        if n == 0 { 0.0 } else { ws.latencies.iter().sum::<u64>() as f64 / n as f64 };
+    let rank = ((n as f64 * 0.99).ceil() as usize).saturating_sub(1);
+    let p99_latency = if rank < n { *ws.latencies.select_nth_unstable(rank).1 } else { 0 };
     Ok(SimResult {
         makespan: r.makespan,
         delivered_requests: r.delivered_requests,

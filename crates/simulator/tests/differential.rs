@@ -429,12 +429,36 @@ fn router_keyed_by_traced_objects_matches_the_oracle() {
     }
 }
 
+/// A congested mid-size replay that keeps hundreds of update broadcasts
+/// live at once. Their hop-groups queue behind unicasts and behind each
+/// other at every switch, groups of one broadcast that share its bus
+/// pool cross or block in plan order, and fat-tree switches pass several
+/// entries per slot, so same-slot re-entry decides who crosses. One
+/// workspace serves both rounds.
+#[test]
+fn kernels_agree_on_congested_broadcasts() {
+    let mut ws = SimWorkspace::new();
+    let profiles = [BandwidthProfile::Uniform, BandwidthProfile::FatTree { base: 2, cap: 16 }];
+    for (round, profile) in profiles.into_iter().enumerate() {
+        let net = balanced(4, 3, profile);
+        let mut rng = StdRng::seed_from_u64(2207 + round as u64);
+        let m = wgen::zipf_read_mostly(&net, 96, 3_000, 0.9, 0.2, &mut rng);
+        let placement = ExtendedNibble::new().place(&net, &m).unwrap().placement;
+        let trace = expand_shuffled(&m, &mut rng);
+        let cfg = SimConfig::default();
+        let fast = simulate_with(&mut ws, &net, &m, &placement, &trace, cfg).unwrap();
+        let naive = simulate_reference(&net, &m, &placement, &trace, cfg).unwrap();
+        assert_eq!(fast, naive, "congested broadcasts under {profile:?}");
+        assert!(fast.delivered_updates > 1_000, "{profile:?}: too few updates to congest");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Proptest-generated batches: random tree, random workload, random
-    /// injection rate, random overlay or none — the kernel tracks the
-    /// oracle bit for bit.
+    /// Proptest-generated batches: random tree, uniform or fat-tree
+    /// bandwidths, random workload, random injection rate, random overlay
+    /// or none — the kernel tracks the oracle bit for bit.
     #[test]
     fn kernel_matches_reference(
         buses in 1usize..6,
@@ -443,16 +467,17 @@ proptest! {
         net_seed in any::<u64>(),
         wl_seed in any::<u64>(),
         rate in 1usize..6,
+        fat in any::<bool>(),
         fault in any::<bool>(),
         outage in 1u64..30,
     ) {
         let mut rng = StdRng::seed_from_u64(net_seed);
-        let net = random_network(
-            buses,
-            procs.max(buses * 2),
-            BandwidthProfile::Uniform,
-            &mut rng,
-        );
+        let profile = if fat {
+            BandwidthProfile::FatTree { base: 2, cap: 16 }
+        } else {
+            BandwidthProfile::Uniform
+        };
+        let net = random_network(buses, procs.max(buses * 2), profile, &mut rng);
         let m = workload_from_seed(&net, objects, 6, 3, 0.7, wl_seed);
         let out = ExtendedNibble::new().place(&net, &m).unwrap();
         let trace = expand(&m);
