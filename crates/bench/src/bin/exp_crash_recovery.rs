@@ -59,13 +59,13 @@ fn cell_spec(idx: usize) -> (ScenarioSpec, usize) {
         kill_epoch.saturating_sub(1).max(1),
         (kill_epoch + 2).min(n_epochs),
     );
-    let spec = ScenarioSpec::builder(format!("{family}@{topology}"), topology, schedule)
-        .strategy(strategy_kinds()[idx])
-        .threshold(THRESHOLD)
-        .seed(4700 + idx as u64)
-        .epoch_requests(epoch_requests)
-        .faults(plan)
-        .build();
+    let name = format!("{family}@{topology}");
+    let spec = ScenarioSpec {
+        strategy: strategy_kinds()[idx],
+        epoch_requests,
+        faults: plan,
+        ..ScenarioSpec::new(name, topology, schedule, THRESHOLD, 4700 + idx as u64)
+    };
     (spec, kill_epoch)
 }
 

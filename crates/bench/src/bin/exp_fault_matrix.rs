@@ -98,12 +98,16 @@ fn main() {
         let cell_seed = cell_seeds(seed_source.gen(), 1)[0];
         let plans = fault_plans(&net, n_epochs, cell_seed);
         for kind in strategy_axis() {
-            let clean_spec =
-                ScenarioSpec::builder(format!("{family}@{topology}"), topology, schedule.clone())
-                    .threshold(THRESHOLD)
-                    .seed(cell_seed)
-                    .epoch_requests(epoch_requests)
-                    .build();
+            let clean_spec = ScenarioSpec {
+                epoch_requests,
+                ..ScenarioSpec::new(
+                    format!("{family}@{topology}"),
+                    topology,
+                    schedule.clone(),
+                    THRESHOLD,
+                    cell_seed,
+                )
+            };
             let clean = run(&clean_spec, kind);
 
             for (plan_label, plan) in &plans {

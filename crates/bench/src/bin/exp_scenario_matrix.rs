@@ -126,12 +126,17 @@ fn main() {
     for (family, schedule) in families() {
         for (topology, capacity) in topologies() {
             let seeds = cell_seeds(seed_source.gen(), SHARDS);
-            let spec =
-                ScenarioSpec::builder(format!("{family}@{topology}"), topology, schedule.clone())
-                    .capacity(capacity)
-                    .threshold(THRESHOLD)
-                    .epoch_requests(EPOCH_REQUESTS)
-                    .build();
+            let spec = ScenarioSpec {
+                capacity,
+                epoch_requests: EPOCH_REQUESTS,
+                ..ScenarioSpec::new(
+                    format!("{family}@{topology}"),
+                    topology,
+                    schedule.clone(),
+                    THRESHOLD,
+                    0,
+                )
+            };
             let processors = spec.build_network().n_processors();
 
             let start = Instant::now();
@@ -164,7 +169,7 @@ fn main() {
             let rate = per_sec(schedule.total_requests() * SHARDS, wall);
             t.row([
                 family.to_string(),
-                topology.label(),
+                topology.to_string(),
                 capacity.to_string(),
                 processors.to_string(),
                 format!("{makespan:.0}"),
@@ -179,7 +184,7 @@ fn main() {
             cells.push(
                 Obj::new()
                     .str("family", family)
-                    .str("topology", &topology.label())
+                    .str("topology", &topology.to_string())
                     .str("capacity", &capacity.to_string())
                     .raw("processors", processors)
                     .raw("seeds", SHARDS)
@@ -187,7 +192,7 @@ fn main() {
                     .raw("epochs", reports[0].epochs.len())
                     .raw("threshold_d", spec.exec.threshold)
                     .raw("epoch_requests", spec.epoch_requests)
-                    .str("kernel", &spec.kernel_label())
+                    .str("kernel", &spec.exec.kernel_label())
                     .f64("mean_makespan_slots", makespan)
                     .f64("mean_online_congestion", congestion)
                     .opt_f64("mean_competitive_ratio", competitive_ratio)
@@ -217,7 +222,7 @@ fn main() {
 
     let head = Obj::new()
         .raw("families", distinct(families().into_iter().map(|(family, _)| family)))
-        .raw("topologies", distinct(topologies().iter().map(|(topology, _)| topology.label())));
+        .raw("topologies", distinct(topologies().iter().map(|(topology, _)| topology.to_string())));
     write_bench("BENCH_scenarios.json", "scenario_matrix", &head, &[("cells", cells)])
         .expect("write BENCH_scenarios.json");
     println!("wrote BENCH_scenarios.json");

@@ -45,12 +45,12 @@ fn volumes() -> (usize, usize) {
 fn cell_spec(idx: usize, epochs: usize) -> ScenarioSpec {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
     let bus = root_adjacent_bus(&topology.build());
-    ScenarioSpec::builder(format!("cell-{idx}"), topology, PhaseSchedule::new(OBJECTS, vec![]))
-        .strategy(strategy_kinds()[idx])
-        .threshold(THRESHOLD)
-        .seed(8400 + idx as u64)
-        .faults(FaultPlan::single_outage(bus, 3, epochs.saturating_sub(2)))
-        .build()
+    let schedule = PhaseSchedule::new(OBJECTS, vec![]);
+    ScenarioSpec {
+        strategy: strategy_kinds()[idx],
+        faults: FaultPlan::single_outage(bus, 3, epochs.saturating_sub(2)),
+        ..ScenarioSpec::new(format!("cell-{idx}"), topology, schedule, THRESHOLD, 8400 + idx as u64)
+    }
 }
 
 fn random_batch(rng: &mut StdRng, procs: &[NodeId], len: usize) -> Vec<OnlineRequest> {

@@ -99,10 +99,7 @@ fn tenant_spec(name: &str, seed: u64) -> ScenarioSpec {
     } else {
         TopologyFamily::Star { processors: 6, bus_bandwidth: 2 }
     };
-    ScenarioSpec::builder(name, family, PhaseSchedule::new(OBJECTS, vec![]))
-        .threshold(THRESHOLD)
-        .seed(seed)
-        .build()
+    ScenarioSpec::new(name, family, PhaseSchedule::new(OBJECTS, vec![]), THRESHOLD, seed)
 }
 
 fn random_batch(rng: &mut StdRng, procs: &[NodeId], len: usize) -> Vec<OnlineRequest> {
@@ -216,15 +213,12 @@ fn recovery_drills(t: &mut Table) -> (Vec<Obj>, Vec<u64>) {
         let outage_from = 2;
         let outage_to = epochs - 1;
         let kill_epoch = outage_from + 1 + drill % (outage_to - outage_from - 1);
-        let spec = ScenarioSpec::builder(
-            format!("drill-{drill}"),
-            topology,
-            PhaseSchedule::new(OBJECTS, vec![]),
-        )
-        .threshold(THRESHOLD)
-        .seed(8100 + drill as u64)
-        .faults(FaultPlan::single_outage(bus, outage_from, outage_to))
-        .build();
+        let schedule = PhaseSchedule::new(OBJECTS, vec![]);
+        let seed = 8100 + drill as u64;
+        let spec = ScenarioSpec {
+            faults: FaultPlan::single_outage(bus, outage_from, outage_to),
+            ..ScenarioSpec::new(format!("drill-{drill}"), topology, schedule, THRESHOLD, seed)
+        };
 
         // Deterministic supervision: the watchdog cadence is disabled
         // and checkpoint/recover are driven explicitly.

@@ -220,15 +220,11 @@ fn main() {
         for topology in topologies {
             let seed = cell_seeds(seed_source.gen(), 1)[0];
             for kind in strategy_axis() {
-                let spec = ScenarioSpec::builder(
-                    format!("{family}@{topology}"),
-                    topology,
-                    schedule.clone(),
-                )
-                .threshold(THRESHOLD)
-                .seed(seed)
-                .epoch_requests(epoch_requests)
-                .build();
+                let name = format!("{family}@{topology}");
+                let spec = ScenarioSpec {
+                    epoch_requests,
+                    ..ScenarioSpec::new(name, topology, schedule.clone(), THRESHOLD, seed)
+                };
                 let factory = build_strategy(kind);
 
                 // Unbroken run, checkpointing halfway.

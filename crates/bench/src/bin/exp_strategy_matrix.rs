@@ -169,14 +169,11 @@ fn main() {
             let processors = topology.build().n_processors();
 
             for strategy in strategies() {
-                let spec = ScenarioSpec::builder(
-                    format!("{family}@{topology}@{}", strategy.label()),
-                    topology,
-                    schedule.clone(),
-                )
-                .threshold(THRESHOLD)
-                .epoch_requests(epoch_requests)
-                .build();
+                let name = format!("{family}@{topology}@{}", strategy.label());
+                let spec = ScenarioSpec {
+                    epoch_requests,
+                    ..ScenarioSpec::new(name, topology, schedule.clone(), THRESHOLD, 0)
+                };
 
                 let start = Instant::now();
                 let reports = strategy.run(&spec, &seeds);

@@ -95,11 +95,6 @@ impl ObjectCopies {
     pub fn total_served(&self) -> u64 {
         self.copies.iter().map(CopyState::served).sum()
     }
-
-    /// `τ` contribution of this object: `max_c s(c) + κ_x` over its copies.
-    pub fn max_tau(&self) -> u64 {
-        self.copies.iter().map(|c| c.served() + self.kappa).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -157,6 +152,5 @@ mod tests {
         };
         assert_eq!(oc.nodes(), vec![NodeId(5), NodeId(7)]);
         assert_eq!(oc.total_served(), 6);
-        assert_eq!(oc.max_tau(), 4 + 3);
     }
 }

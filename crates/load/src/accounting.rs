@@ -13,7 +13,7 @@
 
 use crate::placement::{Bottleneck, CongestionReport, Placement};
 use crate::ratio::LoadRatio;
-use hbn_topology::{steiner, CapacityOverlay, EdgeId, Network, NodeId};
+use hbn_topology::{steiner, Bandwidth, CapacityOverlay, EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
 
 /// Per-edge loads of a placement (undirected; indexed by `EdgeId`, i.e. by
@@ -109,22 +109,7 @@ impl LoadMap {
     /// Exact congestion: the maximum relative load over all switches and
     /// buses, with the bottleneck resource.
     pub fn congestion(&self, net: &Network) -> CongestionReport {
-        let mut best =
-            CongestionReport { congestion: LoadRatio::ZERO, bottleneck: Bottleneck::None };
-        for e in net.edges() {
-            let r = LoadRatio::new(self.edge_load(e), net.edge_bandwidth(e));
-            if r > best.congestion {
-                best = CongestionReport { congestion: r, bottleneck: Bottleneck::Edge(e) };
-            }
-        }
-        for v in net.nodes().filter(|&v| net.is_bus(v)) {
-            // bus load = (Σ incident)/2, bandwidth b(v): compare Σ/(2b).
-            let r = LoadRatio::new(self.bus_load_x2(net, v), 2 * net.node_bandwidth(v));
-            if r > best.congestion {
-                best = CongestionReport { congestion: r, bottleneck: Bottleneck::Bus(v) };
-            }
-        }
-        best
+        self.congestion_by(net, |v| net.node_bandwidth(v))
     }
 
     /// [`LoadMap::congestion`] under a per-bus capacity overlay: bus
@@ -135,6 +120,16 @@ impl LoadMap {
     /// bandwidth too (outages are a bounded per-replay window, not a
     /// whole-epoch zero-capacity denominator).
     pub fn congestion_with(&self, net: &Network, overlay: &CapacityOverlay) -> CongestionReport {
+        self.congestion_by(net, |v| overlay.effective_node_bandwidth(net, v))
+    }
+
+    /// The one congestion body: switches at their edge bandwidth, then
+    /// buses at `bus_bandwidth(v)`, the first strict maximum winning.
+    fn congestion_by(
+        &self,
+        net: &Network,
+        bus_bandwidth: impl Fn(NodeId) -> Bandwidth,
+    ) -> CongestionReport {
         let mut best =
             CongestionReport { congestion: LoadRatio::ZERO, bottleneck: Bottleneck::None };
         for e in net.edges() {
@@ -145,10 +140,7 @@ impl LoadMap {
         }
         for v in net.nodes().filter(|&v| net.is_bus(v)) {
             // bus load = (Σ incident)/2, bandwidth b(v): compare Σ/(2b).
-            let r = LoadRatio::new(
-                self.bus_load_x2(net, v),
-                2 * overlay.effective_node_bandwidth(net, v),
-            );
+            let r = LoadRatio::new(self.bus_load_x2(net, v), 2 * bus_bandwidth(v));
             if r > best.congestion {
                 best = CongestionReport { congestion: r, bottleneck: Bottleneck::Bus(v) };
             }

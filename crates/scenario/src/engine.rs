@@ -275,7 +275,8 @@ pub(crate) fn summarise_phase(
     }
 }
 
-/// Run one scenario to completion.
+/// Run one scenario to completion. [`Session`] is the fallible form:
+/// step it to surface replay errors instead of panicking.
 ///
 /// # Panics
 ///
@@ -283,14 +284,7 @@ pub(crate) fn summarise_phase(
 /// [`SimError::SlotBudgetExceeded`] from an undersized
 /// [`hbn_sim::SimConfig::max_slots`].
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
-    try_run_scenario(spec).unwrap_or_else(|e| panic!("scenario {:?} failed: {e}", spec.name))
-}
-
-/// [`run_scenario`], surfacing replay errors instead of panicking.
-pub fn try_run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, SimError> {
-    let mut session = Session::new(spec);
-    while session.step_epoch()?.is_some() {}
-    Ok(session.into_report())
+    run_scenario_with(spec, |net, exec, max_objects| spec.strategy.build(net, exec, max_objects))
 }
 
 /// Run one scenario to completion under a caller-built [`Strategy`] —
@@ -305,18 +299,10 @@ pub fn run_scenario_with(
     spec: &ScenarioSpec,
     factory: impl FnOnce(&Network, &ExecutionConfig, usize) -> Box<dyn Strategy>,
 ) -> ScenarioReport {
-    try_run_scenario_with(spec, factory)
-        .unwrap_or_else(|e| panic!("scenario {:?} failed: {e}", spec.name))
-}
-
-/// [`run_scenario_with`], surfacing replay errors instead of panicking.
-pub fn try_run_scenario_with(
-    spec: &ScenarioSpec,
-    factory: impl FnOnce(&Network, &ExecutionConfig, usize) -> Box<dyn Strategy>,
-) -> Result<ScenarioReport, SimError> {
     let mut session = Session::with_strategy(spec, factory);
-    while session.step_epoch()?.is_some() {}
-    Ok(session.into_report())
+    let failed = |e: SimError| panic!("scenario {:?} failed: {e}", spec.name);
+    while session.step_epoch().unwrap_or_else(failed).is_some() {}
+    session.into_report()
 }
 
 /// The spec of the seed shard for `seed`: `spec` with its seed replaced.
@@ -371,15 +357,9 @@ mod tests {
 
     #[test]
     fn phase_summaries_partition_the_run() {
-        let spec = ScenarioSpec::builder(
-            "partition",
-            TopologyFamily::Balanced { branching: 3, height: 2 },
-            full_tour(6, 90),
-        )
-        .threshold(1)
-        .seed(5)
-        .epoch_requests(40) // 90 → epochs of 40/40/10 per phase
-        .build();
+        let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+        let mut spec = ScenarioSpec::new("partition", topology, full_tour(6, 90), 1, 5);
+        spec.epoch_requests = 40; // 90 → epochs of 40/40/10 per phase
         let report = run_scenario(&spec);
         assert_eq!(report.phases.len(), spec.schedule.phases.len());
         for (phase, summary) in spec.schedule.phases.iter().zip(&report.phases) {

@@ -302,16 +302,6 @@ impl FaultPlan {
         let buses_degraded = net.nodes().filter(|&v| overlay.is_degraded(v)).count();
         FaultView { stranded, buses_down: down.len(), buses_degraded, changed, overlay }
     }
-
-    /// The earliest epoch at which any `Down` or `Degrade` takes effect
-    /// (`Restore`s don't count), `None` for a fault-free plan.
-    pub fn first_fault_epoch(&self) -> Option<usize> {
-        self.events
-            .iter()
-            .filter(|e| !matches!(e.kind, FaultKind::Restore { .. }))
-            .map(|e| e.epoch)
-            .min()
-    }
 }
 
 /// The fault state of one epoch, handed to every
@@ -453,7 +443,7 @@ mod tests {
             assert_eq!(a, b);
             a.validate(&net).unwrap();
             assert!(!a.is_empty());
-            assert!(a.first_fault_epoch().unwrap() >= 1, "baseline epoch must exist");
+            assert!(a.events.iter().all(|e| e.epoch >= 1), "baseline epoch must exist");
         }
         assert_ne!(FaultPlan::seeded(&net, 1, 12), FaultPlan::seeded(&net, 2, 12));
     }

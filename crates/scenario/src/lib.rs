@@ -40,14 +40,8 @@
 //!
 //! // Six phases (one per access-pattern family), 100 requests each, on a
 //! // three-level balanced tree, replication threshold D = 2, seed 7.
-//! let spec = ScenarioSpec::builder(
-//!     "tour",
-//!     TopologyFamily::Balanced { branching: 3, height: 2 },
-//!     full_tour(8, 100),
-//! )
-//! .threshold(2)
-//! .seed(7)
-//! .build();
+//! let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+//! let spec = ScenarioSpec::new("tour", topology, full_tour(8, 100), 2, 7);
 //! let report = run_scenario(&spec);
 //! assert_eq!(report.traffic.requests, 600);
 //! assert_eq!(report.phases.len(), 6);
@@ -73,18 +67,16 @@ pub mod strategy;
 pub use durable::RestoreError;
 pub use engine::{
     run_scenario, run_scenario_sharded, run_scenario_sharded_with, run_scenario_with,
-    try_run_scenario, try_run_scenario_with, EpochEstimate, EpochSummary, PhaseSummary,
-    ScenarioReport, TenantSummary, TrafficCounters,
+    EpochEstimate, EpochSummary, PhaseSummary, ScenarioReport, TenantSummary, TrafficCounters,
 };
 pub use faults::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanError, FaultView, DEFAULT_OUTAGE_SLOTS,
 };
 pub use session::{Session, SessionCheckpoint};
 pub use spec::{
-    ExecutionConfig, ReplayKernel, ScenarioSpec, ScenarioSpecBuilder, ServeKernel, StrategyKind,
-    TopologyFamily,
+    ExecutionConfig, ReplayKernel, ScenarioSpec, ServeKernel, StrategyKind, TopologyFamily,
 };
 pub use strategy::{
     charged_migration, DynamicStrategy, FrozenStatic, HybridReseed, PeriodicStatic, Strategy,
-    ThresholdSwitch,
+    StrategySnapshot, ThresholdSwitch,
 };

@@ -75,7 +75,7 @@ struct EpochBuffers {
 /// here and into the durable codec, and nowhere else.
 #[derive(Clone)]
 struct State {
-    /// The serving policy; cloning it is [`Strategy::snapshot`].
+    /// The serving policy; cloning it is [`crate::StrategySnapshot::snapshot`].
     strategy: Box<dyn Strategy>,
     stream: PhaseStreamState,
     /// Requests drawn from the stream so far — the durable form of the
@@ -116,8 +116,9 @@ struct State {
 }
 
 /// A resumable snapshot of a [`Session`]: the policy state (copy sets,
-/// loads, counters via [`Strategy::snapshot`]), the stream's RNG cursor,
-/// the observed aggregate matrix and every summary accumulated so far.
+/// loads, counters via [`crate::StrategySnapshot::snapshot`]), the
+/// stream's RNG cursor, the observed aggregate matrix and every summary
+/// accumulated so far.
 /// Opaque by design — produce with [`Session::checkpoint`], consume with
 /// [`Session::restore`].
 pub struct SessionCheckpoint {
@@ -463,15 +464,9 @@ fn validate_cursors(spec: &ScenarioSpec, cp: &State, net: &Network) -> Result<()
 /// use hbn_scenario::{run_scenario, ScenarioSpec, Session, TopologyFamily};
 /// use hbn_workload::phases::full_tour;
 ///
-/// let spec = ScenarioSpec::builder(
-///     "incremental",
-///     TopologyFamily::Balanced { branching: 2, height: 2 },
-///     full_tour(5, 60),
-/// )
-/// .threshold(2)
-/// .seed(3)
-/// .epoch_requests(40)
-/// .build();
+/// let topology = TopologyFamily::Balanced { branching: 2, height: 2 };
+/// let mut spec = ScenarioSpec::new("incremental", topology, full_tour(5, 60), 2, 3);
+/// spec.epoch_requests = 40;
 ///
 /// // Drive epoch by epoch; summaries stream out as they happen.
 /// let mut session = Session::new(&spec);
@@ -669,12 +664,6 @@ impl Session {
     /// Summaries of the *completed* schedule phases so far.
     pub fn phases(&self) -> &[PhaseSummary] {
         &self.state.phases
-    }
-
-    /// Whether the schedule is exhausted ([`Session::step_epoch`] would
-    /// return `None`; [`Session::push_epoch`] still works).
-    pub fn is_finished(&self) -> bool {
-        self.state.phase_idx >= self.spec.schedule.phases.len()
     }
 
     /// Run the next scheduled epoch: strategy boundary work, drawing the

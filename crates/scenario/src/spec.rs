@@ -84,15 +84,11 @@ impl TopologyFamily {
             }
         }
     }
-
-    /// A compact human-readable label, e.g. `balanced(3,2)` — the
-    /// [`fmt::Display`] form. Reports and benchmark cells are labelled
-    /// through this single path, so they cannot drift from the spec.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
 }
 
+/// The compact label of a family, e.g. `balanced(3,2)`. Reports,
+/// benchmark cells and spec fingerprints are all labelled through this
+/// one impl, so they cannot drift from the spec.
 impl fmt::Display for TopologyFamily {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -132,15 +128,10 @@ impl fmt::Display for TopologyFamily {
 /// use hbn_scenario::{run_scenario, ReplayKernel, ScenarioSpec, TopologyFamily};
 /// use hbn_workload::phases::full_tour;
 ///
-/// let spec = ScenarioSpec::builder(
-///     "estimated",
-///     TopologyFamily::Balanced { branching: 3, height: 2 },
-///     full_tour(6, 80),
-/// )
-/// .seed(3)
+/// let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+/// let mut spec = ScenarioSpec::new("estimated", topology, full_tour(6, 80), 1, 3);
 /// // Bound every epoch; replay every 2nd epoch exactly as a cross-check.
-/// .replay_kernel(ReplayKernel::Estimate { sample_every: 2 })
-/// .build();
+/// spec.exec.replay = ReplayKernel::Estimate { sample_every: 2 };
 /// let report = run_scenario(&spec);
 /// assert_eq!(report.estimated_epochs, report.epochs.len());
 /// // Every sampled epoch's exact makespan fell inside its bounds.
@@ -193,9 +184,10 @@ pub enum ServeKernel {
     #[default]
     Workspace,
     /// The naive [`hbn_dynamic::DynamicTree::serve_reference`] kernel
-    /// ([`hbn_dynamic::DynamicTree::reference`]) — used by
-    /// the differential suite to pin the engine's online traffic, and by
-    /// `exp_dynamic_throughput` as the timing baseline.
+    /// ([`hbn_dynamic::DynamicTree::reference`]) — used by the test
+    /// suites to pin the engine's online traffic and checkpoints to the
+    /// fast kernel's. (EXP-DYNT times the reference kernel by calling
+    /// `serve_reference` itself.)
     Reference,
 }
 
@@ -286,15 +278,9 @@ impl ExecutionConfig {
 ///
 /// // The same scenario (a small balanced topology, six phases of 60
 /// // requests) served under all three built-in strategy kinds.
-/// let mut spec = ScenarioSpec::builder(
-///     "strategies",
-///     TopologyFamily::Balanced { branching: 2, height: 2 },
-///     full_tour(6, 60),
-/// )
-/// .threshold(2)
-/// .seed(11)
-/// .epoch_requests(30) // two replay epochs per phase
-/// .build();
+/// let topology = TopologyFamily::Balanced { branching: 2, height: 2 };
+/// let mut spec = ScenarioSpec::new("strategies", topology, full_tour(6, 60), 2, 11);
+/// spec.epoch_requests = 30; // two replay epochs per phase
 ///
 /// for strategy in [
 ///     StrategyKind::Dynamic,
@@ -350,15 +336,9 @@ pub enum StrategyKind {
     },
 }
 
-impl StrategyKind {
-    /// A compact label, e.g. `dynamic`, `periodic-static(4)`,
-    /// `periodic-static(inf)` or `hybrid(once)` — the [`fmt::Display`]
-    /// form, recorded in benchmark cells and reports.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-}
-
+/// The compact label of a kind, e.g. `dynamic`, `periodic-static(4)`,
+/// `periodic-static(inf)` or `hybrid(once)`, recorded in benchmark cells
+/// and reports.
 impl fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -409,9 +389,25 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// A scenario with the default epoch granularity (one epoch per
-    /// phase), the workspace kernels and default simulator configuration.
-    /// [`ScenarioSpec::builder`] is the fluent form covering every knob.
+    /// A scenario with every other field at its default: the dynamic
+    /// strategy, uniform capacities, one replay epoch per phase, the
+    /// workspace kernels, the default simulator configuration and no
+    /// faults. Set any other field directly, or with struct update:
+    ///
+    /// ```
+    /// use hbn_scenario::{ReplayKernel, ScenarioSpec, StrategyKind, TopologyFamily};
+    /// use hbn_workload::phases::full_tour;
+    ///
+    /// let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    /// let mut spec = ScenarioSpec {
+    ///     strategy: StrategyKind::Hybrid { reseed_every_epochs: 4 },
+    ///     epoch_requests: 50,
+    ///     ..ScenarioSpec::new("tour", topology, full_tour(8, 100), 2, 7)
+    /// };
+    /// spec.exec.replay = ReplayKernel::Estimate { sample_every: 2 };
+    /// assert_eq!(spec.exec.threshold, 2);
+    /// assert_eq!(spec.exec.kernel_label(), "serve=workspace/replay=estimate(2)");
+    /// ```
     pub fn new(
         name: impl Into<String>,
         topology: TopologyFamily,
@@ -419,48 +415,16 @@ impl ScenarioSpec {
         threshold: u64,
         seed: u64,
     ) -> Self {
-        ScenarioSpec::builder(name, topology, schedule).threshold(threshold).seed(seed).build()
-    }
-
-    /// Start building a scenario from the three mandatory inputs; every
-    /// other knob has a default and its own builder method.
-    ///
-    /// ```
-    /// use hbn_scenario::{ReplayKernel, ScenarioSpec, ServeKernel, StrategyKind, TopologyFamily};
-    /// use hbn_workload::phases::full_tour;
-    ///
-    /// let spec = ScenarioSpec::builder(
-    ///     "tour",
-    ///     TopologyFamily::Balanced { branching: 3, height: 2 },
-    ///     full_tour(8, 100),
-    /// )
-    /// .threshold(2)
-    /// .seed(7)
-    /// .strategy(StrategyKind::Hybrid { reseed_every_epochs: 4 })
-    /// .epoch_requests(50)
-    /// .serve_kernel(ServeKernel::Workspace)
-    /// .replay_kernel(ReplayKernel::Workspace)
-    /// .build();
-    /// assert_eq!(spec.exec.threshold, 2);
-    /// assert_eq!(spec.label(), "tour@balanced(3,2)@hybrid(4)");
-    /// ```
-    pub fn builder(
-        name: impl Into<String>,
-        topology: TopologyFamily,
-        schedule: PhaseSchedule,
-    ) -> ScenarioSpecBuilder {
-        ScenarioSpecBuilder {
-            spec: ScenarioSpec {
-                name: name.into(),
-                topology,
-                capacity: CapacityProfile::Uniform,
-                schedule,
-                strategy: StrategyKind::default(),
-                seed: 0,
-                epoch_requests: 0,
-                exec: ExecutionConfig::default(),
-                faults: FaultPlan::none(),
-            },
+        ScenarioSpec {
+            name: name.into(),
+            topology,
+            capacity: CapacityProfile::Uniform,
+            schedule,
+            strategy: StrategyKind::default(),
+            seed,
+            epoch_requests: 0,
+            exec: ExecutionConfig { threshold, ..ExecutionConfig::default() },
+            faults: FaultPlan::none(),
         }
     }
 
@@ -473,96 +437,6 @@ impl ScenarioSpec {
         let mut net = self.topology.build();
         self.capacity.apply(&mut net);
         net
-    }
-
-    /// The canonical `name@topology@strategy` label of this spec, built
-    /// from the same [`fmt::Display`] impls that label reports — one
-    /// derivation path, so labels cannot drift from spec fields.
-    pub fn label(&self) -> String {
-        format!("{}@{}@{}", self.name, self.topology, self.strategy)
-    }
-
-    /// A compact label of the kernel pair driving this spec — see
-    /// [`ExecutionConfig::kernel_label`].
-    pub fn kernel_label(&self) -> String {
-        self.exec.kernel_label()
-    }
-}
-
-/// Fluent builder returned by [`ScenarioSpec::builder`].
-#[derive(Debug, Clone)]
-pub struct ScenarioSpecBuilder {
-    spec: ScenarioSpec,
-}
-
-impl ScenarioSpecBuilder {
-    /// Which built-in strategy serves the stream.
-    pub fn strategy(mut self, strategy: StrategyKind) -> Self {
-        self.spec.strategy = strategy;
-        self
-    }
-
-    /// Static heterogeneous per-bus capacity profile (default
-    /// [`CapacityProfile::Uniform`]).
-    pub fn capacity(mut self, capacity: CapacityProfile) -> Self {
-        self.spec.capacity = capacity;
-        self
-    }
-
-    /// Replication / migration charge threshold `D` (default 1).
-    pub fn threshold(mut self, threshold: u64) -> Self {
-        self.spec.exec.threshold = threshold;
-        self
-    }
-
-    /// Stream seed (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Requests per replay epoch; `0` (default) replays each phase as
-    /// one epoch.
-    pub fn epoch_requests(mut self, epoch_requests: usize) -> Self {
-        self.spec.epoch_requests = epoch_requests;
-        self
-    }
-
-    /// Which online-strategy kernel serves the stream.
-    pub fn serve_kernel(mut self, serve: ServeKernel) -> Self {
-        self.spec.exec.serve = serve;
-        self
-    }
-
-    /// Which simulator kernel replays the epochs.
-    pub fn replay_kernel(mut self, replay: ReplayKernel) -> Self {
-        self.spec.exec.replay = replay;
-        self
-    }
-
-    /// Simulator configuration for the replays.
-    pub fn sim(mut self, sim: hbn_sim::SimConfig) -> Self {
-        self.spec.exec.sim = sim;
-        self
-    }
-
-    /// Replace the whole execution configuration at once.
-    pub fn execution(mut self, exec: ExecutionConfig) -> Self {
-        self.spec.exec = exec;
-        self
-    }
-
-    /// The fault-injection schedule the run executes under (default: no
-    /// faults). [`crate::Session`] validates it against the instantiated
-    /// network.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.spec.faults = faults;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> ScenarioSpec {
-        self.spec
     }
 }
 
@@ -588,8 +462,6 @@ mod tests {
             let net = family.build();
             net.check_invariants().unwrap();
             assert!(net.n_processors() >= 2, "{family}");
-            // `label()` and `Display` are a single path by construction.
-            assert_eq!(family.label(), family.to_string());
         }
         let sci = TopologyFamily::SciCluster {
             rings: 3,
@@ -597,18 +469,16 @@ mod tests {
             ring_bandwidth: 16,
             switch_bandwidth: 4,
         };
-        assert_eq!(sci.label(), "sci(3x2,r=16,s=4)");
+        assert_eq!(sci.to_string(), "sci(3x2,r=16,s=4)");
         assert_eq!(sci.build().n_processors(), 6);
     }
 
     #[test]
     fn build_network_applies_the_capacity_profile() {
         let topology = TopologyFamily::Balanced { branching: 2, height: 3 };
-        let base = ScenarioSpec::builder("p", topology, full_tour(4, 40)).build();
+        let base = ScenarioSpec::new("p", topology, full_tour(4, 40), 1, 0);
         assert_eq!(base.capacity, CapacityProfile::Uniform);
-        let fat = ScenarioSpec::builder("p", topology, full_tour(4, 40))
-            .capacity(CapacityProfile::FatRoot { boost: 2 })
-            .build();
+        let fat = ScenarioSpec { capacity: CapacityProfile::FatRoot { boost: 2 }, ..base.clone() };
         let uniform_net = base.build_network();
         let fat_net = fat.build_network();
         let root = fat_net.root();
@@ -619,28 +489,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_positional_new() {
-        let a = ScenarioSpec::new(
+    fn new_fills_every_default() {
+        let spec = ScenarioSpec::new(
             "x",
             TopologyFamily::Star { processors: 4, bus_bandwidth: 2 },
             full_tour(4, 40),
             3,
             9,
         );
-        let b = ScenarioSpec::builder(
-            "x",
-            TopologyFamily::Star { processors: 4, bus_bandwidth: 2 },
-            full_tour(4, 40),
-        )
-        .threshold(3)
-        .seed(9)
-        .build();
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.exec.threshold, b.exec.threshold);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.strategy, b.strategy);
-        assert_eq!(a.kernel_label(), "workspace");
-        assert_eq!(a.label(), "x@star(4,b=2)@dynamic");
+        assert_eq!((spec.name.as_str(), spec.seed, spec.epoch_requests), ("x", 9, 0));
+        assert_eq!(spec.strategy, StrategyKind::Dynamic);
+        assert_eq!(spec.capacity, CapacityProfile::Uniform);
+        assert!(spec.faults.is_empty());
+        let exec = ExecutionConfig { threshold: 3, ..ExecutionConfig::default() };
+        assert_eq!(format!("{:?}", spec.exec), format!("{exec:?}"));
+        assert_eq!(spec.exec.kernel_label(), "workspace");
+        assert_eq!(format!("{}@{}", spec.topology, spec.strategy), "star(4,b=2)@dynamic");
     }
 
     #[test]

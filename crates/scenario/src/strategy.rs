@@ -36,10 +36,12 @@ use hbn_workload::{AccessMatrix, ObjectId};
 /// there; online policies already charged per request). Between epochs it
 /// may read [`Strategy::copy_set`], [`Strategy::add_loads_to`] and
 /// [`Strategy::stats`], snapshot the whole policy with
-/// [`Strategy::snapshot`], or hand the copy sets to a successor via
-/// [`Strategy::adopt`] ([`crate::Session::swap_strategy`]).
+/// [`StrategySnapshot::snapshot`], or hand the copy sets to a successor
+/// via [`Strategy::adopt`] ([`crate::Session::swap_strategy`]).
 ///
-/// The trait is object-safe; the driver holds a `Box<dyn Strategy>`.
+/// The trait is object-safe; the session holds a `Box<dyn Strategy>`. A
+/// policy that derives `Clone` gets its snapshot from
+/// [`StrategySnapshot`]'s blanket impl.
 ///
 /// # Write your own
 ///
@@ -73,7 +75,6 @@ use hbn_workload::{AccessMatrix, ObjectId};
 ///     fn copy_set(&self, _: hbn_workload::ObjectId) -> &[NodeId] { &self.home }
 ///     fn add_loads_to(&self, out: &mut LoadMap) { out.add_assign(&self.loads) }
 ///     fn stats(&self) -> DynamicStats { self.stats }
-///     fn snapshot(&self) -> Box<dyn Strategy> { Box::new(self.clone()) }
 /// }
 ///
 /// let spec = ScenarioSpec::new(
@@ -88,7 +89,7 @@ use hbn_workload::{AccessMatrix, ObjectId};
 /// assert_eq!(report.strategy, "single-home");
 /// assert_eq!(report.traffic.requests, 240);
 /// ```
-pub trait Strategy: Send {
+pub trait Strategy: Send + StrategySnapshot {
     /// The label recorded in reports and benchmark cells.
     fn label(&self) -> String;
 
@@ -143,11 +144,6 @@ pub trait Strategy: Send {
         let _ = (net, prior, max_objects);
     }
 
-    /// A deep copy of the full policy state, for
-    /// [`crate::Session::checkpoint`]: driving the snapshot forward must
-    /// reproduce the original bit for bit.
-    fn snapshot(&self) -> Box<dyn Strategy>;
-
     /// Serialize the full policy state for *durable* (on-disk)
     /// checkpoints — [`crate::SessionCheckpoint::save`]. The five
     /// built-in policies implement this; external policies keep the
@@ -160,8 +156,23 @@ pub trait Strategy: Send {
     }
 }
 
-/// Cloning a boxed policy is [`Strategy::snapshot`], so state that holds
-/// the policy (a session checkpoint) derives `Clone`.
+/// A deep copy of a policy, for [`crate::Session::checkpoint`]: driving
+/// the copy forward must reproduce the original bit for bit. Every
+/// `Clone` policy has it through the blanket impl; only a policy that
+/// cannot derive `Clone` writes it by hand.
+pub trait StrategySnapshot {
+    /// A boxed deep copy of the full policy state.
+    fn snapshot(&self) -> Box<dyn Strategy>;
+}
+
+impl<T: Strategy + Clone + 'static> StrategySnapshot for T {
+    fn snapshot(&self) -> Box<dyn Strategy> {
+        Box::new(self.clone())
+    }
+}
+
+/// Cloning a boxed policy is [`StrategySnapshot::snapshot`], so state
+/// that holds the policy (a session checkpoint) derives `Clone`.
 impl Clone for Box<dyn Strategy> {
     fn clone(&self) -> Self {
         self.snapshot()
@@ -256,98 +267,169 @@ fn connected_closure(net: &Network, nodes: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// First non-stranded ancestor of `anchor` — the harbor a wholly
-/// stranded copy set migrates to. The root is never stranded
-/// ([`crate::FaultPlan::validate`] rejects root outages), so the walk
-/// terminates.
-fn harbor_of(net: &Network, view: &FaultView, anchor: NodeId) -> NodeId {
-    let mut harbor = anchor;
-    while view.stranded[harbor.index()] {
-        harbor = net.parent(harbor);
-    }
-    harbor
+/// Charge moving one object's copy set from `old` to `new` into `loads`
+/// and `stats`: the [`charged_migration`] transfers count as
+/// replications, and every copy of `old` that `new` drops as a collapse.
+/// Returns the transfers. Re-placement, re-seeding and outage repair all
+/// charge through here.
+fn charge_move(
+    net: &Network,
+    old: &[NodeId],
+    new: &[NodeId],
+    d: u64,
+    loads: &mut LoadMap,
+    stats: &mut DynamicStats,
+    sweep: &mut NearestCopies,
+) -> u64 {
+    let transfers = charged_migration(net, old, new, d, loads, sweep);
+    stats.replications += transfers;
+    stats.collapses += old.iter().filter(|v| !new.contains(v)).count() as u64;
+    transfers
 }
 
-/// Nearest non-stranded processor to `anchor` (ties by node id) — where
-/// a wholly stranded static copy set relocates. `None` when every
-/// processor is stranded.
-fn harbor_processor(net: &Network, view: &FaultView, anchor: NodeId) -> Option<NodeId> {
-    net.processors()
+/// The outage rule, which copies survive: the live part of `copies`
+/// under `view`, or `None` when no copy is stranded. Stranded copies are
+/// dropped, not moved: they are unreachable. Strandedness is
+/// downward-closed, so the live part of a connected set stays connected.
+fn live_copies(view: &FaultView, copies: &[NodeId]) -> Option<Vec<NodeId>> {
+    copies
         .iter()
-        .copied()
-        .filter(|p| !view.stranded[p.index()])
-        .min_by_key(|&p| (net.distance(anchor, p), p.0))
+        .any(|v| view.stranded[v.index()])
+        .then(|| copies.iter().copied().filter(|v| !view.stranded[v.index()]).collect())
 }
 
-/// Self-heal a dynamic kernel around a bus outage: copies stranded in a
-/// dead subtree are evicted (free — they are unreachable, not moved),
-/// and a copy set stranded *wholly* is re-homed at its first live
-/// ancestor via a repair fetch charged exactly like a migration
-/// ([`charged_migration`] at `D` per edge). `repairs` counts the
-/// `D`-sized repair transfers — always a subset of `replications`, so
-/// `migration_traffic = replications × D` keeps holding.
-fn heal_dynamic(
-    kernel: &mut DynamicTree,
+/// Where the outage rule re-homes a copy set stranded wholly.
+#[derive(Clone, Copy)]
+enum Harbor {
+    /// The first live ancestor of the set's first copy, so a dynamic
+    /// tree's replica set stays connected. The root is never stranded
+    /// ([`crate::FaultPlan::validate`] rejects root outages), so one
+    /// always exists.
+    Ancestor,
+    /// The live processor nearest the set's first copy (ties by node
+    /// id), for static placements. `None` when every processor is
+    /// stranded.
+    Processor,
+}
+
+/// The outage rule for a held copy set: its live part, or its harbor when
+/// it is stranded wholly. `None` when the set stands, either because no
+/// copy is stranded or because nothing reachable is left to move to;
+/// the outage window is bounded, so its traffic drains when the bus
+/// returns.
+fn outage_copies(
     net: &Network,
     view: &FaultView,
+    copies: &[NodeId],
+    harbor: Harbor,
+) -> Option<Vec<NodeId>> {
+    let live = live_copies(view, copies)?;
+    if !live.is_empty() {
+        return Some(live);
+    }
+    let anchor = copies[0];
+    let home = match harbor {
+        Harbor::Ancestor => {
+            let mut v = anchor;
+            while view.stranded[v.index()] {
+                v = net.parent(v);
+            }
+            v
+        }
+        Harbor::Processor => net
+            .processors()
+            .iter()
+            .copied()
+            .filter(|p| !view.stranded[p.index()])
+            .min_by_key(|&p| (net.distance(anchor, p), p.0))?,
+    };
+    Some(vec![home])
+}
+
+/// The per-object copy sets a policy holds, a dynamic tree's replica
+/// sets or a static placement, as [`heal`] reads and rewrites them.
+trait CopySets {
+    fn n_objects(&self) -> usize;
+    fn copies(&self, x: ObjectId) -> &[NodeId];
+    fn set_copies(&mut self, net: &Network, x: ObjectId, copies: &[NodeId]);
+}
+
+impl CopySets for DynamicTree {
+    fn n_objects(&self) -> usize {
+        DynamicTree::n_objects(self)
+    }
+    fn copies(&self, x: ObjectId) -> &[NodeId] {
+        self.replicas(x)
+    }
+    fn set_copies(&mut self, net: &Network, x: ObjectId, copies: &[NodeId]) {
+        self.seed_replicas(net, x, copies);
+    }
+}
+
+impl CopySets for Placement {
+    fn n_objects(&self) -> usize {
+        Placement::n_objects(self)
+    }
+    fn copies(&self, x: ObjectId) -> &[NodeId] {
+        Placement::copies(self, x)
+    }
+    fn set_copies(&mut self, _: &Network, x: ObjectId, copies: &[NodeId]) {
+        self.set_copies_from(x, copies);
+    }
+}
+
+/// Self-heal held copy sets around a bus outage by [`outage_copies`]; a
+/// no-op while no bus is down. Dropped copies count as collapses, and a
+/// set re-homed at its harbor pays a repair fetch charged exactly like a
+/// migration ([`charged_migration`] at `D` per edge). `repairs` counts
+/// the `D`-sized repair transfers — always a subset of `replications`, so
+/// `migration_traffic = replications × D` keeps holding.
+fn heal(
+    sets: &mut impl CopySets,
+    net: &Network,
+    view: &FaultView,
+    harbor: Harbor,
     d: u64,
     loads: &mut LoadMap,
     stats: &mut DynamicStats,
 ) {
+    if view.buses_down == 0 {
+        return;
+    }
     let mut sweep = NearestCopies::new(net.n_nodes());
-    for i in 0..kernel.n_objects() {
+    for i in 0..sets.n_objects() {
         let x = ObjectId(i as u32);
-        let replicas = kernel.replicas(x).to_vec();
-        if replicas.is_empty() {
-            continue;
-        }
-        let stranded = replicas.iter().filter(|v| view.stranded[v.index()]).count();
-        if stranded == 0 {
-            continue;
-        }
-        if stranded == replicas.len() {
-            // The whole set sits inside a dead subtree: fetch one fresh
-            // copy up to the first live ancestor. `harbor` is a strict
-            // ancestor outside the set, so every old copy collapses.
-            let harbor = harbor_of(net, view, replicas[0]);
-            let transfers = charged_migration(net, &replicas, &[harbor], d, loads, &mut sweep);
-            stats.replications += transfers;
-            stats.repairs += transfers;
-            stats.collapses += replicas.len() as u64;
-            kernel.seed_replicas(net, x, &[harbor]);
-        } else {
-            // Part of the set survives. Strandedness is downward-closed,
-            // so the survivors of a connected replica set stay connected
-            // — a valid seed.
-            let survivors: Vec<NodeId> =
-                replicas.iter().copied().filter(|v| !view.stranded[v.index()]).collect();
-            stats.collapses += stranded as u64;
-            kernel.seed_replicas(net, x, &survivors);
+        let old = sets.copies(x);
+        let Some(new) = outage_copies(net, view, old, harbor) else { continue };
+        let transfers = charge_move(net, old, &new, d, loads, stats, &mut sweep);
+        stats.repairs += transfers;
+        sets.set_copies(net, x, &new);
+    }
+}
+
+/// Clamp a freshly optimized placement to the live part of the network
+/// by [`outage_copies`], free of charge: the refit that follows charges
+/// the move from the held sets. A no-op while no bus is down.
+fn sanitize_placement(net: &Network, view: &FaultView, placement: &mut Placement) {
+    if view.buses_down == 0 {
+        return;
+    }
+    for i in 0..placement.n_objects() {
+        let x = ObjectId(i as u32);
+        if let Some(new) = outage_copies(net, view, placement.copies(x), Harbor::Processor) {
+            placement.set_copies(x, new);
         }
     }
 }
 
-/// Clamp a freshly optimized placement to the live part of the network:
-/// stranded copies are dropped, and a copy set that would be wholly
-/// stranded is redirected to the nearest live processor. Objects with no
-/// live processor anywhere keep their computed set — the outage window
-/// is bounded, so the epoch still drains.
-fn sanitize_placement(net: &Network, view: &FaultView, placement: &mut Placement) {
-    for i in 0..placement.n_objects() {
-        let x = ObjectId(i as u32);
-        let copies = placement.copies(x);
-        if copies.is_empty() || copies.iter().all(|v| !view.stranded[v.index()]) {
-            continue;
-        }
-        let copies = copies.to_vec();
-        let survivors: Vec<NodeId> =
-            copies.iter().copied().filter(|v| !view.stranded[v.index()]).collect();
-        if !survivors.is_empty() {
-            placement.set_copies(x, survivors);
-        } else if let Some(harbor) = harbor_processor(net, view, copies[0]) {
-            placement.set_copies(x, vec![harbor]);
-        }
-    }
+/// The firing cadence of the re-placing policies: fire at global epoch
+/// `first`, then every `every` epochs after it (`every = 0`: once).
+/// `first = None` never fires.
+fn fires(epoch_idx: usize, first: Option<usize>, every: usize) -> bool {
+    first.is_some_and(|first| {
+        epoch_idx == first
+            || (every > 0 && epoch_idx > first && (epoch_idx - first).is_multiple_of(every))
+    })
 }
 
 /// The dynamic-strategy serve kernel `exec.serve` names: a tree on the
@@ -441,62 +523,31 @@ impl StaticCore {
             if observed.total_weight(x) == 0 {
                 continue;
             }
-            let new = new_placement.copies(x);
-            let old = self.copies.copies(x);
-            self.stats.replications +=
-                charged_migration(net, old, new, d, &mut self.loads, &mut sweep);
-            self.stats.collapses += old.iter().filter(|v| !new.contains(v)).count() as u64;
+            let (old, new) = (self.copies.copies(x), new_placement.copies(x));
+            charge_move(net, old, new, d, &mut self.loads, &mut self.stats, &mut sweep);
         }
         self.copies = new_placement;
         self.placed = true;
     }
 
-    /// Self-heal the held placement around a bus outage: stranded copies
-    /// are dropped free (they are unreachable, not moved), and a copy set
-    /// stranded *wholly* is relocated to the nearest live processor via a
-    /// repair fetch charged exactly like a migration
-    /// ([`charged_migration`] at `D` per edge). An object with no live
-    /// processor anywhere keeps its set — the outage window is bounded,
-    /// so its traffic drains when the bus returns.
+    /// Self-heal the held placement around a bus outage ([`heal`]): a
+    /// copy set stranded wholly moves to the nearest live processor.
     fn heal(&mut self, net: &Network, view: &FaultView, d: u64) {
-        if !self.placed {
-            return;
-        }
-        let mut sweep = NearestCopies::new(net.n_nodes());
-        for i in 0..self.copies.n_objects() {
-            let x = ObjectId(i as u32);
-            let copies = self.copies.copies(x);
-            if copies.is_empty() {
-                continue;
-            }
-            let stranded = copies.iter().filter(|v| view.stranded[v.index()]).count();
-            if stranded == 0 {
-                continue;
-            }
-            let copies = copies.to_vec();
-            if stranded < copies.len() {
-                let survivors: Vec<NodeId> =
-                    copies.iter().copied().filter(|v| !view.stranded[v.index()]).collect();
-                self.stats.collapses += stranded as u64;
-                self.copies.set_copies(x, survivors);
-            } else if let Some(harbor) = harbor_processor(net, view, copies[0]) {
-                let transfers =
-                    charged_migration(net, &copies, &[harbor], d, &mut self.loads, &mut sweep);
-                self.stats.replications += transfers;
-                self.stats.repairs += transfers;
-                self.stats.collapses += copies.len() as u64;
-                self.copies.set_copies(x, vec![harbor]);
-            }
+        if self.placed {
+            let (loads, stats) = (&mut self.loads, &mut self.stats);
+            heal(&mut self.copies, net, view, Harbor::Processor, d, loads, stats);
         }
     }
 
-    /// Inherit a predecessor's copy sets verbatim, free of charge.
-    fn adopt(&mut self, prior: &dyn Strategy, max_objects: usize) {
-        for i in 0..max_objects {
+    /// Inherit copy sets verbatim, free of charge: the non-empty sets
+    /// `copies(x)` of objects `0..n` — a predecessor's at a strategy
+    /// swap, or a policy's own dynamic replica sets when it turns static.
+    fn adopt<'a>(&mut self, n: usize, copies: impl Fn(ObjectId) -> &'a [NodeId]) {
+        for i in 0..n {
             let x = ObjectId(i as u32);
-            let copies = prior.copy_set(x);
-            if !copies.is_empty() {
-                self.copies.set_copies(x, copies.to_vec());
+            let inherited = copies(x);
+            if !inherited.is_empty() {
+                self.copies.set_copies(x, inherited.to_vec());
             }
         }
         self.placed = true;
@@ -553,16 +604,8 @@ impl Strategy for DynamicStrategy {
         _observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        if faults.buses_down > 0 {
-            heal_dynamic(
-                &mut self.kernel,
-                net,
-                faults,
-                self.threshold,
-                &mut self.heal_loads,
-                &mut self.heal_stats,
-            );
-        }
+        let (loads, stats) = (&mut self.heal_loads, &mut self.heal_stats);
+        heal(&mut self.kernel, net, faults, Harbor::Ancestor, self.threshold, loads, stats);
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], _matrix: &AccessMatrix) {
@@ -584,10 +627,6 @@ impl Strategy for DynamicStrategy {
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
         adopt_dynamic(&mut self.kernel, net, prior, max_objects);
-    }
-
-    fn snapshot(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
@@ -674,17 +713,8 @@ impl PeriodicStatic {
 
     /// Whether a re-optimization fires at the start of `epoch_idx`.
     fn fires(&self, epoch_idx: usize) -> bool {
-        match self.first_fire {
-            None => {
-                let k = self.replace_every_epochs;
-                epoch_idx > 0 && k > 0 && epoch_idx.is_multiple_of(k)
-            }
-            Some(first) => {
-                let k = self.replace_every_epochs;
-                epoch_idx == first
-                    || (k > 0 && epoch_idx > first && (epoch_idx - first).is_multiple_of(k))
-            }
-        }
+        let k = self.replace_every_epochs;
+        fires(epoch_idx, self.first_fire.or((k > 0).then_some(k)), k)
     }
 }
 
@@ -711,9 +741,7 @@ impl Strategy for PeriodicStatic {
         observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        if faults.buses_down > 0 {
-            self.core.heal(net, faults, self.threshold);
-        }
+        self.core.heal(net, faults, self.threshold);
         // A changed outage set triggers an immediate re-placement around
         // the dead subtree (once a placement exists to migrate from), on
         // top of the periodic rule.
@@ -724,9 +752,7 @@ impl Strategy for PeriodicStatic {
         }
         let mut placement =
             self.kernel.place(net, observed).expect("static re-optimization failed");
-        if faults.buses_down > 0 {
-            sanitize_placement(net, faults, &mut placement);
-        }
+        sanitize_placement(net, faults, &mut placement);
         self.core.refit(net, observed, placement, self.threshold);
     }
 
@@ -751,11 +777,7 @@ impl Strategy for PeriodicStatic {
     }
 
     fn adopt(&mut self, _net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(prior, max_objects);
-    }
-
-    fn snapshot(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
+        self.core.adopt(max_objects, |x| prior.copy_set(x));
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
@@ -824,13 +846,10 @@ impl HybridReseed {
         }
     }
 
+    /// Whether a re-seed fires at the start of `epoch_idx`.
     fn fires(&self, epoch_idx: usize) -> bool {
         let k = self.reseed_every_epochs;
-        if k == 0 {
-            epoch_idx == 1
-        } else {
-            epoch_idx > 0 && epoch_idx.is_multiple_of(k)
-        }
+        fires(epoch_idx, Some(k.max(1)), k)
     }
 }
 
@@ -846,16 +865,8 @@ impl Strategy for HybridReseed {
         observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        if faults.buses_down > 0 {
-            heal_dynamic(
-                &mut self.dynamic,
-                net,
-                faults,
-                self.threshold,
-                &mut self.migration_loads,
-                &mut self.seed_stats,
-            );
-        }
+        let (loads, stats) = (&mut self.migration_loads, &mut self.seed_stats);
+        heal(&mut self.dynamic, net, faults, Harbor::Ancestor, self.threshold, loads, stats);
         if !self.fires(epoch_idx) {
             return;
         }
@@ -870,30 +881,24 @@ impl Strategy for HybridReseed {
                 continue;
             }
             // Under an outage, seed only the live part of the nibble set
-            // (still connected — strandedness is downward-closed); skip
-            // the object entirely if the whole set is dead.
-            let live_seed: Vec<NodeId>;
-            let seed: &[NodeId] = if faults.buses_down > 0
-                && seed.iter().any(|v| faults.stranded[v.index()])
-            {
-                live_seed = seed.iter().copied().filter(|v| !faults.stranded[v.index()]).collect();
-                if live_seed.is_empty() {
-                    continue;
-                }
-                &live_seed
-            } else {
-                seed
+            // (still connected); a set stranded wholly leaves the object
+            // as it was.
+            let live = live_copies(faults, seed);
+            let seed = match &live {
+                Some(live) if live.is_empty() => continue,
+                Some(live) => live,
+                None => seed,
             };
-            self.seed_stats.replications += charged_migration(
+            let (loads, stats) = (&mut self.migration_loads, &mut self.seed_stats);
+            charge_move(
                 net,
                 self.dynamic.replicas(x),
                 seed,
                 self.threshold,
-                &mut self.migration_loads,
+                loads,
+                stats,
                 &mut sweep,
             );
-            self.seed_stats.collapses +=
-                self.dynamic.replicas(x).iter().filter(|v| !seed.contains(v)).count() as u64;
             self.dynamic.seed_replicas(net, x, seed);
         }
     }
@@ -917,10 +922,6 @@ impl Strategy for HybridReseed {
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
         adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
-    }
-
-    fn snapshot(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
@@ -990,9 +991,7 @@ impl Strategy for FrozenStatic {
     ) {
         // Frozen means no re-optimization, not no survival: a bus outage
         // still evicts stranded copies and re-homes dead sets.
-        if faults.buses_down > 0 {
-            self.core.heal(net, faults, self.threshold);
-        }
+        self.core.heal(net, faults, self.threshold);
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
@@ -1016,11 +1015,7 @@ impl Strategy for FrozenStatic {
     }
 
     fn adopt(&mut self, _net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(prior, max_objects);
-    }
-
-    fn snapshot(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
+        self.core.adopt(max_objects, |x| prior.copy_set(x));
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
@@ -1103,22 +1098,14 @@ impl Strategy for ThresholdSwitch {
         observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        if faults.buses_down > 0 {
-            if self.switched {
-                self.core.heal(net, faults, self.threshold);
-            } else {
-                // Pre-switch healing charges into the static core's
-                // accumulators — both are unconditionally merged into the
-                // reported loads and stats.
-                heal_dynamic(
-                    &mut self.dynamic,
-                    net,
-                    faults,
-                    self.threshold,
-                    &mut self.core.loads,
-                    &mut self.core.stats,
-                );
-            }
+        if self.switched {
+            self.core.heal(net, faults, self.threshold);
+        } else {
+            // Pre-switch healing charges into the static core's
+            // accumulators — both are unconditionally merged into the
+            // reported loads and stats.
+            let (loads, stats) = (&mut self.core.loads, &mut self.core.stats);
+            heal(&mut self.dynamic, net, faults, Harbor::Ancestor, self.threshold, loads, stats);
         }
         if self.switched || epoch_idx == 0 || epoch_idx < self.min_epochs {
             return;
@@ -1132,15 +1119,8 @@ impl Strategy for ThresholdSwitch {
         // optimized placement of the observed aggregate, charging the
         // delta from those sets — the same sequence a mid-run
         // `swap_strategy` into a `PeriodicStatic` performs.
-        let n = self.core.copies.n_objects();
-        for i in 0..n {
-            let x = ObjectId(i as u32);
-            let copies = self.dynamic.replicas(x);
-            if !copies.is_empty() {
-                self.core.copies.set_copies(x, copies.to_vec());
-            }
-        }
-        self.core.placed = true;
+        let dynamic = &self.dynamic;
+        self.core.adopt(self.core.copies.n_objects(), |x| dynamic.replicas(x));
         let placement = self.kernel.place(net, observed).expect("threshold switch refit failed");
         self.core.refit(net, observed, placement, self.threshold);
         self.switched = true;
@@ -1179,10 +1159,6 @@ impl Strategy for ThresholdSwitch {
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
         adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
-    }
-
-    fn snapshot(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
@@ -1464,6 +1440,26 @@ mod tests {
             put_stats(&mut out, DynamicStats::default());
         }
         out
+    }
+
+    /// The one firing cadence as each re-placing policy reads it: the
+    /// epochs below 10 at which it fires.
+    #[test]
+    fn firing_cadences() {
+        let net = TopologyFamily::Star { processors: 4, bus_bandwidth: 2 }.build();
+        let exec = ExecutionConfig::default();
+        let periodic = |every| PeriodicStatic::new(&net, &exec, 1, every);
+        let first_fire =
+            |first, every| PeriodicStatic::with_first_fire(&net, &exec, 1, first, every);
+        let hybrid = |every| HybridReseed::new(&net, &exec, 1, every);
+        let firing =
+            |fires: &dyn Fn(usize) -> bool| (0..10).filter(|&e| fires(e)).collect::<Vec<_>>();
+        assert_eq!(firing(&|e| periodic(3).fires(e)), [3, 6, 9]);
+        assert_eq!(firing(&|e| periodic(0).fires(e)), []);
+        assert_eq!(firing(&|e| first_fire(4, 3).fires(e)), [4, 7]);
+        assert_eq!(firing(&|e| first_fire(4, 0).fires(e)), [4]);
+        assert_eq!(firing(&|e| hybrid(3).fires(e)), [3, 6, 9]);
+        assert_eq!(firing(&|e| hybrid(0).fires(e)), [1]);
     }
 
     /// The decoder is the gate for replica sets read from disk: a

@@ -68,12 +68,12 @@ fn base_spec(
     topology: TopologyFamily,
     capacity: CapacityProfile,
 ) -> ScenarioSpec {
-    ScenarioSpec::builder(format!("conformance-{family}"), topology, schedule.clone())
-        .capacity(capacity)
-        .threshold(2)
-        .seed(41)
-        .epoch_requests(EPOCH_REQUESTS)
-        .build()
+    let name = format!("conformance-{family}");
+    ScenarioSpec {
+        capacity,
+        epoch_requests: EPOCH_REQUESTS,
+        ..ScenarioSpec::new(name, topology, schedule.clone(), 2, 41)
+    }
 }
 
 /// The registry itself is conformant: labels match [`REGISTERED_FAMILIES`]

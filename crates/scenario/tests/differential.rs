@@ -7,15 +7,11 @@ use hbn_scenario::{run_scenario, ReplayKernel, ScenarioSpec, ServeKernel, Topolo
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
 
 fn small_spec() -> ScenarioSpec {
-    ScenarioSpec::builder(
-        "differential",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        full_tour(6, 120),
-    )
-    .threshold(2)
-    .seed(41)
-    .epoch_requests(50) // exercise mid-phase epoch boundaries
-    .build()
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    ScenarioSpec {
+        epoch_requests: 50, // exercise mid-phase epoch boundaries
+        ..ScenarioSpec::new("differential", topology, full_tour(6, 120), 2, 41)
+    }
 }
 
 #[test]
@@ -87,15 +83,9 @@ fn churn_scenarios_replay_cleanly() {
             PhaseSpec::new("settle", PhaseKind::StaticZipf { skew: 0.8, write_fraction: 0.1 }, 200),
         ],
     );
-    let spec = ScenarioSpec::builder(
-        "churn-replay",
-        TopologyFamily::Star { processors: 8, bus_bandwidth: 2 },
-        schedule,
-    )
-    .threshold(3)
-    .seed(7)
-    .epoch_requests(60)
-    .build();
+    let topology = TopologyFamily::Star { processors: 8, bus_bandwidth: 2 };
+    let mut spec = ScenarioSpec::new("churn-replay", topology, schedule, 3, 7);
+    spec.epoch_requests = 60;
     let report = run_scenario(&spec);
     assert_eq!(report.traffic.requests, 500);
     assert_eq!(report.phases.len(), 2);

@@ -9,27 +9,28 @@ use proptest::prelude::*;
 
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{
-    FaultPlan, FrozenStatic, RestoreError, ScenarioReport, ScenarioSpec, ScenarioSpecBuilder,
+    ExecutionConfig, FaultPlan, FrozenStatic, RestoreError, ScenarioReport, ScenarioSpec,
     ServeKernel, Session, Strategy, StrategyKind, ThresholdSwitch, TopologyFamily,
 };
 use hbn_workload::phases::full_tour;
 use hbn_workload::{ObjectId, PhaseSchedule};
 
+/// `name` in a directory of this test process's own: the target's temp
+/// dir is shared by every `cargo test` run of the target dir (debug and
+/// release alike), so the process id keeps concurrent runs apart.
 fn tmp(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let dir =
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("durable-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
 
-fn base_builder(seed: u64) -> ScenarioSpecBuilder {
-    ScenarioSpec::builder(
-        "durable",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        full_tour(8, 120),
-    )
-    .threshold(2)
-    .seed(seed)
-    .epoch_requests(40)
+fn base_spec(seed: u64) -> ScenarioSpec {
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    ScenarioSpec {
+        epoch_requests: 40,
+        ..ScenarioSpec::new("durable", topology, full_tour(8, 120), 2, seed)
+    }
 }
 
 /// Drive `spec` for `k` epochs, save a durable checkpoint, finish the
@@ -73,7 +74,8 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
         .into_iter()
         .enumerate()
         {
-            let spec = base_builder(23).strategy(strategy).serve_kernel(serve).build();
+            let mut spec = ScenarioSpec { strategy, ..base_spec(23) };
+            spec.exec.serve = serve;
             let path = tmp(&format!("roundtrip_{i}_{serve}.hbnc"));
             let (expected, resumed) = save_restore_roundtrip(&spec, 5, &path, None);
             assert_eq!(resumed, expected, "strategy {strategy}, serve kernel {serve}");
@@ -83,7 +85,7 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
     // Mid-outage checkpoint: the fault overlay and healed state resume.
     let net = TopologyFamily::Balanced { branching: 3, height: 2 }.build();
     let bus = *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).unwrap();
-    let spec = base_builder(29).faults(FaultPlan::single_outage(bus, 4, 7)).build();
+    let spec = ScenarioSpec { faults: FaultPlan::single_outage(bus, 4, 7), ..base_spec(29) };
     let path = tmp("roundtrip_outage.hbnc");
     let (expected, resumed) = save_restore_roundtrip(&spec, 5, &path, None);
     assert_eq!(resumed, expected);
@@ -93,7 +95,7 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
 /// The trait-only strategies serialize through their durable tags too.
 #[test]
 fn disk_checkpoint_covers_trait_only_strategies() {
-    let spec = base_builder(31).build();
+    let spec = base_spec(31);
     let swap_frozen = |s: &mut Session| {
         let frozen = FrozenStatic::new(s.network(), s.execution(), s.max_objects());
         s.swap_strategy(Box::new(frozen));
@@ -115,13 +117,13 @@ fn disk_checkpoint_covers_trait_only_strategies() {
 /// `SpecMismatch` — before any state is built.
 #[test]
 fn restore_under_wrong_spec_is_refused() {
-    let spec = base_builder(23).build();
+    let spec = base_spec(23);
     let path = tmp("mismatch.hbnc");
     let mut session = Session::new(&spec);
     session.step_epoch().unwrap().unwrap();
     session.checkpoint().save(&path).unwrap();
 
-    let other = base_builder(24).build();
+    let other = base_spec(24);
     match Session::restore_from_file(&other, &path).map(|_| ()) {
         Err(RestoreError::SpecMismatch { expected, found }) => assert_ne!(expected, found),
         other => panic!("expected SpecMismatch, got {other:?}"),
@@ -173,12 +175,9 @@ fn unsupported_strategy_fails_the_save() {
         fn stats(&self) -> hbn_dynamic::DynamicStats {
             self.stats
         }
-        fn snapshot(&self) -> Box<dyn Strategy> {
-            Box::new(self.clone())
-        }
     }
 
-    let spec = base_builder(23).build();
+    let spec = base_spec(23);
     let mut session = Session::with_strategy(&spec, |net, _, _| {
         Box::new(Opaque {
             home: vec![net.processors()[0]],
@@ -198,7 +197,7 @@ fn unsupported_strategy_fails_the_save() {
 /// version, corrupt payload, missing file.
 #[test]
 fn foreign_files_are_rejected_by_kind() {
-    let spec = base_builder(23).build();
+    let spec = base_spec(23);
 
     let path = tmp("not_a_checkpoint.hbnc");
     std::fs::write(&path, b"definitely not a checkpoint frame").unwrap();
@@ -249,7 +248,7 @@ fn foreign_files_are_rejected_by_kind() {
 /// The bytes of a saved three-epoch checkpoint. Each caller passes its
 /// own `name`: tests run side by side and must not share a path.
 fn checkpoint_bytes(name: &str) -> Vec<u8> {
-    let spec = base_builder(23).build();
+    let spec = base_spec(23);
     let path = tmp(name);
     let mut session = Session::new(&spec);
     for _ in 0..3 {
@@ -266,7 +265,7 @@ proptest! {
     /// `Err` on restore — never a panic, never a silently wrong resume.
     #[test]
     fn any_single_byte_corruption_is_an_error(pos in 0usize..4096, flip in 1u8..=255) {
-        let spec = base_builder(23).build();
+        let spec = base_spec(23);
         let mut bytes = checkpoint_bytes("prop_flip_base.hbnc");
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
@@ -280,7 +279,7 @@ proptest! {
     /// Every truncation of a checkpoint file is an error.
     #[test]
     fn any_truncation_is_an_error(cut in 0usize..4096) {
-        let spec = base_builder(23).build();
+        let spec = base_spec(23);
         let bytes = checkpoint_bytes("prop_cut_base.hbnc");
         let cut = cut % bytes.len();
         let path = tmp(&format!("prop_cut_{cut}.hbnc"));
@@ -320,14 +319,8 @@ fn chunk_files(dir: &Path) -> Vec<PathBuf> {
 
 /// A service-style spec: no schedule, every epoch pushed.
 fn pushed_spec() -> ScenarioSpec {
-    ScenarioSpec::builder(
-        "pushed",
-        TopologyFamily::Balanced { branching: 2, height: 2 },
-        PhaseSchedule::new(PUSHED_OBJECTS as usize, vec![]),
-    )
-    .threshold(2)
-    .seed(5)
-    .build()
+    let topology = TopologyFamily::Balanced { branching: 2, height: 2 };
+    ScenarioSpec::new("pushed", topology, PhaseSchedule::new(PUSHED_OBJECTS as usize, vec![]), 2, 5)
 }
 
 /// Pushed epoch `i` of traffic stream `traffic`: three requests, about a
@@ -572,5 +565,86 @@ proptest! {
         let cut = cut % chunk.len();
         let restored = restore_with_chunk(&format!("chunk_cut_{cut}"), &chunk[..cut]);
         prop_assert!(restored.is_err(), "truncation at {} must not restore", cut);
+    }
+}
+
+// --- the v5 layout, pinned --------------------------------------------
+
+/// FNV-1a (64-bit) of `bytes`, continuing from `h`: the digest the golden
+/// values below were recorded with.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One of the five built-in policies, by its golden-table name. The
+/// period-8 policies fire at epoch 200, inside the golden fault plan's
+/// second outage; the threshold switch turns static at epoch 150, between
+/// its two outages.
+fn golden_policy(
+    policy: &str,
+    net: &hbn_topology::Network,
+    exec: &ExecutionConfig,
+    n: usize,
+) -> Box<dyn Strategy> {
+    match policy {
+        "dynamic" => StrategyKind::Dynamic.build(net, exec, n),
+        "periodic-static" => {
+            StrategyKind::PeriodicStatic { replace_every_epochs: 8 }.build(net, exec, n)
+        }
+        "hybrid" => StrategyKind::Hybrid { reseed_every_epochs: 8 }.build(net, exec, n),
+        "frozen-static" => Box::new(FrozenStatic::new(net, exec, n)),
+        "threshold-switch" => Box::new(ThresholdSwitch::new(net, exec, n, 0.0, 150)),
+        other => panic!("no golden policy {other}"),
+    }
+}
+
+/// Format v5, pinned byte for byte. For each built-in policy, pristine and
+/// under a seeded fault plan (bus outages at epoch 132 and at epochs
+/// 200-201), a 360-epoch run is digested twice: its final
+/// `Strategy::durable()` bytes, and the files of a checkpoint saved at
+/// the end (the frame and its one frozen history chunk, names and
+/// contents, so the spec fingerprint is pinned too). A change to either
+/// layout fails here unless it bumps `VERSION` and records the table anew.
+#[test]
+fn v5_layout_matches_golden_digests() {
+    const GOLDEN: [(&str, bool, u64, u64); 10] = [
+        ("dynamic", false, 0xffd9_62e1_187f_c917, 0x2bcd_4854_8023_842a),
+        ("dynamic", true, 0x60ec_25a3_7892_ea7e, 0x5d49_76ed_c534_9e1d),
+        ("periodic-static", false, 0x56b3_f504_7b1c_d8e0, 0x754e_4ed9_5e1f_3b8e),
+        ("periodic-static", true, 0x1544_1a9a_b550_2716, 0x8f8e_350c_4e62_30c4),
+        ("hybrid", false, 0x7482_5ed7_6455_07ca, 0xe8ea_1d58_62c9_84a7),
+        ("hybrid", true, 0x7085_a262_d626_c13d, 0x645b_b1b8_335e_200f),
+        ("frozen-static", false, 0x1f62_f2ed_0ed2_c78b, 0xf5c7_e6e4_eed0_f312),
+        ("frozen-static", true, 0x53b7_bdad_f2ea_c81c, 0xc4a9_8eb9_1f1a_c16d),
+        ("threshold-switch", false, 0x4168_6c6b_fdea_cf08, 0x17bd_9052_2e4d_65ca),
+        ("threshold-switch", true, 0xeffb_18ab_8135_ef02, 0x2f31_e1d6_2e4f_2ce4),
+    ];
+    for (policy, faulted, durable_digest, files_digest) in GOLDEN {
+        let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+        let mut spec = ScenarioSpec::new("golden", topology, full_tour(8, 120), 2, 41);
+        spec.epoch_requests = 2; // 6 phases of 60 epochs
+        if faulted {
+            spec.faults = FaultPlan::seeded(&spec.build_network(), 16, 360);
+        }
+        let mut session =
+            Session::with_strategy(&spec, |net, exec, n| golden_policy(policy, net, exec, n));
+        while session.step_epoch().unwrap().is_some() {}
+        assert_eq!(session.epoch_index(), 360);
+        let durable = session.strategy().durable().unwrap();
+        assert_eq!(fnv1a(FNV_OFFSET, &durable), durable_digest, "{policy}, faulted {faulted}");
+
+        let dir = fresh_dir(&format!("golden_{policy}_{faulted}"));
+        session.checkpoint().save(&dir.join("run.hbnc")).unwrap();
+        let mut files: Vec<PathBuf> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        files.sort();
+        assert_eq!(files.len(), 2, "{policy}: one frame and one chunk file");
+        let saved = files.iter().fold(FNV_OFFSET, |h, path| {
+            let name = path.file_name().unwrap().to_str().unwrap();
+            fnv1a(fnv1a(h, name.as_bytes()), &std::fs::read(path).unwrap())
+        });
+        assert_eq!(saved, files_digest, "{policy}, faulted {faulted}: saved checkpoint files");
     }
 }

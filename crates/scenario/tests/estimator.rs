@@ -7,8 +7,7 @@
 //! vacuity.
 
 use hbn_scenario::{
-    run_scenario, FaultPlan, ReplayKernel, ScenarioSpec, ScenarioSpecBuilder, Session,
-    StrategyKind, TopologyFamily,
+    run_scenario, FaultPlan, ReplayKernel, ScenarioSpec, Session, StrategyKind, TopologyFamily,
 };
 use hbn_testutil::family_schedules;
 use hbn_workload::phases::full_tour;
@@ -22,17 +21,16 @@ fn topologies() -> Vec<TopologyFamily> {
     ]
 }
 
-fn estimate_builder(
+fn estimate_spec(
     name: &str,
     topology: TopologyFamily,
     schedule: hbn_workload::PhaseSchedule,
     sample_every: usize,
-) -> ScenarioSpecBuilder {
-    ScenarioSpec::builder(name, topology, schedule)
-        .threshold(2)
-        .seed(17)
-        .epoch_requests(60)
-        .replay_kernel(ReplayKernel::Estimate { sample_every })
+) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::new(name, topology, schedule, 2, 17);
+    spec.epoch_requests = 60;
+    spec.exec.replay = ReplayKernel::Estimate { sample_every };
+    spec
 }
 
 /// All six phase families × the topology matrix, with every epoch
@@ -42,7 +40,7 @@ fn estimate_builder(
 fn bounds_bracket_exact_on_all_families_and_topologies() {
     for topology in topologies() {
         for (family, schedule) in family_schedules(8, 120, 240) {
-            let spec = estimate_builder(family, topology, schedule, 1).build();
+            let spec = estimate_spec(family, topology, schedule, 1);
             let report = run_scenario(&spec);
             assert_eq!(report.estimated_epochs, report.epochs.len(), "{family}@{topology}");
             assert_eq!(report.estimate_violations, 0, "{family}@{topology}");
@@ -68,7 +66,7 @@ fn bounds_bracket_exact_on_all_families_and_topologies() {
 #[test]
 fn sampled_epochs_match_the_workspace_kernel() {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
-    let est_spec = estimate_builder("parity", topology, full_tour(8, 150), 1).build();
+    let est_spec = estimate_spec("parity", topology, full_tour(8, 150), 1);
     let mut ws_spec = est_spec.clone();
     ws_spec.exec.replay = ReplayKernel::Workspace;
     let est = run_scenario(&est_spec);
@@ -95,9 +93,10 @@ fn bounds_bracket_under_faults() {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
     let net = topology.build();
     let bus = net.children(net.root())[0];
-    let spec = estimate_builder("faulted", topology, full_tour(8, 150), 1)
-        .faults(FaultPlan::default().degrade(1, bus, 4).down(3, bus).restore(5, bus))
-        .build();
+    let spec = ScenarioSpec {
+        faults: FaultPlan::default().degrade(1, bus, 4).down(3, bus).restore(5, bus),
+        ..estimate_spec("faulted", topology, full_tour(8, 150), 1)
+    };
     let report = run_scenario(&spec);
     assert!(report.epochs.iter().any(|e| e.buses_down > 0), "the outage must hit");
     assert_eq!(report.estimate_violations, 0);
@@ -111,13 +110,12 @@ fn bounds_bracket_under_faults() {
 /// `{0, 0}`, the gap ratio is finite, nothing panics.
 #[test]
 fn zero_request_epoch_estimates_zero() {
-    let spec = estimate_builder(
+    let spec = estimate_spec(
         "empty",
         TopologyFamily::Star { processors: 4, bus_bandwidth: 2 },
         full_tour(4, 30),
         1,
-    )
-    .build();
+    );
     let mut session = Session::new(&spec);
     let epoch = session.push_epoch(&[]).unwrap();
     assert_eq!(epoch.traffic.requests, 0);
@@ -135,13 +133,12 @@ fn zero_request_epoch_estimates_zero() {
 /// priced, none replayed, and the unsampled epochs report zero makespan.
 #[test]
 fn unsampled_mode_never_replays() {
-    let spec = estimate_builder(
+    let spec = estimate_spec(
         "unsampled",
         TopologyFamily::Caterpillar { spine: 3, legs: 2 },
         full_tour(6, 120),
         0,
-    )
-    .build();
+    );
     let report = run_scenario(&spec);
     assert_eq!(report.estimated_epochs, report.epochs.len());
     assert_eq!(report.total_makespan, 0);
@@ -159,13 +156,12 @@ fn unsampled_mode_never_replays() {
 /// gap past this pin, it has to justify moving the number.
 #[test]
 fn gap_ratio_regression() {
-    let spec = estimate_builder(
+    let spec = estimate_spec(
         "tightness",
         TopologyFamily::Balanced { branching: 3, height: 2 },
         full_tour(10, 300),
         1,
-    )
-    .build();
+    );
     let report = run_scenario(&spec);
     assert_eq!(report.estimate_violations, 0);
     let gap = report.estimate_gap.unwrap();
@@ -196,17 +192,13 @@ proptest! {
             1 => StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
             _ => StrategyKind::Hybrid { reseed_every_epochs: 2 },
         };
-        let spec = ScenarioSpec::builder(
-            "prop",
-            TopologyFamily::Balanced { branching, height: 2 },
-            full_tour(6, 120),
-        )
-        .threshold(2)
-        .seed(seed)
-        .epoch_requests(epoch_requests)
-        .strategy(strategy)
-        .replay_kernel(ReplayKernel::Estimate { sample_every })
-        .build();
+        let topology = TopologyFamily::Balanced { branching, height: 2 };
+        let mut spec = ScenarioSpec {
+            strategy,
+            epoch_requests,
+            ..ScenarioSpec::new("prop", topology, full_tour(6, 120), 2, seed)
+        };
+        spec.exec.replay = ReplayKernel::Estimate { sample_every };
         let report = run_scenario(&spec);
         prop_assert_eq!(report.estimate_violations, 0);
         prop_assert_eq!(report.estimated_epochs, report.epochs.len());

@@ -2,30 +2,30 @@
 //! traffic under a mid-run root-adjacent bus outage, repair traffic
 //! charged exactly like migration, and bit-parity of the empty plan.
 
+use hbn_core::PlacementKernel;
 use hbn_dynamic::OnlineRequest;
+use hbn_load::{LoadMap, NearestCopies};
 use hbn_scenario::{
-    run_scenario, run_scenario_with, FaultPlan, FrozenStatic, ScenarioSpec, ScenarioSpecBuilder,
-    Session, StrategyKind, ThresholdSwitch, TopologyFamily,
+    charged_migration, run_scenario, run_scenario_with, DynamicStrategy, ExecutionConfig,
+    FaultPlan, FrozenStatic, HybridReseed, PeriodicStatic, ScenarioSpec, Session, Strategy,
+    StrategyKind, ThresholdSwitch, TopologyFamily,
 };
 use hbn_testutil::family_schedules;
 use hbn_topology::{Network, NodeId};
-use hbn_workload::ObjectId;
+use hbn_workload::{AccessMatrix, ObjectId};
 
 const D: u64 = 2;
 
 /// The hotspot-migration scenario of the acceptance criterion: a
 /// warm-up phase plus a migrating-hotspot phase on a three-level
 /// balanced tree, 8 epochs of 40 requests.
-fn hotspot_builder(seed: u64) -> ScenarioSpecBuilder {
+fn hotspot_spec(seed: u64) -> ScenarioSpec {
     let (_, schedule) = family_schedules(8, 80, 240).swap_remove(1);
-    ScenarioSpec::builder(
-        "hotspot-outage",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        schedule,
-    )
-    .threshold(D)
-    .seed(seed)
-    .epoch_requests(40)
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    ScenarioSpec {
+        epoch_requests: 40,
+        ..ScenarioSpec::new("hotspot-outage", topology, schedule, D, seed)
+    }
 }
 
 /// A root-adjacent bus of the spec's topology (the outage target the
@@ -49,17 +49,17 @@ fn all_builtin_strategies() -> Vec<StrategyKind> {
 /// traffic is exactly `repairs × D`, and the outage epochs are marked.
 #[test]
 fn mid_run_outage_completes_under_every_strategy_with_no_lost_requests() {
-    let net = hotspot_builder(41).build().topology.build();
+    let net = hotspot_spec(41).topology.build();
     let bus = root_adjacent_bus(&net);
     let plan = FaultPlan::single_outage(bus, 3, 5);
 
     let mut reports = Vec::new();
     for strategy in all_builtin_strategies() {
-        let spec = hotspot_builder(41).strategy(strategy).faults(plan.clone()).build();
+        let spec = ScenarioSpec { strategy, faults: plan.clone(), ..hotspot_spec(41) };
         reports.push(run_scenario(&spec));
     }
     // The trait-only strategies go through the same acceptance bar.
-    let spec = hotspot_builder(41).faults(plan.clone()).build();
+    let spec = ScenarioSpec { faults: plan.clone(), ..hotspot_spec(41) };
     reports
         .push(run_scenario_with(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n))));
     reports.push(run_scenario_with(&spec, |net, exec, n| {
@@ -100,17 +100,14 @@ fn mid_run_outage_completes_under_every_strategy_with_no_lost_requests() {
 /// dead subtree, whatever its period, while `FrozenStatic` only heals.
 #[test]
 fn outage_refit_separates_periodic_static_inf_from_frozen_static() {
-    let net = hotspot_builder(41).build().topology.build();
+    let net = hotspot_spec(41).topology.build();
     let plan = FaultPlan::single_outage(root_adjacent_bus(&net), 3, 5);
-    let inf = run_scenario(
-        &hotspot_builder(41)
-            .strategy(StrategyKind::PeriodicStatic { replace_every_epochs: 0 })
-            .faults(plan.clone())
-            .build(),
-    );
-    let frozen = run_scenario_with(&hotspot_builder(41).faults(plan).build(), |net, exec, n| {
-        Box::new(FrozenStatic::new(net, exec, n))
+    let spec = ScenarioSpec { faults: plan, ..hotspot_spec(41) };
+    let inf = run_scenario(&ScenarioSpec {
+        strategy: StrategyKind::PeriodicStatic { replace_every_epochs: 0 },
+        ..spec.clone()
     });
+    let frozen = run_scenario_with(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n)));
     assert_eq!(inf.strategy, "periodic-static(inf)");
     assert_eq!(frozen.strategy, "frozen-static");
     assert_eq!(inf.epochs[..3], frozen.epochs[..3], "equal until the outage");
@@ -125,14 +122,14 @@ fn outage_refit_separates_periodic_static_inf_from_frozen_static() {
 /// both for hand-written and for seeded random plans.
 #[test]
 fn fault_runs_are_deterministic() {
-    let net = hotspot_builder(7).build().topology.build();
+    let net = hotspot_spec(7).topology.build();
 
     let seeded_a = FaultPlan::seeded(&net, 99, 8);
     let seeded_b = FaultPlan::seeded(&net, 99, 8);
     assert_eq!(seeded_a, seeded_b, "seeded plans are a pure function of (net, seed)");
 
     for plan in [FaultPlan::single_outage(root_adjacent_bus(&net), 2, 4), seeded_a] {
-        let spec = hotspot_builder(7).faults(plan).build();
+        let spec = ScenarioSpec { faults: plan, ..hotspot_spec(7) };
         let a = run_scenario(&spec);
         let b = run_scenario(&spec);
         assert_eq!(a, b);
@@ -144,13 +141,13 @@ fn fault_runs_are_deterministic() {
 /// all lie beyond the end of the run.
 #[test]
 fn empty_and_out_of_range_plans_are_bit_for_bit_inert() {
-    let baseline = run_scenario(&hotspot_builder(13).build());
+    let baseline = run_scenario(&hotspot_spec(13));
     assert_eq!(baseline.recovery_epochs, None, "no fault, no recovery time");
 
-    let net = hotspot_builder(13).build().topology.build();
+    let net = hotspot_spec(13).topology.build();
     let bus = root_adjacent_bus(&net);
     for plan in [FaultPlan::none(), FaultPlan::single_outage(bus, 100, 102)] {
-        let report = run_scenario(&hotspot_builder(13).faults(plan).build());
+        let report = run_scenario(&ScenarioSpec { faults: plan, ..hotspot_spec(13) });
         assert_eq!(report, baseline);
     }
 }
@@ -160,10 +157,10 @@ fn empty_and_out_of_range_plans_are_bit_for_bit_inert() {
 /// down marks, and the run still serves everything.
 #[test]
 fn degradation_slows_but_strands_nothing() {
-    let net = hotspot_builder(17).build().topology.build();
+    let net = hotspot_spec(17).topology.build();
     let bus = root_adjacent_bus(&net);
     let plan = FaultPlan::default().degrade(2, bus, 4).restore(6, bus);
-    let report = run_scenario(&hotspot_builder(17).faults(plan).build());
+    let report = run_scenario(&ScenarioSpec { faults: plan, ..hotspot_spec(17) });
     assert_eq!(report.traffic.requests, 320);
     assert_eq!(report.traffic.repairs, 0, "degradation is not an outage: nothing to heal");
     for (e, epoch) in report.epochs.iter().enumerate() {
@@ -173,7 +170,7 @@ fn degradation_slows_but_strands_nothing() {
     // Congestion is normalized against *effective* capacity, so the
     // degraded epochs report elevated online congestion whenever the
     // degraded bus carries load.
-    let clean = run_scenario(&hotspot_builder(17).build());
+    let clean = run_scenario(&hotspot_spec(17));
     for e in 2..6 {
         assert!(
             report.epochs[e].online_congestion >= clean.epochs[e].online_congestion,
@@ -197,15 +194,11 @@ fn dynamic_self_healing_evacuates_stranded_copy_sets() {
     assert!(!stranded.is_empty());
 
     let (_, schedule) = family_schedules(4, 40, 40).swap_remove(0);
-    let spec = ScenarioSpec::builder(
-        "heal-micro",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        schedule,
-    )
-    .threshold(D)
-    .seed(3)
-    .faults(FaultPlan::default().down(2, bus))
-    .build();
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    let spec = ScenarioSpec {
+        faults: FaultPlan::default().down(2, bus),
+        ..ScenarioSpec::new("heal-micro", topology, schedule, D, 3)
+    };
 
     let mut session = Session::new(&spec);
     // Two pushed epochs of subtree-only traffic: a write pins each
@@ -266,16 +259,12 @@ fn static_self_healing_reroots_stranded_placements() {
         spec_net.processors().iter().copied().filter(|&p| spec_net.is_ancestor(bus, p)).collect();
 
     let (_, schedule) = family_schedules(4, 40, 40).swap_remove(0);
-    let spec = ScenarioSpec::builder(
-        "heal-static-micro",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        schedule,
-    )
-    .strategy(StrategyKind::PeriodicStatic { replace_every_epochs: 1 })
-    .threshold(D)
-    .seed(3)
-    .faults(FaultPlan::default().down(2, bus))
-    .build();
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    let spec = ScenarioSpec {
+        strategy: StrategyKind::PeriodicStatic { replace_every_epochs: 1 },
+        faults: FaultPlan::default().down(2, bus),
+        ..ScenarioSpec::new("heal-static-micro", topology, schedule, D, 3)
+    };
 
     let mut session = Session::new(&spec);
     // Two epochs of subtree-only traffic; every boundary re-fits the
@@ -317,12 +306,12 @@ fn static_self_healing_reroots_stranded_placements() {
 /// baseline, `recovery_epochs` records the distance.
 #[test]
 fn recovery_time_is_reported_after_the_outage_clears() {
-    let net = hotspot_builder(41).build().topology.build();
+    let net = hotspot_spec(41).topology.build();
     let bus = root_adjacent_bus(&net);
     // A short early outage with a long pristine tail: the run has ample
     // room to settle back to baseline.
     let plan = FaultPlan::single_outage(bus, 2, 3);
-    let report = run_scenario(&hotspot_builder(41).faults(plan).build());
+    let report = run_scenario(&ScenarioSpec { faults: plan, ..hotspot_spec(41) });
     if let Some(k) = report.recovery_epochs {
         let baseline = report.epochs[..2].iter().map(|e| e.online_congestion).max().unwrap();
         let recovered = &report.epochs[2 + k as usize];
@@ -330,7 +319,160 @@ fn recovery_time_is_reported_after_the_outage_clears() {
         assert!(recovered.online_congestion <= baseline);
     }
     // Determinism of the field itself.
-    let again =
-        run_scenario(&hotspot_builder(41).faults(FaultPlan::single_outage(bus, 2, 3)).build());
+    let again = run_scenario(&ScenarioSpec {
+        faults: FaultPlan::single_outage(bus, 2, 3),
+        ..hotspot_spec(41)
+    });
     assert_eq!(report.recovery_epochs, again.recovery_epochs);
+}
+
+// --- the outage rule inside re-placement and re-seeding ---------------
+
+/// The outage micro-instance driven strategy by strategy: a
+/// root-adjacent bus of `balanced(3,2)` goes down at epoch 1. In epoch 0
+/// object 0 is read from one processor under that bus and one outside
+/// it, and object 1 only from under it. Returns the network, the bus
+/// and epoch 0's trace.
+fn outage_instance() -> (Network, NodeId, Vec<OnlineRequest>) {
+    let net = TopologyFamily::Balanced { branching: 3, height: 2 }.build();
+    let bus = root_adjacent_bus(&net);
+    let (doomed, live): (Vec<NodeId>, Vec<NodeId>) =
+        net.processors().iter().partition(|&&p| net.is_ancestor(bus, p));
+    let read = |processor, x| OnlineRequest { processor, object: ObjectId(x), is_write: false };
+    let trace =
+        (0..12).flat_map(|_| [read(doomed[0], 0), read(live[0], 0), read(doomed[1], 1)]).collect();
+    (net, bus, trace)
+}
+
+/// The access matrix of `trace` over `n_objects` objects.
+fn matrix_of(n_objects: usize, trace: &[OnlineRequest]) -> AccessMatrix {
+    let mut matrix = AccessMatrix::new(n_objects);
+    for r in trace {
+        matrix.add(r.processor, r.object, u64::from(!r.is_write), u64::from(r.is_write));
+    }
+    matrix
+}
+
+/// The total load `strategy` has charged so far.
+fn charged_total(net: &Network, strategy: &dyn Strategy) -> u64 {
+    let mut loads = LoadMap::zero(net);
+    strategy.add_loads_to(&mut loads);
+    loads.total()
+}
+
+/// Copies of `from` that `to` does not keep.
+fn dropped(from: &[NodeId], to: &[NodeId]) -> u64 {
+    from.iter().filter(|v| !to.contains(v)).count() as u64
+}
+
+fn sorted(nodes: &[NodeId]) -> Vec<NodeId> {
+    let mut nodes = nodes.to_vec();
+    nodes.sort_unstable();
+    nodes
+}
+
+/// A hybrid re-seed inside an outage seeds only the live part of a
+/// stranded nibble set, and an object whose nibble set is stranded
+/// wholly keeps what the heal left it, exactly as a policy that never
+/// re-seeds does. Collapses and replications match the transfers
+/// charged.
+#[test]
+fn hybrid_reseed_under_an_outage_seeds_only_the_live_part() {
+    let (net, bus, trace) = outage_instance();
+    let exec = ExecutionConfig { threshold: D, ..ExecutionConfig::default() };
+    let plan = FaultPlan::default().down(1, bus);
+    let observed = matrix_of(2, &trace);
+    let mut hybrid = HybridReseed::new(&net, &exec, 2, 1);
+    let mut dynamic = DynamicStrategy::new(&net, &exec, 2);
+    for strategy in [&mut hybrid as &mut dyn Strategy, &mut dynamic] {
+        strategy.begin_epoch(&net, 0, &AccessMatrix::new(2), &plan.fault_view(&net, 0));
+        strategy.serve_batch(&net, &trace, &observed);
+    }
+
+    let view = plan.fault_view(&net, 1);
+    let stranded = |v: &NodeId| view.stranded[v.index()];
+    let live_part = |nodes: &[NodeId]| -> Vec<NodeId> {
+        nodes.iter().copied().filter(|v| !stranded(v)).collect()
+    };
+    let held: Vec<Vec<NodeId>> = (0..2).map(|x| hybrid.copy_set(ObjectId(x)).to_vec()).collect();
+    let mut kernel = PlacementKernel::new(&net);
+    let seeds: Vec<Vec<NodeId>> =
+        (0..2).map(|x| kernel.nibble_copies(&net, &observed, ObjectId(x)).to_vec()).collect();
+    for nodes in [&held[0], &seeds[0]] {
+        assert!(nodes.iter().any(stranded) && !nodes.iter().all(stranded), "{nodes:?}");
+    }
+    for nodes in [&held[1], &seeds[1]] {
+        assert!(nodes.iter().all(stranded), "{nodes:?}");
+    }
+
+    let (before, charged_before) = (hybrid.stats(), charged_total(&net, &hybrid));
+    hybrid.begin_epoch(&net, 1, &observed, &view);
+    dynamic.begin_epoch(&net, 1, &observed, &view);
+    let live_seed = live_part(&seeds[0]);
+    assert_eq!(sorted(hybrid.copy_set(ObjectId(0))), sorted(&live_seed));
+    let harbor = dynamic.copy_set(ObjectId(1));
+    assert_eq!(hybrid.copy_set(ObjectId(1)), harbor, "a wholly stranded seed is skipped");
+    assert!(!harbor.iter().any(stranded));
+
+    // The heal drops object 0's stranded copies and re-homes object 1;
+    // the re-seed then moves object 0 from its healed set to its live seed.
+    let healed = live_part(&held[0]);
+    let mut loads = LoadMap::zero(&net);
+    let mut sweep = NearestCopies::new(net.n_nodes());
+    let repairs = charged_migration(&net, &held[1], harbor, D, &mut loads, &mut sweep);
+    let seeding = charged_migration(&net, &healed, &live_seed, D, &mut loads, &mut sweep);
+    let after = hybrid.stats();
+    assert!(repairs > 0);
+    assert_eq!(after.repairs - before.repairs, repairs);
+    assert_eq!(after.replications - before.replications, repairs + seeding);
+    assert_eq!(charged_total(&net, &hybrid) - charged_before, (repairs + seeding) * D);
+    assert_eq!(
+        after.collapses - before.collapses,
+        dropped(&held[0], &healed) + dropped(&held[1], harbor) + dropped(&healed, &live_seed)
+    );
+}
+
+/// `PeriodicStatic`'s outage re-placement lands no copy on a stranded
+/// node: the fresh placement keeps its live copies, and a set stranded
+/// wholly moves to the live processor nearest it.
+#[test]
+fn periodic_static_outage_replacement_avoids_stranded_nodes() {
+    let (net, bus, trace) = outage_instance();
+    let exec = ExecutionConfig { threshold: D, ..ExecutionConfig::default() };
+    let plan = FaultPlan::default().down(1, bus);
+    let observed = matrix_of(2, &trace);
+    // Never on schedule: only the outage re-places.
+    let mut periodic = PeriodicStatic::new(&net, &exec, 2, 0);
+    periodic.begin_epoch(&net, 0, &AccessMatrix::new(2), &plan.fault_view(&net, 0));
+    periodic.serve_batch(&net, &trace, &observed);
+
+    let view = plan.fault_view(&net, 1);
+    let stranded = |v: &NodeId| view.stranded[v.index()];
+    let fresh = PlacementKernel::new(&net).place(&net, &observed).unwrap();
+    let (partly, wholly) = (fresh.copies(ObjectId(0)), fresh.copies(ObjectId(1)));
+    assert!(partly.iter().any(stranded) && !partly.iter().all(stranded), "{partly:?}");
+    assert!(wholly.iter().all(stranded), "{wholly:?}");
+
+    let (before, charged_before) = (periodic.stats(), charged_total(&net, &periodic));
+    periodic.begin_epoch(&net, 1, &observed, &view);
+    for x in 0..2 {
+        let copies = periodic.copy_set(ObjectId(x));
+        assert!(!copies.is_empty() && !copies.iter().any(stranded), "object {x}: {copies:?}");
+    }
+    let live: Vec<NodeId> = partly.iter().copied().filter(|v| !stranded(v)).collect();
+    assert_eq!(periodic.copy_set(ObjectId(0)), &live[..]);
+    let nearest = net
+        .processors()
+        .iter()
+        .copied()
+        .filter(|p| !stranded(p))
+        .min_by_key(|&p| (net.distance(wholly[0], p), p.0))
+        .unwrap();
+    assert_eq!(periodic.copy_set(ObjectId(1)), &[nearest]);
+    let after = periodic.stats();
+    assert!(after.replications > before.replications);
+    assert_eq!(
+        charged_total(&net, &periodic) - charged_before,
+        (after.replications - before.replications) * D
+    );
 }

@@ -514,17 +514,13 @@ fn session_backed_engine_matches_legacy_engine_everywhere() {
         for topology in topologies() {
             for strategy in strategies() {
                 for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
-                    let spec = ScenarioSpec::builder(
-                        format!("parity-{family}"),
-                        topology,
-                        schedule.clone(),
-                    )
-                    .threshold(2)
-                    .seed(97)
-                    .epoch_requests(40)
-                    .strategy(strategy)
-                    .serve_kernel(serve)
-                    .build();
+                    let name = format!("parity-{family}");
+                    let mut spec = ScenarioSpec {
+                        strategy,
+                        epoch_requests: 40,
+                        ..ScenarioSpec::new(name, topology, schedule.clone(), 2, 97)
+                    };
+                    spec.exec.serve = serve;
                     // The frozen legacy engine predates per-tenant
                     // attribution; attribution is additive bookkeeping
                     // that touches no other report field (the
@@ -548,12 +544,12 @@ fn session_backed_engine_matches_legacy_engine_everywhere() {
 #[test]
 fn session_backed_engine_matches_legacy_under_reference_replay() {
     let (family, schedule) = family_schedules(10, 40, 160).swap_remove(1);
-    let spec = ScenarioSpec::builder(format!("parity-{family}"), topologies()[0], schedule)
-        .threshold(2)
-        .seed(13)
-        .epoch_requests(40)
-        .strategy(StrategyKind::Hybrid { reseed_every_epochs: 2 })
-        .replay_kernel(hbn_scenario::ReplayKernel::Reference)
-        .build();
+    let name = format!("parity-{family}");
+    let mut spec = ScenarioSpec {
+        strategy: StrategyKind::Hybrid { reseed_every_epochs: 2 },
+        epoch_requests: 40,
+        ..ScenarioSpec::new(name, topologies()[0], schedule, 2, 13)
+    };
+    spec.exec.replay = hbn_scenario::ReplayKernel::Reference;
     assert_eq!(run_scenario(&spec), legacy_run_scenario(&spec));
 }

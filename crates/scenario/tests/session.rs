@@ -10,15 +10,11 @@ use hbn_scenario::{
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
 
 fn base_spec(seed: u64) -> ScenarioSpec {
-    ScenarioSpec::builder(
-        "session",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        full_tour(8, 120),
-    )
-    .threshold(2)
-    .seed(seed)
-    .epoch_requests(40)
-    .build()
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    ScenarioSpec {
+        epoch_requests: 40,
+        ..ScenarioSpec::new("session", topology, full_tour(8, 120), 2, seed)
+    }
 }
 
 fn assert_reports_equal_modulo_label(a: &ScenarioReport, b: &ScenarioReport) {
@@ -208,16 +204,12 @@ fn pushed_epoch_matches_scheduled_epoch_with_same_trace() {
     for strategy in
         [StrategyKind::Dynamic, StrategyKind::PeriodicStatic { replace_every_epochs: 1 }]
     {
-        let spec = ScenarioSpec::builder(
-            "push",
-            TopologyFamily::Star { processors: 6, bus_bandwidth: 3 },
-            schedule.clone(),
-        )
-        .strategy(strategy)
-        .threshold(2)
-        .seed(11)
-        .epoch_requests(100)
-        .build();
+        let topology = TopologyFamily::Star { processors: 6, bus_bandwidth: 3 };
+        let spec = ScenarioSpec {
+            strategy,
+            epoch_requests: 100,
+            ..ScenarioSpec::new("push", topology, schedule.clone(), 2, 11)
+        };
 
         // Scheduled: the single phase runs as four epochs.
         let mut scheduled = Session::new(&spec);
@@ -302,15 +294,9 @@ fn tenant_loads_sum_to_the_policy_loads() {
             3_000,
         )],
     );
-    let spec = ScenarioSpec::builder(
-        "tenants",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        schedule,
-    )
-    .threshold(2)
-    .seed(5)
-    .epoch_requests(250)
-    .build();
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    let mut spec = ScenarioSpec::new("tenants", topology, schedule, 2, 5);
+    spec.epoch_requests = 250;
     let mut session =
         Session::with_strategy(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n)));
     let mut epochs = 0;

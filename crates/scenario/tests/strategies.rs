@@ -25,15 +25,11 @@ use hbn_workload::AccessMatrix;
 use proptest::prelude::*;
 
 fn base_spec(seed: u64, epoch_requests: usize) -> ScenarioSpec {
-    ScenarioSpec::builder(
-        "strategies",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        full_tour(8, 120),
-    )
-    .threshold(2)
-    .seed(seed)
-    .epoch_requests(epoch_requests)
-    .build()
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    ScenarioSpec {
+        epoch_requests,
+        ..ScenarioSpec::new("strategies", topology, full_tour(8, 120), 2, seed)
+    }
 }
 
 /// Compare two reports up to the strategy label (which legitimately
@@ -271,16 +267,12 @@ fn periodic_static_migrates_when_the_working_set_moves() {
     // Hotspot migration moves the hot set between processor clusters;
     // a re-optimizing static strategy must pay migration traffic.
     let (_, schedule) = family_schedules(12, 60, 600).swap_remove(1);
-    let spec = ScenarioSpec::builder(
-        "hotspot-static",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        schedule,
-    )
-    .threshold(2)
-    .seed(3)
-    .epoch_requests(60)
-    .strategy(StrategyKind::PeriodicStatic { replace_every_epochs: 2 })
-    .build();
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    let spec = ScenarioSpec {
+        strategy: StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
+        epoch_requests: 60,
+        ..ScenarioSpec::new("hotspot-static", topology, schedule, 2, 3)
+    };
     let report = run_scenario(&spec);
     assert!(
         report.stats.replications > 0,
@@ -295,15 +287,9 @@ fn periodic_static_migrates_when_the_working_set_moves() {
 #[test]
 fn threshold_switch_fires_on_write_heavy_traffic() {
     let (_, schedule) = family_schedules(12, 60, 600).swap_remove(5); // single-bus-saturation, 50% writes
-    let spec = ScenarioSpec::builder(
-        "switchy",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        schedule,
-    )
-    .threshold(2)
-    .seed(8)
-    .epoch_requests(60)
-    .build();
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    let mut spec = ScenarioSpec::new("switchy", topology, schedule, 2, 8);
+    spec.epoch_requests = 60;
     let report = run_scenario_with(&spec, |net, exec, n| {
         Box::new(ThresholdSwitch::new(net, exec, n, 0.2, 3))
     });

@@ -57,14 +57,9 @@ fn warm_push(max_objects: usize, replay: ReplayKernel) -> (u64, u64) {
             1_000,
         )],
     );
-    let spec = ScenarioSpec::builder(
-        "warm-push",
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        schedule,
-    )
-    .threshold(2)
-    .replay_kernel(replay)
-    .build();
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    let mut spec = ScenarioSpec::new("warm-push", topology, schedule, 2, 0);
+    spec.exec.replay = replay;
     let mut session =
         Session::with_strategy(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n)));
     let p = session.network().processors().to_vec();

@@ -34,13 +34,8 @@
 //! let dir = std::env::temp_dir().join(format!("hbn_server_doc_{}", std::process::id()));
 //! let server = Server::new(ServerConfig::new(&dir)).unwrap();
 //! // A tenant serves pushed traffic only: empty schedule, 8 objects.
-//! let spec = ScenarioSpec::builder(
-//!     "tenant-a",
-//!     TopologyFamily::Star { processors: 4, bus_bandwidth: 2 },
-//!     PhaseSchedule::new(8, vec![]),
-//! )
-//! .threshold(2)
-//! .build();
+//! let topology = TopologyFamily::Star { processors: 4, bus_bandwidth: 2 };
+//! let spec = ScenarioSpec::new("tenant-a", topology, PhaseSchedule::new(8, vec![]), 2, 0);
 //! server.add_tenant(spec);
 //!
 //! // Request addresses come from the tenant's own topology.

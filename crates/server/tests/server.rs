@@ -19,8 +19,13 @@ use hbn_workload::{ObjectId, PhaseSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// An empty directory of this test process's own: the target's temp dir
+/// is shared by every `cargo test` run of the target dir (debug and
+/// release alike), so the process id keeps concurrent runs apart.
 fn tmp(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("server-{}", std::process::id()))
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -29,29 +34,15 @@ fn tmp(name: &str) -> PathBuf {
 const OBJECTS: usize = 8;
 
 fn tenant_spec(name: &str) -> ScenarioSpec {
-    ScenarioSpec::builder(
-        name,
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        PhaseSchedule::new(OBJECTS, vec![]),
-    )
-    .threshold(2)
-    .seed(7)
-    .build()
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    ScenarioSpec::new(name, topology, PhaseSchedule::new(OBJECTS, vec![]), 2, 7)
 }
 
 /// A spec whose fault plan takes a bus down across epochs 2..4.
 fn faulty_spec(name: &str) -> ScenarioSpec {
     let net = TopologyFamily::Balanced { branching: 3, height: 2 }.build();
     let bus = *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).unwrap();
-    ScenarioSpec::builder(
-        name,
-        TopologyFamily::Balanced { branching: 3, height: 2 },
-        PhaseSchedule::new(OBJECTS, vec![]),
-    )
-    .threshold(2)
-    .seed(7)
-    .faults(FaultPlan::single_outage(bus, 2, 4))
-    .build()
+    ScenarioSpec { faults: FaultPlan::single_outage(bus, 2, 4), ..tenant_spec(name) }
 }
 
 fn batch(procs: &[NodeId], seed: u64, len: usize) -> Vec<OnlineRequest> {
