@@ -4,12 +4,14 @@
 //! Where `exp_server_load` drives its recovery drills deterministically
 //! (cadence disabled, `checkpoint_now`/`recover_now` explicit), this
 //! harness leaves the real supervisor in charge: a fast watchdog
-//! cadence snapshots the tenant in the background while a client keeps
-//! the ingest queue non-empty, the worker is killed mid-run under an
-//! active fault-plan outage with jobs still queued behind the crash,
-//! and the watchdog alone detects the dead worker, restores the last
-//! durable checkpoint, replays the journal tail, reconciles the
-//! in-flight job, and respawns the worker.
+//! cadence journals the tenant's served batches to disk in the
+//! background (a full frame only when the journal has outgrown the
+//! newest one) while a client keeps the ingest queue non-empty, the
+//! worker is killed mid-run under an active fault-plan outage with jobs
+//! still queued behind the crash, and the watchdog alone detects the
+//! dead worker, restores the newest frame, replays the journal from
+//! disk and the epochs not yet synced, reconciles the in-flight job, and
+//! respawns the worker.
 //!
 //! For every built-in strategy kind the final tenant report must equal
 //! an unbroken twin session bit for bit — a mismatch exits non-zero.

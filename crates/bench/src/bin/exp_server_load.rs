@@ -166,7 +166,9 @@ fn drive_tenant(server: &Server, tenant: &str, outstanding: usize, seed: u64) ->
 /// Phase 1, one offered-load window: the tenants' metrics summed into
 /// one, the client-side retries, and the window's wall-clock seconds.
 fn load_window(window: &str, outstanding: usize) -> (TenantMetrics, usize, f64) {
-    let server = Server::new(load_cfg(window)).expect("scratch checkpoint dir");
+    let cfg = load_cfg(window);
+    let dir = cfg.checkpoint_dir.clone();
+    let server = Server::new(cfg).expect("scratch checkpoint dir");
     for (i, name) in TENANTS.iter().enumerate() {
         server.add_tenant(tenant_spec(name, 9000 + i as u64));
     }
@@ -195,6 +197,7 @@ fn load_window(window: &str, outstanding: usize) -> (TenantMetrics, usize, f64) 
         total.ingest_micros.extend(m.ingest_micros);
     }
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
     (total, retries, wall)
 }
 
@@ -224,6 +227,7 @@ fn recovery_drills(t: &mut Table) -> (Vec<Obj>, Vec<u64>) {
         // and checkpoint/recover are driven explicitly.
         let mut cfg = load_cfg(&format!("drill{drill}"));
         cfg.watchdog_poll = Duration::from_secs(3600);
+        let dir = cfg.checkpoint_dir.clone();
         let server = Server::new(cfg).expect("scratch checkpoint dir");
         server.add_tenant(spec.clone());
         let procs = server.processors(&spec.name).expect("tenant exists");
@@ -251,6 +255,7 @@ fn recovery_drills(t: &mut Table) -> (Vec<Obj>, Vec<u64>) {
         assert_eq!(m.restarts, 1, "exactly one supervised restart per drill");
         let report = server.report(&spec.name).expect("tenant healthy");
         server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
 
         // The unbroken twin: same spec, same batches, no crash.
         let mut twin = Session::new(&spec);

@@ -10,9 +10,11 @@
 //!
 //! A session checkpoint is an `HBNC` frame; each frozen chunk of its
 //! epoch history is an `HBNH` frame of its own, next to it (see
-//! [`crate::SessionCheckpoint::save`]). `read_frame` validates magic,
-//! version, length consistency and the checksum **before** any payload
-//! decoding, so a corrupted or truncated file is always a clean
+//! [`crate::SessionCheckpoint::save`]); and each [`JournalRecord`] a
+//! serving layer appends after a checkpoint is an `HBNJ` frame, back to
+//! back with the others in one journal segment. `read_frame` validates
+//! magic, version, length consistency and the checksum **before** any
+//! payload decoding, so a corrupted or truncated file is always a clean
 //! [`RestoreError`], never a panic or a silently wrong resume (the
 //! word-wise `checksum64` changes under any single-byte flip).
 //! `write_frame` writes to a staging sibling unique to that save, syncs
@@ -23,9 +25,10 @@
 //! whole.
 
 use crate::spec::ScenarioSpec;
-use hbn_dynamic::DynamicStats;
+use hbn_dynamic::{DynamicStats, OnlineRequest};
 use hbn_load::{LoadMap, LoadRatio};
 use hbn_topology::{EdgeId, Network, NodeId};
+use hbn_workload::ObjectId;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) const MAGIC: [u8; 4] = *b"HBNC";
 /// File magic of the frozen history chunks a checkpoint references.
 pub(crate) const CHUNK_MAGIC: [u8; 4] = *b"HBNH";
+/// Record magic of the journal segments a serving layer appends after a
+/// checkpoint ([`JournalRecord`]).
+pub(crate) const JOURNAL_MAGIC: [u8; 4] = *b"HBNJ";
 /// Current checkpoint format version. v5 moved the frozen epoch history
 /// into chunk files of its own and replaced byte-wise FNV-1a with
 /// [`checksum64`] (spec fingerprints included); v4 dropped the
@@ -149,6 +155,22 @@ fn staging_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
+/// Append one frame under `magic` to `out`: `magic | VERSION |
+/// payload_len | payload | checksum64(magic‖version‖payload)`, with the
+/// payload written in place by `payload`.
+fn put_frame(out: &mut Vec<u8>, magic: [u8; 4], payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    let body = out.len();
+    payload(out);
+    let len = (out.len() - body) as u64;
+    out[start + 8..body].copy_from_slice(&len.to_le_bytes());
+    let checksum = checksum64(&[&magic, &VERSION.to_le_bytes(), &out[body..]]);
+    out.extend_from_slice(&checksum.to_le_bytes());
+}
+
 /// Frame `payload` under `magic` and write it to `path` atomically:
 /// stage in a sibling of its own ([`staging_path`]), fsync it, rename
 /// into place, then fsync the parent directory so the *rename itself*
@@ -160,12 +182,7 @@ fn staging_path(path: &Path) -> PathBuf {
 /// ([`read_frame`] opens only `path`).
 pub(crate) fn write_frame(path: &Path, magic: [u8; 4], payload: &[u8]) -> Result<(), RestoreError> {
     let mut frame = Vec::with_capacity(payload.len() + 24);
-    frame.extend_from_slice(&magic);
-    frame.extend_from_slice(&VERSION.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let checksum = checksum64(&[&magic, &VERSION.to_le_bytes(), payload]);
-    frame.extend_from_slice(&checksum.to_le_bytes());
+    put_frame(&mut frame, magic, |out| out.extend_from_slice(payload));
 
     let tmp = staging_path(path);
     let staged = std::fs::File::create(&tmp)
@@ -237,6 +254,119 @@ pub(crate) fn decode_frame(frame: &[u8], magic: [u8; 4]) -> Result<(&[u8], u64),
         return Err(RestoreError::BadChecksum);
     }
     Ok((payload, stored))
+}
+
+/// One served epoch of a journal: the batch a serving layer pushed as
+/// epoch `epoch`, and the mode it served it under. `hbn-server` appends
+/// the epochs served since its newest checkpoint frame to a journal
+/// segment next to that frame, and recovery replays the segment on top
+/// of the restored frame.
+///
+/// A segment is a run of whole records, each a frame of its own:
+///
+/// ```text
+/// "HBNJ" | version u32 | payload_len u64 | payload | checksum64
+/// payload = epoch u64 | degraded u8 | n u64 | n x (processor u32, object u32, is_write u8)
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalRecord {
+    /// Global epoch index the batch was served as.
+    pub epoch: usize,
+    /// Whether the epoch was served under the serving layer's degraded
+    /// (estimator) replay instead of the spec's own kernel.
+    pub degraded: bool,
+    /// The served batch.
+    pub batch: Vec<OnlineRequest>,
+}
+
+impl JournalRecord {
+    /// Append the record to `out` as one `HBNJ` frame.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_frame(out, JOURNAL_MAGIC, |p| {
+            put_u64(p, self.epoch as u64);
+            put_u8(p, u8::from(self.degraded));
+            put_u64(p, self.batch.len() as u64);
+            for req in &self.batch {
+                put_u32(p, req.processor.0);
+                put_u32(p, req.object.0);
+                put_u8(p, u8::from(req.is_write));
+            }
+        });
+    }
+
+    /// Decode a journal segment: whole records back to back, the first
+    /// for epoch `first_epoch` and each later one for the epoch after its
+    /// predecessor's. Each record passes the checks of a checkpoint frame
+    /// (magic, version, length, checksum) before its payload is read, and
+    /// every request must come from a processor of `net` and name an
+    /// object below `max_objects`.
+    ///
+    /// # Errors
+    ///
+    /// A torn, corrupt or out-of-order record: the frame errors of
+    /// [`RestoreError`], or [`RestoreError::Malformed`] for a payload that
+    /// fails the checks above.
+    pub fn decode_segment(
+        segment: &[u8],
+        first_epoch: usize,
+        net: &Network,
+        max_objects: usize,
+    ) -> Result<Vec<JournalRecord>, RestoreError> {
+        let mut records = Vec::new();
+        let mut rest = segment;
+        while !rest.is_empty() {
+            if rest.len() < 24 {
+                return Err(RestoreError::BadChecksum);
+            }
+            // The length field is untrusted: the record must fit in what is left.
+            let payload_len = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
+            let whole = usize::try_from(payload_len)
+                .ok()
+                .and_then(|n| n.checked_add(24))
+                .filter(|&n| n <= rest.len())
+                .ok_or(RestoreError::BadChecksum)?;
+            let (frame, tail) = rest.split_at(whole);
+            let (payload, _) = decode_frame(frame, JOURNAL_MAGIC)?;
+            let epoch = first_epoch + records.len();
+            records.push(
+                read_record(payload, epoch, net, max_objects).map_err(RestoreError::Malformed)?,
+            );
+            rest = tail;
+        }
+        Ok(records)
+    }
+}
+
+/// The payload of the journal record for `epoch`.
+fn read_record(
+    payload: &[u8],
+    epoch: usize,
+    net: &Network,
+    max_objects: usize,
+) -> Result<JournalRecord, String> {
+    let mut dec = Dec::new(payload);
+    let found = dec.u64()?;
+    if found != epoch as u64 {
+        return Err(format!("journal record for epoch {found} where epoch {epoch} was due"));
+    }
+    let degraded = dec.flag()?;
+    let n = dec.len(9)?;
+    let mut batch = Vec::with_capacity(n);
+    for _ in 0..n {
+        let processor = NodeId(dec.u32()?);
+        if processor.index() >= net.n_nodes() || !net.is_processor(processor) {
+            return Err(format!("journal request at non-processor node {}", processor.0));
+        }
+        let object = dec.u32()?;
+        if object as usize >= max_objects {
+            return Err(format!(
+                "journal request for object {object} >= max_objects {max_objects}"
+            ));
+        }
+        batch.push(OnlineRequest { processor, object: ObjectId(object), is_write: dec.flag()? });
+    }
+    dec.finish()?;
+    Ok(JournalRecord { epoch, degraded, batch })
 }
 
 /// A structural fingerprint of a [`ScenarioSpec`]: everything that
@@ -350,6 +480,15 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// A boolean byte: `0` or `1`, anything else is malformed.
+    fn flag(&mut self) -> Result<bool, String> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("flag byte {b}")),
+        }
+    }
+
     pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
@@ -436,15 +575,9 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
 
-    /// A fresh directory for one test, unique per process and per call,
-    /// so tests running side by side never share a path.
-    fn unique_dir(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("hbn_durable_{tag}_{}_{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A fresh directory for one test, removed when the guard drops.
+    fn unique_dir(tag: &str) -> hbn_testutil::TestDir {
+        hbn_testutil::TestDir::new(std::env::temp_dir(), &format!("hbn_durable_{tag}"))
     }
 
     #[test]
@@ -465,7 +598,6 @@ mod tests {
         for cut in 0..frame.len() {
             assert!(decode_frame(&frame[..cut], MAGIC).is_err(), "truncation at {cut}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A length field near `u64::MAX` is corrupt, not an overflow: the
@@ -520,7 +652,6 @@ mod tests {
         write_frame(&path, MAGIC, &second).unwrap();
         assert_eq!(read_frame(&path, MAGIC).unwrap().0, second);
         assert_eq!(std::fs::read(&torn).unwrap(), MAGIC[..2], "a later save never reuses it");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A kill *before* the first commit leaves only a partial staging
@@ -534,7 +665,6 @@ mod tests {
         assert!(matches!(read_frame(&path, MAGIC), Err(RestoreError::Io(_))));
         write_frame(&path, MAGIC, b"now committed").unwrap();
         assert_eq!(read_frame(&path, MAGIC).unwrap().0, b"now committed".to_vec());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Concurrent saves to one path: every save succeeds, the file then
@@ -565,7 +695,83 @@ mod tests {
         assert!(candidates.contains(&saved), "the file must hold one saved frame whole");
         let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
         assert_eq!(entries, vec![path.clone()], "every staging file was renamed into place");
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Three records of a balanced(3,2) tenant with 8 objects, from epoch
+    /// 5 on, and the segment they make.
+    fn journal_fixture() -> (Network, Vec<JournalRecord>, Vec<u8>) {
+        let net = crate::TopologyFamily::Balanced { branching: 3, height: 2 }.build();
+        let procs = net.processors().to_vec();
+        let records: Vec<JournalRecord> = (0..3)
+            .map(|i| JournalRecord {
+                epoch: 5 + i,
+                degraded: i == 1,
+                batch: (0..4 + i)
+                    .map(|k| OnlineRequest {
+                        processor: procs[(i + k) % procs.len()],
+                        object: ObjectId(((i * 3 + k) % 8) as u32),
+                        is_write: k % 2 == 0,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let mut segment = Vec::new();
+        for record in &records {
+            record.encode(&mut segment);
+        }
+        (net, records, segment)
+    }
+
+    #[test]
+    fn journal_segment_roundtrips_and_rejects_every_flip_and_cut() {
+        let (net, records, segment) = journal_fixture();
+        assert_eq!(JournalRecord::decode_segment(&segment, 5, &net, 8).unwrap(), records);
+        assert_eq!(JournalRecord::decode_segment(&[], 5, &net, 8).unwrap(), vec![]);
+        for i in 0..segment.len() {
+            let mut bad = segment.clone();
+            bad[i] ^= 0x01;
+            assert!(
+                JournalRecord::decode_segment(&bad, 5, &net, 8).is_err(),
+                "flip of byte {i} must be detected"
+            );
+        }
+        // A cut at a record boundary is a valid shorter segment: the caller
+        // checks where the records end. Every other cut is torn.
+        let mut boundaries = vec![0];
+        for record in &records {
+            let mut one = Vec::new();
+            record.encode(&mut one);
+            boundaries.push(boundaries.last().unwrap() + one.len());
+        }
+        for cut in 0..segment.len() {
+            let decoded = JournalRecord::decode_segment(&segment[..cut], 5, &net, 8);
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(whole) => assert_eq!(decoded.unwrap(), records[..whole]),
+                None => assert!(decoded.is_err(), "truncation at {cut}"),
+            }
+        }
+    }
+
+    #[test]
+    fn journal_records_must_be_contiguous_and_in_range() {
+        let (net, records, segment) = journal_fixture();
+        let malformed = |r| matches!(r, Err(RestoreError::Malformed(_)));
+        assert!(malformed(JournalRecord::decode_segment(&segment, 4, &net, 8)), "epoch gap");
+        let mut swapped = Vec::new();
+        records[1].encode(&mut swapped);
+        records[0].encode(&mut swapped);
+        assert!(malformed(JournalRecord::decode_segment(&swapped, 5, &net, 8)), "out of order");
+        assert!(malformed(JournalRecord::decode_segment(&segment, 5, &net, 4)), "object range");
+        let mut at_root = records[0].clone();
+        at_root.batch[0].processor = net.root();
+        let mut bad = Vec::new();
+        at_root.encode(&mut bad);
+        assert!(malformed(JournalRecord::decode_segment(&bad, 5, &net, 8)), "non-processor");
+        let wrong_magic = [&b"HBNC"[..], &segment[4..]].concat();
+        assert!(matches!(
+            JournalRecord::decode_segment(&wrong_magic, 5, &net, 8),
+            Err(RestoreError::BadMagic)
+        ));
     }
 
     #[test]

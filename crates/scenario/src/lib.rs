@@ -64,7 +64,7 @@ pub mod session;
 pub mod spec;
 pub mod strategy;
 
-pub use durable::RestoreError;
+pub use durable::{JournalRecord, RestoreError};
 pub use engine::{
     run_scenario, run_scenario_sharded, run_scenario_sharded_with, run_scenario_with,
     EpochEstimate, EpochSummary, PhaseSummary, ScenarioReport, TenantSummary, TrafficCounters,

@@ -12,17 +12,14 @@ use hbn_scenario::{
     ExecutionConfig, FaultPlan, FrozenStatic, RestoreError, ScenarioReport, ScenarioSpec,
     ServeKernel, Session, Strategy, StrategyKind, ThresholdSwitch, TopologyFamily,
 };
+use hbn_testutil::TestDir;
 use hbn_workload::phases::full_tour;
 use hbn_workload::{ObjectId, PhaseSchedule};
 
-/// `name` in a directory of this test process's own: the target's temp
-/// dir is shared by every `cargo test` run of the target dir (debug and
-/// release alike), so the process id keeps concurrent runs apart.
-fn tmp(name: &str) -> PathBuf {
-    let dir =
-        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("durable-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// An empty directory of the calling test's own under the target's temp
+/// dir, removed when the guard drops.
+fn tmp(name: &str) -> TestDir {
+    TestDir::new(env!("CARGO_TARGET_TMPDIR"), &format!("durable-{name}"))
 }
 
 fn base_spec(seed: u64) -> ScenarioSpec {
@@ -76,8 +73,8 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
         {
             let mut spec = ScenarioSpec { strategy, ..base_spec(23) };
             spec.exec.serve = serve;
-            let path = tmp(&format!("roundtrip_{i}_{serve}.hbnc"));
-            let (expected, resumed) = save_restore_roundtrip(&spec, 5, &path, None);
+            let dir = tmp(&format!("roundtrip_{i}_{serve}"));
+            let (expected, resumed) = save_restore_roundtrip(&spec, 5, &dir.join("cp.hbnc"), None);
             assert_eq!(resumed, expected, "strategy {strategy}, serve kernel {serve}");
         }
     }
@@ -86,8 +83,8 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
     let net = TopologyFamily::Balanced { branching: 3, height: 2 }.build();
     let bus = *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).unwrap();
     let spec = ScenarioSpec { faults: FaultPlan::single_outage(bus, 4, 7), ..base_spec(29) };
-    let path = tmp("roundtrip_outage.hbnc");
-    let (expected, resumed) = save_restore_roundtrip(&spec, 5, &path, None);
+    let dir = tmp("roundtrip_outage");
+    let (expected, resumed) = save_restore_roundtrip(&spec, 5, &dir.join("cp.hbnc"), None);
     assert_eq!(resumed, expected);
     assert!(expected.traffic.repair_traffic == expected.traffic.repairs * 2);
 }
@@ -100,7 +97,8 @@ fn disk_checkpoint_covers_trait_only_strategies() {
         let frozen = FrozenStatic::new(s.network(), s.execution(), s.max_objects());
         s.swap_strategy(Box::new(frozen));
     };
-    let path = tmp("roundtrip_frozen.hbnc");
+    let dir = tmp("roundtrip_trait_only");
+    let path = dir.join("frozen.hbnc");
     let (expected, resumed) = save_restore_roundtrip(&spec, 3, &path, Some(&swap_frozen));
     assert_eq!(resumed, expected);
 
@@ -108,7 +106,7 @@ fn disk_checkpoint_covers_trait_only_strategies() {
         let switch = ThresholdSwitch::new(s.network(), s.execution(), s.max_objects(), 0.3, 2);
         s.swap_strategy(Box::new(switch));
     };
-    let path = tmp("roundtrip_switch.hbnc");
+    let path = dir.join("switch.hbnc");
     let (expected, resumed) = save_restore_roundtrip(&spec, 4, &path, Some(&swap_switch));
     assert_eq!(resumed, expected);
 }
@@ -118,7 +116,8 @@ fn disk_checkpoint_covers_trait_only_strategies() {
 #[test]
 fn restore_under_wrong_spec_is_refused() {
     let spec = base_spec(23);
-    let path = tmp("mismatch.hbnc");
+    let dir = tmp("mismatch");
+    let path = dir.join("cp.hbnc");
     let mut session = Session::new(&spec);
     session.step_epoch().unwrap().unwrap();
     session.checkpoint().save(&path).unwrap();
@@ -186,8 +185,8 @@ fn unsupported_strategy_fails_the_save() {
         })
     });
     session.step_epoch().unwrap().unwrap();
-    let path = tmp("opaque.hbnc");
-    match session.checkpoint().save(&path) {
+    let dir = tmp("opaque");
+    match session.checkpoint().save(&dir.join("cp.hbnc")) {
         Err(RestoreError::UnsupportedStrategy(label)) => assert_eq!(label, "opaque"),
         other => panic!("expected UnsupportedStrategy, got {other:?}"),
     }
@@ -198,15 +197,16 @@ fn unsupported_strategy_fails_the_save() {
 #[test]
 fn foreign_files_are_rejected_by_kind() {
     let spec = base_spec(23);
+    let dir = tmp("foreign");
 
-    let path = tmp("not_a_checkpoint.hbnc");
+    let path = dir.join("not_a_checkpoint.hbnc");
     std::fs::write(&path, b"definitely not a checkpoint frame").unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &path), Err(RestoreError::BadMagic)));
 
     // A real frame with its version field bumped is refused as an
     // unknown version (checked before the checksum, so future formats
     // get a precise error instead of "corrupt").
-    let good = tmp("version_base.hbnc");
+    let good = dir.join("version_base.hbnc");
     let mut session = Session::new(&spec);
     session.step_epoch().unwrap().unwrap();
     session.checkpoint().save(&good).unwrap();
@@ -214,7 +214,7 @@ fn foreign_files_are_rejected_by_kind() {
     assert_eq!(&bytes[..4], b"HBNC");
     let mut flipped = bytes.clone();
     flipped[4] ^= 0xff;
-    let vpath = tmp("version_flip.hbnc");
+    let vpath = dir.join("version_flip.hbnc");
     std::fs::write(&vpath, &flipped).unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &vpath), Err(RestoreError::BadVersion(_))));
     // A real frame rewritten to an earlier format version is refused by
@@ -224,7 +224,7 @@ fn foreign_files_are_rejected_by_kind() {
     for old in [3u32, 4] {
         let mut rewritten = bytes.clone();
         rewritten[4..8].copy_from_slice(&old.to_le_bytes());
-        let opath = tmp(&format!("version_{old}.hbnc"));
+        let opath = dir.join(format!("version_{old}.hbnc"));
         std::fs::write(&opath, &rewritten).unwrap();
         let restored = Session::restore_from_file(&spec, &opath).map(|_| ());
         assert!(
@@ -236,20 +236,19 @@ fn foreign_files_are_rejected_by_kind() {
     let mut payload_flip = bytes.clone();
     let mid = 16 + (bytes.len() - 24) / 2;
     payload_flip[mid] ^= 0x01;
-    let cpath = tmp("payload_flip.hbnc");
+    let cpath = dir.join("payload_flip.hbnc");
     std::fs::write(&cpath, &payload_flip).unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &cpath), Err(RestoreError::BadChecksum)));
 
-    let missing = tmp("missing_checkpoint.hbnc");
-    let _ = std::fs::remove_file(&missing);
+    let missing = dir.join("missing_checkpoint.hbnc");
     assert!(matches!(Session::restore_from_file(&spec, &missing), Err(RestoreError::Io(_))));
 }
 
-/// The bytes of a saved three-epoch checkpoint. Each caller passes its
-/// own `name`: tests run side by side and must not share a path.
-fn checkpoint_bytes(name: &str) -> Vec<u8> {
+/// The bytes of a saved three-epoch checkpoint.
+fn checkpoint_bytes() -> Vec<u8> {
     let spec = base_spec(23);
-    let path = tmp(name);
+    let dir = tmp("saved");
+    let path = dir.join("cp.hbnc");
     let mut session = Session::new(&spec);
     for _ in 0..3 {
         session.step_epoch().unwrap().unwrap();
@@ -266,26 +265,26 @@ proptest! {
     #[test]
     fn any_single_byte_corruption_is_an_error(pos in 0usize..4096, flip in 1u8..=255) {
         let spec = base_spec(23);
-        let mut bytes = checkpoint_bytes("prop_flip_base.hbnc");
+        let mut bytes = checkpoint_bytes();
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
-        let path = tmp(&format!("prop_flip_{pos}_{flip}.hbnc"));
+        let dir = tmp("prop_flip");
+        let path = dir.join("cp.hbnc");
         std::fs::write(&path, &bytes).unwrap();
         let restored = Session::restore_from_file(&spec, &path);
         prop_assert!(restored.is_err(), "byte {pos} xor {flip:#x} must not restore");
-        std::fs::remove_file(&path).ok();
     }
 
     /// Every truncation of a checkpoint file is an error.
     #[test]
     fn any_truncation_is_an_error(cut in 0usize..4096) {
         let spec = base_spec(23);
-        let bytes = checkpoint_bytes("prop_cut_base.hbnc");
+        let bytes = checkpoint_bytes();
         let cut = cut % bytes.len();
-        let path = tmp(&format!("prop_cut_{cut}.hbnc"));
+        let dir = tmp("prop_cut");
+        let path = dir.join("cp.hbnc");
         std::fs::write(&path, &bytes[..cut]).unwrap();
         prop_assert!(Session::restore_from_file(&spec, &path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -297,14 +296,6 @@ proptest! {
 const CHUNK: usize = 256;
 /// Objects of the pushed-traffic spec.
 const PUSHED_OBJECTS: u32 = 6;
-
-/// An empty directory of its own under the target's temp dir.
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = tmp(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// The history chunk files in `dir`, sorted by name.
 fn chunk_files(dir: &Path) -> Vec<PathBuf> {
@@ -353,7 +344,7 @@ fn push_range(session: &mut Session, traffic: u64, from: usize, to: usize) {
 #[test]
 fn checkpoints_resume_across_chunk_boundaries() {
     let spec = pushed_spec();
-    let dir = fresh_dir("chunk_boundaries");
+    let dir = tmp("chunk_boundaries");
     let total = 4 * CHUNK + 20;
     let saves = [CHUNK - 1, CHUNK, 3 * CHUNK, 3 * CHUNK + 1, 4 * CHUNK - 1];
     let mut unbroken = Session::new(&spec);
@@ -384,7 +375,7 @@ fn checkpoints_resume_across_chunk_boundaries() {
 #[test]
 fn missing_or_misused_chunk_files_fail_by_kind() {
     let spec = pushed_spec();
-    let dir = fresh_dir("chunk_missing");
+    let dir = tmp("chunk_missing");
     let mut session = Session::new(&spec);
     push_range(&mut session, 1, 0, 2 * CHUNK + 3);
     let frame = dir.join("frame.hbnc");
@@ -408,7 +399,7 @@ fn missing_or_misused_chunk_files_fail_by_kind() {
 #[test]
 fn two_runs_of_one_spec_never_read_each_others_chunks() {
     let spec = pushed_spec();
-    let dir = fresh_dir("chunk_two_runs");
+    let dir = tmp("chunk_two_runs");
     let epochs = CHUNK + 7;
     let mut reports = Vec::new();
     for traffic in [1, 2] {
@@ -447,7 +438,7 @@ fn two_runs_of_one_spec_never_read_each_others_chunks() {
 #[test]
 fn frames_grow_by_one_digest_per_chunk_and_saves_write_only_new_chunks() {
     let spec = pushed_spec();
-    let dir = fresh_dir("chunk_growth");
+    let dir = tmp("chunk_growth");
     let mut session = Session::new(&spec);
     let procs = session.network().processors().to_vec();
     let batch: Vec<OnlineRequest> = procs
@@ -515,7 +506,7 @@ fn inode(path: &Path) -> u64 {
 fn chunked_checkpoint() -> &'static (Vec<u8>, String, Vec<u8>) {
     static SAVED: OnceLock<(Vec<u8>, String, Vec<u8>)> = OnceLock::new();
     SAVED.get_or_init(|| {
-        let dir = fresh_dir("chunk_prop_base");
+        let dir = tmp("chunk_prop_base");
         let mut session = Session::new(&pushed_spec());
         push_range(&mut session, 3, 0, CHUNK + 4);
         let frame = dir.join("frame.hbnc");
@@ -530,12 +521,10 @@ fn chunked_checkpoint() -> &'static (Vec<u8>, String, Vec<u8>) {
 /// file, in a directory of its own.
 fn restore_with_chunk(case: &str, chunk: &[u8]) -> Result<ScenarioReport, RestoreError> {
     let (frame, name, _) = chunked_checkpoint();
-    let dir = fresh_dir(case);
+    let dir = tmp(case);
     std::fs::write(dir.join("frame.hbnc"), frame).unwrap();
     std::fs::write(dir.join(name), chunk).unwrap();
-    let restored = Session::restore_from_file(&pushed_spec(), &dir.join("frame.hbnc"));
-    std::fs::remove_dir_all(&dir).ok();
-    restored.map(Session::into_report)
+    Session::restore_from_file(&pushed_spec(), &dir.join("frame.hbnc")).map(Session::into_report)
 }
 
 #[test]
@@ -635,7 +624,7 @@ fn v5_layout_matches_golden_digests() {
         let durable = session.strategy().durable().unwrap();
         assert_eq!(fnv1a(FNV_OFFSET, &durable), durable_digest, "{policy}, faulted {faulted}");
 
-        let dir = fresh_dir(&format!("golden_{policy}_{faulted}"));
+        let dir = tmp(&format!("golden_{policy}_{faulted}"));
         session.checkpoint().save(&dir.join("run.hbnc")).unwrap();
         let mut files: Vec<PathBuf> =
             std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();

@@ -25,19 +25,23 @@ pub struct ServerConfig {
     pub degraded_sample_every: usize,
     /// Directory for durable tenant checkpoints.
     pub checkpoint_dir: PathBuf,
-    /// Watchdog cadence: how often tenants are snapshotted and crashed
-    /// workers detected. Each tick clones a tenant's state under its
-    /// session lock and saves it: the fixed state plus at most one
-    /// history chunk's tail, and the chunk files frozen since the last
-    /// tick, so the cost per tick does not grow with uptime. Longer
-    /// cadence = cheaper steady state but a longer journal tail to
-    /// replay on recovery.
+    /// Watchdog cadence: how often tenants' served epochs are made
+    /// durable and crashed workers detected. A tick appends the batches
+    /// a tenant served since the previous tick to its journal segment
+    /// and syncs them with one `fdatasync`; an idle tenant costs
+    /// nothing. A full checkpoint frame is written at the first tick,
+    /// and again once the segment has grown as large as the newest
+    /// frame, so recovery replays at most about one frame's worth of
+    /// batches from disk (two after falling back a frame). A longer
+    /// cadence batches more epochs per append, and the epochs served
+    /// since the last tick are replayed from memory on recovery.
     pub watchdog_poll: Duration,
-    /// Durable checkpoints kept per tenant (newest N); the journal is
-    /// truncated below the oldest retained one, so a corrupt newest
-    /// checkpoint can still fall back. Rotation deletes frames only:
-    /// the history chunk files in `checkpoint_dir` are shared by every
-    /// retained frame.
+    /// Checkpoint frames kept per tenant (newest N), each with the
+    /// journal segment that follows it, so a corrupt newest frame can
+    /// fall back to an older one and replay the segments after it.
+    /// Rotation deletes a frame together with its segment; the history
+    /// chunk files in `checkpoint_dir` are shared by every retained
+    /// frame and stay.
     pub checkpoints_retained: usize,
 }
 

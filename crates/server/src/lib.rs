@@ -18,12 +18,14 @@
 //! - **Deadlines** — a request whose deadline expires before a worker
 //!   reaches it is shed with [`Rejected::DeadlineExpired`], bounding
 //!   queueing delay for everyone behind it.
-//! - **Supervision** — a watchdog snapshots each tenant to a durable
-//!   checkpoint on a cadence, detects a panicked worker, restores the
-//!   newest readable checkpoint (falling back to the previous one if
-//!   the newest is torn), replays the journal of epochs served since
-//!   it, reconciles the in-flight request, and respawns the worker —
-//!   bit-for-bit the state an unbroken run would have reached.
+//! - **Supervision** — a watchdog appends each tenant's served batches
+//!   to a durable journal on a cadence (one append and one `fdatasync`
+//!   per tick, and a full checkpoint frame only once the journal has
+//!   outgrown the newest frame), detects a panicked worker, restores the
+//!   newest readable frame (falling back to the previous one if the
+//!   newest is torn), replays the journal from disk and the epochs not
+//!   yet synced, reconciles the in-flight request, and respawns the
+//!   worker — bit-for-bit the state an unbroken run would have reached.
 //!
 //! ```
 //! use hbn_dynamic::OnlineRequest;
@@ -61,6 +63,7 @@
 
 pub mod config;
 pub mod error;
+mod journal;
 pub mod metrics;
 mod server;
 mod tenant;

@@ -1,5 +1,6 @@
-//! Per-tenant service metrics: admission counters, ingest latency, and
-//! recovery timings — the raw material of `BENCH_server.json`.
+//! Per-tenant service metrics: admission counters, ingest latency,
+//! durability and recovery timings — the raw material of
+//! `BENCH_server.json`.
 
 /// Counters and latency samples for one tenant, accumulated by the
 /// admission path, the worker, and the supervisor. Snapshot it through
@@ -27,6 +28,14 @@ pub struct TenantMetrics {
     /// Per recovery: wall microseconds from crash detection to the
     /// respawned worker.
     pub recovery_micros: Vec<u64>,
+    /// Epochs on disk as of the last successful supervision step: those
+    /// the newest checkpoint frame covers plus the journal records synced
+    /// after it.
+    pub durable_epochs: u64,
+    /// Supervision steps (watchdog ticks and `checkpoint_now` calls) whose
+    /// durable write failed. The tenant keeps serving meanwhile, with its
+    /// served epochs held in memory until a step succeeds.
+    pub checkpoint_failures: u64,
 }
 
 impl TenantMetrics {

@@ -1,17 +1,21 @@
 //! The multi-tenant front end and its supervisor.
 //!
 //! A [`Server`] owns one worker thread per tenant plus one watchdog
-//! thread. The watchdog does two jobs on a cadence: it snapshots every
-//! healthy tenant to a durable checkpoint ([`hbn_scenario::SessionCheckpoint::save`]),
-//! and it detects a panicked worker and rebuilds the tenant — restore
-//! the newest readable checkpoint, replay the journal tail of epochs
-//! served since it, reconcile the in-flight job, respawn the worker.
+//! thread. The watchdog does two jobs on a cadence: it makes every
+//! healthy tenant's served epochs durable — one journal append and one
+//! `fdatasync` per tick, and a full frame
+//! ([`hbn_scenario::SessionCheckpoint::save`]) only when the journal has
+//! outgrown the newest one (the `journal` module) — and it detects a
+//! panicked worker and rebuilds the tenant: restore the newest readable
+//! frame, replay the journal segments on disk after it and the entries
+//! not yet durable, reconcile the in-flight job, respawn the worker.
 //! Every supervision step is also callable directly
 //! ([`Server::checkpoint_now`], [`Server::recover_now`]) so tests can
 //! drive it deterministically with the cadence effectively disabled.
 
 use crate::config::ServerConfig;
 use crate::error::{Rejected, ServerError};
+use crate::journal::{self, Durable};
 use crate::metrics::TenantMetrics;
 use crate::tenant::{
     relock, worker_loop, Command, EpochOutcome, Job, QueueState, ServeMode, TenantShared,
@@ -118,8 +122,7 @@ impl Server {
             journal: Mutex::new(Vec::new()),
             inflight: Mutex::new(None),
             metrics: Mutex::new(TenantMetrics::default()),
-            checkpoints: Mutex::new(Vec::new()),
-            supervise: Mutex::new(()),
+            durable: Mutex::new(Durable::default()),
         });
         let worker = spawn_worker(&shared, &self.inner.cfg);
         let tenant = Arc::new(Tenant { shared, worker: Mutex::new(Some(worker)) });
@@ -280,15 +283,19 @@ impl Server {
         Ok(())
     }
 
-    /// Take a durable checkpoint of the tenant right now (the same step
-    /// the watchdog runs on its cadence). Returns the checkpoint path.
+    /// Write a full checkpoint frame of the tenant right now and return
+    /// its path. The watchdog writes one only when the tenant's journal
+    /// segment has outgrown the newest frame; this forces one, so a
+    /// caller can place frames at chosen epochs. At an epoch the newest
+    /// frame already covers, it returns that frame's path and writes
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Unknown tenant, no live session, or checkpoint I/O failure.
     pub fn checkpoint_now(&self, tenant: &str) -> Result<PathBuf, ServerError> {
         let t = self.tenant(tenant)?;
-        checkpoint_tenant(&self.inner.cfg, &t.shared)?.ok_or_else(|| ServerError::TenantLost {
+        journal::checkpoint(&self.inner.cfg, &t.shared)?.ok_or_else(|| ServerError::TenantLost {
             tenant: tenant.to_string(),
             why: "no live session to checkpoint".into(),
         })
@@ -346,7 +353,8 @@ impl Server {
                 // so the final report exists, but do not respawn: the
                 // queued jobs are dropped and their tickets resolve to
                 // WorkerLost.
-                let _ = rebuild_session(&self.inner.cfg, &t.shared);
+                let durable = relock(&t.shared.durable);
+                let _ = rebuild_session(&self.inner.cfg, &t.shared, &durable);
                 relock(&t.shared.queue).q.clear();
             }
             let report = relock(&t.shared.session).take().map(Session::into_report);
@@ -392,14 +400,16 @@ fn worker_is_dead(t: &Tenant) -> bool {
 }
 
 /// One watchdog tick over one tenant: recover it if the worker died,
-/// otherwise snapshot it.
+/// otherwise make its served epochs durable.
 fn supervise_tenant(cfg: &Arc<ServerConfig>, t: &Arc<Tenant>) {
     if worker_is_dead(t) {
         // An unrecoverable tenant stays dead; its tickets resolve to
         // WorkerLost and shutdown reports whatever state remains.
         let _ = recover_tenant(cfg, t);
     } else {
-        let _ = checkpoint_tenant(cfg, &t.shared);
+        // A failed write is counted in `checkpoint_failures`; the tenant
+        // keeps serving, and the entries stay in memory for the next try.
+        let _ = journal::tick(cfg, &t.shared);
     }
 }
 
@@ -437,86 +447,17 @@ fn watchdog_loop(inner: Arc<Inner>) {
     }
 }
 
-/// Snapshot a tenant to a durable checkpoint, rotate the retained set,
-/// and truncate the journal below the oldest retained checkpoint.
-/// Rotation deletes frames only: the history chunk files next to them
-/// are the tenant's durable history, shared by every retained frame.
-/// `Ok(None)` when the tenant has no live session (mid-recovery).
-fn checkpoint_tenant(
+/// Reconstruct a tenant's session from what `durable` has on disk plus
+/// the journal in memory ([`journal::restore`]), reconcile the in-flight
+/// job and install the session. Returns the journal epochs replayed.
+fn rebuild_session(
     cfg: &ServerConfig,
     shared: &TenantShared,
-) -> Result<Option<PathBuf>, ServerError> {
-    let _step = relock(&shared.supervise);
-    let cp = {
-        let slot = relock(&shared.session);
-        match slot.as_ref() {
-            Some(sess) => sess.checkpoint(),
-            None => return Ok(None),
-        }
-    };
-    let epoch = cp.epoch_index();
-    if let Some((last_epoch, last_path)) = relock(&shared.checkpoints).last() {
-        if *last_epoch == epoch {
-            return Ok(Some(last_path.clone()));
-        }
-    }
-    let path = cfg.checkpoint_dir.join(format!("{}_e{epoch}.hbnc", shared.name));
-    cp.save(&path)?;
-    let oldest_retained = {
-        let mut cps = relock(&shared.checkpoints);
-        cps.push((epoch, path.clone()));
-        while cps.len() > cfg.checkpoints_retained.max(1) {
-            let (_, old) = cps.remove(0);
-            let _ = std::fs::remove_file(old);
-        }
-        cps[0].0
-    };
-    relock(&shared.journal).retain(|e| e.epoch >= oldest_retained);
-    Ok(Some(path))
-}
-
-/// Reconstruct a tenant's session: newest readable checkpoint (falling
-/// back to older ones on a corrupt read, or to a fresh session when no
-/// checkpoint was ever taken), then replay the journal tail. Returns
-/// the journal epochs replayed.
-fn rebuild_session(cfg: &ServerConfig, shared: &TenantShared) -> Result<u64, ServerError> {
+    durable: &Durable,
+) -> Result<u64, ServerError> {
     // Discard whatever half-mutated state the crash left behind.
     *relock(&shared.session) = None;
-    let candidates: Vec<(usize, PathBuf)> = relock(&shared.checkpoints).clone();
-    let mut restored = None;
-    let mut last_err = String::from("no durable checkpoint on disk");
-    for (_, path) in candidates.iter().rev() {
-        match Session::restore_from_file(&shared.spec, path) {
-            Ok(s) => {
-                restored = Some(s);
-                break;
-            }
-            Err(e) => last_err = format!("{}: {e}", path.display()),
-        }
-    }
-    let mut sess = match restored {
-        Some(s) => s,
-        // Never checkpointed: the journal is complete from epoch 0, so
-        // a fresh session replays the whole history.
-        None if candidates.is_empty() => Session::new(&shared.spec),
-        None => return Err(ServerError::TenantLost { tenant: shared.name.clone(), why: last_err }),
-    };
-    let tail: Vec<_> = {
-        let journal = relock(&shared.journal);
-        journal.iter().filter(|e| e.epoch >= sess.epoch_index()).cloned().collect()
-    };
-    let mut replayed = 0u64;
-    for entry in &tail {
-        debug_assert_eq!(entry.epoch, sess.epoch_index(), "journal tail must be contiguous");
-        sess.set_replay_override(entry.mode.kernel(cfg.degraded_sample_every));
-        if let Err(e) = sess.push_epoch(&entry.batch) {
-            return Err(ServerError::TenantLost {
-                tenant: shared.name.clone(),
-                why: format!("journal replay failed at epoch {}: {e}", entry.epoch),
-            });
-        }
-        replayed += 1;
-    }
+    let (mut sess, replayed) = journal::restore(cfg, shared, durable)?;
     // Serving resumes under the tenant's current mode.
     sess.set_replay_override(relock(&shared.mode).kernel(cfg.degraded_sample_every));
 
@@ -546,7 +487,7 @@ fn rebuild_session(cfg: &ServerConfig, shared: &TenantShared) -> Result<u64, Ser
 /// session, record recovery metrics, respawn the worker.
 fn recover_tenant(cfg: &Arc<ServerConfig>, t: &Arc<Tenant>) -> Result<(), ServerError> {
     let start = Instant::now();
-    let _step = relock(&t.shared.supervise);
+    let durable = relock(&t.shared.durable);
     // Another supervisor (watchdog vs. explicit `recover_now`) may have
     // healed the tenant while we waited for the step lock.
     if !worker_is_dead(t) {
@@ -555,7 +496,7 @@ fn recover_tenant(cfg: &Arc<ServerConfig>, t: &Arc<Tenant>) -> Result<(), Server
     if let Some(h) = relock(&t.worker).take() {
         let _ = h.join();
     }
-    let replayed = rebuild_session(cfg, &t.shared)?;
+    let replayed = rebuild_session(cfg, &t.shared, &durable)?;
     {
         let mut m = relock(&t.shared.metrics);
         m.restarts += 1;

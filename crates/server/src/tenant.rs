@@ -3,20 +3,22 @@
 //! Each tenant owns one [`Session`] and one worker thread. All mutable
 //! state lives in [`TenantShared`] behind independent mutexes so the
 //! admission path, the worker, and the supervisor can each touch only
-//! what they need; no two of these locks are ever held at once except
-//! the worker's session+inflight pairing noted below. Every lock is
+//! what they need. Nested locks are taken in one order: `durable`
+//! first, then `session`, then `inflight`, `journal` or `metrics` (the
+//! worker stashes its job and journals its epoch under the session
+//! lock; a supervision step holds `durable` throughout). Every lock is
 //! acquired through [`relock`], which shrugs off poison — a panicked
 //! worker is an *expected* event here, and the supervisor must still be
 //! able to read the state the panic left behind.
 
 use crate::config::ServerConfig;
 use crate::error::Rejected;
+use crate::journal::Durable;
 use crate::metrics::TenantMetrics;
 use hbn_dynamic::OnlineRequest;
-use hbn_scenario::{EpochSummary, ReplayKernel, ScenarioSpec, Session};
+use hbn_scenario::{EpochSummary, JournalRecord, ReplayKernel, ScenarioSpec, Session};
 use hbn_topology::Network;
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -104,15 +106,6 @@ pub(crate) struct QueueState {
     pub shutting_down: bool,
 }
 
-/// One served epoch, recorded *after* `push_epoch` succeeds — the tail
-/// the supervisor replays on top of the last durable checkpoint.
-#[derive(Debug, Clone)]
-pub(crate) struct JournalEntry {
-    pub epoch: usize,
-    pub mode: ServeMode,
-    pub batch: Vec<OnlineRequest>,
-}
-
 /// The job a worker is serving right now, stashed just before
 /// `push_epoch` so a crash mid-serve can be reconciled: if the journal
 /// shows the epoch completed, the client gets its outcome; otherwise
@@ -138,16 +131,17 @@ pub(crate) struct TenantShared {
     pub mode: Mutex<ServeMode>,
     /// `None` only between a crash and the completed recovery.
     pub session: Mutex<Option<Session>>,
-    pub journal: Mutex<Vec<JournalEntry>>,
+    /// The served epochs not yet on disk, oldest first: each recorded
+    /// *after* `push_epoch` succeeds, under the session lock, so the
+    /// journal always ends at the session's epoch.
+    pub journal: Mutex<Vec<JournalRecord>>,
     pub inflight: Mutex<Option<Inflight>>,
     pub metrics: Mutex<TenantMetrics>,
-    /// Durable checkpoints on disk, oldest first: `(epoch, path)`.
-    pub checkpoints: Mutex<Vec<(usize, PathBuf)>>,
-    /// Serializes whole supervision steps (checkpoint, recovery) on
-    /// this tenant: the watchdog and explicit `*_now` calls would
-    /// otherwise interleave snapshot-then-record sequences and rotate
-    /// the retention list out of epoch order.
-    pub supervise: Mutex<()>,
+    /// The frames and journal segments on disk. Its lock serializes whole
+    /// supervision steps (tick, checkpoint, recovery) on this tenant: the
+    /// watchdog and explicit `*_now` calls would otherwise interleave
+    /// their writes and rotate the retained frames out of epoch order.
+    pub durable: Mutex<Durable>,
 }
 
 /// Pop the next command, blocking on the condvar while the queue is
@@ -214,16 +208,19 @@ pub(crate) fn worker_loop(shared: Arc<TenantShared>, cfg: Arc<ServerConfig>) {
             let epoch = sess.epoch_index();
             // Stash the job before the fallible serve; see [`Inflight`].
             *relock(&shared.inflight) = Some(Inflight { epoch, mode, job: job.clone() });
-            (epoch, sess.push_epoch(&job.batch))
+            let result = sess.push_epoch(&job.batch);
+            if result.is_ok() {
+                relock(&shared.journal).push(JournalRecord {
+                    epoch,
+                    degraded: mode == ServeMode::Degraded,
+                    batch: job.batch.clone(),
+                });
+            }
+            (epoch, result)
         };
 
         match result {
             Ok(summary) => {
-                relock(&shared.journal).push(JournalEntry {
-                    epoch,
-                    mode,
-                    batch: job.batch.clone(),
-                });
                 {
                     let mut m = relock(&shared.metrics);
                     m.served += 1;

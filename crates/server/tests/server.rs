@@ -6,29 +6,25 @@
 //! poll) and drive every supervision step explicitly through
 //! `checkpoint_now` / `recover_now`, so nothing here depends on timing.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
-use hbn_server::{Rejected, ServeMode, Server, ServerConfig};
+use hbn_server::{Rejected, ServeMode, Server, ServerConfig, ServerError};
+use hbn_testutil::TestDir;
 use hbn_topology::NodeId;
 use hbn_workload::{ObjectId, PhaseSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// An empty directory of this test process's own: the target's temp dir
-/// is shared by every `cargo test` run of the target dir (debug and
-/// release alike), so the process id keeps concurrent runs apart.
-fn tmp(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("server-{}", std::process::id()))
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// An empty directory of the calling test's own under the target's temp
+/// dir, removed when the guard drops (after the server the test built in
+/// it, which is declared later and so dropped first).
+fn tmp(name: &str) -> TestDir {
+    TestDir::new(env!("CARGO_TARGET_TMPDIR"), &format!("server-{name}"))
 }
 
 const OBJECTS: usize = 8;
@@ -57,8 +53,8 @@ fn batch(procs: &[NodeId], seed: u64, len: usize) -> Vec<OnlineRequest> {
 }
 
 /// A config whose watchdog never fires on its own.
-fn manual_cfg(dir: &str) -> ServerConfig {
-    let mut cfg = ServerConfig::new(tmp(dir));
+fn manual_cfg(dir: &Path) -> ServerConfig {
+    let mut cfg = ServerConfig::new(dir);
     cfg.watchdog_poll = Duration::from_secs(3600);
     cfg
 }
@@ -105,7 +101,8 @@ fn wait_on(server: &Server, tenant: &str, ticket: hbn_server::Ticket) -> hbn_ser
 
 #[test]
 fn admission_rejects_past_capacity_and_recovery_serves_the_backlog() {
-    let mut cfg = manual_cfg("admission");
+    let dir = tmp("admission");
+    let mut cfg = manual_cfg(&dir);
     cfg.queue_capacity = 4;
     cfg.high_water = 100; // stay exact; this test is about admission only
     let server = Server::new(cfg).unwrap();
@@ -144,7 +141,8 @@ fn admission_rejects_past_capacity_and_recovery_serves_the_backlog() {
 
 #[test]
 fn expired_deadlines_are_shed_not_served() {
-    let server = Server::new(manual_cfg("deadline")).unwrap();
+    let dir = tmp("deadline");
+    let server = Server::new(manual_cfg(&dir)).unwrap();
     server.add_tenant(tenant_spec("t"));
     let procs = server.processors("t").unwrap();
 
@@ -169,7 +167,8 @@ fn expired_deadlines_are_shed_not_served() {
 
 #[test]
 fn overload_degrades_to_estimator_and_hysteresis_restores_exact() {
-    let mut cfg = manual_cfg("degrade");
+    let dir = tmp("degrade");
+    let mut cfg = manual_cfg(&dir);
     cfg.high_water = 4;
     cfg.low_water = 1;
     let server = Server::new(cfg).unwrap();
@@ -224,7 +223,8 @@ fn overload_degrades_to_estimator_and_hysteresis_restores_exact() {
 #[test]
 fn supervised_crash_mid_outage_matches_unbroken_twin_bit_for_bit() {
     let spec = faulty_spec("t");
-    let server = Server::new(manual_cfg("crash_parity")).unwrap();
+    let dir = tmp("crash_parity");
+    let server = Server::new(manual_cfg(&dir)).unwrap();
     server.add_tenant(spec.clone());
     let procs = server.processors("t").unwrap();
     let batches: Vec<_> = (0..8).map(|i| batch(&procs, 1000 + i, 12)).collect();
@@ -259,7 +259,8 @@ fn supervised_crash_mid_outage_matches_unbroken_twin_bit_for_bit() {
 #[test]
 fn crash_that_raced_shutdown_reports_worker_lost_but_keeps_served_state() {
     let spec = tenant_spec("t");
-    let server = Server::new(manual_cfg("lost")).unwrap();
+    let dir = tmp("lost");
+    let server = Server::new(manual_cfg(&dir)).unwrap();
     server.add_tenant(spec.clone());
     let procs = server.processors("t").unwrap();
 
@@ -282,7 +283,8 @@ fn crash_that_raced_shutdown_reports_worker_lost_but_keeps_served_state() {
 
 #[test]
 fn invalid_batches_are_rejected_at_admission_not_served() {
-    let server = Server::new(manual_cfg("invalid")).unwrap();
+    let dir = tmp("invalid");
+    let server = Server::new(manual_cfg(&dir)).unwrap();
     server.add_tenant(tenant_spec("t"));
     let procs = server.processors("t").unwrap();
 
@@ -310,7 +312,8 @@ fn invalid_batches_are_rejected_at_admission_not_served() {
 
 #[test]
 fn tenants_are_isolated_and_all_accepted_requests_are_served() {
-    let server = Server::new(manual_cfg("multi")).unwrap();
+    let dir = tmp("multi");
+    let server = Server::new(manual_cfg(&dir)).unwrap();
     server.add_tenant(tenant_spec("a"));
     server.add_tenant(faulty_spec("b"));
     let pa = server.processors("a").unwrap();
@@ -344,7 +347,8 @@ fn tenants_are_isolated_and_all_accepted_requests_are_served() {
 /// with no explicit `recover_now`.
 #[test]
 fn background_watchdog_checkpoints_and_heals_on_its_own() {
-    let mut cfg = ServerConfig::new(tmp("auto"));
+    let dir = tmp("auto");
+    let mut cfg = ServerConfig::new(dir.as_ref());
     cfg.watchdog_poll = Duration::from_millis(5);
     let server = Server::new(cfg).unwrap();
     server.add_tenant(tenant_spec("t"));
@@ -386,8 +390,8 @@ const HISTORY_CHUNK: usize = 256;
 #[test]
 fn fallback_across_history_chunks_shares_chunk_files_bit_for_bit() {
     let spec = tenant_spec("t");
-    let cfg = manual_cfg("chunks");
-    let dir = cfg.checkpoint_dir.clone();
+    let dir = tmp("chunks");
+    let cfg = manual_cfg(&dir);
     let server = Server::new(cfg).unwrap();
     server.add_tenant(spec.clone());
     let procs = server.processors("t").unwrap();
@@ -433,6 +437,161 @@ fn fallback_across_history_chunks_shares_chunk_files_bit_for_bit() {
     assert_eq!(reports[0].1, twin.into_report());
 }
 
+/// The checkpoint frames in `dir`, oldest first: `(epoch, path)`.
+fn frames_on_disk(dir: &Path) -> Vec<(usize, PathBuf)> {
+    let mut frames: Vec<(usize, PathBuf)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "hbnc"))
+        .map(|p| {
+            let stem = p.file_stem().unwrap().to_str().unwrap();
+            (stem.rsplit_once("_e").unwrap().1.parse().unwrap(), p)
+        })
+        .collect();
+    frames.sort();
+    frames
+}
+
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// Poll the tenant's metrics until `done` holds, failing after 30 s.
+fn wait_for(server: &Server, what: &str, done: impl Fn(&hbn_server::TenantMetrics) -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let m = server.metrics("t").unwrap();
+        if done(&m) {
+            return;
+        }
+        assert!(std::time::Instant::now() < deadline, "{what} never happened: {m:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The watchdog journals served epochs between frames. Once
+/// `durable_epochs` reaches the served count, every epoch is on disk: with
+/// the newest frame corrupted, the watchdog's recovery falls back one
+/// frame, replays both journal segments from disk, and the final report
+/// matches the unbroken twin bit for bit.
+#[test]
+fn watchdog_journal_recovers_across_two_segments_bit_for_bit() {
+    let spec = tenant_spec("t");
+    let dir = tmp("journal_fallback");
+    let mut cfg = ServerConfig::new(dir.as_ref());
+    cfg.watchdog_poll = Duration::from_millis(5);
+    let server = Server::new(cfg).unwrap();
+    server.add_tenant(spec.clone());
+    let procs = server.processors("t").unwrap();
+    let mut batches = Vec::new();
+    let serve = |batches: &mut Vec<Vec<OnlineRequest>>| {
+        let b = batch(&procs, 7000 + batches.len() as u64, 10);
+        server.submit("t", b.clone(), None).unwrap().wait().unwrap();
+        batches.push(b);
+    };
+    // Serve until the watchdog has written two frames and synced every
+    // served epoch, with records in the newest segment and that segment
+    // still smaller than its frame, so idle ticks write nothing more.
+    let (older, newest) = loop {
+        serve(&mut batches);
+        let served = batches.len() as u64;
+        wait_for(&server, "durability", |m| m.durable_epochs == served);
+        if let [.., older, newest] = frames_on_disk(&dir).as_slice() {
+            let segment = file_len(&newest.1.with_extension("hbnj"));
+            if segment > 0 && segment < file_len(&newest.1) {
+                break (older.clone(), newest.clone());
+            }
+        }
+        assert!(batches.len() < 2000, "the watchdog never rotated twice");
+    };
+    assert!(file_len(&older.1.with_extension("hbnj")) > 0);
+    assert_eq!(server.metrics("t").unwrap().checkpoint_failures, 0);
+
+    let mut bytes = std::fs::read(&newest.1).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&newest.1, &bytes).unwrap();
+    let crashed_at = batches.len();
+    server.inject_crash("t").unwrap();
+    wait_for(&server, "the watchdog's recovery", |m| m.restarts == 1);
+    for _ in 0..5 {
+        serve(&mut batches);
+    }
+    let m = server.metrics("t").unwrap();
+    assert_eq!(m.recovery_epochs, vec![(crashed_at - older.0) as u64], "fell back to {older:?}");
+    let reports = server.shutdown();
+
+    let mut twin = Session::new(&spec);
+    for b in &batches {
+        twin.push_epoch(b).unwrap();
+    }
+    assert_eq!(reports[0].1, twin.into_report());
+}
+
+/// A tenant with frames written by `checkpoint_now` at epochs 2 and 5 and
+/// one epoch served since, so the older frame's journal segment holds
+/// epochs 2..5; then the newest frame is corrupted. Recovery has to fall
+/// back and read that segment from disk. Returns the server, the segment
+/// and the served batches.
+fn journal_drill(dir: &Path) -> (Server, PathBuf, Vec<Vec<OnlineRequest>>) {
+    let server = Server::new(manual_cfg(dir)).unwrap();
+    server.add_tenant(tenant_spec("t"));
+    let procs = server.processors("t").unwrap();
+    let batches: Vec<_> = (0..6).map(|i| batch(&procs, 3000 + i, 10)).collect();
+    let serve = |range: std::ops::Range<usize>| {
+        for b in &batches[range] {
+            server.submit("t", b.clone(), None).unwrap().wait().unwrap();
+        }
+    };
+    serve(0..2);
+    let older = server.checkpoint_now("t").unwrap();
+    serve(2..5);
+    let newest = server.checkpoint_now("t").unwrap();
+    serve(5..6);
+    assert_eq!(server.metrics("t").unwrap().durable_epochs, 5);
+    let mut bytes = std::fs::read(&newest).unwrap();
+    bytes[16] ^= 0x01;
+    std::fs::write(&newest, &bytes).unwrap();
+    (server, older.with_extension("hbnj"), batches)
+}
+
+#[test]
+fn intact_journal_segment_recovers_bit_for_bit() {
+    let dir = tmp("journal_intact");
+    let (server, _, batches) = journal_drill(&dir);
+    crash_worker(&server, "t");
+    server.recover_now("t").unwrap();
+    assert_eq!(server.metrics("t").unwrap().recovery_epochs, vec![4]);
+    let reports = server.shutdown();
+    let mut twin = Session::new(&tenant_spec("t"));
+    for b in &batches {
+        twin.push_epoch(b).unwrap();
+    }
+    assert_eq!(reports[0].1, twin.into_report());
+}
+
+/// A directory the checkpoint directory's path now names as a plain
+/// file: every watchdog step fails, each failure is counted, and the
+/// tenant keeps serving from memory.
+#[test]
+fn failed_supervision_steps_are_counted_and_the_tenant_keeps_serving() {
+    let dir = tmp("unwritable");
+    let ckpt = dir.join("checkpoints");
+    let mut cfg = ServerConfig::new(&ckpt);
+    cfg.watchdog_poll = Duration::from_millis(5);
+    let server = Server::new(cfg).unwrap();
+    std::fs::remove_dir(&ckpt).unwrap();
+    std::fs::write(&ckpt, b"not a directory").unwrap();
+    server.add_tenant(tenant_spec("t"));
+    let procs = server.processors("t").unwrap();
+    wait_for(&server, "three failed steps", |m| m.checkpoint_failures >= 3);
+    server.submit("t", batch(&procs, 1, 10), None).unwrap().wait().unwrap();
+    assert!(server.checkpoint_now("t").is_err());
+    let m = server.metrics("t").unwrap();
+    assert_eq!((m.served, m.durable_epochs), (1, 0));
+    assert_eq!(server.shutdown()[0].1.epochs.len(), 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -443,7 +602,8 @@ proptest! {
     #[test]
     fn corrupt_newest_checkpoint_falls_back_bit_for_bit(pos in 0usize..4096, flip in 1u8..=255) {
         let spec = tenant_spec("t");
-        let server = Server::new(manual_cfg("flip")).unwrap();
+        let dir = tmp("flip");
+        let server = Server::new(manual_cfg(&dir)).unwrap();
         server.add_tenant(spec.clone());
         let procs = server.processors("t").unwrap();
         let batches: Vec<_> = (0..6).map(|i| batch(&procs, 2000 + i, 10)).collect();
@@ -476,5 +636,34 @@ proptest! {
             twin.push_epoch(b).unwrap();
         }
         prop_assert_eq!(&reports[0].1, &twin.into_report());
+    }
+
+    /// Every single-byte flip of a journal segment that recovery has to
+    /// read makes recovery fail with a clean error: never a panic, never a
+    /// report that silently differs from the twin's.
+    #[test]
+    fn any_single_byte_corruption_of_a_journal_segment_fails_recovery(pos in 0usize..4096, flip in 1u8..=255) {
+        let dir = tmp("journal_flip");
+        let (server, segment, _) = journal_drill(&dir);
+        let mut bytes = std::fs::read(&segment).unwrap();
+        let idx = pos % bytes.len();
+        bytes[idx] ^= flip;
+        std::fs::write(&segment, &bytes).unwrap();
+        crash_worker(&server, "t");
+        let recovered = server.recover_now("t");
+        prop_assert!(matches!(recovered, Err(ServerError::TenantLost { .. })), "{recovered:?}");
+        prop_assert!(!server.worker_alive("t").unwrap());
+    }
+
+    /// Every truncation of that segment fails recovery the same way.
+    #[test]
+    fn any_truncation_of_a_journal_segment_fails_recovery(cut in 0usize..4096) {
+        let dir = tmp("journal_cut");
+        let (server, segment, _) = journal_drill(&dir);
+        let bytes = std::fs::read(&segment).unwrap();
+        std::fs::write(&segment, &bytes[..cut % bytes.len()]).unwrap();
+        crash_worker(&server, "t");
+        let recovered = server.recover_now("t");
+        prop_assert!(matches!(recovered, Err(ServerError::TenantLost { .. })), "{recovered:?}");
     }
 }

@@ -3,7 +3,8 @@
 //! Shared proptest strategies and fixtures for the hierbus test suites:
 //! random hierarchical bus networks, random workloads, and combined
 //! instances, all shrinkable through their generating parameters; plus
-//! the per-thread allocation counter of the zero-allocation suites.
+//! the per-thread allocation counter of the zero-allocation suites and
+//! the self-removing directories of the suites that write files.
 
 #![warn(missing_docs)]
 
@@ -16,6 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The canonical seeded RNG of the experiment binaries and test suites:
 /// one construction point so every `exp_*` driver draws from the same
@@ -319,6 +322,58 @@ pub fn allocations() -> u64 {
 /// counted by [`CountingAlloc`]; a reallocation counts its new size.
 pub fn allocated_bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+/// A fresh, empty directory of one test's own, removed with everything in
+/// it when the guard drops, whether the test passes or panics. It
+/// dereferences to its [`Path`].
+///
+/// ```
+/// let dir = hbn_testutil::TestDir::new(std::env::temp_dir(), "doc");
+/// std::fs::write(dir.join("file"), b"bytes").unwrap();
+/// let path = dir.to_path_buf();
+/// drop(dir);
+/// assert!(!path.exists());
+/// ```
+#[derive(Debug)]
+pub struct TestDir(PathBuf);
+
+impl TestDir {
+    /// Create `{base}/{name}-{pid}-{n}`, where `n` counts the directories
+    /// this process has made: tests running side by side, and test runs
+    /// sharing `base`, never share one.
+    ///
+    /// # Panics
+    ///
+    /// If the directory cannot be created.
+    pub fn new(base: impl AsRef<Path>, name: &str) -> TestDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = base.as_ref().join(format!("{name}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create a test directory");
+        TestDir(dir)
+    }
+}
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TestDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[cfg(test)]
