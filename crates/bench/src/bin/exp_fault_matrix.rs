@@ -16,11 +16,9 @@
 #![warn(missing_docs)]
 
 use hbn_bench::{
-    build_strategy, exp_quick, root_adjacent_bus, strategy_axis, write_bench, Obj, Table,
+    exp_quick, root_adjacent_bus, strategy_axis, write_bench, Obj, StrategyAxis, Table,
 };
-use hbn_scenario::{
-    run_scenario_with, FaultPlan, ScenarioReport, ScenarioSpec, StrategyKind, TopologyFamily,
-};
+use hbn_scenario::{run_scenario_with, FaultPlan, ScenarioReport, ScenarioSpec, TopologyFamily};
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
 use hbn_topology::Network;
 use rand::Rng;
@@ -56,8 +54,8 @@ fn fault_plans(net: &Network, n_epochs: usize, seed: u64) -> Vec<(String, FaultP
     ]
 }
 
-fn run(spec: &ScenarioSpec, kind: Option<StrategyKind>) -> ScenarioReport {
-    run_scenario_with(spec, |net, exec, n| build_strategy(kind)(net, exec, n))
+fn run(spec: &ScenarioSpec, strategy: StrategyAxis) -> ScenarioReport {
+    run_scenario_with(spec, |net, exec, n| strategy.build(net, exec, n))
 }
 
 fn main() {
@@ -97,7 +95,7 @@ fn main() {
         let net = topology.build();
         let cell_seed = cell_seeds(seed_source.gen(), 1)[0];
         let plans = fault_plans(&net, n_epochs, cell_seed);
-        for kind in strategy_axis() {
+        for strategy in strategy_axis() {
             let clean_spec = ScenarioSpec {
                 epoch_requests,
                 ..ScenarioSpec::new(
@@ -108,13 +106,13 @@ fn main() {
                     cell_seed,
                 )
             };
-            let clean = run(&clean_spec, kind);
+            let clean = run(&clean_spec, strategy);
 
             for (plan_label, plan) in &plans {
                 let mut spec = clean_spec.clone();
                 spec.faults = plan.clone();
                 let start = Instant::now();
-                let report = run(&spec, kind);
+                let report = run(&spec, strategy);
                 let wall = start.elapsed().as_secs_f64();
 
                 // Degraded-mode acceptance: nothing lost, movement

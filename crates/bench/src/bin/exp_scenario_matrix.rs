@@ -1,8 +1,8 @@
 //! EXP-SCEN — the end-to-end scenario matrix: every access-pattern family
 //! of `hbn_workload::phases` crossed with several topology families, each
-//! cell run across independent seed shards (rayon). Each run streams the
-//! phase schedule through the online read-replicate / write-collapse
-//! strategy (zero-allocation workspace serve kernel) and
+//! cell run across independent seed shards, one thread each. Each run
+//! streams the phase schedule through the online read-replicate /
+//! write-collapse strategy (zero-allocation workspace serve kernel) and
 //! replays every epoch on the zero-allocation packet simulator, so the
 //! numbers below exercise the paper's actual pipeline: online traffic →
 //! dynamic placement → congestion → completion time.
@@ -18,8 +18,8 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{distinct, exp_quick, mean, per_sec, write_bench, Obj, Table};
-use hbn_scenario::{run_scenario_sharded, ScenarioSpec, TopologyFamily};
+use hbn_bench::{distinct, exp_quick, mean, per_sec, shards, write_bench, Obj, Table};
+use hbn_scenario::{run_scenario, ScenarioSpec, TopologyFamily};
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
 use hbn_topology::CapacityProfile;
 use hbn_workload::phases::PhaseSchedule;
@@ -32,10 +32,10 @@ const OBJECTS: usize = 24;
 const THRESHOLD: u64 = 3;
 /// Seed shards per matrix cell.
 const SHARDS: usize = 4;
-/// Requests per replay epoch. Bounding the epoch bounds the simulator's
-/// slot-loop backlog on saturated cells (the blocked-packet set is
-/// re-scanned every slot), which keeps 100k-request runs linear instead
-/// of quadratic in the backlog.
+/// Requests per replay epoch. Bounding the epoch bounds the backlog a
+/// saturated cell's replay carries from slot to slot, so a 100k-request
+/// run costs the sum of its epochs' replays, each over at most this many
+/// requests.
 const EPOCH_REQUESTS: usize = 5_000;
 
 /// (warm-up requests, measured-phase requests) per schedule: ≥ 100k per
@@ -140,7 +140,8 @@ fn main() {
             let processors = spec.build_network().n_processors();
 
             let start = Instant::now();
-            let reports = run_scenario_sharded(&spec, &seeds);
+            let reports =
+                shards(&seeds, |seed| run_scenario(&ScenarioSpec { seed, ..spec.clone() }));
             let wall = start.elapsed().as_secs_f64();
 
             let ratios: Vec<f64> = reports.iter().filter_map(|r| r.competitive_ratio).collect();

@@ -24,9 +24,7 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{
-    build_strategy, exp_quick, fatal, strategy_axis, thread_cpu_ns, write_bench, Obj, Table,
-};
+use hbn_bench::{exp_quick, fatal, strategy_axis, thread_cpu_ns, write_bench, Obj, Table};
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{ScenarioSpec, Session, TopologyFamily};
 use hbn_server::percentile;
@@ -219,17 +217,17 @@ fn main() {
     for (family, schedule) in &families {
         for topology in topologies {
             let seed = cell_seeds(seed_source.gen(), 1)[0];
-            for kind in strategy_axis() {
+            for strategy in strategy_axis() {
                 let name = format!("{family}@{topology}");
                 let spec = ScenarioSpec {
                     epoch_requests,
                     ..ScenarioSpec::new(name, topology, schedule.clone(), THRESHOLD, seed)
                 };
-                let factory = build_strategy(kind);
 
                 // Unbroken run, checkpointing halfway.
                 let start = Instant::now();
-                let mut session = Session::with_strategy(&spec, &factory);
+                let mut session =
+                    Session::with_strategy(&spec, |net, exec, n| strategy.build(net, exec, n));
                 let total_epochs = {
                     // Epoch count is derivable from the schedule split.
                     spec.schedule

@@ -26,11 +26,10 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{distinct, exp_quick, mean, per_sec, write_bench, Obj, Table};
-use hbn_scenario::{
-    run_scenario_sharded, run_scenario_sharded_with, FrozenStatic, ScenarioReport, ScenarioSpec,
-    StrategyKind, ThresholdSwitch, TopologyFamily,
+use hbn_bench::{
+    distinct, exp_quick, mean, per_sec, shards, write_bench, Obj, StrategyAxis, Table,
 };
+use hbn_scenario::{run_scenario_with, ScenarioSpec, StrategyKind, TopologyFamily};
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
 use hbn_workload::phases::PhaseSchedule;
 use rand::Rng;
@@ -68,54 +67,6 @@ fn topologies() -> Vec<TopologyFamily> {
     ]
 }
 
-/// One row of the strategy axis: either a built-in `StrategyKind` or a
-/// trait-only policy with its own construction path.
-enum StrategyAxis {
-    /// A built-in kind, run through the enum constructor layer.
-    Kind(StrategyKind),
-    /// `FrozenStatic` — only expressible via the `Strategy` trait.
-    Frozen,
-    /// `ThresholdSwitch` — only expressible via the `Strategy` trait.
-    Switch {
-        /// Observed write fraction that triggers the switch.
-        write_bound: f64,
-        /// Earliest epoch the switch may fire.
-        min_epochs: usize,
-    },
-}
-
-impl StrategyAxis {
-    fn label(&self) -> String {
-        match *self {
-            StrategyAxis::Kind(kind) => kind.to_string(),
-            StrategyAxis::Frozen => "frozen-static".into(),
-            StrategyAxis::Switch { write_bound, min_epochs } => {
-                format!("threshold-switch(w>={write_bound:.2},after={min_epochs})")
-            }
-        }
-    }
-
-    /// Run the cell: built-ins through `run_scenario_sharded`, trait-only
-    /// strategies through the factory-based sharded runner.
-    fn run(&self, spec: &ScenarioSpec, seeds: &[u64]) -> Vec<ScenarioReport> {
-        match *self {
-            StrategyAxis::Kind(kind) => {
-                let mut spec = spec.clone();
-                spec.strategy = kind;
-                run_scenario_sharded(&spec, seeds)
-            }
-            StrategyAxis::Frozen => run_scenario_sharded_with(spec, seeds, |net, exec, n| {
-                Box::new(FrozenStatic::new(net, exec, n))
-            }),
-            StrategyAxis::Switch { write_bound, min_epochs } => {
-                run_scenario_sharded_with(spec, seeds, move |net, exec, n| {
-                    Box::new(ThresholdSwitch::new(net, exec, n, write_bound, min_epochs))
-                })
-            }
-        }
-    }
-}
-
 /// The strategy axis. The periodic strategies re-optimize every 4
 /// epochs; `periodic-static(inf)` keeps the placement computed on the
 /// warm-up traffic for the whole run; the threshold switch flips to
@@ -127,8 +78,8 @@ fn strategies() -> Vec<StrategyAxis> {
         StrategyAxis::Kind(StrategyKind::PeriodicStatic { replace_every_epochs: 0 }),
         StrategyAxis::Kind(StrategyKind::PeriodicStatic { replace_every_epochs: 4 }),
         StrategyAxis::Kind(StrategyKind::Hybrid { reseed_every_epochs: 4 }),
-        StrategyAxis::Frozen,
-        StrategyAxis::Switch { write_bound: 0.15, min_epochs: 2 },
+        StrategyAxis::FrozenStatic,
+        StrategyAxis::ThresholdSwitch { write_bound: 0.15, min_epochs: 2 },
     ]
 }
 
@@ -167,16 +118,24 @@ fn main() {
             // the *identical* request streams.
             let seeds = cell_seeds(seed_source.gen(), SHARDS);
             let processors = topology.build().n_processors();
+            let spec = ScenarioSpec {
+                epoch_requests,
+                ..ScenarioSpec::new(
+                    format!("{family}@{topology}"),
+                    topology,
+                    schedule.clone(),
+                    THRESHOLD,
+                    0,
+                )
+            };
 
             for strategy in strategies() {
-                let name = format!("{family}@{topology}@{}", strategy.label());
-                let spec = ScenarioSpec {
-                    epoch_requests,
-                    ..ScenarioSpec::new(name, topology, schedule.clone(), THRESHOLD, 0)
-                };
-
                 let start = Instant::now();
-                let reports = strategy.run(&spec, &seeds);
+                let reports = shards(&seeds, |seed| {
+                    run_scenario_with(&ScenarioSpec { seed, ..spec.clone() }, |net, exec, n| {
+                        strategy.build(net, exec, n)
+                    })
+                });
                 let wall = start.elapsed().as_secs_f64();
 
                 let ratios: Vec<f64> = reports.iter().filter_map(|r| r.competitive_ratio).collect();

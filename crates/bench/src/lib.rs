@@ -15,7 +15,7 @@ pub use bench_json::{write_bench, Obj};
 pub use measure::{measure, thread_cpu_ns, Timing};
 pub use table::Table;
 
-use hbn_scenario::{ExecutionConfig, Strategy, StrategyKind, ThresholdSwitch};
+use hbn_scenario::{ExecutionConfig, FrozenStatic, Strategy, StrategyKind, ThresholdSwitch};
 use hbn_topology::{Network, NodeId};
 
 /// Whether the experiment binaries should run in quick mode
@@ -80,19 +80,90 @@ pub fn strategy_kinds() -> Vec<StrategyKind> {
     ]
 }
 
-/// The strategy axis of the resume and fault matrices: [`strategy_kinds`]
-/// plus the trait-only `ThresholdSwitch` (`None`), so every state shape is
-/// covered, switch composites included.
-pub fn strategy_axis() -> Vec<Option<StrategyKind>> {
-    strategy_kinds().into_iter().map(Some).chain([None]).collect()
+/// One policy of a strategy axis: a built-in [`StrategyKind`], or one of
+/// the policies that exist only through the [`Strategy`] trait. A cell's
+/// label is the built policy's own ([`Strategy::label`], which the
+/// report carries as `ScenarioReport::strategy`).
+#[derive(Debug, Clone, Copy)]
+pub enum StrategyAxis {
+    /// A built-in kind.
+    Kind(StrategyKind),
+    /// [`FrozenStatic`]: place once, never re-optimize.
+    FrozenStatic,
+    /// [`ThresholdSwitch`]: serve dynamically until the observed write
+    /// fraction reaches `write_bound`, then switch to a static placement.
+    ThresholdSwitch {
+        /// Observed write fraction that triggers the switch.
+        write_bound: f64,
+        /// Earliest epoch the switch may fire.
+        min_epochs: usize,
+    },
 }
 
-/// The factory of one [`strategy_axis`] entry.
-pub fn build_strategy(
-    kind: Option<StrategyKind>,
-) -> impl Fn(&Network, &ExecutionConfig, usize) -> Box<dyn Strategy> {
-    move |net, exec, n| match kind {
-        Some(kind) => kind.build(net, exec, n),
-        None => Box::new(ThresholdSwitch::new(net, exec, n, 0.1, 3)),
+impl StrategyAxis {
+    /// The policy for one run: a [`hbn_scenario::run_scenario_with`] or
+    /// [`hbn_scenario::Session::with_strategy`] factory.
+    pub fn build(&self, net: &Network, exec: &ExecutionConfig, n: usize) -> Box<dyn Strategy> {
+        match *self {
+            StrategyAxis::Kind(kind) => kind.build(net, exec, n),
+            StrategyAxis::FrozenStatic => Box::new(FrozenStatic::new(net, exec, n)),
+            StrategyAxis::ThresholdSwitch { write_bound, min_epochs } => {
+                Box::new(ThresholdSwitch::new(net, exec, n, write_bound, min_epochs))
+            }
+        }
+    }
+}
+
+/// The strategy axis of the resume and fault matrices: [`strategy_kinds`]
+/// plus a trait-only [`StrategyAxis::ThresholdSwitch`], so every state
+/// shape is covered, switch composites included.
+pub fn strategy_axis() -> Vec<StrategyAxis> {
+    strategy_kinds()
+        .into_iter()
+        .map(StrategyAxis::Kind)
+        .chain([StrategyAxis::ThresholdSwitch { write_bound: 0.1, min_epochs: 3 }])
+        .collect()
+}
+
+/// Run `run` once per seed, each on its own scoped thread, and return the
+/// results in seed order. The experiment matrices run a cell's 2–4 seed
+/// shards this way; a panic in any shard propagates to the caller.
+pub fn shards<T: Send>(seeds: &[u64], run: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let run = &run;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = seeds.iter().map(|&seed| s.spawn(move || run(seed))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hbn_scenario::{run_scenario, ScenarioSpec, TopologyFamily};
+    use hbn_workload::phases::full_tour;
+
+    /// One seed runs on a single worker, four on four; either way each
+    /// slot holds its own seed's `run_scenario` report.
+    #[test]
+    fn shards_return_each_seeds_report_in_seed_order() {
+        let spec = ScenarioSpec::new(
+            "shards",
+            TopologyFamily::Caterpillar { spine: 3, legs: 2 },
+            full_tour(5, 80),
+            2,
+            0,
+        );
+        let run = |seed| run_scenario(&ScenarioSpec { seed, ..spec.clone() });
+        for seeds in [&[5u64][..], &[3, 1, 7, 2]] {
+            let reports = shards(seeds, run);
+            assert_eq!(reports.len(), seeds.len());
+            for (&seed, report) in seeds.iter().zip(&reports) {
+                assert_eq!(report.seed, seed);
+                assert_eq!(report, &run(seed), "shard for seed {seed}");
+            }
+        }
     }
 }

@@ -480,8 +480,8 @@ impl DynamicTree {
                 // edge set: every parent edge whose both endpoints hold a
                 // copy. O(|R|) with stamped membership tests — the
                 // connected-set specialization of
-                // `hbn_topology::steiner::add_steiner_load` (pinned to it
-                // by the differential suite via the reference kernel).
+                // `hbn_topology::steiner::steiner_edges` (pinned to it by
+                // the differential suite via the reference kernel).
                 for &r in &st.replicas {
                     if r != net.root() && st.contains(net.parent(r)) {
                         self.loads.add_edge(EdgeId::from(r), 1);

@@ -6,10 +6,10 @@
 //!   spanning the copy set `P_x` by one (the update broadcast).
 //! * A **bus** carries half the sum of the loads of its incident switches.
 //!
-//! Two interchangeable implementations are provided and cross-checked in
-//! tests: a sparse one that walks explicit paths (good for small supports)
-//! and a dense subtree-sum one in `O(|V|)` per object (good for wide
-//! supports); [`LoadMap::from_placement`] picks per object.
+//! One implementation, [`add_object_loads`], computes an object's loads
+//! by walking its assignment paths and the Steiner tree of its copies, so
+//! its cost follows the edges it loads, not `|V|`. `hbn-sim`'s
+//! differential suite pins a full replay's per-edge crossings to it.
 
 use crate::placement::{Bottleneck, CongestionReport, Placement};
 use crate::ratio::LoadRatio;
@@ -160,7 +160,7 @@ impl LoadMap {
         out
     }
 
-    /// Loads of a single object (sparse accounting).
+    /// Loads of a single object.
     pub fn from_object(
         net: &Network,
         matrix: &AccessMatrix,
@@ -168,52 +168,22 @@ impl LoadMap {
         x: ObjectId,
     ) -> LoadMap {
         let mut out = LoadMap::zero(net);
-        add_object_loads_sparse(net, matrix, placement, x, &mut out);
+        add_object_loads(net, matrix, placement, x, &mut steiner::SteinerScratch::new(), &mut out);
         out
     }
 }
 
-/// Add the loads of object `x` to `out`: its placement's assignment paths
-/// plus, when `x` is written, the Steiner tree of its copies. Picks the
-/// sparse or the dense accounting by the object's support size, exactly
-/// as [`LoadMap::from_placement`] does for each object, which is this
-/// call over every object id; callers that account a subset of the
-/// objects (an epoch's support) get the same per-object loads.
+/// Add the loads of object `x` to `out`: `reads + writes` on every edge of
+/// each assignment entry's path, plus the write contention `κ_x` on every
+/// edge of the Steiner tree of `x`'s copies. Costs `O(height)` per
+/// assignment entry and `O(c·height·log(c·height))` for the Steiner tree
+/// of `c` copies, and allocates nothing once `scratch` has grown to the
+/// largest tree.
+///
+/// [`LoadMap::from_placement`] is this call over every object id, with
+/// one scratch; callers that account a subset of the objects (an epoch's
+/// support) get the same per-object loads.
 pub fn add_object_loads(
-    net: &Network,
-    matrix: &AccessMatrix,
-    placement: &Placement,
-    x: ObjectId,
-    scratch: &mut steiner::SteinerScratch,
-    out: &mut LoadMap,
-) {
-    let support = placement.assignment(x).len() + placement.copies(x).len();
-    // Dense accounting costs O(|V|); sparse costs roughly
-    // O(support · height).
-    if support * (net.height() as usize + 1) < net.n_nodes() {
-        sparse_loads_with(net, matrix, placement, x, scratch, out);
-    } else {
-        add_object_loads_dense(net, matrix, placement, x, out);
-    }
-}
-
-/// Sparse accounting: explicit path walks plus a virtual-tree Steiner
-/// computation. `O(k·height + k log k)` for support size `k`.
-pub fn add_object_loads_sparse(
-    net: &Network,
-    matrix: &AccessMatrix,
-    placement: &Placement,
-    x: ObjectId,
-    out: &mut LoadMap,
-) {
-    let mut scratch = steiner::SteinerScratch::new();
-    sparse_loads_with(net, matrix, placement, x, &mut scratch, out);
-}
-
-/// [`add_object_loads_sparse`] with a caller-provided Steiner scratch, so
-/// bulk accounting ([`LoadMap::from_placement`]) reuses one scratch
-/// across all objects.
-fn sparse_loads_with(
     net: &Network,
     matrix: &AccessMatrix,
     placement: &Placement,
@@ -238,73 +208,11 @@ fn sparse_loads_with(
     }
 }
 
-/// Dense accounting in `O(|V| + k·log|V|)`: path loads via the LCA
-/// difference trick and Steiner edges via subtree terminal counts.
-pub fn add_object_loads_dense(
-    net: &Network,
-    matrix: &AccessMatrix,
-    placement: &Placement,
-    x: ObjectId,
-    out: &mut LoadMap,
-) {
-    let n = net.n_nodes();
-    let mut diff = vec![0i64; n];
-    for e in placement.assignment(x) {
-        let weight = (e.reads + e.writes) as i64;
-        if weight == 0 {
-            continue;
-        }
-        let l = net.lca(e.processor, e.server);
-        diff[e.processor.index()] += weight;
-        diff[e.server.index()] += weight;
-        diff[l.index()] -= 2 * weight;
-    }
-    // Subtree-sum the differences in postorder; afterwards acc[v] is the
-    // path load crossing the edge (v, parent(v)).
-    let mut acc = diff;
-    for v in net.postorder() {
-        if v != net.root() {
-            let val = acc[v.index()];
-            let p = net.parent(v);
-            acc[p.index()] += val;
-        }
-    }
-    for e in net.edges() {
-        let v = e.child();
-        let val = acc[v.index()];
-        debug_assert!(val >= 0, "path difference sums must be non-negative");
-        out.edge[e.index()] += val as u64;
-    }
-    // Steiner edges via terminal counts.
-    let kappa = matrix.write_contention(x);
-    let copies = placement.copies(x);
-    if kappa > 0 && copies.len() >= 2 {
-        let mut cnt = vec![0u32; n];
-        for &c in copies {
-            cnt[c.index()] += 1;
-        }
-        for v in net.postorder() {
-            if v != net.root() {
-                let val = cnt[v.index()];
-                let p = net.parent(v);
-                cnt[p.index()] += val;
-            }
-        }
-        let total = copies.len() as u32;
-        for e in net.edges() {
-            let below = cnt[e.child().index()];
-            if below > 0 && below < total {
-                out.edge[e.index()] += kappa;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placement::AssignmentEntry;
-    use hbn_topology::generators::{balanced, star, BandwidthProfile};
+    use hbn_topology::generators::star;
     use hbn_topology::NetworkBuilder;
 
     /// Star with 4 processors (ids 1..=4) around bus 0.
@@ -363,34 +271,6 @@ mod tests {
         assert_eq!(loads.edge_load(EdgeId::from(p[1])), 6);
         assert_eq!(loads.edge_load(EdgeId::from(p[2])), 3);
         assert_eq!(loads.edge_load(EdgeId::from(p[3])), 0);
-    }
-
-    #[test]
-    fn sparse_and_dense_agree() {
-        let net = balanced(3, 3, BandwidthProfile::Uniform);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        use rand::{Rng, SeedableRng};
-        for _ in 0..20 {
-            let mut m = AccessMatrix::new(1);
-            let x = ObjectId(0);
-            let procs = net.processors();
-            for &p in procs {
-                if rng.gen_bool(0.6) {
-                    m.add(p, x, rng.gen_range(0..5), rng.gen_range(0..5));
-                }
-            }
-            let k = rng.gen_range(1..=4);
-            let mut pl = Placement::new(1);
-            for _ in 0..k {
-                pl.add_copy(x, procs[rng.gen_range(0..procs.len())]);
-            }
-            pl.nearest_assignment(&net, &m);
-            let mut a = LoadMap::zero(&net);
-            add_object_loads_sparse(&net, &m, &pl, x, &mut a);
-            let mut b = LoadMap::zero(&net);
-            add_object_loads_dense(&net, &m, &pl, x, &mut b);
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

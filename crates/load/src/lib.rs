@@ -13,7 +13,7 @@ pub mod bounds;
 pub mod placement;
 pub mod ratio;
 
-pub use accounting::{add_object_loads, add_object_loads_dense, add_object_loads_sparse, LoadMap};
+pub use accounting::{add_object_loads, LoadMap};
 pub use bounds::{makespan_bounds, InjectionProfile, MakespanBounds};
 pub use placement::{
     nearest_copy_map, placement_stats, AssignmentEntry, Bottleneck, CongestionReport,

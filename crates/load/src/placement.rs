@@ -226,20 +226,12 @@ impl Placement {
     /// to its *nearest* copy (ties to the smaller copy id), for the current
     /// copy sets. Requires every requested object to have ≥ 1 copy.
     ///
-    /// One [`NearestCopies`] sweep serves every object, so each costs
-    /// `O((requesters + copies) · height(T))`, independent of `|V|`.
+    /// Only the objects of `matrix`'s [support](AccessMatrix::support) are
+    /// visited: an object without requests keeps its assignment, which a
+    /// fresh placement does not have. One [`NearestCopies`] sweep serves
+    /// every object, so each costs `O((requesters + copies) · height(T))`,
+    /// independent of `|V|` and of the object count.
     pub fn nearest_assignment(&mut self, net: &Network, matrix: &AccessMatrix) {
-        let mut sweep = NearestCopies::new(net.n_nodes());
-        for x in matrix.objects() {
-            self.assign_nearest(net, matrix, x, &mut sweep);
-        }
-    }
-
-    /// [`Placement::nearest_assignment`] over the objects of `matrix`'s
-    /// [support](AccessMatrix::support) only, in `O(support)` instead of
-    /// `O(n_objects)`. Unlike the full form it leaves the assignment of an
-    /// object without requests as it is, instead of clearing it.
-    pub fn nearest_assignment_support(&mut self, net: &Network, matrix: &AccessMatrix) {
         let mut sweep = NearestCopies::new(net.n_nodes());
         for x in matrix.support() {
             self.assign_nearest(net, matrix, x, &mut sweep);
@@ -651,28 +643,42 @@ mod tests {
         assert!(p.is_single_reference());
     }
 
-    /// The support-driven form assigns exactly what the full form does on
-    /// the requested objects, in the copy sets' own allocations.
+    /// A placement reused the way `Session` reuses its snapshot — each
+    /// object of the previous matrix's support cleared, the new copy sets
+    /// written into their own allocations, then `nearest_assignment` —
+    /// equals a fresh placement given the same copy sets, whatever the
+    /// previous epoch assigned.
     #[test]
-    fn support_assignment_matches_the_full_form() {
+    fn reused_placement_assigns_like_a_fresh_one() {
         let net = balanced(2, 3, BandwidthProfile::Uniform);
         let p = net.processors();
+        let mut previous = AccessMatrix::new(6);
+        previous.add(p[2], ObjectId(4), 1, 1);
+        previous.add(p[3], ObjectId(0), 4, 0);
+        let mut reused = Placement::new(6);
+        reused.set_copies_from(ObjectId(4), &[p[3]]);
+        reused.set_copies_from(ObjectId(0), &[p[0], p[7]]);
+        reused.nearest_assignment(&net, &previous);
+        assert!(!reused.assignment(ObjectId(0)).is_empty());
+
+        for x in previous.support() {
+            reused.clear_object(x);
+        }
+        assert!(reused.copies(ObjectId(0)).is_empty());
+        assert!(reused.assignment(ObjectId(0)).is_empty());
         let mut m = AccessMatrix::new(6);
         m.add(p[0], ObjectId(4), 2, 1);
         m.add(p[5], ObjectId(4), 1, 0);
         m.add(p[7], ObjectId(1), 0, 3);
-        let mut full = Placement::new(6);
-        let mut support = Placement::new(6);
+        let mut fresh = Placement::new(6);
         for (x, copies) in [(4, vec![p[6], p[1], p[6]]), (1, vec![p[2]])] {
-            full.set_copies(ObjectId(x), copies.clone());
-            support.set_copies_from(ObjectId(x), &copies);
+            fresh.set_copies(ObjectId(x), copies.clone());
+            reused.set_copies_from(ObjectId(x), &copies);
         }
-        full.nearest_assignment(&net, &m);
-        support.nearest_assignment_support(&net, &m);
-        assert_eq!(support, full);
-        support.clear_object(ObjectId(4));
-        assert!(support.copies(ObjectId(4)).is_empty());
-        assert!(support.assignment(ObjectId(4)).is_empty());
+        fresh.nearest_assignment(&net, &m);
+        reused.nearest_assignment(&net, &m);
+        assert_eq!(reused, fresh);
+        fresh.validate(&net, &m).unwrap();
     }
 
     #[test]

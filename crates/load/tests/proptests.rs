@@ -1,11 +1,9 @@
-//! Property tests for load accounting: the two accounting paths agree,
-//! congestion behaves monotonically, nearest-copy maps are truly
-//! nearest, and the per-object nearest-copy sweep equals the map.
+//! Property tests for load accounting: congestion behaves monotonically,
+//! nearest-copy maps are truly nearest, and the per-object nearest-copy
+//! sweep equals the map. The accounting itself is pinned to the replay
+//! kernel's per-edge crossings in `hbn-sim`'s differential suite.
 
-use hbn_load::{
-    add_object_loads_dense, add_object_loads_sparse, nearest_copy_map, LoadMap, NearestCopies,
-    Placement,
-};
+use hbn_load::{nearest_copy_map, LoadMap, NearestCopies, Placement};
 use hbn_topology::generators::{random_network, BandwidthProfile};
 use hbn_topology::{Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
@@ -82,18 +80,6 @@ proptest! {
                 prop_assert_eq!(sweep.nearest(&net, v), map[v.index()],
                     "node {} with sources {:?}", v, sources);
             }
-        }
-    }
-
-    #[test]
-    fn sparse_and_dense_accounting_agree((net, m, pl) in arb_instance()) {
-        pl.validate(&net, &m).unwrap();
-        for x in m.objects() {
-            let mut a = LoadMap::zero(&net);
-            add_object_loads_sparse(&net, &m, &pl, x, &mut a);
-            let mut b = LoadMap::zero(&net);
-            add_object_loads_dense(&net, &m, &pl, x, &mut b);
-            prop_assert_eq!(a, b);
         }
     }
 

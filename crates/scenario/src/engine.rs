@@ -20,10 +20,11 @@
 //! give the [`ScenarioReport`]. The batch functions here are thin
 //! wrappers over [`crate::Session`] — `run_scenario` is `Session::new`
 //! stepped to exhaustion, pinned bit-for-bit to the pre-session engine
-//! by the differential suite. Independent seeds shard across cores via
-//! [`run_scenario_sharded`]; one run executes on the calling thread, and
-//! all per-epoch bookkeeping runs through preallocated delta accumulators
-//! instead of cloning the strategy's cumulative load map every epoch.
+//! by the differential suite. A run executes on the calling thread and
+//! starts none; callers that want several seeds at once run one scenario
+//! per thread. All per-epoch bookkeeping runs through preallocated delta
+//! accumulators instead of cloning the strategy's cumulative load map
+//! every epoch.
 
 use crate::session::Session;
 use crate::spec::{ExecutionConfig, ScenarioSpec};
@@ -32,7 +33,6 @@ use hbn_dynamic::DynamicStats;
 use hbn_load::LoadRatio;
 use hbn_sim::SimError;
 use hbn_topology::Network;
-use rayon::prelude::*;
 
 /// The request/migration counters every reporting granularity shares —
 /// epoch, phase and whole run carry one `TrafficCounters` instead of
@@ -305,55 +305,11 @@ pub fn run_scenario_with(
     session.into_report()
 }
 
-/// The spec of the seed shard for `seed`: `spec` with its seed replaced.
-fn seed_shard_spec(spec: &ScenarioSpec, seed: u64) -> ScenarioSpec {
-    ScenarioSpec { seed, ..spec.clone() }
-}
-
-/// Run the same scenario across many seeds, sharded over cores with
-/// rayon. Each shard is fully independent (own network, strategy and
-/// simulator workspace); reports come back in seed order.
-pub fn run_scenario_sharded(spec: &ScenarioSpec, seeds: &[u64]) -> Vec<ScenarioReport> {
-    seeds.par_iter().map(|&seed| run_scenario(&seed_shard_spec(spec, seed))).collect()
-}
-
-/// [`run_scenario_sharded`] under a caller-built [`Strategy`]: the
-/// factory runs once per seed shard (each shard owns its strategy).
-pub fn run_scenario_sharded_with(
-    spec: &ScenarioSpec,
-    seeds: &[u64],
-    factory: impl Fn(&Network, &ExecutionConfig, usize) -> Box<dyn Strategy> + Sync,
-) -> Vec<ScenarioReport> {
-    seeds
-        .par_iter()
-        .map(|&seed| run_scenario_with(&seed_shard_spec(spec, seed), &factory))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::TopologyFamily;
     use hbn_workload::phases::full_tour;
-
-    #[test]
-    fn sharded_runs_match_individual_runs_in_seed_order() {
-        let spec = ScenarioSpec::new(
-            "sharded",
-            TopologyFamily::Caterpillar { spine: 3, legs: 2 },
-            full_tour(5, 80),
-            2,
-            0,
-        );
-        let seeds = [3u64, 1, 7];
-        let sharded = run_scenario_sharded(&spec, &seeds);
-        assert_eq!(sharded.len(), seeds.len());
-        for (&seed, report) in seeds.iter().zip(&sharded) {
-            let mut solo = spec.clone();
-            solo.seed = seed;
-            assert_eq!(report, &run_scenario(&solo), "shard for seed {seed}");
-        }
-    }
 
     #[test]
     fn phase_summaries_partition_the_run() {

@@ -16,8 +16,8 @@
 //! ([`Session::push_epoch`]), mid-run policy swaps
 //! ([`Session::swap_strategy`]) and exact checkpoint/restore
 //! ([`Session::checkpoint`]). The batch entry points
-//! ([`run_scenario`], [`run_scenario_sharded`], [`run_scenario_with`])
-//! are thin wrappers over a session.
+//! ([`run_scenario`], [`run_scenario_with`]) are thin wrappers over a
+//! session, run on the calling thread.
 //!
 //! This is the paper's actual pipeline: *online* access patterns
 //! (parallel-program globals, shared-memory pages, WWW pages) served on a
@@ -66,8 +66,8 @@ pub mod strategy;
 
 pub use durable::{JournalRecord, RestoreError};
 pub use engine::{
-    run_scenario, run_scenario_sharded, run_scenario_sharded_with, run_scenario_with,
-    EpochEstimate, EpochSummary, PhaseSummary, ScenarioReport, TenantSummary, TrafficCounters,
+    run_scenario, run_scenario_with, EpochEstimate, EpochSummary, PhaseSummary, ScenarioReport,
+    TenantSummary, TrafficCounters,
 };
 pub use faults::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanError, FaultView, DEFAULT_OUTAGE_SLOTS,

@@ -636,12 +636,6 @@ impl Session {
         self.replay_override = replay;
     }
 
-    /// The active replay-kernel override, if any
-    /// ([`Session::set_replay_override`]).
-    pub fn replay_override(&self) -> Option<ReplayKernel> {
-        self.replay_override
-    }
-
     /// Per-tenant cumulative placement loads (object partition
     /// `id % tenants`); empty for single-tenant schedules. Indexed by
     /// tenant, in step with [`Session::tenant_requests`].
@@ -827,7 +821,7 @@ impl Session {
         for x in epoch_matrix.support() {
             buf.snapshot.set_copies_from(x, st.strategy.copy_set(x));
         }
-        buf.snapshot.nearest_assignment_support(net, epoch_matrix);
+        buf.snapshot.nearest_assignment(net, epoch_matrix);
         let placement = &buf.snapshot;
         // The snapshot's loads, object by object; on a multi-tenant
         // schedule each object's loads also go to its tenant's map, so

@@ -376,7 +376,8 @@ pub struct ScenarioSpec {
     /// Which built-in data-management strategy serves the stream (the
     /// open-ended alternative is [`crate::Session::with_strategy`]).
     pub strategy: StrategyKind,
-    /// Stream seed; [`crate::run_scenario_sharded`] overrides it per shard.
+    /// Seed of the request stream; a multi-seed experiment runs one copy
+    /// of the spec per seed, with this field replaced.
     pub seed: u64,
     /// Requests per replay epoch; `0` replays each phase as one epoch.
     pub epoch_requests: usize,

@@ -36,19 +36,12 @@ pub struct ServerConfig {
     /// cadence batches more epochs per append, and the epochs served
     /// since the last tick are replayed from memory on recovery.
     pub watchdog_poll: Duration,
-    /// Checkpoint frames kept per tenant (newest N), each with the
-    /// journal segment that follows it, so a corrupt newest frame can
-    /// fall back to an older one and replay the segments after it.
-    /// Rotation deletes a frame together with its segment; the history
-    /// chunk files in `checkpoint_dir` are shared by every retained
-    /// frame and stay.
-    pub checkpoints_retained: usize,
 }
 
 impl ServerConfig {
     /// Defaults sized for tests and small deployments: capacity 64,
     /// high/low water 8/2, unsampled estimator shedding, 20 ms watchdog
-    /// cadence, two retained checkpoints.
+    /// cadence.
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             queue_capacity: 64,
@@ -57,7 +50,6 @@ impl ServerConfig {
             degraded_sample_every: 0,
             checkpoint_dir: checkpoint_dir.into(),
             watchdog_poll: Duration::from_millis(20),
-            checkpoints_retained: 2,
         }
     }
 }

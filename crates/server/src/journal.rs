@@ -20,6 +20,13 @@ use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
+/// Checkpoint frames kept per tenant (the newest 2), each with the
+/// journal segment that follows it, so a corrupt newest frame can fall
+/// back to the one before and replay the segments after it. Rotation
+/// deletes a frame together with its segment; the history chunk files
+/// are shared by every retained frame and stay.
+const FRAMES_RETAINED: usize = 2;
+
 /// One retained frame and the journal segment that follows it.
 struct Frame {
     /// Epoch the frame restores to.
@@ -131,7 +138,7 @@ impl Durable {
             end: epoch,
         });
         self.append = Some(file);
-        while self.frames.len() > cfg.checkpoints_retained.max(1) {
+        while self.frames.len() > FRAMES_RETAINED {
             let old = self.frames.remove(0);
             let _ = std::fs::remove_file(&old.path);
             let _ = std::fs::remove_file(&old.segment);

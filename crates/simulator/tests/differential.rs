@@ -2,15 +2,16 @@
 //! identical `SimResult` to the retained naive reference kernel (the
 //! oracle) on every instance — same makespan, latencies, delivery counts
 //! and per-edge crossings — including under capacity overlays and on
-//! the error paths.
+//! the error paths. A full replay's per-edge crossings must also equal
+//! the load model's accounting (`LoadMap::from_placement`).
 
 use hbn_core::ExtendedNibble;
-use hbn_load::Placement;
+use hbn_load::{LoadMap, Placement};
 use hbn_sim::{
     expand, expand_shuffled, simulate, simulate_reference, simulate_reference_overlay,
     simulate_with, simulate_with_overlay, SimConfig, SimError, SimWorkspace,
 };
-use hbn_testutil::workload_from_seed;
+use hbn_testutil::{arb_network, workload_from_seed};
 use hbn_topology::generators::{balanced, random_network, star, BandwidthProfile};
 use hbn_topology::{CapacityOverlay, Network};
 use hbn_workload::generators as wgen;
@@ -450,6 +451,70 @@ fn kernels_agree_on_congested_broadcasts() {
         let naive = simulate_reference(&net, &m, &placement, &trace, cfg).unwrap();
         assert_eq!(fast, naive, "congested broadcasts under {profile:?}");
         assert!(fast.delivered_updates > 1_000, "{profile:?}: too few updates to congest");
+    }
+}
+
+/// Copy sets of `copies` random processors (duplicates merge) for every
+/// requested object, with nearest-copy assignment.
+fn random_leaf_placement(
+    net: &Network,
+    m: &AccessMatrix,
+    copies: std::ops::RangeInclusive<usize>,
+    seed: u64,
+) -> Placement {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let procs = net.processors();
+    let mut placement = Placement::new(m.n_objects());
+    for x in m.support() {
+        for _ in 0..rng.gen_range(copies.clone()) {
+            placement.add_copy(x, procs[rng.gen_range(0..procs.len())]);
+        }
+    }
+    placement.nearest_assignment(net, m);
+    placement
+}
+
+/// Assert that replaying all of `m` crosses every edge exactly as often
+/// as the load model charges it.
+fn assert_crossings_match_loads(net: &Network, m: &AccessMatrix, placement: &Placement) {
+    let sim = simulate(net, m, placement, &expand(m), SimConfig::default()).unwrap();
+    let loads = LoadMap::from_placement(net, m, placement);
+    for e in net.edges() {
+        assert_eq!(sim.edge_crossings[e.index()], loads.edge_load(e), "edge {e}");
+    }
+}
+
+/// Wide supports on `balanced(4,3)`: every object has at least 22
+/// requesters and is written, and its writes broadcast over 2–4 copies.
+#[test]
+fn crossings_match_the_load_model_on_wide_supports() {
+    let net = balanced(4, 3, BandwidthProfile::Uniform);
+    let m = workload_from_seed(&net, 6, 3, 2, 0.6, 4242);
+    for x in m.objects() {
+        assert!(m.object_entries(x).len() >= 22, "object {x}: too few requesters");
+        assert!(m.write_contention(x) > 0, "object {x} is never written");
+    }
+    let placement = random_leaf_placement(&net, &m, 2..=4, 4243);
+    assert!(m.objects().all(|x| placement.copies(x).len() >= 2));
+    assert_crossings_match_loads(&net, &m, &placement);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Small random trees with dense workloads and random leaf copy sets
+    /// of 1–4 processors: the replay's crossings are the accounting's
+    /// loads, edge by edge.
+    #[test]
+    fn crossings_match_the_load_model(
+        net in arb_network(5, 12),
+        objects in 1usize..5,
+        wl_seed in any::<u64>(),
+        copy_seed in any::<u64>(),
+    ) {
+        let m = workload_from_seed(&net, objects, 5, 4, 0.8, wl_seed);
+        let placement = random_leaf_placement(&net, &m, 1..=4, copy_seed);
+        assert_crossings_match_loads(&net, &m, &placement);
     }
 }
 

@@ -76,29 +76,6 @@ pub fn steiner_edges_with<'s>(
     &scratch.edges
 }
 
-/// Marks each edge of the Steiner tree of `terminals` in a reusable
-/// per-edge buffer (indexed by `EdgeId::index`), adding `weight` to marked
-/// entries. Used by the load accounting, which processes many objects and
-/// wants to avoid repeated allocation.
-pub fn add_steiner_load(net: &Network, terminals: &[NodeId], weight: u64, out: &mut [u64]) {
-    let mut scratch = SteinerScratch::new();
-    add_steiner_load_with(net, terminals, weight, &mut scratch, out);
-}
-
-/// [`add_steiner_load`] with caller-provided scratch: fully allocation-free
-/// once the scratch has reached its high-water capacity.
-pub fn add_steiner_load_with(
-    net: &Network,
-    terminals: &[NodeId],
-    weight: u64,
-    scratch: &mut SteinerScratch,
-    out: &mut [u64],
-) {
-    for &e in steiner_edges_with(net, terminals, scratch) {
-        out[e.index()] += weight;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,28 +172,5 @@ mod tests {
             // The same scratch is reused across every subset.
             assert_eq!(steiner_edges_with(&t, &terminals, &mut scratch), want, "mask {mask:#b}");
         }
-    }
-
-    #[test]
-    fn add_steiner_load_with_reuses_scratch() {
-        let t = two_level();
-        let mut buf = vec![0u64; t.n_nodes()];
-        let mut scratch = SteinerScratch::new();
-        add_steiner_load_with(&t, &[NodeId(3), NodeId(7)], 4, &mut scratch, &mut buf);
-        add_steiner_load_with(&t, &[NodeId(3), NodeId(4)], 1, &mut scratch, &mut buf);
-        assert_eq!(buf[3], 5);
-        assert_eq!(buf[4], 1);
-        assert_eq!(buf[7], 4);
-    }
-
-    #[test]
-    fn add_steiner_load_accumulates() {
-        let t = two_level();
-        let mut buf = vec![0u64; t.n_nodes()];
-        add_steiner_load(&t, &[NodeId(3), NodeId(4)], 5, &mut buf);
-        add_steiner_load(&t, &[NodeId(3), NodeId(4)], 2, &mut buf);
-        assert_eq!(buf[3], 7);
-        assert_eq!(buf[4], 7);
-        assert_eq!(buf[1], 0, "edge above bus1 is not in the Steiner tree");
     }
 }

@@ -277,6 +277,20 @@ mod tests {
         m.validate(&t).unwrap();
     }
 
+    /// Under strong skew the rank-0 object draws far more requests than
+    /// the last one.
+    #[test]
+    fn zipf_read_mostly_is_skewed_by_rank() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let m = zipf_read_mostly(&net(), 20, 5000, 1.2, 0.2, &mut rng);
+        assert_eq!(m.grand_total(), 5000);
+        let first = m.total_weight(ObjectId(0));
+        let last = m.total_weight(ObjectId(19));
+        assert!(first > 4 * last.max(1), "skew not visible: {first} vs {last}");
+        let writes: u64 = m.objects().map(|x| m.write_contention(x)).sum();
+        assert!((500..1750).contains(&writes), "≈20% writes, got {writes}");
+    }
+
     #[test]
     fn producer_consumer_shape() {
         let t = net();
@@ -298,6 +312,20 @@ mod tests {
             assert_eq!(m.write_contention(x), 3 * t.n_processors() as u64);
         }
         m.validate(&t).unwrap();
+    }
+
+    /// Every processor requests every object, so each object's write
+    /// contention is the workload's maximum.
+    #[test]
+    fn shared_write_requests_are_uniform() {
+        let t = balanced(2, 2, BandwidthProfile::Uniform);
+        let m = shared_write(&t, 3, 2, 5);
+        for x in m.objects() {
+            assert_eq!(m.write_contention(x), 5 * t.n_processors() as u64);
+            assert_eq!(m.object_entries(x).len(), t.n_processors());
+        }
+        let max = m.objects().map(|x| m.write_contention(x)).max();
+        assert_eq!(max, Some(5 * t.n_processors() as u64));
     }
 
     #[test]

@@ -12,10 +12,8 @@ pub mod freq;
 pub mod generators;
 pub mod objects;
 pub mod phases;
-pub mod stats;
 
 pub use arrivals::OpenLoopArrivals;
 pub use freq::{AccessEntry, AccessMatrix, WorkloadError};
 pub use objects::ObjectId;
 pub use phases::{PhaseKind, PhaseSchedule, PhaseSpec, PhaseStream, PhaseStreamState, Request};
-pub use stats::{workload_stats, ObjectStats, WorkloadStats};

@@ -23,13 +23,14 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(42);
     let matrix =
         hierbus::workload::generators::zipf_read_mostly(&net, 64, 5_000, 1.0, 0.3, &mut rng);
-    let stats = hierbus::workload::workload_stats(&matrix);
+    let writes: u64 = matrix.objects().map(|x| matrix.write_contention(x)).sum();
+    let kappa_max = matrix.objects().map(|x| matrix.write_contention(x)).max().unwrap_or(0);
     println!(
         "workload: {} requests over {} objects, write fraction {:.2}, κ_max = {}",
-        stats.grand_total,
+        matrix.grand_total(),
         matrix.n_objects(),
-        stats.write_fraction,
-        stats.max_write_contention
+        writes as f64 / matrix.grand_total() as f64,
+        kappa_max
     );
 
     // Steps 1-3 of the paper.
