@@ -481,7 +481,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A boolean byte: `0` or `1`, anything else is malformed.
-    fn flag(&mut self) -> Result<bool, String> {
+    pub(crate) fn flag(&mut self) -> Result<bool, String> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),

@@ -346,67 +346,6 @@ fn outage_copies(
     Some(vec![home])
 }
 
-/// The per-object copy sets a policy holds, a dynamic tree's replica
-/// sets or a static placement, as [`heal`] reads and rewrites them.
-trait CopySets {
-    fn n_objects(&self) -> usize;
-    fn copies(&self, x: ObjectId) -> &[NodeId];
-    fn set_copies(&mut self, net: &Network, x: ObjectId, copies: &[NodeId]);
-}
-
-impl CopySets for DynamicTree {
-    fn n_objects(&self) -> usize {
-        DynamicTree::n_objects(self)
-    }
-    fn copies(&self, x: ObjectId) -> &[NodeId] {
-        self.replicas(x)
-    }
-    fn set_copies(&mut self, net: &Network, x: ObjectId, copies: &[NodeId]) {
-        self.seed_replicas(net, x, copies);
-    }
-}
-
-impl CopySets for Placement {
-    fn n_objects(&self) -> usize {
-        Placement::n_objects(self)
-    }
-    fn copies(&self, x: ObjectId) -> &[NodeId] {
-        Placement::copies(self, x)
-    }
-    fn set_copies(&mut self, _: &Network, x: ObjectId, copies: &[NodeId]) {
-        self.set_copies_from(x, copies);
-    }
-}
-
-/// Self-heal held copy sets around a bus outage by [`outage_copies`]; a
-/// no-op while no bus is down. Dropped copies count as collapses, and a
-/// set re-homed at its harbor pays a repair fetch charged exactly like a
-/// migration ([`charged_migration`] at `D` per edge). `repairs` counts
-/// the `D`-sized repair transfers — always a subset of `replications`, so
-/// `migration_traffic = replications × D` keeps holding.
-fn heal(
-    sets: &mut impl CopySets,
-    net: &Network,
-    view: &FaultView,
-    harbor: Harbor,
-    d: u64,
-    loads: &mut LoadMap,
-    stats: &mut DynamicStats,
-) {
-    if view.buses_down == 0 {
-        return;
-    }
-    let mut sweep = NearestCopies::new(net.n_nodes());
-    for i in 0..sets.n_objects() {
-        let x = ObjectId(i as u32);
-        let old = sets.copies(x);
-        let Some(new) = outage_copies(net, view, old, harbor) else { continue };
-        let transfers = charge_move(net, old, &new, d, loads, stats, &mut sweep);
-        stats.repairs += transfers;
-        sets.set_copies(net, x, &new);
-    }
-}
-
 /// Clamp a freshly optimized placement to the live part of the network
 /// by [`outage_copies`], free of charge: the refit that follows charges
 /// the move from the held sets. A no-op while no bus is down.
@@ -441,116 +380,211 @@ fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> Dyna
     }
 }
 
-/// Adopt a predecessor's copy sets into a dynamic kernel: each non-empty
-/// set is seeded as its connected closure (the dynamic tree's structural
-/// invariant).
-fn adopt_dynamic(
-    kernel: &mut DynamicTree,
-    net: &Network,
-    prior: &dyn Strategy,
-    max_objects: usize,
-) {
-    for i in 0..max_objects {
-        let x = ObjectId(i as u32);
-        let copies = prior.copy_set(x);
-        if !copies.is_empty() {
-            kernel.seed_replicas(net, x, &connected_closure(net, copies));
+/// The copy sets a serving [`Core`] holds.
+#[derive(Debug, Clone)]
+enum Sets {
+    /// A dynamic tree's replica sets: the tree serves every request
+    /// online and charges its own loads and counters.
+    Dynamic(DynamicTree),
+    /// A placement under the static load model (assignments are rebuilt
+    /// per epoch from the epoch's frequency matrix), whether it exists
+    /// yet (bootstrap or adopted), and the kernel that places it.
+    Static { copies: Placement, placed: bool, kernel: Box<PlacementKernel> },
+}
+
+impl Sets {
+    /// A placement of `max_objects` objects that the first served epoch
+    /// bootstraps.
+    fn unplaced(net: &Network, max_objects: usize) -> Sets {
+        Sets::Static {
+            copies: Placement::new(max_objects),
+            placed: false,
+            kernel: Box::new(PlacementKernel::new(net)),
+        }
+    }
+
+    fn n_objects(&self) -> usize {
+        match self {
+            Sets::Dynamic(tree) => tree.n_objects(),
+            Sets::Static { copies, .. } => copies.n_objects(),
+        }
+    }
+
+    fn copies(&self, x: ObjectId) -> &[NodeId] {
+        match self {
+            Sets::Dynamic(tree) => tree.replicas(x),
+            Sets::Static { copies, .. } => copies.copies(x),
         }
     }
 }
 
-/// The static-model serving core shared by every placement-holding
-/// policy: the current copy sets, the cumulative loads and the event
-/// counters. `replications` counts `D`-sized migration edge transfers
-/// (the dynamic kernel's unit) and `collapses` dropped copies.
+/// The serving state of every built-in policy: its copy sets and one
+/// ledger of the traffic charged outside the serve kernel (re-placement,
+/// re-seeding, outage repair, and a placement's service). The ledger's
+/// `replications` count `D`-sized edge transfers, the dynamic kernel's
+/// unit, and its `collapses` dropped copies. A built-in policy is a core
+/// plus its boundary rule.
 #[derive(Debug, Clone)]
-struct StaticCore {
-    /// Current copy sets (assignments are rebuilt per epoch from the
-    /// epoch's frequency matrix).
-    copies: Placement,
+struct Core {
+    sets: Sets,
     loads: LoadMap,
     stats: DynamicStats,
-    /// Whether a placement exists (bootstrap or adopted).
-    placed: bool,
+    /// The migration charge unit `D`.
+    d: u64,
 }
 
-impl StaticCore {
-    fn new(net: &Network, max_objects: usize) -> StaticCore {
-        StaticCore {
-            copies: Placement::new(max_objects),
-            loads: LoadMap::zero(net),
-            stats: DynamicStats::default(),
-            placed: false,
-        }
+impl Core {
+    fn new(net: &Network, exec: &ExecutionConfig, sets: Sets) -> Core {
+        Core { sets, loads: LoadMap::zero(net), stats: DynamicStats::default(), d: exec.threshold }
     }
 
-    /// Serve one epoch under the static model: compute the bootstrap
-    /// placement on the first epoch (free — the strategy's starting
-    /// configuration), materialize unseen objects at their first
-    /// requester (free, like the dynamic first touch) and count the
-    /// requests. Service loads are charged later via `charge_service`,
-    /// once the epoch's snapshot placement exists.
-    fn serve_batch(
-        &mut self,
-        net: &Network,
-        kernel: &mut PlacementKernel,
-        trace: &[OnlineRequest],
-        epoch_matrix: &AccessMatrix,
-    ) {
-        if !self.placed {
-            self.copies = kernel.place(net, epoch_matrix).expect("static bootstrap failed");
-            self.placed = true;
-        }
-        for req in trace {
-            if self.copies.copies(req.object).is_empty() {
-                self.copies.add_copy(req.object, req.processor);
-            }
-            if req.is_write {
-                self.stats.writes += 1;
-            } else {
-                self.stats.reads += 1;
+    /// Serve one epoch. A tree serves and charges each request. A
+    /// placement is bootstrapped from the first epoch's traffic (free —
+    /// the policy's starting configuration), materializes unseen objects
+    /// at their first requester (free, like the dynamic first touch) and
+    /// counts the requests; its service loads arrive through
+    /// [`Core::charge_service`] once the epoch's snapshot placement
+    /// exists.
+    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
+        match &mut self.sets {
+            Sets::Dynamic(tree) => tree.serve_trace(net, trace),
+            Sets::Static { copies, placed, kernel } => {
+                if !*placed {
+                    *copies = kernel.place(net, epoch_matrix).expect("static bootstrap failed");
+                    *placed = true;
+                }
+                for req in trace {
+                    if copies.copies(req.object).is_empty() {
+                        copies.add_copy(req.object, req.processor);
+                    }
+                    if req.is_write {
+                        self.stats.writes += 1;
+                    } else {
+                        self.stats.reads += 1;
+                    }
+                }
             }
         }
     }
 
-    /// Replace the copy sets with a freshly optimized placement, charging
-    /// the copy-set delta of every observed object from its nearest old
-    /// copy at `D` per edge crossed ([`charged_migration`]) and counting
-    /// dropped copies as collapses.
-    fn refit(&mut self, net: &Network, observed: &AccessMatrix, new_placement: Placement, d: u64) {
-        let mut sweep = NearestCopies::new(net.n_nodes());
-        for x in observed.objects() {
-            if observed.total_weight(x) == 0 {
-                continue;
-            }
-            let (old, new) = (self.copies.copies(x), new_placement.copies(x));
-            charge_move(net, old, new, d, &mut self.loads, &mut self.stats, &mut sweep);
-        }
-        self.copies = new_placement;
-        self.placed = true;
-    }
-
-    /// Self-heal the held placement around a bus outage ([`heal`]): a
-    /// copy set stranded wholly moves to the nearest live processor.
-    fn heal(&mut self, net: &Network, view: &FaultView, d: u64) {
-        if self.placed {
-            let (loads, stats) = (&mut self.loads, &mut self.stats);
-            heal(&mut self.copies, net, view, Harbor::Processor, d, loads, stats);
+    /// Charge a placement's epoch service; a tree charged per request.
+    fn charge_service(&mut self, placement_loads: &LoadMap) {
+        if matches!(self.sets, Sets::Static { .. }) {
+            self.loads.add_assign(placement_loads);
         }
     }
 
-    /// Inherit copy sets verbatim, free of charge: the non-empty sets
-    /// `copies(x)` of objects `0..n` — a predecessor's at a strategy
-    /// swap, or a policy's own dynamic replica sets when it turns static.
-    fn adopt<'a>(&mut self, n: usize, copies: impl Fn(ObjectId) -> &'a [NodeId]) {
+    fn add_loads_to(&self, out: &mut LoadMap) {
+        if let Sets::Dynamic(tree) = &self.sets {
+            out.add_assign(tree.loads());
+        }
+        out.add_assign(&self.loads);
+    }
+
+    fn stats(&self) -> DynamicStats {
+        let Sets::Dynamic(tree) = &self.sets else { return self.stats };
+        tree.stats().merge(self.stats)
+    }
+
+    /// Inherit the non-empty copy sets `held(x)` of objects `0..n`, free
+    /// of charge: a predecessor's at a strategy swap, or the core's own
+    /// tree's when it turns static. A tree seeds each as its connected
+    /// closure (its structural invariant); a placement takes them
+    /// verbatim and counts as placed.
+    fn adopt<'a>(&mut self, net: &Network, n: usize, held: impl Fn(ObjectId) -> &'a [NodeId]) {
         for i in 0..n {
             let x = ObjectId(i as u32);
-            let inherited = copies(x);
-            if !inherited.is_empty() {
-                self.copies.set_copies(x, inherited.to_vec());
+            let inherited = held(x);
+            if inherited.is_empty() {
+                continue;
+            }
+            match &mut self.sets {
+                Sets::Dynamic(tree) => {
+                    tree.seed_replicas(net, x, &connected_closure(net, inherited))
+                }
+                Sets::Static { copies, .. } => copies.set_copies(x, inherited.to_vec()),
             }
         }
-        self.placed = true;
+        if let Sets::Static { placed, .. } = &mut self.sets {
+            *placed = true;
+        }
+    }
+
+    /// Move `x`'s copy set to `new`, charged by [`charge_move`]. Returns
+    /// the transfers.
+    fn move_to(
+        &mut self,
+        net: &Network,
+        x: ObjectId,
+        new: &[NodeId],
+        sweep: &mut NearestCopies,
+    ) -> u64 {
+        let old = self.sets.copies(x);
+        let transfers = charge_move(net, old, new, self.d, &mut self.loads, &mut self.stats, sweep);
+        match &mut self.sets {
+            Sets::Dynamic(tree) => tree.seed_replicas(net, x, new),
+            Sets::Static { copies, .. } => copies.set_copies_from(x, new),
+        }
+        transfers
+    }
+
+    /// Self-heal the held copy sets around a bus outage by
+    /// [`outage_copies`]; a no-op while no bus is down or no placement
+    /// exists yet. The variant picks the harbor of a set stranded wholly:
+    /// a tree's first live ancestor, a placement's nearest live
+    /// processor. Dropped copies count as collapses, and a re-homed set
+    /// pays a repair fetch charged exactly like a migration
+    /// ([`charged_migration`] at `D` per edge). `repairs` counts the
+    /// `D`-sized repair transfers — always a subset of `replications`, so
+    /// `migration_traffic = replications × D` keeps holding.
+    fn heal(&mut self, net: &Network, view: &FaultView) {
+        let harbor = match self.sets {
+            Sets::Dynamic(_) => Harbor::Ancestor,
+            Sets::Static { placed: true, .. } => Harbor::Processor,
+            Sets::Static { placed: false, .. } => return,
+        };
+        if view.buses_down == 0 {
+            return;
+        }
+        let mut sweep = NearestCopies::new(net.n_nodes());
+        for i in 0..self.sets.n_objects() {
+            let x = ObjectId(i as u32);
+            let Some(new) = outage_copies(net, view, self.sets.copies(x), harbor) else { continue };
+            self.stats.repairs += self.move_to(net, x, &new, &mut sweep);
+        }
+    }
+
+    /// Re-place a placement from the observed aggregate, in one order:
+    /// the kernel's placement, clamped to the live network by
+    /// [`sanitize_placement`], then a refit that charges each observed
+    /// object's copy-set delta from its held copies ([`charge_move`]).
+    fn replace(&mut self, net: &Network, observed: &AccessMatrix, faults: &FaultView) {
+        let Sets::Static { copies, placed, kernel } = &mut self.sets else {
+            unreachable!("only a placement re-places");
+        };
+        let mut placement = kernel.place(net, observed).expect("static re-optimization failed");
+        sanitize_placement(net, faults, &mut placement);
+        let mut sweep = NearestCopies::new(net.n_nodes());
+        for x in observed.objects() {
+            if observed.total_weight(x) > 0 {
+                let (old, new) = (copies.copies(x), placement.copies(x));
+                charge_move(net, old, new, self.d, &mut self.loads, &mut self.stats, &mut sweep);
+            }
+        }
+        *copies = placement;
+        *placed = true;
+    }
+
+    /// Turn a tree core static: a placement that holds the tree's replica
+    /// sets, inherited free of charge as at a strategy swap. Returns the
+    /// retired tree.
+    fn turn_static(&mut self, net: &Network) -> DynamicTree {
+        let n = self.sets.n_objects();
+        let Sets::Dynamic(tree) = std::mem::replace(&mut self.sets, Sets::unplaced(net, n)) else {
+            unreachable!("only a tree turns static");
+        };
+        self.adopt(net, n, |x| tree.replicas(x));
+        tree
     }
 }
 
@@ -560,14 +594,7 @@ impl StaticCore {
 /// replications the kernel performs.
 #[derive(Debug, Clone)]
 pub struct DynamicStrategy {
-    kernel: DynamicTree,
-    /// Migration charge unit `D` (for outage repair fetches).
-    threshold: u64,
-    /// Loads charged by outage self-healing (the kernel owns its own
-    /// serve loads).
-    heal_loads: LoadMap,
-    /// Healing counters, merged into [`Strategy::stats`].
-    heal_stats: DynamicStats,
+    core: Core,
 }
 
 impl DynamicStrategy {
@@ -584,10 +611,7 @@ impl DynamicStrategy {
     /// ```
     pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicStrategy {
         DynamicStrategy {
-            kernel: dyn_kernel(net, exec, max_objects),
-            threshold: exec.threshold,
-            heal_loads: LoadMap::zero(net),
-            heal_stats: DynamicStats::default(),
+            core: Core::new(net, exec, Sets::Dynamic(dyn_kernel(net, exec, max_objects))),
         }
     }
 }
@@ -604,37 +628,31 @@ impl Strategy for DynamicStrategy {
         _observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        let (loads, stats) = (&mut self.heal_loads, &mut self.heal_stats);
-        heal(&mut self.kernel, net, faults, Harbor::Ancestor, self.threshold, loads, stats);
+        self.core.heal(net, faults);
     }
 
-    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], _matrix: &AccessMatrix) {
-        self.kernel.serve_trace(net, trace);
+    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
+        self.core.serve_batch(net, trace, epoch_matrix);
     }
 
     fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.kernel.replicas(x)
+        self.core.sets.copies(x)
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        out.add_assign(self.kernel.loads());
-        out.add_assign(&self.heal_loads);
+        self.core.add_loads_to(out);
     }
 
     fn stats(&self) -> DynamicStats {
-        self.kernel.stats().merge(self.heal_stats)
+        self.core.stats()
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        adopt_dynamic(&mut self.kernel, net, prior, max_objects);
+        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = vec![TAG_DYNAMIC];
-        put_dyn_kernel(&mut out, &self.kernel);
-        put_loads(&mut out, &self.heal_loads);
-        put_stats(&mut out, self.heal_stats);
-        Some(out)
+        Some(core_bytes(TAG_DYNAMIC, &self.core))
     }
 }
 
@@ -645,9 +663,7 @@ impl Strategy for DynamicStrategy {
 /// epoch's traffic under the static load model.
 #[derive(Debug, Clone)]
 pub struct PeriodicStatic {
-    core: StaticCore,
-    kernel: PlacementKernel,
-    threshold: u64,
+    core: Core,
     /// Re-optimize every this many epochs (`0` = never on schedule;
     /// outage re-placements still fire).
     replace_every_epochs: usize,
@@ -682,9 +698,7 @@ impl PeriodicStatic {
         replace_every_epochs: usize,
     ) -> PeriodicStatic {
         PeriodicStatic {
-            core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net),
-            threshold: exec.threshold,
+            core: Core::new(net, exec, Sets::unplaced(net, max_objects)),
             replace_every_epochs,
             first_fire: None,
         }
@@ -741,56 +755,48 @@ impl Strategy for PeriodicStatic {
         observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        self.core.heal(net, faults, self.threshold);
+        self.core.heal(net, faults);
         // A changed outage set triggers an immediate re-placement around
         // the dead subtree (once a placement exists to migrate from), on
         // top of the periodic rule.
-        let outage_refit =
-            faults.buses_down > 0 && faults.changed && epoch_idx > 0 && self.core.placed;
-        if !self.fires(epoch_idx) && !outage_refit {
-            return;
+        let placed = matches!(self.core.sets, Sets::Static { placed: true, .. });
+        let outage_refit = faults.buses_down > 0 && faults.changed && epoch_idx > 0 && placed;
+        if self.fires(epoch_idx) || outage_refit {
+            self.core.replace(net, observed, faults);
         }
-        let mut placement =
-            self.kernel.place(net, observed).expect("static re-optimization failed");
-        sanitize_placement(net, faults, &mut placement);
-        self.core.refit(net, observed, placement, self.threshold);
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
-        self.core.serve_batch(net, &mut self.kernel, trace, epoch_matrix);
+        self.core.serve_batch(net, trace, epoch_matrix);
     }
 
     fn charge_service(&mut self, placement_loads: &LoadMap) {
-        self.core.loads.add_assign(placement_loads);
+        self.core.charge_service(placement_loads);
     }
 
     fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.core.copies.copies(x)
+        self.core.sets.copies(x)
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        out.add_assign(&self.core.loads);
+        self.core.add_loads_to(out);
     }
 
     fn stats(&self) -> DynamicStats {
-        self.core.stats
+        self.core.stats()
     }
 
-    fn adopt(&mut self, _net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(max_objects, |x| prior.copy_set(x));
+    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
+        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = vec![TAG_PERIODIC_STATIC];
-        put_static_core(&mut out, &self.core);
-        put_u64(&mut out, self.threshold);
+        let mut out = core_bytes(TAG_PERIODIC_STATIC, &self.core);
+        put_u64(&mut out, self.core.d);
         put_u64(&mut out, self.replace_every_epochs as u64);
-        match self.first_fire {
-            None => put_u8(&mut out, 0),
-            Some(first) => {
-                put_u8(&mut out, 1);
-                put_u64(&mut out, first as u64);
-            }
+        put_u8(&mut out, self.first_fire.is_some() as u8);
+        if let Some(first) = self.first_fire {
+            put_u64(&mut out, first as u64);
         }
         Some(out)
     }
@@ -804,15 +810,9 @@ impl Strategy for PeriodicStatic {
 /// static migration; between boundaries requests are served online.
 #[derive(Debug, Clone)]
 pub struct HybridReseed {
-    dynamic: DynamicTree,
+    core: Core,
+    /// Computes the re-seeds' nibble copy sets.
     kernel: PlacementKernel,
-    /// Migration charges of the re-seeds (the dynamic kernel owns its
-    /// own loads).
-    migration_loads: LoadMap,
-    /// Seeding counters: `replications` counts `D`-sized seeding edge
-    /// transfers, `collapses` copies dropped by a re-seed.
-    seed_stats: DynamicStats,
-    threshold: u64,
     /// Re-seed every this many epochs (`0` = exactly once, at epoch 1).
     reseed_every_epochs: usize,
 }
@@ -837,11 +837,8 @@ impl HybridReseed {
         reseed_every_epochs: usize,
     ) -> HybridReseed {
         HybridReseed {
-            dynamic: dyn_kernel(net, exec, max_objects),
+            core: Core::new(net, exec, Sets::Dynamic(dyn_kernel(net, exec, max_objects))),
             kernel: PlacementKernel::new(net),
-            migration_loads: LoadMap::zero(net),
-            seed_stats: DynamicStats::default(),
-            threshold: exec.threshold,
             reseed_every_epochs,
         }
     }
@@ -865,8 +862,7 @@ impl Strategy for HybridReseed {
         observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        let (loads, stats) = (&mut self.migration_loads, &mut self.seed_stats);
-        heal(&mut self.dynamic, net, faults, Harbor::Ancestor, self.threshold, loads, stats);
+        self.core.heal(net, faults);
         if !self.fires(epoch_idx) {
             return;
         }
@@ -889,47 +885,33 @@ impl Strategy for HybridReseed {
                 Some(live) => live,
                 None => seed,
             };
-            let (loads, stats) = (&mut self.migration_loads, &mut self.seed_stats);
-            charge_move(
-                net,
-                self.dynamic.replicas(x),
-                seed,
-                self.threshold,
-                loads,
-                stats,
-                &mut sweep,
-            );
-            self.dynamic.seed_replicas(net, x, seed);
+            self.core.move_to(net, x, seed, &mut sweep);
         }
     }
 
-    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], _matrix: &AccessMatrix) {
-        self.dynamic.serve_trace(net, trace);
+    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
+        self.core.serve_batch(net, trace, epoch_matrix);
     }
 
     fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.dynamic.replicas(x)
+        self.core.sets.copies(x)
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        out.add_assign(self.dynamic.loads());
-        out.add_assign(&self.migration_loads);
+        self.core.add_loads_to(out);
     }
 
     fn stats(&self) -> DynamicStats {
-        self.dynamic.stats().merge(self.seed_stats)
+        self.core.stats()
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
+        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = vec![TAG_HYBRID];
-        put_dyn_kernel(&mut out, &self.dynamic);
-        put_loads(&mut out, &self.migration_loads);
-        put_stats(&mut out, self.seed_stats);
-        put_u64(&mut out, self.threshold);
+        let mut out = core_bytes(TAG_HYBRID, &self.core);
+        put_u64(&mut out, self.core.d);
         put_u64(&mut out, self.reseed_every_epochs as u64);
         Some(out)
     }
@@ -943,18 +925,13 @@ impl Strategy for HybridReseed {
 /// quality and any congestion it loses is staleness.
 ///
 /// On fault-free runs it is behaviourally equal to
-/// `periodic-static(inf)` (pinned by the test suite), but implemented
-/// directly against the trait in ~40 lines — the proof that the boundary
-/// carries a whole policy. Under an outage the two differ: a changed
-/// outage set makes [`PeriodicStatic`] re-place whatever its period,
-/// while this policy only heals.
+/// `periodic-static(inf)` (pinned by the test suite): the same serving
+/// core with no boundary rule but the outage heal. Under an outage the
+/// two differ: a changed outage set makes [`PeriodicStatic`] re-place
+/// whatever its period, while this policy only heals.
 #[derive(Debug, Clone)]
 pub struct FrozenStatic {
-    core: StaticCore,
-    kernel: PlacementKernel,
-    /// Migration charge unit `D` (for outage repair fetches — the only
-    /// migration this policy ever performs).
-    threshold: u64,
+    core: Core,
 }
 
 impl FrozenStatic {
@@ -969,11 +946,7 @@ impl FrozenStatic {
     /// assert_eq!(strategy.label(), "frozen-static");
     /// ```
     pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> FrozenStatic {
-        FrozenStatic {
-            core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net),
-            threshold: exec.threshold,
-        }
+        FrozenStatic { core: Core::new(net, exec, Sets::unplaced(net, max_objects)) }
     }
 }
 
@@ -991,37 +964,36 @@ impl Strategy for FrozenStatic {
     ) {
         // Frozen means no re-optimization, not no survival: a bus outage
         // still evicts stranded copies and re-homes dead sets.
-        self.core.heal(net, faults, self.threshold);
+        self.core.heal(net, faults);
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
-        self.core.serve_batch(net, &mut self.kernel, trace, epoch_matrix);
+        self.core.serve_batch(net, trace, epoch_matrix);
     }
 
     fn charge_service(&mut self, placement_loads: &LoadMap) {
-        self.core.loads.add_assign(placement_loads);
+        self.core.charge_service(placement_loads);
     }
 
     fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.core.copies.copies(x)
+        self.core.sets.copies(x)
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        out.add_assign(&self.core.loads);
+        self.core.add_loads_to(out);
     }
 
     fn stats(&self) -> DynamicStats {
-        self.core.stats
+        self.core.stats()
     }
 
-    fn adopt(&mut self, _net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(max_objects, |x| prior.copy_set(x));
+    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
+        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = vec![TAG_FROZEN_STATIC];
-        put_static_core(&mut out, &self.core);
-        put_u64(&mut out, self.threshold);
+        let mut out = core_bytes(TAG_FROZEN_STATIC, &self.core);
+        put_u64(&mut out, self.core.d);
         Some(out)
     }
 }
@@ -1042,13 +1014,13 @@ impl Strategy for FrozenStatic {
 /// policy is a frozen static placement.
 #[derive(Debug, Clone)]
 pub struct ThresholdSwitch {
-    dynamic: DynamicTree,
-    core: StaticCore,
-    kernel: PlacementKernel,
-    threshold: u64,
+    /// A tree until the switch, a placement from then on.
+    core: Core,
+    /// The tree that served before the switch: its loads and counters
+    /// stay in the totals.
+    retired: Option<DynamicTree>,
     write_bound: f64,
     min_epochs: usize,
-    switched: bool,
 }
 
 impl ThresholdSwitch {
@@ -1075,13 +1047,10 @@ impl ThresholdSwitch {
         min_epochs: usize,
     ) -> ThresholdSwitch {
         ThresholdSwitch {
-            dynamic: dyn_kernel(net, exec, max_objects),
-            core: StaticCore::new(net, max_objects),
-            kernel: PlacementKernel::new(net),
-            threshold: exec.threshold,
+            core: Core::new(net, exec, Sets::Dynamic(dyn_kernel(net, exec, max_objects))),
+            retired: None,
             write_bound,
             min_epochs,
-            switched: false,
         }
     }
 }
@@ -1098,77 +1067,63 @@ impl Strategy for ThresholdSwitch {
         observed: &AccessMatrix,
         faults: &FaultView,
     ) {
-        if self.switched {
-            self.core.heal(net, faults, self.threshold);
-        } else {
-            // Pre-switch healing charges into the static core's
-            // accumulators — both are unconditionally merged into the
-            // reported loads and stats.
-            let (loads, stats) = (&mut self.core.loads, &mut self.core.stats);
-            heal(&mut self.dynamic, net, faults, Harbor::Ancestor, self.threshold, loads, stats);
-        }
-        if self.switched || epoch_idx == 0 || epoch_idx < self.min_epochs {
+        self.core.heal(net, faults);
+        let Sets::Dynamic(tree) = &self.core.sets else { return };
+        if epoch_idx == 0 || epoch_idx < self.min_epochs {
             return;
         }
-        let s = self.dynamic.stats();
+        let s = tree.stats();
         let total = s.reads + s.writes;
         if total == 0 || (s.writes as f64 / total as f64) < self.write_bound {
             return;
         }
-        // Switch: inherit the dynamic replica sets, then refit to the
-        // optimized placement of the observed aggregate, charging the
-        // delta from those sets — the same sequence a mid-run
-        // `swap_strategy` into a `PeriodicStatic` performs.
-        let dynamic = &self.dynamic;
-        self.core.adopt(self.core.copies.n_objects(), |x| dynamic.replicas(x));
-        let placement = self.kernel.place(net, observed).expect("threshold switch refit failed");
-        self.core.refit(net, observed, placement, self.threshold);
-        self.switched = true;
+        // Switch: hold the tree's replica sets as the placement, then
+        // re-place from the observed aggregate, charging the delta from
+        // those sets — the same sequence a mid-run `swap_strategy` into a
+        // `PeriodicStatic` performs.
+        self.retired = Some(self.core.turn_static(net));
+        self.core.replace(net, observed, &FaultView::pristine(net));
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
-        if self.switched {
-            self.core.serve_batch(net, &mut self.kernel, trace, epoch_matrix);
-        } else {
-            self.dynamic.serve_trace(net, trace);
-        }
+        self.core.serve_batch(net, trace, epoch_matrix);
     }
 
     fn charge_service(&mut self, placement_loads: &LoadMap) {
-        if self.switched {
-            self.core.loads.add_assign(placement_loads);
-        }
+        self.core.charge_service(placement_loads);
     }
 
     fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        if self.switched {
-            self.core.copies.copies(x)
-        } else {
-            self.dynamic.replicas(x)
-        }
+        self.core.sets.copies(x)
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        out.add_assign(self.dynamic.loads());
-        out.add_assign(&self.core.loads);
+        if let Some(tree) = &self.retired {
+            out.add_assign(tree.loads());
+        }
+        self.core.add_loads_to(out);
     }
 
     fn stats(&self) -> DynamicStats {
-        self.dynamic.stats().merge(self.core.stats)
+        let stats = self.core.stats();
+        self.retired.as_ref().map_or(stats, |tree| tree.stats().merge(stats))
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        adopt_dynamic(&mut self.dynamic, net, prior, max_objects);
+        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
         let mut out = vec![TAG_THRESHOLD_SWITCH];
-        put_dyn_kernel(&mut out, &self.dynamic);
-        put_static_core(&mut out, &self.core);
-        put_u64(&mut out, self.threshold);
+        let ((Sets::Dynamic(tree), _) | (_, Some(tree))) = (&self.core.sets, &self.retired) else {
+            unreachable!("a switched core keeps its retired tree");
+        };
+        put_tree(&mut out, tree);
+        put_static(&mut out, &self.core);
+        put_u64(&mut out, self.core.d);
         put_f64(&mut out, self.write_bound);
         put_u64(&mut out, self.min_epochs as u64);
-        put_u8(&mut out, self.switched as u8);
+        put_u8(&mut out, self.retired.is_some() as u8);
         Some(out)
     }
 }
@@ -1217,12 +1172,12 @@ const TAG_HYBRID: u8 = 3;
 const TAG_FROZEN_STATIC: u8 = 4;
 const TAG_THRESHOLD_SWITCH: u8 = 5;
 
-fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &DynamicTree) {
-    let n = kernel.n_objects();
+fn put_tree(out: &mut Vec<u8>, tree: &DynamicTree) {
+    let n = tree.n_objects();
     put_u64(out, n as u64);
     for i in 0..n {
         let x = ObjectId(i as u32);
-        match kernel.export_object(x) {
+        match tree.export_object(x) {
             None => put_u8(out, 0),
             Some((replicas, counters)) => {
                 put_u8(out, 1);
@@ -1235,8 +1190,38 @@ fn put_dyn_kernel(out: &mut Vec<u8>, kernel: &DynamicTree) {
             }
         }
     }
-    put_loads(out, kernel.loads());
-    put_stats(out, kernel.stats());
+    put_loads(out, tree.loads());
+    put_stats(out, tree.stats());
+}
+
+/// A core's static section: the `placed` flag, the ledger, then every
+/// object's copy set. A tree core writes it empty and unplaced, as a
+/// threshold switch does before it switches.
+fn put_static(out: &mut Vec<u8>, core: &Core) {
+    put_u8(out, matches!(core.sets, Sets::Static { placed: true, .. }) as u8);
+    put_stats(out, core.stats);
+    put_loads(out, &core.loads);
+    let (n, held) = (core.sets.n_objects(), matches!(core.sets, Sets::Static { .. }));
+    put_u64(out, n as u64);
+    for i in 0..n {
+        put_nodes(out, if held { core.sets.copies(ObjectId(i as u32)) } else { &[] });
+    }
+}
+
+/// A policy's durable bytes up to its own fields: its tag, then its
+/// core's section as [`read_core`] reads it back, a tree and then its
+/// ledger or a static section. `D` is the policy's to write.
+fn core_bytes(tag: u8, core: &Core) -> Vec<u8> {
+    let mut out = vec![tag];
+    match &core.sets {
+        Sets::Dynamic(tree) => {
+            put_tree(&mut out, tree);
+            put_loads(&mut out, &core.loads);
+            put_stats(&mut out, core.stats);
+        }
+        Sets::Static { .. } => put_static(&mut out, core),
+    }
+    out
 }
 
 fn check_nodes(nodes: &[NodeId], net: &Network) -> Result<(), String> {
@@ -1264,7 +1249,7 @@ fn check_replica_set(replicas: &[NodeId], net: &Network) -> Result<(), String> {
     Ok(())
 }
 
-fn read_dyn_kernel(
+fn read_tree(
     dec: &mut Dec<'_>,
     net: &Network,
     exec: &ExecutionConfig,
@@ -1274,7 +1259,7 @@ fn read_dyn_kernel(
     if n != max_objects {
         return Err(format!("kernel of {n} objects, expected {max_objects}"));
     }
-    let mut kernel = dyn_kernel(net, exec, max_objects);
+    let mut tree = dyn_kernel(net, exec, max_objects);
     for i in 0..n {
         if dec.u8()? == 0 {
             continue;
@@ -1295,35 +1280,31 @@ fn read_dyn_kernel(
             }
             counters.push((EdgeId(e), dec.u64()?));
         }
-        kernel.restore_object(net, x, &replicas, &counters);
+        tree.restore_object(net, x, &replicas, &counters);
     }
     let loads = dec.loads(net)?;
     let stats = dec.stats()?;
-    kernel.restore_accounting(loads, stats);
-    Ok(kernel)
+    tree.restore_accounting(loads, stats);
+    Ok(tree)
 }
 
-fn put_static_core(out: &mut Vec<u8>, core: &StaticCore) {
-    put_u8(out, core.placed as u8);
-    put_stats(out, core.stats);
-    put_loads(out, &core.loads);
-    let n = core.copies.n_objects();
-    put_u64(out, n as u64);
-    for i in 0..n {
-        put_nodes(out, core.copies.copies(ObjectId(i as u32)));
-    }
-}
-
-fn read_static_core(
+/// Read a core section written by [`core_bytes`]: a tree's when `dynamic`,
+/// else a static section. `D` starts as `exec.threshold`; a policy that
+/// writes its own reads it next.
+fn read_core(
     dec: &mut Dec<'_>,
     net: &Network,
+    exec: &ExecutionConfig,
     max_objects: usize,
-) -> Result<StaticCore, String> {
-    let placed = match dec.u8()? {
-        0 => false,
-        1 => true,
-        b => return Err(format!("bad placed flag {b}")),
-    };
+    dynamic: bool,
+) -> Result<Core, String> {
+    if dynamic {
+        let tree = read_tree(dec, net, exec, max_objects)?;
+        let loads = dec.loads(net)?;
+        let stats = dec.stats()?;
+        return Ok(Core { sets: Sets::Dynamic(tree), loads, stats, d: exec.threshold });
+    }
+    let placed = dec.flag()?;
     let stats = dec.stats()?;
     let loads = dec.loads(net)?;
     let n = dec.u64()? as usize;
@@ -1338,7 +1319,8 @@ fn read_static_core(
             copies.set_copies(ObjectId(i as u32), nodes);
         }
     }
-    Ok(StaticCore { copies, loads, stats, placed })
+    let kernel = Box::new(PlacementKernel::new(net));
+    Ok(Core { sets: Sets::Static { copies, placed, kernel }, loads, stats, d: exec.threshold })
 }
 
 /// Rebuild a built-in strategy from its [`Strategy::durable`] bytes.
@@ -1351,70 +1333,47 @@ pub(crate) fn strategy_from_durable(
     bytes: &[u8],
 ) -> Result<Box<dyn Strategy>, String> {
     let mut dec = Dec::new(bytes);
+    let read = |dec: &mut Dec<'_>, dynamic| read_core(dec, net, exec, max_objects, dynamic);
     let strategy: Box<dyn Strategy> = match dec.u8()? {
-        TAG_DYNAMIC => {
-            let kernel = read_dyn_kernel(&mut dec, net, exec, max_objects)?;
-            let heal_loads = dec.loads(net)?;
-            let heal_stats = dec.stats()?;
-            Box::new(DynamicStrategy { kernel, threshold: exec.threshold, heal_loads, heal_stats })
-        }
+        TAG_DYNAMIC => Box::new(DynamicStrategy { core: read(&mut dec, true)? }),
         TAG_PERIODIC_STATIC => {
-            let core = read_static_core(&mut dec, net, max_objects)?;
-            let threshold = dec.u64()?;
+            let mut core = read(&mut dec, false)?;
+            core.d = dec.u64()?;
             let replace_every_epochs = dec.u64()? as usize;
-            let first_fire = match dec.u8()? {
-                0 => None,
-                1 => Some(dec.u64()? as usize),
-                b => return Err(format!("bad first-fire flag {b}")),
-            };
-            Box::new(PeriodicStatic {
-                core,
-                kernel: PlacementKernel::new(net),
-                threshold,
-                replace_every_epochs,
-                first_fire,
-            })
+            let first_fire = if dec.flag()? { Some(dec.u64()? as usize) } else { None };
+            Box::new(PeriodicStatic { core, replace_every_epochs, first_fire })
         }
         TAG_HYBRID => {
-            let dynamic = read_dyn_kernel(&mut dec, net, exec, max_objects)?;
-            let migration_loads = dec.loads(net)?;
-            let seed_stats = dec.stats()?;
-            let threshold = dec.u64()?;
+            let mut core = read(&mut dec, true)?;
+            core.d = dec.u64()?;
             let reseed_every_epochs = dec.u64()? as usize;
-            Box::new(HybridReseed {
-                dynamic,
-                kernel: PlacementKernel::new(net),
-                migration_loads,
-                seed_stats,
-                threshold,
-                reseed_every_epochs,
-            })
+            Box::new(HybridReseed { core, kernel: PlacementKernel::new(net), reseed_every_epochs })
         }
         TAG_FROZEN_STATIC => {
-            let core = read_static_core(&mut dec, net, max_objects)?;
-            let threshold = dec.u64()?;
-            Box::new(FrozenStatic { core, kernel: PlacementKernel::new(net), threshold })
+            let mut core = read(&mut dec, false)?;
+            core.d = dec.u64()?;
+            Box::new(FrozenStatic { core })
         }
         TAG_THRESHOLD_SWITCH => {
-            let dynamic = read_dyn_kernel(&mut dec, net, exec, max_objects)?;
-            let core = read_static_core(&mut dec, net, max_objects)?;
-            let threshold = dec.u64()?;
+            let tree = read_tree(&mut dec, net, exec, max_objects)?;
+            let mut core = read(&mut dec, false)?;
+            core.d = dec.u64()?;
             let write_bound = dec.f64()?;
             let min_epochs = dec.u64()? as usize;
-            let switched = match dec.u8()? {
-                0 => false,
-                1 => true,
-                b => return Err(format!("bad switched flag {b}")),
+            let retired = if dec.flag()? {
+                Some(tree)
+            } else {
+                // Before the switch the static section carries only the
+                // ledger; the tree serves.
+                let empty =
+                    (0..max_objects).all(|i| core.sets.copies(ObjectId(i as u32)).is_empty());
+                if !empty || matches!(core.sets, Sets::Static { placed: true, .. }) {
+                    return Err("unswitched threshold switch with a placement".into());
+                }
+                core.sets = Sets::Dynamic(tree);
+                None
             };
-            Box::new(ThresholdSwitch {
-                dynamic,
-                core,
-                kernel: PlacementKernel::new(net),
-                threshold,
-                write_bound,
-                min_epochs,
-                switched,
-            })
+            Box::new(ThresholdSwitch { core, retired, write_bound, min_epochs })
         }
         tag => return Err(format!("unknown strategy tag {tag}")),
     };
@@ -1439,6 +1398,32 @@ mod tests {
             put_loads(&mut out, &LoadMap::zero(net));
             put_stats(&mut out, DynamicStats::default());
         }
+        out
+    }
+
+    /// The durable bytes of a one-object threshold switch whose tree never
+    /// touched the object: its static section `placed`, holding `copies`
+    /// and a non-zero ledger, then the `switched` flag.
+    fn switch_bytes(net: &Network, placed: bool, copies: &[NodeId], switched: bool) -> Vec<u8> {
+        let mut out = vec![TAG_THRESHOLD_SWITCH];
+        put_u64(&mut out, 1);
+        put_u8(&mut out, 0);
+        put_loads(&mut out, &LoadMap::zero(net));
+        put_stats(&mut out, DynamicStats::default());
+        put_u8(&mut out, placed as u8);
+        put_stats(
+            &mut out,
+            DynamicStats { replications: 2, repairs: 2, ..DynamicStats::default() },
+        );
+        let mut loads = LoadMap::zero(net);
+        loads.add_edge(EdgeId(net.processors()[0].0), 4);
+        put_loads(&mut out, &loads);
+        put_u64(&mut out, 1);
+        put_nodes(&mut out, copies);
+        put_u64(&mut out, 2);
+        put_f64(&mut out, 0.5);
+        put_u64(&mut out, 1);
+        put_u8(&mut out, switched as u8);
         out
     }
 
@@ -1477,5 +1462,26 @@ mod tests {
         assert!(disconnected.is_err_and(|e| e.contains("disconnected")));
         let duplicate = strategy_from_durable(&net, &exec, 1, &dynamic_bytes(&net, &[p0, p0]));
         assert!(duplicate.is_err_and(|e| e.contains("duplicate")));
+    }
+
+    /// Before the switch, a threshold switch's static section carries
+    /// only the ledger: an unswitched frame whose static section is
+    /// placed or holds copies is malformed, never carried into the
+    /// switch. The valid forms restore to the same bytes.
+    #[test]
+    fn pre_switch_static_sections_must_be_empty_and_unplaced() {
+        let net = TopologyFamily::Star { processors: 4, bus_bandwidth: 2 }.build();
+        let exec = ExecutionConfig::default();
+        let p0 = net.processors()[0];
+        for (placed, copies, switched) in [(false, &[][..], false), (true, &[p0][..], true)] {
+            let bytes = switch_bytes(&net, placed, copies, switched);
+            let restored = strategy_from_durable(&net, &exec, 1, &bytes).unwrap();
+            assert_eq!(restored.durable().unwrap(), bytes);
+        }
+        for (placed, copies) in [(true, &[][..]), (false, &[p0][..]), (true, &[p0][..])] {
+            let bytes = switch_bytes(&net, placed, copies, false);
+            let malformed = strategy_from_durable(&net, &exec, 1, &bytes);
+            assert!(malformed.is_err_and(|e| e.contains("unswitched")), "{placed} {copies:?}");
+        }
     }
 }
