@@ -1082,7 +1082,7 @@ impl Strategy for ThresholdSwitch {
         // those sets — the same sequence a mid-run `swap_strategy` into a
         // `PeriodicStatic` performs.
         self.retired = Some(self.core.turn_static(net));
-        self.core.replace(net, observed, &FaultView::pristine(net));
+        self.core.replace(net, observed, faults);
     }
 
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {

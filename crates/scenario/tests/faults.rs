@@ -432,35 +432,24 @@ fn hybrid_reseed_under_an_outage_seeds_only_the_live_part() {
     );
 }
 
-/// `PeriodicStatic`'s outage re-placement lands no copy on a stranded
-/// node: the fresh placement keeps its live copies, and a set stranded
-/// wholly moves to the live processor nearest it.
+/// An outage re-placement lands no copy on a stranded node, whether
+/// `PeriodicStatic` re-places around a changed outage or a
+/// `ThresholdSwitch` switches inside one: the fresh placement keeps its
+/// live copies, and a set stranded wholly moves to the live processor
+/// nearest it.
 #[test]
 fn periodic_static_outage_replacement_avoids_stranded_nodes() {
     let (net, bus, trace) = outage_instance();
     let exec = ExecutionConfig { threshold: D, ..ExecutionConfig::default() };
     let plan = FaultPlan::default().down(1, bus);
     let observed = matrix_of(2, &trace);
-    // Never on schedule: only the outage re-places.
-    let mut periodic = PeriodicStatic::new(&net, &exec, 2, 0);
-    periodic.begin_epoch(&net, 0, &AccessMatrix::new(2), &plan.fault_view(&net, 0));
-    periodic.serve_batch(&net, &trace, &observed);
-
     let view = plan.fault_view(&net, 1);
     let stranded = |v: &NodeId| view.stranded[v.index()];
     let fresh = PlacementKernel::new(&net).place(&net, &observed).unwrap();
     let (partly, wholly) = (fresh.copies(ObjectId(0)), fresh.copies(ObjectId(1)));
     assert!(partly.iter().any(stranded) && !partly.iter().all(stranded), "{partly:?}");
     assert!(wholly.iter().all(stranded), "{wholly:?}");
-
-    let (before, charged_before) = (periodic.stats(), charged_total(&net, &periodic));
-    periodic.begin_epoch(&net, 1, &observed, &view);
-    for x in 0..2 {
-        let copies = periodic.copy_set(ObjectId(x));
-        assert!(!copies.is_empty() && !copies.iter().any(stranded), "object {x}: {copies:?}");
-    }
     let live: Vec<NodeId> = partly.iter().copied().filter(|v| !stranded(v)).collect();
-    assert_eq!(periodic.copy_set(ObjectId(0)), &live[..]);
     let nearest = net
         .processors()
         .iter()
@@ -468,11 +457,29 @@ fn periodic_static_outage_replacement_avoids_stranded_nodes() {
         .filter(|p| !stranded(p))
         .min_by_key(|&p| (net.distance(wholly[0], p), p.0))
         .unwrap();
-    assert_eq!(periodic.copy_set(ObjectId(1)), &[nearest]);
-    let after = periodic.stats();
-    assert!(after.replications > before.replications);
-    assert_eq!(
-        charged_total(&net, &periodic) - charged_before,
-        (after.replications - before.replications) * D
-    );
+
+    // Never on schedule: only the outage re-places. The switch is forced
+    // at epoch 1, the outage's first epoch.
+    let periodic: Box<dyn Strategy> = Box::new(PeriodicStatic::new(&net, &exec, 2, 0));
+    let switch = Box::new(ThresholdSwitch::new(&net, &exec, 2, 0.0, 1));
+    for mut strategy in [periodic, switch] {
+        let label = strategy.label();
+        strategy.begin_epoch(&net, 0, &AccessMatrix::new(2), &plan.fault_view(&net, 0));
+        strategy.serve_batch(&net, &trace, &observed);
+        let (before, charged_before) = (strategy.stats(), charged_total(&net, &*strategy));
+        strategy.begin_epoch(&net, 1, &observed, &view);
+        for x in 0..2 {
+            let copies = strategy.copy_set(ObjectId(x));
+            assert!(!copies.is_empty() && !copies.iter().any(stranded), "{label} {x}: {copies:?}");
+        }
+        assert_eq!(strategy.copy_set(ObjectId(0)), &live[..], "{label}");
+        assert_eq!(strategy.copy_set(ObjectId(1)), &[nearest], "{label}");
+        let after = strategy.stats();
+        assert!(after.replications > before.replications, "{label}");
+        assert_eq!(
+            charged_total(&net, &*strategy) - charged_before,
+            (after.replications - before.replications) * D,
+            "{label}"
+        );
+    }
 }
