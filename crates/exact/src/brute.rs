@@ -52,41 +52,7 @@ pub fn optimal_nonredundant(net: &Network, matrix: &AccessMatrix) -> ExactSoluti
         })
         .collect();
 
-    let mut best_choice: Vec<usize> = vec![0; order.len()];
-    let mut best = LoadRatio::new(u64::MAX, 1);
-    let mut current = LoadMap::zero(net);
-    let mut choice: Vec<usize> = vec![0; order.len()];
-    let mut explored = 0u64;
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        net: &Network,
-        deltas: &[Vec<LoadMap>],
-        depth: usize,
-        current: &mut LoadMap,
-        choice: &mut Vec<usize>,
-        best: &mut LoadRatio,
-        best_choice: &mut Vec<usize>,
-        explored: &mut u64,
-    ) {
-        *explored += 1;
-        let congestion = current.congestion(net).congestion;
-        if congestion >= *best {
-            return; // adding objects never lowers congestion
-        }
-        if depth == deltas.len() {
-            *best = congestion;
-            best_choice.clone_from(choice);
-            return;
-        }
-        for (li, delta) in deltas[depth].iter().enumerate() {
-            current.add_assign(delta);
-            choice[depth] = li;
-            recurse(net, deltas, depth + 1, current, choice, best, best_choice, explored);
-            current.sub_assign(delta);
-        }
-    }
-    recurse(net, &deltas, 0, &mut current, &mut choice, &mut best, &mut best_choice, &mut explored);
+    let (best_choice, explored) = branch_and_bound(net, &deltas);
 
     let mut placement = Placement::new(matrix.n_objects());
     for (i, &x) in order.iter().enumerate() {
@@ -139,40 +105,7 @@ pub fn optimal_redundant_nearest(net: &Network, matrix: &AccessMatrix) -> ExactS
         })
         .collect();
 
-    let mut best_choice = vec![0usize; order.len()];
-    let mut best = LoadRatio::new(u64::MAX, 1);
-    let mut current = LoadMap::zero(net);
-    let mut choice = vec![0usize; order.len()];
-    let mut explored = 0u64;
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        net: &Network,
-        deltas: &[Vec<LoadMap>],
-        depth: usize,
-        current: &mut LoadMap,
-        choice: &mut Vec<usize>,
-        best: &mut LoadRatio,
-        best_choice: &mut Vec<usize>,
-        explored: &mut u64,
-    ) {
-        *explored += 1;
-        if current.congestion(net).congestion >= *best {
-            return;
-        }
-        if depth == deltas.len() {
-            *best = current.congestion(net).congestion;
-            best_choice.clone_from(choice);
-            return;
-        }
-        for (si, delta) in deltas[depth].iter().enumerate() {
-            current.add_assign(delta);
-            choice[depth] = si;
-            recurse(net, deltas, depth + 1, current, choice, best, best_choice, explored);
-            current.sub_assign(delta);
-        }
-    }
-    recurse(net, &deltas, 0, &mut current, &mut choice, &mut best, &mut best_choice, &mut explored);
+    let (best_choice, explored) = branch_and_bound(net, &deltas);
 
     let mut placement = Placement::new(matrix.n_objects());
     for (i, &x) in order.iter().enumerate() {
@@ -184,6 +117,57 @@ pub fn optimal_redundant_nearest(net: &Network, matrix: &AccessMatrix) -> ExactS
     }
     let congestion = LoadMap::from_placement(net, matrix, &placement).congestion(net).congestion;
     ExactSolution { placement, congestion, nodes_explored: explored }
+}
+
+/// Branch-and-bound over one choice per object: `deltas[i][c]` is the
+/// load that choice `c` adds for the `i`-th object. Returns the first
+/// choice vector of least congestion and the number of search nodes
+/// explored. A branch is cut as soon as its partial congestion reaches
+/// the incumbent, since adding objects never lowers congestion.
+fn branch_and_bound(net: &Network, deltas: &[Vec<LoadMap>]) -> (Vec<usize>, u64) {
+    struct Search<'a> {
+        net: &'a Network,
+        deltas: &'a [Vec<LoadMap>],
+        current: LoadMap,
+        choice: Vec<usize>,
+        best: LoadRatio,
+        best_choice: Vec<usize>,
+        explored: u64,
+    }
+
+    impl Search<'_> {
+        fn recurse(&mut self, depth: usize) {
+            self.explored += 1;
+            let congestion = self.current.congestion(self.net).congestion;
+            if congestion >= self.best {
+                return;
+            }
+            if depth == self.deltas.len() {
+                self.best = congestion;
+                self.best_choice.clone_from(&self.choice);
+                return;
+            }
+            let deltas = self.deltas;
+            for (c, delta) in deltas[depth].iter().enumerate() {
+                self.current.add_assign(delta);
+                self.choice[depth] = c;
+                self.recurse(depth + 1);
+                self.current.sub_assign(delta);
+            }
+        }
+    }
+
+    let mut search = Search {
+        net,
+        deltas,
+        current: LoadMap::zero(net),
+        choice: vec![0; deltas.len()],
+        best: LoadRatio::new(u64::MAX, 1),
+        best_choice: vec![0; deltas.len()],
+        explored: 0,
+    };
+    search.recurse(0);
+    (search.best_choice, search.explored)
 }
 
 /// For a single object: the exact minimum achievable load on every edge,
