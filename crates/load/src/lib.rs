@@ -9,12 +9,10 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod bounds;
 pub mod placement;
 pub mod ratio;
 
 pub use accounting::{add_object_loads, LoadMap};
-pub use bounds::{makespan_bounds, InjectionProfile, MakespanBounds};
 pub use placement::{
     nearest_copy_map, placement_stats, AssignmentEntry, Bottleneck, CongestionReport,
     NearestCopies, Placement, PlacementError, PlacementStats,

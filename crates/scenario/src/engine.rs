@@ -78,7 +78,7 @@ impl std::ops::AddAssign for TrafficCounters {
 
 /// Estimator output attached to an epoch under
 /// [`crate::ReplayKernel::Estimate`]: inclusive makespan bounds from the
-/// epoch's congestion ([`hbn_load::makespan_bounds`]), computed without
+/// epoch's congestion ([`hbn_sim::estimate`]), computed without
 /// running the slot loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochEstimate {

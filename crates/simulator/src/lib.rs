@@ -50,7 +50,7 @@ pub mod trace;
 pub mod workspace;
 
 pub use engine::{simulate, simulate_with, simulate_with_overlay, SimConfig, SimError, SimResult};
-pub use estimate::{estimate_makespan, estimate_makespan_from_loads};
+pub use estimate::{estimate_makespan, estimate_makespan_from_loads, MakespanBounds};
 pub use packet::{Packet, PacketKind};
 pub use reference::{simulate_reference, simulate_reference_overlay};
 pub use trace::{expand, expand_shuffled, Request};
