@@ -8,9 +8,11 @@
 //! the queue capacity, so one run shows the whole admission story:
 //! exact replay when lightly loaded, estimator degradation past the
 //! high-water mark, `QueueFull` rejections past capacity — which the
-//! clients absorb with capped exponential backoff + jitter. The
-//! headline gate is *graceful degradation*: the heaviest window must
-//! keep at least half of the peak goodput.
+//! clients absorb with capped exponential backoff + jitter. Each window
+//! runs [`REPEATS`] times on fresh servers and reports its median-goodput
+//! run, with the min–max goodput beside it. The headline gate is
+//! *graceful degradation*: the heaviest window's median goodput must
+//! keep at least half of the peak median.
 //!
 //! **Phase 2 — supervised recovery drills.** A single tenant with a
 //! live fault-plan outage is served batch by batch; mid-outage the
@@ -48,6 +50,10 @@ const DEADLINE: Duration = Duration::from_secs(2);
 const BACKOFF_BASE_MICROS: u64 = 100;
 /// Backoff doublings cap: 100µs · 2⁶ = 6.4ms ceiling before jitter.
 const BACKOFF_CAP_DOUBLINGS: u32 = 6;
+/// Fresh-server runs per offered-load window. One run lasts tens of
+/// milliseconds, so a single sample's goodput moves with the host's
+/// scheduling by more than the gate's factor of two.
+const REPEATS: usize = 5;
 
 /// (batches per tenant per window, mean requests per batch).
 fn volumes() -> (usize, f64) {
@@ -312,15 +318,25 @@ fn main() {
         "degraded",
         "retries",
         "sessions/s",
+        "min–max",
         "p50 (µs)",
         "p99 (µs)",
     ]);
     let mut windows_json = Vec::new();
     let mut goodput = Vec::new();
     for (window, outstanding) in windows() {
-        let (m, retries, wall) = load_window(window, outstanding);
+        // The window's runs ranked by goodput; the median run stands for
+        // the window.
+        let mut runs: Vec<(f64, TenantMetrics, usize, f64)> = (0..REPEATS)
+            .map(|_| {
+                let (m, retries, wall) = load_window(window, outstanding);
+                (per_sec(m.served as usize, wall), m, retries, wall)
+            })
+            .collect();
+        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (min, max) = (runs[0].0, runs[REPEATS - 1].0);
+        let (sessions_per_sec, m, retries, wall) = runs.swap_remove(REPEATS / 2);
         let offered = m.accepted + m.rejected_full;
-        let sessions_per_sec = per_sec(m.served as usize, wall);
         let p50 = percentile(&m.ingest_micros, 50.0);
         let p99 = percentile(&m.ingest_micros, 99.0);
         t.row([
@@ -333,6 +349,7 @@ fn main() {
             m.degraded_epochs.to_string(),
             retries.to_string(),
             format!("{sessions_per_sec:.0}"),
+            format!("{min:.0}–{max:.0}"),
             p50.to_string(),
             p99.to_string(),
         ]);
@@ -341,6 +358,7 @@ fn main() {
                 .str("window", window)
                 .raw("tenants", TENANTS.len())
                 .raw("outstanding", outstanding)
+                .raw("repeats", REPEATS)
                 .raw("offered", offered)
                 .raw("served", m.served)
                 .raw("rejected_full", m.rejected_full)
@@ -349,6 +367,8 @@ fn main() {
                 .raw("retries", retries)
                 .f64("wall_seconds", wall)
                 .f64("sessions_per_sec", sessions_per_sec)
+                .f64("sessions_per_sec_min", min)
+                .f64("sessions_per_sec_max", max)
                 .f64("shed_fraction", m.shed_fraction())
                 .raw("ingest_p50_micros", p50)
                 .raw("ingest_p99_micros", p99),
@@ -360,11 +380,11 @@ fn main() {
     let peak = goodput.iter().copied().fold(0.0f64, f64::max);
     let overload = goodput.last().copied().unwrap_or(0.0);
     println!(
-        "goodput at heaviest window: {overload:.0}/s vs peak {peak:.0}/s — \
+        "median goodput at heaviest window: {overload:.0}/s vs peak median {peak:.0}/s — \
          overload sheds at admission, it must not collapse\n"
     );
     if overload < 0.5 * peak {
-        fatal("goodput collapsed under overload (>50% below peak)");
+        fatal("median goodput collapsed under overload (>50% below the peak median)");
     }
 
     let mut t = Table::new(["drill", "strategy", "kill@", "epochs", "replayed", "recovery (µs)"]);
