@@ -228,9 +228,9 @@ pub fn charged_migration(
     // Once per migrated object per re-placement: the sweep costs
     // O((|old| + |new|) · height) on the caller's reused scratch. Measured
     // on perfbench's static-churn (balanced(5,3), |V| = 156, about 23k
-    // objects per re-placement, 2-vCPU KVM guest), a `StaticCore::refit`
-    // pass took 9–58 ms with an O(|V|) BFS map per object and takes
-    // 1–16 ms with the sweep.
+    // objects per re-placement, 2-vCPU KVM guest), the refit pass of a
+    // re-placement took 9–58 ms with an O(|V|) BFS map per object and
+    // takes 1–16 ms with the sweep.
     let free_seed = [new[0]];
     let sources: &[NodeId] = if old.is_empty() { &free_seed } else { old };
     sweep.load(net, sources);
