@@ -15,10 +15,8 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{
-    exp_quick, root_adjacent_bus, strategy_axis, write_bench, Obj, StrategyAxis, Table,
-};
-use hbn_scenario::{run_scenario_with, FaultPlan, ScenarioReport, ScenarioSpec, TopologyFamily};
+use hbn_bench::{exp_quick, root_adjacent_bus, strategy_axis, write_bench, Obj, Table};
+use hbn_scenario::{run_scenario, FaultPlan, ScenarioSpec, TopologyFamily};
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
 use hbn_topology::Network;
 use rand::Rng;
@@ -52,10 +50,6 @@ fn fault_plans(net: &Network, n_epochs: usize, seed: u64) -> Vec<(String, FaultP
         ),
         (format!("seeded({seed})"), FaultPlan::seeded(net, seed, n_epochs)),
     ]
-}
-
-fn run(spec: &ScenarioSpec, strategy: StrategyAxis) -> ScenarioReport {
-    run_scenario_with(spec, |net, exec, n| strategy.build(net, exec, n))
 }
 
 fn main() {
@@ -97,6 +91,7 @@ fn main() {
         let plans = fault_plans(&net, n_epochs, cell_seed);
         for strategy in strategy_axis() {
             let clean_spec = ScenarioSpec {
+                strategy,
                 epoch_requests,
                 ..ScenarioSpec::new(
                     format!("{family}@{topology}"),
@@ -106,13 +101,13 @@ fn main() {
                     cell_seed,
                 )
             };
-            let clean = run(&clean_spec, strategy);
+            let clean = run_scenario(&clean_spec);
 
             for (plan_label, plan) in &plans {
                 let mut spec = clean_spec.clone();
                 spec.faults = plan.clone();
                 let start = Instant::now();
-                let report = run(&spec, strategy);
+                let report = run_scenario(&spec);
                 let wall = start.elapsed().as_secs_f64();
 
                 // Degraded-mode acceptance: nothing lost, movement

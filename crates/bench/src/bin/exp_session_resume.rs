@@ -2,7 +2,7 @@
 //! `Session` driver at benchmark scale.
 //!
 //! For every cell (access-pattern family × topology × strategy,
-//! including a trait-only `ThresholdSwitch` policy) the experiment runs
+//! including a threshold switch) the experiment runs
 //! the scenario once unbroken, taking a [`hbn_scenario::Session`]
 //! checkpoint halfway through, then restores the checkpoint and drives
 //! the suffix to completion. The resumed report must equal the unbroken
@@ -220,14 +220,14 @@ fn main() {
             for strategy in strategy_axis() {
                 let name = format!("{family}@{topology}");
                 let spec = ScenarioSpec {
+                    strategy,
                     epoch_requests,
                     ..ScenarioSpec::new(name, topology, schedule.clone(), THRESHOLD, seed)
                 };
 
                 // Unbroken run, checkpointing halfway.
                 let start = Instant::now();
-                let mut session =
-                    Session::with_strategy(&spec, |net, exec, n| strategy.build(net, exec, n));
+                let mut session = Session::new(&spec);
                 let total_epochs = {
                     // Epoch count is derivable from the schedule split.
                     spec.schedule

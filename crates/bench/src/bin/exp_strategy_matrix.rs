@@ -5,9 +5,8 @@
 //! re-optimized static extended-nibble placement (batched
 //! `PlacementKernel`), a single up-front static placement
 //! (`periodic-static(inf)`), the hybrid (static nibble seeds the dynamic
-//! tree's replica sets), and two policies that exist only through the
-//! public `Strategy` trait: `frozen-static` (place once, never
-//! re-optimize — the paper's pure static model as its own policy) and
+//! tree's replica sets), `frozen-static` (place once, never re-optimize —
+//! the paper's pure static model as its own policy) and
 //! `threshold-switch` (serve dynamically until the observed write
 //! fraction crosses a bound, then swap to a static placement).
 //!
@@ -26,10 +25,8 @@
 
 #![warn(missing_docs)]
 
-use hbn_bench::{
-    distinct, exp_quick, mean, per_sec, shards, write_bench, Obj, StrategyAxis, Table,
-};
-use hbn_scenario::{run_scenario_with, ScenarioSpec, StrategyKind, TopologyFamily};
+use hbn_bench::{distinct, exp_quick, mean, per_sec, shards, write_bench, Obj, Table};
+use hbn_scenario::{run_scenario, ScenarioSpec, StrategyKind, TopologyFamily};
 use hbn_testutil::{cell_seeds, family_schedules, seeded_rng};
 use hbn_workload::phases::PhaseSchedule;
 use rand::Rng;
@@ -72,14 +69,14 @@ fn topologies() -> Vec<TopologyFamily> {
 /// warm-up traffic for the whole run; the threshold switch flips to
 /// static once ≥ 15% of the observed traffic is writes (epoch 2 at the
 /// earliest, so it has a dynamic prefix to migrate away from).
-fn strategies() -> Vec<StrategyAxis> {
+fn strategies() -> Vec<StrategyKind> {
     vec![
-        StrategyAxis::Kind(StrategyKind::Dynamic),
-        StrategyAxis::Kind(StrategyKind::PeriodicStatic { replace_every_epochs: 0 }),
-        StrategyAxis::Kind(StrategyKind::PeriodicStatic { replace_every_epochs: 4 }),
-        StrategyAxis::Kind(StrategyKind::Hybrid { reseed_every_epochs: 4 }),
-        StrategyAxis::FrozenStatic,
-        StrategyAxis::ThresholdSwitch { write_bound: 0.15, min_epochs: 2 },
+        StrategyKind::Dynamic,
+        StrategyKind::PeriodicStatic { replace_every_epochs: 0 },
+        StrategyKind::PeriodicStatic { replace_every_epochs: 4 },
+        StrategyKind::Hybrid { reseed_every_epochs: 4 },
+        StrategyKind::FrozenStatic,
+        StrategyKind::ThresholdSwitch { write_bound: 0.15, min_epochs: 2 },
     ]
 }
 
@@ -132,9 +129,7 @@ fn main() {
             for strategy in strategies() {
                 let start = Instant::now();
                 let reports = shards(&seeds, |seed| {
-                    run_scenario_with(&ScenarioSpec { seed, ..spec.clone() }, |net, exec, n| {
-                        strategy.build(net, exec, n)
-                    })
+                    run_scenario(&ScenarioSpec { seed, strategy, ..spec.clone() })
                 });
                 let wall = start.elapsed().as_secs_f64();
 

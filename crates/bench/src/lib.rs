@@ -15,7 +15,7 @@ pub use bench_json::{write_bench, Obj};
 pub use measure::{measure, thread_cpu_ns, Timing};
 pub use table::Table;
 
-use hbn_scenario::{ExecutionConfig, FrozenStatic, Strategy, StrategyKind, ThresholdSwitch};
+use hbn_scenario::StrategyKind;
 use hbn_topology::{Network, NodeId};
 
 /// Whether the experiment binaries should run in quick mode
@@ -70,8 +70,8 @@ pub fn root_adjacent_bus(net: &Network) -> NodeId {
     *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).expect("root has a bus child")
 }
 
-/// The built-in strategy kinds the crash harnesses cover: dynamic trees,
-/// static placements and hybrid seeds.
+/// The built-in strategy kinds EXP-CRASH covers: dynamic trees, static
+/// placements and hybrid seeds.
 pub fn strategy_kinds() -> Vec<StrategyKind> {
     vec![
         StrategyKind::Dynamic,
@@ -80,49 +80,13 @@ pub fn strategy_kinds() -> Vec<StrategyKind> {
     ]
 }
 
-/// One policy of a strategy axis: a built-in [`StrategyKind`], or one of
-/// the policies that exist only through the [`Strategy`] trait. A cell's
-/// label is the built policy's own ([`Strategy::label`], which the
-/// report carries as `ScenarioReport::strategy`).
-#[derive(Debug, Clone, Copy)]
-pub enum StrategyAxis {
-    /// A built-in kind.
-    Kind(StrategyKind),
-    /// [`FrozenStatic`]: place once, never re-optimize.
-    FrozenStatic,
-    /// [`ThresholdSwitch`]: serve dynamically until the observed write
-    /// fraction reaches `write_bound`, then switch to a static placement.
-    ThresholdSwitch {
-        /// Observed write fraction that triggers the switch.
-        write_bound: f64,
-        /// Earliest epoch the switch may fire.
-        min_epochs: usize,
-    },
-}
-
-impl StrategyAxis {
-    /// The policy for one run: a [`hbn_scenario::run_scenario_with`] or
-    /// [`hbn_scenario::Session::with_strategy`] factory.
-    pub fn build(&self, net: &Network, exec: &ExecutionConfig, n: usize) -> Box<dyn Strategy> {
-        match *self {
-            StrategyAxis::Kind(kind) => kind.build(net, exec, n),
-            StrategyAxis::FrozenStatic => Box::new(FrozenStatic::new(net, exec, n)),
-            StrategyAxis::ThresholdSwitch { write_bound, min_epochs } => {
-                Box::new(ThresholdSwitch::new(net, exec, n, write_bound, min_epochs))
-            }
-        }
-    }
-}
-
-/// The strategy axis of the resume and fault matrices: [`strategy_kinds`]
-/// plus a trait-only [`StrategyAxis::ThresholdSwitch`], so every state
-/// shape is covered, switch composites included.
-pub fn strategy_axis() -> Vec<StrategyAxis> {
-    strategy_kinds()
-        .into_iter()
-        .map(StrategyAxis::Kind)
-        .chain([StrategyAxis::ThresholdSwitch { write_bound: 0.1, min_epochs: 3 }])
-        .collect()
+/// The strategy axis of the resume, fault and server-crash matrices:
+/// [`strategy_kinds`] plus a threshold switch, so every state shape is
+/// covered, a switch's retired tree included.
+pub fn strategy_axis() -> Vec<StrategyKind> {
+    let mut axis = strategy_kinds();
+    axis.push(StrategyKind::ThresholdSwitch { write_bound: 0.1, min_epochs: 3 });
+    axis
 }
 
 /// Run `run` once per seed, each on its own scoped thread, and return the

@@ -8,9 +8,9 @@
 //! congestion, migration-cost and latency summaries.
 //!
 //! The strategy boundary is **open**: the [`Strategy`] trait carries any
-//! policy (the built-ins behind [`StrategyKind`] — [`DynamicStrategy`],
-//! [`PeriodicStatic`], [`HybridReseed`] — are public structs, and
-//! [`FrozenStatic`] / [`ThresholdSwitch`] exist only through the trait),
+//! policy (each of the five built-in policies is a [`StrategyKind`], and
+//! [`StrategyKind::build`] makes it; [`periodic_static_from`] builds the
+//! periodic policy with a pinned first firing that a mid-run swap uses),
 //! and the [`Session`] driver runs scenarios *incrementally*: epoch by
 //! epoch ([`Session::step_epoch`]), with externally pushed traffic
 //! ([`Session::push_epoch`]), mid-run policy swaps
@@ -76,7 +76,4 @@ pub use session::{Session, SessionCheckpoint};
 pub use spec::{
     ExecutionConfig, ReplayKernel, ScenarioSpec, ServeKernel, StrategyKind, TopologyFamily,
 };
-pub use strategy::{
-    charged_migration, DynamicStrategy, FrozenStatic, HybridReseed, PeriodicStatic, Strategy,
-    StrategySnapshot, ThresholdSwitch,
-};
+pub use strategy::{charged_migration, periodic_static_from, Strategy, StrategySnapshot};

@@ -255,17 +255,17 @@ impl ExecutionConfig {
 }
 
 /// Which *built-in* data-management strategy serves the scenario's
-/// request stream — the matrix-friendly constructor layer over the open
-/// [`crate::Strategy`] trait: the paper's *static* extended-nibble
-/// pipeline against the *dynamic* read-replicate / write-collapse
-/// strategy, and a hybrid of the two.
+/// request stream: the paper's *static* extended-nibble pipeline
+/// (re-placed periodically, or placed once and frozen), the *dynamic*
+/// read-replicate / write-collapse strategy, and two compositions of the
+/// two (a hybrid and a threshold switch).
 ///
-/// Each kind builds ([`StrategyKind::build`]) the matching public
-/// strategy struct ([`crate::DynamicStrategy`], [`crate::PeriodicStatic`],
-/// [`crate::HybridReseed`]); policies beyond these three — e.g.
-/// [`crate::FrozenStatic`] or [`crate::ThresholdSwitch`] — implement
-/// [`crate::Strategy`] directly and run through
-/// [`crate::Session::with_strategy`] or [`crate::run_scenario_with`].
+/// [`StrategyKind::build`] turns a kind into its policy behind the open
+/// [`crate::Strategy`] trait; a policy of your own implements the trait
+/// and runs through [`crate::Session::with_strategy`] or
+/// [`crate::run_scenario_with`]. The one built-in form that is not a kind
+/// is a periodic policy whose first firing is pinned, built by
+/// [`crate::periodic_static_from`] for mid-run swaps.
 ///
 /// All strategies charge traffic to the same per-edge load model, so
 /// their online congestion, migration cost and competitive ratio
@@ -277,7 +277,7 @@ impl ExecutionConfig {
 /// use hbn_workload::phases::full_tour;
 ///
 /// // The same scenario (a small balanced topology, six phases of 60
-/// // requests) served under all three built-in strategy kinds.
+/// // requests) served under three of the built-in strategy kinds.
 /// let topology = TopologyFamily::Balanced { branching: 2, height: 2 };
 /// let mut spec = ScenarioSpec::new("strategies", topology, full_tour(6, 60), 2, 11);
 /// spec.epoch_requests = 30; // two replay epochs per phase
@@ -296,7 +296,7 @@ impl ExecutionConfig {
 ///     assert!(report.competitive_ratio.is_some());
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum StrategyKind {
     /// The online read-replicate / write-collapse strategy (default):
     /// every request is served by [`hbn_dynamic::DynamicTree`], migration
@@ -334,11 +334,37 @@ pub enum StrategyKind {
         /// at the start of epoch 1 (after one epoch of observation).
         reseed_every_epochs: usize,
     },
+    /// The paper's pure static model: place once (the extended-nibble
+    /// placement of the first epoch's traffic) and never re-optimize.
+    /// Migration traffic is identically zero, so any congestion it saves
+    /// over [`StrategyKind::PeriodicStatic`] is placement quality and any
+    /// it loses is staleness. On fault-free runs it equals
+    /// `periodic-static(inf)`; under an outage it only heals, where a
+    /// changed outage set makes a periodic policy re-place.
+    FrozenStatic,
+    /// Serve as [`StrategyKind::Dynamic`] while the workload is
+    /// read-dominated, and switch once to a static placement when the
+    /// *observed* write fraction crosses a bound: writes are what make
+    /// replication expensive. The switch fires at the start of the first
+    /// epoch `e ≥ min_epochs` (`e > 0`) whose write fraction over
+    /// everything served so far is at least `write_bound`: the batch
+    /// kernel re-places from the observed aggregate, clamped to the live
+    /// network, and the copy-set delta is charged from the tree's
+    /// replica sets at `D` per edge crossed. Afterwards the policy is a
+    /// frozen static placement. `write_bound = 0.0` with `min_epochs = k`
+    /// forces the switch at exactly epoch `k`.
+    ThresholdSwitch {
+        /// The observed write fraction that triggers the switch.
+        write_bound: f64,
+        /// The earliest epoch the switch may fire at.
+        min_epochs: usize,
+    },
 }
 
 /// The compact label of a kind, e.g. `dynamic`, `periodic-static(4)`,
-/// `periodic-static(inf)` or `hybrid(once)`, recorded in benchmark cells
-/// and reports.
+/// `periodic-static(inf)`, `hybrid(once)`, `frozen-static` or
+/// `threshold-switch(w>=0.30,after=2)`, recorded in benchmark cells and
+/// reports.
 impl fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -352,6 +378,10 @@ impl fmt::Display for StrategyKind {
             StrategyKind::Hybrid { reseed_every_epochs: 0 } => f.write_str("hybrid(once)"),
             StrategyKind::Hybrid { reseed_every_epochs } => {
                 write!(f, "hybrid({reseed_every_epochs})")
+            }
+            StrategyKind::FrozenStatic => f.write_str("frozen-static"),
+            StrategyKind::ThresholdSwitch { write_bound, min_epochs } => {
+                write!(f, "threshold-switch(w>={write_bound:.2},after={min_epochs})")
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The open strategy boundary of the scenario engine: the [`Strategy`]
-//! trait, the three built-in policies behind [`crate::StrategyKind`], and
-//! two policies only expressible through the trait.
+//! trait, and the one type behind every built-in policy that a
+//! [`crate::StrategyKind`] names.
 //!
 //! A strategy owns three things and nothing else: its **copy sets** (one
 //! per object), its **cumulative load map** (every unit of traffic it
@@ -361,16 +361,6 @@ fn sanitize_placement(net: &Network, view: &FaultView, placement: &mut Placement
     }
 }
 
-/// The firing cadence of the re-placing policies: fire at global epoch
-/// `first`, then every `every` epochs after it (`every = 0`: once).
-/// `first = None` never fires.
-fn fires(epoch_idx: usize, first: Option<usize>, every: usize) -> bool {
-    first.is_some_and(|first| {
-        epoch_idx == first
-            || (every > 0 && epoch_idx > first && (epoch_idx - first).is_multiple_of(every))
-    })
-}
-
 /// The dynamic-strategy serve kernel `exec.serve` names: a tree on the
 /// fast kernel, or one pinned to the naive reference kernel.
 fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicTree {
@@ -588,184 +578,175 @@ impl Core {
     }
 }
 
-/// The online read-replicate / write-collapse strategy
-/// ([`StrategyKind::Dynamic`] as a public struct): every request is
-/// served by the dynamic tree kernel, migration cost is the `D`-sized
-/// replications the kernel performs.
+/// The boundary rule of a built-in policy, with the state only that rule
+/// keeps. Every rule first heals the core around an outage
+/// ([`Core::heal`]).
 #[derive(Debug, Clone)]
-pub struct DynamicStrategy {
-    core: Core,
+enum Rule {
+    /// [`StrategyKind::Dynamic`]: the tree serves online; nothing else.
+    Dynamic,
+    /// [`StrategyKind::PeriodicStatic`]: re-place at the firing epochs,
+    /// and around every changed outage once a placement exists. With
+    /// `first_fire = Some(k)` the first firing is pinned to epoch `k`
+    /// ([`periodic_static_from`]).
+    Periodic { every: usize, first_fire: Option<usize> },
+    /// [`StrategyKind::Hybrid`]: re-seed the tree from the nibble copy
+    /// sets `kernel` computes at the firing epochs.
+    Hybrid { every: usize, kernel: Box<PlacementKernel> },
+    /// [`StrategyKind::FrozenStatic`]: frozen means no re-optimization,
+    /// not no survival, so the heal still runs.
+    Frozen,
+    /// [`StrategyKind::ThresholdSwitch`]: turn the tree static once. The
+    /// retired tree's loads and counters stay in the totals.
+    Switch { write_bound: f64, min_epochs: usize, retired: Option<DynamicTree> },
 }
 
-impl DynamicStrategy {
-    /// A fresh dynamic strategy on `net` for `max_objects` objects,
-    /// using the serve kernel of `exec`.
-    ///
-    /// ```
-    /// use hbn_scenario::{DynamicStrategy, ExecutionConfig, Strategy};
-    /// use hbn_topology::generators::star;
-    ///
-    /// let net = star(4, 2);
-    /// let strategy = DynamicStrategy::new(&net, &ExecutionConfig::default(), 8);
-    /// assert_eq!(strategy.label(), "dynamic");
-    /// ```
-    pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicStrategy {
-        DynamicStrategy {
-            core: Core::new(net, exec, Sets::Dynamic(dyn_kernel(net, exec, max_objects))),
-        }
-    }
-}
-
-impl Strategy for DynamicStrategy {
-    fn label(&self) -> String {
-        StrategyKind::Dynamic.to_string()
-    }
-
-    fn begin_epoch(
-        &mut self,
-        net: &Network,
-        _epoch_idx: usize,
-        _observed: &AccessMatrix,
-        faults: &FaultView,
-    ) {
-        self.core.heal(net, faults);
-    }
-
-    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
-        self.core.serve_batch(net, trace, epoch_matrix);
-    }
-
-    fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.core.sets.copies(x)
-    }
-
-    fn add_loads_to(&self, out: &mut LoadMap) {
-        self.core.add_loads_to(out);
-    }
-
-    fn stats(&self) -> DynamicStats {
-        self.core.stats()
-    }
-
-    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
-    }
-
-    fn durable(&self) -> Option<Vec<u8>> {
-        Some(core_bytes(TAG_DYNAMIC, &self.core))
-    }
-}
-
-/// Periodic static re-optimization
-/// ([`StrategyKind::PeriodicStatic`] as a public struct): the batched
-/// extended-nibble kernel recomputes the placement from the observed
-/// aggregate matrix at firing epochs, and the placement serves each
-/// epoch's traffic under the static load model.
-#[derive(Debug, Clone)]
-pub struct PeriodicStatic {
-    core: Core,
-    /// Re-optimize every this many epochs (`0` = never on schedule;
-    /// outage re-placements still fire).
-    replace_every_epochs: usize,
-    /// With `Some(k)`, the first firing is pinned to global epoch `k`
-    /// (then every `replace_every_epochs` after, if non-zero) — the form
-    /// a mid-run [`crate::Session::swap_strategy`] uses so the incoming
-    /// policy fires immediately on the traffic observed by its
-    /// predecessor.
-    first_fire: Option<usize>,
-}
-
-impl PeriodicStatic {
-    /// The standard periodic rule: re-optimize at the start of every
-    /// epoch `e > 0` with `e % replace_every_epochs == 0` (`0` = never on
-    /// schedule — a single up-front bootstrap placement on fault-free
-    /// runs). Independently of the period, an epoch whose set of down
-    /// buses changed while a bus is down re-places around the outage.
-    ///
-    /// ```
-    /// use hbn_scenario::{ExecutionConfig, PeriodicStatic, Strategy};
-    /// use hbn_topology::generators::star;
-    ///
-    /// let net = star(4, 2);
-    /// let exec = ExecutionConfig { threshold: 2, ..ExecutionConfig::default() };
-    /// assert_eq!(PeriodicStatic::new(&net, &exec, 8, 4).label(), "periodic-static(4)");
-    /// assert_eq!(PeriodicStatic::new(&net, &exec, 8, 0).label(), "periodic-static(inf)");
-    /// ```
-    pub fn new(
-        net: &Network,
-        exec: &ExecutionConfig,
-        max_objects: usize,
-        replace_every_epochs: usize,
-    ) -> PeriodicStatic {
-        PeriodicStatic {
-            core: Core::new(net, exec, Sets::unplaced(net, max_objects)),
-            replace_every_epochs,
-            first_fire: None,
-        }
-    }
-
-    /// A periodic-static strategy whose *first* firing is pinned to
-    /// global epoch `first_fire > 0`, then every `replace_every_epochs`
-    /// after it (`0` = fire exactly once). Built for
-    /// [`crate::Session::swap_strategy`]: swapped in after `k` epochs
-    /// with `first_fire = k`, it re-optimizes immediately from the
-    /// traffic its predecessor observed, charging the copy-set delta
-    /// from the predecessor's (adopted) copies.
-    pub fn with_first_fire(
-        net: &Network,
-        exec: &ExecutionConfig,
-        max_objects: usize,
-        first_fire: usize,
-        replace_every_epochs: usize,
-    ) -> PeriodicStatic {
-        assert!(first_fire > 0, "the first firing must come after an observation epoch");
-        PeriodicStatic {
-            first_fire: Some(first_fire),
-            ..Self::new(net, exec, max_objects, replace_every_epochs)
-        }
-    }
-
-    /// Whether a re-optimization fires at the start of `epoch_idx`.
-    fn fires(&self, epoch_idx: usize) -> bool {
-        let k = self.replace_every_epochs;
-        fires(epoch_idx, self.first_fire.or((k > 0).then_some(k)), k)
-    }
-}
-
-impl Strategy for PeriodicStatic {
-    fn label(&self) -> String {
-        match self.first_fire {
-            None => {
-                StrategyKind::PeriodicStatic { replace_every_epochs: self.replace_every_epochs }
-                    .to_string()
+impl Rule {
+    /// The kind this rule belongs to, whose `Display` is the label.
+    fn kind(&self) -> StrategyKind {
+        match *self {
+            Rule::Dynamic => StrategyKind::Dynamic,
+            Rule::Periodic { every, .. } => {
+                StrategyKind::PeriodicStatic { replace_every_epochs: every }
             }
-            Some(first) if self.replace_every_epochs == 0 => {
+            Rule::Hybrid { every, .. } => StrategyKind::Hybrid { reseed_every_epochs: every },
+            Rule::Frozen => StrategyKind::FrozenStatic,
+            Rule::Switch { write_bound, min_epochs, .. } => {
+                StrategyKind::ThresholdSwitch { write_bound, min_epochs }
+            }
+        }
+    }
+
+    /// The durable tag of the rule's kind.
+    fn tag(&self) -> u8 {
+        match self {
+            Rule::Dynamic => TAG_DYNAMIC,
+            Rule::Periodic { .. } => TAG_PERIODIC_STATIC,
+            Rule::Hybrid { .. } => TAG_HYBRID,
+            Rule::Frozen => TAG_FROZEN_STATIC,
+            Rule::Switch { .. } => TAG_THRESHOLD_SWITCH,
+        }
+    }
+
+    /// Whether a scheduled re-placement or re-seed fires at the start of
+    /// global epoch `epoch_idx`: at the first firing, then every `every`
+    /// epochs after it (`every = 0`: once). A periodic rule first fires
+    /// at its pinned epoch, else at `every` (never when `every = 0`); a
+    /// hybrid at `max(every, 1)`.
+    fn fires(&self, epoch_idx: usize) -> bool {
+        let (first, every) = match *self {
+            Rule::Periodic { every, first_fire } => {
+                (first_fire.or((every > 0).then_some(every)), every)
+            }
+            Rule::Hybrid { every, .. } => (Some(every.max(1)), every),
+            _ => return false,
+        };
+        first.is_some_and(|first| {
+            epoch_idx == first
+                || (every > 0 && epoch_idx > first && (epoch_idx - first).is_multiple_of(every))
+        })
+    }
+}
+
+/// Every built-in policy: the serving core plus the boundary rule its
+/// [`StrategyKind`] names. The core holds a tree for the dynamic, hybrid
+/// and (until it switches) threshold-switch rules, a placement for the
+/// others.
+#[derive(Debug, Clone)]
+struct BuiltIn {
+    core: Core,
+    rule: Rule,
+}
+
+impl BuiltIn {
+    fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize, rule: Rule) -> BuiltIn {
+        let sets = match rule {
+            Rule::Periodic { .. } | Rule::Frozen => Sets::unplaced(net, max_objects),
+            _ => Sets::Dynamic(dyn_kernel(net, exec, max_objects)),
+        };
+        BuiltIn { core: Core::new(net, exec, sets), rule }
+    }
+}
+
+impl Strategy for BuiltIn {
+    fn label(&self) -> String {
+        match self.rule {
+            Rule::Periodic { every: 0, first_fire: Some(first) } => {
                 format!("periodic-static(first={first},once)")
             }
-            Some(first) => {
-                format!("periodic-static(first={first},every={})", self.replace_every_epochs)
+            Rule::Periodic { every, first_fire: Some(first) } => {
+                format!("periodic-static(first={first},every={every})")
+            }
+            _ => self.rule.kind().to_string(),
+        }
+    }
+
+    fn begin_epoch(
+        &mut self,
+        net: &Network,
+        epoch_idx: usize,
+        observed: &AccessMatrix,
+        faults: &FaultView,
+    ) {
+        self.core.heal(net, faults);
+        let fires = self.rule.fires(epoch_idx);
+        match &mut self.rule {
+            Rule::Dynamic | Rule::Frozen => {}
+            Rule::Periodic { .. } => {
+                // A changed outage set re-places around the dead subtree
+                // (once a placement exists to migrate from), whatever the
+                // period.
+                let placed = matches!(self.core.sets, Sets::Static { placed: true, .. });
+                if fires || (faults.buses_down > 0 && faults.changed && epoch_idx > 0 && placed) {
+                    self.core.replace(net, observed, faults);
+                }
+            }
+            Rule::Hybrid { kernel, .. } => {
+                if !fires {
+                    return;
+                }
+                let mut sweep = NearestCopies::new(net.n_nodes());
+                for x in observed.objects() {
+                    // Seed with the *nibble* copy set, step 1 of the static
+                    // pipeline alone: connected by Theorem 3.1, which is the
+                    // dynamic strategy's structural invariant (the extended
+                    // placement's leaf-only sets are not connected).
+                    let seed = kernel.nibble_copies(net, observed, x);
+                    if seed.is_empty() {
+                        continue;
+                    }
+                    // Under an outage, seed only the live part of the nibble
+                    // set (still connected); a set stranded wholly leaves
+                    // the object as it was.
+                    let live = live_copies(faults, seed);
+                    let seed = match &live {
+                        Some(live) if live.is_empty() => continue,
+                        Some(live) => live,
+                        None => seed,
+                    };
+                    self.core.move_to(net, x, seed, &mut sweep);
+                }
+            }
+            Rule::Switch { write_bound, min_epochs, retired } => {
+                let Sets::Dynamic(tree) = &self.core.sets else { return };
+                let s = tree.stats();
+                let total = s.reads + s.writes;
+                if epoch_idx == 0 || epoch_idx < *min_epochs || total == 0 {
+                    return;
+                }
+                if (s.writes as f64 / total as f64) < *write_bound {
+                    return;
+                }
+                // Switch: hold the tree's replica sets as the placement,
+                // then re-place from the observed aggregate, charging the
+                // delta from those sets: the same sequence a mid-run
+                // `swap_strategy` into `periodic_static_from` performs.
+                *retired = Some(self.core.turn_static(net));
+                self.core.replace(net, observed, faults);
             }
         }
     }
 
-    fn begin_epoch(
-        &mut self,
-        net: &Network,
-        epoch_idx: usize,
-        observed: &AccessMatrix,
-        faults: &FaultView,
-    ) {
-        self.core.heal(net, faults);
-        // A changed outage set triggers an immediate re-placement around
-        // the dead subtree (once a placement exists to migrate from), on
-        // top of the periodic rule.
-        let placed = matches!(self.core.sets, Sets::Static { placed: true, .. });
-        let outage_refit = faults.buses_down > 0 && faults.changed && epoch_idx > 0 && placed;
-        if self.fires(epoch_idx) || outage_refit {
-            self.core.replace(net, observed, faults);
-        }
-    }
-
     fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
         self.core.serve_batch(net, trace, epoch_matrix);
     }
@@ -779,326 +760,7 @@ impl Strategy for PeriodicStatic {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        self.core.add_loads_to(out);
-    }
-
-    fn stats(&self) -> DynamicStats {
-        self.core.stats()
-    }
-
-    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
-    }
-
-    fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = core_bytes(TAG_PERIODIC_STATIC, &self.core);
-        put_u64(&mut out, self.core.d);
-        put_u64(&mut out, self.replace_every_epochs as u64);
-        put_u8(&mut out, self.first_fire.is_some() as u8);
-        if let Some(first) = self.first_fire {
-            put_u64(&mut out, first as u64);
-        }
-        Some(out)
-    }
-}
-
-/// The dynamic strategy periodically re-seeded by the static pipeline
-/// ([`StrategyKind::Hybrid`] as a public struct): at re-seed boundaries
-/// the kernel's step-1 pass ([`PlacementKernel::nibble_copies`]) runs on
-/// the observed matrix and each object's *nibble* copy set (connected by
-/// Theorem 3.1) replaces the dynamic tree's replica set, charged like a
-/// static migration; between boundaries requests are served online.
-#[derive(Debug, Clone)]
-pub struct HybridReseed {
-    core: Core,
-    /// Computes the re-seeds' nibble copy sets.
-    kernel: PlacementKernel,
-    /// Re-seed every this many epochs (`0` = exactly once, at epoch 1).
-    reseed_every_epochs: usize,
-}
-
-impl HybridReseed {
-    /// A hybrid strategy re-seeding at the start of every epoch `e > 0`
-    /// with `e % reseed_every_epochs == 0` (`0` = seed exactly once, at
-    /// the start of epoch 1, after one epoch of observation).
-    ///
-    /// ```
-    /// use hbn_scenario::{ExecutionConfig, HybridReseed, Strategy};
-    /// use hbn_topology::generators::star;
-    ///
-    /// let net = star(4, 2);
-    /// let exec = ExecutionConfig::default();
-    /// assert_eq!(HybridReseed::new(&net, &exec, 8, 3).label(), "hybrid(3)");
-    /// ```
-    pub fn new(
-        net: &Network,
-        exec: &ExecutionConfig,
-        max_objects: usize,
-        reseed_every_epochs: usize,
-    ) -> HybridReseed {
-        HybridReseed {
-            core: Core::new(net, exec, Sets::Dynamic(dyn_kernel(net, exec, max_objects))),
-            kernel: PlacementKernel::new(net),
-            reseed_every_epochs,
-        }
-    }
-
-    /// Whether a re-seed fires at the start of `epoch_idx`.
-    fn fires(&self, epoch_idx: usize) -> bool {
-        let k = self.reseed_every_epochs;
-        fires(epoch_idx, Some(k.max(1)), k)
-    }
-}
-
-impl Strategy for HybridReseed {
-    fn label(&self) -> String {
-        StrategyKind::Hybrid { reseed_every_epochs: self.reseed_every_epochs }.to_string()
-    }
-
-    fn begin_epoch(
-        &mut self,
-        net: &Network,
-        epoch_idx: usize,
-        observed: &AccessMatrix,
-        faults: &FaultView,
-    ) {
-        self.core.heal(net, faults);
-        if !self.fires(epoch_idx) {
-            return;
-        }
-        let mut sweep = NearestCopies::new(net.n_nodes());
-        for x in observed.objects() {
-            // Seed with the *nibble* copy set, step 1 of the static
-            // pipeline alone: connected by Theorem 3.1, which is the
-            // dynamic strategy's structural invariant (the extended
-            // placement's leaf-only sets are not connected).
-            let seed = self.kernel.nibble_copies(net, observed, x);
-            if seed.is_empty() {
-                continue;
-            }
-            // Under an outage, seed only the live part of the nibble set
-            // (still connected); a set stranded wholly leaves the object
-            // as it was.
-            let live = live_copies(faults, seed);
-            let seed = match &live {
-                Some(live) if live.is_empty() => continue,
-                Some(live) => live,
-                None => seed,
-            };
-            self.core.move_to(net, x, seed, &mut sweep);
-        }
-    }
-
-    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
-        self.core.serve_batch(net, trace, epoch_matrix);
-    }
-
-    fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.core.sets.copies(x)
-    }
-
-    fn add_loads_to(&self, out: &mut LoadMap) {
-        self.core.add_loads_to(out);
-    }
-
-    fn stats(&self) -> DynamicStats {
-        self.core.stats()
-    }
-
-    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
-    }
-
-    fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = core_bytes(TAG_HYBRID, &self.core);
-        put_u64(&mut out, self.core.d);
-        put_u64(&mut out, self.reseed_every_epochs as u64);
-        Some(out)
-    }
-}
-
-/// The paper's pure static model as its own policy, only expressible
-/// through the [`Strategy`] trait: place once — the extended-nibble
-/// placement of the first epoch's traffic — and never re-optimize. No
-/// boundary machinery at all: migration traffic is identically zero, so
-/// any congestion it saves over [`PeriodicStatic`] is pure placement
-/// quality and any congestion it loses is staleness.
-///
-/// On fault-free runs it is behaviourally equal to
-/// `periodic-static(inf)` (pinned by the test suite): the same serving
-/// core with no boundary rule but the outage heal. Under an outage the
-/// two differ: a changed outage set makes [`PeriodicStatic`] re-place
-/// whatever its period, while this policy only heals.
-#[derive(Debug, Clone)]
-pub struct FrozenStatic {
-    core: Core,
-}
-
-impl FrozenStatic {
-    /// A frozen-static strategy on `net` for `max_objects` objects.
-    ///
-    /// ```
-    /// use hbn_scenario::{ExecutionConfig, FrozenStatic, Strategy};
-    /// use hbn_topology::generators::star;
-    ///
-    /// let net = star(4, 2);
-    /// let strategy = FrozenStatic::new(&net, &ExecutionConfig::default(), 8);
-    /// assert_eq!(strategy.label(), "frozen-static");
-    /// ```
-    pub fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> FrozenStatic {
-        FrozenStatic { core: Core::new(net, exec, Sets::unplaced(net, max_objects)) }
-    }
-}
-
-impl Strategy for FrozenStatic {
-    fn label(&self) -> String {
-        "frozen-static".into()
-    }
-
-    fn begin_epoch(
-        &mut self,
-        net: &Network,
-        _epoch_idx: usize,
-        _observed: &AccessMatrix,
-        faults: &FaultView,
-    ) {
-        // Frozen means no re-optimization, not no survival: a bus outage
-        // still evicts stranded copies and re-homes dead sets.
-        self.core.heal(net, faults);
-    }
-
-    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
-        self.core.serve_batch(net, trace, epoch_matrix);
-    }
-
-    fn charge_service(&mut self, placement_loads: &LoadMap) {
-        self.core.charge_service(placement_loads);
-    }
-
-    fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.core.sets.copies(x)
-    }
-
-    fn add_loads_to(&self, out: &mut LoadMap) {
-        self.core.add_loads_to(out);
-    }
-
-    fn stats(&self) -> DynamicStats {
-        self.core.stats()
-    }
-
-    fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
-        self.core.adopt(net, max_objects, |x| prior.copy_set(x));
-    }
-
-    fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = core_bytes(TAG_FROZEN_STATIC, &self.core);
-        put_u64(&mut out, self.core.d);
-        Some(out)
-    }
-}
-
-/// A regime-switching policy only expressible through the [`Strategy`]
-/// trait: serve online (dynamic read-replicate / write-collapse) while
-/// the workload is read-dominated, and swap to a static placement the
-/// moment the *observed* write fraction crosses a bound — writes are
-/// what make replication expensive, so a write-heavy regime is exactly
-/// where the collapse-free static model wins.
-///
-/// The switch happens at most once, at the start of the first epoch
-/// `e ≥ min_epochs` (`e > 0`) whose observed write fraction
-/// (`writes / (reads + writes)` over everything served so far) is at
-/// least `write_bound`: the batch kernel re-places from the observed
-/// aggregate and the copy-set delta is charged from the dynamic replica
-/// sets at `D` per edge crossed ([`charged_migration`]); afterwards the
-/// policy is a frozen static placement.
-#[derive(Debug, Clone)]
-pub struct ThresholdSwitch {
-    /// A tree until the switch, a placement from then on.
-    core: Core,
-    /// The tree that served before the switch: its loads and counters
-    /// stay in the totals.
-    retired: Option<DynamicTree>,
-    write_bound: f64,
-    min_epochs: usize,
-}
-
-impl ThresholdSwitch {
-    /// A threshold-switch strategy: dynamic until the observed write
-    /// fraction reaches `write_bound` at an epoch boundary
-    /// `e ≥ min_epochs`, static from then on. `write_bound = 0.0` with
-    /// `min_epochs = k` forces the switch at exactly epoch `k` (useful
-    /// as a deterministic regime change; the swap-identity tests pin it
-    /// against [`crate::Session::swap_strategy`]).
-    ///
-    /// ```
-    /// use hbn_scenario::{ExecutionConfig, Strategy, ThresholdSwitch};
-    /// use hbn_topology::generators::star;
-    ///
-    /// let net = star(4, 2);
-    /// let strategy = ThresholdSwitch::new(&net, &ExecutionConfig::default(), 8, 0.3, 2);
-    /// assert_eq!(strategy.label(), "threshold-switch(w>=0.30,after=2)");
-    /// ```
-    pub fn new(
-        net: &Network,
-        exec: &ExecutionConfig,
-        max_objects: usize,
-        write_bound: f64,
-        min_epochs: usize,
-    ) -> ThresholdSwitch {
-        ThresholdSwitch {
-            core: Core::new(net, exec, Sets::Dynamic(dyn_kernel(net, exec, max_objects))),
-            retired: None,
-            write_bound,
-            min_epochs,
-        }
-    }
-}
-
-impl Strategy for ThresholdSwitch {
-    fn label(&self) -> String {
-        format!("threshold-switch(w>={:.2},after={})", self.write_bound, self.min_epochs)
-    }
-
-    fn begin_epoch(
-        &mut self,
-        net: &Network,
-        epoch_idx: usize,
-        observed: &AccessMatrix,
-        faults: &FaultView,
-    ) {
-        self.core.heal(net, faults);
-        let Sets::Dynamic(tree) = &self.core.sets else { return };
-        if epoch_idx == 0 || epoch_idx < self.min_epochs {
-            return;
-        }
-        let s = tree.stats();
-        let total = s.reads + s.writes;
-        if total == 0 || (s.writes as f64 / total as f64) < self.write_bound {
-            return;
-        }
-        // Switch: hold the tree's replica sets as the placement, then
-        // re-place from the observed aggregate, charging the delta from
-        // those sets — the same sequence a mid-run `swap_strategy` into a
-        // `PeriodicStatic` performs.
-        self.retired = Some(self.core.turn_static(net));
-        self.core.replace(net, observed, faults);
-    }
-
-    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], epoch_matrix: &AccessMatrix) {
-        self.core.serve_batch(net, trace, epoch_matrix);
-    }
-
-    fn charge_service(&mut self, placement_loads: &LoadMap) {
-        self.core.charge_service(placement_loads);
-    }
-
-    fn copy_set(&self, x: ObjectId) -> &[NodeId] {
-        self.core.sets.copies(x)
-    }
-
-    fn add_loads_to(&self, out: &mut LoadMap) {
-        if let Some(tree) = &self.retired {
+        if let Rule::Switch { retired: Some(tree), .. } = &self.rule {
             out.add_assign(tree.loads());
         }
         self.core.add_loads_to(out);
@@ -1106,7 +768,10 @@ impl Strategy for ThresholdSwitch {
 
     fn stats(&self) -> DynamicStats {
         let stats = self.core.stats();
-        self.retired.as_ref().map_or(stats, |tree| tree.stats().merge(stats))
+        match &self.rule {
+            Rule::Switch { retired: Some(tree), .. } => tree.stats().merge(stats),
+            _ => stats,
+        }
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
@@ -1114,24 +779,45 @@ impl Strategy for ThresholdSwitch {
     }
 
     fn durable(&self) -> Option<Vec<u8>> {
-        let mut out = vec![TAG_THRESHOLD_SWITCH];
-        let ((Sets::Dynamic(tree), _) | (_, Some(tree))) = (&self.core.sets, &self.retired) else {
-            unreachable!("a switched core keeps its retired tree");
-        };
-        put_tree(&mut out, tree);
-        put_static(&mut out, &self.core);
-        put_u64(&mut out, self.core.d);
-        put_f64(&mut out, self.write_bound);
-        put_u64(&mut out, self.min_epochs as u64);
-        put_u8(&mut out, self.retired.is_some() as u8);
+        let core = &self.core;
+        let mut out = vec![self.rule.tag()];
+        match &self.rule {
+            Rule::Switch { retired, .. } => {
+                let ((Sets::Dynamic(tree), _) | (_, Some(tree))) = (&core.sets, retired) else {
+                    unreachable!("a switched core keeps its retired tree");
+                };
+                put_tree(&mut out, tree);
+                put_static(&mut out, core);
+            }
+            _ => put_core(&mut out, core),
+        }
+        if !matches!(self.rule, Rule::Dynamic) {
+            put_u64(&mut out, core.d);
+        }
+        match self.rule {
+            Rule::Dynamic | Rule::Frozen => {}
+            Rule::Periodic { every, first_fire } => {
+                put_u64(&mut out, every as u64);
+                put_u8(&mut out, first_fire.is_some() as u8);
+                if let Some(first) = first_fire {
+                    put_u64(&mut out, first as u64);
+                }
+            }
+            Rule::Hybrid { every, .. } => put_u64(&mut out, every as u64),
+            Rule::Switch { write_bound, min_epochs, ref retired } => {
+                put_f64(&mut out, write_bound);
+                put_u64(&mut out, min_epochs as u64);
+                put_u8(&mut out, retired.is_some() as u8);
+            }
+        }
         Some(out)
     }
 }
 
 impl StrategyKind {
-    /// Build the public strategy struct this kind names — the thin
-    /// constructor layer that keeps the matrix-friendly enum working on
-    /// top of the open [`Strategy`] trait.
+    /// Build the policy this kind names: one serving core under the kind's
+    /// boundary rule, behind the open [`Strategy`] trait. Its label is the
+    /// kind's `Display`.
     ///
     /// ```
     /// use hbn_scenario::{ExecutionConfig, Strategy, StrategyKind};
@@ -1148,16 +834,46 @@ impl StrategyKind {
         exec: &ExecutionConfig,
         max_objects: usize,
     ) -> Box<dyn Strategy> {
-        match *self {
-            StrategyKind::Dynamic => Box::new(DynamicStrategy::new(net, exec, max_objects)),
+        let rule = match *self {
+            StrategyKind::Dynamic => Rule::Dynamic,
             StrategyKind::PeriodicStatic { replace_every_epochs } => {
-                Box::new(PeriodicStatic::new(net, exec, max_objects, replace_every_epochs))
+                Rule::Periodic { every: replace_every_epochs, first_fire: None }
             }
-            StrategyKind::Hybrid { reseed_every_epochs } => {
-                Box::new(HybridReseed::new(net, exec, max_objects, reseed_every_epochs))
+            StrategyKind::Hybrid { reseed_every_epochs } => Rule::Hybrid {
+                every: reseed_every_epochs,
+                kernel: Box::new(PlacementKernel::new(net)),
+            },
+            StrategyKind::FrozenStatic => Rule::Frozen,
+            StrategyKind::ThresholdSwitch { write_bound, min_epochs } => {
+                Rule::Switch { write_bound, min_epochs, retired: None }
             }
-        }
+        };
+        Box::new(BuiltIn::new(net, exec, max_objects, rule))
     }
+}
+
+/// A periodic-static policy whose *first* firing is pinned to global
+/// epoch `first_fire > 0`, then every `replace_every_epochs` after it
+/// (`0` = fire exactly once). Built for [`crate::Session::swap_strategy`]:
+/// swapped in after `k` epochs with `first_fire = k`, it re-optimizes
+/// immediately from the traffic its predecessor observed, charging the
+/// copy-set delta from the predecessor's (adopted) copies. Its label is
+/// `periodic-static(first=k,once)` or `periodic-static(first=k,every=n)`.
+///
+/// # Panics
+///
+/// Panics if `first_fire` is 0: the first firing must come after an
+/// observation epoch.
+pub fn periodic_static_from(
+    net: &Network,
+    exec: &ExecutionConfig,
+    max_objects: usize,
+    first_fire: usize,
+    replace_every_epochs: usize,
+) -> Box<dyn Strategy> {
+    assert!(first_fire > 0, "the first firing must come after an observation epoch");
+    let rule = Rule::Periodic { every: replace_every_epochs, first_fire: Some(first_fire) };
+    Box::new(BuiltIn::new(net, exec, max_objects, rule))
 }
 
 // --- durable strategy codec -------------------------------------------
@@ -1208,20 +924,17 @@ fn put_static(out: &mut Vec<u8>, core: &Core) {
     }
 }
 
-/// A policy's durable bytes up to its own fields: its tag, then its
-/// core's section as [`read_core`] reads it back, a tree and then its
-/// ledger or a static section. `D` is the policy's to write.
-fn core_bytes(tag: u8, core: &Core) -> Vec<u8> {
-    let mut out = vec![tag];
+/// A core's section as [`read_core`] reads it back: a tree and then its
+/// ledger, or a static section.
+fn put_core(out: &mut Vec<u8>, core: &Core) {
     match &core.sets {
         Sets::Dynamic(tree) => {
-            put_tree(&mut out, tree);
-            put_loads(&mut out, &core.loads);
-            put_stats(&mut out, core.stats);
+            put_tree(out, tree);
+            put_loads(out, &core.loads);
+            put_stats(out, core.stats);
         }
-        Sets::Static { .. } => put_static(&mut out, core),
+        Sets::Static { .. } => put_static(out, core),
     }
-    out
 }
 
 fn check_nodes(nodes: &[NodeId], net: &Network) -> Result<(), String> {
@@ -1288,7 +1001,7 @@ fn read_tree(
     Ok(tree)
 }
 
-/// Read a core section written by [`core_bytes`]: a tree's when `dynamic`,
+/// Read a core section written by [`put_core`]: a tree's when `dynamic`,
 /// else a static section. `D` starts as `exec.threshold`; a policy that
 /// writes its own reads it next.
 fn read_core(
@@ -1323,9 +1036,12 @@ fn read_core(
     Ok(Core { sets: Sets::Static { copies, placed, kernel }, loads, stats, d: exec.threshold })
 }
 
-/// Rebuild a built-in strategy from its [`Strategy::durable`] bytes.
-/// `exec` must be the execution config of the saved run (the spec
-/// fingerprint guarantees this for disk restores).
+/// Rebuild a built-in strategy from its [`Strategy::durable`] bytes: the
+/// tag, the core section (a threshold switch writes its tree, live or
+/// retired, before a static section), `D` unless the policy is dynamic,
+/// then the rule's parameters. `exec` must be the execution config of
+/// the saved run (the spec fingerprint guarantees this for disk
+/// restores).
 pub(crate) fn strategy_from_durable(
     net: &Network,
     exec: &ExecutionConfig,
@@ -1333,31 +1049,33 @@ pub(crate) fn strategy_from_durable(
     bytes: &[u8],
 ) -> Result<Box<dyn Strategy>, String> {
     let mut dec = Dec::new(bytes);
-    let read = |dec: &mut Dec<'_>, dynamic| read_core(dec, net, exec, max_objects, dynamic);
-    let strategy: Box<dyn Strategy> = match dec.u8()? {
-        TAG_DYNAMIC => Box::new(DynamicStrategy { core: read(&mut dec, true)? }),
+    let tag = dec.u8()?;
+    if !(TAG_DYNAMIC..=TAG_THRESHOLD_SWITCH).contains(&tag) {
+        return Err(format!("unknown strategy tag {tag}"));
+    }
+    let switch_tree = match tag {
+        TAG_THRESHOLD_SWITCH => Some(read_tree(&mut dec, net, exec, max_objects)?),
+        _ => None,
+    };
+    let dynamic = matches!(tag, TAG_DYNAMIC | TAG_HYBRID);
+    let mut core = read_core(&mut dec, net, exec, max_objects, dynamic)?;
+    if tag != TAG_DYNAMIC {
+        core.d = dec.u64()?;
+    }
+    let rule = match tag {
+        TAG_DYNAMIC => Rule::Dynamic,
         TAG_PERIODIC_STATIC => {
-            let mut core = read(&mut dec, false)?;
-            core.d = dec.u64()?;
-            let replace_every_epochs = dec.u64()? as usize;
+            let every = dec.u64()? as usize;
             let first_fire = if dec.flag()? { Some(dec.u64()? as usize) } else { None };
-            Box::new(PeriodicStatic { core, replace_every_epochs, first_fire })
+            Rule::Periodic { every, first_fire }
         }
         TAG_HYBRID => {
-            let mut core = read(&mut dec, true)?;
-            core.d = dec.u64()?;
-            let reseed_every_epochs = dec.u64()? as usize;
-            Box::new(HybridReseed { core, kernel: PlacementKernel::new(net), reseed_every_epochs })
+            let every = dec.u64()? as usize;
+            Rule::Hybrid { every, kernel: Box::new(PlacementKernel::new(net)) }
         }
-        TAG_FROZEN_STATIC => {
-            let mut core = read(&mut dec, false)?;
-            core.d = dec.u64()?;
-            Box::new(FrozenStatic { core })
-        }
-        TAG_THRESHOLD_SWITCH => {
-            let tree = read_tree(&mut dec, net, exec, max_objects)?;
-            let mut core = read(&mut dec, false)?;
-            core.d = dec.u64()?;
+        TAG_FROZEN_STATIC => Rule::Frozen,
+        _ => {
+            let tree = switch_tree.expect("a threshold switch's tree is read first");
             let write_bound = dec.f64()?;
             let min_epochs = dec.u64()? as usize;
             let retired = if dec.flag()? {
@@ -1373,12 +1091,11 @@ pub(crate) fn strategy_from_durable(
                 core.sets = Sets::Dynamic(tree);
                 None
             };
-            Box::new(ThresholdSwitch { core, retired, write_bound, min_epochs })
+            Rule::Switch { write_bound, min_epochs, retired }
         }
-        tag => return Err(format!("unknown strategy tag {tag}")),
     };
     dec.finish()?;
-    Ok(strategy)
+    Ok(Box::new(BuiltIn { core, rule }))
 }
 
 #[cfg(test)]
@@ -1427,24 +1144,48 @@ mod tests {
         out
     }
 
-    /// The one firing cadence as each re-placing policy reads it: the
+    /// The one firing cadence as each re-placing rule reads it: the
     /// epochs below 10 at which it fires.
     #[test]
     fn firing_cadences() {
         let net = TopologyFamily::Star { processors: 4, bus_bandwidth: 2 }.build();
-        let exec = ExecutionConfig::default();
-        let periodic = |every| PeriodicStatic::new(&net, &exec, 1, every);
-        let first_fire =
-            |first, every| PeriodicStatic::with_first_fire(&net, &exec, 1, first, every);
-        let hybrid = |every| HybridReseed::new(&net, &exec, 1, every);
-        let firing =
-            |fires: &dyn Fn(usize) -> bool| (0..10).filter(|&e| fires(e)).collect::<Vec<_>>();
-        assert_eq!(firing(&|e| periodic(3).fires(e)), [3, 6, 9]);
-        assert_eq!(firing(&|e| periodic(0).fires(e)), []);
-        assert_eq!(firing(&|e| first_fire(4, 3).fires(e)), [4, 7]);
-        assert_eq!(firing(&|e| first_fire(4, 0).fires(e)), [4]);
-        assert_eq!(firing(&|e| hybrid(3).fires(e)), [3, 6, 9]);
-        assert_eq!(firing(&|e| hybrid(0).fires(e)), [1]);
+        let periodic = |every, first_fire| Rule::Periodic { every, first_fire };
+        let hybrid = |every| Rule::Hybrid { every, kernel: Box::new(PlacementKernel::new(&net)) };
+        let firing = |rule: Rule| (0..10).filter(|&e| rule.fires(e)).collect::<Vec<_>>();
+        assert_eq!(firing(periodic(3, None)), [3, 6, 9]);
+        assert_eq!(firing(periodic(0, None)), []);
+        assert_eq!(firing(periodic(3, Some(4))), [4, 7]);
+        assert_eq!(firing(periodic(0, Some(4))), [4]);
+        assert_eq!(firing(hybrid(3)), [3, 6, 9]);
+        assert_eq!(firing(hybrid(0)), [1]);
+        assert_eq!(firing(Rule::Switch { write_bound: 0.0, min_epochs: 1, retired: None }), []);
+    }
+
+    /// Every kind builds a policy labelled with the kind's `Display`, and
+    /// the pinned periodic form has its own two labels.
+    #[test]
+    fn every_kind_builds_its_own_label() {
+        let net = TopologyFamily::Star { processors: 4, bus_bandwidth: 2 }.build();
+        let exec = ExecutionConfig { threshold: 2, ..ExecutionConfig::default() };
+        let kinds = [
+            (StrategyKind::Dynamic, "dynamic"),
+            (StrategyKind::PeriodicStatic { replace_every_epochs: 4 }, "periodic-static(4)"),
+            (StrategyKind::PeriodicStatic { replace_every_epochs: 0 }, "periodic-static(inf)"),
+            (StrategyKind::Hybrid { reseed_every_epochs: 3 }, "hybrid(3)"),
+            (StrategyKind::Hybrid { reseed_every_epochs: 0 }, "hybrid(once)"),
+            (StrategyKind::FrozenStatic, "frozen-static"),
+            (
+                StrategyKind::ThresholdSwitch { write_bound: 0.3, min_epochs: 2 },
+                "threshold-switch(w>=0.30,after=2)",
+            ),
+        ];
+        for (kind, label) in kinds {
+            assert_eq!(kind.to_string(), label);
+            assert_eq!(kind.build(&net, &exec, 8).label(), label);
+        }
+        let pinned = |every| periodic_static_from(&net, &exec, 8, 4, every).label();
+        assert_eq!(pinned(0), "periodic-static(first=4,once)");
+        assert_eq!(pinned(3), "periodic-static(first=4,every=3)");
     }
 
     /// The decoder is the gate for replica sets read from disk: a

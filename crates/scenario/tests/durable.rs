@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{
-    ExecutionConfig, FaultPlan, FrozenStatic, RestoreError, ScenarioReport, ScenarioSpec,
-    ServeKernel, Session, Strategy, StrategyKind, ThresholdSwitch, TopologyFamily,
+    ExecutionConfig, FaultPlan, RestoreError, ScenarioReport, ScenarioSpec, ServeKernel, Session,
+    Strategy, StrategyKind, TopologyFamily,
 };
 use hbn_testutil::TestDir;
 use hbn_workload::phases::full_tour;
@@ -59,7 +59,8 @@ fn save_restore_roundtrip(
 /// Disk roundtrip is exact for every built-in strategy kind on both
 /// serve kernels (the reference kernel exports its counters physically
 /// rather than by stamp), including under an active fault plan (the
-/// checkpoint lands mid-outage).
+/// checkpoint lands mid-outage). The threshold switch is forced at
+/// epoch 3, so the checkpoint at 5 holds its retired tree.
 #[test]
 fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
     for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
@@ -67,6 +68,8 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
             StrategyKind::Dynamic,
             StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
             StrategyKind::Hybrid { reseed_every_epochs: 2 },
+            StrategyKind::FrozenStatic,
+            StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: 3 },
         ]
         .into_iter()
         .enumerate()
@@ -89,13 +92,14 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
     assert!(expected.traffic.repair_traffic == expected.traffic.repairs * 2);
 }
 
-/// The trait-only strategies serialize through their durable tags too.
+/// The frozen-static and threshold-switch policies restore after a
+/// mid-run swap into them too.
 #[test]
 fn disk_checkpoint_covers_trait_only_strategies() {
     let spec = base_spec(31);
     let swap_frozen = |s: &mut Session| {
-        let frozen = FrozenStatic::new(s.network(), s.execution(), s.max_objects());
-        s.swap_strategy(Box::new(frozen));
+        let frozen = StrategyKind::FrozenStatic.build(s.network(), s.execution(), s.max_objects());
+        s.swap_strategy(frozen);
     };
     let dir = tmp("roundtrip_trait_only");
     let path = dir.join("frozen.hbnc");
@@ -103,8 +107,8 @@ fn disk_checkpoint_covers_trait_only_strategies() {
     assert_eq!(resumed, expected);
 
     let swap_switch = |s: &mut Session| {
-        let switch = ThresholdSwitch::new(s.network(), s.execution(), s.max_objects(), 0.3, 2);
-        s.swap_strategy(Box::new(switch));
+        let kind = StrategyKind::ThresholdSwitch { write_bound: 0.3, min_epochs: 2 };
+        s.swap_strategy(kind.build(s.network(), s.execution(), s.max_objects()));
     };
     let path = dir.join("switch.hbnc");
     let (expected, resumed) = save_restore_roundtrip(&spec, 4, &path, Some(&swap_switch));
@@ -583,8 +587,10 @@ fn golden_policy(
             StrategyKind::PeriodicStatic { replace_every_epochs: 8 }.build(net, exec, n)
         }
         "hybrid" => StrategyKind::Hybrid { reseed_every_epochs: 8 }.build(net, exec, n),
-        "frozen-static" => Box::new(FrozenStatic::new(net, exec, n)),
-        "threshold-switch" => Box::new(ThresholdSwitch::new(net, exec, n, 0.0, 150)),
+        "frozen-static" => StrategyKind::FrozenStatic.build(net, exec, n),
+        "threshold-switch" => {
+            StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: 150 }.build(net, exec, n)
+        }
         other => panic!("no golden policy {other}"),
     }
 }

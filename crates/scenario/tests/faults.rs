@@ -6,9 +6,8 @@ use hbn_core::PlacementKernel;
 use hbn_dynamic::OnlineRequest;
 use hbn_load::{LoadMap, NearestCopies};
 use hbn_scenario::{
-    charged_migration, run_scenario, run_scenario_with, DynamicStrategy, ExecutionConfig,
-    FaultPlan, FrozenStatic, HybridReseed, PeriodicStatic, ScenarioSpec, Session, Strategy,
-    StrategyKind, ThresholdSwitch, TopologyFamily,
+    charged_migration, run_scenario, ExecutionConfig, FaultPlan, ScenarioSpec, Session, Strategy,
+    StrategyKind, TopologyFamily,
 };
 use hbn_testutil::family_schedules;
 use hbn_topology::{Network, NodeId};
@@ -40,6 +39,8 @@ fn all_builtin_strategies() -> Vec<StrategyKind> {
         StrategyKind::PeriodicStatic { replace_every_epochs: 0 },
         StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
         StrategyKind::Hybrid { reseed_every_epochs: 2 },
+        StrategyKind::FrozenStatic,
+        StrategyKind::ThresholdSwitch { write_bound: 0.3, min_epochs: 2 },
     ]
 }
 
@@ -58,13 +59,6 @@ fn mid_run_outage_completes_under_every_strategy_with_no_lost_requests() {
         let spec = ScenarioSpec { strategy, faults: plan.clone(), ..hotspot_spec(41) };
         reports.push(run_scenario(&spec));
     }
-    // The trait-only strategies go through the same acceptance bar.
-    let spec = ScenarioSpec { faults: plan.clone(), ..hotspot_spec(41) };
-    reports
-        .push(run_scenario_with(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n))));
-    reports.push(run_scenario_with(&spec, |net, exec, n| {
-        Box::new(ThresholdSwitch::new(net, exec, n, 0.3, 2))
-    }));
 
     for report in &reports {
         // No lost traffic: every scheduled request is served and replayed.
@@ -107,7 +101,7 @@ fn outage_refit_separates_periodic_static_inf_from_frozen_static() {
         strategy: StrategyKind::PeriodicStatic { replace_every_epochs: 0 },
         ..spec.clone()
     });
-    let frozen = run_scenario_with(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n)));
+    let frozen = run_scenario(&ScenarioSpec { strategy: StrategyKind::FrozenStatic, ..spec });
     assert_eq!(inf.strategy, "periodic-static(inf)");
     assert_eq!(frozen.strategy, "frozen-static");
     assert_eq!(inf.epochs[..3], frozen.epochs[..3], "equal until the outage");
@@ -382,9 +376,9 @@ fn hybrid_reseed_under_an_outage_seeds_only_the_live_part() {
     let exec = ExecutionConfig { threshold: D, ..ExecutionConfig::default() };
     let plan = FaultPlan::default().down(1, bus);
     let observed = matrix_of(2, &trace);
-    let mut hybrid = HybridReseed::new(&net, &exec, 2, 1);
-    let mut dynamic = DynamicStrategy::new(&net, &exec, 2);
-    for strategy in [&mut hybrid as &mut dyn Strategy, &mut dynamic] {
+    let mut hybrid = StrategyKind::Hybrid { reseed_every_epochs: 1 }.build(&net, &exec, 2);
+    let mut dynamic = StrategyKind::Dynamic.build(&net, &exec, 2);
+    for strategy in [&mut hybrid, &mut dynamic] {
         strategy.begin_epoch(&net, 0, &AccessMatrix::new(2), &plan.fault_view(&net, 0));
         strategy.serve_batch(&net, &trace, &observed);
     }
@@ -405,7 +399,7 @@ fn hybrid_reseed_under_an_outage_seeds_only_the_live_part() {
         assert!(nodes.iter().all(stranded), "{nodes:?}");
     }
 
-    let (before, charged_before) = (hybrid.stats(), charged_total(&net, &hybrid));
+    let (before, charged_before) = (hybrid.stats(), charged_total(&net, &*hybrid));
     hybrid.begin_epoch(&net, 1, &observed, &view);
     dynamic.begin_epoch(&net, 1, &observed, &view);
     let live_seed = live_part(&seeds[0]);
@@ -425,7 +419,7 @@ fn hybrid_reseed_under_an_outage_seeds_only_the_live_part() {
     assert!(repairs > 0);
     assert_eq!(after.repairs - before.repairs, repairs);
     assert_eq!(after.replications - before.replications, repairs + seeding);
-    assert_eq!(charged_total(&net, &hybrid) - charged_before, (repairs + seeding) * D);
+    assert_eq!(charged_total(&net, &*hybrid) - charged_before, (repairs + seeding) * D);
     assert_eq!(
         after.collapses - before.collapses,
         dropped(&held[0], &healed) + dropped(&held[1], harbor) + dropped(&healed, &live_seed)
@@ -460,8 +454,9 @@ fn periodic_static_outage_replacement_avoids_stranded_nodes() {
 
     // Never on schedule: only the outage re-places. The switch is forced
     // at epoch 1, the outage's first epoch.
-    let periodic: Box<dyn Strategy> = Box::new(PeriodicStatic::new(&net, &exec, 2, 0));
-    let switch = Box::new(ThresholdSwitch::new(&net, &exec, 2, 0.0, 1));
+    let periodic = StrategyKind::PeriodicStatic { replace_every_epochs: 0 }.build(&net, &exec, 2);
+    let switch =
+        StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: 1 }.build(&net, &exec, 2);
     for mut strategy in [periodic, switch] {
         let label = strategy.label();
         strategy.begin_epoch(&net, 0, &AccessMatrix::new(2), &plan.fault_view(&net, 0));

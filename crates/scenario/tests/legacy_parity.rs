@@ -54,6 +54,9 @@ fn is_boundary(strategy: StrategyKind, epoch_idx: usize) -> bool {
                 epoch_idx > 0 && epoch_idx.is_multiple_of(k)
             }
         }
+        StrategyKind::FrozenStatic | StrategyKind::ThresholdSwitch { .. } => {
+            unreachable!("the legacy engine predates {strategy}")
+        }
     }
 }
 
@@ -178,6 +181,9 @@ impl ServeEngine {
                 migration_loads: LoadMap::zero(net),
                 seed_stats: DynamicStats::default(),
             }),
+            StrategyKind::FrozenStatic | StrategyKind::ThresholdSwitch { .. } => {
+                unreachable!("the legacy engine predates {}", spec.strategy)
+            }
         }
     }
 

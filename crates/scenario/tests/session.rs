@@ -4,8 +4,8 @@
 use hbn_dynamic::online_trace;
 use hbn_load::LoadMap;
 use hbn_scenario::{
-    run_scenario_with, FrozenStatic, PeriodicStatic, ReplayKernel, ScenarioReport, ScenarioSpec,
-    ServeKernel, Session, StrategyKind, ThresholdSwitch, TopologyFamily,
+    periodic_static_from, run_scenario_with, ReplayKernel, ScenarioReport, ScenarioSpec,
+    ServeKernel, Session, StrategyKind, TopologyFamily,
 };
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
 
@@ -25,28 +25,23 @@ fn assert_reports_equal_modulo_label(a: &ScenarioReport, b: &ScenarioReport) {
     assert_eq!(a, b);
 }
 
-/// Run `spec` dynamically for `k` epochs, then swap to a
-/// `PeriodicStatic` whose first firing is pinned at `k`.
+/// Run `spec` dynamically for `k` epochs, then swap to a periodic-static
+/// policy whose first firing is pinned at `k`.
 fn run_with_swap_at(spec: &ScenarioSpec, k: usize) -> ScenarioReport {
     let mut session = Session::new(spec);
     for _ in 0..k {
         session.step_epoch().unwrap().expect("schedule exhausted before the swap epoch");
     }
-    let successor = PeriodicStatic::with_first_fire(
-        session.network(),
-        session.execution(),
-        session.max_objects(),
-        k,
-        0,
-    );
-    let retired = session.swap_strategy(Box::new(successor));
+    let successor =
+        periodic_static_from(session.network(), session.execution(), session.max_objects(), k, 0);
+    let retired = session.swap_strategy(successor);
     assert_eq!(retired.label(), "dynamic");
     while session.step_epoch().unwrap().is_some() {}
     session.into_report()
 }
 
 /// The swap identity: serving dynamically through epoch `k−1` and then
-/// swapping to a `PeriodicStatic` that fires at `k` is *exactly* the
+/// swapping to a periodic-static policy that fires at `k` is *exactly* the
 /// `ThresholdSwitch` policy forced to switch at `k` (write bound 0).
 /// Both paths charge the same migration from the same dynamic copy sets
 /// and serve the same static placement afterwards — bit for bit, under
@@ -59,7 +54,7 @@ fn dynamic_to_static_swap_equals_forced_threshold_switch() {
         spec.exec.serve = serve;
         let swapped = run_with_swap_at(&spec, k);
         let switched = run_scenario_with(&spec, |net, exec, n| {
-            Box::new(ThresholdSwitch::new(net, exec, n, 0.0, k))
+            StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: k }.build(net, exec, n)
         });
         assert!(
             switched.stats.replications
@@ -80,7 +75,7 @@ fn swap_identity_holds_under_reference_replay() {
     spec.exec.replay = ReplayKernel::Reference;
     let swapped = run_with_swap_at(&spec, k);
     let switched = run_scenario_with(&spec, |net, exec, n| {
-        Box::new(ThresholdSwitch::new(net, exec, n, 0.0, k))
+        StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: k }.build(net, exec, n)
     });
     assert_reports_equal_modulo_label(&swapped, &switched);
 }
@@ -140,9 +135,8 @@ fn checkpoint_is_isolated_from_the_live_session() {
     }
     let checkpoint = a.checkpoint();
     // Drive the original on — with a swap, so its state diverges hard.
-    let successor =
-        PeriodicStatic::with_first_fire(a.network(), a.execution(), a.max_objects(), 4, 0);
-    a.swap_strategy(Box::new(successor));
+    let successor = periodic_static_from(a.network(), a.execution(), a.max_objects(), 4, 0);
+    a.swap_strategy(successor);
     while a.step_epoch().unwrap().is_some() {}
     let swapped_report = a.into_report();
 
@@ -172,14 +166,14 @@ fn checkpoint_after_swap_restores_the_successor() {
     for _ in 0..k {
         unbroken.step_epoch().unwrap().unwrap();
     }
-    let successor = PeriodicStatic::with_first_fire(
+    let successor = periodic_static_from(
         unbroken.network(),
         unbroken.execution(),
         unbroken.max_objects(),
         k,
         0,
     );
-    unbroken.swap_strategy(Box::new(successor));
+    unbroken.swap_strategy(successor);
     // One post-swap epoch (the firing one), then checkpoint.
     unbroken.step_epoch().unwrap().unwrap();
     let checkpoint = unbroken.checkpoint();
@@ -297,8 +291,8 @@ fn tenant_loads_sum_to_the_policy_loads() {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
     let mut spec = ScenarioSpec::new("tenants", topology, schedule, 2, 5);
     spec.epoch_requests = 250;
-    let mut session =
-        Session::with_strategy(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n)));
+    spec.strategy = StrategyKind::FrozenStatic;
+    let mut session = Session::new(&spec);
     let mut epochs = 0;
     while session.step_epoch().unwrap().is_some() {
         assert_eq!(session.tenant_loads().len(), 3);

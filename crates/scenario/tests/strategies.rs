@@ -1,5 +1,5 @@
-//! Strategy semantics: the periodic-static, hybrid and trait-only
-//! strategies against the dynamic baseline.
+//! Strategy semantics: the periodic-static, hybrid, frozen-static and
+//! threshold-switch strategies against the dynamic baseline.
 //!
 //! Pins (1) that `PeriodicStatic` with `replace_every_epochs = ∞` is a
 //! single up-front static placement — equal to a never-firing periodic
@@ -8,16 +8,16 @@
 //! invariant across serve kernels; (3) that a hybrid
 //! whose re-seed boundary never fires is exactly the dynamic strategy;
 //! (4) the migration-cost accounting identity
-//! `migration_traffic = replications × D` on every epoch — including the
-//! trait-only strategies; and (5) that `FrozenStatic` (a trait-only
-//! policy) reproduces `periodic-static(inf)` bit for bit, proving the
-//! trait boundary carries the whole built-in behaviour.
+//! `migration_traffic = replications × D` on every epoch, for every
+//! kind; and (5) that `FrozenStatic`, whose only boundary work is the
+//! outage heal, reproduces `periodic-static(inf)` bit for bit on
+//! fault-free runs.
 
 use hbn_core::ExtendedNibble;
 use hbn_load::{LoadMap, Placement};
 use hbn_scenario::{
-    run_scenario, run_scenario_with, FrozenStatic, ReplayKernel, ScenarioReport, ScenarioSpec,
-    ServeKernel, StrategyKind, ThresholdSwitch, TopologyFamily,
+    run_scenario, ReplayKernel, ScenarioReport, ScenarioSpec, ServeKernel, StrategyKind,
+    TopologyFamily,
 };
 use hbn_testutil::family_schedules;
 use hbn_workload::phases::full_tour;
@@ -55,20 +55,17 @@ fn periodic_static_inf_never_migrates() {
     assert_eq!(report.traffic.migration_traffic, 0);
 }
 
-/// `FrozenStatic` exists only through the `Strategy` trait, but on a
-/// fault-free run its behaviour is the paper's pure static model —
-/// exactly what `periodic-static(inf)` does through the enum layer.
-/// Bit-for-bit equality (modulo the label) on fault-free runs proves the
-/// trait boundary carries the complete built-in semantics; under an
-/// outage the two differ (`tests/faults.rs`).
+/// On a fault-free run `FrozenStatic` is the paper's pure static model,
+/// exactly what `periodic-static(inf)` does: bit-for-bit equal (modulo
+/// the label). Under an outage the two differ (`tests/faults.rs`).
 #[test]
 fn frozen_static_equals_periodic_static_inf() {
     for seed in [2u64, 11, 29] {
         let mut inf = base_spec(seed, 40);
         inf.strategy = StrategyKind::PeriodicStatic { replace_every_epochs: 0 };
-        let frozen = run_scenario_with(&base_spec(seed, 40), |net, exec, n| {
-            Box::new(FrozenStatic::new(net, exec, n))
-        });
+        let mut frozen = base_spec(seed, 40);
+        frozen.strategy = StrategyKind::FrozenStatic;
+        let frozen = run_scenario(&frozen);
         assert_eq!(frozen.strategy, "frozen-static");
         assert_reports_equal_modulo_label(&run_scenario(&inf), &frozen);
     }
@@ -175,10 +172,9 @@ fn threshold_switch_with_unreachable_bound_is_dynamic() {
     for seed in [4u64, 17] {
         let mut dynamic = base_spec(seed, 40);
         dynamic.strategy = StrategyKind::Dynamic;
-        let switch = run_scenario_with(&base_spec(seed, 40), |net, exec, n| {
-            Box::new(ThresholdSwitch::new(net, exec, n, 1.1, 1))
-        });
-        assert_reports_equal_modulo_label(&run_scenario(&dynamic), &switch);
+        let mut switch = base_spec(seed, 40);
+        switch.strategy = StrategyKind::ThresholdSwitch { write_bound: 1.1, min_epochs: 1 };
+        assert_reports_equal_modulo_label(&run_scenario(&dynamic), &run_scenario(&switch));
     }
 }
 
@@ -202,62 +198,41 @@ fn strategy_reports_are_invariant_across_serve_kernels() {
     }
 }
 
-/// The trait-only `ThresholdSwitch` must be serve-kernel-invariant too
-/// (its dynamic prefix runs through the configured kernel).
+/// `ThresholdSwitch` must be serve-kernel-invariant too (its dynamic
+/// prefix runs through the configured kernel).
 #[test]
 fn threshold_switch_is_invariant_across_serve_kernels() {
-    let factory = |net: &hbn_topology::Network,
-                   exec: &hbn_scenario::ExecutionConfig,
-                   n: usize|
-     -> Box<dyn hbn_scenario::Strategy> {
-        Box::new(ThresholdSwitch::new(net, exec, n, 0.1, 3))
-    };
-    let mut reference = base_spec(7, 30);
+    let strategy = StrategyKind::ThresholdSwitch { write_bound: 0.1, min_epochs: 3 };
+    let mut reference = ScenarioSpec { strategy, ..base_spec(7, 30) };
     reference.exec.serve = ServeKernel::Reference;
     reference.exec.replay = ReplayKernel::Reference;
-    let expected = run_scenario_with(&reference, factory);
-    assert_eq!(run_scenario_with(&base_spec(7, 30), factory), expected);
+    let expected = run_scenario(&reference);
+    assert_eq!(run_scenario(&ScenarioSpec { strategy, ..base_spec(7, 30) }), expected);
 }
 
 #[test]
 fn migration_traffic_is_replications_times_threshold_everywhere() {
-    let run = |strategy: Option<StrategyKind>, spec: &ScenarioSpec| -> (String, ScenarioReport) {
-        match strategy {
-            Some(kind) => {
-                let mut spec = spec.clone();
-                spec.strategy = kind;
-                (kind.to_string(), run_scenario(&spec))
-            }
-            // The trait-only strategies ride the same identity.
-            None => (
-                "threshold-switch".into(),
-                run_scenario_with(spec, |net, exec, n| {
-                    Box::new(ThresholdSwitch::new(net, exec, n, 0.1, 2))
-                }),
-            ),
-        }
-    };
     for strategy in [
-        Some(StrategyKind::Dynamic),
-        Some(StrategyKind::PeriodicStatic { replace_every_epochs: 2 }),
-        Some(StrategyKind::PeriodicStatic { replace_every_epochs: 0 }),
-        Some(StrategyKind::Hybrid { reseed_every_epochs: 2 }),
-        None,
+        StrategyKind::Dynamic,
+        StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
+        StrategyKind::PeriodicStatic { replace_every_epochs: 0 },
+        StrategyKind::Hybrid { reseed_every_epochs: 2 },
+        StrategyKind::ThresholdSwitch { write_bound: 0.1, min_epochs: 2 },
     ] {
-        let mut spec = base_spec(13, 36);
+        let mut spec = ScenarioSpec { strategy, ..base_spec(13, 36) };
         spec.exec.threshold = 3;
-        let (label, report) = run(strategy, &spec);
+        let report = run_scenario(&spec);
         for (i, epoch) in report.epochs.iter().enumerate() {
             assert_eq!(
                 epoch.traffic.migration_traffic,
                 epoch.traffic.replications * spec.exec.threshold,
-                "strategy {label}, epoch {i}"
+                "strategy {strategy}, epoch {i}"
             );
         }
         assert_eq!(
             report.traffic.migration_traffic,
             report.stats.replications * spec.exec.threshold,
-            "{label}"
+            "{strategy}"
         );
     }
 }
@@ -290,9 +265,8 @@ fn threshold_switch_fires_on_write_heavy_traffic() {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
     let mut spec = ScenarioSpec::new("switchy", topology, schedule, 2, 8);
     spec.epoch_requests = 60;
-    let report = run_scenario_with(&spec, |net, exec, n| {
-        Box::new(ThresholdSwitch::new(net, exec, n, 0.2, 3))
-    });
+    spec.strategy = StrategyKind::ThresholdSwitch { write_bound: 0.2, min_epochs: 3 };
+    let report = run_scenario(&spec);
     assert!(report.stats.replications > 0, "the switch must charge its migration");
     // After the switch the policy is frozen static: the last epochs add
     // no replications.

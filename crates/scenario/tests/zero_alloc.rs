@@ -13,8 +13,7 @@
 
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{
-    ExecutionConfig, FrozenStatic, ReplayKernel, ScenarioSpec, Session, StrategyKind,
-    TopologyFamily,
+    ExecutionConfig, ReplayKernel, ScenarioSpec, Session, StrategyKind, TopologyFamily,
 };
 use hbn_testutil::{allocated_bytes, allocations, mixed_serve_pattern, CountingAlloc};
 use hbn_topology::generators::{balanced, BandwidthProfile};
@@ -60,8 +59,8 @@ fn warm_push(max_objects: usize, replay: ReplayKernel) -> (u64, u64) {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
     let mut spec = ScenarioSpec::new("warm-push", topology, schedule, 2, 0);
     spec.exec.replay = replay;
-    let mut session =
-        Session::with_strategy(&spec, |net, exec, n| Box::new(FrozenStatic::new(net, exec, n)));
+    spec.strategy = StrategyKind::FrozenStatic;
+    let mut session = Session::new(&spec);
     let p = session.network().processors().to_vec();
     let batch: Vec<OnlineRequest> = (0..240)
         .map(|i| OnlineRequest {
