@@ -4,9 +4,11 @@
 //! state lives in [`TenantShared`] behind independent mutexes so the
 //! admission path, the worker, and the supervisor can each touch only
 //! what they need. Nested locks are taken in one order: `durable`
-//! first, then `session`, then `inflight`, `journal` or `metrics` (the
-//! worker stashes its job and journals its epoch under the session
-//! lock; a supervision step holds `durable` throughout). Every lock is
+//! first, then `session`, then `inflight`, `journal` or `metrics`, with
+//! `inflight` before `journal` (the worker moves its job into the
+//! in-flight slot and journals its epoch under the session lock, holding
+//! the slot until the epoch is journaled; a supervision step holds
+//! `durable` throughout). Every lock is
 //! acquired through [`relock`], which shrugs off poison — a panicked
 //! worker is an *expected* event here, and the supervisor must still be
 //! able to read the state the panic left behind.
@@ -76,17 +78,6 @@ pub(crate) struct Job {
     pub resp: mpsc::Sender<Result<EpochOutcome, Rejected>>,
 }
 
-impl Clone for Job {
-    fn clone(&self) -> Job {
-        Job {
-            batch: self.batch.clone(),
-            deadline: self.deadline,
-            enqueued_at: self.enqueued_at,
-            resp: self.resp.clone(),
-        }
-    }
-}
-
 /// Commands a worker pops from its queue.
 #[derive(Debug)]
 pub(crate) enum Command {
@@ -106,11 +97,14 @@ pub(crate) struct QueueState {
     pub shutting_down: bool,
 }
 
-/// The job a worker is serving right now, stashed just before
+/// The job a worker is serving right now, moved here just before
 /// `push_epoch` so a crash mid-serve can be reconciled: if the journal
 /// shows the epoch completed, the client gets its outcome; otherwise
 /// the job returns to the front of the queue. Either way no admitted
-/// request is silently dropped by a recovery.
+/// request is silently dropped by a recovery. Once its epoch is served,
+/// the job's batch moves on into the journal record; only a job whose
+/// epoch did not complete is requeued, so a requeued batch is never the
+/// emptied one.
 #[derive(Debug)]
 pub(crate) struct Inflight {
     pub epoch: usize,
@@ -201,23 +195,27 @@ pub(crate) fn worker_loop(shared: Arc<TenantShared>, cfg: Arc<ServerConfig>) {
             *mode
         };
 
+        let enqueued_at = job.enqueued_at;
         let (epoch, result) = {
             let mut slot = relock(&shared.session);
             let sess = slot.as_mut().expect("worker running without a session");
             sess.set_replay_override(mode.kernel(cfg.degraded_sample_every));
             let epoch = sess.epoch_index();
-            // Stash the job before the fallible serve; see [`Inflight`].
-            *relock(&shared.inflight) = Some(Inflight { epoch, mode, job: job.clone() });
+            // Hand the job to the slot before the fallible serve, and hold
+            // the slot until the epoch is journaled; see [`Inflight`].
+            let mut inflight = relock(&shared.inflight);
+            let job = &mut inflight.insert(Inflight { epoch, mode, job }).job;
             let result = sess.push_epoch(&job.batch);
             if result.is_ok() {
                 relock(&shared.journal).push(JournalRecord {
                     epoch,
                     degraded: mode == ServeMode::Degraded,
-                    batch: job.batch.clone(),
+                    batch: std::mem::take(&mut job.batch),
                 });
             }
             (epoch, result)
         };
+        let take_job = || relock(&shared.inflight).take().expect("the worker's own job").job;
 
         match result {
             Ok(summary) => {
@@ -227,15 +225,13 @@ pub(crate) fn worker_loop(shared: Arc<TenantShared>, cfg: Arc<ServerConfig>) {
                     if mode == ServeMode::Degraded {
                         m.degraded_epochs += 1;
                     }
-                    m.ingest_micros.push(job.enqueued_at.elapsed().as_micros() as u64);
+                    m.ingest_micros.push(enqueued_at.elapsed().as_micros() as u64);
                 }
-                *relock(&shared.inflight) = None;
-                let _ =
-                    job.resp.send(Ok(EpochOutcome { epoch, mode, queue_depth: depth, summary }));
+                let outcome = EpochOutcome { epoch, mode, queue_depth: depth, summary };
+                let _ = take_job().resp.send(Ok(outcome));
             }
             Err(e) => {
-                *relock(&shared.inflight) = None;
-                let _ = job.resp.send(Err(Rejected::Replay(e)));
+                let _ = take_job().resp.send(Err(Rejected::Replay(e)));
             }
         }
     }
