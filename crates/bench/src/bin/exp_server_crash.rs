@@ -13,14 +13,16 @@
 //! disk and the epochs not yet synced, reconciles the in-flight job, and
 //! respawns the worker.
 //!
-//! For every built-in strategy kind the final tenant report must equal
-//! an unbroken twin session bit for bit — a mismatch exits non-zero.
+//! For every kind of the strategy axis (dynamic trees, static
+//! placements, hybrid seeds and a threshold switch that switches before
+//! the kill) the final tenant report must equal an unbroken twin session
+//! bit for bit — a mismatch exits non-zero.
 //! No JSON document: the service-level numbers live in
 //! `BENCH_server.json` (EXP-SERVER); this harness is a parity gate.
 
 #![warn(missing_docs)]
 
-use hbn_bench::{exp_quick, fatal, root_adjacent_bus, strategy_kinds, Table};
+use hbn_bench::{exp_quick, fatal, root_adjacent_bus, strategy_axis, Table};
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
 use hbn_server::{Server, ServerConfig, Ticket};
@@ -49,7 +51,7 @@ fn cell_spec(idx: usize, epochs: usize) -> ScenarioSpec {
     let bus = root_adjacent_bus(&topology.build());
     let schedule = PhaseSchedule::new(OBJECTS, vec![]);
     ScenarioSpec {
-        strategy: strategy_kinds()[idx],
+        strategy: strategy_axis()[idx],
         faults: FaultPlan::single_outage(bus, 3, epochs.saturating_sub(2)),
         ..ScenarioSpec::new(format!("cell-{idx}"), topology, schedule, THRESHOLD, 8400 + idx as u64)
     }
@@ -72,7 +74,7 @@ fn main() {
         "EXP-SERVER-CRASH — watchdog-healed kill mid-outage, {} strategies,\n\
          {epochs} epochs/cell at {requests} req/epoch, kill after epoch {kill_target}{}\n\
          (the panic backtraces below are the injected crashes — that is the point)\n",
-        strategy_kinds().len(),
+        strategy_axis().len(),
         if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
@@ -80,7 +82,7 @@ fn main() {
         Table::new(["scenario", "strategy", "kill@", "epochs", "replayed", "resume (ms)", "exact"]);
     let mut all_equal = true;
 
-    for idx in 0..strategy_kinds().len() {
+    for idx in 0..strategy_axis().len() {
         let spec = cell_spec(idx, epochs);
 
         let dir =

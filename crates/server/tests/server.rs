@@ -12,7 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use hbn_dynamic::OnlineRequest;
-use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
+use hbn_scenario::{FaultPlan, ScenarioSpec, Session, StrategyKind, TopologyFamily};
 use hbn_server::{Rejected, ServeMode, Server, ServerConfig, ServerError};
 use hbn_testutil::TestDir;
 use hbn_topology::NodeId;
@@ -219,41 +219,59 @@ fn overload_degrades_to_estimator_and_hysteresis_restores_exact() {
 /// The acceptance drill: kill the worker mid-run while the tenant's
 /// fault plan has a bus down, recover from the last durable checkpoint
 /// plus journal tail, and the final report matches an unbroken twin
-/// session bit for bit.
+/// session bit for bit, for every kind of policy. The threshold switch
+/// is forced at epoch 2, so its frame is from before the switch and the
+/// journal replays the switch.
 #[test]
 fn supervised_crash_mid_outage_matches_unbroken_twin_bit_for_bit() {
-    let spec = faulty_spec("t");
-    let dir = tmp("crash_parity");
-    let server = Server::new(manual_cfg(&dir)).unwrap();
-    server.add_tenant(spec.clone());
-    let procs = server.processors("t").unwrap();
-    let batches: Vec<_> = (0..8).map(|i| batch(&procs, 1000 + i, 12)).collect();
+    for (i, strategy) in [
+        StrategyKind::Dynamic,
+        StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
+        StrategyKind::Hybrid { reseed_every_epochs: 2 },
+        StrategyKind::FrozenStatic,
+        StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: 2 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let spec = ScenarioSpec { strategy, ..faulty_spec("t") };
+        let dir = tmp(&format!("crash_parity_{i}"));
+        let server = Server::new(manual_cfg(&dir)).unwrap();
+        server.add_tenant(spec.clone());
+        let procs = server.processors("t").unwrap();
+        let batches: Vec<_> = (0..8).map(|i| batch(&procs, 1000 + i, 12)).collect();
 
-    // Serve 2 epochs, checkpoint, serve 1 more (journal tail), then
-    // crash inside the outage window (epochs 2..4) and recover.
-    for b in &batches[..2] {
-        server.submit("t", b.clone(), None).unwrap().wait().unwrap();
-    }
-    server.checkpoint_now("t").unwrap();
-    server.submit("t", batches[2].clone(), None).unwrap().wait().unwrap();
-    crash_worker(&server, "t");
-    server.recover_now("t").unwrap();
-    for b in &batches[3..] {
-        server.submit("t", b.clone(), None).unwrap().wait().unwrap();
-    }
-    let m = server.metrics("t").unwrap();
-    assert_eq!(m.restarts, 1);
-    assert_eq!(m.recovery_epochs, vec![1], "one journaled epoch past the checkpoint");
-    let reports = server.shutdown();
-    let served = &reports[0].1;
+        // Serve 2 epochs, checkpoint, serve 1 more (journal tail), then
+        // crash inside the outage window (epochs 2..4) and recover.
+        for b in &batches[..2] {
+            server.submit("t", b.clone(), None).unwrap().wait().unwrap();
+        }
+        server.checkpoint_now("t").unwrap();
+        server.submit("t", batches[2].clone(), None).unwrap().wait().unwrap();
+        crash_worker(&server, "t");
+        server.recover_now("t").unwrap();
+        for b in &batches[3..] {
+            server.submit("t", b.clone(), None).unwrap().wait().unwrap();
+        }
+        let m = server.metrics("t").unwrap();
+        assert_eq!(m.restarts, 1, "{strategy}");
+        assert_eq!(
+            m.recovery_epochs,
+            vec![1],
+            "{strategy}: one journaled epoch past the checkpoint"
+        );
+        let reports = server.shutdown();
+        let served = &reports[0].1;
 
-    let mut twin = Session::new(&spec);
-    for b in &batches {
-        twin.push_epoch(b).unwrap();
+        let mut twin = Session::new(&spec);
+        for b in &batches {
+            twin.push_epoch(b).unwrap();
+        }
+        let expected = twin.into_report();
+        assert_eq!(*served, expected, "{strategy}");
+        assert_eq!(served.strategy, strategy.to_string());
+        assert!(expected.epochs.iter().any(|e| e.buses_down > 0), "outage must be live in the run");
     }
-    let expected = twin.into_report();
-    assert_eq!(*served, expected);
-    assert!(expected.epochs.iter().any(|e| e.buses_down > 0), "outage must be live in the run");
 }
 
 #[test]
