@@ -61,7 +61,10 @@ fn stats_delta(cur: DynamicStats, prev: DynamicStats) -> DynamicStats {
 /// access matrix, the strategy's snapshot placement serving it, the
 /// snapshot's loads and the accounting's Steiner scratch. Each epoch
 /// clears the matrix and the snapshot over the previous epoch's support,
-/// so an epoch costs what its traffic touches, not `max_objects`.
+/// so an epoch costs what its traffic touches, not `max_objects`. The
+/// filled matrix is folded into the observed aggregate in one pass, one
+/// row merge per object ([`AccessMatrix::add_matrix`]), instead of one
+/// binary-search insert per request.
 struct EpochBuffers {
     matrix: AccessMatrix,
     snapshot: Placement,
@@ -758,7 +761,7 @@ impl Session {
                 self.max_objects
             );
             assert!(
-                self.net.is_processor(req.processor),
+                req.processor.index() < self.net.n_nodes() && self.net.is_processor(req.processor),
                 "pushed request {i} is issued from a non-processor node"
             );
         }
@@ -781,7 +784,7 @@ impl Session {
 
     /// The shared body of an epoch, run on the buffered trace after the
     /// strategy's boundary work: fold the trace into the epoch matrix and
-    /// the observed aggregate, serve, snapshot, replay, account deltas,
+    /// that into the observed aggregate, serve, snapshot, replay, account deltas,
     /// summarise. `in_phase` controls whether the epoch's traffic also
     /// rolls into the running phase delta.
     ///
@@ -810,8 +813,8 @@ impl Session {
             let (r, w) = if req.is_write { (0, 1) } else { (1, 0) };
             reads += r;
             buf.matrix.add(req.processor, req.object, r, w);
-            st.aggregate.add(req.processor, req.object, r, w);
         }
+        st.aggregate.add_matrix(&buf.matrix);
         let writes = self.epoch_trace.len() as u64 - reads;
         let epoch_matrix = &buf.matrix;
         st.strategy.serve_batch(net, &self.epoch_trace, epoch_matrix);

@@ -555,11 +555,9 @@ impl Core {
         let mut placement = kernel.place(net, observed).expect("static re-optimization failed");
         sanitize_placement(net, faults, &mut placement);
         let mut sweep = NearestCopies::new(net.n_nodes());
-        for x in observed.objects() {
-            if observed.total_weight(x) > 0 {
-                let (old, new) = (copies.copies(x), placement.copies(x));
-                charge_move(net, old, new, self.d, &mut self.loads, &mut self.stats, &mut sweep);
-            }
+        for x in observed.support() {
+            let (old, new) = (copies.copies(x), placement.copies(x));
+            charge_move(net, old, new, self.d, &mut self.loads, &mut self.stats, &mut sweep);
         }
         *copies = placement;
         *placed = true;
@@ -706,7 +704,7 @@ impl Strategy for BuiltIn {
                     return;
                 }
                 let mut sweep = NearestCopies::new(net.n_nodes());
-                for x in observed.objects() {
+                for x in observed.support() {
                     // Seed with the *nibble* copy set, step 1 of the static
                     // pipeline alone: connected by Theorem 3.1, which is the
                     // dynamic strategy's structural invariant (the extended

@@ -250,6 +250,20 @@ fn push_epoch_rejects_out_of_range_objects() {
     let _ = session.push_epoch(&[bad]);
 }
 
+#[test]
+#[should_panic(expected = "pushed request 1 is issued from a non-processor node")]
+fn push_epoch_rejects_out_of_range_processors() {
+    let spec = base_spec(3);
+    let mut session = Session::new(&spec);
+    let p = session.network().processors()[0];
+    let request = |processor| hbn_dynamic::OnlineRequest {
+        processor,
+        object: hbn_workload::ObjectId(0),
+        is_write: false,
+    };
+    let _ = session.push_epoch(&[request(p), request(hbn_topology::NodeId(10_000))]);
+}
+
 /// Pushed traffic is visible to re-optimizing strategies: it lands in
 /// the observed aggregate.
 #[test]

@@ -13,8 +13,13 @@
 //! — the switch pool `b(e)` plus the bus pools at whichever endpoints are
 //! buses — whatever its direction, and token pools only shrink within a
 //! slot. So if the smallest-key entry queued at `e` is blocked, every
-//! later entry at `e` is blocked too. The kernel keeps a per-switch
-//! min-heap ordered by the arbitration key and probes only heap heads.
+//! later entry at `e` is blocked too. Each switch keeps its queue as a
+//! deque in ascending arbitration key, and the kernel probes only queue
+//! fronts. Arrivals come nearly in key order (most land behind every
+//! waiting entry), so an enqueue is usually a push at the back, else a
+//! push at the front or one binary-search insert, and a crossing pops
+//! the front in O(1). Keys are unique, so the front is the entry a
+//! min-heap would pop.
 //!
 //! ## Broadcasts wait as hop-groups
 //!
@@ -32,14 +37,22 @@
 //!
 //! ## One walk over the open heads per slot
 //!
-//! Each slot sorts the heads of the non-empty queues once and merges
-//! them, in key order, with a small heap of same-slot re-entries: when a
-//! head crosses and its switch is still open, the switch's next head
-//! joins the walk at its own key, so a switch passes several entries per
-//! slot exactly when bandwidth allows. A switch closed by the crossing
-//! stays out until the next slot, since dominance blocks its next head
-//! anyway. Per-slot work is O(active switches + crossings), and
-//! injection visits only the processors with requests left.
+//! The fronts of the non-empty queues form one list sorted by key, kept
+//! across slots: an enqueue into an empty queue inserts its head, and a
+//! key below a queue's front replaces the front's entry. Each slot walks
+//! that list once, merged in key order with a small heap of same-slot
+//! re-entries: when a head crosses and its switch is still open, the
+//! switch's next head joins the walk at its own key, so a switch passes
+//! several entries per slot exactly when bandwidth allows. A head that
+//! stays blocked keeps its place (the list is compacted in place). A
+//! switch closed by a crossing stays out until the next slot, since
+//! dominance blocks its next head anyway, and so does a re-entry that a
+//! later crossing closed: their next heads are set aside, sorted after
+//! the walk and merged into the list. So at the start of every walk the
+//! list holds exactly the queue fronts in key order, and no slot sorts
+//! the heads from scratch. Per-slot work is O(active switches +
+//! crossings), and injection visits only the processors with requests
+//! left.
 //!
 //! ## Why the kernel is sequential
 //!
@@ -81,8 +94,8 @@ use crate::trace::Request;
 use hbn_load::Placement;
 use hbn_topology::{CapacityOverlay, EdgeId, Network, NodeId};
 use hbn_workload::{AccessMatrix, ObjectId};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 
 /// Everything a packet carries besides its destinations.
@@ -124,28 +137,6 @@ impl QPacket {
         (self.head.prio, self.head.seq, self.start)
     }
 }
-
-// Switch queues pop the smallest arbitration key first. Keys are
-// globally unique, so pop order is a total order.
-impl Ord for QPacket {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-impl PartialOrd for QPacket {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for QPacket {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for QPacket {}
 
 /// A broadcast slab entry: destinations laid out group by group in plan
 /// order, and the number of its groups still queued (0 = free). The
@@ -234,16 +225,18 @@ pub struct SimWorkspace {
     // Per-slot token pools, reset in place.
     edge_tokens: Vec<u64>,
     bus_tokens: Vec<u64>,
-    /// Per-switch queues of unicasts and hop-groups, indexed by the
-    /// switch's child endpoint (the root slot is never used).
-    heaps: Vec<BinaryHeap<QPacket>>,
-    /// Switches with (possibly) non-empty queues, plus membership flags.
-    active_edges: Vec<u32>,
-    edge_active: Vec<bool>,
-    /// This slot's walk: the sorted queue heads, and the heads of
-    /// switches that crossed and are still open.
-    cands: Vec<(Key, u32)>,
+    /// Per-switch queues of unicasts and hop-groups in ascending key
+    /// order, indexed by the switch's child endpoint (the root slot is
+    /// never used).
+    queues: Vec<VecDeque<QPacket>>,
+    /// The front of every non-empty queue with its switch, sorted by key.
+    /// Kept across slots; exact at the start of each walk.
+    heads: Vec<(Key, u32)>,
+    /// The next heads of switches that crossed this slot: those still
+    /// open re-enter the walk, the others (and blocked re-entries) wait
+    /// for the merge into `heads` after the walk.
     reentry: BinaryHeap<Reverse<(Key, u32)>>,
+    deferred: Vec<(Key, u32)>,
     /// Unicast packets injected, moved or spawned since the last flush.
     arrivals: Vec<QPacket>,
     /// Broadcasts spawned since the last flush, their destinations in
@@ -343,16 +336,15 @@ impl SimWorkspace {
         self.edge_crossings.clear();
         self.edge_crossings.resize(n, 0);
         self.latencies.clear();
-        if self.heaps.len() < n {
-            self.heaps.resize_with(n, BinaryHeap::new);
+        if self.queues.len() < n {
+            self.queues.resize_with(n, VecDeque::new);
         }
-        for h in &mut self.heaps {
-            h.clear();
+        for q in &mut self.queues {
+            q.clear();
         }
-        self.active_edges.clear();
-        self.edge_active.clear();
-        self.edge_active.resize(n, false);
+        self.heads.clear();
         self.reentry.clear();
+        self.deferred.clear();
         self.arrivals.clear();
         self.spawned.clear();
         self.spawn_dests.clear();
@@ -529,13 +521,29 @@ impl SimWorkspace {
         self.edge_crossings[c] += 1;
     }
 
-    /// Queue `pkt` at switch `e`.
+    /// Queue `pkt` at switch `e`, in key order, and keep `heads` exact:
+    /// a first entry adds the switch's head, a new front replaces it.
     #[inline]
     fn enqueue(&mut self, e: usize, pkt: QPacket) {
-        self.heaps[e].push(pkt);
-        if !self.edge_active[e] {
-            self.edge_active[e] = true;
-            self.active_edges.push(e as u32);
+        let key = pkt.key();
+        let q = &mut self.queues[e];
+        let (Some(front), Some(back)) = (q.front(), q.back()) else {
+            q.push_back(pkt);
+            let at = self.heads.partition_point(|h| h.0 < key);
+            self.heads.insert(at, (key, e as u32));
+            return;
+        };
+        if key > back.key() {
+            q.push_back(pkt);
+        } else if key < front.key() {
+            let old = self.heads.partition_point(|h| h.0 < front.key());
+            let at = self.heads[..old].partition_point(|h| h.0 < key);
+            q.push_front(pkt);
+            self.heads[at..=old].rotate_right(1);
+            self.heads[at] = (key, e as u32);
+        } else {
+            let at = q.partition_point(|p| p.key() < key);
+            q.insert(at, pkt);
         }
     }
 
@@ -667,8 +675,9 @@ impl SimWorkspace {
     }
 
     /// Arbitrate the head of switch `e`'s queue. Returns whether it
-    /// crossed; if so, and the switch is still open, the next head joins
-    /// this slot's walk at its own key.
+    /// crossed; if so, the next head joins this slot's walk at its own
+    /// key while the switch is still open, and waits for the next slot
+    /// otherwise.
     fn commit_switch(&mut self, net: &Network, e: u32, r: &mut Replay) -> bool {
         let child = NodeId(e);
         let switch = Switch::of(net, child);
@@ -679,7 +688,7 @@ impl SimWorkspace {
             return false;
         }
         self.cross(switch);
-        let pkt = self.heaps[e as usize].pop().expect("walk entries are queue heads");
+        let pkt = self.queues[e as usize].pop_front().expect("walk entries are queue heads");
         let hop = if pkt.head.position == child { net.parent(child) } else { child };
         if pkt.len > 0 {
             self.cross_group(r, pkt, hop);
@@ -689,12 +698,38 @@ impl SimWorkspace {
             let head = Header { seq: r.fresh_seq(), position: hop, ..pkt.head };
             self.arrivals.push(QPacket { head, ..pkt });
         }
-        if self.is_open(switch) {
-            if let Some(next) = self.heaps[e as usize].peek() {
-                self.reentry.push(Reverse((next.key(), e)));
+        if let Some(next) = self.queues[e as usize].front() {
+            let head = (next.key(), e);
+            if self.is_open(switch) {
+                self.reentry.push(Reverse(head));
+            } else {
+                self.deferred.push(head);
             }
         }
         true
+    }
+
+    /// Merge the heads set aside during the walk into `heads`, which then
+    /// holds every queue front in key order again.
+    fn merge_deferred(&mut self) {
+        if self.deferred.is_empty() {
+            return;
+        }
+        self.deferred.sort_unstable();
+        let (mut i, mut j) = (self.heads.len(), self.deferred.len());
+        self.heads.resize(i + j, self.deferred[0]);
+        // Merge from the back, so every entry moves at most once; the
+        // kept prefix is in place once the set-aside heads are.
+        while j > 0 {
+            if i > 0 && self.heads[i - 1] > self.deferred[j - 1] {
+                i -= 1;
+                self.heads[i + j] = self.heads[i];
+            } else {
+                j -= 1;
+                self.heads[i + j] = self.deferred[j];
+            }
+        }
+        self.deferred.clear();
     }
 
     /// A hop-group has crossed to `hop`: deliver there, continue the rest
@@ -825,40 +860,34 @@ pub(crate) fn run(
             }
         }
 
-        // --- The walk: the head of every non-empty switch queue, sorted
-        // once, merged in exact global key order with the same-slot
-        // re-entries of switches that crossed and are still open.
-        let (heaps, cands, edge_active) = (&ws.heaps, &mut ws.cands, &mut ws.edge_active);
-        cands.clear();
-        ws.active_edges.retain(|&e| match heaps[e as usize].peek() {
-            Some(h) => {
-                cands.push((h.key(), e));
-                true
-            }
-            None => {
-                edge_active[e as usize] = false;
-                false
-            }
-        });
-        cands.sort_unstable();
-        let mut next = 0;
+        // --- The walk: the sorted queue fronts, merged in exact global
+        // key order with the same-slot re-entries of switches that crossed
+        // and are still open. Blocked fronts keep their places; the heads
+        // set aside for the next slot are merged in after the walk.
+        let (mut next, mut kept) = (0, 0);
         loop {
-            let from_cands = match (ws.cands.get(next), ws.reentry.peek()) {
+            let from_heads = match (ws.heads.get(next), ws.reentry.peek()) {
                 (None, None) => break,
                 (Some(&(key, _)), Some(&Reverse((again, _)))) => key < again,
                 (head, _) => head.is_some(),
             };
-            let e = if from_cands {
+            let head = if from_heads {
                 next += 1;
-                ws.cands[next - 1].1
+                ws.heads[next - 1]
             } else {
-                let Reverse((_, e)) = ws.reentry.pop().expect("peeked");
-                e
+                ws.reentry.pop().expect("peeked").0
             };
-            if ws.commit_switch(net, e, &mut r) {
+            if ws.commit_switch(net, head.1, &mut r) {
                 waiting -= 1;
+            } else if from_heads {
+                ws.heads[kept] = head;
+                kept += 1;
+            } else {
+                ws.deferred.push(head);
             }
         }
+        ws.heads.truncate(kept);
+        ws.merge_deferred();
 
         let idle = waiting == 0 && ws.arrivals.is_empty() && ws.spawned.is_empty();
         if idle && !injected_any && ws.live_procs.is_empty() {

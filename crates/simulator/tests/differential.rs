@@ -12,7 +12,7 @@ use hbn_sim::{
     simulate_with, simulate_with_overlay, SimConfig, SimError, SimWorkspace,
 };
 use hbn_testutil::{arb_network, workload_from_seed};
-use hbn_topology::generators::{balanced, random_network, star, BandwidthProfile};
+use hbn_topology::generators::{balanced, caterpillar, random_network, star, BandwidthProfile};
 use hbn_topology::{CapacityOverlay, Network};
 use hbn_workload::generators as wgen;
 use hbn_workload::{AccessMatrix, ObjectId};
@@ -451,6 +451,81 @@ fn kernels_agree_on_congested_broadcasts() {
         let naive = simulate_reference(&net, &m, &placement, &trace, cfg).unwrap();
         assert_eq!(fast, naive, "congested broadcasts under {profile:?}");
         assert!(fast.delivered_updates > 1_000, "{profile:?}: too few updates to congest");
+    }
+}
+
+/// On a caterpillar the far legs reach the copy's bus several hops after
+/// the near legs, so a packet with an older priority reaches a switch
+/// whose queue already holds younger packets: it sorts below the queue's
+/// front and becomes the new head, or lands between waiting entries.
+#[test]
+fn kernels_agree_when_older_packets_reach_queues_of_younger_ones() {
+    let net = caterpillar(7, 3, BandwidthProfile::Uniform);
+    let root_legs: Vec<_> =
+        net.children(net.root()).iter().copied().filter(|&v| net.is_processor(v)).collect();
+    let mut m = AccessMatrix::new(2);
+    for (i, &p) in net.processors().iter().enumerate() {
+        m.add(p, ObjectId((i % 2) as u32), 5, 0);
+    }
+    let placement = hbn_load::Placement::single_leaf(&net, &m, |x| root_legs[x.index() % 2]);
+    let mut rng = StdRng::seed_from_u64(2801);
+    for rate in [1, 2, 4] {
+        let cfg = SimConfig { injection_rate: rate, ..SimConfig::default() };
+        for trace in [expand(&m), expand_shuffled(&m, &mut rng)] {
+            assert_kernels_agree(&net, &m, &placement, &trace, cfg, &format!("rate {rate}"));
+        }
+    }
+}
+
+/// A fat-tree slot in which a bus-to-bus switch of bandwidth 2 crosses
+/// and re-enters the walk while the processor switches it competes with
+/// close on their first crossing and set their next heads aside, and the
+/// packets that crossed start new queues at the next flush. Two copies
+/// per object add hop-groups of update broadcasts to the same queues.
+#[test]
+fn kernels_agree_when_reentries_and_deferred_heads_share_a_slot() {
+    let net = balanced(2, 3, BandwidthProfile::FatTree { base: 2, cap: 16 });
+    let p = net.processors();
+    let mut m = AccessMatrix::new(3);
+    for (i, &q) in p.iter().enumerate() {
+        m.add(q, ObjectId((i % 3) as u32), 4 + i as u64 % 3, u64::from(i % 2 == 0));
+    }
+    let mut placement = hbn_load::Placement::new(3);
+    for x in 0..3u32 {
+        placement.add_copy(ObjectId(x), p[p.len() - 1 - x as usize]);
+        placement.add_copy(ObjectId(x), p[x as usize * 3]);
+    }
+    placement.nearest_assignment(&net, &m);
+    let mut rng = StdRng::seed_from_u64(2802);
+    for rate in [1, 2, 3] {
+        let cfg = SimConfig { injection_rate: rate, ..SimConfig::default() };
+        for trace in [expand(&m), expand_shuffled(&m, &mut rng)] {
+            assert_kernels_agree(&net, &m, &placement, &trace, cfg, &format!("rate {rate}"));
+        }
+    }
+}
+
+/// One workspace replays on `balanced(5,4)`, then on a star, then on
+/// `balanced(5,4)` again: queues and heads left sized for one network
+/// must not leak into the next, and the repeated replay repeats the first.
+#[test]
+fn one_workspace_moves_from_a_deep_tree_to_a_star_and_back() {
+    let mut rng = StdRng::seed_from_u64(2803);
+    let cases: Vec<_> = [balanced(5, 4, BandwidthProfile::Uniform), star(9, 2)]
+        .into_iter()
+        .map(|net| {
+            let m = wgen::zipf_read_mostly(&net, 24, 1_200, 0.9, 0.3, &mut rng);
+            let placement = ExtendedNibble::new().place(&net, &m).unwrap().placement;
+            let trace = expand_shuffled(&m, &mut rng);
+            let naive = simulate_reference(&net, &m, &placement, &trace, SimConfig::default());
+            (net, m, placement, trace, naive)
+        })
+        .collect();
+    let mut ws = SimWorkspace::new();
+    for (round, i) in [0, 1, 0].into_iter().enumerate() {
+        let (net, m, placement, trace, naive) = &cases[i];
+        let fast = simulate_with(&mut ws, net, m, placement, trace, SimConfig::default());
+        assert_eq!(&fast, naive, "round {round} on {} nodes", net.n_nodes());
     }
 }
 
