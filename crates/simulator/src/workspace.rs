@@ -537,6 +537,7 @@ impl SimWorkspace {
             q.push_back(pkt);
         } else if key < front.key() {
             let old = self.heads.partition_point(|h| h.0 < front.key());
+            debug_assert_eq!(self.heads[old], (front.key(), e as u32), "fronts are in heads");
             let at = self.heads[..old].partition_point(|h| h.0 < key);
             q.push_front(pkt);
             self.heads[at..=old].rotate_right(1);
