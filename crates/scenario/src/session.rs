@@ -62,9 +62,9 @@ fn stats_delta(cur: DynamicStats, prev: DynamicStats) -> DynamicStats {
 /// snapshot's loads and the accounting's Steiner scratch. Each epoch
 /// clears the matrix and the snapshot over the previous epoch's support,
 /// so an epoch costs what its traffic touches, not `max_objects`. The
-/// filled matrix is folded into the observed aggregate in one pass, one
-/// row merge per object ([`AccessMatrix::add_matrix`]), instead of one
-/// binary-search insert per request.
+/// filled matrix is folded into the observed aggregate
+/// ([`AccessMatrix::add_matrix`]) with one add per distinct
+/// `(object, processor)` entry instead of one per request.
 struct EpochBuffers {
     matrix: AccessMatrix,
     snapshot: Placement,
@@ -226,7 +226,7 @@ fn read_matrix(
         let n_entries = dec.len(20)?;
         for _ in 0..n_entries {
             let p = NodeId(dec.u32()?);
-            if p.index() >= net.n_nodes() || !net.is_processor(p) {
+            if !net.is_processor(p) {
                 return Err(format!("matrix entry at non-processor node {}", p.0));
             }
             let reads = dec.u64()?;
@@ -761,7 +761,7 @@ impl Session {
                 self.max_objects
             );
             assert!(
-                req.processor.index() < self.net.n_nodes() && self.net.is_processor(req.processor),
+                self.net.is_processor(req.processor),
                 "pushed request {i} is issued from a non-processor node"
             );
         }

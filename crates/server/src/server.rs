@@ -172,9 +172,7 @@ impl Server {
                     shared.max_objects
                 )));
             }
-            if req.processor.index() >= shared.net.n_nodes()
-                || !shared.net.is_processor(req.processor)
-            {
+            if !shared.net.is_processor(req.processor) {
                 return Err(Rejected::InvalidRequest(format!(
                     "request {i} is issued from a non-processor node"
                 )));

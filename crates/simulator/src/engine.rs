@@ -281,6 +281,23 @@ mod tests {
         assert!(matches!(err, SimError::UnroutedRequest { .. }));
     }
 
+    /// A requester id outside the network is unroutable on both kernels,
+    /// like a bus requester, instead of an out-of-bounds panic.
+    #[test]
+    fn out_of_range_requesters_are_rejected() {
+        let net = star(3, 100);
+        let p = net.processors();
+        let mut m = AccessMatrix::new(1);
+        m.add(p[0], ObjectId(0), 1, 0);
+        let pl = hbn_load::Placement::single_leaf(&net, &m, |_| p[1]);
+        let beyond = NodeId(10_000);
+        let trace = [Request { processor: beyond, object: ObjectId(0), is_write: false }];
+        let cfg = SimConfig::default();
+        let unrouted = Err(SimError::UnroutedRequest { processor: beyond, object: ObjectId(0) });
+        assert_eq!(simulate(&net, &m, &pl, &trace, cfg), unrouted);
+        assert_eq!(crate::simulate_reference(&net, &m, &pl, &trace, cfg), unrouted);
+    }
+
     #[test]
     fn empty_trace_finishes_at_zero() {
         let net = star(3, 2);

@@ -38,17 +38,20 @@
 //! ## One walk over the open heads per slot
 //!
 //! The fronts of the non-empty queues form one list sorted by key, kept
-//! across slots: an enqueue into an empty queue inserts its head, and a
-//! key below a queue's front replaces the front's entry. Each slot walks
-//! that list once, merged in key order with a small heap of same-slot
-//! re-entries: when a head crosses and its switch is still open, the
-//! switch's next head joins the walk at its own key, so a switch passes
-//! several entries per slot exactly when bandwidth allows. A head that
-//! stays blocked keeps its place (the list is compacted in place). A
-//! switch closed by a crossing stays out until the next slot, since
-//! dominance blocks its next head anyway, and so does a re-entry that a
-//! later crossing closed: their next heads are set aside, sorted after
-//! the walk and merged into the list. So at the start of every walk the
+//! across slots: a key below a queue's front replaces the front's entry,
+//! and the queues a flush starts are set aside and merged into the list
+//! once, after the flush (a packet that moved a hop keeps its older
+//! priority, so inserting each new head alone would shift the fresher
+//! heads once per started queue). Each slot walks that list once,
+//! merged in key order with a small heap of same-slot re-entries: when a
+//! head crosses and its switch is still open, the switch's next head
+//! joins the walk at its own key, so a switch passes several entries per
+//! slot exactly when bandwidth allows. A head that stays blocked keeps
+//! its place (the list is compacted in place). A switch closed by a
+//! crossing stays out until the next slot, since dominance blocks its
+//! next head anyway, and so does a re-entry that a later crossing
+//! closed: their next heads are set aside, sorted after the walk and
+//! merged into the list. So at the start of every walk the
 //! list holds exactly the queue fronts in key order, and no slot sorts
 //! the heads from scratch. Per-slot work is O(active switches +
 //! crossings), and injection visits only the processors with requests
@@ -236,6 +239,9 @@ pub struct SimWorkspace {
     /// open re-enter the walk, the others (and blocked re-entries) wait
     /// for the merge into `heads` after the walk.
     reentry: BinaryHeap<Reverse<(Key, u32)>>,
+    /// Heads set aside for one merge into `heads`: during a flush, the
+    /// queues it starts; during a walk, the heads that wait for the next
+    /// slot.
     deferred: Vec<(Key, u32)>,
     /// Unicast packets injected, moved or spawned since the last flush.
     arrivals: Vec<QPacket>,
@@ -521,27 +527,33 @@ impl SimWorkspace {
         self.edge_crossings[c] += 1;
     }
 
-    /// Queue `pkt` at switch `e`, in key order, and keep `heads` exact:
-    /// a first entry adds the switch's head, a new front replaces it.
+    /// Queue `pkt` at switch `e`, in key order. A first entry sets the
+    /// switch aside in `deferred`; a new front of a queue in `heads`
+    /// replaces the queue's entry there.
     #[inline]
     fn enqueue(&mut self, e: usize, pkt: QPacket) {
         let key = pkt.key();
         let q = &mut self.queues[e];
         let (Some(front), Some(back)) = (q.front(), q.back()) else {
             q.push_back(pkt);
-            let at = self.heads.partition_point(|h| h.0 < key);
-            self.heads.insert(at, (key, e as u32));
+            self.deferred.push((key, e as u32));
             return;
         };
         if key > back.key() {
             q.push_back(pkt);
         } else if key < front.key() {
-            let old = self.heads.partition_point(|h| h.0 < front.key());
-            debug_assert_eq!(self.heads[old], (front.key(), e as u32), "fronts are in heads");
-            let at = self.heads[..old].partition_point(|h| h.0 < key);
+            let front = (front.key(), e as u32);
             q.push_front(pkt);
-            self.heads[at..=old].rotate_right(1);
-            self.heads[at] = (key, e as u32);
+            // Keys are unique: the search finds the old front unless this
+            // flush started the queue, whose front is read after the flush.
+            let old = self.heads.partition_point(|h| h.0 < front.0);
+            if self.heads.get(old) == Some(&front) {
+                let at = self.heads[..old].partition_point(|h| h.0 < key);
+                self.heads[at..=old].rotate_right(1);
+                self.heads[at] = (key, e as u32);
+            } else {
+                debug_assert!(self.deferred.iter().any(|h| h.1 == front.1), "fronts are in heads");
+            }
         } else {
             let at = q.partition_point(|p| p.key() < key);
             q.insert(at, pkt);
@@ -549,7 +561,8 @@ impl SimWorkspace {
     }
 
     /// Queue every pending unicast at the switch it must cross next, and
-    /// every pending broadcast's hop-groups at theirs. Returns how many
+    /// every pending broadcast's hop-groups at theirs, then merge the
+    /// fronts of the queues this started into `heads`. Returns how many
     /// entries were queued.
     fn flush(&mut self, net: &Network) -> usize {
         let mut queued = self.arrivals.len();
@@ -564,6 +577,10 @@ impl SimWorkspace {
         }
         self.spawned.clear();
         self.spawn_dests.clear();
+        for h in &mut self.deferred {
+            h.0 = self.queues[h.1 as usize].front().expect("a started queue").key();
+        }
+        self.merge_deferred();
         queued
     }
 

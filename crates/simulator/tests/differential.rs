@@ -59,16 +59,27 @@ fn kernels_agree_on_random_instances() {
 /// Injection rates above one put several fresh packets on a leaf switch
 /// per slot, so queue heads change within a slot. One workspace is
 /// reused across all rounds: stale state from a previous replay must not
-/// leak.
+/// leak, also when the last rounds move it from `balanced(5,4)` to a
+/// star and back.
 #[test]
 fn kernels_agree_across_injection_rates() {
     let mut rng = StdRng::seed_from_u64(9001);
     let mut ws = SimWorkspace::new();
-    for round in 0..25 {
-        let buses = rng.gen_range(1..7);
-        let procs = rng.gen_range(3..16).max(buses * 2);
-        let net = random_network(buses, procs, BandwidthProfile::Uniform, &mut rng);
-        let m = wgen::uniform(&net, rng.gen_range(1..6), 5, 3, 0.7, &mut rng);
+    for round in 0..28 {
+        let net = match round {
+            25 | 27 => balanced(5, 4, BandwidthProfile::Uniform),
+            26 => star(9, 2),
+            _ => {
+                let buses = rng.gen_range(1..7);
+                let procs = rng.gen_range(3..16).max(buses * 2);
+                random_network(buses, procs, BandwidthProfile::Uniform, &mut rng)
+            }
+        };
+        let m = if round < 25 {
+            wgen::uniform(&net, rng.gen_range(1..6), 5, 3, 0.7, &mut rng)
+        } else {
+            wgen::zipf_read_mostly(&net, 24, 1_200, 0.9, 0.3, &mut rng)
+        };
         let out = ExtendedNibble::new().place(&net, &m).unwrap();
         let trace = expand_shuffled(&m, &mut rng);
         let rate = [1usize, 2, 5][round % 3];
@@ -502,30 +513,6 @@ fn kernels_agree_when_reentries_and_deferred_heads_share_a_slot() {
         for trace in [expand(&m), expand_shuffled(&m, &mut rng)] {
             assert_kernels_agree(&net, &m, &placement, &trace, cfg, &format!("rate {rate}"));
         }
-    }
-}
-
-/// One workspace replays on `balanced(5,4)`, then on a star, then on
-/// `balanced(5,4)` again: queues and heads left sized for one network
-/// must not leak into the next, and the repeated replay repeats the first.
-#[test]
-fn one_workspace_moves_from_a_deep_tree_to_a_star_and_back() {
-    let mut rng = StdRng::seed_from_u64(2803);
-    let cases: Vec<_> = [balanced(5, 4, BandwidthProfile::Uniform), star(9, 2)]
-        .into_iter()
-        .map(|net| {
-            let m = wgen::zipf_read_mostly(&net, 24, 1_200, 0.9, 0.3, &mut rng);
-            let placement = ExtendedNibble::new().place(&net, &m).unwrap().placement;
-            let trace = expand_shuffled(&m, &mut rng);
-            let naive = simulate_reference(&net, &m, &placement, &trace, SimConfig::default());
-            (net, m, placement, trace, naive)
-        })
-        .collect();
-    let mut ws = SimWorkspace::new();
-    for (round, i) in [0, 1, 0].into_iter().enumerate() {
-        let (net, m, placement, trace, naive) = &cases[i];
-        let fast = simulate_with(&mut ws, net, m, placement, trace, SimConfig::default());
-        assert_eq!(&fast, naive, "round {round} on {} nodes", net.n_nodes());
     }
 }
 

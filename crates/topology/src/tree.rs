@@ -209,10 +209,11 @@ impl Network {
         self.kinds[v.index()]
     }
 
-    /// Whether `v` is a processor (leaf).
+    /// Whether `v` is a processor (leaf). An id outside the network is
+    /// not one, so untrusted ids need no separate bound check.
     #[inline]
     pub fn is_processor(&self, v: NodeId) -> bool {
-        self.kinds[v.index()] == NodeKind::Processor
+        self.kinds.get(v.index()) == Some(&NodeKind::Processor)
     }
 
     /// Whether `v` is a bus (inner node).
@@ -600,6 +601,7 @@ mod tests {
         assert_eq!(t.n_edges(), 7);
         assert!(t.is_bus(NodeId(0)));
         assert!(t.is_processor(NodeId(3)));
+        assert!(!t.is_processor(NodeId(8)) && !t.is_processor(NodeId(10_000)));
         t.check_invariants().unwrap();
     }
 

@@ -36,8 +36,8 @@ impl AccessEntry {
 /// The matrix records each object when it gets its first entry; that
 /// list is the [`AccessMatrix::support`], and [`AccessMatrix::clear`]
 /// empties only those objects. [`AccessMatrix::add_matrix`] folds a whole
-/// matrix in (an epoch's into a running aggregate) with one pass per row
-/// of its support. Equality compares the entries alone: two matrices
+/// matrix in (an epoch's into a running aggregate) with one add per entry.
+/// Equality compares the entries alone: two matrices
 /// with the same entries are equal whatever order their supports were
 /// filled in.
 #[derive(Debug, Clone, Default)]
@@ -114,16 +114,11 @@ impl AccessMatrix {
         }
     }
 
-    /// Add every entry of `other` (saturating): the same matrix, support
-    /// order included, as [`AccessMatrix::add`] of each of `other`'s
-    /// entries in support order. Objects new to this matrix join its
-    /// support in `other`'s support order.
-    ///
-    /// Costs one pass per object of `other`'s support: an empty row takes
-    /// a copy, a short incoming row against a long held one (`k·⌈log2
-    /// n⌉ ≤ n` for `k` incoming and `n` held entries) is added entry by
-    /// entry with a binary search, and any other row is merged in place
-    /// from the back after growing once.
+    /// Add every entry of `other` (saturating), row by row in `other`'s
+    /// support order, so objects new to this matrix join its support in
+    /// that order. Costs one [`AccessMatrix::add`] per entry of `other`:
+    /// an epoch's matrix folds into a running aggregate once per distinct
+    /// `(object, processor)` pair, not once per request that filled it.
     ///
     /// # Panics
     ///
@@ -131,55 +126,8 @@ impl AccessMatrix {
     /// [`AccessMatrix::n_objects`].
     pub fn add_matrix(&mut self, other: &AccessMatrix) {
         for x in other.support() {
-            let incoming = &other.per_object[x.index()];
-            let held = &mut self.per_object[x.index()];
-            let (k, n) = (incoming.len(), held.len());
-            if n == 0 {
-                held.extend_from_slice(incoming);
-                self.support.push(x);
-                continue;
-            }
-            let log2_n = (usize::BITS - (n - 1).leading_zeros()) as usize;
-            if k * log2_n <= n {
-                for e in incoming {
-                    self.add(e.processor, x, e.reads, e.writes);
-                }
-                continue;
-            }
-            let (mut i, mut fresh) = (0, 0);
-            for e in incoming {
-                while i < n && held[i].processor < e.processor {
-                    i += 1;
-                }
-                if i == n || held[i].processor != e.processor {
-                    fresh += 1;
-                }
-            }
-            held.resize(n + fresh, incoming[0]);
-            // Merge from the back: `w - i` is the number of fresh entries
-            // among `incoming[..j]`, so the held prefix is in place when
-            // `j` reaches 0.
-            let (mut i, mut j, mut w) = (n, k, n + fresh);
-            while j > 0 {
-                w -= 1;
-                let e = incoming[j - 1];
-                if i > 0 && held[i - 1].processor >= e.processor {
-                    let h = held[i - 1];
-                    i -= 1;
-                    held[w] = if h.processor == e.processor {
-                        j -= 1;
-                        AccessEntry {
-                            processor: h.processor,
-                            reads: h.reads.saturating_add(e.reads),
-                            writes: h.writes.saturating_add(e.writes),
-                        }
-                    } else {
-                        h
-                    };
-                } else {
-                    j -= 1;
-                    held[w] = e;
-                }
+            for e in other.object_entries(x) {
+                self.add(e.processor, x, e.reads, e.writes);
             }
         }
     }
@@ -266,7 +214,7 @@ impl AccessMatrix {
     pub fn validate(&self, net: &Network) -> Result<(), WorkloadError> {
         for x in self.objects() {
             for e in self.object_entries(x) {
-                if e.processor.index() >= net.n_nodes() || !net.is_processor(e.processor) {
+                if !net.is_processor(e.processor) {
                     return Err(WorkloadError::NotAProcessor { processor: e.processor, object: x });
                 }
                 if e.total() == 0 {
@@ -422,115 +370,35 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// `base` plus `other` by [`AccessMatrix::add_matrix`], checked
-    /// against per-entry [`AccessMatrix::add`] of `other`'s entries in
-    /// support order: same entries, same support order.
-    fn fold(base: &AccessMatrix, other: &AccessMatrix) -> AccessMatrix {
-        let mut merged = base.clone();
-        merged.add_matrix(other);
-        let mut added = base.clone();
-        for x in other.support() {
-            for e in other.object_entries(x) {
-                added.add(e.processor, x, e.reads, e.writes);
-            }
-        }
-        assert_eq!(merged, added);
-        assert_eq!(merged.support().collect::<Vec<_>>(), added.support().collect::<Vec<_>>());
-        merged
-    }
-
     #[test]
-    fn add_matrix_equals_per_entry_adds_in_both_branches() {
-        let x = ObjectId(0);
-        let mut long = AccessMatrix::new(1);
-        for p in 0..64 {
-            long.add(NodeId(2 * p + 1), x, p as u64, 1);
-        }
-        // Two entries against 64 held (2·6 ≤ 64): the binary-search branch,
-        // one existing processor and one new.
-        let mut short = AccessMatrix::new(1);
-        short.add(NodeId(7), x, 5, 0);
-        short.add(NodeId(50), x, 0, 2);
-        let sum = fold(&long, &short);
-        assert_eq!((sum.reads(NodeId(7), x), sum.writes(NodeId(7), x)), (8, 1));
-        assert_eq!((sum.reads(NodeId(50), x), sum.writes(NodeId(50), x)), (0, 2));
-        assert_eq!(sum.object_entries(x).len(), 65);
-
-        // Five entries against four held: the merge branch, with new
-        // processors before, between and after the held ones.
-        let mut held = AccessMatrix::new(1);
-        for p in [3, 5, 9, 12] {
-            held.add(NodeId(p), x, 1, 0);
-        }
-        let mut wide = AccessMatrix::new(1);
-        for p in [1, 5, 8, 12, 20] {
-            wide.add(NodeId(p), x, 0, 1);
-        }
-        let sum = fold(&held, &wide);
-        let procs: Vec<u32> = sum.object_entries(x).iter().map(|e| e.processor.0).collect();
-        assert_eq!(procs, vec![1, 3, 5, 8, 9, 12, 20]);
-        assert_eq!(sum.total(NodeId(5), x), 2);
-        assert_eq!(sum.total(NodeId(12), x), 2);
-    }
-
-    #[test]
-    fn add_matrix_saturates_and_orders_the_support() {
+    fn add_matrix_sums_entries_and_orders_the_support() {
         let (x, y, z) = (ObjectId(0), ObjectId(1), ObjectId(2));
-        let mut base = AccessMatrix::new(3);
-        base.add(NodeId(1), y, u64::MAX - 1, 3);
-        base.add(NodeId(3), y, 1, 1);
-        let mut big = AccessMatrix::new(3);
-        for p in 1..=3 {
-            big.add(NodeId(p), y, 5, u64::MAX);
-        }
-        big.add(NodeId(4), z, 1, 0);
-        big.add(NodeId(2), x, 0, 1);
-        // Three entries against two held (3·1 > 2): the merge branch
-        // saturates, and new objects join in `big`'s support order.
-        let sum = fold(&base, &big);
-        assert_eq!((sum.reads(NodeId(1), y), sum.writes(NodeId(1), y)), (u64::MAX, u64::MAX));
+        let mut sum = AccessMatrix::new(3);
+        sum.add(NodeId(3), y, u64::MAX - 1, 3);
+        sum.add(NodeId(5), y, 1, 1);
+        let mut epoch = AccessMatrix::new(3);
+        epoch.add(NodeId(5), y, 5, u64::MAX);
+        epoch.add(NodeId(1), y, 0, 2);
+        epoch.add(NodeId(4), z, 1, 0);
+        epoch.add(NodeId(3), y, 7, 0);
+        epoch.add(NodeId(2), x, 0, 1);
+        sum.add_matrix(&epoch);
+        let entry = |p, reads, writes| AccessEntry { processor: NodeId(p), reads, writes };
+        let row = [entry(1, 0, 2), entry(3, u64::MAX, 3), entry(5, 6, u64::MAX)];
+        assert_eq!(sum.object_entries(y), &row);
+        assert_eq!(sum.object_entries(z), &[entry(4, 1, 0)]);
+        assert_eq!(sum.object_entries(x), &[entry(2, 0, 1)]);
+        // New objects join in the epoch's support order.
         assert_eq!(sum.support().collect::<Vec<_>>(), vec![y, z, x]);
-        // The search branch saturates too.
-        let mut long = AccessMatrix::new(3);
-        for p in 1..=8 {
-            long.add(NodeId(p), y, u64::MAX, 0);
-        }
-        let mut one = AccessMatrix::new(3);
-        one.add(NodeId(8), y, 9, 0);
-        assert_eq!(fold(&long, &one).reads(NodeId(8), y), u64::MAX);
-    }
 
-    #[test]
-    fn add_matrix_of_or_into_an_empty_matrix() {
-        let mut m = AccessMatrix::new(4);
-        m.add(NodeId(2), ObjectId(3), 1, 1);
-        m.add(NodeId(1), ObjectId(1), 2, 0);
-        let empty = AccessMatrix::new(4);
-        let same = fold(&m, &empty);
-        assert_eq!(same.support().collect::<Vec<_>>(), vec![ObjectId(3), ObjectId(1)]);
-        let copy = fold(&empty, &m);
-        assert_eq!(copy.support().collect::<Vec<_>>(), vec![ObjectId(3), ObjectId(1)]);
-        assert_eq!(copy.nnz(), 2);
-    }
-
-    #[test]
-    fn add_matrix_matches_per_entry_adds_on_random_rows() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(28);
-        for _ in 0..200 {
-            let objects = rng.gen_range(1..6);
-            let mut acc = AccessMatrix::new(objects);
-            for _ in 0..4 {
-                let mut epoch = AccessMatrix::new(objects);
-                let procs = [2, 8, 40][rng.gen_range(0..3)];
-                for _ in 0..rng.gen_range(0..3 * procs) {
-                    let x = ObjectId(rng.gen_range(0..objects as u32));
-                    let p = NodeId(rng.gen_range(0..procs));
-                    epoch.add(p, x, rng.gen_range(0..3), rng.gen_range(0..2));
-                }
-                acc = fold(&acc, &epoch);
-            }
-        }
+        // Folding an empty matrix changes nothing; folding into one copies.
+        let before = sum.clone();
+        sum.add_matrix(&AccessMatrix::new(3));
+        assert_eq!(sum, before);
+        let mut copy = AccessMatrix::new(3);
+        copy.add_matrix(&sum);
+        assert_eq!(copy, sum);
+        assert_eq!(copy.support().collect::<Vec<_>>(), vec![y, z, x]);
     }
 
     #[test]
