@@ -6,9 +6,11 @@
 //! ([`hbn_sim::simulate_reference`]) across the topology matrix,
 //! asserting bit-for-bit agreement (the differential suite pins it; here
 //! the agreement doubles as a release-mode check) and recording the
-//! throughput ratio. A kernel row is the median of `KERNEL_REPEATS`
-//! timed replays on one reused workspace after one warm-up
-//! ([`hbn_bench::measure()`]); an oracle row is a single timed run.
+//! throughput ratio. The kernel rows are timed together, in rotating
+//! rounds after one warm-up replay each: every round times each instance
+//! as the best of `BEST_OF` replays on its reused workspace, and a row
+//! reports the median and the minimum over its rounds. An oracle row is
+//! a single timed run.
 //!
 //! Part 2 runs the estimator up to 100x the exact-replay bench scale: a
 //! 100-epoch stream over `balanced(5,4)` — 6M requests — bounded in
@@ -24,23 +26,78 @@
 #![warn(missing_docs)]
 
 use hbn_baselines::{ExtendedNibbleStrategy, Strategy};
-use hbn_bench::{exp_quick, fatal, measure, per_sec, write_bench, Obj, Table};
+use hbn_bench::{exp_quick, fatal, measure, per_sec, write_bench, Obj, Table, Timing};
+use hbn_load::Placement;
 use hbn_sim::{
-    estimate_makespan, expand_shuffled, simulate_reference, simulate_with, SimConfig, SimWorkspace,
+    estimate_makespan, expand_shuffled, simulate_reference, simulate_with, Request, SimConfig,
+    SimResult, SimWorkspace,
 };
 use hbn_topology::generators::{balanced, BandwidthProfile};
+use hbn_topology::Network;
 use hbn_workload::generators as wgen;
+use hbn_workload::AccessMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Timed kernel replays per instance, after one warm-up replay that
-/// fills the reused workspace's high-water buffers.
-const KERNEL_REPEATS: usize = 5;
+/// Timing rounds of the kernel rows (3 in quick mode).
+const ROUNDS: usize = 9;
+
+/// Replays per instance in each timing round; the round keeps the best.
+const BEST_OF: usize = 3;
+
+/// One kernel-vs-oracle instance, with the workspace its kernel replays
+/// reuse.
+struct Instance {
+    label: &'static str,
+    net: Network,
+    m: AccessMatrix,
+    trace: Vec<Request>,
+    placement: Placement,
+    ws: SimWorkspace,
+}
+
+impl Instance {
+    fn replay(&mut self) -> SimResult {
+        let config = SimConfig::default();
+        simulate_with(&mut self.ws, &self.net, &self.m, &self.placement, &self.trace, config)
+            .expect("routable")
+    }
+}
+
+/// Time every instance's kernel replay in `rounds` rotating rounds: round
+/// `r` starts at instance `r mod n` and times each instance as the best
+/// of [`BEST_OF`] replays, so a slow spell of the host costs one round of
+/// a few instances rather than every replay of one. Each instance's
+/// [`Timing`] is the median (nearest rank; `rounds` is odd) and the
+/// minimum over its rounds.
+fn kernel_rounds(instances: &mut [Instance], rounds: usize) -> Vec<Timing> {
+    let n = instances.len();
+    let mut best: Vec<Vec<Timing>> = (0..n).map(|_| Vec::with_capacity(rounds)).collect();
+    for r in 0..rounds {
+        for k in 0..n {
+            let i = (r + k) % n;
+            best[i].push(measure(0, BEST_OF, || instances[i].replay()).1);
+        }
+    }
+    best.iter()
+        .map(|bests| {
+            // (median, minimum) of one field of the rounds' bests.
+            let over = |field: fn(&Timing) -> f64| {
+                let mut v: Vec<f64> = bests.iter().map(field).collect();
+                v.sort_by(f64::total_cmp);
+                (v[(v.len() - 1) / 2], v[0])
+            };
+            let ((cpu_median, cpu_min), (wall_median, wall_min)) =
+                (over(|t| t.cpu_min), over(|t| t.wall_min));
+            Timing { cpu_median, cpu_min, wall_median, wall_min }
+        })
+        .collect()
+}
 
 fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
     println!("EXP-REPLAY — event-driven workspace kernel vs reference oracle\n");
-    let instances: Vec<(&str, usize, u32, usize, usize)> = if exp_quick() {
+    let specs: Vec<(&str, usize, u32, usize, usize)> = if exp_quick() {
         vec![("balanced(4,3)", 4, 3, 512, 6_000)]
     } else {
         vec![
@@ -49,6 +106,22 @@ fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
             ("balanced(5,4)", 5, 4, 512, 60_000),
         ]
     };
+    let rounds = if exp_quick() { 3 } else { ROUNDS };
+    let mut instances: Vec<Instance> = specs
+        .into_iter()
+        .map(|(label, branching, height, objects, requests)| {
+            let net = balanced(branching, height, BandwidthProfile::Uniform);
+            let mut rng = StdRng::seed_from_u64(11);
+            let m = wgen::zipf_read_mostly(&net, objects, requests, 0.9, 0.2, &mut rng);
+            let trace = expand_shuffled(&m, &mut rng);
+            let placement = ExtendedNibbleStrategy.place(&net, &m);
+            Instance { label, net, m, trace, placement, ws: SimWorkspace::new() }
+        })
+        .collect();
+    // One untimed replay each: the result the oracle must match, and the
+    // warm-up that grows each workspace to its high-water size.
+    let sims: Vec<SimResult> = instances.iter_mut().map(Instance::replay).collect();
+    let kernel_timings = kernel_rounds(&mut instances, rounds);
     let mut t = Table::new([
         "network",
         "procs",
@@ -61,29 +134,19 @@ fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
     ]);
     let mut headline = None;
 
-    for (label, branching, height, objects, requests) in instances {
-        let net = balanced(branching, height, BandwidthProfile::Uniform);
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = wgen::zipf_read_mostly(&net, objects, requests, 0.9, 0.2, &mut rng);
-        let trace = expand_shuffled(&m, &mut rng);
-        let placement = ExtendedNibbleStrategy.place(&net, &m);
-
-        let config = SimConfig::default();
-        let mut ws = SimWorkspace::new();
-        let (sim, kernel) = measure(1, KERNEL_REPEATS, || {
-            simulate_with(&mut ws, &net, &m, &placement, &trace, config).expect("routable")
-        });
+    for ((inst, sim), kernel) in instances.iter().zip(sims).zip(kernel_timings) {
+        let Instance { label, net, m, trace, placement, .. } = inst;
         // One oracle run at `balanced(5,4)` takes about a minute and a
         // half: it is timed once.
         let (oracle, reference) = measure(0, 1, || {
-            simulate_reference(&net, &m, &placement, &trace, config).expect("routable")
+            simulate_reference(net, m, placement, trace, SimConfig::default()).expect("routable")
         });
         assert_eq!(sim, oracle, "kernel and oracle must agree on {label}");
 
         let speedup = reference.wall_median / kernel.wall_median.max(1e-12);
-        for (kernel, timing, repeats, speedup) in [
-            ("workspace", kernel, KERNEL_REPEATS, Some(speedup)),
-            ("reference", reference, 1, None),
+        for (kernel, timing, rounds, repeats, speedup) in [
+            ("workspace", kernel, rounds, rounds * BEST_OF, Some(speedup)),
+            ("reference", reference, 1, 1, None),
         ] {
             let wall = timing.wall_median;
             let rate = per_sec(trace.len(), wall);
@@ -104,6 +167,7 @@ fn kernel_vs_reference(cells: &mut Vec<Obj>) -> Option<f64> {
                     .raw("requests", trace.len())
                     .str("kernel", kernel)
                     .raw("makespan_slots", sim.makespan)
+                    .raw("rounds", rounds)
                     .raw("timed_runs", repeats)
                     .f64("wall_seconds", wall)
                     .f64("wall_min_seconds", timing.wall_min)

@@ -15,8 +15,12 @@
 //! - the mapping phase (step 3) runs on the kernel's reused mapping
 //!   state.
 //!
-//! Once its buffers have grown, a call allocates only the copy sets it
-//! returns. [`crate::ExtendedNibble::place`] is the full-outcome
+//! [`PlacementKernel::final_copies`] reads the final copy sets out of the
+//! kernel's scratch, one sorted slice per object id, so a re-placing
+//! policy writes them into the sets it holds, and once the buffers have
+//! grown a call allocates nothing. [`PlacementKernel::place`] is that
+//! readout collected into a [`Placement`], allocating only the copy sets
+//! it returns. [`crate::ExtendedNibble::place`] is the full-outcome
 //! reference, built from the public per-step functions; the kernel's copy
 //! sets equal its `placement`'s object by object
 //! (`crates/core/tests/batch_differential.rs`).
@@ -36,9 +40,10 @@ use hbn_workload::{AccessMatrix, ObjectId};
 
 /// The production static-placement kernel: runs the extended-nibble
 /// pipeline (gravity → nibble → deletion → mapping) over all objects of an
-/// access matrix and returns the final leaf-only copy sets, with no
-/// assignment entries. Its scratch is owned by the kernel and reused
-/// across calls.
+/// access matrix and reads out the final leaf-only copy sets, object by
+/// object ([`PlacementKernel::final_copies`]) or collected into a
+/// placement with no assignment entries ([`PlacementKernel::place`]).
+/// Its scratch is owned by the kernel and reused across calls.
 ///
 /// The copy sets are bit-for-bit those of the full-outcome reference,
 /// [`crate::ExtendedNibble::place`].
@@ -70,6 +75,11 @@ use hbn_workload::{AccessMatrix, ObjectId};
 /// // same kernel (e.g. the next re-optimization epoch) is equally exact.
 /// assert_eq!(kernel.place(&net, &m).unwrap(), copies);
 ///
+/// // The readout yields the same sets in id order, straight from the
+/// // kernel's scratch.
+/// let readout = kernel.final_copies(&net, &m).unwrap();
+/// assert!(readout.eq(m.objects().map(|x| copies.copies(x))));
+///
 /// // Step 1 alone yields the nibble copy sets (the hybrid policy's seeds).
 /// assert_eq!(
 ///     kernel.nibble_copies(&net, &m, ObjectId(0)),
@@ -85,7 +95,7 @@ pub struct PlacementKernel {
     /// every call).
     n_nodes: usize,
     /// Buffers reused across objects and calls; empty until the first
-    /// [`PlacementKernel::place`].
+    /// [`PlacementKernel::final_copies`].
     scratch: Scratch,
 }
 
@@ -107,9 +117,11 @@ struct Scratch {
     /// The copy each request group is routed to by step 1, in entry order.
     group_copy: Vec<u32>,
     /// Every object's post-step-2 copy nodes, object after object; after
-    /// the mapping phase each bus node is replaced by its mapped leaf.
+    /// the mapping phase each bus node is replaced by its mapped leaf, and
+    /// then each object's nodes are sorted and deduplicated in place.
     nodes: Vec<NodeId>,
-    /// `nodes[ends[x - 1]..ends[x]]` are object `x`'s copies.
+    /// `nodes[ends[i]..ends[i + 1]]` are object `i`'s copies; `ends[0]`
+    /// is 0.
     ends: Vec<usize>,
     /// The mapping phase's loads and bus copies.
     mapper: Mapper,
@@ -137,18 +149,38 @@ impl PlacementKernel {
     }
 
     /// Run the full static pipeline over all objects of `matrix` and
-    /// return the final copy sets, with no assignment entries: steps 1–2
-    /// per object in object-id order, then the global mapping phase
-    /// (step 3).
+    /// return the final copy sets, with no assignment entries: the
+    /// [`PlacementKernel::final_copies`] readout collected into a
+    /// [`Placement`].
     pub fn place(
         &mut self,
         net: &Network,
         matrix: &AccessMatrix,
     ) -> Result<Placement, MappingError> {
+        let mut placement = Placement::new(matrix.n_objects());
+        for (x, copies) in matrix.objects().zip(self.final_copies(net, matrix)?) {
+            placement.set_copies_from(x, copies);
+        }
+        Ok(placement)
+    }
+
+    /// Run the full static pipeline over all objects of `matrix` — steps
+    /// 1–2 per object in object-id order, then the global mapping phase
+    /// (step 3) — and read out the final copy sets: one slice per object
+    /// id, in id order, sorted and deduplicated, and empty for an object
+    /// without requests. The slices are the kernel's scratch, so a caller
+    /// that writes them into copy sets it holds allocates nothing per
+    /// object; a warm call allocates nothing at all.
+    pub fn final_copies(
+        &mut self,
+        net: &Network,
+        matrix: &AccessMatrix,
+    ) -> Result<impl ExactSizeIterator<Item = &[NodeId]> + '_, MappingError> {
         assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
         let s = &mut self.scratch;
         s.nodes.clear();
         s.ends.clear();
+        s.ends.push(0);
         s.mapper.reset(net);
         for x in matrix.objects() {
             object_steps(net, matrix, x, &mut self.ws, s);
@@ -161,15 +193,27 @@ impl PlacementKernel {
             *v = leaf;
         }
 
-        let mut placement = Placement::new(matrix.n_objects());
-        let mut start = 0;
-        for (x, &end) in matrix.objects().zip(&s.ends) {
-            if end > start {
-                placement.set_copies(x, s.nodes[start..end].to_vec());
+        // Sort and deduplicate each object's nodes, compacting them
+        // towards the front: an object's chunks of one split copy share a
+        // node, and mapped chunks may share a leaf.
+        let mut kept = 0;
+        for i in 1..s.ends.len() {
+            let (start, end) = (s.ends[i - 1], s.ends[i]);
+            let first = kept;
+            s.ends[i - 1] = first;
+            s.nodes[start..end].sort_unstable();
+            for k in start..end {
+                let v = s.nodes[k];
+                if kept == first || s.nodes[kept - 1] != v {
+                    s.nodes[kept] = v;
+                    kept += 1;
+                }
             }
-            start = end;
         }
-        Ok(placement)
+        *s.ends.last_mut().expect("ends starts with 0") = kept;
+        s.nodes.truncate(kept);
+        let (nodes, ends) = (&s.nodes, &s.ends);
+        Ok(ends.windows(2).map(move |w| &nodes[w[0]..w[1]]))
     }
 
     /// Step 1 alone for object `x`: its nibble copy set, ascending — the

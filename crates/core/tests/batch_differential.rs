@@ -8,7 +8,9 @@
 //!
 //! The kernel's hindsight pass, [`PlacementKernel::add_nibble_loads`], is
 //! pinned the same way to the loads of the reference nibble placement,
-//! `LoadMap::from_placement(net, m, &nibble_placement(net, m))`.
+//! `LoadMap::from_placement(net, m, &nibble_placement(net, m))`, and its
+//! per-object readout, [`PlacementKernel::final_copies`], to
+//! [`PlacementKernel::place`].
 
 use hbn_core::{nibble_placement, ExtendedNibble, PlacementKernel};
 use hbn_load::LoadMap;
@@ -55,6 +57,61 @@ fn assert_nibble_loads_match(
     twice.add_assign(&expected);
     assert_eq!(loads, twice, "the pass adds to the map");
     !reference.is_leaf_only(net)
+}
+
+/// Assert that the kernel's readout yields one set per object id, in id
+/// order, each sorted, deduplicated, empty exactly when the object has no
+/// requests, and equal to the set [`PlacementKernel::place`] holds.
+fn assert_readout_matches_place(net: &Network, m: &AccessMatrix, kernel: &mut PlacementKernel) {
+    let placed = kernel.place(net, m).expect("place");
+    let readout = kernel.final_copies(net, m).expect("readout");
+    assert_eq!(readout.len(), m.n_objects());
+    for (x, copies) in m.objects().zip(readout) {
+        assert_eq!(copies, placed.copies(x), "readout of {x}");
+        assert!(copies.windows(2).all(|w| w[0] < w[1]), "readout of {x} unsorted: {copies:?}");
+        assert_eq!(copies.is_empty(), m.object_entries(x).is_empty(), "readout of {x}");
+    }
+}
+
+/// The readout equals `place` object by object on the instances the
+/// reference comparisons below run: random trees, reuse across matrices
+/// of different object counts, zipf, deep write-heavy and all-writer
+/// traffic.
+#[test]
+fn readout_equals_place_object_by_object() {
+    let mut rng = seeded_rng(101);
+    for _ in 0..25 {
+        let net = random_network(6, 12, BandwidthProfile::Uniform, &mut rng);
+        let mut kernel = PlacementKernel::new(&net);
+        for _ in 0..3 {
+            let m = wgen::uniform(&net, 7, 6, 4, 0.6, &mut rng);
+            assert_readout_matches_place(&net, &m, &mut kernel);
+        }
+    }
+    let net = balanced(3, 2, BandwidthProfile::Uniform);
+    let mut kernel = PlacementKernel::new(&net);
+    for seed in 0..12u64 {
+        let m = workload_from_seed(&net, 1 + seed as usize % 7, 7, 4, 0.7, seed);
+        assert_readout_matches_place(&net, &m, &mut kernel);
+    }
+    let mut rng = seeded_rng(102);
+    let wide = balanced(4, 3, BandwidthProfile::Uniform);
+    let mut kernel = PlacementKernel::new(&wide);
+    for objects in [50, 300] {
+        let m = wgen::zipf_read_mostly(&wide, objects, objects * 40, 0.9, 0.3, &mut rng);
+        assert_readout_matches_place(&wide, &m, &mut kernel);
+    }
+    for buses in [8, 16] {
+        let deep = bus_path(buses, BandwidthProfile::Uniform);
+        let mut kernel = PlacementKernel::new(&deep);
+        for _ in 0..3 {
+            let m = wgen::uniform(&deep, 40, 6, 4, 1.0, &mut rng);
+            assert_readout_matches_place(&deep, &m, &mut kernel);
+        }
+    }
+    let hub = star(8, 4);
+    let m = wgen::shared_write(&hub, 3, 2, 3);
+    assert_readout_matches_place(&hub, &m, &mut PlacementKernel::new(&hub));
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! Once a kernel's buffers have grown, a [`PlacementKernel::place`]
 //! allocates the copy sets it returns and a constant beyond them — not
 //! per-object copies, request groups or intermediate placements — its
-//! step-1-only pass allocates nothing, and a clone copies none of the
-//! grown buffers.
+//! readout ([`PlacementKernel::final_copies`]) and its step-1-only pass
+//! allocate nothing, and a clone copies none of the grown buffers.
 
 use hbn_core::PlacementKernel;
 use hbn_testutil::{allocations, seeded_rng, CountingAlloc};
@@ -37,6 +37,21 @@ fn warm_place_allocates_only_the_copy_sets() {
         made <= copy_sets + 8,
         "a warm place made {made} allocations beyond its {copy_sets} copy sets' blocks"
     );
+}
+
+#[test]
+fn warm_readout_allocates_nothing() {
+    let net = balanced(5, 3, BandwidthProfile::Uniform);
+    let m = wgen::zipf_read_mostly(&net, 2_000, 80_000, 0.9, 0.3, &mut seeded_rng(23));
+    let mut kernel = PlacementKernel::new(&net);
+    let copies: usize = kernel.final_copies(&net, &m).unwrap().map(<[_]>::len).sum();
+
+    let before = allocations();
+    let again: usize = kernel.final_copies(&net, &m).unwrap().map(<[_]>::len).sum();
+    let made = allocations() - before;
+    assert!(copies > 0);
+    assert_eq!(again, copies);
+    assert_eq!(made, 0, "a warm readout allocated {made} times");
 }
 
 #[test]

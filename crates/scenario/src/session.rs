@@ -65,6 +65,14 @@ fn stats_delta(cur: DynamicStats, prev: DynamicStats) -> DynamicStats {
 /// filled matrix is folded into the observed aggregate
 /// ([`AccessMatrix::add_matrix`]) with one add per distinct
 /// `(object, processor)` entry instead of one per request.
+///
+/// Once filled, the matrix's support is sorted
+/// ([`AccessMatrix::sort_support`]), so the fold, the snapshot, the
+/// nearest-copy assignment, the accounting and the next epoch's clear
+/// visit object ids in ascending order and read the per-object arrays
+/// (the matrices, the snapshot, the strategy's copy sets) in address
+/// order. Every one of those walks sums or writes per object, so the
+/// order changes no result.
 struct EpochBuffers {
     matrix: AccessMatrix,
     snapshot: Placement,
@@ -814,6 +822,7 @@ impl Session {
             reads += r;
             buf.matrix.add(req.processor, req.object, r, w);
         }
+        buf.matrix.sort_support();
         st.aggregate.add_matrix(&buf.matrix);
         let writes = self.epoch_trace.len() as u64 - reads;
         let epoch_matrix = &buf.matrix;

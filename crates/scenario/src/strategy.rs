@@ -346,21 +346,6 @@ fn outage_copies(
     Some(vec![home])
 }
 
-/// Clamp a freshly optimized placement to the live part of the network
-/// by [`outage_copies`], free of charge: the refit that follows charges
-/// the move from the held sets. A no-op while no bus is down.
-fn sanitize_placement(net: &Network, view: &FaultView, placement: &mut Placement) {
-    if view.buses_down == 0 {
-        return;
-    }
-    for i in 0..placement.n_objects() {
-        let x = ObjectId(i as u32);
-        if let Some(new) = outage_copies(net, view, placement.copies(x), Harbor::Processor) {
-            placement.set_copies(x, new);
-        }
-    }
-}
-
 /// The dynamic-strategy serve kernel `exec.serve` names: a tree on the
 /// fast kernel, or one pinned to the naive reference kernel.
 fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicTree {
@@ -544,22 +529,29 @@ impl Core {
         }
     }
 
-    /// Re-place a placement from the observed aggregate, in one order:
-    /// the kernel's placement, clamped to the live network by
-    /// [`sanitize_placement`], then a refit that charges each observed
-    /// object's copy-set delta from its held copies ([`charge_move`]).
+    /// Re-place a placement from the observed aggregate, in one pass over
+    /// object ids that reads the kernel's final copy sets
+    /// ([`PlacementKernel::final_copies`]): each set is clamped to the
+    /// live network by [`outage_copies`], the move from the held set is
+    /// charged ([`charge_move`]), and the set is written into the held
+    /// set's own allocation. An object without observed traffic gets no
+    /// set from the kernel, so it ends empty and uncharged.
     fn replace(&mut self, net: &Network, observed: &AccessMatrix, faults: &FaultView) {
-        let Sets::Static { copies, placed, kernel } = &mut self.sets else {
+        let Core { sets, loads, stats, d } = self;
+        let Sets::Static { copies, placed, kernel } = sets else {
             unreachable!("only a placement re-places");
         };
-        let mut placement = kernel.place(net, observed).expect("static re-optimization failed");
-        sanitize_placement(net, faults, &mut placement);
+        let readout = kernel.final_copies(net, observed).expect("static re-optimization failed");
         let mut sweep = NearestCopies::new(net.n_nodes());
-        for x in observed.support() {
-            let (old, new) = (copies.copies(x), placement.copies(x));
-            charge_move(net, old, new, self.d, &mut self.loads, &mut self.stats, &mut sweep);
+        for (i, fresh) in readout.enumerate() {
+            let x = ObjectId(i as u32);
+            let clamped = outage_copies(net, faults, fresh, Harbor::Processor);
+            let new = clamped.as_deref().unwrap_or(fresh);
+            if !new.is_empty() {
+                charge_move(net, copies.copies(x), new, *d, loads, stats, &mut sweep);
+            }
+            copies.set_copies_from(x, new);
         }
-        *copies = placement;
         *placed = true;
     }
 
@@ -1140,6 +1132,91 @@ mod tests {
         put_u64(&mut out, 1);
         put_u8(&mut out, switched as u8);
         out
+    }
+
+    /// An external policy that holds one fixed copy set per object.
+    #[derive(Clone)]
+    struct Fixed(Vec<Vec<NodeId>>);
+
+    impl Strategy for Fixed {
+        fn label(&self) -> String {
+            "fixed".into()
+        }
+        fn begin_epoch(&mut self, _: &Network, _: usize, _: &AccessMatrix, _: &FaultView) {}
+        fn serve_batch(&mut self, _: &Network, _: &[OnlineRequest], _: &AccessMatrix) {}
+        fn copy_set(&self, x: ObjectId) -> &[NodeId] {
+            &self.0[x.index()]
+        }
+        fn add_loads_to(&self, _: &mut LoadMap) {}
+        fn stats(&self) -> DynamicStats {
+            DynamicStats::default()
+        }
+    }
+
+    /// A re-placement writes the kernel's sets over the held ones, clamped
+    /// under an outage, and charges the objects with observed traffic
+    /// only: the adopted sets of the others end empty and uncharged.
+    #[test]
+    fn replace_writes_the_kernel_sets_and_charges_observed_objects_only() {
+        let net = TopologyFamily::Balanced { branching: 3, height: 2 }.build();
+        let d = 2;
+        let exec = ExecutionConfig { threshold: d, ..ExecutionConfig::default() };
+        let p = net.processors();
+        let n = 8;
+        // Sorted, as a placement holds them (sources tie towards the
+        // earliest-listed copy, so the order moves the charge).
+        let held: Vec<Vec<NodeId>> = (0..n)
+            .map(|i| {
+                let mut set = vec![p[i % 3 + 3], p[(i + 7) % 9]];
+                set.sort_unstable();
+                set
+            })
+            .collect();
+        let mut observed = AccessMatrix::new(n);
+        for (x, proc, reads, writes) in [
+            (1, 0, 40, 1),
+            (1, 5, 30, 1),
+            (2, 3, 9, 4),
+            (2, 4, 2, 4),
+            (5, 1, 6, 0),
+            (6, 7, 12, 2),
+            (6, 8, 1, 2),
+        ] {
+            observed.add(p[proc], ObjectId(x), reads, writes);
+        }
+        let placed = PlacementKernel::new(&net).place(&net, &observed).unwrap();
+        // The first bus down strands p[0..3].
+        let mut outage = FaultView::pristine(&net);
+        for v in [net.parent(p[0]), p[0], p[1], p[2]] {
+            outage.stranded[v.index()] = true;
+        }
+        outage.buses_down = 1;
+        let mut clamped = 0;
+        for view in [FaultView::pristine(&net), outage] {
+            let mut policy =
+                BuiltIn::new(&net, &exec, n, Rule::Periodic { every: 1, first_fire: None });
+            policy.adopt(&net, &Fixed(held.clone()), n);
+            policy.core.replace(&net, &observed, &view);
+
+            let (mut loads, mut stats) = (LoadMap::zero(&net), DynamicStats::default());
+            let mut sweep = NearestCopies::new(net.n_nodes());
+            for (x, old) in observed.objects().zip(&held) {
+                if observed.object_entries(x).is_empty() {
+                    assert!(policy.copy_set(x).is_empty(), "{x} without traffic");
+                    continue;
+                }
+                let live = outage_copies(&net, &view, placed.copies(x), Harbor::Processor);
+                clamped += usize::from(live.is_some());
+                let new = live.as_deref().unwrap_or(placed.copies(x));
+                assert_ne!(old, new, "{x} must move");
+                assert_eq!(policy.copy_set(x), new, "{x}");
+                charge_move(&net, old, new, d, &mut loads, &mut stats, &mut sweep);
+            }
+            assert_eq!(policy.core.loads, loads);
+            assert_eq!(policy.core.stats, stats);
+            assert!(stats.replications > 0 && stats.collapses > 0, "{stats:?}");
+        }
+        assert!(clamped >= 2, "the outage must clamp a stranded set and re-home one");
     }
 
     /// The one firing cadence as each re-placing rule reads it: the

@@ -37,15 +37,15 @@ impl AccessEntry {
 /// list is the [`AccessMatrix::support`], and [`AccessMatrix::clear`]
 /// empties only those objects. [`AccessMatrix::add_matrix`] folds a whole
 /// matrix in (an epoch's into a running aggregate) with one add per entry.
-/// Equality compares the entries alone: two matrices
-/// with the same entries are equal whatever order their supports were
-/// filled in.
+/// The support's order is iteration order only: equality compares the
+/// entries alone, so two matrices with the same entries are equal
+/// whatever order their supports were filled or sorted in.
 #[derive(Debug, Clone, Default)]
 pub struct AccessMatrix {
     /// `per_object[x]` lists the processors accessing object `x`.
     per_object: Vec<Vec<AccessEntry>>,
     /// The objects with at least one entry, in the order each got its
-    /// first.
+    /// first, or ascending since the last [`AccessMatrix::sort_support`].
     support: Vec<ObjectId>,
 }
 
@@ -75,9 +75,22 @@ impl AccessMatrix {
     }
 
     /// Iterate over the support: every object with at least one entry,
-    /// each once, in the order it got its first entry.
+    /// each once. An object joins the support's end when it gets its
+    /// first entry, so the order is first-entry order until
+    /// [`AccessMatrix::sort_support`] puts it in ascending id order.
     pub fn support(&self) -> impl ExactSizeIterator<Item = ObjectId> + Clone + '_ {
         self.support.iter().copied()
+    }
+
+    /// Put the support in ascending object-id order, in `O(k log k)` for
+    /// `k` objects. Only the iteration order of
+    /// [`AccessMatrix::support`] changes, and with it the order in which
+    /// [`AccessMatrix::clear`] visits rows and
+    /// [`AccessMatrix::add_matrix`] adds objects new to the receiving
+    /// matrix: the entries, equality and every sum stay the same. A walk
+    /// over a sorted support reads per-object arrays in address order.
+    pub fn sort_support(&mut self) {
+        self.support.sort_unstable();
     }
 
     /// Remove every entry, keeping the object count and each object's
@@ -399,6 +412,42 @@ mod tests {
         copy.add_matrix(&sum);
         assert_eq!(copy, sum);
         assert_eq!(copy.support().collect::<Vec<_>>(), vec![y, z, x]);
+    }
+
+    /// Sorting the support changes iteration order alone: after it a
+    /// fold adds new objects in id order and `clear` still empties every
+    /// row, those appended since the sort included.
+    #[test]
+    fn sort_support_orders_iteration_only() {
+        let ids = |m: &AccessMatrix| m.support().map(|x| x.0).collect::<Vec<_>>();
+        let mut m = AccessMatrix::new(8);
+        for (p, x, reads, writes) in
+            [(1, 6, 2, 0), (3, 2, 0, 1), (2, 6, 1, 1), (1, 0, 4, 0), (2, 5, 0, 3)]
+        {
+            m.add(NodeId(p), ObjectId(x), reads, writes);
+        }
+        let before = m.clone();
+        m.sort_support();
+        assert_eq!(ids(&before), [6, 2, 0, 5]);
+        assert_eq!(ids(&m), [0, 2, 5, 6]);
+        assert_eq!(m, before);
+        assert_eq!((m.nnz(), m.grand_total()), (before.nnz(), before.grand_total()));
+        assert_eq!((m.nnz(), m.grand_total()), (5, 12));
+
+        // Objects new to the aggregate join it in the sorted epoch's order,
+        // after the ones it holds.
+        let mut sum = AccessMatrix::new(8);
+        sum.add(NodeId(4), ObjectId(7), 1, 0);
+        sum.add(NodeId(4), ObjectId(5), 1, 0);
+        sum.add_matrix(&m);
+        assert_eq!(ids(&sum), [7, 5, 0, 2, 6]);
+        assert_eq!(sum.object_entries(ObjectId(5)).len(), 2);
+
+        m.add(NodeId(3), ObjectId(1), 1, 0);
+        assert_eq!(ids(&m), [0, 2, 5, 6, 1]);
+        m.clear();
+        assert_eq!(m, AccessMatrix::new(8));
+        assert_eq!(m.support().len(), 0);
     }
 
     #[test]
