@@ -9,16 +9,19 @@
 //! completion and asserts the report equals the unbroken in-process
 //! run **bit for bit**. A mismatch aborts the harness.
 //!
-//! The matrix covers every built-in strategy kind, with an active bus
-//! outage straddling the kill epoch so the restore also carries healed
-//! copy sets and mid-outage overlay state.
+//! The matrix runs the shared strategy axis (`hbn_bench::strategy_axis`:
+//! dynamic, periodic static, hybrid and a threshold switch), with an
+//! active bus outage straddling the kill epoch so the restore also
+//! carries healed copy sets and mid-outage overlay state. In the full
+//! run the switch fires at epoch 3 and the kill comes at epoch 5, so its
+//! retired tree crosses the kill (in quick mode the kill comes first).
 //!
 //! Emits `BENCH_crash_recovery.json`; `HBN_EXP_QUICK=1` runs the same
 //! cells at CI-sized volumes.
 
 #![warn(missing_docs)]
 
-use hbn_bench::{exp_quick, root_adjacent_bus, strategy_kinds, write_bench, Obj, Table};
+use hbn_bench::{exp_quick, root_adjacent_bus, strategy_axis, write_bench, Obj, Table};
 use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
 use hbn_testutil::family_schedules;
 use std::path::{Path, PathBuf};
@@ -61,7 +64,7 @@ fn cell_spec(idx: usize) -> (ScenarioSpec, usize) {
     );
     let name = format!("{family}@{topology}");
     let spec = ScenarioSpec {
-        strategy: strategy_kinds()[idx],
+        strategy: strategy_axis()[idx],
         epoch_requests,
         faults: plan,
         ..ScenarioSpec::new(name, topology, schedule, THRESHOLD, 4700 + idx as u64)
@@ -106,7 +109,7 @@ fn main() {
     println!(
         "EXP-CRASH — kill-and-restore parity: {} strategies, child killed mid-outage,\n\
          restore from the last durable checkpoint on disk{}\n",
-        strategy_kinds().len(),
+        strategy_axis().len(),
         if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
@@ -122,7 +125,7 @@ fn main() {
         "recovery (ms)",
     ]);
 
-    for idx in 0..strategy_kinds().len() {
+    for idx in 0..strategy_axis().len() {
         let (spec, kill_epoch) = cell_spec(idx);
 
         // The unbroken in-process run: the ground truth.

@@ -1,8 +1,8 @@
 //! EXP-DYNT — serve-loop throughput of the online read-replicate /
 //! write-collapse strategy: the zero-allocation `DynamicTree::serve`
-//! kernel against the retained naive `serve_reference`, at `balanced(4,3)`
-//! (64 processors) scale and above. The two kernels are asserted to agree
-//! (loads, stats, congestion) on every instance — the differential suite,
+//! kernel against the naive oracle `ReferenceTree::serve`, at
+//! `balanced(4,3)` (64 processors) scale and above. The two are asserted
+//! to agree (loads, stats) on every instance — the differential suite,
 //! run in anger at full volume.
 //!
 //! Two workload regimes are measured:
@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 use hbn_bench::{exp_quick, per_sec, write_bench, Obj, Table};
-use hbn_dynamic::{online_trace, DynamicTree, OnlineRequest};
+use hbn_dynamic::{online_trace, DynamicTree, OnlineRequest, ReferenceTree};
 use hbn_topology::generators::{balanced, star, BandwidthProfile};
 use hbn_topology::Network;
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
@@ -94,20 +94,21 @@ fn instances() -> Vec<Instance> {
     out
 }
 
-/// Serve the whole trace on a fresh strategy with the given kernel and
-/// return the strategy and the wall-clock seconds of the serve loop. A
-/// discarded warm-up pass first brings caches and branch predictors up,
-/// like `exp_replay_scaling`'s `time_kernel`.
-fn run_kernel(inst: &Instance, fast: bool) -> (DynamicTree, f64) {
+/// Serve the whole trace on a fresh strategy built by `new`, one request
+/// at a time through `serve`, and return the strategy and the wall-clock
+/// seconds of the serve loop. A discarded warm-up pass first brings
+/// caches and branch predictors up, like `exp_replay_scaling`'s
+/// `time_kernel`.
+fn run_kernel<T>(
+    inst: &Instance,
+    new: fn(&Network, usize, u64) -> T,
+    serve: fn(&mut T, &Network, OnlineRequest),
+) -> (T, f64) {
     let pass = || {
-        let mut strategy = DynamicTree::new(&inst.net, inst.max_objects, inst.threshold);
+        let mut strategy = new(&inst.net, inst.max_objects, inst.threshold);
         let start = Instant::now();
         for &req in &inst.reqs {
-            if fast {
-                strategy.serve(&inst.net, req);
-            } else {
-                strategy.serve_reference(&inst.net, req);
-            }
+            serve(&mut strategy, &inst.net, req);
         }
         (strategy, start.elapsed().as_secs_f64())
     };
@@ -148,18 +149,15 @@ fn main() {
     let mut speedup = None;
 
     for inst in instances() {
-        let (reference, ref_secs) = run_kernel(&inst, false);
-        let (fast, fast_secs) = run_kernel(&inst, true);
-        // The differential suite, at full volume: the kernels must agree
-        // bit for bit.
+        let (reference, ref_secs) = run_kernel(&inst, ReferenceTree::new, ReferenceTree::serve);
+        let (fast, fast_secs) = run_kernel(&inst, DynamicTree::new, DynamicTree::serve);
+        // The differential suite, at full volume: the kernel must agree
+        // with the oracle bit for bit.
         assert_eq!(fast.loads(), reference.loads(), "kernels diverged on {}", inst.label);
         assert_eq!(fast.stats(), reference.stats(), "stats diverged on {}", inst.label);
-        assert_eq!(fast.congestion(&inst.net), reference.congestion(&inst.net));
+        let stats = fast.stats();
 
-        for (kernel, strategy, secs) in
-            [("reference", &reference, ref_secs), ("workspace", &fast, fast_secs)]
-        {
-            let stats = strategy.stats();
+        for (kernel, secs) in [("reference", ref_secs), ("workspace", fast_secs)] {
             let rate = per_sec(inst.reqs.len(), secs);
             t.row([
                 inst.label.clone(),

@@ -70,23 +70,17 @@ pub fn root_adjacent_bus(net: &Network) -> NodeId {
     *net.children(net.root()).iter().find(|&&v| net.is_bus(v)).expect("root has a bus child")
 }
 
-/// The built-in strategy kinds EXP-CRASH covers: dynamic trees, static
-/// placements and hybrid seeds.
-pub fn strategy_kinds() -> Vec<StrategyKind> {
+/// The strategy axis of the resume, crash, fault and server-crash
+/// matrices: a dynamic tree, a periodic static placement, a hybrid and a
+/// threshold switch, so every state shape is covered, a switch's retired
+/// tree included.
+pub fn strategy_axis() -> Vec<StrategyKind> {
     vec![
         StrategyKind::Dynamic,
         StrategyKind::PeriodicStatic { replace_every_epochs: 4 },
         StrategyKind::Hybrid { reseed_every_epochs: 4 },
+        StrategyKind::ThresholdSwitch { write_bound: 0.1, min_epochs: 3 },
     ]
-}
-
-/// The strategy axis of the resume, fault and server-crash matrices:
-/// [`strategy_kinds`] plus a threshold switch, so every state shape is
-/// covered, a switch's retired tree included.
-pub fn strategy_axis() -> Vec<StrategyKind> {
-    let mut axis = strategy_kinds();
-    axis.push(StrategyKind::ThresholdSwitch { write_bound: 0.1, min_epochs: 3 });
-    axis
 }
 
 /// Run `run` once per seed, each on its own scoped thread, and return the

@@ -14,10 +14,7 @@
 //! map comparable with the static placements. [`DynamicTree::serve`] is
 //! allocation-free in steady state and O(depth) amortized per request
 //! (generation-stamped membership, lazy counter resets — see `DESIGN.md`
-//! §5); [`DynamicTree::serve_reference`] is the naive pinned reference
-//! kernel. [`DynamicTree::serve_trace`] serves a whole trace on the
-//! kernel a tree is pinned to ([`DynamicTree::reference`] pins the naive
-//! one):
+//! §5), and [`DynamicTree::serve_trace`] serves a whole trace on it:
 //!
 //! ```
 //! use hbn_dynamic::{DynamicTree, OnlineRequest};
@@ -42,11 +39,20 @@
 //! assert_eq!(strategy.replicas(x).len(), 1);
 //! assert_eq!(strategy.stats().collapses, 1);
 //! ```
+//!
+//! ## The oracle
+//!
+//! `DynamicTree::serve` is the one production kernel. The naive kernel is
+//! a separate type, [`ReferenceTree`] (module [`mod@reference`]): it owns its
+//! own per-object state and exists only for the differential suites,
+//! which pin the kernel's replica sets, loads and stats to it.
 
 #![warn(missing_docs)]
 
 pub mod competitive;
+pub mod reference;
 pub mod strategy;
 
 pub use competitive::{run_competitive, CompetitiveReport};
+pub use reference::ReferenceTree;
 pub use strategy::{online_trace, DynamicStats, DynamicTree, ObjectExport, OnlineRequest};

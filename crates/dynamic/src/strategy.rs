@@ -25,21 +25,15 @@
 //! model, so online congestion is directly comparable to the offline
 //! (hindsight) nibble placement.
 //!
-//! # Two kernels
+//! # One kernel and its oracle
 //!
 //! [`DynamicTree::serve`] is the production kernel: allocation-free in
 //! steady state and O(depth) amortized per request, built on
 //! generation-stamped replica membership, epoch-stamped lazy counter
 //! resets and a connected-set Steiner broadcast (see `DESIGN.md` §5).
-//! [`DynamicTree::serve_reference`] retains the naive kernel — O(|R|)
-//! membership scans, a fresh path `Vec` per request, an O(n) counter
-//! memset per write, an allocating Steiner computation per broadcast — as
-//! the semantic reference; the differential suite pins the two to each
-//! other bit for bit. One [`DynamicTree`] instance must be driven by a
-//! single kernel for its whole life (asserted); [`DynamicTree::reference`]
-//! pins a fresh tree to the naive one up front, and
-//! [`DynamicTree::serve_trace`] serves a whole trace on whichever kernel
-//! the tree is pinned to.
+//! The naive kernel lives apart, as the oracle
+//! [`crate::reference::ReferenceTree`]; the differential suite pins the
+//! two to each other bit for bit.
 
 use hbn_load::LoadMap;
 use hbn_topology::{EdgeId, Network, NodeId};
@@ -92,9 +86,7 @@ struct ObjectState {
     /// Current membership/counter generation (starts at 1 so the slots'
     /// implicit zero stamps never match).
     gen: u64,
-    /// Stamped membership + counter slots, indexed by node id. The
-    /// reference kernel uses `count` densely (sized to the network,
-    /// memset on write) and ignores the stamps.
+    /// Stamped membership + counter slots, indexed by node id.
     slots: Vec<Slot>,
 }
 
@@ -129,7 +121,7 @@ impl ObjectState {
 
     /// Collapse the replica set to the single survivor `v`: one generation
     /// bump invalidates every membership stamp and every counter — O(1)
-    /// instead of the reference kernel's O(n) memset.
+    /// instead of the oracle's O(n) memset.
     #[inline]
     fn collapse_to(&mut self, v: NodeId) {
         self.replicas.clear();
@@ -208,14 +200,6 @@ impl DynamicStats {
     }
 }
 
-/// Which serve kernel a [`DynamicTree`] instance is driven by; fixed at
-/// the first serve call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServeMode {
-    Fast,
-    Reference,
-}
-
 /// The online strategy over all objects of a network.
 ///
 /// `Clone` snapshots the full strategy state — replica sets, edge
@@ -231,7 +215,6 @@ pub struct DynamicTree {
     loads: LoadMap,
     stats: DynamicStats,
     n_nodes: usize,
-    mode: Option<ServeMode>,
     /// Edges of the current request's walk, requester → replica entry
     /// point: transient per call, its capacity reused across calls.
     path: Vec<EdgeId>,
@@ -252,20 +235,7 @@ impl DynamicTree {
             loads: LoadMap::zero(net),
             stats: DynamicStats::default(),
             n_nodes: net.n_nodes(),
-            mode: None,
             path: Vec::new(),
-        }
-    }
-
-    /// [`DynamicTree::new`] pinned to the naive reference kernel:
-    /// [`DynamicTree::serve_trace`] serves through
-    /// [`DynamicTree::serve_reference`], and [`DynamicTree::serve`]
-    /// panics. The timing and semantics baseline the differential suites
-    /// pin the fast kernel against.
-    pub fn reference(net: &Network, n_objects: usize, threshold: u64) -> Self {
-        DynamicTree {
-            mode: Some(ServeMode::Reference),
-            ..DynamicTree::new(net, n_objects, threshold)
         }
     }
 
@@ -287,19 +257,6 @@ impl DynamicTree {
         self.stats
     }
 
-    /// Pin this instance to one serve kernel.
-    #[inline]
-    fn lock_mode(&mut self, mode: ServeMode) {
-        match self.mode {
-            None => self.mode = Some(mode),
-            Some(m) => assert_eq!(
-                m, mode,
-                "a DynamicTree must be driven by a single serve kernel \
-                 (serve or serve_reference, not both)"
-            ),
-        }
-    }
-
     /// Replace the replica set of `x` with `nodes` — the hybrid-strategy
     /// seeding hook: a static placement (typically the connected nibble
     /// copy set of `x`) becomes the strategy's working set, as if the
@@ -313,10 +270,6 @@ impl DynamicTree {
     /// traffic is charged and no stats are counted — migration accounting
     /// is the caller's job (the scenario engine charges the copy-set
     /// delta at `D` per copy).
-    ///
-    /// Seeding is kernel-agnostic: it keeps the fast and reference
-    /// kernels bit-for-bit equivalent (the differential suites drive
-    /// seeded strategies through both).
     pub fn seed_replicas(&mut self, net: &Network, x: ObjectId, nodes: &[NodeId]) {
         assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
         assert!(!nodes.is_empty(), "a seeded replica set cannot be empty");
@@ -334,14 +287,9 @@ impl DynamicTree {
             "a seeded replica set must be connected"
         );
         let st = self.objects[x.index()].get_or_insert_with(|| Box::new(ObjectState::new()));
-        // One generation bump invalidates the fast kernel's membership
-        // stamps and counters; the reference kernel addresses counters
-        // densely and ignores stamps, so also zero the allocated slots
-        // physically. The slot vector is *not* densified here — seeding
-        // stays O(touched + |seed|), and the reference kernel densifies
-        // lazily on its next serve call.
+        // One generation bump invalidates every membership stamp and
+        // counter, so seeding costs O(|seed|) beyond growing the slots.
         st.gen += 1;
-        st.slots.iter_mut().for_each(|s| s.count = 0);
         st.replicas.clear();
         for &v in nodes {
             st.insert_replica(v);
@@ -357,22 +305,15 @@ impl DynamicTree {
     /// Export the live state of `x` for durable serialization: its
     /// replica set (in insertion order — `replicas[0]` is the walk
     /// anchor) and its live read counters as `(edge, count)` pairs in
-    /// ascending edge order. `None` for an untouched object.
-    ///
-    /// "Live" is kernel-aware: the fast kernel's counters are valid only
-    /// under the current generation stamp, while the reference kernel
-    /// addresses counts physically and never stamps — the export reads
-    /// exactly what the bound kernel would, so a
-    /// [`DynamicTree::restore_object`] roundtrip resumes bit-for-bit
-    /// under either kernel.
+    /// ascending edge order (a counter is live under the current
+    /// generation stamp). `None` for an untouched object.
     pub fn export_object(&self, x: ObjectId) -> Option<ObjectExport> {
         let st = self.objects[x.index()].as_ref()?;
-        let physical = self.mode == Some(ServeMode::Reference);
         let counters = st
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.count > 0 && (physical || s.cstamp == st.gen))
+            .filter(|(_, s)| s.count > 0 && s.cstamp == st.gen)
             .map(|(i, s)| (EdgeId(i as u32), s.count))
             .collect();
         Some((st.replicas.clone(), counters))
@@ -391,9 +332,6 @@ impl DynamicTree {
     ) {
         self.seed_replicas(net, x, replicas);
         let st = self.objects[x.index()].as_mut().expect("seeded above");
-        // Counters are installed both physically (read densely by the
-        // reference kernel) and under the live stamp (read by the fast
-        // kernel), so the restored tree serves identically on either.
         let gen = st.gen;
         for &(e, c) in counters {
             st.grow_to(e.index());
@@ -411,19 +349,10 @@ impl DynamicTree {
         self.stats = stats;
     }
 
-    /// Serve a request trace in trace order on the kernel this tree is
-    /// pinned to: the reference kernel for a [`DynamicTree::reference`]
-    /// tree (or one already driven by it), the zero-allocation kernel
-    /// otherwise.
+    /// Serve a request trace in trace order.
     pub fn serve_trace(&mut self, net: &Network, trace: &[OnlineRequest]) {
-        if self.mode == Some(ServeMode::Reference) {
-            for &req in trace {
-                self.serve_reference(net, req);
-            }
-        } else {
-            for &req in trace {
-                self.serve(net, req);
-            }
+        for &req in trace {
+            self.serve(net, req);
         }
     }
 
@@ -440,7 +369,6 @@ impl DynamicTree {
     /// owned path buffer have reached their high-water sizes.
     pub fn serve(&mut self, net: &Network, req: OnlineRequest) {
         assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
-        self.lock_mode(ServeMode::Fast);
         let st =
             self.objects[req.object.index()].get_or_insert_with(|| Box::new(ObjectState::new()));
         if st.replicas.is_empty() {
@@ -481,7 +409,7 @@ impl DynamicTree {
                 // copy. O(|R|) with stamped membership tests — the
                 // connected-set specialization of
                 // `hbn_topology::steiner::steiner_edges` (pinned to it by
-                // the differential suite via the reference kernel).
+                // the differential suite via the oracle).
                 for &r in &st.replicas {
                     if r != net.root() && st.contains(net.parent(r)) {
                         self.loads.add_edge(EdgeId::from(r), 1);
@@ -512,74 +440,6 @@ impl DynamicTree {
                 self.loads.add_edge(e, self.threshold);
                 st.reset_counter(e);
                 st.insert_replica(next);
-                self.stats.replications += 1;
-                frontier = next;
-            }
-        }
-    }
-
-    /// Process one request on the naive kernel: linear membership scans, a
-    /// fresh path `Vec` per request, a dense counter vector memset on
-    /// every write, and an allocating virtual-tree Steiner computation per
-    /// broadcast. Retained as the semantic reference the fast kernel is
-    /// differentially pinned against.
-    pub fn serve_reference(&mut self, net: &Network, req: OnlineRequest) {
-        assert_eq!(net.n_nodes(), self.n_nodes, "network mismatch");
-        self.lock_mode(ServeMode::Reference);
-        let n_nodes = self.n_nodes;
-        let st = self.objects[req.object.index()].get_or_insert_with(|| {
-            let mut st = ObjectState::new();
-            st.slots.resize(n_nodes, Slot::default());
-            Box::new(st)
-        });
-        // The reference kernel addresses counters densely; a state
-        // materialized by `seed_replicas` is sparse, so densify (no-op
-        // once covered).
-        st.grow_to(n_nodes - 1);
-        if st.replicas.is_empty() {
-            st.replicas.push(req.processor);
-        }
-        let target = st.replicas[0];
-        let mut path: Vec<EdgeId> = Vec::new();
-        let mut v = req.processor;
-        while !st.replicas.contains(&v) {
-            let next = net.step_towards(v, target);
-            let hop_edge = if net.parent(next) == v { next } else { v };
-            path.push(EdgeId::from(hop_edge));
-            v = next;
-        }
-        for &e in &path {
-            self.loads.add_edge(e, 1);
-        }
-
-        if req.is_write {
-            self.stats.writes += 1;
-            // Update broadcast over the replica subtree.
-            for e in hbn_topology::steiner::steiner_edges(net, &st.replicas) {
-                self.loads.add_edge(e, 1);
-            }
-            // Collapse to the copy serving the writer (`v`).
-            if st.replicas.len() > 1 {
-                self.stats.collapses += 1;
-            }
-            st.replicas.clear();
-            st.replicas.push(v);
-            st.slots.iter_mut().for_each(|s| s.count = 0);
-        } else {
-            self.stats.reads += 1;
-            for &e in &path {
-                st.slots[e.index()].count += 1;
-            }
-            let mut frontier = v;
-            for &e in path.iter().rev() {
-                if st.slots[e.index()].count < self.threshold {
-                    break;
-                }
-                let (child, parent) = net.edge_endpoints(e);
-                let next = if child == frontier { parent } else { child };
-                self.loads.add_edge(e, self.threshold);
-                st.slots[e.index()].count = 0;
-                st.replicas.push(next);
                 self.stats.replications += 1;
                 frontier = next;
             }
@@ -755,16 +615,17 @@ mod tests {
 
     #[test]
     fn seeded_strategies_agree_across_kernels() {
+        use crate::reference::ReferenceTree;
         use rand::{Rng, SeedableRng};
         let net = balanced(3, 2, BandwidthProfile::Uniform);
         let procs = net.processors();
         let seed: Vec<NodeId> = vec![net.root(), net.children(net.root())[0]];
         let mut fast = DynamicTree::new(&net, 2, 2);
-        let mut reference = DynamicTree::new(&net, 2, 2);
-        for d in [&mut fast, &mut reference] {
-            d.seed_replicas(&net, ObjectId(0), &seed);
-            d.seed_replicas(&net, ObjectId(1), &[procs[4]]);
-        }
+        let mut reference = ReferenceTree::new(&net, 2, 2);
+        fast.seed_replicas(&net, ObjectId(0), &seed);
+        fast.seed_replicas(&net, ObjectId(1), &[procs[4]]);
+        reference.seed_replicas(&net, ObjectId(0), &seed);
+        reference.seed_replicas(&net, ObjectId(1), &[procs[4]]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for _ in 0..800 {
             let req = OnlineRequest {
@@ -773,7 +634,7 @@ mod tests {
                 is_write: rng.gen_bool(0.2),
             };
             fast.serve(&net, req);
-            reference.serve_reference(&net, req);
+            reference.serve(&net, req);
         }
         assert_eq!(fast.loads(), reference.loads());
         assert_eq!(fast.stats(), reference.stats());
@@ -800,36 +661,25 @@ mod tests {
         let first = mk_trace(&mut rng, 800);
         let second = mk_trace(&mut rng, 800);
 
-        // The reference kernel exports its counters physically rather
-        // than by stamp, so it takes the same roundtrip.
-        for reference in [false, true] {
-            let build = || {
-                if reference {
-                    DynamicTree::reference(&net, 5, 2)
-                } else {
-                    DynamicTree::new(&net, 5, 2)
-                }
-            };
-            let mut original = build();
-            original.serve_trace(&net, &first);
+        let mut original = DynamicTree::new(&net, 5, 2);
+        original.serve_trace(&net, &first);
 
-            // Rebuild a fresh strategy from the export and drive both
-            // through the same second half: every observable must match.
-            let mut restored = build();
-            for x in 0..5u32 {
-                if let Some((replicas, counters)) = original.export_object(ObjectId(x)) {
-                    restored.restore_object(&net, ObjectId(x), &replicas, &counters);
-                }
+        // Rebuild a fresh strategy from the export and drive both through
+        // the same second half: every observable must match.
+        let mut restored = DynamicTree::new(&net, 5, 2);
+        for x in 0..5u32 {
+            if let Some((replicas, counters)) = original.export_object(ObjectId(x)) {
+                restored.restore_object(&net, ObjectId(x), &replicas, &counters);
             }
-            restored.restore_accounting(original.loads().clone(), original.stats());
+        }
+        restored.restore_accounting(original.loads().clone(), original.stats());
 
-            original.serve_trace(&net, &second);
-            restored.serve_trace(&net, &second);
-            assert_eq!(original.loads(), restored.loads(), "reference: {reference}");
-            assert_eq!(original.stats(), restored.stats());
-            for x in 0..5u32 {
-                assert_eq!(original.replicas(ObjectId(x)), restored.replicas(ObjectId(x)));
-            }
+        original.serve_trace(&net, &second);
+        restored.serve_trace(&net, &second);
+        assert_eq!(original.loads(), restored.loads());
+        assert_eq!(original.stats(), restored.stats());
+        for x in 0..5u32 {
+            assert_eq!(original.replicas(ObjectId(x)), restored.replicas(ObjectId(x)));
         }
     }
 
@@ -846,15 +696,5 @@ mod tests {
     fn zero_threshold_rejected() {
         let net = star(3, 4);
         let _ = DynamicTree::new(&net, 1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "single serve kernel")]
-    fn mixing_kernels_is_rejected() {
-        let net = star(3, 4);
-        let p = net.processors();
-        let mut d = DynamicTree::new(&net, 1, 2);
-        d.serve(&net, read(p[0], 0));
-        d.serve_reference(&net, read(p[1], 0));
     }
 }

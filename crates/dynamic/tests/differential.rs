@@ -1,14 +1,15 @@
 //! Differential pinning of the zero-allocation serve kernel against the
-//! naive reference kernel: for randomized traces from **all six phase
-//! families** crossed with three topology families (plus random proptest
-//! networks), `DynamicTree::serve` must match
-//! `DynamicTree::serve_reference` exactly — per-edge loads, per-object
-//! replica sets, event stats and congestion.
+//! naive oracle: for randomized traces from **all six phase families**
+//! crossed with three topology families (plus random proptest networks),
+//! `DynamicTree::serve` must match `ReferenceTree::serve` exactly —
+//! per-edge loads, per-object replica sets, event stats and congestion —
+//! and it must keep matching when seeding and durable roundtrips are
+//! interleaved with the serving.
 
-use hbn_dynamic::{online_trace, DynamicStats, DynamicTree, OnlineRequest};
+use hbn_dynamic::{online_trace, DynamicStats, DynamicTree, OnlineRequest, ReferenceTree};
 use hbn_testutil::{arb_network, family_schedules, workload_from_seed};
 use hbn_topology::generators::{balanced, caterpillar, star, BandwidthProfile};
-use hbn_topology::Network;
+use hbn_topology::{Network, NodeId};
 use hbn_workload::ObjectId;
 use proptest::prelude::*;
 
@@ -22,21 +23,48 @@ fn assert_kernels_agree(
     context: &str,
 ) {
     let mut fast = DynamicTree::new(net, n_objects, threshold);
-    let mut reference = DynamicTree::new(net, n_objects, threshold);
+    let mut reference = ReferenceTree::new(net, n_objects, threshold);
     for &req in requests {
         fast.serve(net, req);
-        reference.serve_reference(net, req);
+        reference.serve(net, req);
     }
+    assert_states_agree(net, &fast, &reference, context);
+}
+
+/// Every observable of the kernel equals the oracle's.
+fn assert_states_agree(
+    net: &Network,
+    fast: &DynamicTree,
+    reference: &ReferenceTree,
+    context: &str,
+) {
     assert_eq!(fast.stats(), reference.stats(), "stats diverged: {context}");
     assert_eq!(fast.loads(), reference.loads(), "loads diverged: {context}");
-    assert_eq!(fast.congestion(net), reference.congestion(net), "congestion diverged: {context}");
-    for x in 0..n_objects as u32 {
+    assert_eq!(
+        fast.congestion(net),
+        reference.loads().congestion(net).congestion,
+        "congestion diverged: {context}"
+    );
+    for x in 0..fast.n_objects() as u32 {
         assert_eq!(
             fast.replicas(ObjectId(x)),
             reference.replicas(ObjectId(x)),
             "replica set of object {x} diverged: {context}"
         );
     }
+}
+
+/// A fresh kernel rebuilt from `tree`'s durable export, as a checkpoint
+/// restore rebuilds it.
+fn roundtrip(net: &Network, tree: &DynamicTree, threshold: u64) -> DynamicTree {
+    let mut restored = DynamicTree::new(net, tree.n_objects(), threshold);
+    for x in 0..tree.n_objects() as u32 {
+        if let Some((replicas, counters)) = tree.export_object(ObjectId(x)) {
+            restored.restore_object(net, ObjectId(x), &replicas, &counters);
+        }
+    }
+    restored.restore_accounting(tree.loads().clone(), tree.stats());
+    restored
 }
 
 #[test]
@@ -145,5 +173,58 @@ proptest! {
             i += stride;
         }
         assert_kernels_agree(&net, n_objects, threshold, &interleaved, "proptest instance");
+    }
+}
+
+/// Objects the interleaving differential touches.
+const MIXED_OBJECTS: usize = 4;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One random sequence of serves, seedings and (on the kernel only)
+    /// export/restore roundtrips into a fresh tree, with the kernel and
+    /// the oracle compared after every step. Each op is `(kind, node,
+    /// object, ancestors)`: kinds 0–5 read, 6–7 write, 8 seeds the object
+    /// with a node plus up to three of its ancestors (a connected set),
+    /// and 9 roundtrips the kernel.
+    #[test]
+    fn kernels_agree_through_interleaved_seeding_and_restores(
+        net in arb_network(5, 10),
+        threshold in 1u64..4,
+        ops in proptest::collection::vec((0u8..10, any::<u32>(), 0..MIXED_OBJECTS, 0usize..4), 300..301),
+    ) {
+        let procs = net.processors();
+        let mut fast = DynamicTree::new(&net, MIXED_OBJECTS, threshold);
+        let mut reference = ReferenceTree::new(&net, MIXED_OBJECTS, threshold);
+        for (step, &(kind, node, x, ancestors)) in ops.iter().enumerate() {
+            let object = ObjectId(x as u32);
+            match kind {
+                0..=7 => {
+                    let req = OnlineRequest {
+                        processor: procs[node as usize % procs.len()],
+                        object,
+                        is_write: kind >= 6,
+                    };
+                    fast.serve(&net, req);
+                    reference.serve(&net, req);
+                }
+                8 => {
+                    let mut v = NodeId(node % net.n_nodes() as u32);
+                    let mut seed = vec![v];
+                    for _ in 0..ancestors {
+                        if v == net.root() {
+                            break;
+                        }
+                        v = net.parent(v);
+                        seed.push(v);
+                    }
+                    fast.seed_replicas(&net, object, &seed);
+                    reference.seed_replicas(&net, object, &seed);
+                }
+                _ => fast = roundtrip(&net, &fast, threshold),
+            }
+            assert_states_agree(&net, &fast, &reference, &format!("step {step}, op {kind}"));
+        }
     }
 }

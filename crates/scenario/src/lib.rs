@@ -73,7 +73,5 @@ pub use faults::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanError, FaultView, DEFAULT_OUTAGE_SLOTS,
 };
 pub use session::{Session, SessionCheckpoint};
-pub use spec::{
-    ExecutionConfig, ReplayKernel, ScenarioSpec, ServeKernel, StrategyKind, TopologyFamily,
-};
+pub use spec::{ExecutionConfig, ReplayKernel, ScenarioSpec, StrategyKind, TopologyFamily};
 pub use strategy::{charged_migration, periodic_static_from, Strategy, StrategySnapshot};

@@ -176,36 +176,15 @@ impl fmt::Display for ReplayKernel {
     }
 }
 
-/// Which online-strategy kernel serves the request stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeKernel {
-    /// The zero-allocation [`hbn_dynamic::DynamicTree::serve`] kernel
-    /// (default).
-    #[default]
-    Workspace,
-    /// The naive [`hbn_dynamic::DynamicTree::serve_reference`] kernel
-    /// ([`hbn_dynamic::DynamicTree::reference`]) — used by the test
-    /// suites to pin the engine's online traffic and checkpoints to the
-    /// fast kernel's. (EXP-DYNT times the reference kernel by calling
-    /// `serve_reference` itself.)
-    Reference,
-}
-
-impl fmt::Display for ServeKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ServeKernel::Workspace => "workspace",
-            ServeKernel::Reference => "reference",
-        })
-    }
-}
-
-/// How a scenario *executes* — everything about kernels, the
-/// replication charge unit and the simulator, as opposed to *what* runs
-/// (topology, schedule, strategy). One `ExecutionConfig` is threaded by
-/// reference through the session driver and into strategy constructors,
-/// replacing the former by-value `ServeKernel`/`ReplayKernel` plumbing
-/// through private helpers.
+/// How a scenario *executes* — the replay kernel, the replication
+/// charge unit and the simulator, as opposed to *what* runs (topology,
+/// schedule, strategy). One `ExecutionConfig` is threaded by reference
+/// through the session driver and into strategy constructors.
+///
+/// There is no serve-kernel choice: every dynamic tree serves on the one
+/// production kernel, [`hbn_dynamic::DynamicTree::serve`]. Its naive
+/// oracle, [`hbn_dynamic::ReferenceTree`], is driven by the test suites
+/// directly.
 ///
 /// ```
 /// use hbn_scenario::ExecutionConfig;
@@ -219,10 +198,6 @@ pub struct ExecutionConfig {
     /// requests). Static-model strategies charge migrated copies at the
     /// same `D` per edge crossed.
     pub threshold: u64,
-    /// Which online-strategy kernel serves the stream (ignored by
-    /// strategies that serve through a static placement rather than a
-    /// dynamic tree).
-    pub serve: ServeKernel,
     /// Which simulator kernel replays the epochs.
     pub replay: ReplayKernel,
     /// Simulator configuration for the replays.
@@ -231,25 +206,22 @@ pub struct ExecutionConfig {
 
 impl Default for ExecutionConfig {
     fn default() -> Self {
-        ExecutionConfig {
-            threshold: 1,
-            serve: ServeKernel::default(),
-            replay: ReplayKernel::default(),
-            sim: SimConfig::default(),
-        }
+        ExecutionConfig { threshold: 1, replay: ReplayKernel::default(), sim: SimConfig::default() }
     }
 }
 
 impl ExecutionConfig {
-    /// A compact label of the kernel pair driving the run (recorded in
-    /// benchmark cells so they are self-describing): `workspace` or
-    /// `reference` when serve and replay kernels match, the explicit
-    /// pair otherwise.
+    /// A compact label of the kernels driving the run (recorded in
+    /// benchmark cells so they are self-describing): `workspace` on the
+    /// default replay kernel, `serve=workspace/replay=…` otherwise.
     pub fn kernel_label(&self) -> String {
-        match (self.serve, self.replay) {
-            (ServeKernel::Workspace, ReplayKernel::Workspace) => "workspace".into(),
-            (ServeKernel::Reference, ReplayKernel::Reference) => "reference".into(),
-            (serve, replay) => format!("serve={serve}/replay={replay}"),
+        // The strings date from a selectable serve kernel, and they stay:
+        // the label is hashed into every spec fingerprint (so into the
+        // durable bytes and file names) and recorded in the BENCH
+        // documents, so rewording it would be a durable-format change.
+        match self.replay {
+            ReplayKernel::Workspace => "workspace".into(),
+            replay => format!("serve=workspace/replay={replay}"),
         }
     }
 }
@@ -542,11 +514,8 @@ mod tests {
     fn kernel_labels_cover_mixed_pairs() {
         let mut exec = ExecutionConfig::default();
         assert_eq!(exec.kernel_label(), "workspace");
-        exec.serve = ServeKernel::Reference;
-        assert_eq!(exec.kernel_label(), "serve=reference/replay=workspace");
         exec.replay = ReplayKernel::Reference;
-        assert_eq!(exec.kernel_label(), "reference");
-        exec.serve = ServeKernel::Workspace;
+        assert_eq!(exec.kernel_label(), "serve=workspace/replay=reference");
         exec.replay = ReplayKernel::Estimate { sample_every: 4 };
         assert_eq!(exec.kernel_label(), "serve=workspace/replay=estimate(4)");
         exec.replay = ReplayKernel::Estimate { sample_every: 0 };

@@ -19,7 +19,7 @@
 
 use crate::durable::{put_f64, put_loads, put_nodes, put_stats, put_u32, put_u64, put_u8, Dec};
 use crate::faults::FaultView;
-use crate::spec::{ExecutionConfig, ServeKernel, StrategyKind};
+use crate::spec::{ExecutionConfig, StrategyKind};
 use hbn_core::PlacementKernel;
 use hbn_dynamic::{DynamicStats, DynamicTree, OnlineRequest};
 use hbn_load::{LoadMap, NearestCopies, Placement};
@@ -346,15 +346,6 @@ fn outage_copies(
     Some(vec![home])
 }
 
-/// The dynamic-strategy serve kernel `exec.serve` names: a tree on the
-/// fast kernel, or one pinned to the naive reference kernel.
-fn dyn_kernel(net: &Network, exec: &ExecutionConfig, max_objects: usize) -> DynamicTree {
-    match exec.serve {
-        ServeKernel::Workspace => DynamicTree::new(net, max_objects, exec.threshold),
-        ServeKernel::Reference => DynamicTree::reference(net, max_objects, exec.threshold),
-    }
-}
-
 /// The copy sets a serving [`Core`] holds.
 #[derive(Debug, Clone)]
 enum Sets {
@@ -652,7 +643,7 @@ impl BuiltIn {
     fn new(net: &Network, exec: &ExecutionConfig, max_objects: usize, rule: Rule) -> BuiltIn {
         let sets = match rule {
             Rule::Periodic { .. } | Rule::Frozen => Sets::unplaced(net, max_objects),
-            _ => Sets::Dynamic(dyn_kernel(net, exec, max_objects)),
+            _ => Sets::Dynamic(DynamicTree::new(net, max_objects, exec.threshold)),
         };
         BuiltIn { core: Core::new(net, exec, sets), rule }
     }
@@ -868,9 +859,10 @@ pub fn periodic_static_from(
 
 // --- durable strategy codec -------------------------------------------
 //
-// Tag byte + policy state. Which serve kernel backs a dynamic policy is
-// *not* encoded — it is an execution detail reconstructed from
-// `exec.serve`, which the spec fingerprint pins to the saved run.
+// Tag byte + policy state. A dynamic policy's tree is written as its
+// replica sets and live read counters (`DynamicTree::export_object`);
+// the threshold `D` comes from `exec`, which the spec fingerprint pins
+// to the saved run.
 
 const TAG_DYNAMIC: u8 = 1;
 const TAG_PERIODIC_STATIC: u8 = 2;
@@ -962,7 +954,7 @@ fn read_tree(
     if n != max_objects {
         return Err(format!("kernel of {n} objects, expected {max_objects}"));
     }
-    let mut tree = dyn_kernel(net, exec, max_objects);
+    let mut tree = DynamicTree::new(net, max_objects, exec.threshold);
     for i in 0..n {
         if dec.u8()? == 0 {
             continue;

@@ -9,8 +9,9 @@
 //!    report, bit for bit.
 //! 2. **Request-volume accounting** — the report serves exactly the
 //!    scheduled volume, epochs partition it, and reads + writes = total.
-//! 3. **Serve-kernel invariance** — the workspace serve kernel and the
-//!    reference oracle yield the identical report.
+//! 3. **Serve-kernel invariance** — the family's trace, served by the
+//!    production kernel and by its naive oracle, leaves identical replica
+//!    sets, loads and stats.
 //! 4. **Replay-kernel parity** — the workspace replay kernel equals the
 //!    reference oracle, heterogeneous capacities included.
 //! 5. **Estimator bounds** — under the estimator kernel the bounds are
@@ -24,12 +25,12 @@
 //! [`REGISTERED_FAMILIES`] agree — an unregistered family is a compile
 //! or CI failure, never a silent coverage gap.
 
-use hbn_scenario::{
-    run_scenario, ReplayKernel, ScenarioReport, ScenarioSpec, ServeKernel, TopologyFamily,
-};
+use hbn_dynamic::{online_trace, DynamicTree, ReferenceTree};
+use hbn_scenario::{run_scenario, ReplayKernel, ScenarioReport, ScenarioSpec, TopologyFamily};
 use hbn_testutil::{family_label, family_schedules, REGISTERED_FAMILIES};
 use hbn_topology::CapacityProfile;
 use hbn_workload::phases::PhaseSchedule;
+use hbn_workload::ObjectId;
 
 const OBJECTS: usize = 10;
 const WARMUP: usize = 30;
@@ -150,22 +151,34 @@ fn every_family_is_deterministic_and_accounts_its_volume() {
     }
 }
 
-/// Invariant 3: the serve kernel is pure execution detail — the
-/// workspace kernel and the reference oracle yield the identical report
-/// on every family, heterogeneous capacities included.
+/// Invariant 3: the serve kernel equals its oracle. Each family's trace,
+/// served by `DynamicTree::serve` and by the naive `ReferenceTree`, leaves
+/// identical replica sets, loads and stats on every grid topology.
+/// `Session` serves on the kernel alone; the legacy-parity suite pins it
+/// end to end against an engine that serves on the oracle.
 #[test]
 fn every_family_is_serve_kernel_invariant() {
     for (family, schedule) in family_schedules(OBJECTS, WARMUP, VOLUME) {
         for (topology, capacity) in grid() {
             let cell = format!("{family} × {topology} × {capacity}");
-            let workspace = base_spec(family, &schedule, topology, capacity);
-            let mut reference = workspace.clone();
-            reference.exec.serve = ServeKernel::Reference;
-            assert_eq!(
-                run_scenario(&workspace),
-                run_scenario(&reference),
-                "{cell}: workspace vs reference serve kernel"
-            );
+            let spec = base_spec(family, &schedule, topology, capacity);
+            let net = spec.build_network();
+            let n = schedule.max_objects();
+            let mut kernel = DynamicTree::new(&net, n, spec.exec.threshold);
+            let mut oracle = ReferenceTree::new(&net, n, spec.exec.threshold);
+            for req in online_trace(&net, &schedule, spec.seed) {
+                kernel.serve(&net, req);
+                oracle.serve(&net, req);
+            }
+            assert_eq!(kernel.stats(), oracle.stats(), "{cell}: kernel vs oracle stats");
+            assert_eq!(kernel.loads(), oracle.loads(), "{cell}: kernel vs oracle loads");
+            for x in 0..n as u32 {
+                assert_eq!(
+                    kernel.replicas(ObjectId(x)),
+                    oracle.replicas(ObjectId(x)),
+                    "{cell}: kernel vs oracle replicas of object {x}"
+                );
+            }
         }
     }
 }

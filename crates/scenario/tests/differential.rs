@@ -3,7 +3,7 @@
 //! oracle must produce identical epoch replay summaries for the same
 //! scenario, and the engine itself must be deterministic in its seed.
 
-use hbn_scenario::{run_scenario, ReplayKernel, ScenarioSpec, ServeKernel, TopologyFamily};
+use hbn_scenario::{run_scenario, ReplayKernel, ScenarioSpec, TopologyFamily};
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
 
 fn small_spec() -> ScenarioSpec {
@@ -28,18 +28,6 @@ fn workspace_and_reference_kernels_agree_on_every_epoch() {
         assert_eq!(a, b, "replay summaries diverged in phase {}", a.phase);
     }
     assert_eq!(ws_report, ref_report);
-}
-
-#[test]
-fn workspace_and_reference_serve_kernels_agree_end_to_end() {
-    // The online-strategy side of the pipeline: the zero-allocation
-    // serve kernel and the naive reference kernel must yield identical
-    // reports — online congestion deltas,
-    // replica snapshots (and therefore every replay metric), stats.
-    let ws_spec = small_spec();
-    let mut ref_spec = small_spec();
-    ref_spec.exec.serve = ServeKernel::Reference;
-    assert_eq!(run_scenario(&ws_spec), run_scenario(&ref_spec));
 }
 
 #[test]

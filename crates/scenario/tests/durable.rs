@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use hbn_dynamic::OnlineRequest;
 use hbn_scenario::{
-    ExecutionConfig, FaultPlan, RestoreError, ScenarioReport, ScenarioSpec, ServeKernel, Session,
-    Strategy, StrategyKind, TopologyFamily,
+    ExecutionConfig, FaultPlan, RestoreError, ScenarioReport, ScenarioSpec, Session, Strategy,
+    StrategyKind, TopologyFamily,
 };
 use hbn_testutil::TestDir;
 use hbn_workload::phases::full_tour;
@@ -56,30 +56,26 @@ fn save_restore_roundtrip(
     (expected, resumed.into_report())
 }
 
-/// Disk roundtrip is exact for every built-in strategy kind on both
-/// serve kernels (the reference kernel exports its counters physically
-/// rather than by stamp), including under an active fault plan (the
-/// checkpoint lands mid-outage). The threshold switch is forced at
-/// epoch 3, so the checkpoint at 5 holds its retired tree.
+/// Disk roundtrip is exact for every built-in strategy kind, including
+/// under an active fault plan (the checkpoint lands mid-outage). The
+/// threshold switch is forced at epoch 3, so the checkpoint at 5 holds
+/// its retired tree.
 #[test]
 fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
-    for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
-        for (i, strategy) in [
-            StrategyKind::Dynamic,
-            StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
-            StrategyKind::Hybrid { reseed_every_epochs: 2 },
-            StrategyKind::FrozenStatic,
-            StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: 3 },
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut spec = ScenarioSpec { strategy, ..base_spec(23) };
-            spec.exec.serve = serve;
-            let dir = tmp(&format!("roundtrip_{i}_{serve}"));
-            let (expected, resumed) = save_restore_roundtrip(&spec, 5, &dir.join("cp.hbnc"), None);
-            assert_eq!(resumed, expected, "strategy {strategy}, serve kernel {serve}");
-        }
+    for (i, strategy) in [
+        StrategyKind::Dynamic,
+        StrategyKind::PeriodicStatic { replace_every_epochs: 2 },
+        StrategyKind::Hybrid { reseed_every_epochs: 2 },
+        StrategyKind::FrozenStatic,
+        StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: 3 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let spec = ScenarioSpec { strategy, ..base_spec(23) };
+        let dir = tmp(&format!("roundtrip_{i}"));
+        let (expected, resumed) = save_restore_roundtrip(&spec, 5, &dir.join("cp.hbnc"), None);
+        assert_eq!(resumed, expected, "strategy {strategy}");
     }
 
     // Mid-outage checkpoint: the fault overlay and healed state resume.

@@ -7,15 +7,17 @@
 //! layout), as a test-only reference, and asserts that
 //! `run_scenario` — now `Session::new` stepped to exhaustion — produces
 //! **bit-for-bit identical reports** for every cell of the full matrix:
-//! all six canonical access-pattern families × three topologies × all
-//! four built-in strategy parameterizations × both serve kernels.
+//! every registered access-pattern family × three topologies × all four
+//! built-in strategy parameterizations. The frozen engine serves its
+//! dynamic trees on the naive oracle (`ReferenceTree`), so each cell also
+//! pins `Session`'s serve kernel to the oracle end to end.
 
 use hbn_core::{nibble_placement, ExtendedNibble};
-use hbn_dynamic::{DynamicStats, DynamicTree, OnlineRequest};
+use hbn_dynamic::{DynamicStats, OnlineRequest, ReferenceTree};
 use hbn_load::{nearest_copy_map, LoadMap, LoadRatio, Placement};
 use hbn_scenario::{
-    run_scenario, EpochSummary, PhaseSummary, ScenarioReport, ScenarioSpec, ServeKernel,
-    StrategyKind, TopologyFamily, TrafficCounters,
+    run_scenario, EpochSummary, PhaseSummary, ScenarioReport, ScenarioSpec, StrategyKind,
+    TopologyFamily, TrafficCounters,
 };
 use hbn_sim::{simulate_reference, simulate_with, Request, SimResult, SimWorkspace};
 use hbn_testutil::family_schedules;
@@ -60,64 +62,34 @@ fn is_boundary(strategy: StrategyKind, epoch_idx: usize) -> bool {
     }
 }
 
-enum DynKernel {
-    Fast(DynamicTree),
-    Reference(DynamicTree),
-}
+/// The dynamic kernel, served on the naive oracle.
+struct DynKernel(ReferenceTree);
 
 impl DynKernel {
     fn new(net: &Network, spec: &ScenarioSpec, max_objects: usize) -> DynKernel {
-        match spec.exec.serve {
-            ServeKernel::Workspace => {
-                DynKernel::Fast(DynamicTree::new(net, max_objects, spec.exec.threshold))
-            }
-            ServeKernel::Reference => {
-                DynKernel::Reference(DynamicTree::new(net, max_objects, spec.exec.threshold))
-            }
-        }
+        DynKernel(ReferenceTree::new(net, max_objects, spec.exec.threshold))
     }
 
     fn serve_trace(&mut self, net: &Network, trace: &[OnlineRequest]) {
-        match self {
-            DynKernel::Fast(tree) => {
-                for &req in trace {
-                    tree.serve(net, req);
-                }
-            }
-            DynKernel::Reference(tree) => {
-                for &req in trace {
-                    tree.serve_reference(net, req);
-                }
-            }
+        for &req in trace {
+            self.0.serve(net, req);
         }
     }
 
     fn replicas(&self, x: hbn_workload::ObjectId) -> &[NodeId] {
-        match self {
-            DynKernel::Fast(tree) => tree.replicas(x),
-            DynKernel::Reference(tree) => tree.replicas(x),
-        }
+        self.0.replicas(x)
     }
 
     fn seed_replicas(&mut self, net: &Network, x: hbn_workload::ObjectId, nodes: &[NodeId]) {
-        match self {
-            DynKernel::Fast(tree) => tree.seed_replicas(net, x, nodes),
-            DynKernel::Reference(tree) => tree.seed_replicas(net, x, nodes),
-        }
+        self.0.seed_replicas(net, x, nodes)
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        match self {
-            DynKernel::Fast(tree) => out.add_assign(tree.loads()),
-            DynKernel::Reference(tree) => out.add_assign(tree.loads()),
-        }
+        out.add_assign(self.0.loads())
     }
 
     fn stats(&self) -> DynamicStats {
-        match self {
-            DynKernel::Fast(tree) => tree.stats(),
-            DynKernel::Reference(tree) => tree.stats(),
-        }
+        self.0.stats()
     }
 }
 
@@ -511,35 +483,33 @@ fn strategies() -> Vec<StrategyKind> {
     ]
 }
 
-/// Every (family × topology × strategy × serve kernel) cell:
-/// `run_scenario` (Session-backed) must equal the frozen legacy engine
-/// bit for bit — full report equality, epochs included.
+/// Every (family × topology × strategy) cell: `run_scenario`
+/// (Session-backed, on the serve kernel) must equal the frozen legacy
+/// engine (on the oracle) bit for bit — full report equality, epochs
+/// included.
 #[test]
 fn session_backed_engine_matches_legacy_engine_everywhere() {
     for (family, schedule) in family_schedules(10, 40, 160) {
         for topology in topologies() {
             for strategy in strategies() {
-                for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
-                    let name = format!("parity-{family}");
-                    let mut spec = ScenarioSpec {
-                        strategy,
-                        epoch_requests: 40,
-                        ..ScenarioSpec::new(name, topology, schedule.clone(), 2, 97)
-                    };
-                    spec.exec.serve = serve;
-                    // The frozen legacy engine predates per-tenant
-                    // attribution; attribution is additive bookkeeping
-                    // that touches no other report field (the
-                    // conformance harness pins it), so parity compares
-                    // everything else bit for bit.
-                    let mut live = run_scenario(&spec);
-                    live.tenants.clear();
-                    assert_eq!(
-                        live,
-                        legacy_run_scenario(&spec),
-                        "cell {family} × {topology} × {strategy} × serve={serve}"
-                    );
-                }
+                let name = format!("parity-{family}");
+                let spec = ScenarioSpec {
+                    strategy,
+                    epoch_requests: 40,
+                    ..ScenarioSpec::new(name, topology, schedule.clone(), 2, 97)
+                };
+                // The frozen legacy engine predates per-tenant
+                // attribution; attribution is additive bookkeeping that
+                // touches no other report field (the conformance harness
+                // pins it), so parity compares everything else bit for
+                // bit.
+                let mut live = run_scenario(&spec);
+                live.tenants.clear();
+                assert_eq!(
+                    live,
+                    legacy_run_scenario(&spec),
+                    "cell {family} × {topology} × {strategy}"
+                );
             }
         }
     }

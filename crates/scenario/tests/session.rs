@@ -4,8 +4,8 @@
 use hbn_dynamic::online_trace;
 use hbn_load::LoadMap;
 use hbn_scenario::{
-    periodic_static_from, run_scenario_with, ReplayKernel, ScenarioReport, ScenarioSpec,
-    ServeKernel, Session, StrategyKind, TopologyFamily,
+    periodic_static_from, run_scenario_with, ReplayKernel, ScenarioReport, ScenarioSpec, Session,
+    StrategyKind, TopologyFamily,
 };
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
 
@@ -44,26 +44,22 @@ fn run_with_swap_at(spec: &ScenarioSpec, k: usize) -> ScenarioReport {
 /// swapping to a periodic-static policy that fires at `k` is *exactly* the
 /// `ThresholdSwitch` policy forced to switch at `k` (write bound 0).
 /// Both paths charge the same migration from the same dynamic copy sets
-/// and serve the same static placement afterwards — bit for bit, under
-/// both serve kernels.
+/// and serve the same static placement afterwards — bit for bit.
 #[test]
 fn dynamic_to_static_swap_equals_forced_threshold_switch() {
     let k = 4;
-    for serve in [ServeKernel::Workspace, ServeKernel::Reference] {
-        let mut spec = base_spec(19);
-        spec.exec.serve = serve;
-        let swapped = run_with_swap_at(&spec, k);
-        let switched = run_scenario_with(&spec, |net, exec, n| {
-            StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: k }.build(net, exec, n)
-        });
-        assert!(
-            switched.stats.replications
-                > swapped.epochs[..k].iter().map(|e| e.traffic.replications).sum::<u64>()
-                || switched.stats.replications > 0,
-            "the forced switch must actually migrate"
-        );
-        assert_reports_equal_modulo_label(&swapped, &switched);
-    }
+    let spec = base_spec(19);
+    let swapped = run_with_swap_at(&spec, k);
+    let switched = run_scenario_with(&spec, |net, exec, n| {
+        StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: k }.build(net, exec, n)
+    });
+    assert!(
+        switched.stats.replications
+            > swapped.epochs[..k].iter().map(|e| e.traffic.replications).sum::<u64>()
+            || switched.stats.replications > 0,
+        "the forced switch must actually migrate"
+    );
+    assert_reports_equal_modulo_label(&swapped, &switched);
 }
 
 /// The swap must also hold under the reference replay kernel (the

@@ -5,7 +5,7 @@
 //! single up-front static placement — equal to a never-firing periodic
 //! strategy, migration-free, and reconstructible from the full-outcome
 //! reference pipeline run on the first epoch's traffic; (2) that strategy reports are
-//! invariant across serve kernels; (3) that a hybrid
+//! invariant across replay kernels; (3) that a hybrid
 //! whose re-seed boundary never fires is exactly the dynamic strategy;
 //! (4) the migration-cost accounting identity
 //! `migration_traffic = replications × D` on every epoch, for every
@@ -16,8 +16,7 @@
 use hbn_core::ExtendedNibble;
 use hbn_load::{LoadMap, Placement};
 use hbn_scenario::{
-    run_scenario, ReplayKernel, ScenarioReport, ScenarioSpec, ServeKernel, StrategyKind,
-    TopologyFamily,
+    run_scenario, ReplayKernel, ScenarioReport, ScenarioSpec, StrategyKind, TopologyFamily,
 };
 use hbn_testutil::family_schedules;
 use hbn_workload::phases::full_tour;
@@ -187,24 +186,21 @@ fn strategy_reports_are_invariant_across_serve_kernels() {
     ] {
         let mut reference = base_spec(7, 30);
         reference.strategy = strategy;
-        reference.exec.serve = ServeKernel::Reference;
         reference.exec.replay = ReplayKernel::Reference;
         let expected = run_scenario(&reference);
 
         let mut spec = base_spec(7, 30);
         spec.strategy = strategy;
-        spec.exec.serve = ServeKernel::Workspace;
         assert_eq!(run_scenario(&spec), expected, "strategy {strategy} must be kernel-invariant");
     }
 }
 
-/// `ThresholdSwitch` must be serve-kernel-invariant too (its dynamic
-/// prefix runs through the configured kernel).
+/// `ThresholdSwitch` must be replay-kernel-invariant too, across its
+/// switch.
 #[test]
 fn threshold_switch_is_invariant_across_serve_kernels() {
     let strategy = StrategyKind::ThresholdSwitch { write_bound: 0.1, min_epochs: 3 };
     let mut reference = ScenarioSpec { strategy, ..base_spec(7, 30) };
-    reference.exec.serve = ServeKernel::Reference;
     reference.exec.replay = ReplayKernel::Reference;
     let expected = run_scenario(&reference);
     assert_eq!(run_scenario(&ScenarioSpec { strategy, ..base_spec(7, 30) }), expected);

@@ -34,7 +34,10 @@ pub struct ServerConfig {
     /// frame, so recovery replays at most about one frame's worth of
     /// batches from disk (two after falling back a frame). A longer
     /// cadence batches more epochs per append, and the epochs served
-    /// since the last tick are replayed from memory on recovery.
+    /// since the last tick are replayed from memory on recovery. A
+    /// cadence too long for the clock to represent (`Duration::MAX`)
+    /// never fires: supervision then runs only through
+    /// `Server::checkpoint_now` and `Server::recover_now`.
     pub watchdog_poll: Duration,
 }
 

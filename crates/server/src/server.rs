@@ -145,7 +145,9 @@ impl Server {
     ///
     /// `deadline` is enforced server-side: if it expires before a
     /// worker pops the request, the request is shed with
-    /// [`Rejected::DeadlineExpired`] instead of served.
+    /// [`Rejected::DeadlineExpired`] instead of served. A deadline too
+    /// far ahead for the clock to represent (`Duration::MAX`, say) is no
+    /// deadline.
     ///
     /// # Errors
     ///
@@ -180,7 +182,8 @@ impl Server {
         }
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
-        let job = Job { batch, deadline: deadline.map(|d| now + d), enqueued_at: now, resp: tx };
+        let deadline = deadline.and_then(|d| now.checked_add(d));
+        let job = Job { batch, deadline, enqueued_at: now, resp: tx };
         {
             let mut q = relock(&shared.queue);
             if q.shutting_down {
@@ -424,20 +427,23 @@ fn watchdog_loop(inner: Arc<Inner>) {
         // drive checkpoint/recover manually) could heal a killed worker
         // out from under a client still waiting to observe it dead.
         // The cadence is a floor on the earliest supervision time; the
-        // condvar only exists so `shutdown` never waits it out.
+        // condvar only exists so `shutdown` never waits it out. A cadence
+        // beyond the clock's range parks until stop.
         let mut stop = relock(&inner.stop.0);
-        let deadline = Instant::now() + inner.cfg.watchdog_poll;
+        let deadline = Instant::now().checked_add(inner.cfg.watchdog_poll);
         loop {
             if *stop {
                 return;
             }
             let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _timeout) =
-                inner.stop.1.wait_timeout(stop, deadline - now).unwrap_or_else(|e| e.into_inner());
-            stop = guard;
+            stop = match deadline {
+                Some(deadline) if now >= deadline => break,
+                Some(deadline) => {
+                    let wait = inner.stop.1.wait_timeout(stop, deadline - now);
+                    wait.unwrap_or_else(|e| e.into_inner()).0
+                }
+                None => inner.stop.1.wait(stop).unwrap_or_else(|e| e.into_inner()),
+            };
         }
         drop(stop);
         let tenants: Vec<Arc<Tenant>> = relock(&inner.tenants).values().cloned().collect();

@@ -165,6 +165,28 @@ fn expired_deadlines_are_shed_not_served() {
     drop(server.shutdown());
 }
 
+/// A deadline or a watchdog cadence too far ahead for the clock to
+/// represent means none: a batch submitted with `Duration::MAX` is
+/// admitted and served, and a watchdog on a `Duration::MAX` cadence
+/// parks until shutdown.
+#[test]
+fn unrepresentable_deadline_and_cadence_mean_none() {
+    let dir = tmp("far_deadline");
+    let mut cfg = manual_cfg(&dir);
+    cfg.watchdog_poll = Duration::MAX;
+    let server = Server::new(cfg).unwrap();
+    server.add_tenant(tenant_spec("t"));
+    let procs = server.processors("t").unwrap();
+
+    let ticket = server.submit("t", batch(&procs, 3, 10), Some(Duration::MAX)).unwrap();
+    assert_eq!(wait_on(&server, "t", ticket).mode, ServeMode::Exact);
+    let m = server.metrics("t").unwrap();
+    assert_eq!((m.accepted, m.served, m.deadline_shed), (1, 1, 0));
+
+    let reports = server.shutdown();
+    assert_eq!(reports[0].1.epochs.len(), 1);
+}
+
 #[test]
 fn overload_degrades_to_estimator_and_hysteresis_restores_exact() {
     let dir = tmp("degrade");
