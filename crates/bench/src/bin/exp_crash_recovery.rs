@@ -12,16 +12,16 @@
 //! The matrix runs the shared strategy axis (`hbn_bench::strategy_axis`:
 //! dynamic, periodic static, hybrid and a threshold switch), with an
 //! active bus outage straddling the kill epoch so the restore also
-//! carries healed copy sets and mid-outage overlay state. In the full
-//! run the switch fires at epoch 3 and the kill comes at epoch 5, so its
-//! retired tree crosses the kill (in quick mode the kill comes first).
+//! carries healed copy sets and mid-outage overlay state. The switch
+//! fires at epoch 3 and the kill comes at epoch 5, so the switched
+//! policy crosses the kill.
 //!
-//! Emits `BENCH_crash_recovery.json`; `HBN_EXP_QUICK=1` runs the same
-//! cells at CI-sized volumes.
+//! Emits `BENCH_crash_recovery.json`. The whole run takes well under a
+//! second, so it has no reduced mode.
 
 #![warn(missing_docs)]
 
-use hbn_bench::{exp_quick, root_adjacent_bus, strategy_axis, write_bench, Obj, Table};
+use hbn_bench::{root_adjacent_bus, strategy_axis, write_bench, Obj, Table};
 use hbn_scenario::{FaultPlan, ScenarioSpec, Session, TopologyFamily};
 use hbn_testutil::family_schedules;
 use std::path::{Path, PathBuf};
@@ -36,24 +36,20 @@ const THRESHOLD: u64 = 3;
 /// clean termination, so the parent knows the crash was the scripted one.
 const CRASH_EXIT: i32 = 42;
 
-/// (warm-up requests, measured-phase requests, requests per replay
-/// epoch) per schedule.
-fn volumes() -> (usize, usize, usize) {
-    if exp_quick() {
-        (400, 2_000, 400)
-    } else {
-        (2_000, 20_000, 2_000)
-    }
-}
+/// Warm-up requests of the schedule.
+const WARMUP: usize = 2_000;
+/// Requests of the measured phase.
+const VOLUME: usize = 20_000;
+/// Requests per replay epoch.
+const EPOCH_REQUESTS: usize = 2_000;
 
 /// The spec of cell `idx` — a pure function of the index, so the child
 /// process reconstructs exactly the spec the parent used.
 fn cell_spec(idx: usize) -> (ScenarioSpec, usize) {
-    let (warmup, volume, epoch_requests) = volumes();
-    let (family, schedule) = family_schedules(OBJECTS, warmup, volume).swap_remove(1);
+    let (family, schedule) = family_schedules(OBJECTS, WARMUP, VOLUME).swap_remove(1);
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
     let net = topology.build();
-    let n_epochs: usize = schedule.phases.iter().map(|p| p.requests.div_ceil(epoch_requests)).sum();
+    let n_epochs: usize = schedule.phases.iter().map(|p| p.requests.div_ceil(EPOCH_REQUESTS)).sum();
     let kill_epoch = (n_epochs / 2).max(1);
     // An outage straddling the kill epoch: the checkpoint restored from
     // disk carries healed copy sets and mid-outage overlay state.
@@ -65,7 +61,7 @@ fn cell_spec(idx: usize) -> (ScenarioSpec, usize) {
     let name = format!("{family}@{topology}");
     let spec = ScenarioSpec {
         strategy: strategy_axis()[idx],
-        epoch_requests,
+        epoch_requests: EPOCH_REQUESTS,
         faults: plan,
         ..ScenarioSpec::new(name, topology, schedule, THRESHOLD, 4700 + idx as u64)
     };
@@ -108,9 +104,8 @@ fn main() {
 
     println!(
         "EXP-CRASH — kill-and-restore parity: {} strategies, child killed mid-outage,\n\
-         restore from the last durable checkpoint on disk{}\n",
+         restore from the last durable checkpoint on disk\n",
         strategy_axis().len(),
-        if exp_quick() { " (HBN_EXP_QUICK)" } else { "" }
     );
 
     let mut cells = Vec::new();

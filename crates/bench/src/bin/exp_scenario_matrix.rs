@@ -193,7 +193,7 @@ fn main() {
                     .raw("epochs", reports[0].epochs.len())
                     .raw("threshold_d", spec.exec.threshold)
                     .raw("epoch_requests", spec.epoch_requests)
-                    .str("kernel", &spec.exec.kernel_label())
+                    .str("kernel", &spec.exec.replay.to_string())
                     .f64("mean_makespan_slots", makespan)
                     .f64("mean_online_congestion", congestion)
                     .opt_f64("mean_competitive_ratio", competitive_ratio)

@@ -185,8 +185,8 @@ fn main() {
     println!(
         "Expected shape: on stationary read-mostly families the up-front static\n\
          placements (periodic-static(inf), frozen-static — equal on these\n\
-         fault-free runs, one expressed through the enum, one through the\n\
-         trait) land near the hindsight optimum and the dynamic strategy pays\n\
+         fault-free runs, where neither re-places after its bootstrap\n\
+         placement) land near the hindsight optimum and the dynamic strategy pays\n\
          a small replication overhead on top; under hotspot-migration and\n\
          object-churn the frozen placement degrades while periodic\n\
          re-optimization buys its migration traffic back in service\n\

@@ -40,15 +40,17 @@ pub(crate) const CHUNK_MAGIC: [u8; 4] = *b"HBNH";
 /// Record magic of the journal segments a serving layer appends after a
 /// checkpoint ([`JournalRecord`]).
 pub(crate) const JOURNAL_MAGIC: [u8; 4] = *b"HBNJ";
-/// Current checkpoint format version. v5 moved the frozen epoch history
-/// into chunk files of its own and replaced byte-wise FNV-1a with
-/// [`checksum64`] (spec fingerprints included); v4 dropped the
-/// serve-shard count from the spec fingerprint; v3 added the per-tenant
-/// attribution state to the session payload and the capacity profile to
-/// the spec fingerprint; v2 added the per-epoch estimator bounds to the
-/// epoch record. Older files fail with [`RestoreError::BadVersion`]
-/// rather than decode wrongly.
-pub(crate) const VERSION: u32 = 5;
+/// Current checkpoint format version. v6 keeps a switched threshold
+/// policy's retired tree as totals in its ledger, not whole, and hashes
+/// the replay kernel's `Display` into the spec fingerprint; v5 moved the
+/// frozen epoch history into chunk files of its own and replaced
+/// byte-wise FNV-1a with [`checksum64`] (spec fingerprints included); v4
+/// dropped the serve-shard count from the spec fingerprint; v3 added the
+/// per-tenant attribution state to the session payload and the capacity
+/// profile to the spec fingerprint; v2 added the per-epoch estimator
+/// bounds to the epoch record. Older files fail with
+/// [`RestoreError::BadVersion`] rather than decode wrongly.
+pub(crate) const VERSION: u32 = 6;
 
 /// Why restoring a session (from a checkpoint or from disk) failed.
 #[derive(Debug)]
@@ -382,7 +384,7 @@ pub(crate) fn spec_fingerprint(spec: &ScenarioSpec) -> u64 {
     put_u64(&mut buf, spec.seed);
     put_u64(&mut buf, spec.epoch_requests as u64);
     put_u64(&mut buf, spec.exec.threshold);
-    put_str(&mut buf, &spec.exec.kernel_label());
+    put_str(&mut buf, &spec.exec.replay.to_string());
     put_u64(&mut buf, spec.exec.sim.injection_rate as u64);
     put_u64(&mut buf, spec.exec.sim.max_slots);
     put_u64(&mut buf, spec.schedule.initial_objects as u64);

@@ -165,6 +165,8 @@ pub enum ReplayKernel {
     },
 }
 
+/// The kernel's label, recorded in benchmark cells and hashed into every
+/// spec fingerprint: rewording one is a durable-format change.
 impl fmt::Display for ReplayKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -187,10 +189,10 @@ impl fmt::Display for ReplayKernel {
 /// directly.
 ///
 /// ```
-/// use hbn_scenario::ExecutionConfig;
+/// use hbn_scenario::{ExecutionConfig, ReplayKernel};
 ///
 /// let exec = ExecutionConfig { threshold: 3, ..ExecutionConfig::default() };
-/// assert_eq!(exec.kernel_label(), "workspace");
+/// assert_eq!(exec.replay, ReplayKernel::Workspace);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutionConfig {
@@ -207,22 +209,6 @@ pub struct ExecutionConfig {
 impl Default for ExecutionConfig {
     fn default() -> Self {
         ExecutionConfig { threshold: 1, replay: ReplayKernel::default(), sim: SimConfig::default() }
-    }
-}
-
-impl ExecutionConfig {
-    /// A compact label of the kernels driving the run (recorded in
-    /// benchmark cells so they are self-describing): `workspace` on the
-    /// default replay kernel, `serve=workspace/replay=…` otherwise.
-    pub fn kernel_label(&self) -> String {
-        // The strings date from a selectable serve kernel, and they stay:
-        // the label is hashed into every spec fingerprint (so into the
-        // durable bytes and file names) and recorded in the BENCH
-        // documents, so rewording it would be a durable-format change.
-        match self.replay {
-            ReplayKernel::Workspace => "workspace".into(),
-            replay => format!("serve=workspace/replay={replay}"),
-        }
     }
 }
 
@@ -394,7 +380,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// A scenario with every other field at its default: the dynamic
     /// strategy, uniform capacities, one replay epoch per phase, the
-    /// workspace kernels, the default simulator configuration and no
+    /// workspace replay kernel, the default simulator configuration and no
     /// faults. Set any other field directly, or with struct update:
     ///
     /// ```
@@ -409,7 +395,7 @@ impl ScenarioSpec {
     /// };
     /// spec.exec.replay = ReplayKernel::Estimate { sample_every: 2 };
     /// assert_eq!(spec.exec.threshold, 2);
-    /// assert_eq!(spec.exec.kernel_label(), "serve=workspace/replay=estimate(2)");
+    /// assert_eq!(spec.exec.replay.to_string(), "estimate(2)");
     /// ```
     pub fn new(
         name: impl Into<String>,
@@ -506,19 +492,20 @@ mod tests {
         assert!(spec.faults.is_empty());
         let exec = ExecutionConfig { threshold: 3, ..ExecutionConfig::default() };
         assert_eq!(format!("{:?}", spec.exec), format!("{exec:?}"));
-        assert_eq!(spec.exec.kernel_label(), "workspace");
         assert_eq!(format!("{}@{}", spec.topology, spec.strategy), "star(4,b=2)@dynamic");
     }
 
+    /// The replay kernels' labels, which spec fingerprints hash: a change
+    /// here moves the fingerprint of every spec that runs that kernel.
     #[test]
-    fn kernel_labels_cover_mixed_pairs() {
-        let mut exec = ExecutionConfig::default();
-        assert_eq!(exec.kernel_label(), "workspace");
-        exec.replay = ReplayKernel::Reference;
-        assert_eq!(exec.kernel_label(), "serve=workspace/replay=reference");
-        exec.replay = ReplayKernel::Estimate { sample_every: 4 };
-        assert_eq!(exec.kernel_label(), "serve=workspace/replay=estimate(4)");
-        exec.replay = ReplayKernel::Estimate { sample_every: 0 };
-        assert_eq!(exec.kernel_label(), "serve=workspace/replay=estimate(unsampled)");
+    fn replay_kernel_display_is_pinned() {
+        for (replay, label) in [
+            (ReplayKernel::Workspace, "workspace"),
+            (ReplayKernel::Reference, "reference"),
+            (ReplayKernel::Estimate { sample_every: 4 }, "estimate(4)"),
+            (ReplayKernel::Estimate { sample_every: 0 }, "estimate(unsampled)"),
+        ] {
+            assert_eq!(replay.to_string(), label);
+        }
     }
 }

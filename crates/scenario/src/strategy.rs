@@ -547,15 +547,17 @@ impl Core {
     }
 
     /// Turn a tree core static: a placement that holds the tree's replica
-    /// sets, inherited free of charge as at a strategy swap. Returns the
-    /// retired tree.
-    fn turn_static(&mut self, net: &Network) -> DynamicTree {
+    /// sets, inherited free of charge as at a strategy swap. The tree's
+    /// loads and counters fold into the ledger (plain sums, so the
+    /// policy's totals stay exact), and the tree is dropped.
+    fn turn_static(&mut self, net: &Network) {
         let n = self.sets.n_objects();
         let Sets::Dynamic(tree) = std::mem::replace(&mut self.sets, Sets::unplaced(net, n)) else {
             unreachable!("only a tree turns static");
         };
+        self.loads.add_assign(tree.loads());
+        self.stats = self.stats.merge(tree.stats());
         self.adopt(net, n, |x| tree.replicas(x));
-        tree
     }
 }
 
@@ -577,9 +579,9 @@ enum Rule {
     /// [`StrategyKind::FrozenStatic`]: frozen means no re-optimization,
     /// not no survival, so the heal still runs.
     Frozen,
-    /// [`StrategyKind::ThresholdSwitch`]: turn the tree static once. The
-    /// retired tree's loads and counters stay in the totals.
-    Switch { write_bound: f64, min_epochs: usize, retired: Option<DynamicTree> },
+    /// [`StrategyKind::ThresholdSwitch`]: turn the tree static once
+    /// ([`Core::turn_static`]).
+    Switch { write_bound: f64, min_epochs: usize },
 }
 
 impl Rule {
@@ -592,7 +594,7 @@ impl Rule {
             }
             Rule::Hybrid { every, .. } => StrategyKind::Hybrid { reseed_every_epochs: every },
             Rule::Frozen => StrategyKind::FrozenStatic,
-            Rule::Switch { write_bound, min_epochs, .. } => {
+            Rule::Switch { write_bound, min_epochs } => {
                 StrategyKind::ThresholdSwitch { write_bound, min_epochs }
             }
         }
@@ -708,7 +710,7 @@ impl Strategy for BuiltIn {
                     self.core.move_to(net, x, seed, &mut sweep);
                 }
             }
-            Rule::Switch { write_bound, min_epochs, retired } => {
+            Rule::Switch { write_bound, min_epochs } => {
                 let Sets::Dynamic(tree) = &self.core.sets else { return };
                 let s = tree.stats();
                 let total = s.reads + s.writes;
@@ -722,7 +724,7 @@ impl Strategy for BuiltIn {
                 // then re-place from the observed aggregate, charging the
                 // delta from those sets: the same sequence a mid-run
                 // `swap_strategy` into `periodic_static_from` performs.
-                *retired = Some(self.core.turn_static(net));
+                self.core.turn_static(net);
                 self.core.replace(net, observed, faults);
             }
         }
@@ -741,18 +743,11 @@ impl Strategy for BuiltIn {
     }
 
     fn add_loads_to(&self, out: &mut LoadMap) {
-        if let Rule::Switch { retired: Some(tree), .. } = &self.rule {
-            out.add_assign(tree.loads());
-        }
         self.core.add_loads_to(out);
     }
 
     fn stats(&self) -> DynamicStats {
-        let stats = self.core.stats();
-        match &self.rule {
-            Rule::Switch { retired: Some(tree), .. } => tree.stats().merge(stats),
-            _ => stats,
-        }
+        self.core.stats()
     }
 
     fn adopt(&mut self, net: &Network, prior: &dyn Strategy, max_objects: usize) {
@@ -762,16 +757,12 @@ impl Strategy for BuiltIn {
     fn durable(&self) -> Option<Vec<u8>> {
         let core = &self.core;
         let mut out = vec![self.rule.tag()];
-        match &self.rule {
-            Rule::Switch { retired, .. } => {
-                let ((Sets::Dynamic(tree), _) | (_, Some(tree))) = (&core.sets, retired) else {
-                    unreachable!("a switched core keeps its retired tree");
-                };
-                put_tree(&mut out, tree);
-                put_static(&mut out, core);
-            }
-            _ => put_core(&mut out, core),
+        if matches!(self.rule, Rule::Switch { .. }) {
+            // Whether it switched, so whether its core is a tree or a
+            // placement.
+            put_u8(&mut out, matches!(core.sets, Sets::Static { .. }) as u8);
         }
+        put_core(&mut out, core);
         if !matches!(self.rule, Rule::Dynamic) {
             put_u64(&mut out, core.d);
         }
@@ -785,10 +776,9 @@ impl Strategy for BuiltIn {
                 }
             }
             Rule::Hybrid { every, .. } => put_u64(&mut out, every as u64),
-            Rule::Switch { write_bound, min_epochs, ref retired } => {
+            Rule::Switch { write_bound, min_epochs } => {
                 put_f64(&mut out, write_bound);
                 put_u64(&mut out, min_epochs as u64);
-                put_u8(&mut out, retired.is_some() as u8);
             }
         }
         Some(out)
@@ -826,7 +816,7 @@ impl StrategyKind {
             },
             StrategyKind::FrozenStatic => Rule::Frozen,
             StrategyKind::ThresholdSwitch { write_bound, min_epochs } => {
-                Rule::Switch { write_bound, min_epochs, retired: None }
+                Rule::Switch { write_bound, min_epochs }
             }
         };
         Box::new(BuiltIn::new(net, exec, max_objects, rule))
@@ -892,22 +882,9 @@ fn put_tree(out: &mut Vec<u8>, tree: &DynamicTree) {
     put_stats(out, tree.stats());
 }
 
-/// A core's static section: the `placed` flag, the ledger, then every
-/// object's copy set. A tree core writes it empty and unplaced, as a
-/// threshold switch does before it switches.
-fn put_static(out: &mut Vec<u8>, core: &Core) {
-    put_u8(out, matches!(core.sets, Sets::Static { placed: true, .. }) as u8);
-    put_stats(out, core.stats);
-    put_loads(out, &core.loads);
-    let (n, held) = (core.sets.n_objects(), matches!(core.sets, Sets::Static { .. }));
-    put_u64(out, n as u64);
-    for i in 0..n {
-        put_nodes(out, if held { core.sets.copies(ObjectId(i as u32)) } else { &[] });
-    }
-}
-
 /// A core's section as [`read_core`] reads it back: a tree and then its
-/// ledger, or a static section.
+/// ledger, or a placement's static section (the `placed` flag, the
+/// ledger, then every object's copy set).
 fn put_core(out: &mut Vec<u8>, core: &Core) {
     match &core.sets {
         Sets::Dynamic(tree) => {
@@ -915,7 +892,15 @@ fn put_core(out: &mut Vec<u8>, core: &Core) {
             put_loads(out, &core.loads);
             put_stats(out, core.stats);
         }
-        Sets::Static { .. } => put_static(out, core),
+        Sets::Static { copies, placed, .. } => {
+            put_u8(out, *placed as u8);
+            put_stats(out, core.stats);
+            put_loads(out, &core.loads);
+            put_u64(out, copies.n_objects() as u64);
+            for i in 0..copies.n_objects() {
+                put_nodes(out, copies.copies(ObjectId(i as u32)));
+            }
+        }
     }
 }
 
@@ -1019,11 +1004,10 @@ fn read_core(
 }
 
 /// Rebuild a built-in strategy from its [`Strategy::durable`] bytes: the
-/// tag, the core section (a threshold switch writes its tree, live or
-/// retired, before a static section), `D` unless the policy is dynamic,
-/// then the rule's parameters. `exec` must be the execution config of
-/// the saved run (the spec fingerprint guarantees this for disk
-/// restores).
+/// tag (a threshold switch then writes whether it switched), the core
+/// section, `D` unless the policy is dynamic, then the rule's
+/// parameters. `exec` must be the execution config of the saved run (the
+/// spec fingerprint guarantees this for disk restores).
 pub(crate) fn strategy_from_durable(
     net: &Network,
     exec: &ExecutionConfig,
@@ -1035,11 +1019,12 @@ pub(crate) fn strategy_from_durable(
     if !(TAG_DYNAMIC..=TAG_THRESHOLD_SWITCH).contains(&tag) {
         return Err(format!("unknown strategy tag {tag}"));
     }
-    let switch_tree = match tag {
-        TAG_THRESHOLD_SWITCH => Some(read_tree(&mut dec, net, exec, max_objects)?),
-        _ => None,
+    // A threshold switch's core is its tree until it switches.
+    let dynamic = match tag {
+        TAG_DYNAMIC | TAG_HYBRID => true,
+        TAG_THRESHOLD_SWITCH => !dec.flag()?,
+        _ => false,
     };
-    let dynamic = matches!(tag, TAG_DYNAMIC | TAG_HYBRID);
     let mut core = read_core(&mut dec, net, exec, max_objects, dynamic)?;
     if tag != TAG_DYNAMIC {
         core.d = dec.u64()?;
@@ -1056,25 +1041,7 @@ pub(crate) fn strategy_from_durable(
             Rule::Hybrid { every, kernel: Box::new(PlacementKernel::new(net)) }
         }
         TAG_FROZEN_STATIC => Rule::Frozen,
-        _ => {
-            let tree = switch_tree.expect("a threshold switch's tree is read first");
-            let write_bound = dec.f64()?;
-            let min_epochs = dec.u64()? as usize;
-            let retired = if dec.flag()? {
-                Some(tree)
-            } else {
-                // Before the switch the static section carries only the
-                // ledger; the tree serves.
-                let empty =
-                    (0..max_objects).all(|i| core.sets.copies(ObjectId(i as u32)).is_empty());
-                if !empty || matches!(core.sets, Sets::Static { placed: true, .. }) {
-                    return Err("unswitched threshold switch with a placement".into());
-                }
-                core.sets = Sets::Dynamic(tree);
-                None
-            };
-            Rule::Switch { write_bound, min_epochs, retired }
-        }
+        _ => Rule::Switch { write_bound: dec.f64()?, min_epochs: dec.u64()? as usize },
     };
     dec.finish()?;
     Ok(Box::new(BuiltIn { core, rule }))
@@ -1097,32 +1064,6 @@ mod tests {
             put_loads(&mut out, &LoadMap::zero(net));
             put_stats(&mut out, DynamicStats::default());
         }
-        out
-    }
-
-    /// The durable bytes of a one-object threshold switch whose tree never
-    /// touched the object: its static section `placed`, holding `copies`
-    /// and a non-zero ledger, then the `switched` flag.
-    fn switch_bytes(net: &Network, placed: bool, copies: &[NodeId], switched: bool) -> Vec<u8> {
-        let mut out = vec![TAG_THRESHOLD_SWITCH];
-        put_u64(&mut out, 1);
-        put_u8(&mut out, 0);
-        put_loads(&mut out, &LoadMap::zero(net));
-        put_stats(&mut out, DynamicStats::default());
-        put_u8(&mut out, placed as u8);
-        put_stats(
-            &mut out,
-            DynamicStats { replications: 2, repairs: 2, ..DynamicStats::default() },
-        );
-        let mut loads = LoadMap::zero(net);
-        loads.add_edge(EdgeId(net.processors()[0].0), 4);
-        put_loads(&mut out, &loads);
-        put_u64(&mut out, 1);
-        put_nodes(&mut out, copies);
-        put_u64(&mut out, 2);
-        put_f64(&mut out, 0.5);
-        put_u64(&mut out, 1);
-        put_u8(&mut out, switched as u8);
         out
     }
 
@@ -1225,7 +1166,7 @@ mod tests {
         assert_eq!(firing(periodic(0, Some(4))), [4]);
         assert_eq!(firing(hybrid(3)), [3, 6, 9]);
         assert_eq!(firing(hybrid(0)), [1]);
-        assert_eq!(firing(Rule::Switch { write_bound: 0.0, min_epochs: 1, retired: None }), []);
+        assert_eq!(firing(Rule::Switch { write_bound: 0.0, min_epochs: 1 }), []);
     }
 
     /// Every kind builds a policy labelled with the kind's `Display`, and
@@ -1272,24 +1213,46 @@ mod tests {
         assert!(duplicate.is_err_and(|e| e.contains("duplicate")));
     }
 
-    /// Before the switch, a threshold switch's static section carries
-    /// only the ledger: an unswitched frame whose static section is
-    /// placed or holds copies is malformed, never carried into the
-    /// switch. The valid forms restore to the same bytes.
+    /// A threshold switch writes whether it switched right after its tag,
+    /// then one core section: its tree before the switch, its placement
+    /// after. Both forms restore to the same bytes, and a switched byte
+    /// other than 0 or 1 is malformed.
     #[test]
-    fn pre_switch_static_sections_must_be_empty_and_unplaced() {
-        let net = TopologyFamily::Star { processors: 4, bus_bandwidth: 2 }.build();
-        let exec = ExecutionConfig::default();
-        let p0 = net.processors()[0];
-        for (placed, copies, switched) in [(false, &[][..], false), (true, &[p0][..], true)] {
-            let bytes = switch_bytes(&net, placed, copies, switched);
-            let restored = strategy_from_durable(&net, &exec, 1, &bytes).unwrap();
-            assert_eq!(restored.durable().unwrap(), bytes);
+    fn switch_restores_on_both_sides_of_its_switch() {
+        let net = TopologyFamily::Balanced { branching: 2, height: 2 }.build();
+        let exec = ExecutionConfig { threshold: 2, ..ExecutionConfig::default() };
+        let p = net.processors();
+        let n = 4;
+        let trace: Vec<OnlineRequest> = (0..24)
+            .map(|i| OnlineRequest {
+                processor: p[i * 5 % p.len()],
+                object: ObjectId((i % n) as u32),
+                is_write: i % 3 == 0,
+            })
+            .collect();
+        let mut observed = AccessMatrix::new(n);
+        for r in &trace {
+            observed.add(r.processor, r.object, u64::from(!r.is_write), u64::from(r.is_write));
         }
-        for (placed, copies) in [(true, &[][..]), (false, &[p0][..]), (true, &[p0][..])] {
-            let bytes = switch_bytes(&net, placed, copies, false);
-            let malformed = strategy_from_durable(&net, &exec, 1, &bytes);
-            assert!(malformed.is_err_and(|e| e.contains("unswitched")), "{placed} {copies:?}");
+        let pristine = FaultView::pristine(&net);
+        let kind = StrategyKind::ThresholdSwitch { write_bound: 0.0, min_epochs: 1 };
+        let mut policy = kind.build(&net, &exec, n);
+        policy.begin_epoch(&net, 0, &AccessMatrix::new(n), &pristine);
+        policy.serve_batch(&net, &trace, &observed);
+        let before = policy.durable().unwrap();
+        policy.begin_epoch(&net, 1, &observed, &pristine);
+        let after = policy.durable().unwrap();
+        // The tree's counters survive the switch in the policy's totals.
+        assert_eq!(policy.stats().reads + policy.stats().writes, trace.len() as u64);
+
+        for (switched, bytes) in [(0, before), (1, after)] {
+            assert_eq!(bytes[1], switched);
+            let restored = strategy_from_durable(&net, &exec, n, &bytes).unwrap();
+            assert_eq!(restored.durable().unwrap(), bytes, "switched {switched}");
+            let mut flagged = bytes;
+            flagged[1] = 2;
+            let malformed = strategy_from_durable(&net, &exec, n, &flagged);
+            assert!(malformed.is_err_and(|e| e == "flag byte 2"), "switched {switched}");
         }
     }
 }

@@ -58,8 +58,8 @@ fn save_restore_roundtrip(
 
 /// Disk roundtrip is exact for every built-in strategy kind, including
 /// under an active fault plan (the checkpoint lands mid-outage). The
-/// threshold switch is forced at epoch 3, so the checkpoint at 5 holds
-/// its retired tree.
+/// threshold switch is forced at epoch 3, so the checkpoint at 5 is
+/// taken after its switch.
 #[test]
 fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
     for (i, strategy) in [
@@ -91,13 +91,13 @@ fn disk_checkpoint_resumes_bit_for_bit_for_every_builtin() {
 /// The frozen-static and threshold-switch policies restore after a
 /// mid-run swap into them too.
 #[test]
-fn disk_checkpoint_covers_trait_only_strategies() {
+fn disk_checkpoint_restores_after_a_mid_run_swap() {
     let spec = base_spec(31);
     let swap_frozen = |s: &mut Session| {
         let frozen = StrategyKind::FrozenStatic.build(s.network(), s.execution(), s.max_objects());
         s.swap_strategy(frozen);
     };
-    let dir = tmp("roundtrip_trait_only");
+    let dir = tmp("roundtrip_swap");
     let path = dir.join("frozen.hbnc");
     let (expected, resumed) = save_restore_roundtrip(&spec, 3, &path, Some(&swap_frozen));
     assert_eq!(resumed, expected);
@@ -218,10 +218,11 @@ fn foreign_files_are_rejected_by_kind() {
     std::fs::write(&vpath, &flipped).unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &vpath), Err(RestoreError::BadVersion(_))));
     // A real frame rewritten to an earlier format version is refused by
-    // version — not as a spec mismatch, not as a corrupt file: v4 kept the
-    // whole epoch history inline and checksummed byte by byte, and v3's
-    // spec fingerprint still hashed a serve-shard count.
-    for old in [3u32, 4] {
+    // version — not as a spec mismatch, not as a corrupt file: v5 carried
+    // a switched policy's retired tree and hashed the serve-era kernel
+    // label, v4 kept the whole epoch history inline and checksummed byte
+    // by byte, and v3's spec fingerprint still hashed a serve-shard count.
+    for old in [3u32, 4, 5] {
         let mut rewritten = bytes.clone();
         rewritten[4..8].copy_from_slice(&old.to_le_bytes());
         let opath = dir.join(format!("version_{old}.hbnc"));
@@ -557,7 +558,7 @@ proptest! {
     }
 }
 
-// --- the v5 layout, pinned --------------------------------------------
+// --- the v6 layout, pinned --------------------------------------------
 
 /// FNV-1a (64-bit) of `bytes`, continuing from `h`: the digest the golden
 /// values below were recorded with.
@@ -591,7 +592,7 @@ fn golden_policy(
     }
 }
 
-/// Format v5, pinned byte for byte. For each built-in policy, pristine and
+/// Format v6, pinned byte for byte. For each built-in policy, pristine and
 /// under a seeded fault plan (bus outages at epoch 132 and at epochs
 /// 200-201), a 360-epoch run is digested twice: its final
 /// `Strategy::durable()` bytes, and the files of a checkpoint saved at
@@ -599,18 +600,18 @@ fn golden_policy(
 /// contents, so the spec fingerprint is pinned too). A change to either
 /// layout fails here unless it bumps `VERSION` and records the table anew.
 #[test]
-fn v5_layout_matches_golden_digests() {
+fn v6_layout_matches_golden_digests() {
     const GOLDEN: [(&str, bool, u64, u64); 10] = [
-        ("dynamic", false, 0xffd9_62e1_187f_c917, 0x2bcd_4854_8023_842a),
-        ("dynamic", true, 0x60ec_25a3_7892_ea7e, 0x5d49_76ed_c534_9e1d),
-        ("periodic-static", false, 0x56b3_f504_7b1c_d8e0, 0x754e_4ed9_5e1f_3b8e),
-        ("periodic-static", true, 0x1544_1a9a_b550_2716, 0x8f8e_350c_4e62_30c4),
-        ("hybrid", false, 0x7482_5ed7_6455_07ca, 0xe8ea_1d58_62c9_84a7),
-        ("hybrid", true, 0x7085_a262_d626_c13d, 0x645b_b1b8_335e_200f),
-        ("frozen-static", false, 0x1f62_f2ed_0ed2_c78b, 0xf5c7_e6e4_eed0_f312),
-        ("frozen-static", true, 0x53b7_bdad_f2ea_c81c, 0xc4a9_8eb9_1f1a_c16d),
-        ("threshold-switch", false, 0x4168_6c6b_fdea_cf08, 0x17bd_9052_2e4d_65ca),
-        ("threshold-switch", true, 0xeffb_18ab_8135_ef02, 0x2f31_e1d6_2e4f_2ce4),
+        ("dynamic", false, 0xffd9_62e1_187f_c917, 0x5780_b19e_210d_e87c),
+        ("dynamic", true, 0x60ec_25a3_7892_ea7e, 0x9017_819e_8dfe_11a9),
+        ("periodic-static", false, 0x56b3_f504_7b1c_d8e0, 0x0238_f3c7_3350_4801),
+        ("periodic-static", true, 0x1544_1a9a_b550_2716, 0xd5d5_e461_a78e_83ca),
+        ("hybrid", false, 0x7482_5ed7_6455_07ca, 0xc7e9_12f8_1ba4_59da),
+        ("hybrid", true, 0x7085_a262_d626_c13d, 0xb9f0_9f73_3b13_5ea8),
+        ("frozen-static", false, 0x1f62_f2ed_0ed2_c78b, 0x596d_5350_730e_d07a),
+        ("frozen-static", true, 0x53b7_bdad_f2ea_c81c, 0xe019_fc3d_9e9d_4177),
+        ("threshold-switch", false, 0x00a2_f822_5e22_2763, 0x728e_6874_a1c7_51cb),
+        ("threshold-switch", true, 0xc6a0_362c_0266_2c59, 0x5202_ca2f_8cab_73d6),
     ];
     for (policy, faulted, durable_digest, files_digest) in GOLDEN {
         let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
