@@ -89,13 +89,16 @@ impl LoadMap {
         }
     }
 
-    /// Pointwise difference; panics (in debug) on underflow. Used by the
-    /// exact branch-and-bound solvers to undo a branch.
+    /// Pointwise difference: takes away loads `other` added before.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "load underflow", in every build, if `other` exceeds
+    /// `self` on some edge.
     pub fn sub_assign(&mut self, other: &LoadMap) {
         assert_eq!(self.edge.len(), other.edge.len());
         for (a, b) in self.edge.iter_mut().zip(&other.edge) {
-            debug_assert!(*a >= *b, "load underflow");
-            *a -= *b;
+            *a = a.checked_sub(*b).expect("load underflow");
         }
     }
 

@@ -40,7 +40,11 @@ pub(crate) const CHUNK_MAGIC: [u8; 4] = *b"HBNH";
 /// Record magic of the journal segments a serving layer appends after a
 /// checkpoint ([`JournalRecord`]).
 pub(crate) const JOURNAL_MAGIC: [u8; 4] = *b"HBNJ";
-/// Current checkpoint format version. v6 keeps a switched threshold
+/// Current checkpoint format version. v7 stores each fact of a session's
+/// run state once: the frame drops the epoch and phase cursors, which the
+/// history and the draw count give back, and writes one congestion per
+/// completed phase in place of the phase's summary, which the history's
+/// epochs give back; v6 keeps a switched threshold
 /// policy's retired tree as totals in its ledger, not whole, and hashes
 /// the replay kernel's `Display` into the spec fingerprint; v5 moved the
 /// frozen epoch history into chunk files of its own and replaced
@@ -50,7 +54,7 @@ pub(crate) const JOURNAL_MAGIC: [u8; 4] = *b"HBNJ";
 /// profile to the spec fingerprint; v2 added the per-epoch estimator
 /// bounds to the epoch record. Older files fail with
 /// [`RestoreError::BadVersion`] rather than decode wrongly.
-pub(crate) const VERSION: u32 = 6;
+pub(crate) const VERSION: u32 = 7;
 
 /// Why restoring a session (from a checkpoint or from disk) failed.
 #[derive(Debug)]
@@ -75,8 +79,9 @@ pub enum RestoreError {
     /// The serving strategy does not support durable serialization
     /// (external policies keep the default [`crate::Strategy::durable`]).
     UnsupportedStrategy(String),
-    /// An in-memory checkpoint fails validation (invalid fault plan,
-    /// out-of-range schedule indices).
+    /// A checkpoint fails validation (an invalid fault plan, more
+    /// completed phases than the schedule has, or a draw count outside
+    /// the current phase).
     InvalidState(String),
 }
 
@@ -512,11 +517,6 @@ impl<'a> Dec<'a> {
             return Err(format!("length {n} exceeds remaining payload"));
         }
         Ok(n)
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        let n = self.len(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "invalid utf-8".into())
     }
 
     /// A length-prefixed opaque byte slice (nested payloads).

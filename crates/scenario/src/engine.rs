@@ -248,10 +248,10 @@ pub(crate) fn recovery_epochs(epochs: &[EpochSummary]) -> Option<u64> {
         .map(|offset| offset as u64 + 1)
 }
 
-/// Aggregate a phase's epochs into its summary.
+/// Aggregate a phase's epochs, in run order, into its summary.
 pub(crate) fn summarise_phase(
     label: String,
-    epochs: &[EpochSummary],
+    epochs: &[&EpochSummary],
     online_congestion: LoadRatio,
 ) -> PhaseSummary {
     let mut traffic = TrafficCounters::default();

@@ -101,14 +101,9 @@ impl History {
         }
     }
 
-    /// The epochs from index `start` on, in order.
-    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = &EpochSummary> {
-        let first = (start / CHUNK_EPOCHS).min(self.chunks.len());
-        self.chunks[first..]
-            .iter()
-            .flat_map(|chunk| chunk.epochs.iter())
-            .chain(&self.tail)
-            .skip(start - first * CHUNK_EPOCHS)
+    /// Every epoch, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &EpochSummary> {
+        self.chunks.iter().flat_map(|chunk| chunk.epochs.iter()).chain(&self.tail)
     }
 
     /// Every epoch in one vector, moving the chunks no checkpoint shares.

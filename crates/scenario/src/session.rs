@@ -19,17 +19,17 @@
 //!   accounting unbroken;
 //! * **checkpoint/restore**: [`Session::checkpoint`] snapshots the full
 //!   driver + policy state (copy sets, aggregate matrix, RNG cursor,
-//!   accumulated summaries); [`Session::restore`] resumes it, and the
+//!   epoch history); [`Session::restore`] resumes it, and the
 //!   resumed run reproduces an unbroken one exactly
 //!   (`exp_session_resume` proves it at benchmark scale).
 
 use crate::durable::{
-    parent_dir, put_f64, put_loads, put_ratio, put_stats, put_str, put_u32, put_u64, put_u8,
-    read_frame, spec_fingerprint, write_frame, Dec, RestoreError, MAGIC,
+    parent_dir, put_f64, put_loads, put_ratio, put_stats, put_u32, put_u64, put_u8, read_frame,
+    spec_fingerprint, write_frame, Dec, RestoreError, MAGIC,
 };
 use crate::engine::{
-    recovery_epochs, summarise_phase, EpochEstimate, EpochSummary, PhaseSummary, ScenarioReport,
-    TenantSummary, TrafficCounters,
+    recovery_epochs, summarise_phase, EpochEstimate, EpochSummary, ScenarioReport, TenantSummary,
+    TrafficCounters,
 };
 use crate::faults::FaultView;
 use crate::history::History;
@@ -37,23 +37,27 @@ use crate::spec::{ExecutionConfig, ReplayKernel, ScenarioSpec};
 use crate::strategy::{strategy_from_durable, Strategy};
 use hbn_core::PlacementKernel;
 use hbn_dynamic::{DynamicStats, OnlineRequest};
-use hbn_load::{add_object_loads, LoadMap, Placement};
+use hbn_load::{add_object_loads, LoadMap, LoadRatio, Placement};
 use hbn_sim::{
     estimate_makespan_from_loads, simulate_reference, simulate_reference_overlay, simulate_with,
     simulate_with_overlay, SimError, SimResult, SimWorkspace,
 };
 use hbn_topology::steiner::SteinerScratch;
 use hbn_topology::{Network, NodeId};
-use hbn_workload::{AccessMatrix, ObjectId, PhaseStreamState, Request};
+use hbn_workload::{AccessMatrix, ObjectId, PhaseSchedule, PhaseStreamState, Request};
 use std::path::Path;
 
+/// The counts `cur` gained since `prev`. A policy's counters never
+/// shrink ([`Strategy::stats`]); one that does panics here, in every
+/// build, rather than report a wrapped count.
 fn stats_delta(cur: DynamicStats, prev: DynamicStats) -> DynamicStats {
+    let sub = |now: u64, then: u64| now.checked_sub(then).expect("counter underflow");
     DynamicStats {
-        reads: cur.reads - prev.reads,
-        writes: cur.writes - prev.writes,
-        replications: cur.replications - prev.replications,
-        collapses: cur.collapses - prev.collapses,
-        repairs: cur.repairs - prev.repairs,
+        reads: sub(cur.reads, prev.reads),
+        writes: sub(cur.writes, prev.writes),
+        replications: sub(cur.replications, prev.replications),
+        collapses: sub(cur.collapses, prev.collapses),
+        repairs: sub(cur.repairs, prev.repairs),
     }
 }
 
@@ -81,18 +85,16 @@ struct EpochBuffers {
 }
 
 /// The run state of a [`Session`]: everything a checkpoint captures and
-/// a restore resumes. Every other `Session` field is the spec or a cache
-/// rebuilt from it (see [`Session::with_state`]), so new run state goes
-/// here and into the durable codec, and nowhere else.
+/// a restore resumes, each fact once. Every other `Session` field is the
+/// spec or a cache rebuilt from it (see [`Session::with_state`]), so new
+/// run state goes here and into the durable codec, and nowhere else.
 #[derive(Clone)]
 struct State {
     /// The serving policy; cloning it is [`crate::StrategySnapshot::snapshot`].
     strategy: Box<dyn Strategy>,
+    /// The request stream's cursor; how many requests it has drawn is
+    /// [`State::requests_drawn`].
     stream: PhaseStreamState,
-    /// Requests drawn from the stream so far — the durable form of the
-    /// stream cursor (a disk restore replays this many draws from a
-    /// fresh seed instead of serializing RNG internals).
-    requests_drawn: u64,
     /// Cumulative observed access matrix (what re-optimizing strategies
     /// see at epoch boundaries).
     aggregate: AccessMatrix,
@@ -114,22 +116,36 @@ struct State {
     tenant_loads: Vec<LoadMap>,
     /// Per-tenant request counts under the same partition.
     tenant_requests: Vec<u64>,
-    /// Global epoch counter across phases — the strategy boundary clock.
-    epoch_idx: usize,
-    phase_idx: usize,
-    remaining_in_phase: usize,
-    /// Index into `history` where the current phase began.
-    phase_start: usize,
     /// Every epoch summary so far; cloning it shares the frozen chunks.
+    /// Its length is the global epoch clock, the strategy boundary clock.
     history: History,
-    /// Completed phase summaries, bounded by the schedule.
-    phases: Vec<PhaseSummary>,
+    /// The congestion of the loads each completed schedule phase added,
+    /// in schedule order: the one figure of a phase summary that its
+    /// epochs cannot give back. Its length is the current phase's index.
+    phase_congestion: Vec<LoadRatio>,
+}
+
+impl State {
+    /// Requests drawn from the stream so far — the durable form of the
+    /// stream cursor (a disk restore replays this many draws from a
+    /// fresh seed instead of serializing RNG internals).
+    fn requests_drawn(&self, schedule: &PhaseSchedule) -> usize {
+        schedule.total_requests() - self.stream.remaining(schedule)
+    }
+
+    /// The draw counts at which the current phase starts and ends: the
+    /// requests of the completed phases, and those plus its own.
+    fn phase_draws(&self, schedule: &PhaseSchedule) -> (usize, usize) {
+        let mut requests = schedule.phases.iter().map(|p| p.requests);
+        let start: usize = requests.by_ref().take(self.phase_congestion.len()).sum();
+        (start, start + requests.next().unwrap_or(0))
+    }
 }
 
 /// A resumable snapshot of a [`Session`]: the policy state (copy sets,
 /// loads, counters via [`crate::StrategySnapshot::snapshot`]), the
-/// stream's RNG cursor, the observed aggregate matrix and every summary
-/// accumulated so far.
+/// stream's RNG cursor, the observed aggregate matrix, every epoch
+/// summary so far and the congestion of each completed phase.
 /// Opaque by design — produce with [`Session::checkpoint`], consume with
 /// [`Session::restore`].
 pub struct SessionCheckpoint {
@@ -140,7 +156,7 @@ pub struct SessionCheckpoint {
 impl SessionCheckpoint {
     /// Global epoch index the restored session will continue from.
     pub fn epoch_index(&self) -> usize {
-        self.state.epoch_idx
+        self.state.history.len()
     }
 
     /// Write the checkpoint to `path` as a durable file: a versioned,
@@ -175,7 +191,7 @@ impl SessionCheckpoint {
         let fingerprint = spec_fingerprint(&self.spec);
         let mut p = Vec::new();
         put_u64(&mut p, fingerprint);
-        put_u64(&mut p, st.requests_drawn);
+        put_u64(&mut p, st.requests_drawn(&self.spec.schedule) as u64);
         put_u64(&mut p, strategy_bytes.len() as u64);
         p.extend_from_slice(&strategy_bytes);
         put_matrix(&mut p, &st.aggregate);
@@ -191,14 +207,10 @@ impl SessionCheckpoint {
         for &requests in &st.tenant_requests {
             put_u64(&mut p, requests);
         }
-        put_u64(&mut p, st.epoch_idx as u64);
-        put_u64(&mut p, st.phase_idx as u64);
-        put_u64(&mut p, st.remaining_in_phase as u64);
-        put_u64(&mut p, st.phase_start as u64);
         st.history.put_durable(&mut p);
-        put_u64(&mut p, st.phases.len() as u64);
-        for ph in &st.phases {
-            put_phase(&mut p, ph);
+        put_u64(&mut p, st.phase_congestion.len() as u64);
+        for &congestion in &st.phase_congestion {
+            put_ratio(&mut p, congestion);
         }
         st.history.save_chunks(parent_dir(path), fingerprint)?;
         write_frame(path, MAGIC, &p)
@@ -320,28 +332,6 @@ pub(crate) fn read_epoch(dec: &mut Dec<'_>) -> Result<EpochSummary, String> {
     })
 }
 
-fn put_phase(out: &mut Vec<u8>, ph: &PhaseSummary) {
-    put_str(out, &ph.label);
-    put_u64(out, ph.epochs as u64);
-    put_traffic(out, ph.traffic);
-    put_ratio(out, ph.online_congestion);
-    put_u64(out, ph.makespan);
-    put_f64(out, ph.mean_latency);
-    put_u64(out, ph.p99_latency);
-}
-
-fn read_phase(dec: &mut Dec<'_>) -> Result<PhaseSummary, String> {
-    Ok(PhaseSummary {
-        label: dec.string()?,
-        epochs: dec.u64()? as usize,
-        traffic: read_traffic(dec)?,
-        online_congestion: dec.ratio()?,
-        makespan: dec.u64()?,
-        mean_latency: dec.f64()?,
-        p99_latency: dec.u64()?,
-    })
-}
-
 /// Decode a durable payload back into a checkpoint under `spec`,
 /// validating the spec fingerprint, every length and every index,
 /// reading the frozen history chunks from `dir` and rebuilding the
@@ -391,13 +381,9 @@ fn decode_state(
     }
     let tenant_loads = (0..n_tenants).map(|_| dec.loads(net)).collect::<Result<Vec<_>, _>>()?;
     let tenant_requests = (0..n_tenants).map(|_| dec.u64()).collect::<Result<Vec<_>, _>>()?;
-    let epoch_idx = dec.u64()? as usize;
-    let phase_idx = dec.u64()? as usize;
-    let remaining_in_phase = dec.u64()? as usize;
-    let phase_start = dec.u64()? as usize;
     let (digests, tail) = History::read_durable(dec)?;
-    let n_phases = dec.len(1)?;
-    let phases = (0..n_phases).map(|_| read_phase(dec)).collect::<Result<Vec<_>, _>>()?;
+    let n_phases = dec.len(16)?;
+    let phase_congestion = (0..n_phases).map(|_| dec.ratio()).collect::<Result<Vec<_>, _>>()?;
     let mut stream = spec.schedule.stream_state(net, spec.seed);
     for drawn in 0..requests_drawn {
         if stream.next_request(&spec.schedule, net).is_none() {
@@ -409,7 +395,6 @@ fn decode_state(
     let state = State {
         strategy,
         stream,
-        requests_drawn,
         aggregate,
         cum,
         phase_delta,
@@ -418,52 +403,30 @@ fn decode_state(
         stats_mark,
         tenant_loads,
         tenant_requests,
-        epoch_idx,
-        phase_idx,
-        remaining_in_phase,
-        phase_start,
         history: History::default(),
-        phases,
+        phase_congestion,
     };
     Ok((state, digests, tail))
 }
 
 /// The internal-consistency checks of [`Session::restore`]: the fault
-/// plan must be valid on the instantiated network and every schedule
-/// cursor in range and mutually consistent.
+/// plan must be valid on the instantiated network, the state must have
+/// completed no more phases than the schedule has, and the draw count
+/// must lie inside the current phase, so that the requests the phase has
+/// left ([`Session::remaining_in_phase`]) are a count.
 fn validate_cursors(spec: &ScenarioSpec, cp: &State, net: &Network) -> Result<(), RestoreError> {
     let bad = |msg: String| Err(RestoreError::InvalidState(msg));
     if let Err(e) = spec.faults.validate(net) {
         return bad(format!("invalid fault plan: {e}"));
     }
-    let n_phases = spec.schedule.phases.len();
-    if cp.phase_idx > n_phases {
-        return bad(format!("phase cursor {} beyond {n_phases} phases", cp.phase_idx));
+    let (n_phases, done) = (spec.schedule.phases.len(), cp.phase_congestion.len());
+    if done > n_phases {
+        return bad(format!("{done} completed phases of a {n_phases}-phase schedule"));
     }
-    if cp.phases.len() != cp.phase_idx {
-        return bad(format!(
-            "{} completed phases disagree with phase cursor {}",
-            cp.phases.len(),
-            cp.phase_idx
-        ));
-    }
-    if cp.epoch_idx != cp.history.len() {
-        return bad(format!(
-            "epoch cursor {} disagrees with {} recorded epochs",
-            cp.epoch_idx,
-            cp.history.len()
-        ));
-    }
-    if cp.phase_start > cp.history.len() {
-        return bad(format!("phase start {} beyond {} epochs", cp.phase_start, cp.history.len()));
-    }
-    if let Some(phase) = spec.schedule.phases.get(cp.phase_idx) {
-        if cp.remaining_in_phase > phase.requests {
-            return bad(format!(
-                "{} requests remaining in a {}-request phase",
-                cp.remaining_in_phase, phase.requests
-            ));
-        }
+    let (start, end) = cp.phase_draws(&spec.schedule);
+    let drawn = cp.requests_drawn(&spec.schedule);
+    if !(start..=end).contains(&drawn) {
+        return bad(format!("{drawn} requests drawn, outside phase {done}'s {start}..={end}"));
     }
     Ok(())
 }
@@ -545,7 +508,6 @@ impl Session {
         let state = State {
             strategy: factory(&net, &spec.exec, max_objects),
             stream: spec.schedule.stream_state(&net, spec.seed),
-            requests_drawn: 0,
             aggregate: AccessMatrix::new(max_objects),
             cum: LoadMap::zero(&net),
             phase_delta: LoadMap::zero(&net),
@@ -554,12 +516,8 @@ impl Session {
             stats_mark: DynamicStats::default(),
             tenant_loads: (0..tenant_slots).map(|_| LoadMap::zero(&net)).collect(),
             tenant_requests: vec![0; tenant_slots],
-            epoch_idx: 0,
-            phase_idx: 0,
-            remaining_in_phase: spec.schedule.phases.first().map_or(0, |p| p.requests),
-            phase_start: 0,
             history: History::default(),
-            phases: Vec::new(),
+            phase_congestion: Vec::new(),
         };
         Session::with_state(spec.clone(), net, state)
     }
@@ -599,7 +557,7 @@ impl Session {
 
     /// Global index of the next epoch to run.
     pub fn epoch_index(&self) -> usize {
-        self.state.epoch_idx
+        self.state.history.len()
     }
 
     /// The strategy currently serving the session.
@@ -666,11 +624,6 @@ impl Session {
         self.state.history.get(i)
     }
 
-    /// Summaries of the *completed* schedule phases so far.
-    pub fn phases(&self) -> &[PhaseSummary] {
-        &self.state.phases
-    }
-
     /// Run the next scheduled epoch: strategy boundary work, drawing the
     /// epoch's requests from the stream, serving them, replaying them on
     /// the simulator under the strategy's snapshot placement, and
@@ -681,40 +634,49 @@ impl Session {
     /// [`SimError::SlotBudgetExceeded`] if the replay outruns
     /// `exec.sim.max_slots`; the session is left unusable for further
     /// stepping in that case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the strategy's cumulative loads or counters shrank
+    /// since the previous epoch ("load underflow", "counter underflow"):
+    /// both only grow ([`Strategy::add_loads_to`], [`Strategy::stats`]).
     pub fn step_epoch(&mut self) -> Result<Option<EpochSummary>, SimError> {
         // Zero-request phases (legal in a schedule) complete immediately,
         // with an empty summary, exactly like the batch engine's
         // per-phase loop.
         let n_phases = self.spec.schedule.phases.len();
-        while self.state.phase_idx < n_phases && self.state.remaining_in_phase == 0 {
+        while self.state.phase_congestion.len() < n_phases && self.remaining_in_phase() == 0 {
             self.finish_phase();
         }
-        if self.state.phase_idx >= n_phases {
+        let phase = self.state.phase_congestion.len();
+        if phase >= n_phases {
             return Ok(None);
         }
 
+        let remaining = self.remaining_in_phase();
         let epoch_len = if self.spec.epoch_requests == 0 {
-            self.state.remaining_in_phase
+            remaining
         } else {
-            self.spec.epoch_requests.min(self.state.remaining_in_phase)
+            self.spec.epoch_requests.min(remaining)
         };
-        self.state.remaining_in_phase -= epoch_len;
 
         let view = self.begin_epoch();
+        let (stream, schedule, net) = (&mut self.state.stream, &self.spec.schedule, &self.net);
         self.epoch_trace.clear();
-        for _ in 0..epoch_len {
-            let Some(req) = self.state.stream.next_request(&self.spec.schedule, &self.net) else {
-                break;
-            };
-            self.state.requests_drawn += 1;
-            self.epoch_trace.push(req);
-        }
+        self.epoch_trace.extend((0..epoch_len).map_while(|_| stream.next_request(schedule, net)));
 
-        let summary = self.run_epoch_body(self.state.phase_idx, true, &view)?;
-        if self.state.remaining_in_phase == 0 {
+        let summary = self.run_epoch_body(phase, &view)?;
+        if epoch_len == remaining {
             self.finish_phase();
         }
         Ok(Some(summary))
+    }
+
+    /// Requests of the current schedule phase not yet drawn (0 once the
+    /// schedule is exhausted).
+    fn remaining_in_phase(&self) -> usize {
+        let schedule = &self.spec.schedule;
+        self.state.phase_draws(schedule).1 - self.state.requests_drawn(schedule)
     }
 
     /// Serve an externally-supplied request batch as one epoch — the
@@ -757,7 +719,8 @@ impl Session {
     /// references an object id at or beyond [`Session::max_objects`] or
     /// a node that is not one of the network's processors (external
     /// traffic is untrusted; scheduled traffic is valid by
-    /// construction).
+    /// construction). Panics as [`Session::step_epoch`] does if the
+    /// strategy's cumulative loads or counters shrank.
     pub fn push_epoch(&mut self, batch: &[OnlineRequest]) -> Result<EpochSummary, SimError> {
         // Validate the whole batch up front so a bad request cannot
         // leave the session partially mutated.
@@ -776,7 +739,7 @@ impl Session {
         let view = self.begin_epoch();
         self.epoch_trace.clear();
         self.epoch_trace.extend_from_slice(batch);
-        self.run_epoch_body(self.spec.schedule.phases.len(), false, &view)
+        self.run_epoch_body(self.spec.schedule.phases.len(), &view)
     }
 
     /// Strategy boundary work, before the epoch's requests are buffered:
@@ -785,25 +748,22 @@ impl Session {
     /// which is returned.
     fn begin_epoch(&mut self) -> FaultView {
         let st = &mut self.state;
-        let view = self.spec.faults.fault_view(&self.net, st.epoch_idx);
-        st.strategy.begin_epoch(&self.net, st.epoch_idx, &st.aggregate, &view);
+        let epoch = st.history.len();
+        let view = self.spec.faults.fault_view(&self.net, epoch);
+        st.strategy.begin_epoch(&self.net, epoch, &st.aggregate, &view);
         view
     }
 
     /// The shared body of an epoch, run on the buffered trace after the
     /// strategy's boundary work: fold the trace into the epoch matrix and
     /// that into the observed aggregate, serve, snapshot, replay, account deltas,
-    /// summarise. `in_phase` controls whether the epoch's traffic also
-    /// rolls into the running phase delta.
+    /// summarise. A scheduled epoch (`phase` inside the schedule) also
+    /// rolls its traffic into the running phase delta; a pushed one does
+    /// not.
     ///
     /// The epoch matrix, the snapshot and the accounting are touched only
     /// over the epoch's support ([`EpochBuffers`]).
-    fn run_epoch_body(
-        &mut self,
-        phase: usize,
-        in_phase: bool,
-        view: &FaultView,
-    ) -> Result<EpochSummary, SimError> {
+    fn run_epoch_body(&mut self, phase: usize, view: &FaultView) -> Result<EpochSummary, SimError> {
         let st = &mut self.state;
         let (net, max_objects) = (&self.net, self.max_objects);
         let buf = self.epoch.get_or_insert_with(|| EpochBuffers {
@@ -885,7 +845,7 @@ impl Session {
             ReplayKernel::Estimate { sample_every } => {
                 let bounds =
                     estimate_makespan_from_loads(net, epoch_matrix, placement_loads, cfg, overlay);
-                let sampled = sample_every > 0 && st.epoch_idx.is_multiple_of(sample_every);
+                let sampled = sample_every > 0 && st.history.len().is_multiple_of(sample_every);
                 let estimate = EpochEstimate {
                     lower: bounds.lower,
                     upper: bounds.upper,
@@ -902,7 +862,7 @@ impl Session {
         st.strategy.add_loads_to(&mut self.epoch_delta);
         self.epoch_delta.sub_assign(&st.cum);
         st.cum.add_assign(&self.epoch_delta);
-        if in_phase {
+        if phase < self.spec.schedule.phases.len() {
             st.phase_delta.add_assign(&self.epoch_delta);
         }
         let stats_now = st.retired_stats.merge(st.strategy.stats());
@@ -941,33 +901,15 @@ impl Session {
             buses_degraded: view.buses_degraded,
         };
         st.history.push(summary.clone());
-        st.epoch_idx += 1;
         Ok(summary)
     }
 
-    /// Close out the current schedule phase: summarise its epochs and
-    /// advance to the next phase.
+    /// Close out the current schedule phase: record the congestion of the
+    /// loads it added, and advance to the next phase.
     fn finish_phase(&mut self) {
         let st = &mut self.state;
-        let phase = &self.spec.schedule.phases[st.phase_idx];
-        // Epochs pushed mid-phase carry the out-of-schedule phase index;
-        // the phase summary covers only the schedule's own epochs.
-        let phase_epochs: Vec<EpochSummary> = st
-            .history
-            .iter_from(st.phase_start)
-            .filter(|e| e.phase == st.phase_idx)
-            .cloned()
-            .collect();
-        st.phases.push(summarise_phase(
-            phase.label.clone(),
-            &phase_epochs,
-            st.phase_delta.congestion(&self.net).congestion,
-        ));
+        st.phase_congestion.push(st.phase_delta.congestion(&self.net).congestion);
         st.phase_delta.reset();
-        st.phase_start = st.history.len();
-        st.phase_idx += 1;
-        st.remaining_in_phase =
-            self.spec.schedule.phases.get(st.phase_idx).map_or(0, |p| p.requests);
     }
 
     /// Replace the serving policy at the current epoch boundary (between
@@ -988,8 +930,8 @@ impl Session {
     }
 
     /// Snapshot the full session state — strategy (copy sets, loads,
-    /// counters), stream RNG cursor, aggregate matrix, delta marks and
-    /// accumulated summaries. The checkpoint is independent of the
+    /// counters), stream RNG cursor, aggregate matrix, delta marks, epoch
+    /// history and phase congestions. The checkpoint is independent of the
     /// session: both can be driven on afterwards. The frozen chunks of
     /// the epoch history are immutable and shared, so the history costs
     /// one reference count plus a copy of the unfrozen tail.
@@ -1007,7 +949,8 @@ impl Session {
     ///
     /// [`RestoreError::InvalidState`] when the checkpoint is internally
     /// inconsistent — an invalid fault plan on the instantiated network,
-    /// or schedule cursors out of range. (In-memory checkpoints from
+    /// more completed phases than the schedule has, or a draw count
+    /// outside the current phase's requests. (In-memory checkpoints from
     /// [`Session::checkpoint`] always pass; the checks guard state that
     /// crossed a serialization boundary.)
     pub fn restore(checkpoint: SessionCheckpoint) -> Result<Session, RestoreError> {
@@ -1045,11 +988,7 @@ impl Session {
     /// per-epoch summaries, cumulative online congestion, and the
     /// hindsight (static nibble on the aggregate matrix) comparison.
     pub fn report(&self) -> ScenarioReport {
-        self.assemble_report(
-            self.spec.name.clone(),
-            self.state.phases.clone(),
-            self.state.history.iter_from(0).cloned().collect(),
-        )
+        self.assemble_report(self.spec.name.clone(), self.state.history.iter().cloned().collect())
     }
 
     /// [`Session::report`], consuming the session — the summaries and
@@ -1057,20 +996,27 @@ impl Session {
     /// run copies only the history chunks a checkpoint still shares.
     pub fn into_report(mut self) -> ScenarioReport {
         let name = std::mem::take(&mut self.spec.name);
-        let phases = std::mem::take(&mut self.state.phases);
         let epochs = std::mem::take(&mut self.state.history).into_vec();
-        self.assemble_report(name, phases, epochs)
+        self.assemble_report(name, epochs)
     }
 
     /// The shared report assembly behind [`Session::report`] (cloned
-    /// summaries) and [`Session::into_report`] (moved summaries).
-    fn assemble_report(
-        &self,
-        name: String,
-        phases: Vec<PhaseSummary>,
-        epochs: Vec<EpochSummary>,
-    ) -> ScenarioReport {
+    /// summaries) and [`Session::into_report`] (moved summaries). Each
+    /// completed phase's summary sums its epochs; pushed epochs, and those
+    /// of the phase under way, carry a phase index past the completed ones.
+    fn assemble_report(&self, name: String, epochs: Vec<EpochSummary>) -> ScenarioReport {
         let st = &self.state;
+        let mut of_phase = vec![Vec::new(); st.phase_congestion.len()];
+        for e in &epochs {
+            if let Some(list) = of_phase.get_mut(e.phase) {
+                list.push(e);
+            }
+        }
+        let phases = (of_phase.iter().zip(&st.phase_congestion).zip(&self.spec.schedule.phases))
+            .map(|((list, &congestion), phase)| {
+                summarise_phase(phase.label.clone(), list, congestion)
+            })
+            .collect();
         let online_congestion = st.cum.congestion(&self.net).congestion;
         let mut hindsight = LoadMap::zero(&self.net);
         PlacementKernel::new(&self.net).add_nibble_loads(&self.net, &st.aggregate, &mut hindsight);
@@ -1122,5 +1068,54 @@ impl Session {
             epochs,
             stats: st.retired_stats.merge(st.strategy.stats()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::TopologyFamily;
+    use hbn_workload::phases::full_tour;
+
+    /// A checkpoint after `epochs` epochs of a run of six 120-request
+    /// phases in epochs of 40, three to a phase.
+    fn checkpoint_after(epochs: usize) -> SessionCheckpoint {
+        let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+        let mut spec = ScenarioSpec::new("tampered", topology, full_tour(8, 120), 2, 7);
+        spec.epoch_requests = 40;
+        let mut session = Session::new(&spec);
+        for _ in 0..epochs {
+            session.step_epoch().unwrap().expect("the schedule runs 18 epochs");
+        }
+        session.checkpoint()
+    }
+
+    fn invalid(checkpoint: SessionCheckpoint) -> bool {
+        matches!(Session::restore(checkpoint), Err(RestoreError::InvalidState(_)))
+    }
+
+    /// The completed phases and the draw count must agree: a checkpoint
+    /// whose draws lie outside its current phase is refused on restore,
+    /// before a later `step_epoch` could take the requests left in the
+    /// phase from a draw count past its end.
+    #[test]
+    fn restore_refuses_phases_that_disagree_with_the_draws() {
+        for epochs in [1, 4, 18] {
+            assert!(Session::restore(checkpoint_after(epochs)).is_ok(), "untampered, {epochs}");
+        }
+
+        let mut finished = checkpoint_after(18);
+        assert_eq!(finished.state.phase_congestion.len(), 6);
+        finished.state.phase_congestion.push(LoadRatio::ZERO);
+        assert!(invalid(finished), "seven completed phases of a six-phase schedule");
+
+        let mut in_phase_1 = checkpoint_after(4);
+        assert_eq!(in_phase_1.state.phase_congestion.len(), 1);
+        in_phase_1.state.phase_congestion.pop();
+        assert!(invalid(in_phase_1), "160 requests drawn in phase 0's 120");
+
+        let mut in_phase_0 = checkpoint_after(1);
+        in_phase_0.state.phase_congestion.push(LoadRatio::ZERO);
+        assert!(invalid(in_phase_0), "40 requests drawn, before phase 1 starts at 120");
     }
 }

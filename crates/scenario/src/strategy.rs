@@ -128,11 +128,14 @@ pub trait Strategy: Send + StrategySnapshot {
     fn copy_set(&self, x: ObjectId) -> &[NodeId];
 
     /// Sum the strategy's cumulative charged loads into `out` (on top of
-    /// what `out` already holds).
+    /// what `out` already holds). The loads are cumulative over the run
+    /// and never shrink on any edge: the session takes an epoch's loads
+    /// as their growth since the previous epoch, and panics if they shrank.
     fn add_loads_to(&self, out: &mut LoadMap);
 
     /// Event counters: requests served, `D`-sized data movements
-    /// (`replications`), copies dropped (`collapses`).
+    /// (`replications`), copies dropped (`collapses`). Cumulative over the
+    /// run like the loads: no counter ever decreases.
     fn stats(&self) -> DynamicStats;
 
     /// Take over from `prior` at a strategy swap

@@ -218,11 +218,13 @@ fn foreign_files_are_rejected_by_kind() {
     std::fs::write(&vpath, &flipped).unwrap();
     assert!(matches!(Session::restore_from_file(&spec, &vpath), Err(RestoreError::BadVersion(_))));
     // A real frame rewritten to an earlier format version is refused by
-    // version — not as a spec mismatch, not as a corrupt file: v5 carried
-    // a switched policy's retired tree and hashed the serve-era kernel
-    // label, v4 kept the whole epoch history inline and checksummed byte
-    // by byte, and v3's spec fingerprint still hashed a serve-shard count.
-    for old in [3u32, 4, 5] {
+    // version — not as a spec mismatch, not as a corrupt file: v6 stored
+    // the session's epoch and phase cursors and whole phase summaries, v5
+    // carried a switched policy's retired tree and hashed the serve-era
+    // kernel label, v4 kept the whole epoch history inline and checksummed
+    // byte by byte, and v3's spec fingerprint still hashed a serve-shard
+    // count.
+    for old in [3u32, 4, 5, 6] {
         let mut rewritten = bytes.clone();
         rewritten[4..8].copy_from_slice(&old.to_le_bytes());
         let opath = dir.join(format!("version_{old}.hbnc"));
@@ -558,7 +560,7 @@ proptest! {
     }
 }
 
-// --- the v6 layout, pinned --------------------------------------------
+// --- the v7 layout, pinned --------------------------------------------
 
 /// FNV-1a (64-bit) of `bytes`, continuing from `h`: the digest the golden
 /// values below were recorded with.
@@ -592,7 +594,7 @@ fn golden_policy(
     }
 }
 
-/// Format v6, pinned byte for byte. For each built-in policy, pristine and
+/// Format v7, pinned byte for byte. For each built-in policy, pristine and
 /// under a seeded fault plan (bus outages at epoch 132 and at epochs
 /// 200-201), a 360-epoch run is digested twice: its final
 /// `Strategy::durable()` bytes, and the files of a checkpoint saved at
@@ -600,18 +602,18 @@ fn golden_policy(
 /// contents, so the spec fingerprint is pinned too). A change to either
 /// layout fails here unless it bumps `VERSION` and records the table anew.
 #[test]
-fn v6_layout_matches_golden_digests() {
+fn v7_layout_matches_golden_digests() {
     const GOLDEN: [(&str, bool, u64, u64); 10] = [
-        ("dynamic", false, 0xffd9_62e1_187f_c917, 0x5780_b19e_210d_e87c),
-        ("dynamic", true, 0x60ec_25a3_7892_ea7e, 0x9017_819e_8dfe_11a9),
-        ("periodic-static", false, 0x56b3_f504_7b1c_d8e0, 0x0238_f3c7_3350_4801),
-        ("periodic-static", true, 0x1544_1a9a_b550_2716, 0xd5d5_e461_a78e_83ca),
-        ("hybrid", false, 0x7482_5ed7_6455_07ca, 0xc7e9_12f8_1ba4_59da),
-        ("hybrid", true, 0x7085_a262_d626_c13d, 0xb9f0_9f73_3b13_5ea8),
-        ("frozen-static", false, 0x1f62_f2ed_0ed2_c78b, 0x596d_5350_730e_d07a),
-        ("frozen-static", true, 0x53b7_bdad_f2ea_c81c, 0xe019_fc3d_9e9d_4177),
-        ("threshold-switch", false, 0x00a2_f822_5e22_2763, 0x728e_6874_a1c7_51cb),
-        ("threshold-switch", true, 0xc6a0_362c_0266_2c59, 0x5202_ca2f_8cab_73d6),
+        ("dynamic", false, 0xffd9_62e1_187f_c917, 0xc68b_98d8_cc00_54ca),
+        ("dynamic", true, 0x60ec_25a3_7892_ea7e, 0x4c41_6dd3_80e0_aa71),
+        ("periodic-static", false, 0x56b3_f504_7b1c_d8e0, 0xd34e_0b70_4064_b6d3),
+        ("periodic-static", true, 0x1544_1a9a_b550_2716, 0x35ad_167a_6fb7_373a),
+        ("hybrid", false, 0x7482_5ed7_6455_07ca, 0x994a_0461_273d_1ce2),
+        ("hybrid", true, 0x7085_a262_d626_c13d, 0x5be6_dd45_da70_3379),
+        ("frozen-static", false, 0x1f62_f2ed_0ed2_c78b, 0xfaec_f11f_5925_689e),
+        ("frozen-static", true, 0x53b7_bdad_f2ea_c81c, 0x00bb_6541_b7f8_9362),
+        ("threshold-switch", false, 0x00a2_f822_5e22_2763, 0x4be4_6f65_8109_c007),
+        ("threshold-switch", true, 0xc6a0_362c_0266_2c59, 0xc88d_75c5_6b99_0db6),
     ];
     for (policy, faulted, durable_digest, files_digest) in GOLDEN {
         let topology = TopologyFamily::Balanced { branching: 3, height: 2 };

@@ -1,13 +1,16 @@
 //! Session-driver semantics: mid-run strategy swaps, checkpoint/restore
 //! exactness, externally pushed epochs and per-tenant attribution.
 
-use hbn_dynamic::online_trace;
+use hbn_dynamic::{online_trace, DynamicStats, OnlineRequest};
 use hbn_load::LoadMap;
 use hbn_scenario::{
-    periodic_static_from, run_scenario_with, ReplayKernel, ScenarioReport, ScenarioSpec, Session,
-    StrategyKind, TopologyFamily,
+    periodic_static_from, run_scenario_with, FaultView, ReplayKernel, ScenarioReport, ScenarioSpec,
+    Session, Strategy, StrategyKind, TopologyFamily,
 };
+use hbn_testutil::TestDir;
+use hbn_topology::{Network, NodeId};
 use hbn_workload::phases::{full_tour, PhaseKind, PhaseSchedule, PhaseSpec};
+use hbn_workload::{AccessMatrix, ObjectId};
 
 fn base_spec(seed: u64) -> ScenarioSpec {
     let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
@@ -317,4 +320,160 @@ fn tenant_loads_sum_to_the_policy_loads() {
     }
     assert_eq!(epochs, 12);
     assert!(session.tenant_loads().iter().all(|loads| loads.total() > 0));
+}
+
+/// Six phases of 0, 90, 0, 0, 70 and 0 requests, in epochs of 30: the
+/// empty phases run no epoch.
+fn empty_phases_spec(strategy: StrategyKind) -> ScenarioSpec {
+    let kind = PhaseKind::StaticZipf { skew: 0.9, write_fraction: 0.2 };
+    let phases = [0, 90, 0, 0, 70, 0]
+        .into_iter()
+        .enumerate()
+        .map(|(i, requests)| PhaseSpec::new(format!("phase-{i}"), kind, requests))
+        .collect();
+    let topology = TopologyFamily::Balanced { branching: 3, height: 2 };
+    ScenarioSpec {
+        strategy,
+        epoch_requests: 30,
+        ..ScenarioSpec::new("empty-phases", topology, PhaseSchedule::new(12, phases), 2, 17)
+    }
+}
+
+/// One step of a run that interleaves pushed epochs with scheduled ones:
+/// a five-request batch at every epoch index `≡ 2 (mod 3)`, the next
+/// scheduled epoch otherwise. False once the schedule is exhausted. The
+/// step depends on the epoch index alone, so a restored session goes on
+/// exactly as the unbroken one did.
+fn advance(session: &mut Session) -> bool {
+    let epoch = session.epoch_index();
+    if epoch % 3 != 2 {
+        return session.step_epoch().unwrap().is_some();
+    }
+    let procs = session.network().processors();
+    let batch: Vec<OnlineRequest> = (0..5)
+        .map(|i| OnlineRequest {
+            processor: procs[(epoch + i) % procs.len()],
+            object: ObjectId(((epoch * 7 + i) % 12) as u32),
+            is_write: i % 3 == 0,
+        })
+        .collect();
+    session.push_epoch(&batch).unwrap();
+    true
+}
+
+/// Zero-request phases get a summary with no epoch, in schedule order;
+/// pushed epochs between scheduled ones stay out of every summary; and a
+/// session restored from any epoch boundary, in memory or from its saved
+/// file, finishes with the unbroken run's report.
+#[test]
+fn zero_request_phases_summarise_and_resume() {
+    let dir = TestDir::new(env!("CARGO_TARGET_TMPDIR"), "session-empty-phases");
+    for strategy in
+        [StrategyKind::Dynamic, StrategyKind::PeriodicStatic { replace_every_epochs: 2 }]
+    {
+        let spec = empty_phases_spec(strategy);
+        let mut session = Session::new(&spec);
+        let mut checkpoints = vec![session.checkpoint()];
+        while advance(&mut session) {
+            checkpoints.push(session.checkpoint());
+        }
+        let expected = session.into_report();
+
+        let requests = [0, 90, 0, 0, 70, 0];
+        assert_eq!(expected.phases.len(), requests.len(), "{strategy}");
+        for (i, (phase, n)) in expected.phases.iter().zip(requests).enumerate() {
+            assert_eq!(phase.label, format!("phase-{i}"));
+            assert_eq!(phase.traffic.requests, n);
+            assert_eq!(phase.epochs, n.div_ceil(30) as usize, "{strategy}, phase {i}");
+        }
+        let pushed = expected.epochs.iter().filter(|e| e.phase == requests.len()).count();
+        assert_eq!(pushed, 3, "{strategy}");
+        assert_eq!(expected.traffic.requests, 160 + 5 * pushed as u64);
+
+        for (at, checkpoint) in checkpoints.into_iter().enumerate() {
+            let path = dir.join(format!("{strategy}-e{at}.hbnc"));
+            checkpoint.save(&path).unwrap();
+            for mut resumed in [
+                Session::restore(checkpoint).unwrap(),
+                Session::restore_from_file(&spec, &path).unwrap(),
+            ] {
+                assert_eq!(resumed.epoch_index(), at);
+                while advance(&mut resumed) {}
+                assert_eq!(resumed.into_report(), expected, "{strategy}, resumed at {at}");
+            }
+        }
+    }
+}
+
+/// A policy that charges each request to the path to one home processor
+/// and counts it, then at epoch 2 forgets what it charged
+/// (`forget_loads`) or what it counted: its cumulative totals shrink.
+#[derive(Clone)]
+struct Forgetful {
+    home: [NodeId; 1],
+    loads: LoadMap,
+    stats: DynamicStats,
+    forget_loads: bool,
+}
+
+impl Strategy for Forgetful {
+    fn label(&self) -> String {
+        "forgetful".into()
+    }
+    fn begin_epoch(&mut self, _: &Network, epoch: usize, _: &AccessMatrix, _: &FaultView) {
+        match epoch {
+            2 if self.forget_loads => self.loads.reset(),
+            2 => self.stats = DynamicStats::default(),
+            _ => {}
+        }
+    }
+    fn serve_batch(&mut self, net: &Network, trace: &[OnlineRequest], _: &AccessMatrix) {
+        for req in trace {
+            if req.is_write {
+                self.stats.writes += 1;
+            } else {
+                self.stats.reads += 1;
+            }
+            for e in net.path_edges_iter(req.processor, self.home[0]) {
+                self.loads.add_edge(e, 1);
+            }
+        }
+    }
+    fn copy_set(&self, _: ObjectId) -> &[NodeId] {
+        &self.home
+    }
+    fn add_loads_to(&self, out: &mut LoadMap) {
+        out.add_assign(&self.loads);
+    }
+    fn stats(&self) -> DynamicStats {
+        self.stats
+    }
+}
+
+fn run_forgetful(forget_loads: bool) {
+    let mut session = Session::with_strategy(&base_spec(3), |net, _, _| {
+        Box::new(Forgetful {
+            home: [net.processors()[0]],
+            loads: LoadMap::zero(net),
+            stats: DynamicStats::default(),
+            forget_loads,
+        })
+    });
+    while session.step_epoch().unwrap().is_some() {}
+}
+
+/// The session takes an epoch's loads as the growth of the policy's
+/// cumulative loads; loads that shrink panic in every build, where a
+/// release build once reported a wrapped congestion.
+#[test]
+#[should_panic(expected = "load underflow")]
+fn shrinking_policy_loads_panic() {
+    run_forgetful(true);
+}
+
+/// Likewise for the policy's event counters.
+#[test]
+#[should_panic(expected = "counter underflow")]
+fn shrinking_policy_counters_panic() {
+    run_forgetful(false);
 }
